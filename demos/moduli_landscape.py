@@ -3,7 +3,8 @@
 Sweeps one annulus component (ratio 1) and one helicoid component
 (ratio 1/2), demonstrates closure versus deck-shifted non-closure, tracks
 the monodromy of the closing pair around two annuli, and enumerates
-components.  Writes the annulus sweep to CSV and OBJ next to this script.
+components.  Writes the annulus sweep to CSV and OBJ in the current
+directory.
 
 Run:  python demos/moduli_landscape.py
 """

@@ -241,15 +241,21 @@ def cmd_genus0(args, cfg: RunConfig) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    # cross-checks before printing: inverse transform and double periodicity
-    assert abs(branch_point(m) - alpha) < 1e-10
+    # cross-checks before printing: inverse transform, double periodicity
+    # and the closed form of r_1
     lat = period_lattice(m.x)
     g0 = harmonic_map_eval(m, 0.37 + 0.21j)
     g1 = harmonic_map_eval(m, 0.37 + 0.21j + lat.kappa1 + 2 * lat.kappa2)
-    assert np.abs(g1 - g0).max() < 1e-10
     r1, r2 = differential_scalars(alpha)
     alpha_form = math.pi / 2 * (1 / abs(1 + alpha) + 1j / abs(1 - alpha))
-    assert abs(r1 - alpha_form) < 1e-10 * abs(r1)
+    for name, residual, tol in (
+            ("branch point round trip", abs(branch_point(m) - alpha), 1e-10),
+            ("double periodicity", float(np.abs(g1 - g0).max()), 1e-10),
+            ("r_1 closed form", abs(r1 - alpha_form), 1e-10 * abs(r1))):
+        if not residual < tol:
+            print(f"error: cross-check {name} failed: residual {residual:.3e} "
+                  f"(tolerance {tol:.1e})", file=sys.stderr)
+            return 3
     tau = conformal_type(matrix, m.x)
     E = energy(data)
     lines = [

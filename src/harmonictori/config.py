@@ -1,8 +1,10 @@
-"""Central numerical defaults and the run configuration.
+"""The run configuration: the settings a CLI user may change.
 
-Every tolerance used across the library lives here so that tests, the CLI
-and library callers agree on one set of numbers.  ``RunConfig`` mirrors the
-flat key=value config file accepted by the CLI (see ``load_config``).
+``RunConfig`` holds the level-set solver and rational-detection tolerances,
+the sweep range and the seed, and mirrors the flat key=value config file
+accepted by the CLI (see ``load_config``).  ``DEFAULTS`` also supplies the
+library-side defaults of those settings.  Fixed numerical constants live at
+their single use in the modules.
 """
 
 from __future__ import annotations
@@ -19,41 +21,24 @@ class RunConfig:
     # solver / detection
     solver_tol: float = 1e-10        # |T~ - q| at an accepted level-set root
     detection_tol: float = 1e-9      # residual for rational (p, q) detection
-    max_den: int = 50                # denominator cap for rational detection
 
-    # quadrature
-    quad_abs_tol: float = 1e-13      # incomplete elliptic integrals
-    contour_rel_tol: float = 1e-9    # contour integral refinement target
-    clearance: float = 1e-3          # min path distance to branch points/poles
-    boundary_eps: float = 1e-9       # "at infinity" chart guard band (radians)
-
-    # sweep grids
+    # sweep range
     k_min: float = 0.1
     k_max: float = 0.9
-    k_grid: int = 8
-    angle_grid: int = 16
     angle_start: float = 0.1
 
-    # reporting
+    # reporting: written to the level-set header
     seed: int = 0
-    out_path: str = "level_set.csv"
-    mesh_path: str = ""
 
     def validate(self) -> None:
-        for name in ("solver_tol", "detection_tol", "quad_abs_tol",
-                     "contour_rel_tol", "clearance", "boundary_eps"):
+        for name in ("solver_tol", "detection_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if not (0.0 < self.k_min < self.k_max < 1.0):
             raise ValueError("need 0 < k_min < k_max < 1")
-        if self.k_grid < 2 or self.angle_grid < 2:
-            raise ValueError("grids must have at least 2 samples")
 
 
 DEFAULTS = RunConfig()
-
-_INT_FIELDS = {"max_den", "k_grid", "angle_grid", "seed"}
-_STR_FIELDS = {"out_path", "mesh_path"}
 
 
 def load_config(path: str | None = None) -> RunConfig:
@@ -79,12 +64,7 @@ def load_config(path: str | None = None) -> RunConfig:
             key, val = key.strip(), val.strip()
             if key not in known:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            if key in _STR_FIELDS:
-                values[key] = val
-            elif key in _INT_FIELDS:
-                values[key] = int(val)
-            else:
-                values[key] = float(val)
+            values[key] = int(val) if key == "seed" else float(val)
     cfg = RunConfig(**values)  # type: ignore[arg-type]
     cfg.validate()
     return cfg

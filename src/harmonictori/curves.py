@@ -16,9 +16,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .elliptic import _reduce_turns, w_imag
-
-TWO_PI = 2.0 * math.pi
+from .elliptic import TWO_PI, _reduce_turns, w_imag
 
 __all__ = [
     "BranchPair", "JacobiFrame", "ModuliPoint",

@@ -28,16 +28,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import DEFAULTS
 from .curves import (
     BranchPair, JacobiFrame, angle_rescale, build_frame, inverse_coords,
 )
 from .elliptic import (
-    complete_E, complete_K, incomplete_E_reg_imag, incomplete_F_imag, w_imag,
+    TWO_PI, complete_E, complete_K, incomplete_E_reg_imag, incomplete_F_imag,
+    w_imag,
 )
 from .moduli import S_value, solve_level, t0_raw
-
-TWO_PI = 2.0 * math.pi
 
 DIFFERENTIAL_KINDS = ("omega", "e", "epsilon", "theta_E", "theta_P")
 
@@ -192,13 +190,17 @@ def _seg_point_distance(a: complex, b: complex, p: complex) -> float:
     return abs(p - (a + t * ab))
 
 
-def _check_clearance(path: PathSpec, centers, clearance: float) -> None:
+#: Minimum distance of a contour path from branch points and double poles.
+_CLEARANCE = 1e-3
+
+
+def _check_clearance(path: PathSpec, centers) -> None:
     for a, b in zip(path.points[:-1], path.points[1:]):
         for c in centers:
             d = _seg_point_distance(a, b, c)
-            if d < clearance:
+            if d < _CLEARANCE:
                 raise PathError(
-                    f"path passes within {d:.2e} of {c!r} (clearance {clearance:.2e})")
+                    f"path passes within {d:.2e} of {c!r} (clearance {_CLEARANCE:.2e})")
 
 
 def _grade(y_from: float, y_to: float) -> list[float]:
@@ -212,26 +214,26 @@ def _grade(y_from: float, y_to: float) -> list[float]:
     return out
 
 
-def loop_A(frame: JacobiFrame, height: float | None = None) -> PathSpec:
+def loop_A(frame: JacobiFrame) -> PathSpec:
     """Cycle around the branch points -1 and 1, oriented so that the
     holomorphic differential integrates to +4K on the starting sheet."""
     k = frame.k
     xa = min(1.2, 0.5 * (1.0 + 1.0 / k))
-    h = height if height is not None else _pick_height(frame)
+    h = _pick_height(frame)
     pts = (-1j * h, xa - 1j * h, xa + 1j * h, -xa + 1j * h, -xa - 1j * h, -1j * h)
     return PathSpec(points=pts, sheet=1)
 
 
-def loop_B(frame: JacobiFrame, height: float | None = None) -> PathSpec:
+def loop_B(frame: JacobiFrame) -> PathSpec:
     """Cycle around the branch points 1 and 1/k; +2iK' for the first kind."""
     k = frame.k
     xB = 1.0 / k + max(0.25, 0.25 * (1.0 / k - 1.0))
-    h = height if height is not None else _pick_height(frame)
+    h = _pick_height(frame)
     pts = (-1j * h, 1j * h, xB + 1j * h, xB - 1j * h, -1j * h)
     return PathSpec(points=pts, sheet=1)
 
 
-def _pick_height(frame: JacobiFrame, candidates=(0.45, 0.3, 0.65, 0.2)) -> float:
+def _pick_height(frame: JacobiFrame) -> float:
     """Rectangle height maximizing distance from the double poles.
 
     Pole crossings cost no correctness (the residues vanish) but ruin the
@@ -239,8 +241,8 @@ def _pick_height(frame: JacobiFrame, candidates=(0.45, 0.3, 0.65, 0.2)) -> float
     """
     z0 = frame.z0
     poles = (z0, -z0.conjugate())
-    best, best_d = candidates[0], -1.0
-    for h in candidates:
+    best, best_d = None, -1.0
+    for h in (0.45, 0.3, 0.65, 0.2):
         d = min(min(abs(p.imag - s * h) for s in (1.0, -1.0)) for p in poles)
         if d > best_d:
             best, best_d = h, d
@@ -288,41 +290,49 @@ def gamma0_path(sign: int, frame: JacobiFrame) -> PathSpec:
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(16)
 
 
+def _track_sheet(geom: _Geometry, zs: np.ndarray, w0: complex) -> np.ndarray:
+    """Continue w = sqrt(Q) by nearest value along the nodes zs, from w0.
+
+    Each node takes the root of Q nearer to the previous value, so the sheet
+    sign is a running product of sign flips; a tie keeps the sheet.  Raises
+    ContinuationError when a step, including the first one from w0, moves w
+    by more than 60 percent, which signals under-resolution near a branch
+    point.
+    """
+    s = np.sqrt(geom.Q(zs))
+    prev = np.concatenate(([w0], s[:-1]))
+    w = s * np.cumprod(np.where((s * prev.conj()).real < 0.0, -1.0, 1.0))
+    w_prev = np.concatenate(([w0], w[:-1]))
+    bad = np.abs(w - w_prev) > 0.6 * np.abs(w_prev)
+    if bad.any():
+        raise ContinuationError(
+            f"sheet tracking ambiguous near {complex(zs[bad.argmax()])!r}; "
+            "refine the path")
+    return w
+
+
 def _walk_segment(geom: _Geometry, coeff, z1: complex, z2: complex,
                   w_start: complex, nsub: int) -> tuple[complex, complex]:
     """Composite Gauss rule over [z1, z2] tracking w from w_start.
 
-    Returns (integral, w at z2).  Raises ContinuationError when a step moves
-    w by more than 60 percent, which signals under-resolution near a branch
-    point.
+    Returns (integral, w at z2); ContinuationError propagates from the
+    sheet tracking.
     """
-    total = 0.0 + 0.0j
-    w_prev = w_start
-    dz = (z2 - z1) / nsub
-    for j in range(nsub):
-        za = z1 + dz * j
-        mid = za + 0.5 * dz
-        half = 0.5 * dz
-        zs = mid + half * _GAUSS_X
-        for z, wt in zip(zs, _GAUSS_W):
-            s = cmath.sqrt(geom.Q(z))
-            w = s if abs(s - w_prev) <= abs(s + w_prev) else -s
-            if abs(w - w_prev) > 0.6 * abs(w_prev):
-                raise ContinuationError(
-                    f"sheet tracking ambiguous near {z!r}; refine the path")
-            w_prev = w
-            total += wt * half * coeff(z, w)
-    # land exactly on the endpoint for the next segment's seed
-    s = cmath.sqrt(geom.Q(z2))
-    w_end = s if abs(s - w_prev) <= abs(s + w_prev) else -s
-    return total, w_end
+    half = 0.5 * (z2 - z1) / nsub
+    mids = z1 + half * (2 * np.arange(nsub) + 1)
+    zs = np.append((mids[:, None] + half * _GAUSS_X).ravel(), z2)
+    w = _track_sheet(geom, zs, w_start)
+    vals = coeff(zs[:-1], w[:-1]).reshape(nsub, len(_GAUSS_W))
+    return complex(half * (vals @ _GAUSS_W).sum()), complex(w[-1])
 
 
-def _integrate(geom: _Geometry, coeff, path: PathSpec,
-               rtol: float = DEFAULTS.contour_rel_tol) -> tuple[complex, complex]:
-    """Integrate coeff(z, w) dz along the path; returns (value, final w)."""
-    z_first = path.points[0]
-    w = path.sheet * cmath.sqrt(geom.Q(z_first))
+def _integrate(geom: _Geometry, coeff, path: PathSpec) -> tuple[complex, complex]:
+    """Integrate coeff(z, w) dz along the path; returns (value, final w).
+
+    Each segment is refined by doubling until two successive rules agree to
+    1e-10 relative (1e-13 absolute).
+    """
+    w = path.sheet * cmath.sqrt(geom.Q(path.points[0]))
     total = 0.0 + 0.0j
     for z1, z2 in zip(path.points[:-1], path.points[1:]):
         if z1 == z2:
@@ -336,7 +346,7 @@ def _integrate(geom: _Geometry, coeff, path: PathSpec,
                 nsub *= 2
                 continue
             if val is not None and abs(val2 - val) <= max(
-                    1e-13, 0.1 * rtol * max(abs(val2), 1.0)):
+                    1e-13, 1e-10 * max(abs(val2), 1.0)):
                 val, w_end = val2, w_end2
                 break
             val, w_end = val2, w_end2
@@ -348,14 +358,12 @@ def _integrate(geom: _Geometry, coeff, path: PathSpec,
     return total, w
 
 
-def contour_integral(kind: str, path: PathSpec, frame: JacobiFrame,
-                     rtol: float = DEFAULTS.contour_rel_tol,
-                     clearance: float = DEFAULTS.clearance) -> complex:
+def contour_integral(kind: str, path: PathSpec, frame: JacobiFrame) -> complex:
     """Numerical line integral of a named differential along a path.
 
     The sheet of w is continued from the path's starting tag; the path must
-    keep the configured clearance from branch points, and from the double
-    poles when the differential has them.
+    keep a clearance of 1e-3 from branch points, and from the double poles
+    when the differential has them.
     """
     geom = _Geometry(frame)
     if kind not in DIFFERENTIAL_KINDS:
@@ -363,8 +371,8 @@ def contour_integral(kind: str, path: PathSpec, frame: JacobiFrame,
     centers = list(geom.branch_points)
     if geom.has_poles(kind):
         centers += list(geom.poles)
-    _check_clearance(path, centers, clearance)
-    value, _ = _integrate(geom, geom.coefficient(kind), path, rtol)
+    _check_clearance(path, centers)
+    value, _ = _integrate(geom, geom.coefficient(kind), path)
     return value
 
 
@@ -410,8 +418,7 @@ def theta_P_gamma_closed(sign: int, frame: JacobiFrame) -> complex:
     return _theta_P_gamma_value(sign, frame)
 
 
-def gamma_closing_values(frame: JacobiFrame, prefer_quadrature: bool = True
-                         ) -> dict[tuple[str, int], complex]:
+def gamma_closing_values(frame: JacobiFrame) -> dict[tuple[str, int], complex]:
     """Closing integrals of theta_E and theta_P over both principal paths.
 
     Contour quadrature is used where the paths exist; when an endpoint sits
@@ -420,52 +427,47 @@ def gamma_closing_values(frame: JacobiFrame, prefer_quadrature: bool = True
     out: dict[tuple[str, int], complex] = {}
     for s in (1, -1):
         out[("theta_E", s)] = theta_E_gamma(s, frame.pair)
-        used_quad = False
-        if prefer_quadrature:
-            try:
-                path = gamma0_path(s, frame)
-                out[("theta_P", s)] = contour_integral("theta_P", path, frame)
-                quad_E = contour_integral("theta_E", path, frame)
-                if abs(quad_E - out[("theta_E", s)]) > 1e-6:
-                    raise ContinuationError(
-                        f"gamma path quadrature inconsistent: {quad_E!r}")
-                used_quad = True
-            except PathError:
-                pass
-        if not used_quad:
+        try:
+            path = gamma0_path(s, frame)
+            quad_P = contour_integral("theta_P", path, frame)
+            quad_E = contour_integral("theta_E", path, frame)
+        except PathError:
             out[("theta_P", s)] = _theta_P_gamma_value(s, frame)
+            continue
+        if abs(quad_E - out[("theta_E", s)]) > 1e-6:
+            raise ContinuationError(f"gamma path quadrature inconsistent: {quad_E!r}")
+        out[("theta_P", s)] = quad_P
     return out
 
 
 # ---------------------------------------------------------------------------
 # Laurent data at the double poles
 
+def _pole_radius(geom: _Geometry, center: complex) -> float:
+    """Laurent sampling radius at a center: 0.05, or 0.3 of the distance to
+    the nearest other branch point or pole when that is smaller."""
+    others = list(geom.branch_points) + \
+        [p for p in geom.poles if abs(p - center) > 1e-12]
+    return min(0.05, 0.3 * min(abs(center - c) for c in others))
+
+
 def laurent_coefficients(kind: str, center: complex, frame: JacobiFrame,
-                         orders=(-2, -1, 0), radius: float | None = None,
-                         samples: int = 128, coeff=None) -> dict[int, complex]:
+                         orders=(-2, -1, 0), coeff=None) -> dict[int, complex]:
     """Laurent coefficients of a differential's dz-coefficient at a point.
 
-    Samples a circle around the center with continuous sheet tracking and
-    projects onto powers; exponentially accurate for analytic data.  The
-    starting sheet is the principal square root at center + radius, which is
-    enough for the pole-order and ratio checks (a sheet flip scales every
-    coefficient by -1).
+    Samples a circle of 128 points around the center with continuous sheet
+    tracking and projects onto powers; exponentially accurate for analytic
+    data.  The starting sheet is the principal square root at the first
+    sample, which is enough for the pole-order and ratio checks (a sheet
+    flip scales every coefficient by -1).
     """
     geom = _Geometry(frame)
     if coeff is None:
         coeff = geom.coefficient(kind)
-    others = [b for b in geom.branch_points] + \
-             [p for p in geom.poles if abs(p - center) > 1e-12]
-    rho = radius if radius is not None else min(
-        0.05, 0.3 * min(abs(center - c) for c in others))
-    thetas = np.linspace(0.0, TWO_PI, samples, endpoint=False)
+    rho = _pole_radius(geom, center)
+    thetas = np.linspace(0.0, TWO_PI, 128, endpoint=False)
     zs = center + rho * np.exp(1j * thetas)
-    w = cmath.sqrt(geom.Q(zs[0]))
-    vals = np.empty(samples, dtype=complex)
-    for j, z in enumerate(zs):
-        s = cmath.sqrt(geom.Q(z))
-        w = s if abs(s - w) <= abs(s + w) else -s
-        vals[j] = coeff(z, w)
+    vals = coeff(zs, _track_sheet(geom, zs, np.sqrt(geom.Q(zs[0]))))
     out = {}
     for mth in orders:
         out[mth] = (vals * np.exp(-1j * mth * thetas)).mean() / rho ** mth
@@ -515,8 +517,7 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return g, y, x - (a // b) * y
 
 
-def construct_psi(S: Fraction, T: Fraction, frame: JacobiFrame,
-                  tol: float = 1e-9, quad_residual_tol: float = 1e-6) -> ClosingData:
+def construct_psi(S: Fraction, T: Fraction, frame: JacobiFrame) -> ClosingData:
     """Build the minimal pair of differentials satisfying the closing
     conditions on a curve with S = n/m and T = n'/m'.
 
@@ -524,7 +525,9 @@ def construct_psi(S: Fraction, T: Fraction, frame: JacobiFrame,
     match n'/m' up to the multivaluedness lattice Z<1, S>; the congruence
     arithmetic then runs on the principal representative.  The four closing
     integrals are evaluated by contour quadrature, rounded to integers, and
-    the largest rounding residual is reported.
+    the largest rounding residual is reported.  The measured S and T must
+    match to 1e-9 relative, and each closing integral must lie within 1e-6
+    of its integer.
     """
     S, T = Fraction(S), Fraction(T)
     n, m = S.numerator, S.denominator
@@ -534,13 +537,13 @@ def construct_psi(S: Fraction, T: Fraction, frame: JacobiFrame,
 
     bp = frame.pair
     s_meas = S_value(bp)
-    if abs(s_meas - float(S)) > tol * max(1.0, abs(float(S))):
+    if abs(s_meas - float(S)) > 1e-9 * max(1.0, abs(float(S))):
         raise ValueError(f"curve has S = {s_meas!r}, not {S}")
     t_meas = t0_raw(s_meas, frame.k, frame.u, frame.v)
     # principal representative of T in the coset T + Z<1, S> = T + (1/m) Z
     shift = round(m * (t_meas - float(T)))
     t_rep = T + Fraction(shift, m)
-    if abs(t_meas - float(t_rep)) > tol * max(1.0, abs(t_meas)):
+    if abs(t_meas - float(t_rep)) > 1e-9 * max(1.0, abs(t_meas)):
         raise ValueError(
             f"curve has principal T = {t_meas!r}, not {T} modulo Z<1,{S}>")
     nr, mr = t_rep.numerator, t_rep.denominator
@@ -575,7 +578,7 @@ def construct_psi(S: Fraction, T: Fraction, frame: JacobiFrame,
         got = val / (2j * math.pi)
         err = abs(got - round(got.real))
         residual = max(residual, err)
-        if err > quad_residual_tol:
+        if err > 1e-6:
             raise ContinuationError(
                 f"closing integral {name} = {val!r} not near 2 pi i Z")
         if round(got.real) != expect:
@@ -699,15 +702,16 @@ def hitchin_checklist(frame: JacobiFrame, closing: ClosingData | None = None,
 
     pair = _closing_pair_coeffs(geom, closing)
     pole_res = 0.0
+    c2 = []  # leading coefficient at z0 of each differential, for P9
     for _, coeff in pair:
         for center in geom.poles:
-            others = list(geom.branch_points) + [p for p in geom.poles if p != center]
-            rho = min(0.05, 0.3 * min(abs(center - c) for c in others))
-            cs = laurent_coefficients("", center, frame, orders=(-2, -1),
-                                      radius=rho, coeff=coeff)
+            cs = laurent_coefficients("", center, frame, orders=(-2, -1), coeff=coeff)
+            if center == geom.z0:
+                c2.append(cs[-2])
             if abs(cs[-2]) < 1e-10:
                 pole_res = max(pole_res, 1.0)
-            pole_res = max(pole_res, abs(cs[-1]) * rho / abs(cs[-2]))
+            pole_res = max(pole_res, abs(cs[-1]) * _pole_radius(geom, center)
+                           / abs(cs[-2]))
     entries.append(ChecklistEntry("P3 double poles, no residues", float(pole_res),
                                   "normalized residue at the poles over 0, infinity"))
 
@@ -760,8 +764,6 @@ def hitchin_checklist(frame: JacobiFrame, closing: ClosingData | None = None,
     entries.append(ChecklistEntry("P8 closing integrals", float(close_res),
                                   ", ".join(details)))
 
-    c2 = [laurent_coefficients("", geom.z0, frame, orders=(-2,), coeff=c)[-2]
-          for _, c in pair]
     indep = abs((c2[1] / c2[0]).imag)
     entries.append(ChecklistEntry("P9 independent principal parts",
                                   0.0 if indep > 1e-6 else 1.0,

@@ -22,9 +22,10 @@ from functools import lru_cache
 
 from scipy.integrate import quad
 
-from .config import DEFAULTS
-
 TWO_PI = 2.0 * math.pi
+
+#: Half-width (radians) of the guard band around the infinity chart boundary.
+_BOUNDARY_EPS = 1e-9
 
 __all__ = [
     "EllipticModulus", "LiftedAngle", "ChartBoundary",
@@ -122,7 +123,7 @@ def w_imag(u: float, k) -> float:
 
 
 def _quad(f, lo: float, hi: float) -> float:
-    val, _ = quad(f, lo, hi, epsabs=DEFAULTS.quad_abs_tol, epsrel=1e-12, limit=200)
+    val, _ = quad(f, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=200)
     return val
 
 
@@ -216,7 +217,7 @@ def lifted_E(x_tilde: float, k) -> float:
     return 2.0 * m * inc + (_quad(integrand, 0.0, r) if r != 0.0 else 0.0)
 
 
-def wind(x_tilde: float, eps: float = DEFAULTS.boundary_eps) -> int:
+def wind(x_tilde: float, eps: float = _BOUNDARY_EPS) -> int:
     """The unique integer W with -pi < x~ - 2 pi W < pi.
 
     Within ``eps`` of an odd multiple of pi the finite chart degenerates and
@@ -234,7 +235,7 @@ class LiftedAngle:
     """A point x~ of the universal cover of RP^1, with chart bookkeeping."""
 
     x_tilde: float
-    boundary_eps: float = DEFAULTS.boundary_eps
+    boundary_eps: float = _BOUNDARY_EPS
 
     @property
     def at_infinity(self) -> bool:

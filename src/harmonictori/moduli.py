@@ -23,13 +23,13 @@ from fractions import Fraction
 import numpy as np
 
 from .config import DEFAULTS
-from .curves import BranchPair, ModuliPoint, forward_coords, inverse_coords
-from .elliptic import (
-    _reduce_turns, complete_E, complete_K, incomplete_E_reg_imag,
-    incomplete_F_imag, lifted_E, lifted_F, w_imag,
+from .curves import (
+    BranchPair, ModuliPoint, _chart_value, forward_coords, inverse_coords,
 )
-
-TWO_PI = 2.0 * math.pi
+from .elliptic import (
+    TWO_PI, complete_E, complete_K, incomplete_E_reg_imag, incomplete_F_imag,
+    lifted_E, lifted_F, w_imag,
+)
 
 __all__ = [
     "ComponentId", "LevelSetMesh", "MeshRecord", "ModuliSummary",
@@ -82,11 +82,6 @@ def T0_value(mp: ModuliPoint) -> float:
     return t0_raw(mp.p, mp.k, mp.u, mp.v)
 
 
-def _chart(x_tilde: float) -> float:
-    _, r = _reduce_turns(x_tilde)
-    return math.inf if abs(r) == math.pi else math.tan(0.5 * x_tilde)
-
-
 def t_tilde_raw(p: float, k: float, u_tilde: float, v_tilde: float) -> float:
     """Single-valued lift of T along the universal cover.
 
@@ -97,7 +92,7 @@ def t_tilde_raw(p: float, k: float, u_tilde: float, v_tilde: float) -> float:
     K, E = complete_K(k), complete_E(k)
     fv = E * lifted_F(v_tilde, k) - K * lifted_E(v_tilde, k)
     fu = E * lifted_F(u_tilde, k) - K * lifted_E(u_tilde, k)
-    u, v = _chart(u_tilde), _chart(v_tilde)
+    u, v = _chart_value(u_tilde), _chart_value(v_tilde)
     return (4.0 * p * fv - 4.0 * fu - 4.0 * K * _bracket(p, k, u, v)) / TWO_PI
 
 
@@ -128,7 +123,7 @@ def dT0_du(mp: ModuliPoint) -> float:
 def dT_tilde_du_tilde(p: float, k: float, u_tilde: float, v_tilde: float) -> float:
     """dT~/du~ = (1 + u^2)/2 * dT0/du, with the chart-boundary limit
     (1/(pi k)) (-E + p k K w(iv) + K(1 + k^2 v^2)) at u~ in pi + 2 pi Z."""
-    u, v = _chart(u_tilde), _chart(v_tilde)
+    u, v = _chart_value(u_tilde), _chart_value(v_tilde)
     if math.isinf(u):
         K, E = complete_K(k), complete_E(k)
         return (-E + p * k * K * w_imag(v, k) + K * (1.0 + k * k * v * v)) / (math.pi * k)
@@ -138,7 +133,7 @@ def dT_tilde_du_tilde(p: float, k: float, u_tilde: float, v_tilde: float) -> flo
 def dT_tilde_dv_tilde(p: float, k: float, u_tilde: float, v_tilde: float) -> float:
     """dT~/dv~, obtained from the u-derivative through the inversion symmetry
     T0(p,k,u,v) = -p T0(1/p,k,v,u)."""
-    u, v = _chart(u_tilde), _chart(v_tilde)
+    u, v = _chart_value(u_tilde), _chart_value(v_tilde)
     if math.isinf(v):
         K, E = complete_K(k), complete_E(k)
         return -(-p * E + k * K * w_imag(u, k) + p * K * (1.0 + k * k * u * u)) / (math.pi * k)
@@ -308,7 +303,7 @@ def best_rational(x: float, max_den: int) -> Fraction:
     return Fraction(x).limit_denominator(max_den)
 
 
-def spectral_test(bp: BranchPair, max_den: int = DEFAULTS.max_den,
+def spectral_test(bp: BranchPair, max_den: int = 50,
                   tol: float = DEFAULTS.detection_tol) -> tuple[Fraction, Fraction] | None:
     """Candidate detection of spectral curves.
 

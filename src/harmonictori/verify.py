@@ -24,12 +24,10 @@ from .differentials import (
     loop_A, loop_B, theta_P_characterization_check, theta_P_gamma_closed,
 )
 from .elliptic import (
-    complementary_modulus, complete_E, complete_K, incomplete_F_imag,
+    TWO_PI, complementary_modulus, complete_E, complete_K, incomplete_F_imag,
     legendre_defect, lifted_E, lifted_F,
 )
 from .moduli import S_value, T_tilde, dT_tilde_du_tilde
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass

@@ -125,6 +125,16 @@ class TestGenus0:
         main(["genus0", "--alpha", "0.999,0.0", "--matrix", "0,1,1,0"])
         assert "warning" in capsys.readouterr().out
 
+    def test_failed_cross_check_exits_3(self, monkeypatch, capsys):
+        from harmonictori import cli
+        true_branch_point = cli.branch_point
+        monkeypatch.setattr(cli, "branch_point",
+                            lambda m: true_branch_point(m) + 1e-6)
+        assert main(["genus0", "--alpha", "0.5,0.0", "--matrix", "0,1,1,0"]) == 3
+        captured = capsys.readouterr()
+        assert "branch point round trip" in captured.err
+        assert captured.out == ""
+
     def test_singular_matrix(self):
         assert main(["genus0", "--alpha", "0.1,0.0", "--matrix", "1,1,1,1"]) == 1
 
@@ -159,6 +169,16 @@ class TestConfig:
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text("bogus = 1\n")
         with pytest.raises(ValueError):
+            load_config(str(cfg_file))
+
+    @pytest.mark.parametrize("key", [
+        "quad_abs_tol", "contour_rel_tol", "clearance", "boundary_eps",
+        "max_den", "k_grid", "angle_grid", "out_path", "mesh_path",
+    ])
+    def test_removed_key_rejected(self, tmp_path, key):
+        cfg_file = tmp_path / "old.cfg"
+        cfg_file.write_text(f"{key} = 1\n")
+        with pytest.raises(ValueError, match="unknown config key"):
             load_config(str(cfg_file))
 
     def test_invalid_range_rejected(self, tmp_path):

@@ -9,10 +9,10 @@ import pytest
 
 from harmonictori.curves import BranchPair, build_frame, inverse_coords
 from harmonictori.differentials import (
-    PathError, PathSpec, construct_psi, contour_integral, eta_plus,
-    gamma0_path, hitchin_checklist, laurent_coefficients, loop_A, loop_B,
-    monodromy_track, theta_E_gamma, theta_P_characterization_check,
-    theta_P_gamma_closed,
+    ContinuationError, PathError, PathSpec, _Geometry, _track_sheet,
+    _walk_segment, construct_psi, contour_integral, eta_plus, gamma0_path,
+    hitchin_checklist, laurent_coefficients, loop_A, loop_B, monodromy_track,
+    theta_E_gamma, theta_P_characterization_check, theta_P_gamma_closed,
 )
 from harmonictori.elliptic import complementary_modulus, complete_E, complete_K
 from harmonictori.moduli import S_value, solve_level, t0_raw
@@ -159,6 +159,58 @@ class TestPeriodTable:
         path = PathSpec(points=tuple(zs) + (zs[0],), sheet=1)
         val = contour_integral("epsilon", path, fr)
         assert abs(val) < 1e-8
+
+
+class TestSheetTracking:
+    FRAME = build_frame(BranchPair(0.2, -0.4))  # k = 2/7: branch points +-1, +-3.5
+
+    def test_circle_around_one_branch_point_flips_sheet(self):
+        geom = _Geometry(self.FRAME)
+        zs = 1.0 + 0.2 * np.exp(1j * np.linspace(0.0, 2 * math.pi, 65))
+        w0 = cmath.sqrt(geom.Q(zs[0]))
+        w = _track_sheet(geom, zs, w0)
+        assert w[0] == w0
+        assert w[-1] == pytest.approx(-w0, abs=1e-14)
+
+    def test_loop_A_returns_to_start(self):
+        geom = _Geometry(self.FRAME)
+        pts = loop_A(self.FRAME).points
+        zs = np.concatenate([np.linspace(a, b, 200, endpoint=False)
+                             for a, b in zip(pts[:-1], pts[1:])] + [[pts[-1]]])
+        w0 = cmath.sqrt(geom.Q(zs[0]))
+        assert _track_sheet(geom, zs, w0)[-1] == pytest.approx(w0, abs=1e-14)
+
+    def test_matches_scalar_nearest_value_loop(self):
+        geom = _Geometry(self.FRAME)
+        zs = 1.0 + 0.3 * np.exp(1j * np.linspace(0.0, 5 * math.pi, 90)) \
+            * np.linspace(1.0, 2.0, 90)
+        w_prev = -cmath.sqrt(geom.Q(zs[0]))
+        expect = []
+        for z in zs:
+            s = cmath.sqrt(geom.Q(z))
+            w_prev = s if abs(s - w_prev) <= abs(s + w_prev) else -s
+            expect.append(w_prev)
+        w = _track_sheet(geom, zs, -cmath.sqrt(geom.Q(zs[0])))
+        assert np.abs(w - np.array(expect)).max() < 1e-15 * np.abs(w).max()
+
+    def test_under_resolved_nodes_raise(self):
+        geom = _Geometry(self.FRAME)
+        zs = 1.0 + 0.05 * np.exp(0.5j * math.pi * np.arange(5))  # quarter turns
+        with pytest.raises(ContinuationError):
+            _track_sheet(geom, zs, cmath.sqrt(geom.Q(zs[0])))
+
+    def test_refinement_recovers_period(self):
+        # the first segment grazes the branch point 1 at distance 0.005; its
+        # starting rule of 17 panels cannot follow the sheet there
+        fr = self.FRAME
+        geom = _Geometry(fr)
+        z1, z2 = 1.005 - 2j, 1.005 + 2j
+        with pytest.raises(ContinuationError):
+            _walk_segment(geom, geom.coefficient("omega"), z1, z2,
+                          cmath.sqrt(geom.Q(z1)), 17)
+        path = PathSpec(points=(z1, z2, -1.2 + 2j, -1.2 - 2j, z1), sheet=1)
+        val = contour_integral("omega", path, fr)
+        assert val == pytest.approx(4 * complete_K(fr.k), abs=1e-8)
 
 
 class TestGammaQuadrature:
