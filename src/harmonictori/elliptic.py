@@ -1,11 +1,15 @@
 """Legendre elliptic integrals on the imaginary axis and their lifts.
 
-Complete integrals K, E are computed by the arithmetic-geometric mean, the
-incomplete ones by adaptive quadrature of the real integrand forms obtained
-by restricting to purely imaginary arguments.  The lifted versions extend
+Complete integrals K, E are computed by the arithmetic-geometric mean.  The
+incomplete integrals on the imaginary axis are closed forms: the Jacobi
+imaginary transformation (DLMF 19.7(ii)) turns Im F(ix; k) and
+Im(E(ix; k) - k ix) into real integrals at the complementary modulus over
+the angle phi = arctan(x), which Carlson's symmetric integrals R_F and R_D
+evaluate directly (DLMF 19.25(i); Carlson 1995).  The lifted versions extend
 those integrals to the universal cover of the real projective line, which is
 where the genus-one closing function lives; the winding-number helper keeps
-the two descriptions in sync.
+the two descriptions in sync.  Adaptive quadrature of the defining
+integrals is kept only in the tests, as an independent check.
 
 Conventions: the modulus k always lies in (0, 1); K' and E' denote the
 complete integrals at the complementary modulus sqrt(1 - k^2).  One full
@@ -17,18 +21,14 @@ relation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
-from scipy.integrate import quad
+from scipy.special import elliprd, elliprf
 
 TWO_PI = 2.0 * math.pi
 
-#: Half-width (radians) of the guard band around the infinity chart boundary.
-_BOUNDARY_EPS = 1e-9
-
 __all__ = [
-    "EllipticModulus", "LiftedAngle", "ChartBoundary",
+    "ChartBoundary",
     "complete_K", "complete_E", "complementary_modulus", "legendre_defect",
     "w_imag", "incomplete_F_imag", "incomplete_E_reg_imag",
     "lifted_F", "lifted_E", "wind",
@@ -57,26 +57,6 @@ def complementary_modulus(k: float) -> float:
     return math.sqrt((1.0 - k) * (1.0 + k))
 
 
-@dataclass(frozen=True)
-class EllipticModulus:
-    """Modulus k of the Jacobi form w^2 = (1 - z^2)(1 - k^2 z^2)."""
-
-    k: float
-
-    def __post_init__(self):
-        _check_modulus(self.k)
-
-    @property
-    def complement(self) -> float:
-        return complementary_modulus(self.k)
-
-
-def _as_k(k) -> float:
-    if isinstance(k, EllipticModulus):
-        return k.k
-    return _check_modulus(k)
-
-
 @lru_cache(maxsize=4096)
 def _agm_KE(k: float) -> tuple[float, float]:
     """(K, E) at modulus k via the AGM iteration, keyed exactly by k bits."""
@@ -96,82 +76,73 @@ def _agm_KE(k: float) -> tuple[float, float]:
 
 def complete_K(k) -> float:
     """Complete elliptic integral of the first kind, modulus convention."""
-    return _agm_KE(_as_k(k))[0]
+    return _agm_KE(_check_modulus(k))[0]
 
 
 def complete_E(k) -> float:
     """Complete elliptic integral of the second kind, modulus convention."""
-    return _agm_KE(_as_k(k))[1]
+    return _agm_KE(_check_modulus(k))[1]
 
 
 def legendre_defect(k) -> float:
-    """K'E + KE' - KK' - pi/2, identically zero in exact arithmetic."""
-    k = _as_k(k)
-    kp = complementary_modulus(k)
+    """K'E + KE' - KK' - pi/2, identically zero in exact arithmetic.
+
+    K and E come from the AGM, K' and E' from the Carlson forms, so the
+    defect checks the two evaluations against each other.
+    """
+    k = _check_modulus(k)
     K, E = _agm_KE(k)
-    Kp, Ep = _agm_KE(kp)
+    Kp = _F(1.0, 0.0, k)
+    Ep = Kp - _E_reg(1.0, 0.0, k)
     return Kp * E + K * Ep - K * Kp - 0.5 * math.pi
 
 
 def w_imag(u: float, k) -> float:
     """w(iu) = +sqrt((1 + u^2)(1 + k^2 u^2)), the positive sheet value."""
-    k = _as_k(k)
+    k = _check_modulus(k)
     u = float(u)
     if math.isinf(u):
         return math.inf
     return math.sqrt((1.0 + u * u) * (1.0 + k * k * u * u))
 
 
-def _quad(f, lo: float, hi: float) -> float:
-    val, _ = quad(f, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=200)
-    return val
+# Kernels over phi in [-pi/2, pi/2], given as s = sin(phi), c = cos(phi), with
+# y = c^2 + k^2 s^2 = 1 - k'^2 s^2.  At (s, c) = (1, 0) they are K' and K' - E',
+# exact as k -> 0 because k never passes through sqrt(1 - k^2).
+def _F(s: float, c: float, k: float) -> float:
+    """F(phi; k') = int_0^phi dt / sqrt(1 - k'^2 sin^2 t)."""
+    return s * float(elliprf(c * c, c * c + k * k * s * s, 1.0))
+
+
+def _E_reg(s: float, c: float, k: float) -> float:
+    """int_0^phi k'^2 dt / (sqrt(1 - k'^2 sin^2 t) + k).
+
+    This is F(phi; k') - E(phi; k') + tan(phi) (sqrt(y) - k), written with
+    R_D for the first difference and (y - k^2) = k'^2 c^2 for the second,
+    so that neither cancels.
+    """
+    y = c * c + k * k * s * s
+    return (1.0 - k) * (1.0 + k) * (
+        s ** 3 * float(elliprd(c * c, y, 1.0)) / 3.0
+        + s * c / (math.sqrt(y) + k))
+
+
+def _axis_angle(x: float) -> tuple[float, float]:
+    """(sin, cos) of arctan(x), exact at x = +-inf."""
+    if math.isinf(x):
+        return math.copysign(1.0, x), 0.0
+    h = math.hypot(1.0, x)
+    return x / h, 1.0 / h
 
 
 def incomplete_F_imag(x: float, k) -> float:
-    """Im F(ix; k): odd, increasing, bounded by K'(k).
-
-    Splits at |t| = 1 and substitutes t -> 1/t on the outer part so that
-    arbitrarily large (or infinite) x costs the same as moderate x.
-    """
-    k = _as_k(k)
-    x = float(x)
-    if x == 0.0:
-        return 0.0
-    sgn, ax = math.copysign(1.0, x), abs(x)
-
-    def inner(t):
-        return 1.0 / math.sqrt((1.0 + t * t) * (1.0 + k * k * t * t))
-
-    def outer(s):  # t = 1/s
-        return 1.0 / math.sqrt((s * s + 1.0) * (s * s + k * k))
-
-    if ax <= 1.0:
-        return sgn * _quad(inner, 0.0, ax)
-    lo = 0.0 if math.isinf(ax) else 1.0 / ax
-    return sgn * (_quad(inner, 0.0, 1.0) + _quad(outer, lo, 1.0))
+    """Im F(ix; k): odd, increasing, bounded by K'(k)."""
+    return _F(*_axis_angle(float(x)), _check_modulus(k))
 
 
 def incomplete_E_reg_imag(x: float, k) -> float:
     """Im(E(ix; k) - k ix): odd, increasing, bounded by K'(k) - E'(k)."""
-    k = _as_k(k)
-    x = float(x)
-    if x == 0.0:
-        return 0.0
-    sgn, ax = math.copysign(1.0, x), abs(x)
-    one_m_k2 = (1.0 - k) * (1.0 + k)
-
-    def inner(t):
-        a = math.sqrt(1.0 + t * t)
-        return one_m_k2 / (a * (math.sqrt(1.0 + k * k * t * t) + k * a))
-
-    def outer(s):  # t = 1/s
-        a = math.sqrt(s * s + 1.0)
-        return one_m_k2 / (a * (math.sqrt(s * s + k * k) + k * a))
-
-    if ax <= 1.0:
-        return sgn * _quad(inner, 0.0, ax)
-    lo = 0.0 if math.isinf(ax) else 1.0 / ax
-    return sgn * (_quad(inner, 0.0, 1.0) + _quad(outer, lo, 1.0))
+    return _E_reg(*_axis_angle(float(x)), _check_modulus(k))
 
 
 def _reduce_turns(x_tilde: float) -> tuple[int, float]:
@@ -180,22 +151,32 @@ def _reduce_turns(x_tilde: float) -> tuple[int, float]:
     return m, x_tilde - TWO_PI * m
 
 
+def _half_angle(x_tilde: float) -> tuple[int, float, float]:
+    """Turns m and (sin, cos) of (x~ - 2 pi m)/2, an angle in [-pi/2, pi/2).
+
+    sin and cos are taken of x~/2 itself, so the rounding of 2 pi m never
+    enters; where the float turn count lands on the wrong side of an odd
+    multiple of pi, the sign of cos moves it over.
+    """
+    m, _ = _reduce_turns(x_tilde)
+    s, c = math.sin(0.5 * x_tilde), math.cos(0.5 * x_tilde)
+    if m % 2:
+        s, c = -s, -c
+    if c < 0.0:
+        m += 1 if s > 0.0 else -1
+        s, c = -s, -c
+    return m, s, c
+
+
 def lifted_F(x_tilde: float, k) -> float:
     """Analytic continuation of Im F(i tan(x~/2); k) to the whole line.
 
     F~(x~ + 2 pi) = F~(x~) + 2 K'(k), and on |x~| < pi it agrees with
     incomplete_F_imag(tan(x~/2), k).
     """
-    k = _as_k(k)
-    x_tilde = float(x_tilde)
-    m, r = _reduce_turns(x_tilde)
-    Kp = complete_K(complementary_modulus(k))
-
-    def integrand(s):
-        c, sn = math.cos(0.5 * s), math.sin(0.5 * s)
-        return 0.5 / math.sqrt(c * c + k * k * sn * sn)
-
-    return 2.0 * m * Kp + (_quad(integrand, 0.0, r) if r != 0.0 else 0.0)
+    k = _check_modulus(k)
+    m, s, c = _half_angle(float(x_tilde))
+    return 2.0 * m * _F(1.0, 0.0, k) + _F(s, c, k)
 
 
 def lifted_E(x_tilde: float, k) -> float:
@@ -203,58 +184,19 @@ def lifted_E(x_tilde: float, k) -> float:
 
     E~(x~ + 2 pi) = E~(x~) + 2 (K'(k) - E'(k)).
     """
-    k = _as_k(k)
-    x_tilde = float(x_tilde)
-    m, r = _reduce_turns(x_tilde)
-    kp = complementary_modulus(k)
-    inc = complete_K(kp) - complete_E(kp)
-    one_m_k2 = (1.0 - k) * (1.0 + k)
-
-    def integrand(s):
-        c, sn = math.cos(0.5 * s), math.sin(0.5 * s)
-        return 0.5 * one_m_k2 / (math.sqrt(c * c + k * k * sn * sn) + k)
-
-    return 2.0 * m * inc + (_quad(integrand, 0.0, r) if r != 0.0 else 0.0)
+    k = _check_modulus(k)
+    m, s, c = _half_angle(float(x_tilde))
+    return 2.0 * m * _E_reg(1.0, 0.0, k) + _E_reg(s, c, k)
 
 
-def wind(x_tilde: float, eps: float = _BOUNDARY_EPS) -> int:
+def wind(x_tilde: float) -> int:
     """The unique integer W with -pi < x~ - 2 pi W < pi.
 
-    Within ``eps`` of an odd multiple of pi the finite chart degenerates and
+    Within 1e-9 of an odd multiple of pi the finite chart degenerates and
     ChartBoundary is raised; callers must use the infinity-chart formulas.
     """
     x_tilde = float(x_tilde)
     m, r = _reduce_turns(x_tilde)
-    if abs(abs(r) - math.pi) < eps:
+    if abs(abs(r) - math.pi) < 1e-9:
         raise ChartBoundary(f"{x_tilde!r} lies on the infinity chart boundary")
     return m
-
-
-@dataclass(frozen=True)
-class LiftedAngle:
-    """A point x~ of the universal cover of RP^1, with chart bookkeeping."""
-
-    x_tilde: float
-    boundary_eps: float = _BOUNDARY_EPS
-
-    @property
-    def at_infinity(self) -> bool:
-        _, r = _reduce_turns(self.x_tilde)
-        return abs(abs(r) - math.pi) < self.boundary_eps
-
-    @property
-    def winding(self) -> int:
-        return wind(self.x_tilde, self.boundary_eps)
-
-    @property
-    def chart_value(self) -> float:
-        """tan(x~/2) on the finite chart; ChartBoundary at infinity."""
-        if self.at_infinity:
-            raise ChartBoundary(f"{self.x_tilde!r} is at infinity")
-        return math.tan(0.5 * self.x_tilde)
-
-    @property
-    def inverse_chart_value(self) -> float:
-        """cot(x~/2), finite near the chart boundary."""
-        t = math.tan(0.5 * self.x_tilde)
-        return math.inf if t == 0.0 else 1.0 / t

@@ -2,24 +2,16 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from harmonictori.elliptic import (
-    ChartBoundary, EllipticModulus, LiftedAngle, complementary_modulus,
-    complete_E, complete_K, incomplete_E_reg_imag, incomplete_F_imag,
-    legendre_defect, lifted_E, lifted_F, w_imag, wind,
+    ChartBoundary, complementary_modulus, complete_E, complete_K,
+    incomplete_E_reg_imag, incomplete_F_imag, legendre_defect, lifted_E,
+    lifted_F, w_imag, wind,
 )
-
-
-def test_elliptic_modulus_type():
-    m = EllipticModulus(0.6)
-    assert m.complement == pytest.approx(0.8)
-    assert complete_K(m) == complete_K(0.6)
-    assert w_imag(1.0, m) == w_imag(1.0, 0.6)
-    with pytest.raises(ValueError):
-        EllipticModulus(1.0)
 
 # independent quadrature oracles on the defining integrals
 
@@ -155,6 +147,15 @@ class TestLifted:
             assert lifted_E(xt, k) == pytest.approx(
                 incomplete_E_reg_imag(math.tan(xt / 2), k), abs=1e-12)
 
+    @pytest.mark.parametrize("k", [1e-8, 1e-6, 1e-3])
+    def test_full_turn_increments_small_k(self, k):
+        # K' and E' must not pass through sqrt(1 - k^2) and back
+        with mp.workdps(40):
+            Kp = mp.ellipk(1 - mp.mpf(k) ** 2)
+            Kp_Ep = Kp - mp.ellipe(1 - mp.mpf(k) ** 2)
+        assert lifted_F(2 * math.pi, k) == pytest.approx(float(2 * Kp), rel=1e-14)
+        assert lifted_E(2 * math.pi, k) == pytest.approx(float(2 * Kp_Ep), rel=1e-14)
+
     def test_quasi_periodicity(self):
         # E F~(x+2pi) - K E~(x+2pi) = E F~(x) - K E~(x) + pi
         rng = np.random.default_rng(11)
@@ -200,12 +201,36 @@ class TestWinding:
         with pytest.raises(ChartBoundary):
             wind(3 * math.pi + 1e-12)
 
-    def test_lifted_angle(self):
-        a = LiftedAngle(3 * math.pi / 2)
-        assert a.winding == 1
-        assert a.chart_value == pytest.approx(math.tan(3 * math.pi / 4))
-        assert not a.at_infinity
-        b = LiftedAngle(math.pi)
-        assert b.at_infinity
-        with pytest.raises(ChartBoundary):
-            b.chart_value
+
+# 40-digit mpmath oracle at the edges of the domain.  With phi the angle of
+# the Jacobi imaginary transformation (arctan x on the axis, x~/2 on the
+# cover), F = F(phi | 1 - k^2) and E_reg = F - E + k'^2 sin cos / (sqrt(y) + k)
+# with y = 1 - k'^2 sin^2 phi; mpmath continues F and E past |phi| = pi/2.
+
+def _mp_F_E_reg(phi, k):
+    m = 1 - mp.mpf(k) ** 2
+    s, c = mp.sin(phi), mp.cos(phi)
+    F = mp.ellipf(phi, m)
+    return F, F - mp.ellipe(phi, m) + m * s * c / (mp.sqrt(1 - m * s * s) + k)
+
+
+EDGE_X = [0.0, 1e-12, -1e-12, 1.0, -1.0, 1e6, -1e6, 1e200, -1e200,
+          math.inf, -math.inf]
+EDGE_X_TILDE = [math.pi, -math.pi, math.pi - 1e-9, 2 * math.pi, 7.0, -20.0, 100.0]
+
+
+@pytest.mark.parametrize("k", [1e-8, 1e-6, 1e-3, 0.5, 1 - 1e-6, 1 - 1e-9])
+def test_edges_against_mpmath(k):
+    with mp.workdps(40):
+        Kp = float(mp.ellipk(1 - mp.mpf(k) ** 2))
+        cases = []
+        for x in EDGE_X:
+            F, E = _mp_F_E_reg(mp.atan(mp.mpf(x)), k)
+            cases += [(incomplete_F_imag, x, F), (incomplete_E_reg_imag, x, E)]
+        for xt in EDGE_X_TILDE:
+            F, E = _mp_F_E_reg(mp.mpf(xt) / 2, k)
+            cases += [(lifted_F, xt, F), (lifted_E, xt, E)]
+    for fn, arg, ref in cases:
+        ref = float(ref)
+        assert abs(fn(arg, k) - ref) <= 1e-14 * max(1.0, abs(ref), Kp), (
+            fn.__name__, arg, fn(arg, k), ref)
