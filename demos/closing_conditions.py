@@ -15,7 +15,7 @@ from harmonictori import (
     hitchin_checklist, inverse_coords, loop_A, loop_B, solve_level,
     spectral_test, theta_P_gamma_closed, T_tilde,
 )
-from harmonictori.elliptic import complementary_modulus, complete_E, complete_K
+from harmonictori.elliptic import complementary_KE, complete_K
 
 S, T = Fraction(1, 3), Fraction(1, 4)
 print(f"target: S = {S}, lifted level = {T}")
@@ -27,9 +27,8 @@ print(f"  level residual: {T_tilde(mp) - float(T):.2e}")
 print(f"  detection round trip: {spectral_test(bp, 20)}")
 
 fr = build_frame(bp)
-K, E = complete_K(fr.k), complete_E(fr.k)
-kp = complementary_modulus(fr.k)
-Kp = complete_K(kp)
+K = complete_K(fr.k)
+Kp = complementary_KE(fr.k)[0]
 
 print("\nperiods by contour quadrature with sheet tracking:")
 for kind, loop, name, expect in (

@@ -10,7 +10,7 @@ Run:  python demos/elliptic_toolbox.py
 import math
 
 from harmonictori import (
-    complementary_modulus, complete_E, complete_K, incomplete_E_reg_imag,
+    complementary_KE, complete_E, complete_K, incomplete_E_reg_imag,
     incomplete_F_imag, legendre_defect, lifted_E, lifted_F, wind,
 )
 
@@ -23,9 +23,8 @@ for k in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
 # Both integrals tend to pi/2 at k = 0, and K' bounds the imaginary-axis
 # incomplete integral of the first kind.
 k = 0.5
-kp = complementary_modulus(k)
-print(f"\nAt k = {k}: K' = {complete_K(kp):.12f}, "
-      f"K' - E' = {complete_K(kp) - complete_E(kp):.12f}")
+Kp, KmEp = complementary_KE(k)
+print(f"\nAt k = {k}: K' = {Kp:.12f}, K' - E' = {KmEp:.12f}")
 print(f"{'x':>8} {'Im F(ix)':>16} {'Im(E(ix) - kix)':>16}")
 for x in (0.5, 1.0, 2.0, 10.0, 1e6):
     print(f"{x:8.1f} {incomplete_F_imag(x, k):16.12f} "

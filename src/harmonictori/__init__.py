@@ -17,8 +17,8 @@ Subpackages by area:
 
 from .config import DEFAULTS, RunConfig, load_config
 from .elliptic import (
-    ChartBoundary, complementary_modulus, complete_E, complete_K,
-    incomplete_E_reg_imag, incomplete_F_imag, legendre_defect,
+    ChartBoundary, complementary_KE, complementary_modulus, complete_E,
+    complete_K, incomplete_E_reg_imag, incomplete_F_imag, legendre_defect,
     lifted_E, lifted_F, w_imag, wind,
 )
 from .genus_zero import (

@@ -143,11 +143,11 @@ def _write_level_set(mesh: LevelSetMesh, cfg: RunConfig, args, path: str) -> Non
         if not mesh.complete:
             fh.write(f"# partial: {len(mesh.failures)} grid points failed\n")
         fh.write("p,q,k,u_tilde,v_tilde,re_alpha,im_alpha,re_beta,im_beta\n")
+        pq = [f17(float(mesh.p)), f17(float(mesh.q))]
         for r in mesh.records:
-            row = [f17(float(mesh.p)), f17(float(mesh.q)), f17(r.k),
-                   f17(r.u_tilde), f17(r.v_tilde),
-                   f17(r.alpha.real), f17(r.alpha.imag),
-                   f17(r.beta.real), f17(r.beta.imag)]
+            row = pq + [f17(r.k), f17(r.u_tilde), f17(r.v_tilde),
+                        f17(r.alpha.real), f17(r.alpha.imag),
+                        f17(r.beta.real), f17(r.beta.imag)]
             fh.write(",".join(row) + "\n")
 
 

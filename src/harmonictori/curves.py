@@ -16,7 +16,9 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .elliptic import TWO_PI, _reduce_turns, w_imag
+import numpy as np
+
+from .elliptic import TWO_PI, _libm, _reduce_turns, w_imag
 
 __all__ = [
     "BranchPair", "JacobiFrame", "ModuliPoint",
@@ -260,6 +262,12 @@ def _chart_value(x_tilde: float) -> float:
     if abs(r) == math.pi:
         return math.inf
     return math.tan(0.5 * x_tilde)
+
+
+def _chart_value_array(x_tilde: np.ndarray) -> np.ndarray:
+    """_chart_value on an array of angles."""
+    r = x_tilde - TWO_PI * np.floor((x_tilde + math.pi) / TWO_PI)
+    return np.where(np.abs(r) == math.pi, np.inf, _libm(math.tan, 0.5 * x_tilde))
 
 
 def inverse_coords(mp: ModuliPoint) -> BranchPair:

@@ -11,9 +11,13 @@ where the genus-one closing function lives; the winding-number helper keeps
 the two descriptions in sync.  Adaptive quadrature of the defining
 integrals is kept only in the tests, as an independent check.
 
+The kernels _F and _E_reg accept floats or numpy arrays, so the batched
+level-set solver in moduli evaluates the same closed forms over a grid.
+
 Conventions: the modulus k always lies in (0, 1); K' and E' denote the
-complete integrals at the complementary modulus sqrt(1 - k^2).  One full
-turn of the cover adds 2K' to the lifted F and 2(K' - E') to the lifted
+complete integrals at the complementary modulus sqrt(1 - k^2), and
+complementary_KE returns K' and K' - E' without forming that modulus.  One
+full turn of the cover adds 2K' to the lifted F and 2(K' - E') to the lifted
 regularized E, so that E*F~ - K*E~ gains exactly pi per turn by Legendre's
 relation.
 """
@@ -23,13 +27,15 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+import numpy as np
 from scipy.special import elliprd, elliprf
 
 TWO_PI = 2.0 * math.pi
 
 __all__ = [
     "ChartBoundary",
-    "complete_K", "complete_E", "complementary_modulus", "legendre_defect",
+    "complete_K", "complete_E", "complementary_modulus", "complementary_KE",
+    "legendre_defect",
     "w_imag", "incomplete_F_imag", "incomplete_E_reg_imag",
     "lifted_F", "lifted_E", "wind",
 ]
@@ -84,37 +90,59 @@ def complete_E(k) -> float:
     return _agm_KE(_check_modulus(k))[1]
 
 
+@lru_cache(maxsize=4096)
+def complementary_KE(k) -> tuple[float, float]:
+    """(K'(k), K'(k) - E'(k)) from the Carlson forms, cached per k.
+
+    Exact as k -> 0, where complete_K(complementary_modulus(k)) loses the
+    information in rounding sqrt(1 - k^2) (2e-2 relative at k = 1e-8).
+    """
+    k = _check_modulus(k)
+    return _F(1.0, 0.0, k), _E_reg(1.0, 0.0, k)
+
+
 def legendre_defect(k) -> float:
     """K'E + KE' - KK' - pi/2, identically zero in exact arithmetic.
 
     K and E come from the AGM, K' and E' from the Carlson forms, so the
     defect checks the two evaluations against each other.
     """
-    k = _check_modulus(k)
-    K, E = _agm_KE(k)
-    Kp = _F(1.0, 0.0, k)
-    Ep = Kp - _E_reg(1.0, 0.0, k)
+    K, E = _agm_KE(_check_modulus(k))
+    Kp, KmEp = complementary_KE(k)
+    Ep = Kp - KmEp
     return Kp * E + K * Ep - K * Kp - 0.5 * math.pi
+
+
+# The kernels below take floats or numpy arrays alike: the same arithmetic
+# serves the scalar functions of this module and the batched level-set solver.
+def _sqrt(x):
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def _value(r):
+    """A ufunc result as a Python float on scalar input, unchanged on arrays."""
+    return r if isinstance(r, np.ndarray) else float(r)
+
+
+def _w(x, k):
+    """w(ix) = +sqrt((1 + x^2)(1 + k^2 x^2)), +inf at x = +-inf."""
+    return _sqrt((1.0 + x * x) * (1.0 + k * k * x * x))
 
 
 def w_imag(u: float, k) -> float:
     """w(iu) = +sqrt((1 + u^2)(1 + k^2 u^2)), the positive sheet value."""
-    k = _check_modulus(k)
-    u = float(u)
-    if math.isinf(u):
-        return math.inf
-    return math.sqrt((1.0 + u * u) * (1.0 + k * k * u * u))
+    return _w(float(u), _check_modulus(k))
 
 
 # Kernels over phi in [-pi/2, pi/2], given as s = sin(phi), c = cos(phi), with
 # y = c^2 + k^2 s^2 = 1 - k'^2 s^2.  At (s, c) = (1, 0) they are K' and K' - E',
 # exact as k -> 0 because k never passes through sqrt(1 - k^2).
-def _F(s: float, c: float, k: float) -> float:
+def _F(s, c, k):
     """F(phi; k') = int_0^phi dt / sqrt(1 - k'^2 sin^2 t)."""
-    return s * float(elliprf(c * c, c * c + k * k * s * s, 1.0))
+    return s * _value(elliprf(c * c, c * c + k * k * s * s, 1.0))
 
 
-def _E_reg(s: float, c: float, k: float) -> float:
+def _E_reg(s, c, k):
     """int_0^phi k'^2 dt / (sqrt(1 - k'^2 sin^2 t) + k).
 
     This is F(phi; k') - E(phi; k') + tan(phi) (sqrt(y) - k), written with
@@ -123,8 +151,8 @@ def _E_reg(s: float, c: float, k: float) -> float:
     """
     y = c * c + k * k * s * s
     return (1.0 - k) * (1.0 + k) * (
-        s ** 3 * float(elliprd(c * c, y, 1.0)) / 3.0
-        + s * c / (math.sqrt(y) + k))
+        s * s * s * _value(elliprd(c * c, y, 1.0)) / 3.0
+        + s * c / (_sqrt(y) + k))
 
 
 def _axis_angle(x: float) -> tuple[float, float]:
@@ -168,6 +196,29 @@ def _half_angle(x_tilde: float) -> tuple[int, float, float]:
     return m, s, c
 
 
+def _libm(fn, x: np.ndarray) -> np.ndarray:
+    """A math-module function over an array.
+
+    numpy's own tan differs from the math module's in the last bit for
+    about 0.4 % of arguments on x86-64 with AVX-512, and its sin and cos may
+    on other builds.  At the precision floor of the level-set solver one such
+    bit changes where the iteration goes, so the array forms take the same
+    transcendental values as the scalar ones, which keeps them bit-identical.
+    """
+    return np.fromiter(map(fn, x.tolist()), float, x.size)
+
+
+def _half_angle_array(x_tilde: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_half_angle on an array of angles; the turn counts come back as floats."""
+    m = np.floor((x_tilde + math.pi) / TWO_PI)
+    s, c = _libm(math.sin, 0.5 * x_tilde), _libm(math.cos, 0.5 * x_tilde)
+    odd = m % 2.0 != 0.0
+    s, c = np.where(odd, -s, s), np.where(odd, -c, c)
+    over = c < 0.0
+    m = m + np.where(over, np.where(s > 0.0, 1.0, -1.0), 0.0)
+    return m, np.where(over, -s, s), np.where(over, -c, c)
+
+
 def lifted_F(x_tilde: float, k) -> float:
     """Analytic continuation of Im F(i tan(x~/2); k) to the whole line.
 
@@ -176,7 +227,8 @@ def lifted_F(x_tilde: float, k) -> float:
     """
     k = _check_modulus(k)
     m, s, c = _half_angle(float(x_tilde))
-    return 2.0 * m * _F(1.0, 0.0, k) + _F(s, c, k)
+    F = _F(s, c, k)
+    return 2.0 * m * complementary_KE(k)[0] + F if m else F
 
 
 def lifted_E(x_tilde: float, k) -> float:
@@ -186,7 +238,8 @@ def lifted_E(x_tilde: float, k) -> float:
     """
     k = _check_modulus(k)
     m, s, c = _half_angle(float(x_tilde))
-    return 2.0 * m * _E_reg(1.0, 0.0, k) + _E_reg(s, c, k)
+    E = _E_reg(s, c, k)
+    return 2.0 * m * complementary_KE(k)[1] + E if m else E
 
 
 def wind(x_tilde: float) -> int:

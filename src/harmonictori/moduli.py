@@ -8,6 +8,14 @@ T~ to the universal cover is single-valued and computable from the lifted
 elliptic integrals plus an algebraic bracket.  Level sets of (S, T~) are
 graphs over (k, angle) charts, which is what the solver exploits.
 
+The solver has two forms with one policy.  solve_level works on Python
+floats, one chart point at a time; serial callers such as monodromy_track,
+where each solve starts from the last, use it.  sweep_level_set solves a
+whole (k, angle) grid in lockstep on numpy arrays, which removes the
+per-point call overhead.  The finite-chart algebra of T~ and dT~ is written
+once for both; only the angle reduction, the chart-boundary limits and the
+Newton loop have an array twin.
+
 Note on normalization: T0 and T~ below are exactly the principal-branch
 formulas.  With these, the curves (a, -a) fixed by the inversion symmetry
 lie on the level T~ = 1 (equivalently T0 = -1 in the principal chart), which
@@ -24,11 +32,12 @@ import numpy as np
 
 from .config import DEFAULTS
 from .curves import (
-    BranchPair, ModuliPoint, _chart_value, forward_coords, inverse_coords,
+    BranchPair, ModuliPoint, _chart_value, _chart_value_array, forward_coords,
+    inverse_coords,
 )
 from .elliptic import (
-    TWO_PI, complete_E, complete_K, incomplete_E_reg_imag, incomplete_F_imag,
-    lifted_E, lifted_F, w_imag,
+    TWO_PI, _E_reg, _F, _half_angle_array, _w, complementary_KE, complete_E,
+    complete_K, incomplete_E_reg_imag, incomplete_F_imag, lifted_E, lifted_F,
 )
 
 __all__ = [
@@ -46,6 +55,34 @@ def S_value(bp: BranchPair) -> float:
     return (abs(1.0 - a) * abs(1.0 - b)) / (abs(1.0 + a) * abs(1.0 + b))
 
 
+# The finite-chart algebra below takes floats or numpy arrays alike, so the
+# scalar functions and the batched solver share it.
+def _bracket_finite(p, k, u, v):
+    kuv = k * u * v
+    du = (1.0 + (1.0 + k * k) * u * u) / (_w(u, k) + k * u * u)
+    dv = (1.0 + (1.0 + k * k) * v * v) / (_w(v, k) + k * v * v)
+    return (p * (dv + kuv) + (du + kuv)) / (u - v)
+
+
+def _dt0_du(p, k, K, E, u, v):
+    """dT0/du off the diagonal, given K(k) and E(k); see dt0_du_raw."""
+    wu, wv = _w(u, k), _w(v, k)
+    d = u - v
+    duv = d * d
+    poly = 1.0 + u * u - u * v + k * k * u * v + v * v + k * k * u * u * v * v
+    return 2.0 * (-duv * E + p * K * wu * wv + K * poly) / (math.pi * wu * duv)
+
+
+def _dT_du_at_infinity(p, k, K, E, v):
+    """dT~/du~ at u~ in pi + 2 pi Z."""
+    return (-E + p * k * K * _w(v, k) + K * (1.0 + k * k * v * v)) / (math.pi * k)
+
+
+def _dT_dv_at_infinity(p, k, K, E, u):
+    """dT~/dv~ at v~ in pi + 2 pi Z."""
+    return -(-p * E + k * K * _w(u, k) + p * K * (1.0 + k * k * u * u)) / (math.pi * k)
+
+
 def _bracket(p: float, k: float, u: float, v: float) -> float:
     """The algebraic part p(w(iv)/(u-v) + kv) + (w(iu)/(u-v) - ku).
 
@@ -58,10 +95,14 @@ def _bracket(p: float, k: float, u: float, v: float) -> float:
         return (p + 1.0) * k * v
     if math.isinf(v):
         return -(p + 1.0) * k * u
-    kuv = k * u * v
-    du = (1.0 + (1.0 + k * k) * u * u) / (w_imag(u, k) + k * u * u)
-    dv = (1.0 + (1.0 + k * k) * v * v) / (w_imag(v, k) + k * v * v)
-    return (p * (dv + kuv) + (du + kuv)) / (u - v)
+    return _bracket_finite(p, k, u, v)
+
+
+def _bracket_array(p, k, u, v):
+    """_bracket on arrays of chart values."""
+    return np.where(np.isinf(u), (p + 1.0) * k * v,
+                    np.where(np.isinf(v), -(p + 1.0) * k * u,
+                             _bracket_finite(p, k, u, v)))
 
 
 def t0_raw(p: float, k: float, u: float, v: float) -> float:
@@ -96,6 +137,19 @@ def t_tilde_raw(p: float, k: float, u_tilde: float, v_tilde: float) -> float:
     return (4.0 * p * fv - 4.0 * fu - 4.0 * K * _bracket(p, k, u, v)) / TWO_PI
 
 
+def _lifted_level_terms(k, K, E, Kp, KmEp, x_tilde):
+    """E F~(x~) - K E~(x~) and tan(x~/2) on arrays: one angle's share of T~."""
+    m, s, c = _half_angle_array(x_tilde)
+    fx = E * (2.0 * m * Kp + _F(s, c, k)) - K * (2.0 * m * KmEp + _E_reg(s, c, k))
+    return fx, _chart_value_array(x_tilde)
+
+
+def _t_tilde_array(p, k, K, terms_u, terms_v):
+    """t_tilde_raw on arrays, from the _lifted_level_terms of u~ and v~."""
+    (fu, u), (fv, v) = terms_u, terms_v
+    return (4.0 * p * fv - 4.0 * fu - 4.0 * K * _bracket_array(p, k, u, v)) / TWO_PI
+
+
 def T_tilde(mp: ModuliPoint) -> float:
     return t_tilde_raw(mp.p, mp.k, mp.u_tilde, mp.v_tilde)
 
@@ -109,11 +163,7 @@ def dt0_du_raw(p: float, k: float, u: float, v: float) -> float:
     """
     if u == v:
         raise ValueError("derivative undefined on the diagonal u = v")
-    K, E = complete_K(k), complete_E(k)
-    wu, wv = w_imag(u, k), w_imag(v, k)
-    duv = (u - v) ** 2
-    poly = 1.0 + u * u - u * v + k * k * u * v + v * v + k * k * u * u * v * v
-    return 2.0 * (-duv * E + p * K * wu * wv + K * poly) / (math.pi * wu * duv)
+    return _dt0_du(p, k, complete_K(k), complete_E(k), u, v)
 
 
 def dT0_du(mp: ModuliPoint) -> float:
@@ -125,9 +175,14 @@ def dT_tilde_du_tilde(p: float, k: float, u_tilde: float, v_tilde: float) -> flo
     (1/(pi k)) (-E + p k K w(iv) + K(1 + k^2 v^2)) at u~ in pi + 2 pi Z."""
     u, v = _chart_value(u_tilde), _chart_value(v_tilde)
     if math.isinf(u):
-        K, E = complete_K(k), complete_E(k)
-        return (-E + p * k * K * w_imag(v, k) + K * (1.0 + k * k * v * v)) / (math.pi * k)
+        return _dT_du_at_infinity(p, k, complete_K(k), complete_E(k), v)
     return 0.5 * (1.0 + u * u) * dt0_du_raw(p, k, u, v)
+
+
+def _dT_du_array(p, k, K, E, u, v):
+    """dT_tilde_du_tilde on arrays of chart values."""
+    return np.where(np.isinf(u), _dT_du_at_infinity(p, k, K, E, v),
+                    0.5 * (1.0 + u * u) * _dt0_du(p, k, K, E, u, v))
 
 
 def dT_tilde_dv_tilde(p: float, k: float, u_tilde: float, v_tilde: float) -> float:
@@ -135,9 +190,14 @@ def dT_tilde_dv_tilde(p: float, k: float, u_tilde: float, v_tilde: float) -> flo
     T0(p,k,u,v) = -p T0(1/p,k,v,u)."""
     u, v = _chart_value(u_tilde), _chart_value(v_tilde)
     if math.isinf(v):
-        K, E = complete_K(k), complete_E(k)
-        return -(-p * E + k * K * w_imag(u, k) + p * K * (1.0 + k * k * u * u)) / (math.pi * k)
+        return _dT_dv_at_infinity(p, k, complete_K(k), complete_E(k), u)
     return -0.5 * (1.0 + v * v) * p * dt0_du_raw(1.0 / p, k, v, u)
+
+
+def _dT_dv_array(p, k, K, E, u, v):
+    """dT_tilde_dv_tilde on arrays of chart values."""
+    return np.where(np.isinf(v), _dT_dv_at_infinity(p, k, K, E, u),
+                    -0.5 * (1.0 + v * v) * p * _dt0_du(1.0 / p, k, K, E, v, u))
 
 
 class LevelSolveError(RuntimeError):
@@ -146,6 +206,13 @@ class LevelSolveError(RuntimeError):
     def __init__(self, msg, bracket=None):
         super().__init__(msg)
         self.bracket = bracket
+
+
+# The root search's policy, shared by solve_level and its batched form:
+# offsets from the band ends at which it looks for a sign change, and the
+# number of Newton-or-midpoint steps before it gives up.
+_PROBE_DELTAS = (1e-6, 1e-8, 1e-10, 1e-12)
+_MAX_STEPS = 100
 
 
 def solve_level(p: float, q: float, k: float, fixed_angle: float,
@@ -174,7 +241,7 @@ def solve_level(p: float, q: float, k: float, fixed_angle: float,
         sign = -1.0  # T~ decreasing in v~
 
     flo = fhi = None
-    for delta in (1e-6, 1e-8, 1e-10, 1e-12):
+    for delta in _PROBE_DELTAS:
         flo, fhi = f(lo + delta), f(hi - delta)
         if (sign * flo < 0.0 < sign * fhi) or (sign * fhi < 0.0 < sign * flo):
             a, b = lo + delta, hi - delta
@@ -188,7 +255,7 @@ def solve_level(p: float, q: float, k: float, fixed_angle: float,
 
     x = 0.5 * (a + b)
     fx = f(x)
-    for _ in range(100):
+    for _ in range(_MAX_STEPS):
         if abs(fx) < tol:
             break
         if (fx < 0.0) == (sign > 0.0):
@@ -209,6 +276,90 @@ def solve_level(p: float, q: float, k: float, fixed_angle: float,
     if solve_for_u:
         return ModuliPoint(p=p, k=k, u_tilde=x, v_tilde=fixed_angle)
     return ModuliPoint(p=p, k=k, u_tilde=fixed_angle, v_tilde=x)
+
+
+def _solve_level_grid(p: float, q: float, ks: list[float], angles: list[float],
+                      tol: float) -> tuple[np.ndarray, list[str | None]]:
+    """solve_level at every (k, angle) of a grid, in lockstep.
+
+    Runs the scalar solver's policy on the flattened k-major grid at once:
+    the same bracket probes and swap, the same Newton-or-midpoint step, the
+    same step limit and failure reasons, on the same floating-point values,
+    so every point ends where solve_level would.  Points leave the iteration
+    as their bracket probe fails or as they converge.  Returns the solved
+    angle of every point (nan where it failed) and the failure reason or None.
+    """
+    if not p > 0.0:
+        raise ValueError("p must be positive")
+    solve_for_u = p > 1.0
+    sign = 1.0 if solve_for_u else -1.0
+    n_angles = len(angles)
+    # per point: k, K, E, K', K' - E', each computed once per k-row
+    per_k = [(k, complete_K(k), complete_E(k), *complementary_KE(k)) for k in ks]
+    consts = np.repeat(np.array(per_k).T, n_angles, axis=1)
+    fixed = np.tile(np.array(angles, dtype=float), len(ks))
+    lo, hi = (fixed - TWO_PI, fixed) if solve_for_u else (fixed, fixed + TWO_PI)
+    fixed_lifted, fixed_chart = _lifted_level_terms(*consts, fixed)
+
+    def level(x, idx):
+        """T~ - q at free angle x for the grid points idx."""
+        k, K, E, Kp, KmEp = consts[:, idx]
+        free = _lifted_level_terms(k, K, E, Kp, KmEp, x)
+        held = (fixed_lifted[idx], fixed_chart[idx])
+        terms = (free, held) if solve_for_u else (held, free)
+        return _t_tilde_array(p, k, K, *terms) - q
+
+    def slope(x, idx):
+        """dT~ along the free angle at x for the grid points idx."""
+        k, K, E = consts[:3, idx]
+        if solve_for_u:
+            return _dT_du_array(p, k, K, E, _chart_value_array(x), fixed_chart[idx])
+        return _dT_dv_array(p, k, K, E, fixed_chart[idx], _chart_value_array(x))
+
+    n = fixed.size
+    solved = np.full(n, np.nan)
+    reasons: list[str | None] = [None] * n
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a, b, flo = np.empty(n), np.empty(n), np.empty(n)
+        probing = np.arange(n)
+        for delta in _PROBE_DELTAS:
+            if not probing.size:
+                break
+            f_lo = level(lo[probing] + delta, probing)
+            f_hi = level(hi[probing] - delta, probing)
+            change = (((sign * f_lo < 0.0) & (0.0 < sign * f_hi))
+                      | ((sign * f_hi < 0.0) & (0.0 < sign * f_lo)))
+            found = probing[change]
+            a[found], b[found] = lo[found] + delta, hi[found] - delta
+            flo[found] = f_lo[change]
+            probing = probing[~change]
+        for i in probing.tolist():
+            reasons[i] = f"no sign change for q={q!r} at (p={p!r}, k={ks[i // n_angles]!r})"
+
+        idx = np.setdiff1d(np.arange(n), probing)
+        swap = sign * flo[idx] > 0.0  # f(a) < 0 < f(b) in the monotone direction
+        a, b = np.where(swap, b[idx], a[idx]), np.where(swap, a[idx], b[idx])
+        x = 0.5 * (a + b)
+        fx = level(x, idx)
+        for _ in range(_MAX_STEPS):
+            done = np.abs(fx) < tol
+            if done.any():
+                solved[idx[done]] = x[done]
+                keep = ~done
+                idx, x, fx, a, b = idx[keep], x[keep], fx[keep], a[keep], b[keep]
+            if not idx.size:
+                break
+            lower = (fx < 0.0) == (sign > 0.0)
+            a, b = np.where(lower, x, a), np.where(lower, b, x)
+            d = slope(x, idx)
+            step = np.where(d != 0.0, -fx / d, 0.0)
+            xn = x + step
+            inside = (np.minimum(a, b) < xn) & (xn < np.maximum(a, b)) & (step != 0.0)
+            x = np.where(inside, xn, 0.5 * (a + b))
+            fx = level(x, idx)
+        for i, r in zip(idx.tolist(), fx.tolist()):
+            reasons[i] = f"no convergence for q={q!r}: residual {r!r}"
+    return solved, reasons
 
 
 @dataclass(frozen=True)
@@ -245,29 +396,34 @@ def sweep_level_set(p: Fraction, q: Fraction, k_grid: int, angle_grid: int,
 
     The free angle is v~ for p > 1 and u~ otherwise; a span of 2 pi walks one
     full turn of the cover, after which the p = 1 leaves close up exactly
-    while p != 1 leaves land on the next deck translate.
+    while p != 1 leaves land on the next deck translate.  All grid points are
+    solved together by the batched form of solve_level, which follows the
+    same policy and reports the same per-point failure reasons.
     """
     if k_grid < 2 or angle_grid < 2:
         raise ValueError("grids must have at least 2 samples")
     if not (0.0 < k_min < k_max < 1.0):
         raise ValueError("need 0 < k_min < k_max < 1")
-    ks = list(np.linspace(k_min, k_max, k_grid))
-    angles = list(angle_start + np.linspace(0.0, angle_span, angle_grid))
+    ks = np.linspace(k_min, k_max, k_grid).tolist()
+    angles = (angle_start + np.linspace(0.0, angle_span, angle_grid)).tolist()
     mesh = LevelSetMesh(p=Fraction(p), q=Fraction(q), k_values=ks, angle_values=angles)
     pf, qf = float(p), float(q)
-    for k in ks:
-        for ang in angles:
+    solved, reasons = _solve_level_grid(pf, qf, ks, angles, solver_tol)
+    grid = ((k, ang) for k in ks for ang in angles)
+    for (k, ang), x, reason in zip(grid, solved.tolist(), reasons):
+        if reason is None:
+            u_tilde, v_tilde = (x, ang) if pf > 1.0 else (ang, x)
             try:
-                mp = solve_level(pf, qf, k, ang, tol=solver_tol)
+                mp = ModuliPoint(p=pf, k=k, u_tilde=u_tilde, v_tilde=v_tilde)
                 bp = inverse_coords(mp)
-            except (LevelSolveError, ValueError) as exc:
-                mesh.failures.append((k, ang, str(exc)))
-                continue
-            solved = mp.u_tilde if pf > 1.0 else mp.v_tilde
-            mesh.records.append(MeshRecord(
-                k=k, free_angle=ang, solved_angle=solved,
-                u_tilde=mp.u_tilde, v_tilde=mp.v_tilde,
-                alpha=bp.alpha, beta=bp.beta))
+            except ValueError as exc:
+                reason = str(exc)
+        if reason is not None:
+            mesh.failures.append((k, ang, reason))
+            continue
+        mesh.records.append(MeshRecord(
+            k=k, free_angle=ang, solved_angle=x, u_tilde=u_tilde, v_tilde=v_tilde,
+            alpha=bp.alpha, beta=bp.beta))
     return mesh
 
 

@@ -24,7 +24,7 @@ from .differentials import (
     loop_A, loop_B, theta_P_characterization_check, theta_P_gamma_closed,
 )
 from .elliptic import (
-    TWO_PI, complementary_modulus, complete_E, complete_K, incomplete_F_imag,
+    TWO_PI, complementary_KE, complete_E, complete_K, incomplete_F_imag,
     legendre_defect, lifted_E, lifted_F,
 )
 from .moduli import S_value, T_tilde, dT_tilde_du_tilde
@@ -198,14 +198,13 @@ def suite_differentials(seed: int = 0) -> list[InvariantResult]:
         fr = _random_frame(rng)
         k = fr.k
         K, E = complete_K(k), complete_E(k)
-        kp = complementary_modulus(k)
-        Kp, Ep = complete_K(kp), complete_E(kp)
+        Kp, KmEp = complementary_KE(k)
         A, B = loop_A(fr), loop_B(fr)
         for kind, loop, expect in (
                 ("omega", A, 4 * K), ("e", A, 4 * E), ("epsilon", A, 4 * E),
                 ("theta_P", A, 0.0), ("theta_E", A, 0.0),
-                ("omega", B, 2j * Kp), ("e", B, 2j * (Kp - Ep)),
-                ("epsilon", B, 2j * (Kp - Ep)), ("theta_P", B, 2j * math.pi),
+                ("omega", B, 2j * Kp), ("e", B, 2j * KmEp),
+                ("epsilon", B, 2j * KmEp), ("theta_P", B, 2j * math.pi),
                 ("theta_E", B, 0.0)):
             val = contour_integral(kind, loop, fr)
             r = abs(val - expect) / max(1.0, abs(expect))

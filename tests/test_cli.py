@@ -71,14 +71,24 @@ class TestLevelSet:
         assert sum(1 for l in body if l.startswith("v ")) == 12
         assert sum(1 for l in body if l.startswith("f ")) == 2 * 2 * 3
 
-    def test_determinism(self, tmp_path, capsys):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        for path in (a, b):
+    def test_determinism(self, tmp_path, capsys, monkeypatch):
+        # an 8x16 leaf whose fixed angles start on the chart boundary u~ = pi
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"angle_start = {math.pi!r}\n")
+        monkeypatch.setenv(CONFIG_ENV_VAR, str(cfg_file))
+        for name in ("a", "b"):
             assert main(["level-set", "--p", "1/2", "--q", "0/1",
-                         "--k-grid", "2", "--angle-grid", "3",
-                         "--span", "1.0", "--out", str(path)]) == 0
+                         "--k-grid", "8", "--angle-grid", "16",
+                         "--span", "6.283185307179586",
+                         "--out", str(tmp_path / f"{name}.csv"),
+                         "--mesh", str(tmp_path / f"{name}.obj")]) == 0
         capsys.readouterr()
-        assert a.read_bytes() == b.read_bytes()
+        lines = (tmp_path / "a.csv").read_text().splitlines()
+        assert "angle_start=3.1415926535897931" in lines[0]
+        assert len(lines) == 2 + 8 * 16
+        for ext in ("csv", "obj"):
+            first, second = (tmp_path / f"{name}.{ext}" for name in ("a", "b"))
+            assert first.read_bytes() == second.read_bytes()
 
     def test_bad_grid(self, capsys):
         code = main(["level-set", "--p", "1/1", "--q", "0/1", "--k-grid", "0",

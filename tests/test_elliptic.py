@@ -8,9 +8,9 @@ import pytest
 from scipy.integrate import quad
 
 from harmonictori.elliptic import (
-    ChartBoundary, complementary_modulus, complete_E, complete_K,
-    incomplete_E_reg_imag, incomplete_F_imag, legendre_defect, lifted_E,
-    lifted_F, w_imag, wind,
+    ChartBoundary, _half_angle, _half_angle_array, complementary_KE,
+    complementary_modulus, complete_E, complete_K, incomplete_E_reg_imag,
+    incomplete_F_imag, legendre_defect, lifted_E, lifted_F, w_imag, wind,
 )
 
 # independent quadrature oracles on the defining integrals
@@ -84,6 +84,18 @@ class TestLegendre:
         assert max(abs(legendre_defect(k)) for k in ks) < 1e-11
 
 
+@pytest.mark.parametrize("k", [1e-8, 1e-6, 0.5, 1 - 1e-9])
+def test_complementary_KE_against_mpmath(k):
+    # the round trip through sqrt(1 - k^2) is off by 2e-2 at k = 1e-8
+    with mp.workdps(40):
+        m = 1 - mp.mpf(k) ** 2
+        Kp = mp.ellipk(m)
+        Kp_Ep = Kp - mp.ellipe(m)
+    got_Kp, got_Kp_Ep = complementary_KE(k)
+    assert got_Kp == pytest.approx(float(Kp), rel=1e-14)
+    assert got_Kp_Ep == pytest.approx(float(Kp_Ep), rel=1e-14)
+
+
 class TestImaginaryAxis:
     def test_w_values(self):
         assert w_imag(0.0, 0.3) == 1.0
@@ -155,6 +167,12 @@ class TestLifted:
             Kp_Ep = Kp - mp.ellipe(1 - mp.mpf(k) ** 2)
         assert lifted_F(2 * math.pi, k) == pytest.approx(float(2 * Kp), rel=1e-14)
         assert lifted_E(2 * math.pi, k) == pytest.approx(float(2 * Kp_Ep), rel=1e-14)
+
+    def test_half_angle_array_matches_scalar(self):
+        xs = [0.0, math.pi, -math.pi, 3 * math.pi, -5 * math.pi, math.pi - 1e-9,
+              2 * math.pi, 7.0, -20.0, 100.0, 1e3]
+        m, s, c = _half_angle_array(np.array(xs))
+        assert list(zip(m, s, c)) == [_half_angle(x) for x in xs]
 
     def test_quasi_periodicity(self):
         # E F~(x+2pi) - K E~(x+2pi) = E F~(x) - K E~(x) + pi

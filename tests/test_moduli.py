@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from harmonictori.config import DEFAULTS
 from harmonictori.curves import (
     BranchPair, ModuliPoint, deck_iota_tilde, deck_lambda_tilde,
     forward_coords, inverse_coords,
@@ -256,6 +258,8 @@ class TestSweep:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             sweep_level_set(Fraction(1), Fraction(0), 1, 8, 1.0)
+        with pytest.raises(ValueError):
+            sweep_level_set(Fraction(0), Fraction(0), 2, 8, 1.0)
 
     def test_helicoid_records_detect_to_same_component(self):
         # principal lifts of swept points may differ from the solved leaf by
@@ -267,6 +271,88 @@ class TestSweep:
             got = spectral_test(BranchPair(r.alpha, r.beta), 30)
             assert got is not None and got[0] == p
             assert classify_component(*got) == target
+
+
+def scalar_sweep(p, q, k_grid, angle_grid, span, k_min, k_max, angle_start):
+    """The sweep as a per-point loop over the scalar solve_level.
+
+    Returns {(k, angle): (u~, v~)} for solved points and {(k, angle): reason}
+    for failed ones.
+    """
+    solved, failed = {}, {}
+    ks = np.linspace(k_min, k_max, k_grid).tolist()
+    angles = (angle_start + np.linspace(0.0, span, angle_grid)).tolist()
+    for k in ks:
+        for ang in angles:
+            try:
+                mp = solve_level(float(p), float(q), k, ang)
+                inverse_coords(mp)
+            except (LevelSolveError, ValueError) as exc:
+                failed[k, ang] = str(exc)
+                continue
+            solved[k, ang] = (mp.u_tilde, mp.v_tilde)
+    return solved, failed
+
+
+def check_batched_against_scalar(p, q, k_grid, angle_grid, span,
+                                 k_min=0.02, k_max=0.98, angle_start=0.1):
+    """The batched sweep fails where the scalar solve fails, for the same
+    reasons, solves the other points to the same bits, and every record
+    solves the level inside the band."""
+    mesh = sweep_level_set(p, q, k_grid, angle_grid, span, k_min=k_min,
+                           k_max=k_max, angle_start=angle_start)
+    solved, failed = scalar_sweep(p, q, k_grid, angle_grid, span, k_min, k_max,
+                                  angle_start)
+    assert {(k, a): why for k, a, why in mesh.failures} == failed
+    assert [((r.k, r.free_angle), (r.u_tilde, r.v_tilde))
+            for r in mesh.records] == list(solved.items())
+    pf, qf = float(p), float(q)
+    for r in mesh.records:
+        assert abs(t_tilde_raw(pf, r.k, r.u_tilde, r.v_tilde) - qf) < DEFAULTS.solver_tol
+        assert r.u_tilde < r.v_tilde < r.u_tilde + 2 * math.pi
+        assert r.solved_angle == (r.u_tilde if pf > 1.0 else r.v_tilde)
+    return mesh
+
+
+class TestBatchedSweep:
+    @pytest.mark.parametrize("angle_start", [0.1, math.pi])
+    @pytest.mark.parametrize("span", [2 * math.pi, 4 * math.pi])
+    @pytest.mark.parametrize("q", [Fraction(-3), Fraction(37, 100), Fraction(3)])
+    @pytest.mark.parametrize("p", [Fraction(1, 3), Fraction(1), Fraction(5, 2)])
+    def test_matches_scalar_solve(self, p, q, span, angle_start):
+        mesh = check_batched_against_scalar(p, q, 4, 7, span, angle_start=angle_start)
+        assert mesh.complete
+
+    @pytest.mark.parametrize("q", [10 ** 4, 10 ** 7, 10 ** 9, 10 ** 11])
+    @pytest.mark.parametrize("p", [Fraction(1, 3), Fraction(1), Fraction(5, 2)])
+    def test_levels_at_the_precision_floor(self, p, q):
+        # T~ = q needs the smaller bracket probes, and |T~ - q| < solver_tol
+        # is out of reach of double precision at most points: the iteration
+        # wanders for 100 steps and the residual it ends on is part of the
+        # failure reason, so only the same arithmetic reproduces it
+        mesh = check_batched_against_scalar(p, Fraction(q), 3, 5, 2 * math.pi)
+        assert any(why.startswith("no convergence") for _, _, why in mesh.failures)
+
+    @pytest.mark.parametrize("p", [Fraction(1, 3), Fraction(1), Fraction(5, 2)])
+    def test_unreachable_level_fails_everywhere(self, p):
+        mesh = check_batched_against_scalar(p, Fraction(10 ** 15), 3, 4, 2 * math.pi,
+                                            angle_start=math.pi)
+        assert not mesh.records and len(mesh.failures) == 12
+        assert all(why.startswith("no sign change") for _, _, why in mesh.failures)
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(p=st.fractions(Fraction(1, 4), Fraction(4), max_denominator=6),
+           q=st.fractions(Fraction(-3), Fraction(3), max_denominator=100),
+           k_min=st.floats(0.02, 0.5), k_width=st.floats(0.01, 0.48),
+           angle_start=st.one_of(st.sampled_from([math.pi, -math.pi, 3 * math.pi]),
+                                 st.floats(-10.0, 10.0)),
+           span=st.one_of(st.sampled_from([2 * math.pi, 4 * math.pi]),
+                          st.floats(0.1, 4 * math.pi)),
+           k_grid=st.integers(2, 4), angle_grid=st.integers(2, 6))
+    def test_property_matches_scalar_solve(self, p, q, k_min, k_width, angle_start,
+                                           span, k_grid, angle_grid):
+        check_batched_against_scalar(p, q, k_grid, angle_grid, span, k_min=k_min,
+                                     k_max=k_min + k_width, angle_start=angle_start)
 
 
 class TestClassification:
