@@ -13,6 +13,8 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from harmonictori import (
     RunConfig, T_tilde, classify_component, deck_lambda_tilde, inverse_coords,
     moduli_summary, monodromy_track, solve_level, sweep_level_set,
@@ -25,20 +27,14 @@ out_dir = Path.cwd()
 print("annulus component: ratio p = 1, level q = 1 (the inversion-symmetric family)")
 mesh = sweep_level_set(Fraction(1), Fraction(1), k_grid=4, angle_grid=13,
                        angle_span=TWO_PI, k_min=0.25, k_max=0.75)
-rows = len(mesh.k_values)
-cols = len(mesh.angle_values)
-first, last = mesh.records[0], mesh.records[cols - 1]
-print(f"  {len(mesh.records)} points; closure over a full turn: "
-      f"|alpha_end - alpha_start| = {abs(last.alpha - first.alpha):.2e}")
+print(f"  {mesh.solved.sum()} points; closure over a full turn: "
+      f"|alpha_end - alpha_start| = {abs(mesh.alpha[0, -1] - mesh.alpha[0, 0]):.2e}")
 print(f"  symmetry on the leaf: max |alpha + beta| = "
-      f"{max(abs(r.alpha + r.beta) for r in mesh.records):.2e}")
-
-class _Args:  # the CLI writers take the parsed argument object
-    span = TWO_PI
+      f"{np.nanmax(np.abs(mesh.alpha + mesh.beta)):.2e}")
 
 csv_path, obj_path = out_dir / "annulus.csv", out_dir / "annulus.obj"
 cfg = RunConfig(k_min=0.25, k_max=0.75)
-_write_level_set(mesh, cfg, _Args, str(csv_path))
+_write_level_set(mesh, cfg, TWO_PI, str(csv_path))
 _write_mesh_obj(mesh, str(obj_path))
 print(f"  wrote {csv_path.name} and {obj_path.name}")
 

@@ -34,7 +34,7 @@ from .genus_zero import (
     energy, harmonic_map_eval, map_params, normalize_tau, period_lattice,
 )
 from .moduli import (
-    LevelSetMesh, classify_component, moduli_summary, spectral_test,
+    LevelSetMesh, S_value, classify_component, moduli_summary, spectral_test,
     sweep_level_set,
 )
 from .verify import run_suites
@@ -127,72 +127,67 @@ def cmd_curve_info(args, cfg: RunConfig) -> int:
         except (ValueError, ContinuationError) as exc:
             print(f"warning: closing construction failed: {exc}", file=sys.stderr)
     checklist = hitchin_checklist(frame, closing)
-    from .moduli import S_value
     report = CurveReport(alpha=alpha, beta=beta, k=frame.k, p=S_value(bp),
                          spectral=detected, closing=closing, checklist=checklist)
     print(report.render())
     return 0 if detected is not None else 2
 
 
-def _write_level_set(mesh: LevelSetMesh, cfg: RunConfig, args, path: str) -> None:
+def _solved_rows(mesh: LevelSetMesh, *columns) -> list[list[float]]:
+    """One row of the given grid columns per solved point, k-major; a column
+    may be any array that broadcasts to the grid."""
+    ok = mesh.solved
+    return np.stack([np.broadcast_to(c, ok.shape)[ok] for c in columns], axis=1).tolist()
+
+
+def _write_level_set(mesh: LevelSetMesh, cfg: RunConfig, span: float, path: str) -> None:
+    ks = np.array(mesh.k_values)[:, None]
+    rows = _solved_rows(mesh, ks, mesh.u_tilde, mesh.v_tilde, mesh.alpha.real,
+                        mesh.alpha.imag, mesh.beta.real, mesh.beta.imag)
+    row = f"{f17(float(mesh.p))},{f17(float(mesh.q))}," + ",".join(["%.17g"] * 7) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# level set p={mesh.p} q={mesh.q} k_grid={len(mesh.k_values)} "
-                 f"angle_grid={len(mesh.angle_values)} span={f17(args.span)} "
+                 f"angle_grid={len(mesh.angle_values)} span={f17(span)} "
                  f"k_min={f17(cfg.k_min)} k_max={f17(cfg.k_max)} "
                  f"angle_start={f17(cfg.angle_start)} seed={cfg.seed}\n")
         if not mesh.complete:
             fh.write(f"# partial: {len(mesh.failures)} grid points failed\n")
         fh.write("p,q,k,u_tilde,v_tilde,re_alpha,im_alpha,re_beta,im_beta\n")
-        pq = [f17(float(mesh.p)), f17(float(mesh.q))]
-        for r in mesh.records:
-            row = pq + [f17(r.k), f17(r.u_tilde), f17(r.v_tilde),
-                        f17(r.alpha.real), f17(r.alpha.imag),
-                        f17(r.beta.real), f17(r.beta.imag)]
-            fh.write(",".join(row) + "\n")
+        fh.writelines(row % tuple(r) for r in rows)
 
 
 def _write_mesh_obj(mesh: LevelSetMesh, path: str) -> None:
-    """ASCII OBJ triangle mesh with the (Re alpha, Im alpha, k) embedding."""
-    rows = len(mesh.k_values)
-    cols = len(mesh.angle_values)
-    index = {}
+    """ASCII OBJ triangle mesh with the (Re alpha, Im alpha, k) embedding:
+    the solved points are the vertices, and each grid quad whose four
+    corners solved gives two triangles."""
+    def corners(a):
+        return np.stack([a[:-1, :-1], a[1:, :-1], a[1:, 1:], a[:-1, 1:]], axis=-1)
+    ok = mesh.solved
+    number = np.cumsum(ok).reshape(ok.shape)  # 1-based vertex numbers where ok
+    quads = corners(number)[corners(ok).all(axis=-1)].tolist()
+    vertices = _solved_rows(mesh, mesh.alpha.real, mesh.alpha.imag,
+                            np.array(mesh.k_values)[:, None])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# level set p={mesh.p} q={mesh.q}\n")
-        for n, r in enumerate(mesh.records, start=1):
-            index[(r.k, r.free_angle)] = n
-            fh.write(f"v {f17(r.alpha.real)} {f17(r.alpha.imag)} {f17(r.k)}\n")
-        for i in range(rows - 1):
-            for j in range(cols - 1):
-                quad = [(mesh.k_values[i], mesh.angle_values[j]),
-                        (mesh.k_values[i + 1], mesh.angle_values[j]),
-                        (mesh.k_values[i + 1], mesh.angle_values[j + 1]),
-                        (mesh.k_values[i], mesh.angle_values[j + 1])]
-                if any(q not in index for q in quad):
-                    continue
-                a, b, c, d = (index[q] for q in quad)
-                fh.write(f"f {a} {b} {c}\n")
-                fh.write(f"f {a} {c} {d}\n")
+        fh.writelines("v %.17g %.17g %.17g\n" % tuple(r) for r in vertices)
+        fh.writelines(f"f {a} {b} {c}\nf {a} {c} {d}\n" for a, b, c, d in quads)
 
 
 def cmd_level_set(args, cfg: RunConfig) -> int:
     try:
         p = _parse_fraction(args.p)
         q = _parse_fraction(args.q)
-        if p <= 0:
-            raise ValueError("p must be positive")
-        if args.k_grid < 2 or args.angle_grid < 2:
-            raise ValueError("grids must have at least 2 samples")
+        mesh = sweep_level_set(p, q, args.k_grid, args.angle_grid, args.span,
+                               k_min=cfg.k_min, k_max=cfg.k_max,
+                               angle_start=cfg.angle_start,
+                               solver_tol=cfg.solver_tol)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    mesh = sweep_level_set(p, q, args.k_grid, args.angle_grid, args.span,
-                           k_min=cfg.k_min, k_max=cfg.k_max,
-                           angle_start=cfg.angle_start,
-                           solver_tol=cfg.solver_tol)
-    _write_level_set(mesh, cfg, args, args.out)
+    _write_level_set(mesh, cfg, args.span, args.out)
     if args.mesh:
         _write_mesh_obj(mesh, args.mesh)
-    n_ok, n_bad = len(mesh.records), len(mesh.failures)
+    n_ok, n_bad = int(mesh.solved.sum()), len(mesh.failures)
     print(f"wrote {n_ok} records to {args.out}"
           + (f" ({n_bad} failures)" if n_bad else "")
           + (f"; mesh to {args.mesh}" if args.mesh else ""))

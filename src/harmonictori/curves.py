@@ -6,7 +6,9 @@ The Moebius map f carries (a, 1/conj(a), b, 1/conj(b)) to (1, -1, 1/k, -1/k),
 the unit circle to the imaginary axis and the disc interior to the right half
 plane.  On top of f sit the coordinates (p, k, u, v) with i u = f(1) and
 i v = f(-1), and their lifts (u~, v~) to the universal cover, where the deck
-transformation acts by half-turns of the rescaled angles.
+transformation acts by half-turns of the rescaled angles.  The inverse map
+from coordinates to branch pairs is written once in real arithmetic and
+takes floats or numpy arrays, so a whole level-set leaf is mapped at once.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .elliptic import TWO_PI, _libm, _reduce_turns, w_imag
+from .elliptic import TWO_PI, _libm, _reduce_turns, _sqrt, _w
 
 __all__ = [
     "BranchPair", "JacobiFrame", "ModuliPoint",
@@ -27,6 +29,12 @@ __all__ = [
     "lambda_swap", "chi_negate", "deck_lambda_tilde", "deck_iota_tilde",
     "angle_rescale",
 ]
+
+
+# why a point has no branch pair, shared by the scalar and array checks
+_OUTSIDE_DISC = "branch points must lie in the open unit disc"
+_NOT_DISTINCT = "branch points must be distinct"
+_OFF_CHART = "u = v is outside the coordinate chart"
 
 
 @dataclass(frozen=True)
@@ -39,9 +47,9 @@ class BranchPair:
     def __post_init__(self):
         a, b = complex(self.alpha), complex(self.beta)
         if abs(a) >= 1.0 or abs(b) >= 1.0:
-            raise ValueError("branch points must lie in the open unit disc")
+            raise ValueError(_OUTSIDE_DISC)
         if a == b:
-            raise ValueError("branch points must be distinct")
+            raise ValueError(_NOT_DISTINCT)
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "beta", b)
 
@@ -270,6 +278,43 @@ def _chart_value_array(x_tilde: np.ndarray) -> np.ndarray:
     return np.where(np.abs(r) == math.pi, np.inf, _libm(math.tan, 0.5 * x_tilde))
 
 
+def _where(cond, a, b):
+    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
+
+
+def _divide(ar, ai, br, bi):
+    """(ar + i ai)/(br + i bi) by Smith's rule, as CPython divides complex numbers."""
+    swap = abs(br) < abs(bi)
+    big, small, a, b = _where(swap, (bi, br, ai, ar), (br, bi, ar, ai))
+    ratio = small / big
+    denom = big + small * ratio
+    return (a + b * ratio) / denom, (1 - 2 * swap) * (b - a * ratio) / denom
+
+
+def _branch_parts(p, k, u, v):
+    """Re and Im of alpha = nu_hat (1 - z0)/(1 + conj(z0)) and of beta, the
+    same with 1/k for 1, where z0 = x + i y is the two-circle intersection and
+    nu_hat = (iu + conj(z0))/(iu - z0); u or v = inf take their limits.
+
+    Real arithmetic on floats or arrays in the steps of CPython's complex
+    arithmetic, so the scalar map, the level-set sweep and the complex form
+    agree bit for bit (numpy's complex * and / differ in the last bit).
+    """
+    u_inf, v_inf = abs(u) == math.inf, abs(v) == math.inf
+    wu, wv = _w(u, k), _w(v, k)
+    den = p * wv + wu
+    x = _where(u_inf, _sqrt(p * wv / k), _where(
+        v_inf, _sqrt(wu / (p * k)), _sqrt(p * wu * wv) * abs(u - v) / den))
+    y = _where(u_inf, v, _where(v_inf, u, (p * u * wv + v * wu) / den))
+    nu_re, nu_im = _divide(x, u - y, -x, u - y)
+    nu_re, nu_im = _where(u_inf, 1.0, nu_re), _where(u_inf, 0.0, nu_im)
+    parts = []
+    for c in (1.0, 1.0 / k):
+        m = c - x
+        parts += _divide(nu_re * m + nu_im * y, nu_im * m - nu_re * y, c + x, -y)
+    return parts
+
+
 def inverse_coords(mp: ModuliPoint) -> BranchPair:
     """Branch pair of a moduli point: z0 from the two-circle intersection,
     then alpha = f^{-1}(1), beta = f^{-1}(1/k).
@@ -277,26 +322,27 @@ def inverse_coords(mp: ModuliPoint) -> BranchPair:
     Evaluation is overflow-safe through the infinity chart: tan never
     overflows in double precision and actual infinities take limits.
     """
-    p, k = mp.p, mp.k
     u, v = _chart_value(mp.u_tilde), _chart_value(mp.v_tilde)
     if u == v:
-        raise ValueError("u = v is outside the coordinate chart")
-    wu, wv = w_imag(u, k), w_imag(v, k)
+        raise ValueError(_OFF_CHART)
+    ar, ai, br, bi = _branch_parts(mp.p, mp.k, u, v)
+    return BranchPair(alpha=complex(ar, ai), beta=complex(br, bi))
 
-    if math.isinf(u):
-        z0 = complex(math.sqrt(p * wv / k), v)
-        nu_hat = 1.0 + 0j  # limit of (iu + conj(z0))/(iu - z0)
-    elif math.isinf(v):
-        z0 = complex(math.sqrt(wu / (p * k)), u)
-        nu_hat = (1j * u + z0.conjugate()) / (1j * u - z0)
-    else:
-        den = p * wv + wu
-        z0 = complex(math.sqrt(p * wu * wv) * abs(u - v) / den,
-                     (p * u * wv + v * wu) / den)
-        nu_hat = (1j * u + z0.conjugate()) / (1j * u - z0)
-    alpha = nu_hat * (1.0 - z0) / (1.0 + z0.conjugate())
-    beta = nu_hat * (1.0 / k - z0) / (1.0 / k + z0.conjugate())
-    return BranchPair(alpha=alpha, beta=beta)
+
+def _inverse_coords_array(p, k, u_tilde, v_tilde):
+    """inverse_coords on arrays: alpha, beta and the reason it raises at each
+    point, or None; nan angles give nan values and no reason."""
+    u, v = _chart_value_array(u_tilde), _chart_value_array(v_tilde)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ar, ai, br, bi = parts = _branch_parts(p, k, u, v)
+    # the checks of inverse_coords and BranchPair; the first one failing wins
+    reasons = np.full(u.shape, None, dtype=object)
+    reasons[(ar == br) & (ai == bi)] = _NOT_DISTINCT
+    reasons[(np.hypot(ar, ai) >= 1.0) | (np.hypot(br, bi) >= 1.0)] = _OUTSIDE_DISC
+    reasons[u == v] = _OFF_CHART
+    alpha, beta = np.empty((2, *u.shape), complex)
+    alpha.real, alpha.imag, beta.real, beta.imag = parts
+    return alpha, beta, reasons.tolist()
 
 
 def lambda_swap(bp: BranchPair) -> BranchPair:

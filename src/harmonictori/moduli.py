@@ -11,10 +11,12 @@ graphs over (k, angle) charts, which is what the solver exploits.
 The solver has two forms with one policy.  solve_level works on Python
 floats, one chart point at a time; serial callers such as monodromy_track,
 where each solve starts from the last, use it.  sweep_level_set solves a
-whole (k, angle) grid in lockstep on numpy arrays, which removes the
-per-point call overhead.  The finite-chart algebra of T~ and dT~ is written
-once for both; only the angle reduction, the chart-boundary limits and the
-Newton loop have an array twin.
+whole (k, angle) grid in lockstep on numpy arrays and maps it to branch
+pairs with the array form of inverse_coords, so a leaf comes back as grid
+arrays with no per-point Python.  The finite-chart algebra of T~ and dT~ is
+written once for both; only the angle reduction, the chart-boundary limits
+(of either angle, the held one included) and the Newton loop have an array
+twin.
 
 Note on normalization: T0 and T~ below are exactly the principal-branch
 formulas.  With these, the curves (a, -a) fixed by the inversion symmetry
@@ -25,15 +27,15 @@ is the zero class modulo Z<1, S>.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .config import DEFAULTS
 from .curves import (
-    BranchPair, ModuliPoint, _chart_value, _chart_value_array, forward_coords,
-    inverse_coords,
+    BranchPair, ModuliPoint, _chart_value, _chart_value_array,
+    _inverse_coords_array, forward_coords,
 )
 from .elliptic import (
     TWO_PI, _E_reg, _F, _half_angle_array, _w, complementary_KE, complete_E,
@@ -41,7 +43,7 @@ from .elliptic import (
 )
 
 __all__ = [
-    "ComponentId", "LevelSetMesh", "MeshRecord", "ModuliSummary",
+    "ComponentId", "LevelSetMesh", "ModuliSummary",
     "S_value", "t0_raw", "T0_value", "t_tilde_raw", "T_tilde",
     "dt0_du_raw", "dT0_du", "dT_tilde_du_tilde", "dT_tilde_dv_tilde",
     "solve_level", "sweep_level_set", "classify_component", "spectral_test",
@@ -71,6 +73,18 @@ def _dt0_du(p, k, K, E, u, v):
     duv = d * d
     poly = 1.0 + u * u - u * v + k * k * u * v + v * v + k * k * u * u * v * v
     return 2.0 * (-duv * E + p * K * wu * wv + K * poly) / (math.pi * wu * duv)
+
+
+def _dt0_du_at_v_infinity(p, k, K, E, u):
+    """dT0/du as v -> +-inf, the limit of _dt0_du."""
+    wu = _w(u, k)
+    return 2.0 * (-E + p * k * K * wu + K * (1.0 + k * k * u * u)) / (math.pi * wu)
+
+
+def _dt0_du_array(p, k, K, E, u, v):
+    """_dt0_du on arrays of chart values, v = +-inf included."""
+    return np.where(np.isinf(v), _dt0_du_at_v_infinity(p, k, K, E, u),
+                    _dt0_du(p, k, K, E, u, v))
 
 
 def _dT_du_at_infinity(p, k, K, E, v):
@@ -159,11 +173,15 @@ def dt0_du_raw(p: float, k: float, u: float, v: float) -> float:
 
     (pi/2) w(iu) (u-v)^2 dT0/du
         = -(u-v)^2 E + p K w(iu) w(iv)
-          + K [1 + u^2 - uv + k^2 uv + v^2 + k^2 u^2 v^2].
+          + K [1 + u^2 - uv + k^2 uv + v^2 + k^2 u^2 v^2];
+    at v = +-inf it takes the limit 2(-E + p k K w(iu) + K(1 + k^2 u^2))/(pi w(iu)).
     """
     if u == v:
         raise ValueError("derivative undefined on the diagonal u = v")
-    return _dt0_du(p, k, complete_K(k), complete_E(k), u, v)
+    K, E = complete_K(k), complete_E(k)
+    if math.isinf(v):
+        return _dt0_du_at_v_infinity(p, k, K, E, u)
+    return _dt0_du(p, k, K, E, u, v)
 
 
 def dT0_du(mp: ModuliPoint) -> float:
@@ -182,7 +200,7 @@ def dT_tilde_du_tilde(p: float, k: float, u_tilde: float, v_tilde: float) -> flo
 def _dT_du_array(p, k, K, E, u, v):
     """dT_tilde_du_tilde on arrays of chart values."""
     return np.where(np.isinf(u), _dT_du_at_infinity(p, k, K, E, v),
-                    0.5 * (1.0 + u * u) * _dt0_du(p, k, K, E, u, v))
+                    0.5 * (1.0 + u * u) * _dt0_du_array(p, k, K, E, u, v))
 
 
 def dT_tilde_dv_tilde(p: float, k: float, u_tilde: float, v_tilde: float) -> float:
@@ -197,7 +215,7 @@ def dT_tilde_dv_tilde(p: float, k: float, u_tilde: float, v_tilde: float) -> flo
 def _dT_dv_array(p, k, K, E, u, v):
     """dT_tilde_dv_tilde on arrays of chart values."""
     return np.where(np.isinf(v), _dT_dv_at_infinity(p, k, K, E, u),
-                    -0.5 * (1.0 + v * v) * p * _dt0_du(1.0 / p, k, K, E, v, u))
+                    -0.5 * (1.0 + v * v) * p * _dt0_du_array(1.0 / p, k, K, E, v, u))
 
 
 class LevelSolveError(RuntimeError):
@@ -362,25 +380,25 @@ def _solve_level_grid(p: float, q: float, ks: list[float], angles: list[float],
     return solved, reasons
 
 
-@dataclass(frozen=True)
-class MeshRecord:
-    k: float
-    free_angle: float
-    solved_angle: float
-    u_tilde: float
-    v_tilde: float
-    alpha: complex
-    beta: complex
-
-
 @dataclass
 class LevelSetMesh:
+    """A leaf as k-major (k, angle) grid arrays, nan where a point failed;
+    failures lists those points in grid order with their reasons."""
+
     p: Fraction
     q: Fraction
     k_values: list[float]
     angle_values: list[float]
-    records: list[MeshRecord] = field(default_factory=list)
-    failures: list[tuple[float, float, str]] = field(default_factory=list)
+    u_tilde: np.ndarray
+    v_tilde: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    failures: list[tuple[float, float, str]]
+
+    @property
+    def solved(self) -> np.ndarray:
+        """Mask of the grid points that solved."""
+        return ~np.isnan(self.u_tilde)
 
     @property
     def complete(self) -> bool:
@@ -397,8 +415,9 @@ def sweep_level_set(p: Fraction, q: Fraction, k_grid: int, angle_grid: int,
     The free angle is v~ for p > 1 and u~ otherwise; a span of 2 pi walks one
     full turn of the cover, after which the p = 1 leaves close up exactly
     while p != 1 leaves land on the next deck translate.  All grid points are
-    solved together by the batched form of solve_level, which follows the
-    same policy and reports the same per-point failure reasons.
+    solved together by the batched form of solve_level and mapped to branch
+    pairs by the array form of inverse_coords; both follow the scalar
+    functions bit for bit and report the same per-point failure reasons.
     """
     if k_grid < 2 or angle_grid < 2:
         raise ValueError("grids must have at least 2 samples")
@@ -406,25 +425,20 @@ def sweep_level_set(p: Fraction, q: Fraction, k_grid: int, angle_grid: int,
         raise ValueError("need 0 < k_min < k_max < 1")
     ks = np.linspace(k_min, k_max, k_grid).tolist()
     angles = (angle_start + np.linspace(0.0, angle_span, angle_grid)).tolist()
-    mesh = LevelSetMesh(p=Fraction(p), q=Fraction(q), k_values=ks, angle_values=angles)
     pf, qf = float(p), float(q)
     solved, reasons = _solve_level_grid(pf, qf, ks, angles, solver_tol)
+    fixed = np.tile(angles, k_grid)
+    u_tilde, v_tilde = (solved, fixed) if pf > 1.0 else (fixed, solved)
+    alpha, beta, rejected = _inverse_coords_array(pf, np.repeat(ks, angle_grid),
+                                                  u_tilde, v_tilde)
+    reasons = [why or off for why, off in zip(reasons, rejected)]
+    failed = np.array([why is not None for why in reasons])
     grid = ((k, ang) for k in ks for ang in angles)
-    for (k, ang), x, reason in zip(grid, solved.tolist(), reasons):
-        if reason is None:
-            u_tilde, v_tilde = (x, ang) if pf > 1.0 else (ang, x)
-            try:
-                mp = ModuliPoint(p=pf, k=k, u_tilde=u_tilde, v_tilde=v_tilde)
-                bp = inverse_coords(mp)
-            except ValueError as exc:
-                reason = str(exc)
-        if reason is not None:
-            mesh.failures.append((k, ang, reason))
-            continue
-        mesh.records.append(MeshRecord(
-            k=k, free_angle=ang, solved_angle=x, u_tilde=u_tilde, v_tilde=v_tilde,
-            alpha=bp.alpha, beta=bp.beta))
-    return mesh
+    return LevelSetMesh(
+        Fraction(p), Fraction(q), ks, angles,
+        *(np.where(failed, np.nan, x).reshape(k_grid, angle_grid)
+          for x in (u_tilde, v_tilde, alpha, beta)),
+        failures=[(k, ang, why) for (k, ang), why in zip(grid, reasons) if why])
 
 
 @dataclass(frozen=True)

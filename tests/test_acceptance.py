@@ -187,12 +187,9 @@ def test_criterion_09_topology():
     mesh = sweep_level_set(Fraction(1), Fraction(0), 2, 7, TWO_PI,
                            k_min=0.35, k_max=0.6)
     assert mesh.complete
-    per_k = len(mesh.angle_values)
     for row in range(2):
-        first = mesh.records[row * per_k]
-        last = mesh.records[row * per_k + per_k - 1]
-        worst = max(worst, abs(first.alpha - last.alpha),
-                    abs(first.beta - last.beta))
+        worst = max(worst, abs(mesh.alpha[row, 0] - mesh.alpha[row, -1]),
+                    abs(mesh.beta[row, 0] - mesh.beta[row, -1]))
     # the half-ratio leaf shifts by p - 1 = -1/2 under the deck generator
     mp0 = solve_level(0.5, 0.0, 0.5, 0.2)
     shift = T_tilde(deck_lambda_tilde(mp0)) - T_tilde(mp0)

@@ -6,12 +6,13 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from harmonictori.cli import main
-from harmonictori.config import CONFIG_ENV_VAR, load_config
+from harmonictori.cli import _write_level_set, _write_mesh_obj, f17, main
+from harmonictori.config import CONFIG_ENV_VAR, RunConfig, load_config
 from harmonictori.curves import BranchPair
-from harmonictori.moduli import spectral_test
+from harmonictori.moduli import spectral_test, sweep_level_set
 
 
 def run_cli(args, env=None, cwd=None):
@@ -90,11 +91,78 @@ class TestLevelSet:
             first, second = (tmp_path / f"{name}.{ext}" for name in ("a", "b"))
             assert first.read_bytes() == second.read_bytes()
 
-    def test_bad_grid(self, capsys):
-        code = main(["level-set", "--p", "1/1", "--q", "0/1", "--k-grid", "0",
-                     "--angle-grid", "4", "--span", "1.0", "--out", "x.csv"])
-        capsys.readouterr()
+    @pytest.mark.parametrize("p, k_grid, angle_grid, message", [
+        ("1/1", "0", "4", "grids must have at least 2 samples"),
+        ("1/1", "4", "1", "grids must have at least 2 samples"),
+        ("0/1", "4", "4", "p must be positive"),
+        ("-1/2", "4", "4", "p must be positive"),
+    ], ids=["k_grid_0", "angle_grid_1", "p_0", "p_negative"])
+    def test_bad_grid(self, tmp_path, capsys, p, k_grid, angle_grid, message):
+        out = tmp_path / "x.csv"
+        code = main(["level-set", f"--p={p}", "--q", "0/1", "--k-grid", k_grid,
+                     "--angle-grid", angle_grid, "--span", "1.0", "--out", str(out)])
+        captured = capsys.readouterr()
         assert code == 1
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == "" and not out.exists()
+
+
+def mesh_with_holes():
+    """A 5x7 leaf with failures injected inside it, on its edges and at a
+    corner, as a failed solve leaves them: nan in every grid array."""
+    mesh = sweep_level_set(Fraction(1), Fraction(0), 5, 7, 2 * math.pi,
+                           k_min=0.3, k_max=0.6)
+    for i, j in ((2, 3), (0, 4), (4, 0), (3, 6), (1, 1), (1, 2)):
+        for grid in (mesh.u_tilde, mesh.v_tilde, mesh.alpha, mesh.beta):
+            grid[i, j] = np.nan
+        mesh.failures.append((mesh.k_values[i], mesh.angle_values[j], "injected"))
+    return mesh
+
+
+def float_keyed_obj(mesh):
+    """The OBJ text by the float-keyed algorithm the grid-index writer
+    replaced: vertices numbered in grid order, each quad found by looking
+    up its four (k, angle) corners."""
+    ks, angles = mesh.k_values, mesh.angle_values
+    index, lines = {}, [f"# level set p={mesh.p} q={mesh.q}"]
+    solved = [(k, ang, complex(mesh.alpha[i, j])) for i, k in enumerate(ks)
+              for j, ang in enumerate(angles) if not np.isnan(mesh.u_tilde[i, j])]
+    for n, (k, ang, alpha) in enumerate(solved, start=1):
+        index[(k, ang)] = n
+        lines.append(f"v {f17(alpha.real)} {f17(alpha.imag)} {f17(k)}")
+    for i in range(len(ks) - 1):
+        for j in range(len(angles) - 1):
+            quad = [(ks[i], angles[j]), (ks[i + 1], angles[j]),
+                    (ks[i + 1], angles[j + 1]), (ks[i], angles[j + 1])]
+            if any(q not in index for q in quad):
+                continue
+            a, b, c, d = (index[q] for q in quad)
+            lines += [f"f {a} {b} {c}", f"f {a} {c} {d}"]
+    return "\n".join(lines) + "\n"
+
+
+class TestWriters:
+    def test_obj_matches_float_keyed_algorithm(self, tmp_path):
+        mesh = mesh_with_holes()
+        _write_mesh_obj(mesh, str(tmp_path / "leaf.obj"))
+        text = (tmp_path / "leaf.obj").read_text()
+        assert text == float_keyed_obj(mesh)
+        assert sum(1 for line in text.splitlines() if line.startswith("v ")) == 35 - 6
+        assert sum(1 for line in text.splitlines() if line.startswith("f ")) == 2 * (24 - 14)
+
+    def test_csv_rows_match_f17_per_value(self, tmp_path):
+        mesh = mesh_with_holes()
+        _write_level_set(mesh, RunConfig(k_min=0.3, k_max=0.6), 2 * math.pi,
+                         str(tmp_path / "leaf.csv"))
+        lines = (tmp_path / "leaf.csv").read_text().splitlines()
+        assert lines[1] == "# partial: 6 grid points failed"
+        expected = [",".join(f17(x) for x in (
+            mesh.p, mesh.q, k, mesh.u_tilde[i, j], mesh.v_tilde[i, j],
+            mesh.alpha[i, j].real, mesh.alpha[i, j].imag,
+            mesh.beta[i, j].real, mesh.beta[i, j].imag))
+            for i, k in enumerate(mesh.k_values) for j in range(7)
+            if not np.isnan(mesh.u_tilde[i, j])]
+        assert lines[3:] == expected
 
 
 class TestEnumerate:

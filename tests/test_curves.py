@@ -2,15 +2,17 @@
 
 import cmath
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from harmonictori.curves import (
-    BranchPair, ModuliPoint, angle_rescale, build_frame, chi_negate,
-    circle_points, deck_iota_tilde, deck_lambda_tilde, forward_coords,
-    inverse_coords, jacobi_modulus, lambda_swap,
+    BranchPair, ModuliPoint, _chart_value, _inverse_coords_array, angle_rescale,
+    build_frame, chi_negate, circle_points, deck_iota_tilde, deck_lambda_tilde,
+    forward_coords, inverse_coords, jacobi_modulus, lambda_swap,
 )
+from harmonictori.elliptic import w_imag
 from harmonictori.moduli import S_value
 
 RNG = np.random.default_rng(5)
@@ -248,6 +250,96 @@ class TestCoordinates:
             ModuliPoint(p=1.0, k=0.5, u_tilde=0.0, v_tilde=7.0)
         with pytest.raises(ValueError):
             ModuliPoint(p=1.0, k=0.5, u_tilde=0.5, v_tilde=0.4)
+
+
+def bits(z):
+    """The exact bits of a complex number, sign of zero included."""
+    return z.real.hex(), z.imag.hex()
+
+
+def complex_form(p, k, u_tilde, v_tilde):
+    """The branch pair by CPython complex arithmetic: the reference that
+    inverse_coords' real arithmetic follows step for step."""
+    u, v = _chart_value(u_tilde), _chart_value(v_tilde)
+    wu, wv = w_imag(u, k), w_imag(v, k)
+    if math.isinf(u):
+        z0 = complex(math.sqrt(p * wv / k), v)
+        nu_hat = 1.0 + 0j
+    elif math.isinf(v):
+        z0 = complex(math.sqrt(wu / (p * k)), u)
+        nu_hat = (1j * u + z0.conjugate()) / (1j * u - z0)
+    else:
+        den = p * wv + wu
+        z0 = complex(math.sqrt(p * wu * wv) * abs(u - v) / den,
+                     (p * u * wv + v * wu) / den)
+        nu_hat = (1j * u + z0.conjugate()) / (1j * u - z0)
+    return (nu_hat * (1.0 - z0) / (1.0 + z0.conjugate()),
+            nu_hat * (1.0 / k - z0) / (1.0 / k + z0.conjugate()))
+
+
+def seeded_points(rng, n, held=None):
+    """(k, u~, v~) arrays in the band; held = "u" or "v" puts that angle on
+    the chart boundary, an odd multiple of pi."""
+    k = rng.uniform(0.01, 0.99, n)
+    odd_pi = math.pi * (2 * rng.integers(-2, 3, n) + 1)
+    if held == "u":
+        ut = odd_pi
+    elif held == "v":
+        ut = odd_pi - rng.uniform(1e-6, 2 * math.pi - 1e-6, n)
+    else:
+        ut = rng.uniform(-10.0, 10.0, n)
+    vt = odd_pi if held == "v" else ut + rng.uniform(1e-6, 2 * math.pi - 1e-6, n)
+    return k, ut, vt
+
+
+class TestInverseCoordsArray:
+    @pytest.mark.parametrize("held", [None, "u", "v"])
+    @pytest.mark.parametrize("p", [1 / 3, 1.0, 5 / 2])
+    def test_matches_scalar_and_complex_form(self, p, held):
+        rng = np.random.default_rng(11)
+        k, ut, vt = seeded_points(rng, 300, held)
+        if held is not None:
+            assert all(math.isinf(_chart_value(float(x))) for x in (ut if held == "u" else vt))
+        alpha, beta, reasons = _inverse_coords_array(p, k, ut, vt)
+        assert reasons == [None] * 300
+        for i in range(300):
+            bp = inverse_coords(ModuliPoint(p, float(k[i]), float(ut[i]), float(vt[i])))
+            assert (bits(bp.alpha), bits(bp.beta)) == (bits(complex(alpha[i])),
+                                                       bits(complex(beta[i])))
+            ref = complex_form(p, float(k[i]), float(ut[i]), float(vt[i]))
+            assert (bits(bp.alpha), bits(bp.beta)) == tuple(map(bits, ref))
+
+    def test_u_equals_v_fails_with_the_scalar_message(self):
+        # u~ = v~ lies outside the band, which is how u = v arises
+        with pytest.raises(ValueError) as err:
+            inverse_coords(SimpleNamespace(p=0.5, k=0.5, u_tilde=1.0, v_tilde=1.0))
+        k, ut, vt = seeded_points(np.random.default_rng(4), 3)
+        ut[1] = vt[1]
+        alpha, beta, reasons = _inverse_coords_array(0.5, k, ut, vt)
+        assert reasons == [None, str(err.value), None]
+        assert str(err.value) == "u = v is outside the coordinate chart"
+
+    @pytest.mark.parametrize("k, u_tilde, v_tilde, message", [
+        # k one ulp below 1: 1/k rounds so that beta lands on alpha
+        (1.0 - 2.0 ** -53, -2.9835689989791114, -2.7690265000151197,
+         "branch points must be distinct"),
+        # k = 1e-300: beta rounds onto the unit circle
+        (1e-300, 0.3, 2.0, "branch points must lie in the open unit disc"),
+    ])
+    def test_rejections_carry_the_scalar_message(self, k, u_tilde, v_tilde, message):
+        with pytest.raises(ValueError, match=message):
+            inverse_coords(ModuliPoint(1.0, k, u_tilde, v_tilde))
+        ks, ut, vt = seeded_points(np.random.default_rng(6), 3)
+        ks[1], ut[1], vt[1] = k, u_tilde, v_tilde
+        assert _inverse_coords_array(1.0, ks, ut, vt)[2] == [None, message, None]
+
+    def test_nan_angles_give_nan_and_no_reason(self):
+        k, ut, vt = seeded_points(np.random.default_rng(5), 4)
+        vt[2] = np.nan
+        alpha, beta, reasons = _inverse_coords_array(2.0, k, ut, vt)
+        assert reasons == [None] * 4
+        assert np.isnan(alpha[2]) and np.isnan(beta[2])
+        assert not np.isnan(np.delete(alpha, 2)).any()
 
 
 class TestSymmetries:

@@ -7,14 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from harmonictori import moduli
 from harmonictori.config import DEFAULTS
 from harmonictori.curves import (
     BranchPair, ModuliPoint, deck_iota_tilde, deck_lambda_tilde,
     forward_coords, inverse_coords,
 )
+from harmonictori.elliptic import complete_E, complete_K
 from harmonictori.moduli import (
     ComponentId, LevelSolveError, S_value, T0_value, T_tilde, best_rational,
-    classify_component, dT0_du, dT_tilde_du_tilde, dt0_du_raw,
+    classify_component, dT0_du, dT_tilde_du_tilde, dT_tilde_dv_tilde, dt0_du_raw,
     moduli_summary, solve_level, spectral_test, sweep_level_set, t0_raw,
     t_tilde_raw,
 )
@@ -178,6 +180,61 @@ class TestDerivative:
         assert at_boundary == pytest.approx(explicit, rel=1e-12)
 
 
+    @pytest.mark.parametrize("p, held", [(1 / 3, "u"), (1.0, "u"), (2.0, "v"), (5 / 2, "v")])
+    def test_held_angle_on_the_boundary(self, p, held):
+        # dT~ along the free angle while the held angle sits at u~ or v~ = pi
+        # (v or u = inf): the limit of dT0/du as v -> inf and its mirror,
+        # against the derivative and a one-sided difference quotient with
+        # the held angle at pi - h
+        k, h, step = 0.5, 1e-8, 1e-6
+        if held == "u":
+            free = math.pi + 0.2
+            deriv = lambda a: dT_tilde_dv_tilde(p, k, a, free)
+            level = lambda a, x: t_tilde_raw(p, k, a, x)
+        else:
+            free = 0.2
+            deriv = lambda a: dT_tilde_du_tilde(p, k, free, a)
+            level = lambda a, x: t_tilde_raw(p, k, x, a)
+        limit = deriv(math.pi)
+        assert math.isfinite(limit)
+        assert limit == pytest.approx(deriv(math.pi - h), rel=1e-5)
+        quotient = (level(math.pi - h, free) - level(math.pi - h, free - step)) / step
+        assert limit == pytest.approx(quotient, rel=1e-4)
+
+    def test_held_limit_is_the_v_infinity_limit_of_dt0_du(self):
+        p, k, u = 0.7, 0.3, -1.3
+        limit = dt0_du_raw(p, k, u, math.inf)
+        assert limit == dt0_du_raw(p, k, u, -math.inf)
+        assert limit == pytest.approx(dt0_du_raw(p, k, u, 1e9), rel=1e-8)
+
+    @pytest.mark.parametrize("p", [1 / 3, 1.0, 5 / 2])
+    def test_array_twins_match_scalar_on_the_boundary(self, p):
+        k = 0.5
+        K, E = complete_K(k), complete_E(k)
+        free = np.array([0.3, 1.7, 2.9])
+        pi = np.full(3, math.pi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            du = moduli._dT_du_array(p, k, K, E, moduli._chart_value_array(free - 2 * math.pi),
+                                     moduli._chart_value_array(pi))
+            dv = moduli._dT_dv_array(p, k, K, E, moduli._chart_value_array(pi),
+                                     moduli._chart_value_array(free + math.pi))
+        assert du.tolist() == [dT_tilde_du_tilde(p, k, x - 2 * math.pi, math.pi) for x in free]
+        assert dv.tolist() == [dT_tilde_dv_tilde(p, k, math.pi, x + math.pi) for x in free]
+        assert np.isfinite(du).all() and np.isfinite(dv).all()
+
+    @pytest.mark.parametrize("p", [1 / 3, 1.0, 2.0, 5 / 2])
+    def test_solve_with_held_angle_on_the_boundary_takes_newton_steps(self, p, monkeypatch):
+        # a nan slope there would leave pure bisection: 36 evaluations of T~
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return t_tilde_raw(*args)
+        monkeypatch.setattr(moduli, "t_tilde_raw", counted)
+        mp = solve_level(p, 0.37, 0.5, math.pi)
+        assert len(calls) <= 12
+        assert abs(t_tilde_raw(p, 0.5, mp.u_tilde, mp.v_tilde) - 0.37) < DEFAULTS.solver_tol
+
 class TestSolver:
     def test_chi_annulus_of_level_one(self):
         mp = solve_level(1.0, 1.0, 0.5, 0.3)
@@ -227,12 +284,9 @@ class TestSweep:
         mesh = sweep_level_set(Fraction(1), Fraction(0), 3, 9, 2 * math.pi,
                                k_min=0.3, k_max=0.6)
         assert mesh.complete
-        per_k = len(mesh.angle_values)
         for row in range(3):
-            first = mesh.records[row * per_k]
-            last = mesh.records[row * per_k + per_k - 1]
-            assert abs(first.alpha - last.alpha) < 1e-8
-            assert abs(first.beta - last.beta) < 1e-8
+            assert abs(mesh.alpha[row, 0] - mesh.alpha[row, -1]) < 1e-8
+            assert abs(mesh.beta[row, 0] - mesh.beta[row, -1]) < 1e-8
 
     def test_annulus_half_turn_reaches_relabeled_pair(self):
         # advancing the rescaled free angle by pi lands on the same curve
@@ -251,9 +305,7 @@ class TestSweep:
         mesh = sweep_level_set(Fraction(1, 2), Fraction(0), 2, 7, 2 * math.pi,
                                k_min=0.4, k_max=0.5)
         assert mesh.complete
-        per_k = len(mesh.angle_values)
-        first, last = mesh.records[0], mesh.records[per_k - 1]
-        assert abs(first.alpha - last.alpha) > 1e-3
+        assert abs(mesh.alpha[0, 0] - mesh.alpha[0, -1]) > 1e-3
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -267,17 +319,24 @@ class TestSweep:
         p, q = Fraction(2), Fraction(1, 3)
         mesh = sweep_level_set(p, q, 2, 6, 2 * math.pi, k_min=0.35, k_max=0.6)
         target = classify_component(p, q)
-        for r in mesh.records:
-            got = spectral_test(BranchPair(r.alpha, r.beta), 30)
+        assert mesh.solved.all()
+        for alpha, beta in zip(mesh.alpha.ravel(), mesh.beta.ravel()):
+            got = spectral_test(BranchPair(alpha, beta), 30)
             assert got is not None and got[0] == p
             assert classify_component(*got) == target
+
+
+def bits(x):
+    """The exact bits of a float or complex, sign of zero included."""
+    z = complex(x)
+    return float(z.real).hex(), float(z.imag).hex()
 
 
 def scalar_sweep(p, q, k_grid, angle_grid, span, k_min, k_max, angle_start):
     """The sweep as a per-point loop over the scalar solve_level.
 
-    Returns {(k, angle): (u~, v~)} for solved points and {(k, angle): reason}
-    for failed ones.
+    Returns {(k, angle): (u~, v~, alpha, beta)} for solved points and
+    {(k, angle): reason} for failed ones, both in grid order.
     """
     solved, failed = {}, {}
     ks = np.linspace(k_min, k_max, k_grid).tolist()
@@ -286,31 +345,40 @@ def scalar_sweep(p, q, k_grid, angle_grid, span, k_min, k_max, angle_start):
         for ang in angles:
             try:
                 mp = solve_level(float(p), float(q), k, ang)
-                inverse_coords(mp)
+                bp = inverse_coords(mp)
             except (LevelSolveError, ValueError) as exc:
                 failed[k, ang] = str(exc)
                 continue
-            solved[k, ang] = (mp.u_tilde, mp.v_tilde)
+            solved[k, ang] = (mp.u_tilde, mp.v_tilde, bp.alpha, bp.beta)
     return solved, failed
 
 
 def check_batched_against_scalar(p, q, k_grid, angle_grid, span,
                                  k_min=0.02, k_max=0.98, angle_start=0.1):
     """The batched sweep fails where the scalar solve fails, for the same
-    reasons, solves the other points to the same bits, and every record
-    solves the level inside the band."""
+    reasons and in the same order, solves the other points to the same bits
+    of (u~, v~, alpha, beta), holds nan at the failed ones, and every solved
+    point solves the level inside the band at its grid angle."""
     mesh = sweep_level_set(p, q, k_grid, angle_grid, span, k_min=k_min,
                            k_max=k_max, angle_start=angle_start)
     solved, failed = scalar_sweep(p, q, k_grid, angle_grid, span, k_min, k_max,
                                   angle_start)
-    assert {(k, a): why for k, a, why in mesh.failures} == failed
-    assert [((r.k, r.free_angle), (r.u_tilde, r.v_tilde))
-            for r in mesh.records] == list(solved.items())
+    assert mesh.failures == [(k, a, why) for (k, a), why in failed.items()]
+    ks, angles = mesh.k_values, mesh.angle_values
+    points = list(zip(*np.nonzero(mesh.solved)))
+    columns = (mesh.u_tilde, mesh.v_tilde, mesh.alpha, mesh.beta)
+    assert [((ks[i], angles[j]), tuple(bits(c[i, j]) for c in columns))
+            for i, j in points] == \
+        [(key, tuple(map(bits, vals))) for key, vals in solved.items()]
+    for column in columns:
+        assert np.isnan(column[~mesh.solved]).all()
     pf, qf = float(p), float(q)
-    for r in mesh.records:
-        assert abs(t_tilde_raw(pf, r.k, r.u_tilde, r.v_tilde) - qf) < DEFAULTS.solver_tol
-        assert r.u_tilde < r.v_tilde < r.u_tilde + 2 * math.pi
-        assert r.solved_angle == (r.u_tilde if pf > 1.0 else r.v_tilde)
+    held = mesh.v_tilde if pf > 1.0 else mesh.u_tilde
+    for i, j in points:
+        u, v = mesh.u_tilde[i, j], mesh.v_tilde[i, j]
+        assert abs(t_tilde_raw(pf, ks[i], u, v) - qf) < DEFAULTS.solver_tol
+        assert u < v < u + 2 * math.pi
+        assert held[i, j] == angles[j]
     return mesh
 
 
@@ -337,8 +405,36 @@ class TestBatchedSweep:
     def test_unreachable_level_fails_everywhere(self, p):
         mesh = check_batched_against_scalar(p, Fraction(10 ** 15), 3, 4, 2 * math.pi,
                                             angle_start=math.pi)
-        assert not mesh.records and len(mesh.failures) == 12
+        assert not mesh.solved.any() and len(mesh.failures) == 12
         assert all(why.startswith("no sign change") for _, _, why in mesh.failures)
+
+    @pytest.mark.parametrize("p", [Fraction(1, 3), Fraction(1), Fraction(5, 2)])
+    def test_coordinate_rejections_match_scalar(self, p):
+        # at k near 1e-35 solved points have |beta| rounding to 1, which
+        # inverse_coords rejects; the sweep fails them with the same reason
+        mesh = check_batched_against_scalar(p, Fraction(37, 100), 2, 5, 2 * math.pi,
+                                            k_min=1e-40, k_max=1e-30)
+        assert any(why == "branch points must lie in the open unit disc"
+                   for _, _, why in mesh.failures)
+
+    def test_rejected_branch_pairs_join_the_failures(self, monkeypatch):
+        # a point the coordinate map rejects fails like a point the solver
+        # fails: nan in every grid array, listed in grid order with its reason
+        map_leaf = moduli._inverse_coords_array
+
+        def rejecting(p, k, u_tilde, v_tilde):
+            alpha, beta, reasons = map_leaf(p, k, u_tilde, v_tilde)
+            reasons[0] = reasons[6] = "branch points must be distinct"
+            return alpha, beta, reasons
+        monkeypatch.setattr(moduli, "_inverse_coords_array", rejecting)
+        mesh = sweep_level_set(Fraction(1), Fraction(37, 100), 3, 4, math.pi)
+        ks, angles = mesh.k_values, mesh.angle_values
+        assert mesh.failures == [(ks[0], angles[0], "branch points must be distinct"),
+                                 (ks[1], angles[2], "branch points must be distinct")]
+        assert mesh.solved.sum() == 10 and not mesh.solved[0, 0] and not mesh.solved[1, 2]
+        for grid in (mesh.u_tilde, mesh.v_tilde, mesh.alpha, mesh.beta):
+            assert np.isnan(grid[0, 0]) and np.isnan(grid[1, 2])
+            assert not np.isnan(np.delete(grid.ravel(), [0, 6])).any()
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(p=st.fractions(Fraction(1, 4), Fraction(4), max_denominator=6),
