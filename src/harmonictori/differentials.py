@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -216,10 +216,20 @@ def _grade(y_from: float, y_to: float) -> list[float]:
 
 def loop_A(frame: JacobiFrame) -> PathSpec:
     """Cycle around the branch points -1 and 1, oriented so that the
-    holomorphic differential integrates to +4K on the starting sheet."""
-    k = frame.k
-    xa = min(1.2, 0.5 * (1.0 + 1.0 / k))
+    holomorphic differential integrates to +4K on the starting sheet.
+
+    The vertical edges sit at x = +-min(1.2, (1 + 1/k)/2) unless a double
+    pole lies within 0.1 of them, and otherwise at the candidate in (1, 1/k)
+    farthest from the poles and branch points.
+    """
     h = _pick_height(frame)
+    poles = (frame.z0, -frame.z0.conjugate())
+
+    def gap(x, centers=poles + (1.0, 1.0 / frame.k)):  # the left edge mirrors it
+        return min(_seg_point_distance(x - 1j * h, x + 1j * h, c) for c in centers)
+    xa = min(1.2, 0.5 * (1.0 + 1.0 / frame.k))
+    if gap(xa, poles) < 0.1:
+        xa = max((1.0 + f * (xa - 1.0) for f in (1.0, 0.5, 1.5, 0.25, 1.75)), key=gap)
     pts = (-1j * h, xa - 1j * h, xa + 1j * h, -xa + 1j * h, -xa - 1j * h, -1j * h)
     return PathSpec(points=pts, sheet=1)
 
@@ -311,51 +321,58 @@ def _track_sheet(geom: _Geometry, zs: np.ndarray, w0: complex) -> np.ndarray:
     return w
 
 
-def _walk_segment(geom: _Geometry, coeff, z1: complex, z2: complex,
-                  w_start: complex, nsub: int) -> tuple[complex, complex]:
-    """Composite Gauss rule over [z1, z2] tracking w from w_start.
+def _walk_segment(geom: _Geometry, coeffs, z1: complex, z2: complex,
+                  w_start: complex, nsub: int) -> tuple[list[complex], complex]:
+    """Composite Gauss rule over [z1, z2] for each coefficient, tracking w
+    once from w_start.
 
-    Returns (integral, w at z2); ContinuationError propagates from the
+    Returns (integrals, w at z2); ContinuationError propagates from the
     sheet tracking.
     """
     half = 0.5 * (z2 - z1) / nsub
     mids = z1 + half * (2 * np.arange(nsub) + 1)
     zs = np.append((mids[:, None] + half * _GAUSS_X).ravel(), z2)
     w = _track_sheet(geom, zs, w_start)
-    vals = coeff(zs[:-1], w[:-1]).reshape(nsub, len(_GAUSS_W))
-    return complex(half * (vals @ _GAUSS_W).sum()), complex(w[-1])
+    return [complex(half * (coeff(zs[:-1], w[:-1]).reshape(nsub, len(_GAUSS_W))
+                            @ _GAUSS_W).sum()) for coeff in coeffs], complex(w[-1])
 
 
-def _integrate(geom: _Geometry, coeff, path: PathSpec) -> tuple[complex, complex]:
-    """Integrate coeff(z, w) dz along the path; returns (value, final w).
+def _integrate(geom: _Geometry, coeffs, path: PathSpec) -> tuple[list[complex], complex]:
+    """Integrate each coeff(z, w) dz along the path; returns (values, final w).
 
-    Each segment is refined by doubling until two successive rules agree to
-    1e-10 relative (1e-13 absolute).
+    Each segment is refined by doubling, one walk per level for all of them.
+    A value freezes at the first level where two successive rules agree to
+    1e-10 relative (1e-13 absolute), bit for bit as if integrated alone.
     """
     w = path.sheet * cmath.sqrt(geom.Q(path.points[0]))
-    total = 0.0 + 0.0j
+    totals = [0.0 + 0.0j] * len(coeffs)
     for z1, z2 in zip(path.points[:-1], path.points[1:]):
         if z1 == z2:
             continue
         nsub = max(4, min(64, int(abs(z2 - z1) / 0.25) + 1))
-        val = None
+        vals, open_ = [None] * len(coeffs), range(len(coeffs))
         for _ in range(13):
             try:
-                val2, w_end2 = _walk_segment(geom, coeff, z1, z2, w, nsub)
+                new, w_end = _walk_segment(geom, [coeffs[i] for i in open_],
+                                           z1, z2, w, nsub)
             except ContinuationError:
                 nsub *= 2
                 continue
-            if val is not None and abs(val2 - val) <= max(
-                    1e-13, 1e-10 * max(abs(val2), 1.0)):
-                val, w_end = val2, w_end2
+            still = []
+            for i, val in zip(open_, new):
+                if not (vals[i] is not None and abs(val - vals[i]) <= max(
+                        1e-13, 1e-10 * max(abs(val), 1.0))):
+                    still.append(i)
+                vals[i] = val
+            open_ = still
+            if not open_:
                 break
-            val, w_end = val2, w_end2
             nsub *= 2
         else:
             raise ContinuationError(f"no quadrature convergence on [{z1!r}, {z2!r}]")
-        total += val
+        totals = [t + v for t, v in zip(totals, vals)]
         w = w_end
-    return total, w
+    return totals, w
 
 
 def contour_integral(kind: str, path: PathSpec, frame: JacobiFrame) -> complex:
@@ -372,7 +389,7 @@ def contour_integral(kind: str, path: PathSpec, frame: JacobiFrame) -> complex:
     if geom.has_poles(kind):
         centers += list(geom.poles)
     _check_clearance(path, centers)
-    value, _ = _integrate(geom, geom.coefficient(kind), path)
+    (value,), _ = _integrate(geom, [geom.coefficient(kind)], path)
     return value
 
 
@@ -421,19 +438,22 @@ def theta_P_gamma_closed(sign: int, frame: JacobiFrame) -> complex:
 def gamma_closing_values(frame: JacobiFrame) -> dict[tuple[str, int], complex]:
     """Closing integrals of theta_E and theta_P over both principal paths.
 
-    Contour quadrature is used where the paths exist; when an endpoint sits
-    at infinity (nu within the guard of +-1) the closed-form limit stands in.
+    Contour quadrature is used where the paths exist, one pass over each
+    path for the pair; when an endpoint sits at infinity (nu within the
+    guard of +-1) the closed-form limit stands in.
     """
+    geom = _Geometry(frame)
+    pair = (geom.coefficient("theta_P"), geom.coefficient("theta_E"))
     out: dict[tuple[str, int], complex] = {}
     for s in (1, -1):
         out[("theta_E", s)] = theta_E_gamma(s, frame.pair)
         try:
             path = gamma0_path(s, frame)
-            quad_P = contour_integral("theta_P", path, frame)
-            quad_E = contour_integral("theta_E", path, frame)
+            _check_clearance(path, geom.branch_points + geom.poles)
         except PathError:
             out[("theta_P", s)] = _theta_P_gamma_value(s, frame)
             continue
+        (quad_P, quad_E), _ = _integrate(geom, pair, path)
         if abs(quad_E - out[("theta_E", s)]) > 1e-6:
             raise ContinuationError(f"gamma path quadrature inconsistent: {quad_E!r}")
         out[("theta_P", s)] = quad_P
@@ -508,6 +528,8 @@ class ClosingData:
     gamma_plus: int
     gamma_minus: int
     residual: float
+    #: (frame, gamma_closing_values) the integers were rounded from
+    gamma_integrals: tuple | None = field(default=None, compare=False, repr=False)
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -524,10 +546,11 @@ def construct_psi(S: Fraction, T: Fraction, frame: JacobiFrame) -> ClosingData:
     The curve's measured S must match n/m, and its principal T value must
     match n'/m' up to the multivaluedness lattice Z<1, S>; the congruence
     arithmetic then runs on the principal representative.  The four closing
-    integrals are evaluated by contour quadrature, rounded to integers, and
-    the largest rounding residual is reported.  The measured S and T must
-    match to 1e-9 relative, and each closing integral must lie within 1e-6
-    of its integer.
+    integrals are evaluated by contour quadrature (gamma_closing_values),
+    rounded to integers, and the largest rounding residual is reported; the
+    basis integrals are kept in ``gamma_integrals`` with the frame, for the
+    checklist to reuse.  The measured S and T must match to 1e-9 relative,
+    and each closing integral must lie within 1e-6 of its integer.
     """
     S, T = Fraction(S), Fraction(T)
     n, m = S.numerator, S.denominator
@@ -586,7 +609,7 @@ def construct_psi(S: Fraction, T: Fraction, frame: JacobiFrame) -> ClosingData:
                 f"closing integral {name} rounds to {round(got.real)}, expected {expect}")
     return ClosingData(n=n, m=m, n_prime=np_, m_prime=mp_, l=l, a=a, b=b,
                        gamma_plus=gamma_plus, gamma_minus=gamma_minus,
-                       residual=residual)
+                       residual=residual, gamma_integrals=(frame, vals))
 
 
 # ---------------------------------------------------------------------------
@@ -680,7 +703,10 @@ def hitchin_checklist(frame: JacobiFrame, closing: ClosingData | None = None,
 
     Runs on the constructed minimal closing pair when given, otherwise on
     the raw pair (theta_E, theta_P), whose closing integrals are generally
-    not integral; that failure shows up in the closing entry.  The
+    not integral; that failure shows up in the closing entry.  That entry
+    reuses the gamma integrals construct_psi rounded when the closing was
+    built on this frame (the same quadrature, computed once) and integrates
+    the paths otherwise; loops A and B take one pass each for the pair.  The
     quaternionic line-bundle condition is a one-parameter choice that this
     library does not construct; it is reported as a note.
     """
@@ -732,12 +758,13 @@ def hitchin_checklist(frame: JacobiFrame, closing: ClosingData | None = None,
     entries.append(ChecklistEntry("P5 reality", float(rho_res),
                                   "rho* theta = -conj(theta) on samples"))
 
-    A, B = loop_A(frame), loop_B(frame)
+    periods = {lname: _integrate(geom, [coeff for _, coeff in pair], loop)[0]
+               for lname, loop in (("A", loop_A(frame)), ("B", loop_B(frame)))}
     imag_res = int_res = 0.0
     details = []
-    for name, coeff in pair:
-        for lname, loop in (("A", A), ("B", B)):
-            val, _ = _integrate(geom, coeff, loop)
+    for j, (name, _) in enumerate(pair):
+        for lname in ("A", "B"):
+            val = periods[lname][j]
             imag_res = max(imag_res, abs(val.real) / TWO_PI)
             t = val.imag / TWO_PI
             int_res = max(int_res, abs(t - round(t)))
@@ -749,7 +776,9 @@ def hitchin_checklist(frame: JacobiFrame, closing: ClosingData | None = None,
 
     close_res = 0.0
     details = []
-    gvals = gamma_closing_values(frame)
+    built_on, gvals = (closing and closing.gamma_integrals) or (None, None)
+    if built_on != frame:
+        gvals = gamma_closing_values(frame)
     for s in (1, -1):
         thE, thP = gvals[("theta_E", s)], gvals[("theta_P", s)]
         if closing is None:

@@ -317,7 +317,6 @@ def _solve_level_grid(p: float, q: float, ks: list[float], angles: list[float],
     consts = np.repeat(np.array(per_k).T, n_angles, axis=1)
     fixed = np.tile(np.array(angles, dtype=float), len(ks))
     lo, hi = (fixed - TWO_PI, fixed) if solve_for_u else (fixed, fixed + TWO_PI)
-    fixed_lifted, fixed_chart = _lifted_level_terms(*consts, fixed)
 
     def level(x, idx):
         """T~ - q at free angle x for the grid points idx."""
@@ -338,6 +337,7 @@ def _solve_level_grid(p: float, q: float, ks: list[float], angles: list[float],
     solved = np.full(n, np.nan)
     reasons: list[str | None] = [None] * n
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        fixed_lifted, fixed_chart = _lifted_level_terms(*consts, fixed)
         a, b, flo = np.empty(n), np.empty(n), np.empty(n)
         probing = np.arange(n)
         for delta in _PROBE_DELTAS:

@@ -1,21 +1,24 @@
 """Periods, closing integrals, the minimal pair and the checklist."""
 
 import cmath
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from harmonictori import differentials
 from harmonictori.curves import BranchPair, build_frame, inverse_coords
 from harmonictori.differentials import (
-    ContinuationError, PathError, PathSpec, _Geometry, _track_sheet,
+    ContinuationError, PathError, PathSpec, _Geometry, _integrate, _track_sheet,
     _walk_segment, construct_psi, contour_integral, eta_plus, gamma0_path,
-    hitchin_checklist, laurent_coefficients, loop_A, loop_B, monodromy_track,
-    theta_E_gamma, theta_P_characterization_check, theta_P_gamma_closed,
+    gamma_closing_values, hitchin_checklist, laurent_coefficients, loop_A,
+    loop_B, monodromy_track, theta_E_gamma, theta_P_characterization_check,
+    theta_P_gamma_closed,
 )
 from harmonictori.elliptic import complementary_modulus, complete_E, complete_K
-from harmonictori.moduli import S_value, solve_level, t0_raw
+from harmonictori.moduli import S_value, solve_level, spectral_test, t0_raw
 
 RNG = np.random.default_rng(23)
 
@@ -206,11 +209,96 @@ class TestSheetTracking:
         geom = _Geometry(fr)
         z1, z2 = 1.005 - 2j, 1.005 + 2j
         with pytest.raises(ContinuationError):
-            _walk_segment(geom, geom.coefficient("omega"), z1, z2,
+            _walk_segment(geom, [geom.coefficient("omega")], z1, z2,
                           cmath.sqrt(geom.Q(z1)), 17)
         path = PathSpec(points=(z1, z2, -1.2 + 2j, -1.2 - 2j, z1), sheet=1)
         val = contour_integral("omega", path, fr)
         assert val == pytest.approx(4 * complete_K(fr.k), abs=1e-8)
+
+
+def bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+def spectral_frame(S, T, k=0.5, angle=0.3):
+    return build_frame(inverse_coords(solve_level(float(S), float(T), k, angle)))
+
+
+class TestFusedQuadrature:
+    def test_pair_equals_lone_integrations(self, monkeypatch):
+        # one pass over a path for two coefficients gives each value, and the
+        # final w, bit for bit as integrating each coefficient alone does,
+        # also when one value freezes at a coarser level than the other (the
+        # gamma paths of the symmetric-annulus curve at k = 0.75)
+        walked = []
+
+        def counted(geom, coeffs, *args):
+            walked.append(len(coeffs))
+            return _walk_segment(geom, coeffs, *args)
+        monkeypatch.setattr(differentials, "_walk_segment", counted)
+        one_open = 0  # levels that refined one value only
+        for fr in [random_frame() for _ in range(6)] + [spectral_frame(1, 1, k=0.75)]:
+            geom = _Geometry(fr)
+            pair = [geom.coefficient("theta_P"), geom.coefficient("theta_E")]
+            for path in (loop_A(fr), loop_B(fr), gamma0_path(1, fr), gamma0_path(-1, fr)):
+                walked.clear()
+                values, w_end = _integrate(geom, pair, path)
+                one_open += walked.count(1)
+                for coeff, value in zip(pair, values):
+                    (alone,), w_alone = _integrate(geom, [coeff], path)
+                    assert bits(value) == bits(alone)
+                    assert bits(w_end) == bits(w_alone)
+        assert one_open > 0
+
+    def test_closing_values_equal_contour_integrals(self):
+        for fr in [random_frame() for _ in range(4)] + [spectral_frame(1, 1, k=0.75)]:
+            vals = gamma_closing_values(fr)
+            for s in (1, -1):
+                path = gamma0_path(s, fr)
+                assert bits(vals[("theta_P", s)]) == bits(
+                    contour_integral("theta_P", path, fr))
+
+
+class TestClosingReuse:
+    S, T = Fraction(1, 3), Fraction(1, 4)
+
+    def count_gamma_calls(self, monkeypatch):
+        calls = []
+        inner = differentials.gamma_closing_values
+
+        def counted(frame):
+            calls.append(frame)
+            return inner(frame)
+        monkeypatch.setattr(differentials, "gamma_closing_values", counted)
+        return calls
+
+    def test_pipeline_integrates_gamma_paths_once(self, monkeypatch):
+        calls = self.count_gamma_calls(monkeypatch)
+        fr = spectral_frame(self.S, self.T)
+        hitchin_checklist(fr, construct_psi(self.S, self.T, fr))
+        assert len(calls) == 1
+        # an equal frame built again is the same curve
+        hitchin_checklist(build_frame(fr.pair), construct_psi(self.S, self.T, fr))
+        assert len(calls) == 2
+
+    def test_reused_closing_entry_equals_recomputation(self, monkeypatch):
+        fr = spectral_frame(self.S, self.T)
+        cd = construct_psi(self.S, self.T, fr)
+        assert cd.gamma_integrals[0] == fr
+        reused = hitchin_checklist(fr, cd)
+        calls = self.count_gamma_calls(monkeypatch)
+        again = hitchin_checklist(fr, dataclasses.replace(cd, gamma_integrals=None))
+        assert len(calls) == 1
+        assert [(e.item, e.residual.hex(), e.detail) for e in reused] == \
+            [(e.item, e.residual.hex(), e.detail) for e in again]
+
+    def test_closing_from_another_frame_is_flagged(self, monkeypatch):
+        cd = construct_psi(self.S, self.T, spectral_frame(self.S, self.T))
+        other = spectral_frame(self.S, self.T, k=0.4)
+        calls = self.count_gamma_calls(monkeypatch)
+        p8 = {e.item: e for e in hitchin_checklist(other, cd)}["P8 closing integrals"]
+        assert calls == [other]
+        assert p8.residual > 1e-3
 
 
 class TestGammaQuadrature:
@@ -354,6 +442,25 @@ class TestChecklist:
         for name, e in entries.items():
             if name != "P8 closing integrals":
                 assert e.residual < 1e-7, (name, e.residual)
+
+    @pytest.mark.parametrize("alpha, beta, z0", [
+        (0.005444539706311043 + 0.09069569672266486j,
+         -0.005444539706310932 - 0.09069569672266456j, 1.19988),
+        (0.006214353151227617 + 0.0945302683069286j,
+         -0.0062143531512277375 - 0.09453026830692907j, 1.20930),
+    ])
+    def test_loop_A_edge_dodges_the_poles(self, alpha, beta, z0):
+        # symmetric-annulus curves whose pole z0 lies 1.2e-4 and 9e-3 from
+        # loop A's default edge x = 1.2; on the first the quadrature of that
+        # edge does not settle in 13 levels.  The edge moves off the poles
+        # and every entry holds
+        bp = BranchPair(alpha, beta)
+        fr = build_frame(bp)
+        S, T = spectral_test(bp)
+        for e in hitchin_checklist(fr, construct_psi(S, T, fr)):
+            assert e.residual < 1e-7, (e.item, e.residual, e.detail)
+        assert abs(fr.z0 - z0) < 1e-5
+        assert min(abs(z.real - z0) for z in loop_A(fr).points) > 0.1
 
     def test_pole_orders(self):
         fr = random_frame()

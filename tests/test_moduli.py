@@ -1,6 +1,7 @@
 """Closing functions S, T0, T~, the level-set solver and component logic."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -416,6 +417,15 @@ class TestBatchedSweep:
                                             k_min=1e-40, k_max=1e-30)
         assert any(why == "branch points must lie in the open unit disc"
                    for _, _, why in mesh.failures)
+
+    def test_tiny_k_sweep_is_warning_free(self):
+        # below k ~ 1e-154 k^2 underflows and K' is infinite, so the held
+        # angle's lifted terms form 0 * inf; that must stay silent
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            mesh = check_batched_against_scalar(Fraction(1, 3), Fraction(37, 100), 3, 4,
+                                                6.28, k_min=1e-160, k_max=0.5)
+        assert not mesh.solved[0].any() and mesh.solved[1:].all()
 
     def test_rejected_branch_pairs_join_the_failures(self, monkeypatch):
         # a point the coordinate map rejects fails like a point the solver
