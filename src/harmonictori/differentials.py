@@ -625,15 +625,19 @@ def monodromy_track(q: Fraction, loop_samples: int = 48, k: float = 0.5,
     small contractible loop in the (k, angle) chart when ``contractible``.
     The annulus loop is oriented so that the closing integral over the
     gamma+ path gains +2 pi i per circuit, matching the deck-shift bookkeeping.
+    Each sample's solve is warm-started from the previous one, so a sample
+    angle agrees with a cold solve_level to within solver_tol, not bit for bit.
     """
+    if not 0.0 < k < 1.0 or contractible and not 0.05 < k < 0.95:
+        raise ValueError(f"k={k!r} outside (0, 1), or (0.05, 0.95) for a contractible loop")
+    if loop_samples < 8:
+        raise ValueError("loop_samples must be at least 8")
     q = Fraction(q)
     mp_ = q.denominator
     l = mp_  # at p = 1, n = m = 1 so l = m'/gcd(m', n') = m'
     qf = float(q)
     rk = math.sqrt(k)
-
-    if loop_samples < 8:
-        raise ValueError("loop_samples must be at least 8")
+    offset = math.nan  # v~ - u~ of the last solve; nan leaves the first one cold
 
     def sample(t: float) -> tuple[float, float]:
         """(k, u~) along the loop at parameter t in [0, 1]."""
@@ -644,8 +648,10 @@ def monodromy_track(q: Fraction, loop_samples: int = 48, k: float = 0.5,
         return k, angle_rescale(U0 + math.pi * t, 1.0 / rk)
 
     def principal(t: float) -> float:
+        nonlocal offset
         kk, ut = sample(t)
-        mp = solve_level(1.0, qf, kk, ut)
+        mp = solve_level(1.0, qf, kk, ut, start=ut + offset)
+        offset = mp.v_tilde - mp.u_tilde
         frame = build_frame(inverse_coords(mp))
         return _theta_P_gamma_value(1, frame).imag
 

@@ -128,9 +128,8 @@ def t0_raw(p: float, k: float, u: float, v: float) -> float:
     if u == v:
         raise ValueError("T0 is undefined on the diagonal u = v")
     K, E = complete_K(k), complete_E(k)
-    fv = E * incomplete_F_imag(v, k) - K * incomplete_E_reg_imag(v, k)
-    fu = E * incomplete_F_imag(u, k) - K * incomplete_E_reg_imag(u, k)
-    return (4.0 * p * fv - 4.0 * fu - 4.0 * K * _bracket(p, k, u, v)) / TWO_PI
+    part = lambda x: (E * incomplete_F_imag(x, k) - K * incomplete_E_reg_imag(x, k), x)
+    return _t_tilde(p, k, K, part(u), part(v))
 
 
 def T0_value(mp: ModuliPoint) -> float:
@@ -145,23 +144,26 @@ def t_tilde_raw(p: float, k: float, u_tilde: float, v_tilde: float) -> float:
     is total.  Satisfies T~ = T0 + 2[p Wind(v~) - Wind(u~)] off the boundary.
     """
     K, E = complete_K(k), complete_E(k)
-    fv = E * lifted_F(v_tilde, k) - K * lifted_E(v_tilde, k)
-    fu = E * lifted_F(u_tilde, k) - K * lifted_E(u_tilde, k)
-    u, v = _chart_value(u_tilde), _chart_value(v_tilde)
-    return (4.0 * p * fv - 4.0 * fu - 4.0 * K * _bracket(p, k, u, v)) / TWO_PI
+    return _t_tilde(p, k, K, _level_part(k, K, E, u_tilde), _level_part(k, K, E, v_tilde))
+
+
+def _level_part(k, K, E, x_tilde):
+    """E F~(x~) - K E~(x~) and tan(x~/2): one angle's share of T~."""
+    return E * lifted_F(x_tilde, k) - K * lifted_E(x_tilde, k), _chart_value(x_tilde)
 
 
 def _lifted_level_terms(k, K, E, Kp, KmEp, x_tilde):
-    """E F~(x~) - K E~(x~) and tan(x~/2) on arrays: one angle's share of T~."""
+    """_level_part on arrays."""
     m, s, c = _half_angle_array(x_tilde)
     fx = E * (2.0 * m * Kp + _F(s, c, k)) - K * (2.0 * m * KmEp + _E_reg(s, c, k))
     return fx, _chart_value_array(x_tilde)
 
 
-def _t_tilde_array(p, k, K, terms_u, terms_v):
-    """t_tilde_raw on arrays, from the _lifted_level_terms of u~ and v~."""
+def _t_tilde(p, k, K, terms_u, terms_v):
+    """T~ from the shares of u~ and v~, floats or (_lifted_level_terms) arrays."""
     (fu, u), (fv, v) = terms_u, terms_v
-    return (4.0 * p * fv - 4.0 * fu - 4.0 * K * _bracket_array(p, k, u, v)) / TWO_PI
+    bracket = _bracket_array if isinstance(u, np.ndarray) else _bracket
+    return (4.0 * p * fv - 4.0 * fu - 4.0 * K * bracket(p, k, u, v)) / TWO_PI
 
 
 def T_tilde(mp: ModuliPoint) -> float:
@@ -176,9 +178,13 @@ def dt0_du_raw(p: float, k: float, u: float, v: float) -> float:
           + K [1 + u^2 - uv + k^2 uv + v^2 + k^2 u^2 v^2];
     at v = +-inf it takes the limit 2(-E + p k K w(iu) + K(1 + k^2 u^2))/(pi w(iu)).
     """
+    return _dt0_du_scalar(p, k, complete_K(k), complete_E(k), u, v)
+
+
+def _dt0_du_scalar(p, k, K, E, u, v):
+    """dt0_du_raw given K(k) and E(k)."""
     if u == v:
         raise ValueError("derivative undefined on the diagonal u = v")
-    K, E = complete_K(k), complete_E(k)
     if math.isinf(v):
         return _dt0_du_at_v_infinity(p, k, K, E, u)
     return _dt0_du(p, k, K, E, u, v)
@@ -192,9 +198,14 @@ def dT_tilde_du_tilde(p: float, k: float, u_tilde: float, v_tilde: float) -> flo
     """dT~/du~ = (1 + u^2)/2 * dT0/du, with the chart-boundary limit
     (1/(pi k)) (-E + p k K w(iv) + K(1 + k^2 v^2)) at u~ in pi + 2 pi Z."""
     u, v = _chart_value(u_tilde), _chart_value(v_tilde)
+    return _dT_du(p, k, complete_K(k), complete_E(k), u, v)
+
+
+def _dT_du(p, k, K, E, u, v):
+    """dT_tilde_du_tilde at chart values u and v, given K(k) and E(k)."""
     if math.isinf(u):
-        return _dT_du_at_infinity(p, k, complete_K(k), complete_E(k), v)
-    return 0.5 * (1.0 + u * u) * dt0_du_raw(p, k, u, v)
+        return _dT_du_at_infinity(p, k, K, E, v)
+    return 0.5 * (1.0 + u * u) * _dt0_du_scalar(p, k, K, E, u, v)
 
 
 def _dT_du_array(p, k, K, E, u, v):
@@ -207,9 +218,14 @@ def dT_tilde_dv_tilde(p: float, k: float, u_tilde: float, v_tilde: float) -> flo
     """dT~/dv~, obtained from the u-derivative through the inversion symmetry
     T0(p,k,u,v) = -p T0(1/p,k,v,u)."""
     u, v = _chart_value(u_tilde), _chart_value(v_tilde)
+    return _dT_dv(p, k, complete_K(k), complete_E(k), u, v)
+
+
+def _dT_dv(p, k, K, E, u, v):
+    """dT_tilde_dv_tilde at chart values u and v, given K(k) and E(k)."""
     if math.isinf(v):
-        return _dT_dv_at_infinity(p, k, complete_K(k), complete_E(k), u)
-    return -0.5 * (1.0 + v * v) * p * dt0_du_raw(1.0 / p, k, v, u)
+        return _dT_dv_at_infinity(p, k, K, E, u)
+    return -0.5 * (1.0 + v * v) * p * _dt0_du_scalar(1.0 / p, k, K, E, v, u)
 
 
 def _dT_dv_array(p, k, K, E, u, v):
@@ -234,7 +250,8 @@ _MAX_STEPS = 100
 
 
 def solve_level(p: float, q: float, k: float, fixed_angle: float,
-                tol: float = DEFAULTS.solver_tol) -> ModuliPoint:
+                tol: float = DEFAULTS.solver_tol,
+                start: float | None = None) -> ModuliPoint:
     """Solve T~ = q on the slice S = p at one (k, angle) chart point.
 
     For p >= 1 the fixed angle is v~ and the solution angle u~ lies in
@@ -242,20 +259,27 @@ def solve_level(p: float, q: float, k: float, fixed_angle: float,
     (u~, u~ + 2 pi); at p = 1 the second convention is used.  T~ diverges
     with opposite signs at the band ends and is strictly monotone between
     them, so bracketed Newton with bisection fallback always converges.
+    ``start``, a guess at the solved angle such as a continuation's last
+    solve, replaces the bracket midpoint as the first iterate when it lies
+    strictly inside the bracket; any other value, nan included, is ignored.
     """
     if not p > 0.0:
         raise ValueError("p must be positive")
+    if not math.isfinite(fixed_angle):
+        raise ValueError(f"the held angle must be finite, got {fixed_angle!r}")
     solve_for_u = p > 1.0
+    K, E = complete_K(k), complete_E(k)
+    held = _level_part(k, K, E, fixed_angle)
 
     if solve_for_u:
         lo, hi = fixed_angle - TWO_PI, fixed_angle
-        f = lambda x: t_tilde_raw(p, k, x, fixed_angle) - q
-        df = lambda x: dT_tilde_du_tilde(p, k, x, fixed_angle)
+        f = lambda x: _t_tilde(p, k, K, _level_part(k, K, E, x), held) - q
+        df = lambda x: _dT_du(p, k, K, E, _chart_value(x), held[1])
         sign = 1.0   # T~ increasing in u~
     else:
         lo, hi = fixed_angle, fixed_angle + TWO_PI
-        f = lambda x: t_tilde_raw(p, k, fixed_angle, x) - q
-        df = lambda x: dT_tilde_dv_tilde(p, k, fixed_angle, x)
+        f = lambda x: _t_tilde(p, k, K, held, _level_part(k, K, E, x)) - q
+        df = lambda x: _dT_dv(p, k, K, E, held[1], _chart_value(x))
         sign = -1.0  # T~ decreasing in v~
 
     flo = fhi = None
@@ -271,7 +295,7 @@ def solve_level(p: float, q: float, k: float, fixed_angle: float,
     if sign * flo > 0.0:
         a, b = b, a  # ensure f(a) < 0 < f(b) in the monotone direction
 
-    x = 0.5 * (a + b)
+    x = start if start is not None and min(a, b) < start < max(a, b) else 0.5 * (a + b)
     fx = f(x)
     for _ in range(_MAX_STEPS):
         if abs(fx) < tol:
@@ -324,7 +348,7 @@ def _solve_level_grid(p: float, q: float, ks: list[float], angles: list[float],
         free = _lifted_level_terms(k, K, E, Kp, KmEp, x)
         held = (fixed_lifted[idx], fixed_chart[idx])
         terms = (free, held) if solve_for_u else (held, free)
-        return _t_tilde_array(p, k, K, *terms) - q
+        return _t_tilde(p, k, K, *terms) - q
 
     def slope(x, idx):
         """dT~ along the free angle at x for the grid points idx."""

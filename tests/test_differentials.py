@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from harmonictori import differentials
+from harmonictori import differentials, moduli
 from harmonictori.curves import BranchPair, build_frame, inverse_coords
 from harmonictori.differentials import (
     ContinuationError, PathError, PathSpec, _Geometry, _integrate, _track_sheet,
@@ -18,7 +18,8 @@ from harmonictori.differentials import (
     theta_P_gamma_closed,
 )
 from harmonictori.elliptic import complementary_modulus, complete_E, complete_K
-from harmonictori.moduli import S_value, solve_level, spectral_test, t0_raw
+from harmonictori.config import DEFAULTS
+from harmonictori.moduli import S_value, solve_level, spectral_test, t0_raw, t_tilde_raw
 
 RNG = np.random.default_rng(23)
 
@@ -412,16 +413,65 @@ class TestConstructPsi:
             construct_psi(Fraction(1), Fraction(1, 7), fr)
 
 
+def tracked_monodromy(monkeypatch, q, **kwargs):
+    """monodromy_track, with a check that every sample it solves (warm-started
+    from the last one) solves its level to solver_tol."""
+    solves = []
+
+    def recorded(*args, **kw):
+        mp = solve_level(*args, **kw)
+        solves.append((args, mp))
+        return mp
+    monkeypatch.setattr(differentials, "solve_level", recorded)
+    turns = monodromy_track(q, **kwargs)
+    assert len(solves) > kwargs["loop_samples"]
+    for (p, qf, k, angle), mp in solves:
+        assert (p, qf, mp.k, mp.u_tilde) == (1.0, float(q), k, angle)
+        assert abs(t_tilde_raw(p, k, mp.u_tilde, mp.v_tilde) - qf) < DEFAULTS.solver_tol
+    return turns
+
+
 class TestMonodromy:
-    def test_integer_annulus(self):
-        assert monodromy_track(Fraction(0), loop_samples=32) == -1
+    def test_integer_annulus(self, monkeypatch):
+        assert tracked_monodromy(monkeypatch, Fraction(0), loop_samples=32) == -1
 
-    def test_half_annulus(self):
-        assert monodromy_track(Fraction(1, 2), loop_samples=32) == -2
+    def test_half_annulus(self, monkeypatch):
+        assert tracked_monodromy(monkeypatch, Fraction(1, 2), loop_samples=32) == -2
 
-    def test_contractible(self):
-        assert monodromy_track(Fraction(1, 2), loop_samples=24,
-                               contractible=True) == 0
+    def test_contractible(self, monkeypatch):
+        assert tracked_monodromy(monkeypatch, Fraction(1, 2), loop_samples=24,
+                                 contractible=True) == 0
+
+    @pytest.mark.parametrize("q, k, contractible", [
+        (Fraction(1, 2), 0.5, False), (Fraction(0), 0.5, False),
+        (Fraction(-3, 5), 0.1, False), (Fraction(1, 2), 0.5, True)])
+    def test_warm_start_takes_few_evaluations(self, q, k, contractible, monkeypatch):
+        # a cold solve takes about 9 evaluations of T~; each sample after the
+        # first starts from the last solve's offset v~ - u~
+        counts, evaluations = [], [0]
+        t_tilde = moduli._t_tilde
+
+        def counted(*args):
+            evaluations[0] += 1
+            return t_tilde(*args)
+
+        def recorded(*args, **kw):
+            evaluations[0] = 0
+            mp = solve_level(*args, **kw)
+            counts.append(evaluations[0])
+            return mp
+        monkeypatch.setattr(moduli, "_t_tilde", counted)
+        monkeypatch.setattr(differentials, "solve_level", recorded)
+        monodromy_track(q, loop_samples=96, k=k, contractible=contractible)
+        assert len(counts) == 97
+        assert 0 < max(counts[1:]) <= 7
+
+    @pytest.mark.parametrize("k, contractible", [
+        (0.0, False), (-0.1, False), (1.0, False), (math.nan, False),
+        (0.03, True), (0.97, True), (0.05, True)])
+    def test_modulus_out_of_range_rejected(self, k, contractible):
+        with pytest.raises(ValueError, match=r"k=.*outside"):
+            monodromy_track(Fraction(1, 2), loop_samples=16, k=k, contractible=contractible)
 
 
 class TestChecklist:

@@ -1,6 +1,8 @@
 """Closing functions S, T0, T~, the level-set solver and component logic."""
 
+import itertools
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -227,16 +229,130 @@ class TestDerivative:
     def test_solve_with_held_angle_on_the_boundary_takes_newton_steps(self, p, monkeypatch):
         # a nan slope there would leave pure bisection: 36 evaluations of T~
         calls = []
+        t_tilde = moduli._t_tilde
 
         def counted(*args):
             calls.append(args)
-            return t_tilde_raw(*args)
-        monkeypatch.setattr(moduli, "t_tilde_raw", counted)
+            return t_tilde(*args)
+        monkeypatch.setattr(moduli, "_t_tilde", counted)
         mp = solve_level(p, 0.37, 0.5, math.pi)
-        assert len(calls) <= 12
+        assert 0 < len(calls) <= 12
         assert abs(t_tilde_raw(p, 0.5, mp.u_tilde, mp.v_tilde) - 0.37) < DEFAULTS.solver_tol
 
+
+def reference_solve(p, q, k, fixed_angle, tol=DEFAULTS.solver_tol):
+    """solve_level as a loop over the public T~ and dT~, which recompute K(k),
+    E(k) and the held angle's share on every call.  Returns the point and
+    the free angles at which T~ was evaluated, in order."""
+    TWO_PI, probes = 2 * math.pi, []
+    if p > 1.0:
+        lo, hi, sign = fixed_angle - TWO_PI, fixed_angle, 1.0
+        level = lambda x: t_tilde_raw(p, k, x, fixed_angle) - q
+        slope = lambda x: dT_tilde_du_tilde(p, k, x, fixed_angle)
+    else:
+        lo, hi, sign = fixed_angle, fixed_angle + TWO_PI, -1.0
+        level = lambda x: t_tilde_raw(p, k, fixed_angle, x) - q
+        slope = lambda x: dT_tilde_dv_tilde(p, k, fixed_angle, x)
+
+    def f(x):
+        probes.append(x)
+        return level(x)
+    for delta in moduli._PROBE_DELTAS:
+        flo, fhi = f(lo + delta), f(hi - delta)
+        if (sign * flo < 0.0 < sign * fhi) or (sign * fhi < 0.0 < sign * flo):
+            a, b = lo + delta, hi - delta
+            break
+    else:
+        raise LevelSolveError(f"no sign change for q={q!r} at (p={p!r}, k={k!r})")
+    if sign * flo > 0.0:
+        a, b = b, a
+    x = 0.5 * (a + b)
+    fx = f(x)
+    for _ in range(moduli._MAX_STEPS):
+        if abs(fx) < tol:
+            break
+        if (fx < 0.0) == (sign > 0.0):
+            a = x
+        else:
+            b = x
+        d = slope(x)
+        step = -fx / d if d != 0.0 else 0.0
+        xn = x + step
+        if not (min(a, b) < xn < max(a, b)) or step == 0.0:
+            xn = 0.5 * (a + b)
+        x, fx = xn, f(xn)
+    else:
+        raise LevelSolveError(f"no convergence for q={q!r}: residual {fx!r}")
+    if p > 1.0:
+        return ModuliPoint(p=p, k=k, u_tilde=x, v_tilde=fixed_angle), probes
+    return ModuliPoint(p=p, k=k, u_tilde=fixed_angle, v_tilde=x), probes
+
+
+def solve_cases(seed):
+    """Seeded (p, q, k, held angle) over p below, at and above 1, k at both
+    ends of (0, 1) and held angles at odd multiples of pi; None draws one."""
+    rng = np.random.default_rng(seed)
+    for p, k, angle in itertools.product((1 / 3, 1.0, 5 / 2, None), (1e-12, 1 - 1e-12, None),
+                                         (math.pi, -math.pi, 3 * math.pi, None)):
+        yield (p or float(rng.uniform(0.2, 4.0)), float(rng.uniform(-3.0, 3.0)),
+               k or float(rng.uniform(0.02, 0.98)), angle or float(rng.uniform(-9.0, 9.0)))
+
+
+def hex_point(mp):
+    return mp.p, mp.k, mp.u_tilde.hex(), mp.v_tilde.hex()
+
+
 class TestSolver:
+    @pytest.mark.parametrize("case", list(solve_cases(41)), ids=str)
+    def test_cold_solve_matches_the_reference_bit_for_bit(self, case, monkeypatch):
+        # every iterate: the free angles at which T~ is evaluated, after the
+        # held angle's share, are the reference's evaluation points
+        parts = []
+        level_part = moduli._level_part
+
+        def recorded(k, K, E, x):
+            parts.append(x)
+            return level_part(k, K, E, x)
+        try:
+            expected, probes = reference_solve(*case)
+        except LevelSolveError as exc:
+            with pytest.raises(LevelSolveError, match=re.escape(str(exc))):
+                solve_level(*case)
+            return
+        monkeypatch.setattr(moduli, "_level_part", recorded)
+        got = solve_level(*case)
+        assert hex_point(got) == hex_point(expected)
+        assert [x.hex() for x in parts] == [case[3].hex()] + [x.hex() for x in probes]
+
+    @pytest.mark.parametrize("p, q, k, angle", [(1 / 3, 0.37, 0.5, 0.2), (1.0, -1.5, 0.2, math.pi),
+                                                (5 / 2, 2.0, 0.9, -4.0)])
+    def test_start_outside_the_bracket_is_ignored(self, p, q, k, angle):
+        cold = solve_level(p, q, k, angle)
+        band = (angle - 2 * math.pi, angle) if p > 1.0 else (angle, angle + 2 * math.pi)
+        for start in (*band, band[0] - 1.0, band[1] + 0.5, band[0] + 1e-13,
+                      math.nan, math.inf, -math.inf):
+            assert hex_point(solve_level(p, q, k, angle, start=start)) == hex_point(cold)
+
+    @pytest.mark.parametrize("case", list(solve_cases(43)), ids=str)
+    def test_start_inside_the_bracket_solves_the_level(self, case):
+        p, q, k, angle = case
+        try:
+            reference_solve(*case)
+        except LevelSolveError:
+            return
+        lo = angle - 2 * math.pi if p > 1.0 else angle
+        for frac in (1e-3, 0.25, 0.5, 0.9):
+            mp = solve_level(*case, start=lo + 2 * math.pi * frac)
+            assert abs(t_tilde_raw(p, k, mp.u_tilde, mp.v_tilde) - q) < DEFAULTS.solver_tol
+            assert (mp.v_tilde if p > 1.0 else mp.u_tilde) == angle
+            assert mp.u_tilde < mp.v_tilde < mp.u_tilde + 2 * math.pi
+
+    @pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan])
+    def test_non_finite_held_angle_rejected(self, angle):
+        for p in (1 / 3, 1.0, 2.0):
+            with pytest.raises(ValueError, match="held angle must be finite"):
+                solve_level(p, 0.2, 0.5, angle)
+
     def test_chi_annulus_of_level_one(self):
         mp = solve_level(1.0, 1.0, 0.5, 0.3)
         bp = inverse_coords(mp)
