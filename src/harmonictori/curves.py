@@ -291,21 +291,28 @@ def _divide(ar, ai, br, bi):
     return (a + b * ratio) / denom, (1 - 2 * swap) * (b - a * ratio) / denom
 
 
-def _branch_parts(p, k, u, v):
-    """Re and Im of alpha = nu_hat (1 - z0)/(1 + conj(z0)) and of beta, the
-    same with 1/k for 1, where z0 = x + i y is the two-circle intersection and
-    nu_hat = (iu + conj(z0))/(iu - z0); u or v = inf take their limits.
-
-    Real arithmetic on floats or arrays in the steps of CPython's complex
-    arithmetic, so the scalar map, the level-set sweep and the complex form
-    agree bit for bit (numpy's complex * and / differ in the last bit).
-    """
+def _center(p, k, u, v):
+    """(Re, Im) of z0 = f(0), the two-circle intersection; u or v = inf take limits."""
     u_inf, v_inf = abs(u) == math.inf, abs(v) == math.inf
     wu, wv = _w(u, k), _w(v, k)
     den = p * wv + wu
     x = _where(u_inf, _sqrt(p * wv / k), _where(
         v_inf, _sqrt(wu / (p * k)), _sqrt(p * wu * wv) * abs(u - v) / den))
     y = _where(u_inf, v, _where(v_inf, u, (p * u * wv + v * wu) / den))
+    return x, y
+
+
+def _branch_parts(p, k, u, v):
+    """Re and Im of alpha = nu_hat (1 - z0)/(1 + conj(z0)) and of beta, the
+    same with 1/k for 1, where z0 = x + i y is _center and
+    nu_hat = (iu + conj(z0))/(iu - z0); u = inf takes its limit.
+
+    Real arithmetic on floats or arrays in the steps of CPython's complex
+    arithmetic, so the scalar map, the level-set sweep and the complex form
+    agree bit for bit (numpy's complex * and / differ in the last bit).
+    """
+    x, y = _center(p, k, u, v)
+    u_inf = abs(u) == math.inf
     nu_re, nu_im = _divide(x, u - y, -x, u - y)
     nu_re, nu_im = _where(u_inf, 1.0, nu_re), _where(u_inf, 0.0, nu_im)
     parts = []

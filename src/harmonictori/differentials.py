@@ -29,12 +29,10 @@ from functools import cached_property
 import numpy as np
 
 from .curves import (
-    BranchPair, JacobiFrame, angle_rescale, build_frame, inverse_coords,
+    _OFF_CHART, BranchPair, JacobiFrame, ModuliPoint, _center, _chart_value,
+    angle_rescale,
 )
-from .elliptic import (
-    TWO_PI, complete_E, complete_K, incomplete_E_reg_imag, incomplete_F_imag,
-    w_imag,
-)
+from .elliptic import TWO_PI, _E_reg, _F, _axis_angle, complete_E, complete_K, w_imag
 from .moduli import S_value, solve_level, t0_raw
 
 DIFFERENTIAL_KINDS = ("omega", "e", "epsilon", "theta_E", "theta_P")
@@ -403,10 +401,12 @@ def _theta_P_gamma_value(sign: int, frame: JacobiFrame) -> complex:
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    x = frame.u if sign == 1 else frame.v
-    k = frame.k
+    return 1j * _theta_P_gamma_imag(frame.k, frame.u if sign == 1 else frame.v, frame.z0)
+
+
+def _theta_P_gamma_imag(k: float, x: float, z0: complex) -> float:
+    """Im of _theta_P_gamma_value at the endpoint chart value x."""
     K, E = complete_K(k), complete_E(k)
-    z0 = frame.z0
     x0, y0 = z0.real, z0.imag
     if math.isinf(x):
         G = -k * y0
@@ -416,8 +416,20 @@ def _theta_P_gamma_value(sign: int, frame: JacobiFrame) -> complex:
         m_num = (x - y0) * ((1.0 + (1.0 + k * k) * x * x) / (W + k * x * x)
                             + k * x * y0) - k * x * x0 * x0
         G = m_num / dre
-    return 1j * (4.0 * E * incomplete_F_imag(x, k)
-                 - 4.0 * K * (incomplete_E_reg_imag(x, k) + G))
+    s, c = _axis_angle(x)
+    return 4.0 * E * _F(s, c, k) - 4.0 * K * (_E_reg(s, c, k) + G)
+
+
+def _chart_gamma_plus(mp: ModuliPoint) -> float:
+    """Im of the gamma+ closing integral of theta_P at mp, from the chart's u and
+    z0 rather than the frame of inverse_coords(mp), with that route's checks."""
+    u, v = _chart_value(mp.u_tilde), _chart_value(mp.v_tilde)
+    if u == v:
+        raise ValueError(_OFF_CHART)
+    x0, y0 = _center(mp.p, mp.k, u, v)
+    if not (0.0 < x0 < math.inf and math.isfinite(y0)):
+        raise ValueError(f"z0 = {complex(x0, y0)!r} is not finite with Re z0 > 0")
+    return _theta_P_gamma_imag(mp.k, u, complex(x0, y0))
 
 
 def theta_P_gamma_closed(sign: int, frame: JacobiFrame) -> complex:
@@ -626,7 +638,9 @@ def monodromy_track(q: Fraction, loop_samples: int = 48, k: float = 0.5,
     The annulus loop is oriented so that the closing integral over the
     gamma+ path gains +2 pi i per circuit, matching the deck-shift bookkeeping.
     Each sample's solve is warm-started from the previous one, so a sample
-    angle agrees with a cold solve_level to within solver_tol, not bit for bit.
+    angle agrees with a cold solve_level to within solver_tol, not bit for bit;
+    its gamma+ integral is the closed form at the u and z0 of the chart, with
+    no branch pair or frame built.
     """
     if not 0.0 < k < 1.0 or contractible and not 0.05 < k < 0.95:
         raise ValueError(f"k={k!r} outside (0, 1), or (0.05, 0.95) for a contractible loop")
@@ -637,6 +651,7 @@ def monodromy_track(q: Fraction, loop_samples: int = 48, k: float = 0.5,
     l = mp_  # at p = 1, n = m = 1 so l = m'/gcd(m', n') = m'
     qf = float(q)
     rk = math.sqrt(k)
+    U0 = angle_rescale(u_tilde0, rk)
     offset = math.nan  # v~ - u~ of the last solve; nan leaves the first one cold
 
     def sample(t: float) -> tuple[float, float]:
@@ -644,7 +659,6 @@ def monodromy_track(q: Fraction, loop_samples: int = 48, k: float = 0.5,
         if contractible:
             return (k + 0.05 * math.sin(TWO_PI * t),
                     u_tilde0 + 0.2 * (math.cos(TWO_PI * t) - 1.0))
-        U0 = angle_rescale(u_tilde0, rk)
         return k, angle_rescale(U0 + math.pi * t, 1.0 / rk)
 
     def principal(t: float) -> float:
@@ -652,8 +666,7 @@ def monodromy_track(q: Fraction, loop_samples: int = 48, k: float = 0.5,
         kk, ut = sample(t)
         mp = solve_level(1.0, qf, kk, ut, start=ut + offset)
         offset = mp.v_tilde - mp.u_tilde
-        frame = build_frame(inverse_coords(mp))
-        return _theta_P_gamma_value(1, frame).imag
+        return _chart_gamma_plus(mp)
 
     # continuity tracking of the gamma+ integral, with local bisection when
     # a principal-branch jump is crossed too fast

@@ -219,16 +219,23 @@ def _half_angle_array(x_tilde: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     return m, np.where(over, -s, s), np.where(over, -c, c)
 
 
+def _lifted_integrals(x_tilde: float, k: float) -> tuple[float, float]:
+    """lifted_F and lifted_E from one _half_angle, at a checked modulus."""
+    m, s, c = _half_angle(float(x_tilde))
+    F, E = _F(s, c, k), _E_reg(s, c, k)
+    if not m:
+        return F, E
+    Kp, KmEp = complementary_KE(k)
+    return 2.0 * m * Kp + F, 2.0 * m * KmEp + E
+
+
 def lifted_F(x_tilde: float, k) -> float:
     """Analytic continuation of Im F(i tan(x~/2); k) to the whole line.
 
     F~(x~ + 2 pi) = F~(x~) + 2 K'(k), and on |x~| < pi it agrees with
     incomplete_F_imag(tan(x~/2), k).
     """
-    k = _check_modulus(k)
-    m, s, c = _half_angle(float(x_tilde))
-    F = _F(s, c, k)
-    return 2.0 * m * complementary_KE(k)[0] + F if m else F
+    return _lifted_integrals(x_tilde, _check_modulus(k))[0]
 
 
 def lifted_E(x_tilde: float, k) -> float:
@@ -236,10 +243,7 @@ def lifted_E(x_tilde: float, k) -> float:
 
     E~(x~ + 2 pi) = E~(x~) + 2 (K'(k) - E'(k)).
     """
-    k = _check_modulus(k)
-    m, s, c = _half_angle(float(x_tilde))
-    E = _E_reg(s, c, k)
-    return 2.0 * m * complementary_KE(k)[1] + E if m else E
+    return _lifted_integrals(x_tilde, _check_modulus(k))[1]
 
 
 def wind(x_tilde: float) -> int:

@@ -10,13 +10,13 @@ graphs over (k, angle) charts, which is what the solver exploits.
 
 The solver has two forms with one policy.  solve_level works on Python
 floats, one chart point at a time; serial callers such as monodromy_track,
-where each solve starts from the last, use it.  sweep_level_set solves a
-whole (k, angle) grid in lockstep on numpy arrays and maps it to branch
-pairs with the array form of inverse_coords, so a leaf comes back as grid
-arrays with no per-point Python.  The finite-chart algebra of T~ and dT~ is
-written once for both; only the angle reduction, the chart-boundary limits
-(of either angle, the held one included) and the Newton loop have an array
-twin.
+where each solve starts from the last and so skips the bracket probes, use
+it.  sweep_level_set solves a whole (k, angle) grid in lockstep on numpy
+arrays and maps it to branch pairs with the array form of inverse_coords,
+so a leaf comes back as grid arrays with no per-point Python.  The
+finite-chart algebra of T~ and dT~ is written once for both; only the angle
+reduction, the chart-boundary limits (of either angle, the held one
+included) and the Newton loop have an array twin.
 
 Note on normalization: T0 and T~ below are exactly the principal-branch
 formulas.  With these, the curves (a, -a) fixed by the inversion symmetry
@@ -38,8 +38,8 @@ from .curves import (
     _inverse_coords_array, forward_coords,
 )
 from .elliptic import (
-    TWO_PI, _E_reg, _F, _half_angle_array, _w, complementary_KE, complete_E,
-    complete_K, incomplete_E_reg_imag, incomplete_F_imag, lifted_E, lifted_F,
+    TWO_PI, _E_reg, _F, _axis_angle, _half_angle_array, _lifted_integrals, _w,
+    complementary_KE, complete_E, complete_K,
 )
 
 __all__ = [
@@ -128,8 +128,9 @@ def t0_raw(p: float, k: float, u: float, v: float) -> float:
     if u == v:
         raise ValueError("T0 is undefined on the diagonal u = v")
     K, E = complete_K(k), complete_E(k)
-    part = lambda x: (E * incomplete_F_imag(x, k) - K * incomplete_E_reg_imag(x, k), x)
-    return _t_tilde(p, k, K, part(u), part(v))
+    (su, cu), (sv, cv) = _axis_angle(u), _axis_angle(v)
+    return _t_tilde(p, k, K, (E * _F(su, cu, k) - K * _E_reg(su, cu, k), u),
+                    (E * _F(sv, cv, k) - K * _E_reg(sv, cv, k), v))
 
 
 def T0_value(mp: ModuliPoint) -> float:
@@ -149,7 +150,8 @@ def t_tilde_raw(p: float, k: float, u_tilde: float, v_tilde: float) -> float:
 
 def _level_part(k, K, E, x_tilde):
     """E F~(x~) - K E~(x~) and tan(x~/2): one angle's share of T~."""
-    return E * lifted_F(x_tilde, k) - K * lifted_E(x_tilde, k), _chart_value(x_tilde)
+    F, E_reg = _lifted_integrals(x_tilde, k)
+    return E * F - K * E_reg, _chart_value(x_tilde)
 
 
 def _lifted_level_terms(k, K, E, Kp, KmEp, x_tilde):
@@ -260,8 +262,9 @@ def solve_level(p: float, q: float, k: float, fixed_angle: float,
     with opposite signs at the band ends and is strictly monotone between
     them, so bracketed Newton with bisection fallback always converges.
     ``start``, a guess at the solved angle such as a continuation's last
-    solve, replaces the bracket midpoint as the first iterate when it lies
-    strictly inside the bracket; any other value, nan included, is ignored.
+    solve, is the first iterate, with no probes, when strictly inside the
+    band less 1e-12 at each end, and else ignored (nan included); a level out
+    of reach then fails after _MAX_STEPS steps rather than at the probes.
     """
     if not p > 0.0:
         raise ValueError("p must be positive")
@@ -282,20 +285,22 @@ def solve_level(p: float, q: float, k: float, fixed_angle: float,
         df = lambda x: _dT_dv(p, k, K, E, held[1], _chart_value(x))
         sign = -1.0  # T~ decreasing in v~
 
-    flo = fhi = None
-    for delta in _PROBE_DELTAS:
-        flo, fhi = f(lo + delta), f(hi - delta)
-        if (sign * flo < 0.0 < sign * fhi) or (sign * fhi < 0.0 < sign * flo):
-            a, b = lo + delta, hi - delta
-            break
+    edge = _PROBE_DELTAS[-1]
+    if start is not None and lo + edge < start < hi - edge:
+        a, b, x = lo + edge, hi - edge, start  # oriented as the probes find a reachable level
     else:
-        raise LevelSolveError(
-            f"no sign change for q={q!r} at (p={p!r}, k={k!r})",
-            bracket=(lo, hi, flo, fhi))
-    if sign * flo > 0.0:
-        a, b = b, a  # ensure f(a) < 0 < f(b) in the monotone direction
-
-    x = start if start is not None and min(a, b) < start < max(a, b) else 0.5 * (a + b)
+        for delta in _PROBE_DELTAS:
+            flo, fhi = f(lo + delta), f(hi - delta)
+            if (sign * flo < 0.0 < sign * fhi) or (sign * fhi < 0.0 < sign * flo):
+                a, b = lo + delta, hi - delta
+                break
+        else:
+            raise LevelSolveError(
+                f"no sign change for q={q!r} at (p={p!r}, k={k!r})",
+                bracket=(lo, hi, flo, fhi))
+        if sign * flo > 0.0:
+            a, b = b, a  # ensure f(a) < 0 < f(b) in the monotone direction
+        x = 0.5 * (a + b)
     fx = f(x)
     for _ in range(_MAX_STEPS):
         if abs(fx) < tol:

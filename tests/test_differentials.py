@@ -8,12 +8,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from harmonictori import differentials, moduli
-from harmonictori.curves import BranchPair, build_frame, inverse_coords
+from harmonictori import curves, differentials, moduli
+from harmonictori.curves import (
+    BranchPair, ModuliPoint, angle_rescale, build_frame, inverse_coords,
+)
 from harmonictori.differentials import (
-    ContinuationError, PathError, PathSpec, _Geometry, _integrate, _track_sheet,
-    _walk_segment, construct_psi, contour_integral, eta_plus, gamma0_path,
-    gamma_closing_values, hitchin_checklist, laurent_coefficients, loop_A,
+    ContinuationError, PathError, PathSpec, _Geometry, _chart_gamma_plus, _integrate,
+    _theta_P_gamma_value, _track_sheet, _walk_segment, construct_psi, contour_integral,
+    eta_plus, gamma0_path, gamma_closing_values, hitchin_checklist, laurent_coefficients, loop_A,
     loop_B, monodromy_track, theta_E_gamma, theta_P_characterization_check,
     theta_P_gamma_closed,
 )
@@ -447,7 +449,7 @@ class TestMonodromy:
         (Fraction(-3, 5), 0.1, False), (Fraction(1, 2), 0.5, True)])
     def test_warm_start_takes_few_evaluations(self, q, k, contractible, monkeypatch):
         # a cold solve takes about 9 evaluations of T~; each sample after the
-        # first starts from the last solve's offset v~ - u~
+        # first starts from the last solve's offset v~ - u~ and skips the probes
         counts, evaluations = [], [0]
         t_tilde = moduli._t_tilde
 
@@ -464,7 +466,7 @@ class TestMonodromy:
         monkeypatch.setattr(differentials, "solve_level", recorded)
         monodromy_track(q, loop_samples=96, k=k, contractible=contractible)
         assert len(counts) == 97
-        assert 0 < max(counts[1:]) <= 7
+        assert 0 < max(counts[1:]) <= 5
 
     @pytest.mark.parametrize("k, contractible", [
         (0.0, False), (-0.1, False), (1.0, False), (math.nan, False),
@@ -472,6 +474,100 @@ class TestMonodromy:
     def test_modulus_out_of_range_rejected(self, k, contractible):
         with pytest.raises(ValueError, match=r"k=.*outside"):
             monodromy_track(Fraction(1, 2), loop_samples=16, k=k, contractible=contractible)
+
+
+def frame_gamma_plus(mp):
+    """The gamma+ value through the branch pair and its Jacobi frame."""
+    return _theta_P_gamma_value(1, build_frame(inverse_coords(mp))).imag
+
+
+def reference_monodromy(q, loop_samples, k, u_tilde0=0.3, contractible=False):
+    """monodromy_track with cold solves and the frame route at every sample."""
+    l, qf, rk = Fraction(q).denominator, float(q), math.sqrt(k)
+
+    def principal(t):
+        if contractible:
+            kk = k + 0.05 * math.sin(2 * math.pi * t)
+            ut = u_tilde0 + 0.2 * (math.cos(2 * math.pi * t) - 1.0)
+        else:
+            kk, ut = k, angle_rescale(angle_rescale(u_tilde0, rk) + math.pi * t, 1.0 / rk)
+        return frame_gamma_plus(solve_level(1.0, qf, kk, ut))
+
+    ts = [j / loop_samples for j in range(loop_samples + 1)]
+    cont, prev_t, idx = [principal(0.0)], 0.0, 1
+    while idx < len(ts):
+        value = principal(ts[idx])
+        value += 2 * math.pi * round((cont[-1] - value) / (2 * math.pi))
+        if abs(value - cont[-1]) > 2.0 and ts[idx] - prev_t > 1e-4:
+            ts.insert(idx, 0.5 * (prev_t + ts[idx]))
+            continue
+        cont.append(value)
+        prev_t, idx = ts[idx], idx + 1
+    return -l * round((cont[-1] - cont[0]) / (2 * math.pi))
+
+
+class TestChartRoute:
+    """The loop's gamma+ value read off the chart, against the frame route."""
+
+    def test_matches_the_frame_route(self):
+        # near the diagonal u = v or an odd multiple of pi the round trip
+        # through the branch pair loses digits (3.5e-4 at v~ - u~ = 1.8e-3),
+        # so the points keep away from both
+        rng = np.random.default_rng(31)
+        worst, n = 0.0, 0
+        while n < 1000:
+            ut = float(rng.uniform(-math.pi + 0.05, math.pi - 0.05))
+            vt = ut + float(rng.uniform(0.5, 2 * math.pi - 0.5))
+            if abs(vt - math.pi) < 0.05:
+                continue
+            mp = ModuliPoint(1.0, float(rng.uniform(0.05, 0.95)), ut, vt)
+            worst = max(worst, abs(_chart_gamma_plus(mp) - frame_gamma_plus(mp)))
+            n += 1
+        assert worst < 1e-11
+
+    @pytest.mark.parametrize("u_tilde, v_tilde", [(math.pi, math.pi + 1.0), (0.3, math.pi),
+                                                  (-math.pi, 2.0), (math.pi - 4.0, math.pi)])
+    def test_finite_at_infinite_chart_values(self, u_tilde, v_tilde):
+        for k in (0.1, 0.5, 0.9):
+            value = _chart_gamma_plus(ModuliPoint(1.0, k, u_tilde, v_tilde))
+            assert math.isfinite(value)
+            below = _chart_gamma_plus(ModuliPoint(1.0, k, u_tilde, v_tilde - 1e-9))
+            assert abs(value - below) < 1e-6
+
+    def test_continuous_from_the_left_where_the_frame_breaks(self):
+        # u~ is the float 3 pi (tan(u~/2) = 5.4e15, chart value inf): the round
+        # trip gives nu = 0.9999999999999999, frame.u = -0.5 and -0.752 rather
+        # than the left limit 5.836
+        mp = ModuliPoint(1.0, 0.45491254410216786, 9.42477796076938, 12.273052843795298)
+        value = _chart_gamma_plus(mp)
+        for step in (1e-9, 1e-12):
+            left = ModuliPoint(1.0, mp.k, mp.u_tilde - step, mp.v_tilde)
+            assert abs(value - _chart_gamma_plus(left)) < 1e-6
+            assert abs(value - frame_gamma_plus(left)) < 1e-6
+
+    def test_off_the_chart_raises_as_inverse_coords(self, monkeypatch):
+        # a ModuliPoint keeps u~ < v~ < u~ + 2 pi, so u = v needs a stand-in chart
+        mp = ModuliPoint(1.0, 0.5, 0.3, 2.0)
+        for module in (curves, differentials):
+            monkeypatch.setattr(module, "_chart_value", lambda x: 0.7)
+        for route in (inverse_coords, _chart_gamma_plus):
+            with pytest.raises(ValueError, match="u = v is outside the coordinate chart"):
+                route(mp)
+
+    @pytest.mark.parametrize("x0, y0", [(0.0, 0.3), (-1.0, 0.3), (math.inf, 0.3),
+                                        (math.nan, 0.3), (1.0, math.nan), (1.0, -math.inf)])
+    def test_z0_must_be_finite_in_the_right_half_plane(self, x0, y0, monkeypatch):
+        monkeypatch.setattr(differentials, "_center", lambda p, k, u, v: (x0, y0))
+        with pytest.raises(ValueError, match="Re z0 > 0"):
+            _chart_gamma_plus(ModuliPoint(1.0, 0.5, 0.3, 2.0))
+
+    @pytest.mark.parametrize("q, k, u_tilde0, contractible", [
+        (Fraction(0), 0.5, 0.3, False), (Fraction(1, 2), 0.1, 0.3, False),
+        (Fraction(-3, 5), 0.9, -2.0, False), (Fraction(2, 7), 0.3, 2.5, False),
+        (Fraction(1, 2), 0.1, 0.3, True), (Fraction(1, 3), 0.9, -1.0, True)])
+    def test_loop_matches_the_cold_frame_loop(self, q, k, u_tilde0, contractible):
+        assert monodromy_track(q, 48, k, u_tilde0, contractible) == reference_monodromy(
+            q, 48, k, u_tilde0, contractible)
 
 
 class TestChecklist:

@@ -298,6 +298,14 @@ def solve_cases(seed):
                k or float(rng.uniform(0.02, 0.98)), angle or float(rng.uniform(-9.0, 9.0)))
 
 
+def warm_starts(case):
+    """Starts a quarter, a half and most of the way across the band, and
+    just inside its lower end."""
+    p, _, _, angle = case
+    lo = angle - 2 * math.pi if p > 1.0 else angle
+    return [lo + 2 * math.pi * frac for frac in (1e-3, 0.25, 0.5, 0.9)]
+
+
 def hex_point(mp):
     return mp.p, mp.k, mp.u_tilde.hex(), mp.v_tilde.hex()
 
@@ -333,19 +341,47 @@ class TestSolver:
                       math.nan, math.inf, -math.inf):
             assert hex_point(solve_level(p, q, k, angle, start=start)) == hex_point(cold)
 
-    @pytest.mark.parametrize("case", list(solve_cases(43)), ids=str)
+    @pytest.mark.parametrize("case", [*solve_cases(41), *solve_cases(43)], ids=str)
     def test_start_inside_the_bracket_solves_the_level(self, case):
+        # and fails, with LevelSolveError alone, exactly where a cold solve fails
         p, q, k, angle = case
         try:
             reference_solve(*case)
         except LevelSolveError:
+            for start in warm_starts(case):
+                with pytest.raises(LevelSolveError):
+                    solve_level(*case, start=start)
             return
-        lo = angle - 2 * math.pi if p > 1.0 else angle
-        for frac in (1e-3, 0.25, 0.5, 0.9):
-            mp = solve_level(*case, start=lo + 2 * math.pi * frac)
+        for start in warm_starts(case):
+            mp = solve_level(*case, start=start)
             assert abs(t_tilde_raw(p, k, mp.u_tilde, mp.v_tilde) - q) < DEFAULTS.solver_tol
             assert (mp.v_tilde if p > 1.0 else mp.u_tilde) == angle
             assert mp.u_tilde < mp.v_tilde < mp.u_tilde + 2 * math.pi
+
+    @pytest.mark.parametrize("case", list(solve_cases(43)), ids=str)
+    def test_warm_solve_starts_at_once_inside_the_innermost_probe_bracket(self, case,
+                                                                          monkeypatch):
+        # no probes: T~ diverges at the band ends, and a warm solve evaluates it
+        # first at the start and then only on [lo + 1e-12, hi - 1e-12], the ends
+        # only once bisection of an unreachable level has shrunk onto one
+        p, _, _, angle = case
+        lo, hi = (angle - 2 * math.pi, angle) if p > 1.0 else (angle, angle + 2 * math.pi)
+        edge = moduli._PROBE_DELTAS[-1]
+        free = []
+        level_part = moduli._level_part
+
+        def recorded(k, K, E, x):
+            free.append(x)
+            return level_part(k, K, E, x)
+        monkeypatch.setattr(moduli, "_level_part", recorded)
+        for start in warm_starts(case):
+            free.clear()
+            try:
+                solve_level(*case, start=start)
+            except LevelSolveError:
+                pass
+            assert free[:2] == [angle, start]  # the held angle's share comes first
+            assert all(lo + edge <= x <= hi - edge for x in free[1:])
 
     @pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan])
     def test_non_finite_held_angle_rejected(self, angle):
