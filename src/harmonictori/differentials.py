@@ -9,13 +9,15 @@ w^2 = Q(z) = (1 - z^2)(1 - k^2 z^2) and the interesting differentials are
     theta_E  = i d(eta/zeta), expressed through w and the frame constant
     theta_P  = 2E omega - 2K epsilon         (periods 0 and 2 pi i)
 
-Contour integration tracks the sheet of w by nearest continuation along the
-path; homology representatives are rectangles crossing the real axis inside
-the gaps between branch points, and the closing paths join the two points
-over zeta = +-1 while winding once around z = 1, following the principal
-route.  Integrals of the period-normalized differential over those paths
-have the closed forms used by the moduli-space level function, and the
-quadrature here is the independent check of them.
+Contour integration refines a composite Gauss rule by doubling, tracking the
+sheet of w by nearest continuation, for all open segments of a path at once
+in blocks of up to 4096 nodes.  Homology representatives are rectangles
+crossing the real axis inside the gaps between branch points, and the
+closing paths join the two points over zeta = +-1 while winding once around
+z = 1, following the principal route.  Integrals of the period-normalized
+differential over those paths have the closed forms used by the
+moduli-space level function, and the quadrature here is the independent
+check of them.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .elliptic import TWO_PI, _E_reg, _F, _axis_angle, complete_E, complete_K, w
 from .moduli import S_value, solve_level, t0_raw
 
 DIFFERENTIAL_KINDS = ("omega", "e", "epsilon", "theta_E", "theta_P")
+_POLE_KINDS = DIFFERENTIAL_KINDS[2:]  # with double poles; _Geometry._theta's order
 
 __all__ = [
     "PathSpec", "ClosingData", "PathError", "ContinuationError",
@@ -123,6 +126,15 @@ class _Geometry:
     def D(self, z: complex) -> complex:
         return (z - self.z0) * (z + self.z0.conjugate())
 
+    def _theta(self, z, w):
+        """(epsilon, theta_E, theta_P) dz-coefficients from one D, N and dQ."""
+        k2 = self.k * self.k
+        D, N, dQ = self.D(z), self.N(z), self.dQ(z)
+        eps = ((1.0 - k2 * z * z) / w + w * (D - 2.0 * N * N) / (D * D)
+               + N * dQ / (2.0 * w * D))
+        thE = 1j * self.exact_scale * (dQ * D / (2.0 * w) - 2.0 * N * w) / (D * D)
+        return eps, thE, 2.0 * self.E / w - 2.0 * self.K * eps
+
     def coefficient(self, kind: str):
         """dz-coefficient of the named differential as a function of (z, w)."""
         k2 = self.k * self.k
@@ -130,27 +142,19 @@ class _Geometry:
             return lambda z, w: 1.0 / w
         if kind == "e":
             return lambda z, w: (1.0 - k2 * z * z) / w
-        if kind == "epsilon":
-            def eps(z, w):
-                D, N = self.D(z), self.N(z)
-                return ((1.0 - k2 * z * z) / w
-                        + w * (D - 2.0 * N * N) / (D * D)
-                        + N * self.dQ(z) / (2.0 * w * D))
-            return eps
-        if kind == "theta_E":
-            C = self.exact_scale
-            def thE(z, w):
-                D, N = self.D(z), self.N(z)
-                return 1j * C * (self.dQ(z) * D / (2.0 * w) - 2.0 * N * w) / (D * D)
-            return thE
-        if kind == "theta_P":
-            eps = self.coefficient("epsilon")
-            twoE, twoK = 2.0 * self.E, 2.0 * self.K
-            return lambda z, w: twoE / w - twoK * eps(z, w)
+        if kind in _POLE_KINDS:
+            j = _POLE_KINDS.index(kind)
+            return lambda z, w: self._theta(z, w)[j]
         raise ValueError(f"unknown differential {kind!r}")
 
-    def has_poles(self, kind: str) -> bool:
-        return kind in ("epsilon", "theta_E", "theta_P")
+    def pair(self, closing: ClosingData | None = None):
+        """(theta_E, theta_P), or (psi_E, psi_P) of a closing pair, as one f(z, w)."""
+        def pair(z, w):
+            _, thE, thP = self._theta(z, w)
+            if closing is None:
+                return thE, thP
+            return closing.a * thE, closing.b * thE + closing.l * thP
+        return pair
 
 
 # ---------------------------------------------------------------------------
@@ -178,14 +182,14 @@ class PathSpec:
         return self.points[0] == self.points[-1]
 
 
-def _seg_point_distance(a: complex, b: complex, p: complex) -> float:
-    ab = b - a
-    L2 = (ab * ab.conjugate()).real
-    if L2 == 0.0:
-        return abs(p - a)
-    t = ((p - a) * ab.conjugate()).real / L2
-    t = min(1.0, max(0.0, t))
-    return abs(p - (a + t * ab))
+def _distances(a, b, centers) -> np.ndarray:
+    """Distance of each segment [a, b] (rows) from each center (columns)."""
+    a, b = np.asarray(a, complex)[:, None], np.asarray(b, complex)[:, None]
+    p, ab = np.asarray(centers, complex), b - a
+    L2 = (ab * ab.conj()).real
+    t = np.divide(((p - a) * ab.conj()).real, L2, out=np.zeros((len(a), len(p))),
+                  where=L2 != 0.0)
+    return np.abs(p - (a + np.clip(t, 0.0, 1.0) * ab))
 
 
 #: Minimum distance of a contour path from branch points and double poles.
@@ -193,12 +197,12 @@ _CLEARANCE = 1e-3
 
 
 def _check_clearance(path: PathSpec, centers) -> None:
-    for a, b in zip(path.points[:-1], path.points[1:]):
-        for c in centers:
-            d = _seg_point_distance(a, b, c)
-            if d < _CLEARANCE:
-                raise PathError(
-                    f"path passes within {d:.2e} of {c!r} (clearance {_CLEARANCE:.2e})")
+    d = _distances(path.points[:-1], path.points[1:], centers)
+    near = np.argwhere(d < _CLEARANCE)
+    if len(near):
+        i, j = near[0]
+        raise PathError(f"path passes within {d[i, j]:.2e} of {centers[j]!r} "
+                        f"(clearance {_CLEARANCE:.2e})")
 
 
 def _grade(y_from: float, y_to: float) -> list[float]:
@@ -224,10 +228,11 @@ def loop_A(frame: JacobiFrame) -> PathSpec:
     poles = (frame.z0, -frame.z0.conjugate())
 
     def gap(x, centers=poles + (1.0, 1.0 / frame.k)):  # the left edge mirrors it
-        return min(_seg_point_distance(x - 1j * h, x + 1j * h, c) for c in centers)
+        return _distances(x - 1j * h, x + 1j * h, centers).min(axis=1)
     xa = min(1.2, 0.5 * (1.0 + 1.0 / frame.k))
-    if gap(xa, poles) < 0.1:
-        xa = max((1.0 + f * (xa - 1.0) for f in (1.0, 0.5, 1.5, 0.25, 1.75)), key=gap)
+    if gap(np.array([xa]), poles)[0] < 0.1:
+        xs = 1.0 + np.array([1.0, 0.5, 1.5, 0.25, 1.75]) * (xa - 1.0)
+        xa = float(xs[gap(xs).argmax()])
     pts = (-1j * h, xa - 1j * h, xa + 1j * h, -xa + 1j * h, -xa - 1j * h, -1j * h)
     return PathSpec(points=pts, sheet=1)
 
@@ -247,14 +252,9 @@ def _pick_height(frame: JacobiFrame) -> float:
     Pole crossings cost no correctness (the residues vanish) but ruin the
     quadrature rate, so the loop geometry dodges them when it can.
     """
-    z0 = frame.z0
-    poles = (z0, -z0.conjugate())
-    best, best_d = None, -1.0
-    for h in (0.45, 0.3, 0.65, 0.2):
-        d = min(min(abs(p.imag - s * h) for s in (1.0, -1.0)) for p in poles)
-        if d > best_d:
-            best, best_d = h, d
-    return best
+    hs = np.array([0.45, 0.3, 0.65, 0.2])
+    y = frame.z0.imag  # of both poles, z0 and -conj(z0)
+    return float(hs[np.minimum(abs(y - hs), abs(y + hs)).argmax()])
 
 
 def gamma0_path(sign: int, frame: JacobiFrame) -> PathSpec:
@@ -271,8 +271,7 @@ def gamma0_path(sign: int, frame: JacobiFrame) -> PathSpec:
         raise PathError("endpoint too close to nu = +-1; use a deck translate")
     k = frame.k
     xc = 0.5 * (1.0 + 1.0 / k)
-    z0 = frame.z0
-    poles = (z0, -z0.conjugate())
+    poles = (frame.z0, -frame.z0.conjugate())
 
     def build(d, h):
         left = [complex(-d, y) for y in _grade(x, -h)]
@@ -280,16 +279,11 @@ def gamma0_path(sign: int, frame: JacobiFrame) -> PathSpec:
         pts = [1j * x, *left, xc - 1j * h, xc + 1j * h, *right, 1j * x]
         return PathSpec(points=tuple(pts), sheet=-1)
 
-    best, best_d = None, -1.0
-    for d in (0.35, 0.5, 0.22):
-        for h in (0.25, 0.4, 0.15):
-            p = build(d, h)
-            dist = min(min(_seg_point_distance(a, b, c)
-                           for a, b in zip(p.points[:-1], p.points[1:]))
-                       for c in poles)
-            if dist > best_d:
-                best, best_d = p, dist
-    return best
+    paths = [build(d, h) for d in (0.35, 0.5, 0.22) for h in (0.25, 0.4, 0.15)]
+    gaps = _distances([a for p in paths for a in p.points[:-1]],
+                      [b for p in paths for b in p.points[1:]], poles).min(axis=1)
+    firsts = np.cumsum([0] + [len(p.points) - 1 for p in paths[:-1]])
+    return paths[np.minimum.reduceat(gaps, firsts).argmax()]
 
 
 # ---------------------------------------------------------------------------
@@ -298,78 +292,127 @@ def gamma0_path(sign: int, frame: JacobiFrame) -> PathSpec:
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(16)
 
 
-def _track_sheet(geom: _Geometry, zs: np.ndarray, w0: complex) -> np.ndarray:
-    """Continue w = sqrt(Q) by nearest value along the nodes zs, from w0.
-
-    Each node takes the root of Q nearer to the previous value, so the sheet
-    sign is a running product of sign flips; a tie keeps the sheet.  Raises
-    ContinuationError when a step, including the first one from w0, moves w
-    by more than 60 percent, which signals under-resolution near a branch
-    point.
-    """
+def _track_runs(geom: _Geometry, zs: np.ndarray, starts, heads: np.ndarray):
+    """Continue w = sqrt(Q) along the run zs[heads[i]:heads[i + 1]] from
+    starts[i], each node taking the root nearer to the last (a tie keeps the
+    sheet).  Returns sqrt(Q(zs)), the sign of w against it, and the steps
+    moving w by over 60 percent: under-resolution near a branch point."""
     s = np.sqrt(geom.Q(zs))
-    prev = np.concatenate(([w0], s[:-1]))
-    w = s * np.cumprod(np.where((s * prev.conj()).real < 0.0, -1.0, 1.0))
-    w_prev = np.concatenate(([w0], w[:-1]))
-    bad = np.abs(w - w_prev) > 0.6 * np.abs(w_prev)
+    prev = np.concatenate(([0j], s[:-1]))
+    prev[heads] = starts
+    flips = np.cumsum((s * prev.conj()).real < 0.0)
+    flips -= np.repeat(np.concatenate(([0], flips[heads[1:] - 1])),
+                       np.diff(heads, append=len(zs)))
+    sign = np.where(flips % 2 == 1, -1.0, 1.0)
+    w = s * sign
+    w_prev = np.concatenate(([0j], w[:-1]))
+    w_prev[heads] = starts
+    return s, sign, np.abs(w - w_prev) > 0.6 * np.abs(w_prev)
+
+
+def _track_sheet(geom: _Geometry, zs: np.ndarray, w0: complex) -> np.ndarray:
+    """w along the nodes zs from w0; ContinuationError where a step is ambiguous."""
+    s, sign, bad = _track_runs(geom, zs, [w0], np.zeros(1, int))
     if bad.any():
-        raise ContinuationError(
-            f"sheet tracking ambiguous near {complex(zs[bad.argmax()])!r}; "
-            "refine the path")
-    return w
+        raise ContinuationError(f"sheet tracking ambiguous near "
+                                f"{complex(zs[bad.argmax()])!r}; refine the path")
+    return s * sign
 
 
-def _walk_segment(geom: _Geometry, coeffs, z1: complex, z2: complex,
-                  w_start: complex, nsub: int) -> tuple[list[complex], complex]:
-    """Composite Gauss rule over [z1, z2] for each coefficient, tracking w
-    once from w_start.
-
-    Returns (integrals, w at z2); ContinuationError propagates from the
-    sheet tracking.
-    """
-    half = 0.5 * (z2 - z1) / nsub
-    mids = z1 + half * (2 * np.arange(nsub) + 1)
-    zs = np.append((mids[:, None] + half * _GAUSS_X).ravel(), z2)
-    w = _track_sheet(geom, zs, w_start)
-    return [complex(half * (coeff(zs[:-1], w[:-1]).reshape(nsub, len(_GAUSS_W))
-                            @ _GAUSS_W).sum()) for coeff in coeffs], complex(w[-1])
+#: Most nodes one sheet track and integrand call take, unless one segment has more.
+#: Blocks stay under numpy's 256 KiB temporary elision, which can swap a complex
+#: product's operands and so round it otherwise than a lone segment's walk.
+_BLOCK = 4096
 
 
-def _integrate(geom: _Geometry, coeffs, path: PathSpec) -> tuple[list[complex], complex]:
-    """Integrate each coeff(z, w) dz along the path; returns (values, final w).
+@dataclass(eq=False)
+class _Segment:
+    """A path segment [z1, z2] on its way through the levels of _integrate."""
 
-    Each segment is refined by doubling, one walk per level for all of them.
-    A value freezes at the first level where two successive rules agree to
-    1e-10 relative (1e-13 absolute), bit for bit as if integrated alone.
-    """
-    w = path.sheet * cmath.sqrt(geom.Q(path.points[0]))
-    totals = [0.0 + 0.0j] * len(coeffs)
-    for z1, z2 in zip(path.points[:-1], path.points[1:]):
-        if z1 == z2:
+    z1: complex
+    z2: complex
+    nsub: int
+    vals: list
+    open_: list  # indices of the values still refining
+    end: tuple | None = None  # (sqrt(Q(z2)), sign of the tracked w there) once settled
+
+
+def _blocks(segs: list[_Segment]) -> list[list[_Segment]]:
+    """Consecutive runs of segments with at most _BLOCK nodes, or one segment."""
+    blocks, size = [], _BLOCK
+    for seg in segs:
+        size += 16 * seg.nsub + 1
+        if size > _BLOCK:
+            blocks.append([])
+            size = 16 * seg.nsub + 1
+        blocks[-1].append(seg)
+    return blocks
+
+
+def _sweep(geom: _Geometry, integrand, segs: list[_Segment]) -> None:
+    """One refinement level of a block of segments, with one sheet track and
+    one integrand call: each composite 16-point Gauss rule of nsub panels (its
+    nodes, then z2) is tracked from the principal sqrt(Q(z1)).  An ambiguous
+    track doubles that segment's nsub; otherwise its open values take the
+    freeze test, and once none is left open the segment keeps its end."""
+    nsub = np.array([seg.nsub for seg in segs])
+    half = [0.5 * (seg.z2 - seg.z1) / seg.nsub for seg in segs]
+    halves = np.repeat(half, nsub)
+    panel = np.arange(nsub.sum()) - np.repeat(np.cumsum(nsub) - nsub, nsub)
+    mids = np.repeat([seg.z1 for seg in segs], nsub) + halves * (2 * panel + 1)
+    nodes = (mids[:, None] + halves[:, None] * _GAUSS_X).ravel()
+    firsts = np.cumsum(16 * nsub) - 16 * nsub  # of each segment's nodes
+    heads = firsts + np.arange(len(segs))  # the same in zs, where z2 follows them
+    ends = heads + 16 * nsub
+    zs = np.insert(nodes, firsts + 16 * nsub, [seg.z2 for seg in segs])
+    starts = np.sqrt(geom.Q(np.array([seg.z1 for seg in segs])))
+    s, sign, bad = _track_runs(geom, zs, starts, heads)
+    f = integrand(nodes, np.delete(s * sign, ends))
+    ambiguous = np.logical_or.reduceat(bad, heads)
+    for seg, h, lo, e, failed in zip(segs, half, firsts, ends, ambiguous):
+        if failed:
+            seg.nsub *= 2
             continue
-        nsub = max(4, min(64, int(abs(z2 - z1) / 0.25) + 1))
-        vals, open_ = [None] * len(coeffs), range(len(coeffs))
-        for _ in range(13):
-            try:
-                new, w_end = _walk_segment(geom, [coeffs[i] for i in open_],
-                                           z1, z2, w, nsub)
-            except ContinuationError:
-                nsub *= 2
-                continue
-            still = []
-            for i, val in zip(open_, new):
-                if not (vals[i] is not None and abs(val - vals[i]) <= max(
-                        1e-13, 1e-10 * max(abs(val), 1.0))):
-                    still.append(i)
-                vals[i] = val
-            open_ = still
-            if not open_:
-                break
-            nsub *= 2
+        still = []
+        for i in seg.open_:
+            val = complex(h * (f[i][lo:lo + 16 * seg.nsub].reshape(-1, 16) @ _GAUSS_W).sum())
+            old = seg.vals[i]
+            if old is None or not abs(val - old) <= max(1e-13, 1e-10 * max(abs(val), 1.0)):
+                still.append(i)
+            seg.vals[i] = val
+        seg.open_ = still
+        if still:
+            seg.nsub *= 2
         else:
-            raise ContinuationError(f"no quadrature convergence on [{z1!r}, {z2!r}]")
-        totals = [t + v for t, v in zip(totals, vals)]
-        w = w_end
+            seg.end = (s[e], sign[e])
+
+
+def _integrate(geom: _Geometry, integrand, count: int,
+               path: PathSpec) -> tuple[list[complex], complex]:
+    """Integrate the count outputs of integrand(z, w) dz along the path;
+    returns (values, final w).
+
+    Each of at most 13 levels refines all open segments together, in blocks
+    (_sweep); nsub starts at 4 to 64 by length.  The sheets of the segments
+    are chained along the path afterwards, exact as the integrands are odd
+    in w.  A value freezes at the first level where two successive rules
+    agree to 1e-10 relative (1e-13 absolute), bit for bit as if integrated
+    alone and one segment after the other.
+    """
+    segs = [_Segment(z1, z2, max(4, min(64, int(abs(z2 - z1) / 0.25) + 1)),
+                     [None] * count, list(range(count)))
+            for z1, z2 in zip(path.points[:-1], path.points[1:]) if z1 != z2]
+    for _ in range(13):
+        for block in _blocks([seg for seg in segs if seg.end is None]):
+            _sweep(geom, integrand, block)
+    sign, w = float(path.sheet), path.sheet * cmath.sqrt(geom.Q(path.points[0]))
+    totals = [0.0 + 0.0j] * count
+    for seg in segs:
+        if seg.end is None:
+            raise ContinuationError(f"no quadrature convergence on [{seg.z1!r}, {seg.z2!r}]")
+        totals = [t + (v if sign > 0 else -v) for t, v in zip(totals, seg.vals)]
+        sign *= seg.end[1]
+        w = complex(seg.end[0] * sign)
     return totals, w
 
 
@@ -384,10 +427,11 @@ def contour_integral(kind: str, path: PathSpec, frame: JacobiFrame) -> complex:
     if kind not in DIFFERENTIAL_KINDS:
         raise ValueError(f"unknown differential {kind!r}")
     centers = list(geom.branch_points)
-    if geom.has_poles(kind):
+    if kind in _POLE_KINDS:
         centers += list(geom.poles)
     _check_clearance(path, centers)
-    (value,), _ = _integrate(geom, [geom.coefficient(kind)], path)
+    coeff = geom.coefficient(kind)
+    (value,), _ = _integrate(geom, lambda z, w: (coeff(z, w),), 1, path)
     return value
 
 
@@ -455,7 +499,6 @@ def gamma_closing_values(frame: JacobiFrame) -> dict[tuple[str, int], complex]:
     guard of +-1) the closed-form limit stands in.
     """
     geom = _Geometry(frame)
-    pair = (geom.coefficient("theta_P"), geom.coefficient("theta_E"))
     out: dict[tuple[str, int], complex] = {}
     for s in (1, -1):
         out[("theta_E", s)] = theta_E_gamma(s, frame.pair)
@@ -465,7 +508,7 @@ def gamma_closing_values(frame: JacobiFrame) -> dict[tuple[str, int], complex]:
         except PathError:
             out[("theta_P", s)] = _theta_P_gamma_value(s, frame)
             continue
-        (quad_P, quad_E), _ = _integrate(geom, pair, path)
+        (quad_E, quad_P), _ = _integrate(geom, geom.pair(), 2, path)
         if abs(quad_E - out[("theta_E", s)]) > 1e-6:
             raise ContinuationError(f"gamma path quadrature inconsistent: {quad_E!r}")
         out[("theta_P", s)] = quad_P
@@ -491,7 +534,8 @@ def laurent_coefficients(kind: str, center: complex, frame: JacobiFrame,
     tracking and projects onto powers; exponentially accurate for analytic
     data.  The starting sheet is the principal square root at the first
     sample, which is enough for the pole-order and ratio checks (a sheet
-    flip scales every coefficient by -1).
+    flip scales every coefficient by -1).  A coeff returning several
+    coefficients at once, like _Geometry.pair, gives an array per order.
     """
     geom = _Geometry(frame)
     if coeff is None:
@@ -499,10 +543,10 @@ def laurent_coefficients(kind: str, center: complex, frame: JacobiFrame,
     rho = _pole_radius(geom, center)
     thetas = np.linspace(0.0, TWO_PI, 128, endpoint=False)
     zs = center + rho * np.exp(1j * thetas)
-    vals = coeff(zs, _track_sheet(geom, zs, np.sqrt(geom.Q(zs[0]))))
+    vals = np.asarray(coeff(zs, _track_sheet(geom, zs, np.sqrt(geom.Q(zs[0])))))
     out = {}
     for mth in orders:
-        out[mth] = (vals * np.exp(-1j * mth * thetas)).mean() / rho ** mth
+        out[mth] = (vals * np.exp(-1j * mth * thetas)).mean(axis=-1) / rho ** mth
     return out
 
 
@@ -512,9 +556,8 @@ def theta_P_characterization_check(frame: JacobiFrame) -> float:
     The period-normalized differential is characterized by this ratio being
     purely imaginary; the returned deviation should vanish to 1e-8.
     """
-    z0 = frame.z0
-    cP = laurent_coefficients("theta_P", z0, frame, orders=(-2,))[-2]
-    cE = laurent_coefficients("theta_E", z0, frame, orders=(-2,))[-2]
+    cE, cP = laurent_coefficients("", frame.z0, frame, orders=(-2,),
+                                  coeff=_Geometry(frame).pair())[-2]
     return (cP / cE).real
 
 
@@ -705,17 +748,6 @@ class ChecklistEntry:
     detail: str
 
 
-def _closing_pair_coeffs(geom: _Geometry, closing: ClosingData | None):
-    """Coefficient functions for the pair to run the checklist on."""
-    thE = geom.coefficient("theta_E")
-    thP = geom.coefficient("theta_P")
-    if closing is None:
-        return ("theta_E", thE), ("theta_P", thP)
-    a, b, l = closing.a, closing.b, closing.l
-    return (("psi_E", lambda z, w: a * thE(z, w)),
-            ("psi_P", lambda z, w: b * thE(z, w) + l * thP(z, w)))
-
-
 def hitchin_checklist(frame: JacobiFrame, closing: ClosingData | None = None,
                       rng: np.random.Generator | None = None) -> list[ChecklistEntry]:
     """Numerical validation of the spectral-data conditions for a curve.
@@ -745,18 +777,17 @@ def hitchin_checklist(frame: JacobiFrame, closing: ClosingData | None = None,
     entries.append(ChecklistEntry("P2 no circle zeros", 0.0 if margin > 0 else 1.0,
                                   f"distance of branch points to circle: {margin:.3e}"))
 
-    pair = _closing_pair_coeffs(geom, closing)
+    names = ("theta_E", "theta_P") if closing is None else ("psi_E", "psi_P")
+    pair = geom.pair(closing)
     pole_res = 0.0
-    c2 = []  # leading coefficient at z0 of each differential, for P9
-    for _, coeff in pair:
-        for center in geom.poles:
-            cs = laurent_coefficients("", center, frame, orders=(-2, -1), coeff=coeff)
-            if center == geom.z0:
-                c2.append(cs[-2])
-            if abs(cs[-2]) < 1e-10:
+    for center in geom.poles:  # one circle and one sheet track for the pair
+        cs = laurent_coefficients("", center, frame, orders=(-2, -1), coeff=pair)
+        if center == geom.z0:
+            c2 = cs[-2]  # leading coefficient at z0 of each differential, for P9
+        for lead, residue in zip(cs[-2], cs[-1]):
+            if abs(lead) < 1e-10:
                 pole_res = max(pole_res, 1.0)
-            pole_res = max(pole_res, abs(cs[-1]) * _pole_radius(geom, center)
-                           / abs(cs[-2]))
+            pole_res = max(pole_res, abs(residue) * _pole_radius(geom, center) / abs(lead))
     entries.append(ChecklistEntry("P3 double poles, no residues", float(pole_res),
                                   "normalized residue at the poles over 0, infinity"))
 
@@ -764,24 +795,23 @@ def hitchin_checklist(frame: JacobiFrame, closing: ClosingData | None = None,
     test_z = [complex(x, y) for x, y in rng.uniform(-1.5, 1.5, (12, 2))]
     test_z = [z for z in test_z
               if min(abs(z - c) for c in list(geom.branch_points) + list(geom.poles)) > 0.15]
-    sig_res = rho_res = 0.0
-    for _, coeff in pair:
-        for z in test_z:
-            w = cmath.sqrt(geom.Q(z))
-            scale = max(1.0, abs(coeff(z, w)))
-            sig_res = max(sig_res, abs(coeff(z, -w) + coeff(z, w)) / scale)
-            rho_res = max(rho_res, abs(coeff(-z.conjugate(), w.conjugate())
-                                       - coeff(z, w).conjugate()) / scale)
+    z = np.array(test_z, complex)
+    w = np.sqrt(geom.Q(z))
+    f, f_sigma, f_rho = (np.array(pair(*zw))
+                         for zw in ((z, w), (z, -w), (-z.conj(), w.conj())))
+    scale = np.maximum(1.0, np.abs(f))
+    sig_res = (np.abs(f_sigma + f) / scale).max(initial=0.0)
+    rho_res = (np.abs(f_rho - f.conj()) / scale).max(initial=0.0)
     entries.append(ChecklistEntry("P4 involution odd", float(sig_res),
                                   "sigma* theta = -theta on samples"))
     entries.append(ChecklistEntry("P5 reality", float(rho_res),
                                   "rho* theta = -conj(theta) on samples"))
 
-    periods = {lname: _integrate(geom, [coeff for _, coeff in pair], loop)[0]
+    periods = {lname: _integrate(geom, pair, 2, loop)[0]
                for lname, loop in (("A", loop_A(frame)), ("B", loop_B(frame)))}
     imag_res = int_res = 0.0
     details = []
-    for j, (name, _) in enumerate(pair):
+    for j, name in enumerate(names):
         for lname in ("A", "B"):
             val = periods[lname][j]
             imag_res = max(imag_res, abs(val.real) / TWO_PI)

@@ -13,8 +13,9 @@ from harmonictori.curves import (
     BranchPair, ModuliPoint, angle_rescale, build_frame, inverse_coords,
 )
 from harmonictori.differentials import (
-    ContinuationError, PathError, PathSpec, _Geometry, _chart_gamma_plus, _integrate,
-    _theta_P_gamma_value, _track_sheet, _walk_segment, construct_psi, contour_integral,
+    _BLOCK, _GAUSS_W, _GAUSS_X, ContinuationError, PathError, PathSpec, _Geometry, _Segment,
+    _chart_gamma_plus, _integrate, _sweep, _theta_P_gamma_value, _track_sheet,
+    construct_psi, contour_integral,
     eta_plus, gamma0_path, gamma_closing_values, hitchin_checklist, laurent_coefficients, loop_A,
     loop_B, monodromy_track, theta_E_gamma, theta_P_characterization_check,
     theta_P_gamma_closed,
@@ -207,16 +208,25 @@ class TestSheetTracking:
 
     def test_refinement_recovers_period(self):
         # the first segment grazes the branch point 1 at distance 0.005; its
-        # starting rule of 17 panels cannot follow the sheet there
+        # starting rule of 17 panels cannot follow the sheet there, and the
+        # block sweep doubles that segment alone
         fr = self.FRAME
         geom = _Geometry(fr)
         z1, z2 = 1.005 - 2j, 1.005 + 2j
+        omega = geom.coefficient("omega")
         with pytest.raises(ContinuationError):
-            _walk_segment(geom, [geom.coefficient("omega")], z1, z2,
-                          cmath.sqrt(geom.Q(z1)), 17)
+            reference_walk_segment(geom, [omega], z1, z2, cmath.sqrt(geom.Q(z1)), 17)
+        grazing = _Segment(z1, z2, 17, [None], [0])
+        easy = _Segment(-1.2 + 2j, -1.2 - 2j, 17, [None], [0])
+        _sweep(geom, lambda z, w: (omega(z, w),), [grazing, easy])
+        assert (grazing.nsub, grazing.vals, grazing.end) == (34, [None], None)
+        assert (easy.nsub, easy.vals[0] is not None) == (34, True)
         path = PathSpec(points=(z1, z2, -1.2 + 2j, -1.2 - 2j, z1), sheet=1)
         val = contour_integral("omega", path, fr)
         assert val == pytest.approx(4 * complete_K(fr.k), abs=1e-8)
+        (ref,), w_ref = reference_integrate(geom, [omega], path)
+        (new,), w_new = _integrate(geom, lambda z, w: (omega(z, w),), 1, path)
+        assert (bits(new), bits(w_new)) == (bits(ref), bits(w_ref))
 
 
 def bits(z):
@@ -227,31 +237,116 @@ def spectral_frame(S, T, k=0.5, angle=0.3):
     return build_frame(inverse_coords(solve_level(float(S), float(T), k, angle)))
 
 
+# The quadrature as it was before the block sweep: one walk per segment and
+# level, each segment tracked from the w where the previous one ended.  The
+# block sweep must give its values and final w bit for bit.
+
+def reference_track_sheet(geom, zs, w0):
+    s = np.sqrt(geom.Q(zs))
+    prev = np.concatenate(([w0], s[:-1]))
+    w = s * np.cumprod(np.where((s * prev.conj()).real < 0.0, -1.0, 1.0))
+    w_prev = np.concatenate(([w0], w[:-1]))
+    bad = np.abs(w - w_prev) > 0.6 * np.abs(w_prev)
+    if bad.any():
+        raise ContinuationError(
+            f"sheet tracking ambiguous near {complex(zs[bad.argmax()])!r}; "
+            "refine the path")
+    return w
+
+
+def reference_walk_segment(geom, coeffs, z1, z2, w_start, nsub):
+    half = 0.5 * (z2 - z1) / nsub
+    mids = z1 + half * (2 * np.arange(nsub) + 1)
+    zs = np.append((mids[:, None] + half * _GAUSS_X).ravel(), z2)
+    w = reference_track_sheet(geom, zs, w_start)
+    return [complex(half * (coeff(zs[:-1], w[:-1]).reshape(nsub, len(_GAUSS_W))
+                            @ _GAUSS_W).sum()) for coeff in coeffs], complex(w[-1])
+
+
+def reference_integrate(geom, coeffs, path, walk=reference_walk_segment):
+    w = path.sheet * cmath.sqrt(geom.Q(path.points[0]))
+    totals = [0.0 + 0.0j] * len(coeffs)
+    for z1, z2 in zip(path.points[:-1], path.points[1:]):
+        if z1 == z2:
+            continue
+        nsub = max(4, min(64, int(abs(z2 - z1) / 0.25) + 1))
+        vals, open_ = [None] * len(coeffs), range(len(coeffs))
+        for _ in range(13):
+            try:
+                new, w_end = walk(geom, [coeffs[i] for i in open_], z1, z2, w, nsub)
+            except ContinuationError:
+                nsub *= 2
+                continue
+            still = []
+            for i, val in zip(open_, new):
+                if not (vals[i] is not None and abs(val - vals[i]) <= max(
+                        1e-13, 1e-10 * max(abs(val), 1.0))):
+                    still.append(i)
+                vals[i] = val
+            open_ = still
+            if not open_:
+                break
+            nsub *= 2
+        else:
+            raise ContinuationError(f"no quadrature convergence on [{z1!r}, {z2!r}]")
+        totals = [t + v for t, v in zip(totals, vals)]
+        w = w_end
+    return totals, w
+
+
+def reference_coefficients(geom):
+    """theta_E and theta_P written out one function each, as the reference
+    for the shared evaluation of _Geometry.pair."""
+    k2 = geom.k * geom.k
+
+    def eps(z, w):
+        D, N = geom.D(z), geom.N(z)
+        return ((1.0 - k2 * z * z) / w
+                + w * (D - 2.0 * N * N) / (D * D)
+                + N * geom.dQ(z) / (2.0 * w * D))
+    C = geom.exact_scale
+
+    def thE(z, w):
+        D, N = geom.D(z), geom.N(z)
+        return 1j * C * (geom.dQ(z) * D / (2.0 * w) - 2.0 * N * w) / (D * D)
+    twoE, twoK = 2.0 * geom.E, 2.0 * geom.K
+    return thE, lambda z, w: twoE / w - twoK * eps(z, w)
+
+
+def alone(coeff):
+    return lambda z, w: (coeff(z, w),)
+
+
+SMALL_K = spectral_frame(1, 1, k=0.05)  # its gamma- levels span several blocks
+
+
 class TestFusedQuadrature:
     def test_pair_equals_lone_integrations(self, monkeypatch):
-        # one pass over a path for two coefficients gives each value, and the
-        # final w, bit for bit as integrating each coefficient alone does,
-        # also when one value freezes at a coarser level than the other (the
-        # gamma paths of the symmetric-annulus curve at k = 0.75)
-        walked = []
+        # one sweep per block for both coefficients of the pair gives each
+        # value, and the final w, bit for bit as the per-segment walks of one
+        # coefficient at a time do, also when one value freezes at a coarser
+        # level than the other (the gamma paths of the symmetric-annulus
+        # curve at k = 0.75)
+        one_open = [0]  # segment levels that refined one value only
 
-        def counted(geom, coeffs, *args):
-            walked.append(len(coeffs))
-            return _walk_segment(geom, coeffs, *args)
-        monkeypatch.setattr(differentials, "_walk_segment", counted)
-        one_open = 0  # levels that refined one value only
-        for fr in [random_frame() for _ in range(6)] + [spectral_frame(1, 1, k=0.75)]:
+        def counted(geom, integrand, segs):
+            one_open[0] += sum(len(seg.open_) == 1 for seg in segs)
+            return _sweep(geom, integrand, segs)
+        monkeypatch.setattr(differentials, "_sweep", counted)
+        frames = [random_frame() for _ in range(6)] + [spectral_frame(1, 1, k=0.75), SMALL_K]
+        for fr in frames:
             geom = _Geometry(fr)
-            pair = [geom.coefficient("theta_P"), geom.coefficient("theta_E")]
             for path in (loop_A(fr), loop_B(fr), gamma0_path(1, fr), gamma0_path(-1, fr)):
-                walked.clear()
-                values, w_end = _integrate(geom, pair, path)
-                one_open += walked.count(1)
-                for coeff, value in zip(pair, values):
-                    (alone,), w_alone = _integrate(geom, [coeff], path)
-                    assert bits(value) == bits(alone)
-                    assert bits(w_end) == bits(w_alone)
-        assert one_open > 0
+                values, w_end = _integrate(geom, geom.pair(), 2, path)
+                for kind, coeff, value in zip(("theta_E", "theta_P"),
+                                              reference_coefficients(geom), values):
+                    (ref,), w_ref = reference_integrate(geom, [coeff], path)
+                    assert bits(value) == bits(ref)
+                    assert bits(w_end) == bits(w_ref)
+                    lone_coeff = alone(geom.coefficient(kind))
+                    (lone,), w_lone = _integrate(geom, lone_coeff, 1, path)
+                    assert (bits(lone), bits(w_lone)) == (bits(ref), bits(w_ref))
+        assert one_open[0] > 0
 
     def test_closing_values_equal_contour_integrals(self):
         for fr in [random_frame() for _ in range(4)] + [spectral_frame(1, 1, k=0.75)]:
@@ -260,6 +355,53 @@ class TestFusedQuadrature:
                 path = gamma0_path(s, fr)
                 assert bits(vals[("theta_P", s)]) == bits(
                     contour_integral("theta_P", path, fr))
+
+    def test_one_track_per_level_on_loop_B(self, monkeypatch):
+        # loop B at k = 0.5 fits in one block: its levels are the most walks
+        # any of its segments took, and each level is one sheet track
+        fr = spectral_frame(Fraction(1, 3), Fraction(1, 4))
+        geom = _Geometry(fr)
+        walks = {}
+
+        def walk(geom, coeffs, z1, z2, *args):
+            walks[z1, z2] = walks.get((z1, z2), 0) + 1
+            return reference_walk_segment(geom, coeffs, z1, z2, *args)
+        reference_integrate(geom, [geom.coefficient("theta_E"), geom.coefficient("theta_P")],
+                            loop_B(fr), walk=walk)
+        tracks = []
+        track_runs = differentials._track_runs
+
+        def counted(geom, zs, *args):
+            tracks.append(len(zs))
+            return track_runs(geom, zs, *args)
+        monkeypatch.setattr(differentials, "_track_runs", counted)
+        _integrate(geom, geom.pair(), 2, loop_B(fr))
+        assert len(tracks) == max(walks.values()) > 1
+
+    def test_no_evaluation_exceeds_the_block(self, monkeypatch):
+        # an integrand call takes at most _BLOCK nodes unless its block is one
+        # segment; on the k = 0.05 gamma- path some level needs several blocks
+        sizes, per_level = [], []
+        blocks = differentials._blocks
+
+        def split(segs):
+            out = list(blocks(segs))
+            per_level.append(len(out))
+            return out
+
+        def counted(geom, integrand, segs):
+            def sized(z, w):
+                sizes.append((len(z), len(segs)))
+                return integrand(z, w)
+            return _sweep(geom, sized, segs)
+        monkeypatch.setattr(differentials, "_blocks", split)
+        monkeypatch.setattr(differentials, "_sweep", counted)
+        for fr in (SMALL_K, spectral_frame(1, 1, k=0.75)):
+            geom = _Geometry(fr)
+            for path in (loop_A(fr), loop_B(fr), gamma0_path(1, fr), gamma0_path(-1, fr)):
+                _integrate(geom, geom.pair(), 2, path)
+        assert sizes and all(n <= _BLOCK or segs == 1 for n, segs in sizes)
+        assert max(per_level) > 1
 
 
 class TestClosingReuse:
@@ -607,6 +749,56 @@ class TestChecklist:
             assert e.residual < 1e-7, (e.item, e.residual, e.detail)
         assert abs(fr.z0 - z0) < 1e-5
         assert min(abs(z.real - z0) for z in loop_A(fr).points) > 0.1
+
+    def test_pair_laurent_equals_each_differential_alone(self):
+        # P3 and P9 sample one circle with one sheet track per pole for both
+        # differentials of the pair
+        S, T = Fraction(1, 3), Fraction(1, 4)
+        fr = spectral_frame(S, T)
+        cd = construct_psi(S, T, fr)
+        geom = _Geometry(fr)
+        thE, thP = reference_coefficients(geom)
+        cases = [(None, (thE, thP)),
+                 (cd, (lambda z, w: cd.a * thE(z, w),
+                       lambda z, w: cd.b * thE(z, w) + cd.l * thP(z, w)))]
+        for closing, coeffs in cases:
+            for center in geom.poles:
+                pair = geom.pair(closing)
+                both = laurent_coefficients("", center, fr, (-2, -1), coeff=pair)
+                for j, coeff in enumerate(coeffs):
+                    one = laurent_coefficients("", center, fr, (-2, -1), coeff=coeff)
+                    for order in (-2, -1):
+                        assert bits(complex(both[order][j])) == bits(complex(one[order]))
+
+    def test_symmetry_samples_match_scalar_evaluation(self):
+        # P4 and P5 take one array call per variant for the pair; numpy and
+        # CPython complex division may round differently, by at most 1e-14
+        S, T = Fraction(1, 3), Fraction(1, 4)
+        cases = [(random_frame(), None) for _ in range(4)]
+        fr = spectral_frame(S, T)
+        cases.append((fr, construct_psi(S, T, fr)))
+        for fr, closing in cases:
+            geom = _Geometry(fr)
+            thE, thP = reference_coefficients(geom)
+            coeffs = (thE, thP) if closing is None else (
+                lambda z, w: closing.a * thE(z, w),
+                lambda z, w: closing.b * thE(z, w) + closing.l * thP(z, w))
+            rng = np.random.default_rng(7)
+            rng.uniform(0, 2 * math.pi, 16), rng.uniform(0.4, 2.0, 16)  # the P1 samples
+            test_z = [complex(x, y) for x, y in rng.uniform(-1.5, 1.5, (12, 2))]
+            test_z = [z for z in test_z if min(abs(z - c) for c in
+                                               geom.branch_points + geom.poles) > 0.15]
+            sig = rho = 0.0
+            for coeff in coeffs:
+                for z in test_z:
+                    w = cmath.sqrt(geom.Q(z))
+                    scale = max(1.0, abs(coeff(z, w)))
+                    sig = max(sig, abs(coeff(z, -w) + coeff(z, w)) / scale)
+                    rho = max(rho, abs(coeff(-z.conjugate(), w.conjugate())
+                                       - coeff(z, w).conjugate()) / scale)
+            entries = {e.item: e.residual for e in hitchin_checklist(fr, closing)}
+            assert abs(entries["P4 involution odd"] - sig) <= 1e-14
+            assert abs(entries["P5 reality"] - rho) <= 1e-14
 
     def test_pole_orders(self):
         fr = random_frame()
