@@ -133,18 +133,29 @@ def cmd_curve_info(args, cfg: RunConfig) -> int:
     return 0 if detected is not None else 2
 
 
-def _solved_rows(mesh: LevelSetMesh, *columns) -> list[list[float]]:
-    """One row of the given grid columns per solved point, k-major; a column
-    may be any array that broadcasts to the grid."""
+def _solved_text(mesh: LevelSetMesh) -> tuple[list[str], ...]:
+    """The %.17g text of k, u~, v~, Re/Im alpha and Re/Im beta at each solved
+    point, k-major.  Each distinct float is formatted once: k once per grid
+    row, the held angle (u~ for p <= 1, v~ for p > 1) once per grid column."""
     ok = mesh.solved
-    return np.stack([np.broadcast_to(c, ok.shape)[ok] for c in columns], axis=1).tolist()
+
+    def per_point(grid):
+        return list(map("%.17g".__mod__, grid[ok].tolist()))
+
+    def per_line(values, shape):
+        text = np.array(list(map("%.17g".__mod__, values)), dtype=object).reshape(shape)
+        return np.broadcast_to(text, ok.shape)[ok].tolist()
+
+    held = per_line(mesh.angle_values, (1, -1))
+    u, v = (per_point(mesh.u_tilde), held) if mesh.p > 1 else (held, per_point(mesh.v_tilde))
+    return (per_line(mesh.k_values, (-1, 1)), u, v, *map(per_point, (
+        mesh.alpha.real, mesh.alpha.imag, mesh.beta.real, mesh.beta.imag)))
 
 
-def _write_level_set(mesh: LevelSetMesh, cfg: RunConfig, span: float, path: str) -> None:
-    ks = np.array(mesh.k_values)[:, None]
-    rows = _solved_rows(mesh, ks, mesh.u_tilde, mesh.v_tilde, mesh.alpha.real,
-                        mesh.alpha.imag, mesh.beta.real, mesh.beta.imag)
-    row = f"{f17(float(mesh.p))},{f17(float(mesh.q))}," + ",".join(["%.17g"] * 7) + "\n"
+def _write_level_set(mesh: LevelSetMesh, cfg: RunConfig, span: float, path: str,
+                     text: tuple[list[str], ...] | None = None) -> None:
+    """The leaf as CSV; ``text`` is _solved_text(mesh) when already made."""
+    row = f"{f17(float(mesh.p))},{f17(float(mesh.q))}," + ",".join(["%s"] * 7) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# level set p={mesh.p} q={mesh.q} k_grid={len(mesh.k_values)} "
                  f"angle_grid={len(mesh.angle_values)} span={f17(span)} "
@@ -153,23 +164,23 @@ def _write_level_set(mesh: LevelSetMesh, cfg: RunConfig, span: float, path: str)
         if not mesh.complete:
             fh.write(f"# partial: {len(mesh.failures)} grid points failed\n")
         fh.write("p,q,k,u_tilde,v_tilde,re_alpha,im_alpha,re_beta,im_beta\n")
-        fh.writelines(row % tuple(r) for r in rows)
+        fh.writelines(map(row.__mod__, zip(*(text or _solved_text(mesh)))))
 
 
-def _write_mesh_obj(mesh: LevelSetMesh, path: str) -> None:
+def _write_mesh_obj(mesh: LevelSetMesh, path: str,
+                    text: tuple[list[str], ...] | None = None) -> None:
     """ASCII OBJ triangle mesh with the (Re alpha, Im alpha, k) embedding:
     the solved points are the vertices, and each grid quad whose four
-    corners solved gives two triangles."""
+    corners solved gives two triangles.  ``text`` is as for _write_level_set."""
     def corners(a):
         return np.stack([a[:-1, :-1], a[1:, :-1], a[1:, 1:], a[:-1, 1:]], axis=-1)
     ok = mesh.solved
     number = np.cumsum(ok).reshape(ok.shape)  # 1-based vertex numbers where ok
     quads = corners(number)[corners(ok).all(axis=-1)].tolist()
-    vertices = _solved_rows(mesh, mesh.alpha.real, mesh.alpha.imag,
-                            np.array(mesh.k_values)[:, None])
+    k, _, _, re_alpha, im_alpha, _, _ = text or _solved_text(mesh)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# level set p={mesh.p} q={mesh.q}\n")
-        fh.writelines("v %.17g %.17g %.17g\n" % tuple(r) for r in vertices)
+        fh.writelines(map("v %s %s %s\n".__mod__, zip(re_alpha, im_alpha, k)))
         fh.writelines(f"f {a} {b} {c}\nf {a} {c} {d}\n" for a, b, c, d in quads)
 
 
@@ -184,9 +195,10 @@ def cmd_level_set(args, cfg: RunConfig) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _write_level_set(mesh, cfg, args.span, args.out)
+    text = _solved_text(mesh)
+    _write_level_set(mesh, cfg, args.span, args.out, text)
     if args.mesh:
-        _write_mesh_obj(mesh, args.mesh)
+        _write_mesh_obj(mesh, args.mesh, text)
     n_ok, n_bad = int(mesh.solved.sum()), len(mesh.failures)
     print(f"wrote {n_ok} records to {args.out}"
           + (f" ({n_bad} failures)" if n_bad else "")

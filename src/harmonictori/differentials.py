@@ -670,6 +670,16 @@ def construct_psi(S: Fraction, T: Fraction, frame: JacobiFrame) -> ClosingData:
 # ---------------------------------------------------------------------------
 # monodromy around an annulus component
 
+def _extrapolate(xs: list[float], ys: list[float], x: float) -> float:
+    """Value at x of the polynomial through the points (xs, ys), by Neville's
+    scheme; nan with no point."""
+    p = ys[:]
+    for m in range(1, len(xs)):
+        for i in range(len(xs) - m):
+            p[i] = ((x - xs[i + m]) * p[i] + (xs[i] - x) * p[i + 1]) / (xs[i] - xs[i + m])
+    return p[0] if p else math.nan
+
+
 def monodromy_track(q: Fraction, loop_samples: int = 48, k: float = 0.5,
                     u_tilde0: float = 0.3,
                     contractible: bool = False) -> int:
@@ -680,8 +690,10 @@ def monodromy_track(q: Fraction, loop_samples: int = 48, k: float = 0.5,
     small contractible loop in the (k, angle) chart when ``contractible``.
     The annulus loop is oriented so that the closing integral over the
     gamma+ path gains +2 pi i per circuit, matching the deck-shift bookkeeping.
-    Each sample's solve is warm-started from the previous one, so a sample
-    angle agrees with a cold solve_level to within solver_tol, not bit for bit;
+    Each sample's solve starts from the cubic extrapolation of v~ - u~ through
+    the last four accepted samples (fewer near the start, a cold solve at the
+    first), so a sample angle agrees with a cold solve_level to within
+    solver_tol, not bit for bit; every sample takes exactly one solve_level;
     its gamma+ integral is the closed form at the u and z0 of the chart, with
     no branch pair or frame built.
     """
@@ -695,7 +707,6 @@ def monodromy_track(q: Fraction, loop_samples: int = 48, k: float = 0.5,
     qf = float(q)
     rk = math.sqrt(k)
     U0 = angle_rescale(u_tilde0, rk)
-    offset = math.nan  # v~ - u~ of the last solve; nan leaves the first one cold
 
     def sample(t: float) -> tuple[float, float]:
         """(k, u~) along the loop at parameter t in [0, 1]."""
@@ -704,30 +715,29 @@ def monodromy_track(q: Fraction, loop_samples: int = 48, k: float = 0.5,
                     u_tilde0 + 0.2 * (math.cos(TWO_PI * t) - 1.0))
         return k, angle_rescale(U0 + math.pi * t, 1.0 / rk)
 
-    def principal(t: float) -> float:
-        nonlocal offset
+    def principal(t: float) -> tuple[float, float]:
+        """gamma+ value and v~ - u~ at t."""
         kk, ut = sample(t)
-        mp = solve_level(1.0, qf, kk, ut, start=ut + offset)
-        offset = mp.v_tilde - mp.u_tilde
-        return _chart_gamma_plus(mp)
+        mp = solve_level(1.0, qf, kk, ut, start=ut + _extrapolate(done_t, done_offset, t))
+        return _chart_gamma_plus(mp), mp.v_tilde - mp.u_tilde
 
     # continuity tracking of the gamma+ integral, with local bisection when
-    # a principal-branch jump is crossed too fast
+    # a principal-branch jump is crossed too fast; a sample whose step is
+    # bisected keeps its solve for when the loop comes back to it
     ts = [j / loop_samples for j in range(loop_samples + 1)]
-    I0 = principal(0.0)
-    cont = [I0]
-    idx = 1
-    prev_t, prev_I = 0.0, I0
+    done_t, done_offset = [], []  # t and v~ - u~ of the last four accepted samples
+    cont, pending, idx = [], {}, 0
     while idx < len(ts):
         t = ts[idx]
-        I_raw = principal(t)
-        c = round((prev_I - I_raw) / TWO_PI)
-        I_adj = I_raw + TWO_PI * c
-        if abs(I_adj - prev_I) > 2.0 and (t - prev_t) > 1e-4:
-            ts.insert(idx, 0.5 * (prev_t + t))
+        I_raw, offset = pending.pop(t) if t in pending else principal(t)
+        prev_I = cont[-1] if cont else I_raw
+        I_adj = I_raw + TWO_PI * round((prev_I - I_raw) / TWO_PI)
+        if abs(I_adj - prev_I) > 2.0 and (t - done_t[-1]) > 1e-4:
+            pending[t] = I_raw, offset
+            ts.insert(idx, 0.5 * (done_t[-1] + t))
             continue
         cont.append(I_adj)
-        prev_t, prev_I = t, I_adj
+        done_t, done_offset = done_t[-3:] + [t], done_offset[-3:] + [offset]
         idx += 1
 
     delta = cont[-1] - cont[0]

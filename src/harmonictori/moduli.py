@@ -348,19 +348,19 @@ def _solve_level_grid(p: float, q: float, ks: list[float], angles: list[float],
     lo, hi = (fixed - TWO_PI, fixed) if solve_for_u else (fixed, fixed + TWO_PI)
 
     def level(x, idx):
-        """T~ - q at free angle x for the grid points idx."""
+        """T~ - q and the chart value at free angle x for the grid points idx."""
         k, K, E, Kp, KmEp = consts[:, idx]
         free = _lifted_level_terms(k, K, E, Kp, KmEp, x)
         held = (fixed_lifted[idx], fixed_chart[idx])
         terms = (free, held) if solve_for_u else (held, free)
-        return _t_tilde(p, k, K, *terms) - q
+        return _t_tilde(p, k, K, *terms) - q, free[1]
 
-    def slope(x, idx):
-        """dT~ along the free angle at x for the grid points idx."""
+    def slope(chart, idx):
+        """dT~ along the free angle at chart value ``chart`` for the grid points idx."""
         k, K, E = consts[:3, idx]
         if solve_for_u:
-            return _dT_du_array(p, k, K, E, _chart_value_array(x), fixed_chart[idx])
-        return _dT_dv_array(p, k, K, E, fixed_chart[idx], _chart_value_array(x))
+            return _dT_du_array(p, k, K, E, chart, fixed_chart[idx])
+        return _dT_dv_array(p, k, K, E, fixed_chart[idx], chart)
 
     n = fixed.size
     solved = np.full(n, np.nan)
@@ -372,8 +372,8 @@ def _solve_level_grid(p: float, q: float, ks: list[float], angles: list[float],
         for delta in _PROBE_DELTAS:
             if not probing.size:
                 break
-            f_lo = level(lo[probing] + delta, probing)
-            f_hi = level(hi[probing] - delta, probing)
+            f_lo = level(lo[probing] + delta, probing)[0]
+            f_hi = level(hi[probing] - delta, probing)[0]
             change = (((sign * f_lo < 0.0) & (0.0 < sign * f_hi))
                       | ((sign * f_hi < 0.0) & (0.0 < sign * f_lo)))
             found = probing[change]
@@ -387,23 +387,23 @@ def _solve_level_grid(p: float, q: float, ks: list[float], angles: list[float],
         swap = sign * flo[idx] > 0.0  # f(a) < 0 < f(b) in the monotone direction
         a, b = np.where(swap, b[idx], a[idx]), np.where(swap, a[idx], b[idx])
         x = 0.5 * (a + b)
-        fx = level(x, idx)
+        fx, chart = level(x, idx)
         for _ in range(_MAX_STEPS):
             done = np.abs(fx) < tol
             if done.any():
                 solved[idx[done]] = x[done]
                 keep = ~done
-                idx, x, fx, a, b = idx[keep], x[keep], fx[keep], a[keep], b[keep]
+                idx, x, fx, chart, a, b = (v[keep] for v in (idx, x, fx, chart, a, b))
             if not idx.size:
                 break
             lower = (fx < 0.0) == (sign > 0.0)
             a, b = np.where(lower, x, a), np.where(lower, b, x)
-            d = slope(x, idx)
+            d = slope(chart, idx)
             step = np.where(d != 0.0, -fx / d, 0.0)
             xn = x + step
             inside = (np.minimum(a, b) < xn) & (xn < np.maximum(a, b)) & (step != 0.0)
             x = np.where(inside, xn, 0.5 * (a + b))
-            fx = level(x, idx)
+            fx, chart = level(x, idx)
         for i, r in zip(idx.tolist(), fx.tolist()):
             reasons[i] = f"no convergence for q={q!r}: residual {r!r}"
     return solved, reasons

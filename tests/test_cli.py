@@ -107,10 +107,10 @@ class TestLevelSet:
         assert captured.out == "" and not out.exists()
 
 
-def mesh_with_holes():
+def mesh_with_holes(p=Fraction(1)):
     """A 5x7 leaf with failures injected inside it, on its edges and at a
     corner, as a failed solve leaves them: nan in every grid array."""
-    mesh = sweep_level_set(Fraction(1), Fraction(0), 5, 7, 2 * math.pi,
+    mesh = sweep_level_set(p, Fraction(0), 5, 7, 2 * math.pi,
                            k_min=0.3, k_max=0.6)
     for i, j in ((2, 3), (0, 4), (4, 0), (3, 6), (1, 1), (1, 2)):
         for grid in (mesh.u_tilde, mesh.v_tilde, mesh.alpha, mesh.beta):
@@ -141,17 +141,24 @@ def float_keyed_obj(mesh):
     return "\n".join(lines) + "\n"
 
 
+# the held angle is u~ for p <= 1 and v~ for p > 1
+HELD_SIDES = pytest.mark.parametrize("p", [Fraction(1), Fraction(1, 3), Fraction(5, 2)],
+                                     ids=["p=1", "p=1/3", "p=5/2"])
+
+
 class TestWriters:
-    def test_obj_matches_float_keyed_algorithm(self, tmp_path):
-        mesh = mesh_with_holes()
+    @HELD_SIDES
+    def test_obj_matches_float_keyed_algorithm(self, p, tmp_path):
+        mesh = mesh_with_holes(p)
         _write_mesh_obj(mesh, str(tmp_path / "leaf.obj"))
         text = (tmp_path / "leaf.obj").read_text()
         assert text == float_keyed_obj(mesh)
         assert sum(1 for line in text.splitlines() if line.startswith("v ")) == 35 - 6
         assert sum(1 for line in text.splitlines() if line.startswith("f ")) == 2 * (24 - 14)
 
-    def test_csv_rows_match_f17_per_value(self, tmp_path):
-        mesh = mesh_with_holes()
+    @HELD_SIDES
+    def test_csv_rows_match_f17_per_value(self, p, tmp_path):
+        mesh = mesh_with_holes(p)
         _write_level_set(mesh, RunConfig(k_min=0.3, k_max=0.6), 2 * math.pi,
                          str(tmp_path / "leaf.csv"))
         lines = (tmp_path / "leaf.csv").read_text().splitlines()

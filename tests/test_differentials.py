@@ -588,10 +588,13 @@ class TestMonodromy:
 
     @pytest.mark.parametrize("q, k, contractible", [
         (Fraction(1, 2), 0.5, False), (Fraction(0), 0.5, False),
-        (Fraction(-3, 5), 0.1, False), (Fraction(1, 2), 0.5, True)])
+        (Fraction(-3, 5), 0.1, False), (Fraction(1, 2), 0.05, False),
+        (Fraction(1, 2), 0.5, True)])
     def test_warm_start_takes_few_evaluations(self, q, k, contractible, monkeypatch):
         # a cold solve takes about 9 evaluations of T~; each sample after the
-        # first starts from the last solve's offset v~ - u~ and skips the probes
+        # first starts from the offset v~ - u~ extrapolated through the last
+        # accepted ones and skips the probes, and from the fifth sample on the
+        # cubic predictor leaves about one checked Newton step
         counts, evaluations = [], [0]
         t_tilde = moduli._t_tilde
 
@@ -609,6 +612,27 @@ class TestMonodromy:
         monodromy_track(q, loop_samples=96, k=k, contractible=contractible)
         assert len(counts) == 97
         assert 0 < max(counts[1:]) <= 5
+        assert max(counts[4:]) <= 4
+        assert sum(counts[4:]) / len(counts[4:]) <= 2.5
+
+    @pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(-3, 5), Fraction(2, 7), Fraction(0)])
+    @pytest.mark.parametrize("u_tilde0", [0.3, -2.0, 2.5, 3.1])
+    def test_inserted_midpoints(self, q, u_tilde0, monkeypatch):
+        # at k = 0.05 eight samples cross a principal-branch jump too fast, so
+        # the loop bisects a step; the predictor must only ever see accepted
+        # samples (a rejected t seen twice would divide by zero), and each
+        # sample, inserted or not, takes one solve_level
+        angles = []
+
+        def recorded(*args, **kw):
+            angles.append(args[3])
+            return solve_level(*args, **kw)
+        monkeypatch.setattr(differentials, "solve_level", recorded)
+        turns = monodromy_track(q, 8, 0.05, u_tilde0)
+        assert len(angles) > 9
+        assert len(angles) == len(set(angles))
+        monkeypatch.undo()
+        assert turns == reference_monodromy(q, 8, 0.05, u_tilde0)
 
     @pytest.mark.parametrize("k, contractible", [
         (0.0, False), (-0.1, False), (1.0, False), (math.nan, False),
