@@ -126,7 +126,11 @@ def cmd_curve_info(args, cfg: RunConfig) -> int:
             closing = construct_psi(detected[0], detected[1], frame)
         except (ValueError, ContinuationError) as exc:
             print(f"warning: closing construction failed: {exc}", file=sys.stderr)
-    checklist = hitchin_checklist(frame, closing)
+    try:
+        checklist = hitchin_checklist(frame, closing)
+    except (ValueError, ContinuationError) as exc:
+        print(f"error: checklist failed: {exc}", file=sys.stderr)
+        return 1
     report = CurveReport(alpha=alpha, beta=beta, k=frame.k, p=S_value(bp),
                          spectral=detected, closing=closing, checklist=checklist)
     print(report.render())

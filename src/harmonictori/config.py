@@ -9,6 +9,7 @@ their single use in the modules.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 
@@ -32,8 +33,10 @@ class RunConfig:
 
     def validate(self) -> None:
         for name in ("solver_tol", "detection_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not math.isfinite(self.angle_start):
+            raise ValueError("angle_start must be finite")
         if not (0.0 < self.k_min < self.k_max < 1.0):
             raise ValueError("need 0 < k_min < k_max < 1")
 

@@ -4,7 +4,9 @@ A genus-one curve eta^2 = (zeta - a)(1 - conj(a) zeta)(zeta - b)(1 - conj(b) zet
 is a point (a, b) of the space of ordered branch pairs inside the unit disc.
 The Moebius map f carries (a, 1/conj(a), b, 1/conj(b)) to (1, -1, 1/k, -1/k),
 the unit circle to the imaginary axis and the disc interior to the right half
-plane.  On top of f sit the coordinates (p, k, u, v) with i u = f(1) and
+plane.  Its zero mu and pole nu on the unit circle are the preimages of
+-+(1 + k)/(1 - k) under the map g taking (a, 1/conj(a), b) to (0, infinity, 1).
+On top of f sit the coordinates (p, k, u, v) with i u = f(1) and
 i v = f(-1), and their lifts (u~, v~) to the universal cover, where the deck
 transformation acts by half-turns of the rescaled angles.  The inverse map
 from coordinates to branch pairs is written once in real arithmetic and
@@ -46,7 +48,7 @@ class BranchPair:
 
     def __post_init__(self):
         a, b = complex(self.alpha), complex(self.beta)
-        if abs(a) >= 1.0 or abs(b) >= 1.0:
+        if not (abs(a) < 1.0 and abs(b) < 1.0):  # also rejects nan and inf
             raise ValueError(_OUTSIDE_DISC)
         if a == b:
             raise ValueError(_NOT_DISTINCT)
@@ -74,78 +76,25 @@ def jacobi_modulus(bp: BranchPair) -> float:
     num = abs(1.0 - bp.alpha.conjugate() * bp.beta)
     dif = abs(bp.alpha - bp.beta)
     k = (num - dif) / (num + dif)
-    if k < 1e-12 or k > 1.0 - 1e-12:
+    if not 1e-12 <= k <= 1.0 - 1e-12:
         raise ValueError(f"degenerate modulus k={k!r}; curve too close to a nodal limit")
     return k
 
 
-def _branch_circle_center(bp: BranchPair) -> complex | None:
-    """Center of the circle through alpha, 1/conj(alpha), beta.
-
-    The circle is orthogonal to the unit circle, so its center c satisfies
-    Re(conj(z) c) = (1 + |z|^2)/2 for z = alpha and z = beta; that linear
-    system is solved directly.  Returns None when the three points are
-    collinear with the origin (the circle degenerates to a line).
-    """
-    a, b = bp.alpha, bp.beta
-    det = (a.conjugate() * b).imag  # = ax*by - ay*bx
-    scale = max(abs(a), abs(b), 1.0)
-    if abs(det) < 1e-12 * scale:
-        return None
-    ra = 0.5 * (1.0 + abs(a) ** 2)
-    rb = 0.5 * (1.0 + abs(b) ** 2)
-    cx = (ra * b.imag - rb * a.imag) / det
-    cy = (rb * a.real - ra * b.real) / det
-    return complex(cx, cy)
-
-
-def _arc_parameter(z: complex, center: complex | None, direction: complex) -> float:
-    """Angle parameterizing the branch circle (or projective line) position."""
-    if center is None:
-        # line through the origin: s e^{i phi} -> 2 atan(s), with infinity at pi
-        if cmath.isinf(z):
-            return math.pi
-        s = (z * direction.conjugate()).real
-        return 2.0 * math.atan(s)
-    return cmath.phase(z - center)
-
-
-def _on_ccw_arc(theta: float, start: float, end: float) -> bool:
-    """Whether angle theta lies on the counterclockwise arc from start to end."""
-    span = (end - start) % TWO_PI
-    return (theta - start) % TWO_PI < span
-
-
 def circle_points(bp: BranchPair) -> tuple[complex, complex]:
-    """The two unit-circle points of the branch circle, labeled (mu, nu).
+    """The unit-circle points (mu, nu) that f sends to 0 and infinity.
 
-    mu is the intersection point separated from beta by the pair
-    {alpha, 1/conj(alpha)} along the branch circle, i.e. the one lying
-    between alpha and its mirror; nu lies between beta and its mirror.
+    g(z) = r (z - alpha)/(conj(alpha) z - 1), with r = (conj(alpha) beta - 1)
+    / (beta - alpha), sends alpha to 0, 1/conj(alpha) to infinity and beta to
+    1.  It maps the unit circle onto |w| = |r|, as |z - alpha| = |conj(alpha)
+    z - 1| for |z| = 1, and jacobi_modulus's k makes |r| = (1 + k)/(1 - k), so
+    mu = g^{-1}(-|r|) and nu = g^{-1}(|r|), with g^{-1}(w) = (w - r alpha)
+    / (conj(alpha) w - r).  No denominator vanishes inside the disc.
     """
     a = bp.alpha
-    center = _branch_circle_center(bp)
-    if center is None:
-        direction = (a if a != 0 else bp.beta)
-        direction /= abs(direction)
-        cand = (direction, -direction)
-    else:
-        r2 = abs(center) ** 2 - 1.0
-        if r2 <= 0.0:
-            raise ValueError("branch circle not orthogonal to the unit circle")
-        c_hat = center / abs(center)
-        aa = 1.0 / abs(center)
-        bb = math.sqrt(max(0.0, 1.0 - aa * aa))
-        cand = (aa * c_hat + bb * 1j * c_hat, aa * c_hat - bb * 1j * c_hat)
-        direction = c_hat  # unused in circle branch
-    th_a = _arc_parameter(a, center, direction)
-    th_am = _arc_parameter(bp.alpha_mirror, center, direction)
-    th_b = _arc_parameter(bp.beta, center, direction)
-    beta_in = _on_ccw_arc(th_b, th_a, th_am)
-    for x, y in (cand, cand[::-1]):
-        if _on_ccw_arc(_arc_parameter(x, center, direction), th_a, th_am) != beta_in:
-            return x, y
-    raise ValueError("could not separate the unit-circle intersection points")
+    r = (a.conjugate() * bp.beta - 1.0) / (bp.beta - a)
+    mu, nu = ((w - r * a) / (a.conjugate() * w - r) for w in (-abs(r), abs(r)))
+    return mu, nu
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ DIFFERENTIAL_KINDS = ("omega", "e", "epsilon", "theta_E", "theta_P")
 _POLE_KINDS = DIFFERENTIAL_KINDS[2:]  # with double poles; _Geometry._theta's order
 
 __all__ = [
-    "PathSpec", "ClosingData", "PathError", "ContinuationError",
+    "PathSpec", "ClosingData", "PathError", "ContinuationError", "PoleError",
     "eta_plus", "theta_E_gamma", "theta_P_gamma_closed", "gamma_closing_values",
     "contour_integral", "loop_A", "loop_B", "gamma0_path",
     "laurent_coefficients", "theta_P_characterization_check",
@@ -55,6 +55,10 @@ class PathError(ValueError):
 
 class ContinuationError(RuntimeError):
     """Sheet tracking became ambiguous or quadrature failed to settle."""
+
+
+class PoleError(ValueError):
+    """A double pole of the differentials sits on a branch point."""
 
 
 def eta_plus(zeta: complex, bp: BranchPair) -> complex:
@@ -523,7 +527,10 @@ def _pole_radius(geom: _Geometry, center: complex) -> float:
     the nearest other branch point or pole when that is smaller."""
     others = list(geom.branch_points) + \
         [p for p in geom.poles if abs(p - center) > 1e-12]
-    return min(0.05, 0.3 * min(abs(center - c) for c in others))
+    rho = min(0.05, 0.3 * min(abs(center - c) for c in others))
+    if not rho > 0.0:
+        raise PoleError(f"double pole {center!r} sits on a branch point")
+    return rho
 
 
 def laurent_coefficients(kind: str, center: complex, frame: JacobiFrame,

@@ -452,6 +452,8 @@ def sweep_level_set(p: Fraction, q: Fraction, k_grid: int, angle_grid: int,
         raise ValueError("grids must have at least 2 samples")
     if not (0.0 < k_min < k_max < 1.0):
         raise ValueError("need 0 < k_min < k_max < 1")
+    if not (math.isfinite(angle_span) and math.isfinite(angle_start)):
+        raise ValueError("angle span and start must be finite")
     ks = np.linspace(k_min, k_max, k_grid).tolist()
     angles = (angle_start + np.linspace(0.0, angle_span, angle_grid)).tolist()
     pf, qf = float(p), float(q)

@@ -48,6 +48,28 @@ class TestCurveInfo:
     def test_outside_disc_invalid(self):
         assert main(["curve-info", "--alpha", "1.5,0.0", "--beta", "0.2,0.0"]) == 1
 
+    @pytest.mark.parametrize("alpha, beta", [
+        ("nan,0", "0.3,0"), ("0.3,0", "0.1,nan"), ("inf,0", "0.3,0"),
+    ], ids=["alpha_nan", "beta_nan", "alpha_inf"])
+    def test_non_finite_point_invalid(self, capsys, alpha, beta):
+        assert main(["curve-info", "--alpha", alpha, "--beta", beta]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: branch points must lie in the open unit disc\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("alpha, beta, message", [
+        # alpha = 0 puts the double pole over zeta = 0 on the branch point f(alpha) = 1
+        ("0,0", "0.9,0", "double pole (1-0j) sits on a branch point"),
+        # k within 3e-10 of 1: the loop quadrature cannot separate 1 from 1/k
+        ("0.5,0", "0.5000000001,0", "no quadrature convergence"),
+    ], ids=["pole_on_branch_point", "nearly_equal_points"])
+    def test_failing_checklist_is_an_error(self, capsys, alpha, beta, message):
+        assert main(["curve-info", "--alpha", alpha, "--beta", beta]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: checklist failed: ")
+        assert message in captured.err
+        assert captured.out == ""
+
 
 class TestLevelSet:
     def test_output_and_round_trip(self, tmp_path, capsys):
@@ -104,6 +126,16 @@ class TestLevelSet:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err == f"error: {message}\n"
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("span", ["nan", "inf", "-inf"])
+    def test_non_finite_span_rejected(self, tmp_path, capsys, span):
+        out = tmp_path / "x.csv"
+        code = main(["level-set", "--p", "1/1", "--q", "0/1", "--k-grid", "3",
+                     "--angle-grid", "4", f"--span={span}", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: angle span and start must be finite\n"
         assert captured.out == "" and not out.exists()
 
 
@@ -230,6 +262,15 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "5/5 invariants passed" in out
 
+    def test_nan_residual_fails(self, monkeypatch, capsys):
+        from harmonictori import verify
+        monkeypatch.setattr(verify, "legendre_defect", lambda k: math.nan)
+        assert main(["verify", "--suite", "elliptic"]) == 3
+        captured = capsys.readouterr()
+        assert "[FAIL] legendre relation on 50 moduli: max residual nan" in captured.out
+        assert "4/5 invariants passed" in captured.out
+        assert '"k": 1e-06' in captured.err
+
     def test_unknown_suite_rejected(self):
         proc = run_cli(["verify", "--suite", "nonsense"])
         assert proc.returncode == 1
@@ -265,6 +306,24 @@ class TestConfig:
         cfg_file.write_text(f"{key} = 1\n")
         with pytest.raises(ValueError, match="unknown config key"):
             load_config(str(cfg_file))
+
+    @pytest.mark.parametrize("line, message", [
+        ("solver_tol = nan", "solver_tol must be positive and finite"),
+        ("detection_tol = inf", "detection_tol must be positive and finite"),
+        ("angle_start = nan", "angle_start must be finite"),
+        ("angle_start = -inf", "angle_start must be finite"),
+    ], ids=["solver_tol_nan", "detection_tol_inf", "angle_start_nan", "angle_start_inf"])
+    def test_non_finite_value_rejected(self, tmp_path, monkeypatch, capsys, line, message):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(line + "\n")
+        monkeypatch.setenv(CONFIG_ENV_VAR, str(cfg_file))
+        out = tmp_path / "x.csv"
+        code = main(["level-set", "--p", "1/1", "--q", "0/1", "--k-grid", "3",
+                     "--angle-grid", "4", "--span", "1.0", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"error: bad config: {message}\n"
+        assert not out.exists()
 
     def test_invalid_range_rejected(self, tmp_path):
         cfg_file = tmp_path / "bad2.cfg"

@@ -45,6 +45,14 @@ class TestBranchPair:
         with pytest.raises(ValueError):
             BranchPair(0.5, 0.5)
 
+    @pytest.mark.parametrize("alpha, beta", [
+        (complex(math.nan, 0.0), 0.3), (0.3, complex(0.0, math.nan)),
+        (complex(math.inf, 0.0), 0.3), (0.3, complex(-math.inf, 0.0)),
+    ], ids=["alpha_nan", "beta_nan", "alpha_inf", "beta_inf"])
+    def test_rejects_non_finite_points(self, alpha, beta):
+        with pytest.raises(ValueError, match="open unit disc"):
+            BranchPair(alpha, beta)
+
     def test_mirrors(self):
         bp = BranchPair(0.5j, 0.2)
         assert bp.alpha_mirror == pytest.approx(2j)
@@ -73,6 +81,13 @@ class TestModulus:
             bp = random_pair()
             assert jacobi_modulus(chi_negate(bp)) == pytest.approx(
                 jacobi_modulus(bp), rel=1e-12)
+
+
+    def test_nan_modulus_rejected(self):
+        # a pair that bypasses BranchPair's checks
+        bad = SimpleNamespace(alpha=complex(math.nan, 0.0), beta=0.3 + 0j)
+        with pytest.raises(ValueError, match="degenerate modulus"):
+            jacobi_modulus(bad)
 
 
 class TestCirclePoints:
@@ -147,6 +162,30 @@ class TestJacobiFrame:
             assert fr.f(bp.beta_mirror) == pytest.approx(-1.0 / fr.k, rel=1e-10)
             assert fr.z0.real > 0
             assert fr.scale == pytest.approx(-fr.z0.conjugate(), rel=1e-10)
+
+    def test_normalization_near_the_circle(self):
+        # pairs just off a line through the origin, where a circle fitted
+        # through alpha, 1/conj(alpha) and beta has its centre near infinity
+        pairs = [BranchPair(a * cmath.exp(1j * th), b * cmath.exp(1j * (th + d)))
+                 for a in (0.004, -0.03, 0.3) for b in (0.99, -0.99999)
+                 for d in (1e-12, 1e-11, 1e-10, 1e-9) for th in (0.3, 2.1, 4.4)]
+        # and seeded pairs reaching |z| = 0.999999; k carries a relative
+        # rounding error of about 1e-16/k, so k < 1e-6 is out of reach of 1e-9
+        rng = np.random.default_rng(13)
+        while len(pairs) < 272:
+            radii, turns = rng.uniform(-0.999999, 0.999999, 2), rng.uniform(size=2)
+            a, b = radii * np.exp(2j * math.pi * turns)
+            if abs(a - b) > 1e-2 and jacobi_modulus(BranchPair(a, b)) > 1e-6:
+                pairs.append(BranchPair(a, b))
+        worst = 0.0
+        for bp in pairs:
+            fr = build_frame(bp)
+            worst = max(worst, abs(fr.f(bp.alpha) - 1.0),
+                        abs(fr.f(bp.alpha_mirror) + 1.0),
+                        fr.k * abs(fr.f(bp.beta) - 1.0 / fr.k),
+                        abs(fr.scale + fr.z0.conjugate()) / abs(fr.scale),
+                        abs(abs(fr.mu) - 1.0), abs(abs(fr.nu) - 1.0))
+        assert worst < 1e-9
 
     def test_unit_circle_to_imaginary_axis(self):
         bp = random_pair()
@@ -234,6 +273,18 @@ class TestCoordinates:
             worst = max(worst, abs(back.p - p), abs(back.k - k),
                         abs(back.u_tilde - ut), abs(back.v_tilde - vt))
         assert worst < 1e-9
+
+    @pytest.mark.parametrize("k", [0.2, 0.5, 0.8])
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
+    def test_round_trip_near_the_diagonal(self, p, k):
+        # v~ - u~ down to 1e-4, where mu and nu are close to each other
+        worst = 0.0
+        for ut in (-2.5, -0.7, 0.4, 1.9):
+            for gap in (1e-2, 1e-3, 1e-4):
+                back = forward_coords(inverse_coords(ModuliPoint(p, k, ut, ut + gap)))
+                worst = max(worst, abs(back.u_tilde - ut),
+                            abs(back.v_tilde - (ut + gap)))
+        assert worst < 1e-10
 
     def test_z0_right_half_plane(self):
         for _ in range(200):

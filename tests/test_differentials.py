@@ -13,9 +13,9 @@ from harmonictori.curves import (
     BranchPair, ModuliPoint, angle_rescale, build_frame, inverse_coords,
 )
 from harmonictori.differentials import (
-    _BLOCK, _GAUSS_W, _GAUSS_X, ContinuationError, PathError, PathSpec, _Geometry, _Segment,
-    _chart_gamma_plus, _integrate, _sweep, _theta_P_gamma_value, _track_sheet,
-    construct_psi, contour_integral,
+    _BLOCK, _GAUSS_W, _GAUSS_X, ContinuationError, PathError, PathSpec, PoleError,
+    _Geometry, _Segment, _chart_gamma_plus, _integrate, _sweep, _theta_P_gamma_value,
+    _track_sheet, construct_psi, contour_integral,
     eta_plus, gamma0_path, gamma_closing_values, hitchin_checklist, laurent_coefficients, loop_A,
     loop_B, monodromy_track, theta_E_gamma, theta_P_characterization_check,
     theta_P_gamma_closed,
@@ -754,6 +754,16 @@ class TestChecklist:
         for name, e in entries.items():
             if name != "P8 closing integrals":
                 assert e.residual < 1e-7, (name, e.residual)
+
+    @pytest.mark.parametrize("beta", [0.9, 0.4j])
+    def test_pole_on_branch_point_raises(self, beta):
+        # alpha = 0 is a branch point under the pole z0 = f(0) = f(alpha) = 1
+        fr = build_frame(BranchPair(0.0, beta))
+        assert fr.z0 == 1.0
+        with pytest.raises(PoleError, match="sits on a branch point"):
+            hitchin_checklist(fr)
+        with pytest.raises(PoleError):
+            laurent_coefficients("theta_P", fr.z0, fr)
 
     @pytest.mark.parametrize("alpha, beta, z0", [
         (0.005444539706311043 + 0.09069569672266486j,
