@@ -12,7 +12,7 @@ Exit codes: 0 success, 1 usage or invalid input, 2 curve not spectral at the
 detection tolerance, 3 verification failure.  Rationals cross the boundary
 as exact "n/m" strings.  All floating-point output is serialized at 17
 significant digits and carries no timestamps, so identical configuration and
-seed produce byte-identical files.
+arguments produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -114,6 +114,8 @@ def cmd_curve_info(args, cfg: RunConfig) -> int:
     try:
         alpha = _parse_complex(args.alpha)
         beta = _parse_complex(args.beta)
+        if args.max_den < 1:
+            raise ValueError("max-den must be at least 1")
         bp = BranchPair(alpha, beta)
         frame = build_frame(bp)
     except ValueError as exc:
@@ -164,7 +166,7 @@ def _write_level_set(mesh: LevelSetMesh, cfg: RunConfig, span: float, path: str,
         fh.write(f"# level set p={mesh.p} q={mesh.q} k_grid={len(mesh.k_values)} "
                  f"angle_grid={len(mesh.angle_values)} span={f17(span)} "
                  f"k_min={f17(cfg.k_min)} k_max={f17(cfg.k_max)} "
-                 f"angle_start={f17(cfg.angle_start)} seed={cfg.seed}\n")
+                 f"angle_start={f17(cfg.angle_start)}\n")
         if not mesh.complete:
             fh.write(f"# partial: {len(mesh.failures)} grid points failed\n")
         fh.write("p,q,k,u_tilde,v_tilde,re_alpha,im_alpha,re_beta,im_beta\n")
@@ -200,9 +202,13 @@ def cmd_level_set(args, cfg: RunConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     text = _solved_text(mesh)
-    _write_level_set(mesh, cfg, args.span, args.out, text)
-    if args.mesh:
-        _write_mesh_obj(mesh, args.mesh, text)
+    try:
+        _write_level_set(mesh, cfg, args.span, args.out, text)
+        if args.mesh:
+            _write_mesh_obj(mesh, args.mesh, text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     n_ok, n_bad = int(mesh.solved.sum()), len(mesh.failures)
     print(f"wrote {n_ok} records to {args.out}"
           + (f" ({n_bad} failures)" if n_bad else "")

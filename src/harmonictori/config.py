@@ -1,8 +1,8 @@
 """The run configuration: the settings a CLI user may change.
 
-``RunConfig`` holds the level-set solver and rational-detection tolerances,
-the sweep range and the seed, and mirrors the flat key=value config file
-accepted by the CLI (see ``load_config``).  ``DEFAULTS`` also supplies the
+``RunConfig`` holds the level-set solver and rational-detection tolerances
+and the sweep range, and mirrors the flat key=value config file accepted by
+the CLI (see ``load_config``).  ``DEFAULTS`` also supplies the
 library-side defaults of those settings.  Fixed numerical constants live at
 their single use in the modules.
 """
@@ -27,9 +27,6 @@ class RunConfig:
     k_min: float = 0.1
     k_max: float = 0.9
     angle_start: float = 0.1
-
-    # reporting: written to the level-set header
-    seed: int = 0
 
     def validate(self) -> None:
         for name in ("solver_tol", "detection_tol"):
@@ -67,7 +64,7 @@ def load_config(path: str | None = None) -> RunConfig:
             key, val = key.strip(), val.strip()
             if key not in known:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = int(val) if key == "seed" else float(val)
+            values[key] = float(val)
     cfg = RunConfig(**values)  # type: ignore[arg-type]
     cfg.validate()
     return cfg

@@ -10,7 +10,9 @@ On top of f sit the coordinates (p, k, u, v) with i u = f(1) and
 i v = f(-1), and their lifts (u~, v~) to the universal cover, where the deck
 transformation acts by half-turns of the rescaled angles.  The inverse map
 from coordinates to branch pairs is written once in real arithmetic and
-takes floats or numpy arrays, so a whole level-set leaf is mapped at once.
+takes floats or numpy arrays, so a whole level-set leaf is mapped at once;
+the chart value tan(x~/2) is finite at every float angle, so the same
+formulas serve the chart boundary.
 """
 
 from __future__ import annotations
@@ -188,11 +190,11 @@ class ModuliPoint:
 
     @property
     def u(self) -> float:
-        return math.tan(0.5 * self.u_tilde)
+        return _chart_value(self.u_tilde)
 
     @property
     def v(self) -> float:
-        return math.tan(0.5 * self.v_tilde)
+        return _chart_value(self.v_tilde)
 
 
 def forward_coords(bp: BranchPair) -> ModuliPoint:
@@ -214,17 +216,14 @@ def forward_coords(bp: BranchPair) -> ModuliPoint:
 
 
 def _chart_value(x_tilde: float) -> float:
-    """tan(x~/2); exact odd multiples of pi map to +inf (cot chart origin)."""
-    _, r = _reduce_turns(x_tilde)
-    if abs(r) == math.pi:
-        return math.inf
+    """tan(x~/2), finite at every float angle: at a float odd multiple of pi
+    it is below 1.7e16 in magnitude, signed by the side the float lies on."""
     return math.tan(0.5 * x_tilde)
 
 
 def _chart_value_array(x_tilde: np.ndarray) -> np.ndarray:
     """_chart_value on an array of angles."""
-    r = x_tilde - TWO_PI * np.floor((x_tilde + math.pi) / TWO_PI)
-    return np.where(np.abs(r) == math.pi, np.inf, _libm(math.tan, 0.5 * x_tilde))
+    return _libm(math.tan, 0.5 * x_tilde)
 
 
 def _where(cond, a, b):
@@ -241,29 +240,24 @@ def _divide(ar, ai, br, bi):
 
 
 def _center(p, k, u, v):
-    """(Re, Im) of z0 = f(0), the two-circle intersection; u or v = inf take limits."""
-    u_inf, v_inf = abs(u) == math.inf, abs(v) == math.inf
+    """(Re, Im) of z0 = f(0), the two-circle intersection, at finite chart
+    values u and v (floats or arrays)."""
     wu, wv = _w(u, k), _w(v, k)
     den = p * wv + wu
-    x = _where(u_inf, _sqrt(p * wv / k), _where(
-        v_inf, _sqrt(wu / (p * k)), _sqrt(p * wu * wv) * abs(u - v) / den))
-    y = _where(u_inf, v, _where(v_inf, u, (p * u * wv + v * wu) / den))
-    return x, y
+    return _sqrt(p * wu * wv) * abs(u - v) / den, (p * u * wv + v * wu) / den
 
 
 def _branch_parts(p, k, u, v):
     """Re and Im of alpha = nu_hat (1 - z0)/(1 + conj(z0)) and of beta, the
     same with 1/k for 1, where z0 = x + i y is _center and
-    nu_hat = (iu + conj(z0))/(iu - z0); u = inf takes its limit.
+    nu_hat = (iu + conj(z0))/(iu - z0), at finite chart values u and v.
 
     Real arithmetic on floats or arrays in the steps of CPython's complex
     arithmetic, so the scalar map, the level-set sweep and the complex form
     agree bit for bit (numpy's complex * and / differ in the last bit).
     """
     x, y = _center(p, k, u, v)
-    u_inf = abs(u) == math.inf
     nu_re, nu_im = _divide(x, u - y, -x, u - y)
-    nu_re, nu_im = _where(u_inf, 1.0, nu_re), _where(u_inf, 0.0, nu_im)
     parts = []
     for c in (1.0, 1.0 / k):
         m = c - x
@@ -275,8 +269,8 @@ def inverse_coords(mp: ModuliPoint) -> BranchPair:
     """Branch pair of a moduli point: z0 from the two-circle intersection,
     then alpha = f^{-1}(1), beta = f^{-1}(1/k).
 
-    Evaluation is overflow-safe through the infinity chart: tan never
-    overflows in double precision and actual infinities take limits.
+    Evaluation is overflow-safe: tan never overflows in double precision,
+    and the formulas stay accurate up to its largest values.
     """
     u, v = _chart_value(mp.u_tilde), _chart_value(mp.v_tilde)
     if u == v:

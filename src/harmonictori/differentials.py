@@ -470,7 +470,9 @@ def _theta_P_gamma_imag(k: float, x: float, z0: complex) -> float:
 
 def _chart_gamma_plus(mp: ModuliPoint) -> float:
     """Im of the gamma+ closing integral of theta_P at mp, from the chart's u and
-    z0 rather than the frame of inverse_coords(mp), with that route's checks."""
+    z0 rather than the frame of inverse_coords(mp), with that route's checks.
+    At a float odd multiple of pi it takes the side the float lies on (the
+    right of -pi and -3 pi, 4 pi off the left); monodromy_track absorbs that."""
     u, v = _chart_value(mp.u_tilde), _chart_value(mp.v_tilde)
     if u == v:
         raise ValueError(_OFF_CHART)

@@ -14,9 +14,10 @@ where each solve starts from the last and so skips the bracket probes, use
 it.  sweep_level_set solves a whole (k, angle) grid in lockstep on numpy
 arrays and maps it to branch pairs with the array form of inverse_coords,
 so a leaf comes back as grid arrays with no per-point Python.  The
-finite-chart algebra of T~ and dT~ is written once for both; only the angle
-reduction, the chart-boundary limits (of either angle, the held one
-included) and the Newton loop have an array twin.
+algebra of T~ and dT~ is written once for both: the chart value tan(x~/2)
+of a float angle is finite, the chart boundary included, so one formula
+serves every point.  Only the lifted integrals, the chart value and the
+Newton loop have an array twin.
 
 Note on normalization: T0 and T~ below are exactly the principal-branch
 formulas.  With these, the curves (a, -a) fixed by the inversion symmetry
@@ -57,9 +58,15 @@ def S_value(bp: BranchPair) -> float:
     return (abs(1.0 - a) * abs(1.0 - b)) / (abs(1.0 + a) * abs(1.0 + b))
 
 
-# The finite-chart algebra below takes floats or numpy arrays alike, so the
-# scalar functions and the batched solver share it.
-def _bracket_finite(p, k, u, v):
+# The chart algebra below takes floats or numpy arrays alike, so the scalar
+# functions and the batched solver share it.
+def _bracket(p, k, u, v):
+    """The algebraic part p(w(iv)/(u-v) + kv) + (w(iu)/(u-v) - ku).
+
+    Evaluated in a cancellation-free arrangement: each group is written as
+    [(1 + (1+k^2)x^2)/(w(ix) + k x^2) + k u v]/(u - v), exact algebra that
+    stays accurate for |u| or |v| up to the floating tan limit.
+    """
     kuv = k * u * v
     du = (1.0 + (1.0 + k * k) * u * u) / (_w(u, k) + k * u * u)
     dv = (1.0 + (1.0 + k * k) * v * v) / (_w(v, k) + k * v * v)
@@ -75,62 +82,25 @@ def _dt0_du(p, k, K, E, u, v):
     return 2.0 * (-duv * E + p * K * wu * wv + K * poly) / (math.pi * wu * duv)
 
 
-def _dt0_du_at_v_infinity(p, k, K, E, u):
-    """dT0/du as v -> +-inf, the limit of _dt0_du."""
-    wu = _w(u, k)
-    return 2.0 * (-E + p * k * K * wu + K * (1.0 + k * k * u * u)) / (math.pi * wu)
-
-
-def _dt0_du_array(p, k, K, E, u, v):
-    """_dt0_du on arrays of chart values, v = +-inf included."""
-    return np.where(np.isinf(v), _dt0_du_at_v_infinity(p, k, K, E, u),
-                    _dt0_du(p, k, K, E, u, v))
-
-
-def _dT_du_at_infinity(p, k, K, E, v):
-    """dT~/du~ at u~ in pi + 2 pi Z."""
-    return (-E + p * k * K * _w(v, k) + K * (1.0 + k * k * v * v)) / (math.pi * k)
-
-
-def _dT_dv_at_infinity(p, k, K, E, u):
-    """dT~/dv~ at v~ in pi + 2 pi Z."""
-    return -(-p * E + k * K * _w(u, k) + p * K * (1.0 + k * k * u * u)) / (math.pi * k)
-
-
-def _bracket(p: float, k: float, u: float, v: float) -> float:
-    """The algebraic part p(w(iv)/(u-v) + kv) + (w(iu)/(u-v) - ku).
-
-    Evaluated in a cancellation-free arrangement: each group is written as
-    [(1 + (1+k^2)x^2)/(w(ix) + k x^2) + k u v]/(u - v), exact algebra that
-    stays accurate for |u| or |v| up to the floating tan limit; literal
-    infinities take their finite limits.
-    """
-    if math.isinf(u):
-        return (p + 1.0) * k * v
-    if math.isinf(v):
-        return -(p + 1.0) * k * u
-    return _bracket_finite(p, k, u, v)
-
-
-def _bracket_array(p, k, u, v):
-    """_bracket on arrays of chart values."""
-    return np.where(np.isinf(u), (p + 1.0) * k * v,
-                    np.where(np.isinf(v), -(p + 1.0) * k * u,
-                             _bracket_finite(p, k, u, v)))
-
-
 def t0_raw(p: float, k: float, u: float, v: float) -> float:
     """Principal branch T0 in the (p, k, u, v) chart.
 
     2 pi T0 = 4p[E Im F(iv) - K Im(E(iv)-kiv)]
-            - 4 [E Im F(iu) - K Im(E(iu)-kiu)] - 4K * bracket(u, v).
+            - 4 [E Im F(iu) - K Im(E(iu)-kiu)] - 4K * bracket(u, v);
+    u or v = +-inf (nu = +-1) takes the bracket's limit (p + 1) k v or
+    -(p + 1) k u.
     """
     if u == v:
         raise ValueError("T0 is undefined on the diagonal u = v")
     K, E = complete_K(k), complete_E(k)
     (su, cu), (sv, cv) = _axis_angle(u), _axis_angle(v)
-    return _t_tilde(p, k, K, (E * _F(su, cu, k) - K * _E_reg(su, cu, k), u),
-                    (E * _F(sv, cv, k) - K * _E_reg(sv, cv, k), v))
+    fu = E * _F(su, cu, k) - K * _E_reg(su, cu, k)
+    fv = E * _F(sv, cv, k) - K * _E_reg(sv, cv, k)
+    if math.isinf(u) or math.isinf(v):
+        bracket = (p + 1.0) * k * (v if math.isinf(u) else -u)
+    else:
+        bracket = _bracket(p, k, u, v)
+    return (4.0 * p * fv - 4.0 * fu - 4.0 * K * bracket) / TWO_PI
 
 
 def T0_value(mp: ModuliPoint) -> float:
@@ -140,12 +110,16 @@ def T0_value(mp: ModuliPoint) -> float:
 def t_tilde_raw(p: float, k: float, u_tilde: float, v_tilde: float) -> float:
     """Single-valued lift of T along the universal cover.
 
-    Uses the lifted integrals in place of the incomplete ones; on the chart
-    boundary the algebraic bracket takes its explicit limit, so the function
-    is total.  Satisfies T~ = T0 + 2[p Wind(v~) - Wind(u~)] off the boundary.
+    Uses the lifted integrals in place of the incomplete ones and the chart
+    values tan(u~/2), tan(v~/2), which are finite at every float angle, so
+    the function is total off the diagonal u = v.  Satisfies
+    T~ = T0 + 2[p Wind(v~) - Wind(u~)].
     """
     K, E = complete_K(k), complete_E(k)
-    return _t_tilde(p, k, K, _level_part(k, K, E, u_tilde), _level_part(k, K, E, v_tilde))
+    terms_u, terms_v = _level_part(k, K, E, u_tilde), _level_part(k, K, E, v_tilde)
+    if terms_u[1] == terms_v[1]:
+        raise ValueError("T~ is undefined on the diagonal u = v")
+    return _t_tilde(p, k, K, terms_u, terms_v)
 
 
 def _level_part(k, K, E, x_tilde):
@@ -164,8 +138,7 @@ def _lifted_level_terms(k, K, E, Kp, KmEp, x_tilde):
 def _t_tilde(p, k, K, terms_u, terms_v):
     """T~ from the shares of u~ and v~, floats or (_lifted_level_terms) arrays."""
     (fu, u), (fv, v) = terms_u, terms_v
-    bracket = _bracket_array if isinstance(u, np.ndarray) else _bracket
-    return (4.0 * p * fv - 4.0 * fu - 4.0 * K * bracket(p, k, u, v)) / TWO_PI
+    return (4.0 * p * fv - 4.0 * fu - 4.0 * K * _bracket(p, k, u, v)) / TWO_PI
 
 
 def T_tilde(mp: ModuliPoint) -> float:
@@ -180,15 +153,12 @@ def dt0_du_raw(p: float, k: float, u: float, v: float) -> float:
           + K [1 + u^2 - uv + k^2 uv + v^2 + k^2 u^2 v^2];
     at v = +-inf it takes the limit 2(-E + p k K w(iu) + K(1 + k^2 u^2))/(pi w(iu)).
     """
-    return _dt0_du_scalar(p, k, complete_K(k), complete_E(k), u, v)
-
-
-def _dt0_du_scalar(p, k, K, E, u, v):
-    """dt0_du_raw given K(k) and E(k)."""
     if u == v:
         raise ValueError("derivative undefined on the diagonal u = v")
+    K, E = complete_K(k), complete_E(k)
     if math.isinf(v):
-        return _dt0_du_at_v_infinity(p, k, K, E, u)
+        wu = _w(u, k)
+        return 2.0 * (-E + p * k * K * wu + K * (1.0 + k * k * u * u)) / (math.pi * wu)
     return _dt0_du(p, k, K, E, u, v)
 
 
@@ -197,43 +167,31 @@ def dT0_du(mp: ModuliPoint) -> float:
 
 
 def dT_tilde_du_tilde(p: float, k: float, u_tilde: float, v_tilde: float) -> float:
-    """dT~/du~ = (1 + u^2)/2 * dT0/du, with the chart-boundary limit
-    (1/(pi k)) (-E + p k K w(iv) + K(1 + k^2 v^2)) at u~ in pi + 2 pi Z."""
+    """dT~/du~ = (1 + u^2)/2 * dT0/du at the chart values u = tan(u~/2) and
+    v = tan(v~/2), which are finite at every float angle."""
     u, v = _chart_value(u_tilde), _chart_value(v_tilde)
+    if u == v:
+        raise ValueError("derivative undefined on the diagonal u = v")
     return _dT_du(p, k, complete_K(k), complete_E(k), u, v)
 
 
 def _dT_du(p, k, K, E, u, v):
-    """dT_tilde_du_tilde at chart values u and v, given K(k) and E(k)."""
-    if math.isinf(u):
-        return _dT_du_at_infinity(p, k, K, E, v)
-    return 0.5 * (1.0 + u * u) * _dt0_du_scalar(p, k, K, E, u, v)
-
-
-def _dT_du_array(p, k, K, E, u, v):
-    """dT_tilde_du_tilde on arrays of chart values."""
-    return np.where(np.isinf(u), _dT_du_at_infinity(p, k, K, E, v),
-                    0.5 * (1.0 + u * u) * _dt0_du_array(p, k, K, E, u, v))
+    """dT_tilde_du_tilde at chart values u and v (floats or arrays), given K(k) and E(k)."""
+    return 0.5 * (1.0 + u * u) * _dt0_du(p, k, K, E, u, v)
 
 
 def dT_tilde_dv_tilde(p: float, k: float, u_tilde: float, v_tilde: float) -> float:
     """dT~/dv~, obtained from the u-derivative through the inversion symmetry
     T0(p,k,u,v) = -p T0(1/p,k,v,u)."""
     u, v = _chart_value(u_tilde), _chart_value(v_tilde)
+    if u == v:
+        raise ValueError("derivative undefined on the diagonal u = v")
     return _dT_dv(p, k, complete_K(k), complete_E(k), u, v)
 
 
 def _dT_dv(p, k, K, E, u, v):
-    """dT_tilde_dv_tilde at chart values u and v, given K(k) and E(k)."""
-    if math.isinf(v):
-        return _dT_dv_at_infinity(p, k, K, E, u)
-    return -0.5 * (1.0 + v * v) * p * _dt0_du_scalar(1.0 / p, k, K, E, v, u)
-
-
-def _dT_dv_array(p, k, K, E, u, v):
-    """dT_tilde_dv_tilde on arrays of chart values."""
-    return np.where(np.isinf(v), _dT_dv_at_infinity(p, k, K, E, u),
-                    -0.5 * (1.0 + v * v) * p * _dt0_du_array(1.0 / p, k, K, E, v, u))
+    """dT_tilde_dv_tilde at chart values u and v (floats or arrays), given K(k) and E(k)."""
+    return -0.5 * (1.0 + v * v) * p * _dt0_du(1.0 / p, k, K, E, v, u)
 
 
 class LevelSolveError(RuntimeError):
@@ -359,8 +317,8 @@ def _solve_level_grid(p: float, q: float, ks: list[float], angles: list[float],
         """dT~ along the free angle at chart value ``chart`` for the grid points idx."""
         k, K, E = consts[:3, idx]
         if solve_for_u:
-            return _dT_du_array(p, k, K, E, chart, fixed_chart[idx])
-        return _dT_dv_array(p, k, K, E, fixed_chart[idx], chart)
+            return _dT_du(p, k, K, E, chart, fixed_chart[idx])
+        return _dT_dv(p, k, K, E, fixed_chart[idx], chart)
 
     n = fixed.size
     solved = np.full(n, np.nan)

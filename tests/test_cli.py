@@ -70,6 +70,14 @@ class TestCurveInfo:
         assert message in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("max_den", ["0", "-3"])
+    def test_max_den_below_one_invalid(self, capsys, max_den):
+        assert main(["curve-info", "--alpha", "0.3,0.0", "--beta=-0.3,0.0",
+                     f"--max-den={max_den}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: max-den must be at least 1\n"
+        assert captured.out == ""
+
 
 class TestLevelSet:
     def test_output_and_round_trip(self, tmp_path, capsys):
@@ -127,6 +135,18 @@ class TestLevelSet:
         assert code == 1
         assert captured.err == f"error: {message}\n"
         assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("target", ["out", "mesh"])
+    def test_unwritable_output_is_an_error(self, tmp_path, capsys, target):
+        paths = {"out": str(tmp_path / "x.csv"), "mesh": str(tmp_path / "x.obj")}
+        paths[target] = str(tmp_path / "missing" / f"x.{target}")
+        code = main(["level-set", "--p", "1/1", "--q", "0/1", "--k-grid", "3",
+                     "--angle-grid", "4", "--span", "1.0",
+                     "--out", paths["out"], "--mesh", paths["mesh"]])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: ") and paths[target] in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("span", ["nan", "inf", "-inf"])
     def test_non_finite_span_rejected(self, tmp_path, capsys, span):
@@ -262,6 +282,10 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "5/5 invariants passed" in out
 
+    def test_all_suites(self, capsys):
+        assert main(["verify", "--suite", "all"]) == 0
+        assert "21/21 invariants passed" in capsys.readouterr().out
+
     def test_nan_residual_fails(self, monkeypatch, capsys):
         from harmonictori import verify
         monkeypatch.setattr(verify, "legendre_defect", lambda k: math.nan)
@@ -279,12 +303,12 @@ class TestVerify:
 class TestConfig:
     def test_env_config(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text("k_min = 0.2\nk_max = 0.7\nseed = 9\n# comment\n")
+        cfg_file.write_text("k_min = 0.2\nk_max = 0.7\nangle_start = 1.5\n# comment\n")
         old = os.environ.get(CONFIG_ENV_VAR)
         os.environ[CONFIG_ENV_VAR] = str(cfg_file)
         try:
             cfg = load_config()
-            assert (cfg.k_min, cfg.k_max, cfg.seed) == (0.2, 0.7, 9)
+            assert (cfg.k_min, cfg.k_max, cfg.angle_start) == (0.2, 0.7, 1.5)
         finally:
             if old is None:
                 os.environ.pop(CONFIG_ENV_VAR, None)
@@ -299,7 +323,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("key", [
         "quad_abs_tol", "contour_rel_tol", "clearance", "boundary_eps",
-        "max_den", "k_grid", "angle_grid", "out_path", "mesh_path",
+        "max_den", "k_grid", "angle_grid", "out_path", "mesh_path", "seed",
     ])
     def test_removed_key_rejected(self, tmp_path, key):
         cfg_file = tmp_path / "old.cfg"

@@ -701,7 +701,7 @@ class TestChartRoute:
             assert abs(value - below) < 1e-6
 
     def test_continuous_from_the_left_where_the_frame_breaks(self):
-        # u~ is the float 3 pi (tan(u~/2) = 5.4e15, chart value inf): the round
+        # u~ is the float 3 pi (chart value tan(u~/2) = 5.4e15): the round
         # trip gives nu = 0.9999999999999999, frame.u = -0.5 and -0.752 rather
         # than the left limit 5.836
         mp = ModuliPoint(1.0, 0.45491254410216786, 9.42477796076938, 12.273052843795298)

@@ -6,6 +6,7 @@ import re
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -170,7 +171,7 @@ class TestDerivative:
             assert dt0_du_raw(mp.p, mp.k, u, v) == pytest.approx(fd, rel=1e-6)
 
     def test_boundary_limit_form(self):
-        # the u~ = pi limit matches neighbouring finite-chart values
+        # at u~ = pi, dT~/du~ matches its neighbours and the u -> inf limit
         p, k = 1.5, 0.45
         vt = math.pi + 1.2
         at_boundary = dT_tilde_du_tilde(p, k, math.pi, vt)
@@ -186,9 +187,8 @@ class TestDerivative:
     @pytest.mark.parametrize("p, held", [(1 / 3, "u"), (1.0, "u"), (2.0, "v"), (5 / 2, "v")])
     def test_held_angle_on_the_boundary(self, p, held):
         # dT~ along the free angle while the held angle sits at u~ or v~ = pi
-        # (v or u = inf): the limit of dT0/du as v -> inf and its mirror,
-        # against the derivative and a one-sided difference quotient with
-        # the held angle at pi - h
+        # (v or u = tan(pi/2) = 1.6e16), against the derivative and a
+        # one-sided difference quotient with the held angle at pi - h
         k, h, step = 0.5, 1e-8, 1e-6
         if held == "u":
             free = math.pi + 0.2
@@ -216,11 +216,10 @@ class TestDerivative:
         K, E = complete_K(k), complete_E(k)
         free = np.array([0.3, 1.7, 2.9])
         pi = np.full(3, math.pi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            du = moduli._dT_du_array(p, k, K, E, moduli._chart_value_array(free - 2 * math.pi),
-                                     moduli._chart_value_array(pi))
-            dv = moduli._dT_dv_array(p, k, K, E, moduli._chart_value_array(pi),
-                                     moduli._chart_value_array(free + math.pi))
+        du = moduli._dT_du(p, k, K, E, moduli._chart_value_array(free - 2 * math.pi),
+                           moduli._chart_value_array(pi))
+        dv = moduli._dT_dv(p, k, K, E, moduli._chart_value_array(pi),
+                           moduli._chart_value_array(free + math.pi))
         assert du.tolist() == [dT_tilde_du_tilde(p, k, x - 2 * math.pi, math.pi) for x in free]
         assert dv.tolist() == [dT_tilde_dv_tilde(p, k, math.pi, x + math.pi) for x in free]
         assert np.isfinite(du).all() and np.isfinite(dv).all()
@@ -238,6 +237,77 @@ class TestDerivative:
         mp = solve_level(p, 0.37, 0.5, math.pi)
         assert 0 < len(calls) <= 12
         assert abs(t_tilde_raw(p, 0.5, mp.u_tilde, mp.v_tilde) - 0.37) < DEFAULTS.solver_tol
+
+
+def t_tilde_reference(p, k, u_tilde, v_tilde):
+    """T~ at the float angles by mpmath at 50 digits, bracket written literally.
+
+    The lifted integrals come from the Jacobi imaginary transformation at
+    m = k'^2 with theta = x~/2: F~ = F(theta | m) and
+    E~ = F(theta | m) - E(theta | m) + m sin cos / (sqrt(1 - m sin^2) + k).
+    At a chart value of 1.6e16 the literal bracket cancels about 16 digits,
+    which 50 digits leave room for.
+    """
+    with mpmath.workdps(50):
+        p, k = mpmath.mpf(p), mpmath.mpf(k)
+        m = 1 - k * k
+        K, E = mpmath.ellipk(k * k), mpmath.ellipe(k * k)
+
+        def share(x_tilde):
+            theta = mpmath.mpf(x_tilde) / 2
+            s, c = mpmath.sin(theta), mpmath.cos(theta)
+            F = mpmath.ellipf(theta, m)
+            E_reg = F - mpmath.ellipe(theta, m) + m * s * c / (mpmath.sqrt(1 - m * s * s) + k)
+            return E * F - K * E_reg, mpmath.tan(theta)
+        (fu, u), (fv, v) = share(u_tilde), share(v_tilde)
+        wu = mpmath.sqrt((1 + u * u) * (1 + k * k * u * u))
+        wv = mpmath.sqrt((1 + v * v) * (1 + k * k * v * v))
+        bracket = p * (wv / (u - v) + k * v) + (wu / (u - v) - k * u)
+        return float((4 * p * fv - 4 * fu - 4 * K * bracket) / (2 * mpmath.pi))
+
+
+class TestChartBoundary:
+    """Float odd multiples of pi take the finite chart value tan(x~/2)."""
+
+    @pytest.mark.parametrize("held", ["u", "v"])
+    def test_t_tilde_against_mpmath_at_odd_multiples_of_pi(self, held):
+        rng = np.random.default_rng(23)
+        worst = 0.0
+        for _ in range(60):
+            p = float(rng.uniform(0.2, 4.0))
+            k = float(10.0 ** rng.uniform(-6.0, math.log10(0.99)))
+            odd = math.pi * (2 * int(rng.integers(-2, 2)) + 1)
+            other = float(rng.uniform(1e-3, 2 * math.pi - 1e-3))
+            ut, vt = (odd, odd + other) if held == "u" else (odd - other, odd)
+            ref = t_tilde_reference(p, k, ut, vt)
+            worst = max(worst, abs(t_tilde_raw(p, k, ut, vt) - ref) / max(1.0, abs(ref)))
+        assert worst < 1e-13
+
+    def test_solves_with_the_held_angle_on_the_boundary_land_on_their_level(self):
+        # small k, where the boundary's chart value and the bracket's
+        # cancellation are largest; a solve may still fail where no float
+        # angle lies within solver_tol of the root
+        rng = np.random.default_rng(29)
+        cases = [(2.5, 1.5, 1e-6, 3 * math.pi)] + [
+            (float(rng.choice([1 / 3, 1.0, 2.5, float(rng.uniform(0.2, 4.0))])),
+             float(rng.uniform(-3.0, 3.0)), float(10.0 ** rng.uniform(-8.0, -3.0)),
+             math.pi * (2 * int(rng.integers(-2, 2)) + 1)) for _ in range(80)]
+        solved = 0
+        for p, q, k, angle in cases:
+            try:
+                mp = solve_level(p, q, k, angle)
+            except LevelSolveError:
+                continue
+            solved += 1
+            assert abs(t_tilde_reference(p, k, mp.u_tilde, mp.v_tilde) - q) <= (
+                DEFAULTS.solver_tol + 1e-12), (p, q, k, angle)
+        assert solved > len(cases) // 2
+
+    @pytest.mark.parametrize("angle", [0.7, math.pi, -3 * math.pi])
+    @pytest.mark.parametrize("fn", [t_tilde_raw, dT_tilde_du_tilde, dT_tilde_dv_tilde])
+    def test_lifted_functions_reject_the_diagonal(self, fn, angle):
+        with pytest.raises(ValueError, match="diagonal"):
+            fn(1.5, 0.5, angle, angle)
 
 
 def reference_solve(p, q, k, fixed_angle, tol=DEFAULTS.solver_tol):
