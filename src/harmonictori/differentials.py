@@ -10,14 +10,14 @@ w^2 = Q(z) = (1 - z^2)(1 - k^2 z^2) and the interesting differentials are
     theta_P  = 2E omega - 2K epsilon         (periods 0 and 2 pi i)
 
 Contour integration refines a composite Gauss rule by doubling, tracking the
-sheet of w by nearest continuation, for all open segments of a path at once
-in blocks of up to 4096 nodes.  Homology representatives are rectangles
-crossing the real axis inside the gaps between branch points, and the
-closing paths join the two points over zeta = +-1 while winding once around
-z = 1, following the principal route.  Integrals of the period-normalized
-differential over those paths have the closed forms used by the
-moduli-space level function, and the quadrature here is the independent
-check of them.
+sheet of w by nearest continuation, for all open segments of all contours of
+a frame at once, in blocks of up to 4096 nodes.  Homology representatives
+are rectangles crossing the real axis inside the gaps between branch points,
+and the closing paths join the two points over zeta = +-1 while winding once
+around z = 1, following the principal route.  Integrals of the
+period-normalized differential over those paths have the closed forms used
+by the moduli-space level function, and the quadrature here is the
+independent check of them.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ class ContinuationError(RuntimeError):
 
 
 class PoleError(ValueError):
-    """A double pole of the differentials sits on a branch point."""
+    """A double pole of the differentials sits on, or too near, a branch point."""
 
 
 def eta_plus(zeta: complex, bp: BranchPair) -> complex:
@@ -354,32 +354,34 @@ def _blocks(segs: list[_Segment]) -> list[list[_Segment]]:
 
 
 def _sweep(geom: _Geometry, integrand, segs: list[_Segment]) -> None:
-    """One refinement level of a block of segments, with one sheet track and
-    one integrand call: each composite 16-point Gauss rule of nsub panels (its
-    nodes, then z2) is tracked from the principal sqrt(Q(z1)).  An ambiguous
-    track doubles that segment's nsub; otherwise its open values take the
-    freeze test, and once none is left open the segment keeps its end."""
+    """One refinement level of a block of segments, with one sheet track, one
+    integrand call and one Gauss reduction: each composite 16-point rule of
+    nsub panels (its nodes, then z2) is tracked from the principal sqrt(Q(z1)).
+    An ambiguous track doubles that segment's nsub; otherwise its open values
+    take the freeze test, and once none is left open the segment keeps its end."""
     nsub = np.array([seg.nsub for seg in segs])
     half = [0.5 * (seg.z2 - seg.z1) / seg.nsub for seg in segs]
     halves = np.repeat(half, nsub)
-    panel = np.arange(nsub.sum()) - np.repeat(np.cumsum(nsub) - nsub, nsub)
+    lo = np.cumsum(nsub) - nsub  # each segment's first panel
+    panel = np.arange(nsub.sum()) - np.repeat(lo, nsub)
     mids = np.repeat([seg.z1 for seg in segs], nsub) + halves * (2 * panel + 1)
     nodes = (mids[:, None] + halves[:, None] * _GAUSS_X).ravel()
-    firsts = np.cumsum(16 * nsub) - 16 * nsub  # of each segment's nodes
+    firsts = 16 * lo  # of each segment's nodes
     heads = firsts + np.arange(len(segs))  # the same in zs, where z2 follows them
     ends = heads + 16 * nsub
     zs = np.insert(nodes, firsts + 16 * nsub, [seg.z2 for seg in segs])
     starts = np.sqrt(geom.Q(np.array([seg.z1 for seg in segs])))
     s, sign, bad = _track_runs(geom, zs, starts, heads)
     f = integrand(nodes, np.delete(s * sign, ends))
+    sums = np.add.reduceat(np.reshape(f, (len(f), -1, 16)) @ _GAUSS_W, lo, axis=1)
     ambiguous = np.logical_or.reduceat(bad, heads)
-    for seg, h, lo, e, failed in zip(segs, half, firsts, ends, ambiguous):
+    for seg, h, total, e, failed in zip(segs, half, sums.T, ends, ambiguous):
         if failed:
             seg.nsub *= 2
             continue
         still = []
         for i in seg.open_:
-            val = complex(h * (f[i][lo:lo + 16 * seg.nsub].reshape(-1, 16) @ _GAUSS_W).sum())
+            val = complex(h * total[i])
             old = seg.vals[i]
             if old is None or not abs(val - old) <= max(1e-13, 1e-10 * max(abs(val), 1.0)):
                 still.append(i)
@@ -391,33 +393,47 @@ def _sweep(geom: _Geometry, integrand, segs: list[_Segment]) -> None:
             seg.end = (s[e], sign[e])
 
 
-def _integrate(geom: _Geometry, integrand, count: int,
-               path: PathSpec) -> tuple[list[complex], complex]:
-    """Integrate the count outputs of integrand(z, w) dz along the path;
-    returns (values, final w).
+def _integrate(geom: _Geometry, integrand, count: int, *paths: PathSpec) -> list:
+    """Integrate the count outputs of integrand(z, w) dz along each path;
+    returns each path's (values, final w).  A path with a segment that did
+    not settle has its ContinuationError for each value (_settled raises it
+    where the value is read) and None for w.
 
-    Each of at most 13 levels refines all open segments together, in blocks
-    (_sweep); nsub starts at 4 to 64 by length.  The sheets of the segments
-    are chained along the path afterwards, exact as the integrands are odd
-    in w.  A value freezes at the first level where two successive rules
-    agree to 1e-10 relative (1e-13 absolute), bit for bit as if integrated
-    alone and one segment after the other.
+    Each of at most 13 levels refines the open segments of all paths
+    together, in blocks (_sweep); nsub starts at 2 to 32 by length.  The
+    sheets of the segments are chained along each path afterwards, exact as
+    the integrands are odd in w.  A value freezes at the first level where
+    two successive rules agree to 1e-10 relative (1e-13 absolute), bit for
+    bit as if integrated alone, path by path and one segment after the other.
     """
-    segs = [_Segment(z1, z2, max(4, min(64, int(abs(z2 - z1) / 0.25) + 1)),
-                     [None] * count, list(range(count)))
-            for z1, z2 in zip(path.points[:-1], path.points[1:]) if z1 != z2]
+    per_path = [[_Segment(z1, z2, max(2, min(32, int(abs(z2 - z1) / 0.5) + 1)),
+                          [None] * count, list(range(count)))
+                 for z1, z2 in zip(path.points[:-1], path.points[1:]) if z1 != z2]
+                for path in paths]
     for _ in range(13):
-        for block in _blocks([seg for seg in segs if seg.end is None]):
+        for block in _blocks([seg for segs in per_path for seg in segs if seg.end is None]):
             _sweep(geom, integrand, block)
-    sign, w = float(path.sheet), path.sheet * cmath.sqrt(geom.Q(path.points[0]))
-    totals = [0.0 + 0.0j] * count
-    for seg in segs:
-        if seg.end is None:
-            raise ContinuationError(f"no quadrature convergence on [{seg.z1!r}, {seg.z2!r}]")
-        totals = [t + (v if sign > 0 else -v) for t, v in zip(totals, seg.vals)]
-        sign *= seg.end[1]
-        w = complex(seg.end[0] * sign)
-    return totals, w
+    out = []
+    for path, segs in zip(paths, per_path):
+        sign, w = float(path.sheet), path.sheet * cmath.sqrt(geom.Q(path.points[0]))
+        totals = [0.0 + 0.0j] * count
+        for seg in segs:
+            if seg.end is None:
+                error = ContinuationError(f"no quadrature convergence on [{seg.z1!r}, {seg.z2!r}]")
+                totals, w = [error] * count, None
+                break
+            totals = [t + (v if sign > 0 else -v) for t, v in zip(totals, seg.vals)]
+            sign *= seg.end[1]
+            w = complex(seg.end[0] * sign)
+        out.append((totals, w))
+    return out
+
+
+def _settled(value):
+    """A quadrature value, or raise the ContinuationError recorded in its place."""
+    if isinstance(value, ContinuationError):
+        raise value
+    return value
 
 
 def contour_integral(kind: str, path: PathSpec, frame: JacobiFrame) -> complex:
@@ -435,8 +451,8 @@ def contour_integral(kind: str, path: PathSpec, frame: JacobiFrame) -> complex:
         centers += list(geom.poles)
     _check_clearance(path, centers)
     coeff = geom.coefficient(kind)
-    (value,), _ = _integrate(geom, lambda z, w: (coeff(z, w),), 1, path)
-    return value
+    [((value,), _)] = _integrate(geom, lambda z, w: (coeff(z, w),), 1, path)
+    return _settled(value)
 
 
 def _theta_P_gamma_value(sign: int, frame: JacobiFrame) -> complex:
@@ -456,7 +472,7 @@ def _theta_P_gamma_imag(k: float, x: float, z0: complex) -> float:
     """Im of _theta_P_gamma_value at the endpoint chart value x."""
     K, E = complete_K(k), complete_E(k)
     x0, y0 = z0.real, z0.imag
-    if math.isinf(x):
+    if abs(x) > 1e150:  # G = -k y0 + O(1/x); x^2 would overflow
         G = -k * y0
     else:
         W = w_imag(x, k)
@@ -497,15 +513,18 @@ def theta_P_gamma_closed(sign: int, frame: JacobiFrame) -> complex:
     return _theta_P_gamma_value(sign, frame)
 
 
-def gamma_closing_values(frame: JacobiFrame) -> dict[tuple[str, int], complex]:
-    """Closing integrals of theta_E and theta_P over both principal paths.
+def gamma_closing_values(frame: JacobiFrame) -> dict[tuple[str, int | str], complex]:
+    """Integrals of theta_E and theta_P over both principal closing paths,
+    keyed (kind, +1 or -1), and over loops A and B, keyed (kind, "A" or "B").
 
-    Contour quadrature is used where the paths exist, one pass over each
-    path for the pair; when an endpoint sits at infinity (nu within the
-    guard of +-1) the closed-form limit stands in.
+    Contour quadrature integrates the pair over every contour in one pass;
+    when a closing endpoint sits at infinity (nu within the guard of +-1)
+    the closed-form limit stands in.  theta_E over a closing path is its
+    closed form, checked against the quadrature.  A loop period that did
+    not settle is its ContinuationError, raised where the checklist reads it.
     """
     geom = _Geometry(frame)
-    out: dict[tuple[str, int], complex] = {}
+    out, paths = {}, {}
     for s in (1, -1):
         out[("theta_E", s)] = theta_E_gamma(s, frame.pair)
         try:
@@ -514,10 +533,15 @@ def gamma_closing_values(frame: JacobiFrame) -> dict[tuple[str, int], complex]:
         except PathError:
             out[("theta_P", s)] = _theta_P_gamma_value(s, frame)
             continue
-        (quad_E, quad_P), _ = _integrate(geom, geom.pair(), 2, path)
-        if abs(quad_E - out[("theta_E", s)]) > 1e-6:
+        paths[s] = path
+    paths.update(A=loop_A(frame), B=loop_B(frame))
+    for key, (values, _) in zip(paths, _integrate(geom, geom.pair(), 2, *paths.values())):
+        if key in ("A", "B"):
+            out[("theta_E", key)], out[("theta_P", key)] = values
+            continue
+        quad_E, out[("theta_P", key)] = map(_settled, values)
+        if abs(quad_E - out[("theta_E", key)]) > 1e-6:
             raise ContinuationError(f"gamma path quadrature inconsistent: {quad_E!r}")
-        out[("theta_P", s)] = quad_P
     return out
 
 
@@ -526,12 +550,14 @@ def gamma_closing_values(frame: JacobiFrame) -> dict[tuple[str, int], complex]:
 
 def _pole_radius(geom: _Geometry, center: complex) -> float:
     """Laurent sampling radius at a center: 0.05, or 0.3 of the distance to
-    the nearest other branch point or pole when that is smaller."""
+    the nearest other branch point or pole when that is smaller.  Rounding
+    the samples moves the normalized residue by about 2e-17 max(1, |center|) / rho,
+    so rho below 1e-6 max(1, |center|) is refused like a pole on a branch point."""
     others = list(geom.branch_points) + \
         [p for p in geom.poles if abs(p - center) > 1e-12]
     rho = min(0.05, 0.3 * min(abs(center - c) for c in others))
-    if not rho > 0.0:
-        raise PoleError(f"double pole {center!r} sits on a branch point")
+    if not rho > 1e-6 * max(1.0, abs(center)):
+        raise PoleError(f"double pole {center!r} sits on a branch point (radius {rho:.1e})")
     return rho
 
 
@@ -592,7 +618,7 @@ class ClosingData:
     gamma_plus: int
     gamma_minus: int
     residual: float
-    #: (frame, gamma_closing_values) the integers were rounded from
+    #: (frame, gamma_closing_values(frame)): closing integrals and loop periods
     gamma_integrals: tuple | None = field(default=None, compare=False, repr=False)
 
 
@@ -612,9 +638,10 @@ def construct_psi(S: Fraction, T: Fraction, frame: JacobiFrame) -> ClosingData:
     arithmetic then runs on the principal representative.  The four closing
     integrals are evaluated by contour quadrature (gamma_closing_values),
     rounded to integers, and the largest rounding residual is reported; the
-    basis integrals are kept in ``gamma_integrals`` with the frame, for the
-    checklist to reuse.  The measured S and T must match to 1e-9 relative,
-    and each closing integral must lie within 1e-6 of its integer.
+    basis integrals and loop periods are kept in ``gamma_integrals`` with
+    the frame, for the checklist to reuse (and to report a loop that did
+    not settle).  The measured S and T must match to 1e-9 relative, and
+    each closing integral must lie within 1e-6 of its integer.
     """
     S, T = Fraction(S), Fraction(T)
     n, m = S.numerator, S.denominator
@@ -773,10 +800,10 @@ def hitchin_checklist(frame: JacobiFrame, closing: ClosingData | None = None,
 
     Runs on the constructed minimal closing pair when given, otherwise on
     the raw pair (theta_E, theta_P), whose closing integrals are generally
-    not integral; that failure shows up in the closing entry.  That entry
-    reuses the gamma integrals construct_psi rounded when the closing was
-    built on this frame (the same quadrature, computed once) and integrates
-    the paths otherwise; loops A and B take one pass each for the pair.  The
+    not integral; that failure shows up in the closing entry.  The period
+    and closing entries form psi_E = a theta_E and psi_P = b theta_E +
+    l theta_P from the integrals construct_psi kept when the closing was
+    built on this frame, or else from one pass over every contour.  The
     quaternionic line-bundle condition is a one-parameter choice that this
     library does not construct; it is reported as a note.
     """
@@ -796,7 +823,6 @@ def hitchin_checklist(frame: JacobiFrame, closing: ClosingData | None = None,
     entries.append(ChecklistEntry("P2 no circle zeros", 0.0 if margin > 0 else 1.0,
                                   f"distance of branch points to circle: {margin:.3e}"))
 
-    names = ("theta_E", "theta_P") if closing is None else ("psi_E", "psi_P")
     pair = geom.pair(closing)
     pole_res = 0.0
     for center in geom.poles:  # one circle and one sheet track for the pair
@@ -826,35 +852,29 @@ def hitchin_checklist(frame: JacobiFrame, closing: ClosingData | None = None,
     entries.append(ChecklistEntry("P5 reality", float(rho_res),
                                   "rho* theta = -conj(theta) on samples"))
 
-    periods = {lname: _integrate(geom, pair, 2, loop)[0]
-               for lname, loop in (("A", loop_A(frame)), ("B", loop_B(frame)))}
-    imag_res = int_res = 0.0
-    details = []
-    for j, name in enumerate(names):
-        for lname in ("A", "B"):
-            val = periods[lname][j]
-            imag_res = max(imag_res, abs(val.real) / TWO_PI)
-            t = val.imag / TWO_PI
-            int_res = max(int_res, abs(t - round(t)))
-            details.append(f"{name}.{lname}={round(t)}")
-    entries.append(ChecklistEntry("P6 imaginary periods", float(imag_res),
-                                  "Re of periods / 2 pi"))
-    entries.append(ChecklistEntry("P7 periods in 2 pi i Z", float(int_res),
-                                  ", ".join(details)))
-
-    close_res = 0.0
-    details = []
     built_on, gvals = (closing and closing.gamma_integrals) or (None, None)
     if built_on != frame:
         gvals = gamma_closing_values(frame)
-    for s in (1, -1):
-        thE, thP = gvals[("theta_E", s)], gvals[("theta_P", s)]
+
+    def integrals(key):
+        thE, thP = (_settled(gvals[(kind, key)]) for kind in ("theta_E", "theta_P"))
         if closing is None:
-            vals = {"theta_E": thE, "theta_P": thP}
-        else:
-            vals = {"psi_E": closing.a * thE,
-                    "psi_P": closing.b * thE + closing.l * thP}
-        for name, val in vals.items():
+            return {"theta_E": thE, "theta_P": thP}
+        return {"psi_E": closing.a * thE, "psi_P": closing.b * thE + closing.l * thP}
+
+    loops = {lname: integrals(lname) for lname in ("A", "B")}
+    periods = [(f"{name}.{lname}", loops[lname][name] / TWO_PI)
+               for name in loops["A"] for lname in loops]
+    entries.append(ChecklistEntry("P6 imaginary periods",
+                                  max(abs(t.real) for _, t in periods), "Re of periods / 2 pi"))
+    entries.append(ChecklistEntry("P7 periods in 2 pi i Z",
+                                  max(abs(t.imag - round(t.imag)) for _, t in periods),
+                                  ", ".join(f"{label}={round(t.imag)}" for label, t in periods)))
+
+    close_res = 0.0
+    details = []
+    for s in (1, -1):
+        for name, val in integrals(s).items():
             t = val / (2j * math.pi)
             close_res = max(close_res, abs(t - round(t.real)))
             details.append(f"{name}.gamma{'+' if s == 1 else '-'}={t.real:.6f}")

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from harmonictori import curves, differentials, moduli
 from harmonictori.curves import (
@@ -14,7 +15,8 @@ from harmonictori.curves import (
 )
 from harmonictori.differentials import (
     _BLOCK, _GAUSS_W, _GAUSS_X, ContinuationError, PathError, PathSpec, PoleError,
-    _Geometry, _Segment, _chart_gamma_plus, _integrate, _sweep, _theta_P_gamma_value,
+    _Geometry, _Segment, _chart_gamma_plus, _integrate, _sweep, _theta_P_gamma_imag,
+    _theta_P_gamma_value,
     _track_sheet, construct_psi, contour_integral,
     eta_plus, gamma0_path, gamma_closing_values, hitchin_checklist, laurent_coefficients, loop_A,
     loop_B, monodromy_track, theta_E_gamma, theta_P_characterization_check,
@@ -225,7 +227,7 @@ class TestSheetTracking:
         val = contour_integral("omega", path, fr)
         assert val == pytest.approx(4 * complete_K(fr.k), abs=1e-8)
         (ref,), w_ref = reference_integrate(geom, [omega], path)
-        (new,), w_new = _integrate(geom, lambda z, w: (omega(z, w),), 1, path)
+        [((new,), w_new)] = _integrate(geom, lambda z, w: (omega(z, w),), 1, path)
         assert (bits(new), bits(w_new)) == (bits(ref), bits(w_ref))
 
 
@@ -238,8 +240,9 @@ def spectral_frame(S, T, k=0.5, angle=0.3):
 
 
 # The quadrature as it was before the block sweep: one walk per segment and
-# level, each segment tracked from the w where the previous one ended.  The
-# block sweep must give its values and final w bit for bit.
+# level, each segment tracked from the w where the previous one ended and its
+# panel sums added by np.add.reduceat, as the block's one reduction adds them.
+# The block sweep must give its values and final w bit for bit.
 
 def reference_track_sheet(geom, zs, w0):
     s = np.sqrt(geom.Q(zs))
@@ -259,8 +262,9 @@ def reference_walk_segment(geom, coeffs, z1, z2, w_start, nsub):
     mids = z1 + half * (2 * np.arange(nsub) + 1)
     zs = np.append((mids[:, None] + half * _GAUSS_X).ravel(), z2)
     w = reference_track_sheet(geom, zs, w_start)
-    return [complex(half * (coeff(zs[:-1], w[:-1]).reshape(nsub, len(_GAUSS_W))
-                            @ _GAUSS_W).sum()) for coeff in coeffs], complex(w[-1])
+    return [complex(half * np.add.reduceat(coeff(zs[:-1], w[:-1]).reshape(nsub, len(_GAUSS_W))
+                                           @ _GAUSS_W, [0])[0])
+            for coeff in coeffs], complex(w[-1])
 
 
 def reference_integrate(geom, coeffs, path, walk=reference_walk_segment):
@@ -269,7 +273,7 @@ def reference_integrate(geom, coeffs, path, walk=reference_walk_segment):
     for z1, z2 in zip(path.points[:-1], path.points[1:]):
         if z1 == z2:
             continue
-        nsub = max(4, min(64, int(abs(z2 - z1) / 0.25) + 1))
+        nsub = max(2, min(32, int(abs(z2 - z1) / 0.5) + 1))
         vals, open_ = [None] * len(coeffs), range(len(coeffs))
         for _ in range(13):
             try:
@@ -322,11 +326,13 @@ SMALL_K = spectral_frame(1, 1, k=0.05)  # its gamma- levels span several blocks
 
 class TestFusedQuadrature:
     def test_pair_equals_lone_integrations(self, monkeypatch):
-        # one sweep per block for both coefficients of the pair gives each
-        # value, and the final w, bit for bit as the per-segment walks of one
-        # coefficient at a time do, also when one value freezes at a coarser
-        # level than the other (the gamma paths of the symmetric-annulus
-        # curve at k = 0.75)
+        # one pass over both gamma paths and loops A and B, one sweep per
+        # block for both coefficients of the pair, gives each path's values,
+        # and its final w, bit for bit as that path integrated alone and as
+        # the per-segment walks of one coefficient at a time do, also when one
+        # value freezes at a coarser level than the other (the gamma paths of
+        # the symmetric-annulus curve at k = 0.75) and when a level spans
+        # several blocks (SMALL_K)
         one_open = [0]  # segment levels that refined one value only
 
         def counted(geom, integrand, segs):
@@ -336,15 +342,20 @@ class TestFusedQuadrature:
         frames = [random_frame() for _ in range(6)] + [spectral_frame(1, 1, k=0.75), SMALL_K]
         for fr in frames:
             geom = _Geometry(fr)
-            for path in (loop_A(fr), loop_B(fr), gamma0_path(1, fr), gamma0_path(-1, fr)):
-                values, w_end = _integrate(geom, geom.pair(), 2, path)
+            paths = (gamma0_path(1, fr), gamma0_path(-1, fr), loop_A(fr), loop_B(fr))
+            together = _integrate(geom, geom.pair(), 2, *paths)
+            assert len(together) == len(paths)
+            for path, (values, w_end) in zip(paths, together):
+                [(lone_pair, w_pair)] = _integrate(geom, geom.pair(), 2, path)
+                assert ([bits(v) for v in values], bits(w_end)) == (
+                    [bits(v) for v in lone_pair], bits(w_pair))
                 for kind, coeff, value in zip(("theta_E", "theta_P"),
                                               reference_coefficients(geom), values):
                     (ref,), w_ref = reference_integrate(geom, [coeff], path)
                     assert bits(value) == bits(ref)
                     assert bits(w_end) == bits(w_ref)
                     lone_coeff = alone(geom.coefficient(kind))
-                    (lone,), w_lone = _integrate(geom, lone_coeff, 1, path)
+                    [((lone,), w_lone)] = _integrate(geom, lone_coeff, 1, path)
                     assert (bits(lone), bits(w_lone)) == (bits(ref), bits(w_ref))
         assert one_open[0] > 0
 
@@ -426,11 +437,37 @@ class TestClosingReuse:
         hitchin_checklist(build_frame(fr.pair), construct_psi(self.S, self.T, fr))
         assert len(calls) == 2
 
+    def count_passes(self, monkeypatch):
+        counts = {"_integrate": 0, "_sweep": 0}
+        for name in counts:
+            def counted(*args, name=name, inner=getattr(differentials, name)):
+                counts[name] += 1
+                return inner(*args)
+            monkeypatch.setattr(differentials, name, counted)
+        return counts
+
+    def test_one_quadrature_pass_per_curve(self, monkeypatch):
+        # construct_psi integrates both closing paths and loops A and B in one
+        # pass of two levels, and the checklist reads the periods from it; the
+        # checklist without a closing integrates every contour in one pass too
+        calls = self.count_gamma_calls(monkeypatch)
+        counts = self.count_passes(monkeypatch)
+        fr = spectral_frame(self.S, self.T)
+        hitchin_checklist(fr, construct_psi(self.S, self.T, fr))
+        assert len(calls) == counts["_integrate"] == 1
+        assert counts["_sweep"] <= 2
+        hitchin_checklist(fr)
+        assert len(calls) == counts["_integrate"] == 2
+
     def test_reused_closing_entry_equals_recomputation(self, monkeypatch):
+        # the period (P6, P7) and closing (P8) entries read the stored
+        # integrals without a quadrature of their own
         fr = spectral_frame(self.S, self.T)
         cd = construct_psi(self.S, self.T, fr)
         assert cd.gamma_integrals[0] == fr
+        counts = self.count_passes(monkeypatch)
         reused = hitchin_checklist(fr, cd)
+        assert counts["_integrate"] == 0
         calls = self.count_gamma_calls(monkeypatch)
         again = hitchin_checklist(fr, dataclasses.replace(cd, gamma_integrals=None))
         assert len(calls) == 1
@@ -784,6 +821,19 @@ class TestChecklist:
         assert abs(fr.z0 - z0) < 1e-5
         assert min(abs(z.real - z0) for z in loop_A(fr).points) > 0.1
 
+    def test_loop_failure_is_reported_by_the_checklist(self):
+        # k within 3e-10 of 1: the quadrature of loop A cannot separate the
+        # branch points 1 and 1/k, but the closing paths settle.  The one pass
+        # keeps the loop's failure for the checklist, which reads the periods
+        bp = BranchPair(0.5, 0.5000000001)
+        fr = build_frame(bp)
+        S, T = spectral_test(bp)
+        cd = construct_psi(S, T, fr)
+        assert cd.residual < 1e-6
+        for closing in (cd, None):
+            with pytest.raises(ContinuationError, match=r"no quadrature convergence on \["):
+                hitchin_checklist(fr, closing)
+
     def test_pair_laurent_equals_each_differential_alone(self):
         # P3 and P9 sample one circle with one sheet track per pole for both
         # differentials of the pair
@@ -841,3 +891,80 @@ class TestChecklist:
                 cs = laurent_coefficients(kind, center, fr, orders=(-2, -1))
                 assert abs(cs[-2]) > 1e-8
                 assert abs(cs[-1]) / abs(cs[-2]) < 1e-8
+
+
+def recorded_pass(frame, closing=None):
+    """The checklist's entries, with the paths and results of each _integrate call."""
+    passes, inner = [], differentials._integrate
+
+    def recorded(*args):
+        passes.append((args[3:], inner(*args)))
+        return passes[-1][1]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(differentials, "_integrate", recorded)
+        return hitchin_checklist(frame, closing), passes
+
+
+class TestDomainEdges:
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(radius=st.floats(0.0, 0.97), phase=st.floats(-math.pi, math.pi),
+           k=st.floats(0.02, 0.98), turn=st.floats(-math.pi, math.pi))
+    def test_checklist_holds_across_the_disc(self, radius, phase, k, turn):
+        # beta at pseudo-hyperbolic distance (1 - k)/(1 + k) from alpha has
+        # Jacobi modulus k.  A double pole too near a branch point to resolve
+        # is refused; otherwise every entry but the closing one holds to
+        # 1e-10, and the one pass gives the closed-form gamma integrals
+        alpha = cmath.rect(radius, phase)
+        w = cmath.rect((1.0 - k) / (1.0 + k), turn)
+        beta = (w + alpha) / (1.0 + alpha.conjugate() * w)
+        assume(abs(beta) <= 0.97)
+        fr = build_frame(BranchPair(alpha, beta))
+        try:
+            entries, passes = recorded_pass(fr)
+        except PoleError:
+            geom = _Geometry(fr)
+            assert min(abs(p - c) for p in geom.poles for c in geom.branch_points) < 1e-5 * max(
+                1.0, abs(fr.z0))
+            return
+        for e in entries:
+            if e.item != "P8 closing integrals":
+                assert e.residual <= 1e-10, (alpha, beta, e)
+        [(paths, results)] = passes
+        for s in (1, -1):
+            try:
+                path = gamma0_path(s, fr)
+            except PathError:
+                continue
+            if path in paths:
+                (quad_E, quad_P), _ = results[paths.index(path)]
+                assert abs(quad_E - theta_E_gamma(s, fr.pair)) < 1e-8
+                assert abs(quad_P - theta_P_gamma_closed(s, fr)) < 1e-8
+
+    def test_pole_too_near_a_branch_point_is_refused(self):
+        # alpha = 0 puts the pole over zeta = 0 on the branch point 1; with
+        # this beta it lands 6.9e-17 off it, where the Laurent circle rounded
+        # onto the pole and P9 read 1 from a nan.  At alpha = 1e-8 the circle
+        # resolves the residue to about 1e-9 only, and is refused too
+        beta = 0.32297080723688154 + 0.08246798641817431j
+        for alpha in (0j, 1e-8):
+            with pytest.raises(PoleError, match="sits on a branch point"):
+                hitchin_checklist(build_frame(BranchPair(alpha, beta)))
+        entries = {e.item: e for e in hitchin_checklist(build_frame(BranchPair(1e-4, beta)))}
+        assert entries["P3 double poles, no residues"].residual <= 1e-10
+
+    def test_closing_endpoint_far_along_the_axis(self):
+        # a pair real to 1e-198 has nu = 1 + 1.3e-198i, so the gamma+ endpoint
+        # is u = -5.1e197; its closed form squared u and raised OverflowError.
+        # Beyond 1e150 it takes the limit at infinity, 1e-150 away
+        alpha = 0.5 + 9.748103524112001e-199j
+        beta = 0.7142857142857142 + 1.0344926188853551e-198j
+        fr = build_frame(BranchPair(alpha, beta))
+        assert fr.u < -1e197
+        for e in hitchin_checklist(fr):
+            if e.item != "P8 closing integrals":
+                assert e.residual <= 1e-10, e
+        z0 = 0.3 + 0.2j
+        for sign in (1.0, -1.0):
+            limit = _theta_P_gamma_imag(0.5, sign * math.inf, z0)
+            for x in (1e150, 1.34e154, 1e200, 1.7e308):
+                assert abs(_theta_P_gamma_imag(0.5, sign * x, z0) - limit) < 1e-14
