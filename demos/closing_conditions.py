@@ -50,7 +50,7 @@ cd = construct_psi(S, T, fr)
 print(f"\nminimal closing pair: l = {cd.l}, a = {cd.a:.10f}, b = {cd.b:.10f}")
 print(f"  closing integers: psi_E -> ({cd.n}, {cd.m}), "
       f"psi_P -> ({cd.gamma_plus}, {cd.gamma_minus})")
-print(f"  worst integrality residual: {cd.residual:.2e}")
+print(f"  closed-form rounding residual: {cd.residual:.2e}")
 
 print("\nspectral-data checklist:")
 for e in hitchin_checklist(fr, cd):

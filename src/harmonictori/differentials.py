@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -517,11 +517,12 @@ def gamma_closing_values(frame: JacobiFrame) -> dict[tuple[str, int | str], comp
     """Integrals of theta_E and theta_P over both principal closing paths,
     keyed (kind, +1 or -1), and over loops A and B, keyed (kind, "A" or "B").
 
-    Contour quadrature integrates the pair over every contour in one pass;
-    when a closing endpoint sits at infinity (nu within the guard of +-1)
-    the closed-form limit stands in.  theta_E over a closing path is its
-    closed form, checked against the quadrature.  A loop period that did
-    not settle is its ContinuationError, raised where the checklist reads it.
+    The checklist's one quadrature pass over every contour, independent of
+    construct_psi's closed forms; when a closing endpoint sits at infinity
+    (nu within the guard of +-1) the closed-form limit stands in.  theta_E
+    over a closing path is its closed form, checked against the quadrature.
+    A loop period that did not settle is its ContinuationError, raised where
+    the checklist reads it.
     """
     geom = _Geometry(frame)
     out, paths = {}, {}
@@ -606,6 +607,8 @@ class ClosingData:
     psi_E = a theta_E closes with integrals 2 pi i (n, m); psi_P =
     b theta_E + l theta_P closes with integrals 2 pi i (gamma_plus,
     gamma_minus).  l = m'/gcd(m', m n') is the minimal imaginary period.
+    ``residual`` is the closed-form closing integrals' rounding residual;
+    the checklist's P8 checks the integers by quadrature.
     """
 
     n: int
@@ -618,8 +621,6 @@ class ClosingData:
     gamma_plus: int
     gamma_minus: int
     residual: float
-    #: (frame, gamma_closing_values(frame)): closing integrals and loop periods
-    gamma_integrals: tuple | None = field(default=None, compare=False, repr=False)
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -636,12 +637,10 @@ def construct_psi(S: Fraction, T: Fraction, frame: JacobiFrame) -> ClosingData:
     The curve's measured S must match n/m, and its principal T value must
     match n'/m' up to the multivaluedness lattice Z<1, S>; the congruence
     arithmetic then runs on the principal representative.  The four closing
-    integrals are evaluated by contour quadrature (gamma_closing_values),
-    rounded to integers, and the largest rounding residual is reported; the
-    basis integrals and loop periods are kept in ``gamma_integrals`` with
-    the frame, for the checklist to reuse (and to report a loop that did
-    not settle).  The measured S and T must match to 1e-9 relative, and
-    each closing integral must lie within 1e-6 of its integer.
+    integrals come from the closed forms of theta_E and theta_P over the
+    closing paths, with no quadrature, and the largest rounding residual is
+    reported.  The measured S and T must match to 1e-9 relative, and each
+    closing integral must lie within 1e-6 of its integer.
     """
     S, T = Fraction(S), Fraction(T)
     n, m = S.numerator, S.denominator
@@ -679,28 +678,22 @@ def construct_psi(S: Fraction, T: Fraction, frame: JacobiFrame) -> ClosingData:
     I_plus = _theta_P_gamma_value(1, frame)
     b = (TWO_PI * gamma_plus - l * I_plus.imag) / (2.0 * eta1)
 
-    # the four closing integrals, by quadrature where the paths exist
-    vals = gamma_closing_values(frame)
+    # the four closing integrals in closed form
+    E_plus, E_minus = theta_E_gamma(1, bp), theta_E_gamma(-1, bp)
     closing = {
-        "psi_E_plus": (a * vals[("theta_E", 1)], n),
-        "psi_E_minus": (a * vals[("theta_E", -1)], m),
-        "psi_P_plus": (b * vals[("theta_E", 1)] + l * vals[("theta_P", 1)], gamma_plus),
-        "psi_P_minus": (b * vals[("theta_E", -1)] + l * vals[("theta_P", -1)], gamma_minus),
+        "psi_E_plus": (a * E_plus, n),
+        "psi_E_minus": (a * E_minus, m),
+        "psi_P_plus": (b * E_plus + l * I_plus, gamma_plus),
+        "psi_P_minus": (b * E_minus + l * _theta_P_gamma_value(-1, frame), gamma_minus),
     }
     residual = 0.0
     for name, (val, expect) in closing.items():
-        got = val / (2j * math.pi)
-        err = abs(got - round(got.real))
+        err = abs(val / (2j * math.pi) - expect)
+        if not err <= 1e-6:
+            raise ValueError(f"closing integral {name} = {val!r} is not 2 pi i {expect}")
         residual = max(residual, err)
-        if err > 1e-6:
-            raise ContinuationError(
-                f"closing integral {name} = {val!r} not near 2 pi i Z")
-        if round(got.real) != expect:
-            raise ContinuationError(
-                f"closing integral {name} rounds to {round(got.real)}, expected {expect}")
     return ClosingData(n=n, m=m, n_prime=np_, m_prime=mp_, l=l, a=a, b=b,
-                       gamma_plus=gamma_plus, gamma_minus=gamma_minus,
-                       residual=residual, gamma_integrals=(frame, vals))
+                       gamma_plus=gamma_plus, gamma_minus=gamma_minus, residual=residual)
 
 
 # ---------------------------------------------------------------------------
@@ -802,8 +795,9 @@ def hitchin_checklist(frame: JacobiFrame, closing: ClosingData | None = None,
     the raw pair (theta_E, theta_P), whose closing integrals are generally
     not integral; that failure shows up in the closing entry.  The period
     and closing entries form psi_E = a theta_E and psi_P = b theta_E +
-    l theta_P from the integrals construct_psi kept when the closing was
-    built on this frame, or else from one pass over every contour.  The
+    l theta_P from one quadrature pass over every contour, and P8 measures
+    the closing integrals / 2 pi i against the closing's integers (n, m,
+    gamma_plus, gamma_minus), or the nearest integers for the raw pair.  The
     quaternionic line-bundle condition is a one-parameter choice that this
     library does not construct; it is reported as a note.
     """
@@ -852,9 +846,7 @@ def hitchin_checklist(frame: JacobiFrame, closing: ClosingData | None = None,
     entries.append(ChecklistEntry("P5 reality", float(rho_res),
                                   "rho* theta = -conj(theta) on samples"))
 
-    built_on, gvals = (closing and closing.gamma_integrals) or (None, None)
-    if built_on != frame:
-        gvals = gamma_closing_values(frame)
+    gvals = gamma_closing_values(frame)
 
     def integrals(key):
         thE, thP = (_settled(gvals[(kind, key)]) for kind in ("theta_E", "theta_P"))
@@ -871,15 +863,17 @@ def hitchin_checklist(frame: JacobiFrame, closing: ClosingData | None = None,
                                   max(abs(t.imag - round(t.imag)) for _, t in periods),
                                   ", ".join(f"{label}={round(t.imag)}" for label, t in periods)))
 
-    close_res = 0.0
-    details = []
-    for s in (1, -1):
-        for name, val in integrals(s).items():
-            t = val / (2j * math.pi)
-            close_res = max(close_res, abs(t - round(t.real)))
-            details.append(f"{name}.gamma{'+' if s == 1 else '-'}={t.real:.6f}")
+    sides = {"gamma+": integrals(1), "gamma-": integrals(-1)}
+    closes = [(f"{name}.{side}", sides[side][name] / (2j * math.pi))
+              for name in sides["gamma+"] for side in sides]
+    expected = (None,) * 4 if closing is None else (
+        closing.n, closing.m, closing.gamma_plus, closing.gamma_minus)
+    close_res = max(abs(t - (round(t.real) if n is None else n))
+                    for (_, t), n in zip(closes, expected))
+    against = "nearest integers" if closing is None else f"closing integers {expected}"
     entries.append(ChecklistEntry("P8 closing integrals", float(close_res),
-                                  ", ".join(details)))
+                                  f"quadrature / 2 pi i against {against}: "
+                                  + ", ".join(f"{label}={t.real:.6f}" for label, t in closes)))
 
     indep = abs((c2[1] / c2[0]).imag)
     entries.append(ChecklistEntry("P9 independent principal parts",

@@ -212,7 +212,7 @@ def suite_differentials(seed: int = 0) -> list[InvariantResult]:
                 yield (abs(theta_P_gamma_closed(s, fr)
                            - contour_integral("theta_P", gamma0_path(s, fr), fr)),
                        {"sign": s, **_pair_sample(fr.pair)})
-    out.append(_worst("closed form vs quadrature on gamma paths", 1e-6,
+    out.append(_worst("closed form vs quadrature on gamma paths", 1e-8,
                       gamma_paths()))
 
     out.append(_worst("principal part characterization", 1e-8,

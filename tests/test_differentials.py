@@ -428,15 +428,6 @@ class TestClosingReuse:
         monkeypatch.setattr(differentials, "gamma_closing_values", counted)
         return calls
 
-    def test_pipeline_integrates_gamma_paths_once(self, monkeypatch):
-        calls = self.count_gamma_calls(monkeypatch)
-        fr = spectral_frame(self.S, self.T)
-        hitchin_checklist(fr, construct_psi(self.S, self.T, fr))
-        assert len(calls) == 1
-        # an equal frame built again is the same curve
-        hitchin_checklist(build_frame(fr.pair), construct_psi(self.S, self.T, fr))
-        assert len(calls) == 2
-
     def count_passes(self, monkeypatch):
         counts = {"_integrate": 0, "_sweep": 0}
         for name in counts:
@@ -446,33 +437,28 @@ class TestClosingReuse:
             monkeypatch.setattr(differentials, name, counted)
         return counts
 
-    def test_one_quadrature_pass_per_curve(self, monkeypatch):
-        # construct_psi integrates both closing paths and loops A and B in one
-        # pass of two levels, and the checklist reads the periods from it; the
-        # checklist without a closing integrates every contour in one pass too
+    def test_pipeline_integrates_gamma_paths_once(self, monkeypatch):
+        # construct_psi runs on closed forms; the checklist's one
+        # gamma_closing_values call is the pipeline's only one
         calls = self.count_gamma_calls(monkeypatch)
-        counts = self.count_passes(monkeypatch)
-        fr = spectral_frame(self.S, self.T)
-        hitchin_checklist(fr, construct_psi(self.S, self.T, fr))
-        assert len(calls) == counts["_integrate"] == 1
-        assert counts["_sweep"] <= 2
-        hitchin_checklist(fr)
-        assert len(calls) == counts["_integrate"] == 2
-
-    def test_reused_closing_entry_equals_recomputation(self, monkeypatch):
-        # the period (P6, P7) and closing (P8) entries read the stored
-        # integrals without a quadrature of their own
         fr = spectral_frame(self.S, self.T)
         cd = construct_psi(self.S, self.T, fr)
-        assert cd.gamma_integrals[0] == fr
+        assert calls == []
+        hitchin_checklist(fr, cd)
+        assert calls == [fr]
+
+    def test_one_quadrature_pass_per_curve(self, monkeypatch):
+        # construct_psi makes no quadrature; the checklist integrates both
+        # closing paths and loops A and B in one pass of two levels, with a
+        # closing or without one
         counts = self.count_passes(monkeypatch)
-        reused = hitchin_checklist(fr, cd)
-        assert counts["_integrate"] == 0
-        calls = self.count_gamma_calls(monkeypatch)
-        again = hitchin_checklist(fr, dataclasses.replace(cd, gamma_integrals=None))
-        assert len(calls) == 1
-        assert [(e.item, e.residual.hex(), e.detail) for e in reused] == \
-            [(e.item, e.residual.hex(), e.detail) for e in again]
+        fr = spectral_frame(self.S, self.T)
+        cd = construct_psi(self.S, self.T, fr)
+        assert counts == {"_integrate": 0, "_sweep": 0}
+        hitchin_checklist(fr, cd)
+        assert counts["_integrate"] == 1 and counts["_sweep"] <= 2
+        hitchin_checklist(fr)
+        assert counts["_integrate"] == 2
 
     def test_closing_from_another_frame_is_flagged(self, monkeypatch):
         cd = construct_psi(self.S, self.T, spectral_frame(self.S, self.T))
@@ -482,11 +468,26 @@ class TestClosingReuse:
         assert calls == [other]
         assert p8.residual > 1e-3
 
+    def test_closing_integers_checked_by_quadrature(self):
+        # P8 compares the quadrature with the closing's own integers, so a
+        # closing whose integer is off by one fails, though the values are
+        # integral
+        fr = spectral_frame(self.S, self.T)
+        cd = construct_psi(self.S, self.T, fr)
+        wrong = dataclasses.replace(cd, gamma_plus=cd.gamma_plus + 1)
+        p8 = {e.item: e for e in hitchin_checklist(fr, wrong)}["P8 closing integrals"]
+        assert p8.residual >= 0.5
+
 
 class TestGammaQuadrature:
     def test_closed_vs_quadrature(self):
-        for _ in range(8):
-            fr = random_frame()
+        # the closed forms are construct_psi's values: random pairs and the
+        # census mix, spectral frames at k = 0.05 and 0.85 and the
+        # symmetric annulus
+        census = [spectral_frame(Fraction(1, 3), Fraction(1, 4), k=0.05),
+                  spectral_frame(Fraction(5, 2), Fraction(1, 2), k=0.85), SMALL_K,
+                  spectral_frame(1, 1, k=0.75)]
+        for fr in [random_frame() for _ in range(8)] + census:
             for s in (1, -1):
                 closed = theta_P_gamma_closed(s, fr)
                 quad = contour_integral("theta_P", gamma0_path(s, fr), fr)
