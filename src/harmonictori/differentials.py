@@ -181,10 +181,6 @@ class PathSpec:
         if self.sheet not in (1, -1):
             raise ValueError("sheet must be +1 or -1")
 
-    @property
-    def closed(self) -> bool:
-        return self.points[0] == self.points[-1]
-
 
 def _distances(a, b, centers) -> np.ndarray:
     """Distance of each segment [a, b] (rows) from each center (columns)."""
@@ -271,7 +267,7 @@ def gamma0_path(sign: int, frame: JacobiFrame) -> PathSpec:
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     x = frame.u if sign == 1 else frame.v
-    if math.isinf(x) or abs(x) > 1e4:
+    if abs(x) > 1e4:
         raise PathError("endpoint too close to nu = +-1; use a deck translate")
     k = frame.k
     xc = 0.5 * (1.0 + 1.0 / k)
@@ -395,9 +391,8 @@ def _sweep(geom: _Geometry, integrand, segs: list[_Segment]) -> None:
 
 def _integrate(geom: _Geometry, integrand, count: int, *paths: PathSpec) -> list:
     """Integrate the count outputs of integrand(z, w) dz along each path;
-    returns each path's (values, final w).  A path with a segment that did
-    not settle has its ContinuationError for each value (_settled raises it
-    where the value is read) and None for w.
+    returns each path's (values, final w), or raises ContinuationError at
+    the first segment, in path order, that did not settle.
 
     Each of at most 13 levels refines the open segments of all paths
     together, in blocks (_sweep); nsub starts at 2 to 32 by length.  The
@@ -419,21 +414,12 @@ def _integrate(geom: _Geometry, integrand, count: int, *paths: PathSpec) -> list
         totals = [0.0 + 0.0j] * count
         for seg in segs:
             if seg.end is None:
-                error = ContinuationError(f"no quadrature convergence on [{seg.z1!r}, {seg.z2!r}]")
-                totals, w = [error] * count, None
-                break
+                raise ContinuationError(f"no quadrature convergence on [{seg.z1!r}, {seg.z2!r}]")
             totals = [t + (v if sign > 0 else -v) for t, v in zip(totals, seg.vals)]
             sign *= seg.end[1]
             w = complex(seg.end[0] * sign)
         out.append((totals, w))
     return out
-
-
-def _settled(value):
-    """A quadrature value, or raise the ContinuationError recorded in its place."""
-    if isinstance(value, ContinuationError):
-        raise value
-    return value
 
 
 def contour_integral(kind: str, path: PathSpec, frame: JacobiFrame) -> complex:
@@ -452,7 +438,7 @@ def contour_integral(kind: str, path: PathSpec, frame: JacobiFrame) -> complex:
     _check_clearance(path, centers)
     coeff = geom.coefficient(kind)
     [((value,), _)] = _integrate(geom, lambda z, w: (coeff(z, w),), 1, path)
-    return _settled(value)
+    return value
 
 
 def _theta_P_gamma_value(sign: int, frame: JacobiFrame) -> complex:
@@ -521,8 +507,7 @@ def gamma_closing_values(frame: JacobiFrame) -> dict[tuple[str, int | str], comp
     construct_psi's closed forms; when a closing endpoint sits at infinity
     (nu within the guard of +-1) the closed-form limit stands in.  theta_E
     over a closing path is its closed form, checked against the quadrature.
-    A loop period that did not settle is its ContinuationError, raised where
-    the checklist reads it.
+    A segment that does not settle raises ContinuationError.
     """
     geom = _Geometry(frame)
     out, paths = {}, {}
@@ -536,12 +521,12 @@ def gamma_closing_values(frame: JacobiFrame) -> dict[tuple[str, int | str], comp
             continue
         paths[s] = path
     paths.update(A=loop_A(frame), B=loop_B(frame))
-    for key, (values, _) in zip(paths, _integrate(geom, geom.pair(), 2, *paths.values())):
+    results = _integrate(geom, geom.pair(), 2, *paths.values())
+    for key, ((quad_E, quad_P), _) in zip(paths, results):
+        out[("theta_P", key)] = quad_P
         if key in ("A", "B"):
-            out[("theta_E", key)], out[("theta_P", key)] = values
-            continue
-        quad_E, out[("theta_P", key)] = map(_settled, values)
-        if abs(quad_E - out[("theta_E", key)]) > 1e-6:
+            out[("theta_E", key)] = quad_E
+        elif abs(quad_E - out[("theta_E", key)]) > 1e-6:
             raise ContinuationError(f"gamma path quadrature inconsistent: {quad_E!r}")
     return out
 
@@ -787,8 +772,8 @@ class ChecklistEntry:
     detail: str
 
 
-def hitchin_checklist(frame: JacobiFrame, closing: ClosingData | None = None,
-                      rng: np.random.Generator | None = None) -> list[ChecklistEntry]:
+def hitchin_checklist(frame: JacobiFrame,
+                      closing: ClosingData | None = None) -> list[ChecklistEntry]:
     """Numerical validation of the spectral-data conditions for a curve.
 
     Runs on the constructed minimal closing pair when given, otherwise on
@@ -801,7 +786,7 @@ def hitchin_checklist(frame: JacobiFrame, closing: ClosingData | None = None,
     quaternionic line-bundle condition is a one-parameter choice that this
     library does not construct; it is reported as a note.
     """
-    rng = rng or np.random.default_rng(7)
+    rng = np.random.default_rng(7)
     geom = _Geometry(frame)
     bp = frame.pair
     entries: list[ChecklistEntry] = []
@@ -849,7 +834,7 @@ def hitchin_checklist(frame: JacobiFrame, closing: ClosingData | None = None,
     gvals = gamma_closing_values(frame)
 
     def integrals(key):
-        thE, thP = (_settled(gvals[(kind, key)]) for kind in ("theta_E", "theta_P"))
+        thE, thP = gvals[("theta_E", key)], gvals[("theta_P", key)]
         if closing is None:
             return {"theta_E": thE, "theta_P": thP}
         return {"psi_E": closing.a * thE, "psi_P": closing.b * thE + closing.l * thP}

@@ -42,12 +42,8 @@ __all__ = [
 
 
 class ChartBoundary(ValueError):
-    """Raised when an angle sits on the infinity chart boundary.
-
-    The finite chart value tan(x~/2) is meaningless within the guard band
-    around odd multiples of pi; callers must switch to the cot(x~/2) chart
-    or to a formula with an explicit limit there.
-    """
+    """Raised by wind for an angle within 1e-9 of an odd multiple of pi,
+    where the winding number is not unique."""
 
 
 def _check_modulus(k: float) -> float:
@@ -249,8 +245,9 @@ def lifted_E(x_tilde: float, k) -> float:
 def wind(x_tilde: float) -> int:
     """The unique integer W with -pi < x~ - 2 pi W < pi.
 
-    Within 1e-9 of an odd multiple of pi the finite chart degenerates and
-    ChartBoundary is raised; callers must use the infinity-chart formulas.
+    An odd multiple of pi lies halfway between two turns, where W is not
+    unique (the strict bounds admit neither neighbour, and either one is as
+    near); within 1e-9 of one ChartBoundary is raised.
     """
     x_tilde = float(x_tilde)
     m, r = _reduce_turns(x_tilde)

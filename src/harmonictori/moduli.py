@@ -8,11 +8,15 @@ T~ to the universal cover is single-valued and computable from the lifted
 elliptic integrals plus an algebraic bracket.  Level sets of (S, T~) are
 graphs over (k, angle) charts, which is what the solver exploits.
 
-The solver has two forms with one policy.  solve_level works on Python
-floats, one chart point at a time; serial callers such as monodromy_track,
-where each solve starts from the last and so skips the bracket probes, use
-it.  sweep_level_set solves a whole (k, angle) grid in lockstep on numpy
-arrays and maps it to branch pairs with the array form of inverse_coords,
+On each band T~ is strictly monotone along the free angle and diverges to
+opposite infinities at its two ends, so the band less 1e-12 at each end
+brackets every reachable level before any evaluation.  The solver starts
+at a given start strictly inside that bracket, else at its midpoint.  It
+has two forms with one policy.  solve_level works on Python floats, one
+chart point at a time; serial callers such as monodromy_track, where each
+solve starts from a prediction off the last ones, use it.  sweep_level_set
+solves a whole (k, angle) grid in lockstep on numpy arrays from the
+midpoint and maps it to branch pairs with the array form of inverse_coords,
 so a leaf comes back as grid arrays with no per-point Python.  The
 algebra of T~ and dT~ is written once for both: the chart value tan(x~/2)
 of a float angle is finite, the chart boundary included, so one formula
@@ -195,17 +199,19 @@ def _dT_dv(p, k, K, E, u, v):
 
 
 class LevelSolveError(RuntimeError):
-    """Raised when the level-set root search fails; carries the bracket."""
+    """Raised when the level-set root search does not converge within
+    _MAX_STEPS steps; carries the last bracket (a, b, f(a), f(b))."""
 
     def __init__(self, msg, bracket=None):
         super().__init__(msg)
         self.bracket = bracket
 
 
-# The root search's policy, shared by solve_level and its batched form:
-# offsets from the band ends at which it looks for a sign change, and the
-# number of Newton-or-midpoint steps before it gives up.
-_PROBE_DELTAS = (1e-6, 1e-8, 1e-10, 1e-12)
+# The root search's policy, shared by solve_level and its batched form: the
+# band less _EDGE at each end is the bracket, where T~ - q takes opposite
+# signs for every reachable level, and _MAX_STEPS Newton-or-midpoint steps
+# are taken before it gives up.
+_EDGE = 1e-12
 _MAX_STEPS = 100
 
 
@@ -218,11 +224,11 @@ def solve_level(p: float, q: float, k: float, fixed_angle: float,
     (v~ - 2 pi, v~); for p <= 1 the fixed angle is u~ and v~ is solved in
     (u~, u~ + 2 pi); at p = 1 the second convention is used.  T~ diverges
     with opposite signs at the band ends and is strictly monotone between
-    them, so bracketed Newton with bisection fallback always converges.
-    ``start``, a guess at the solved angle such as a continuation's last
-    solve, is the first iterate, with no probes, when strictly inside the
-    band less 1e-12 at each end, and else ignored (nan included); a level out
-    of reach then fails after _MAX_STEPS steps rather than at the probes.
+    them, so bracketed Newton with bisection fallback on the band less 1e-12
+    at each end converges to every reachable level.  The first iterate is
+    ``start``, a guess at the solved angle such as a continuation's
+    prediction, when strictly inside that bracket, and else (nan included)
+    the bracket's midpoint; a level out of reach fails after _MAX_STEPS steps.
     """
     if not p > 0.0:
         raise ValueError("p must be positive")
@@ -243,22 +249,8 @@ def solve_level(p: float, q: float, k: float, fixed_angle: float,
         df = lambda x: _dT_dv(p, k, K, E, held[1], _chart_value(x))
         sign = -1.0  # T~ decreasing in v~
 
-    edge = _PROBE_DELTAS[-1]
-    if start is not None and lo + edge < start < hi - edge:
-        a, b, x = lo + edge, hi - edge, start  # oriented as the probes find a reachable level
-    else:
-        for delta in _PROBE_DELTAS:
-            flo, fhi = f(lo + delta), f(hi - delta)
-            if (sign * flo < 0.0 < sign * fhi) or (sign * fhi < 0.0 < sign * flo):
-                a, b = lo + delta, hi - delta
-                break
-        else:
-            raise LevelSolveError(
-                f"no sign change for q={q!r} at (p={p!r}, k={k!r})",
-                bracket=(lo, hi, flo, fhi))
-        if sign * flo > 0.0:
-            a, b = b, a  # ensure f(a) < 0 < f(b) in the monotone direction
-        x = 0.5 * (a + b)
+    a, b = lo + _EDGE, hi - _EDGE
+    x = start if start is not None and a < start < b else 0.5 * (a + b)
     fx = f(x)
     for _ in range(_MAX_STEPS):
         if abs(fx) < tol:
@@ -288,11 +280,11 @@ def _solve_level_grid(p: float, q: float, ks: list[float], angles: list[float],
     """solve_level at every (k, angle) of a grid, in lockstep.
 
     Runs the scalar solver's policy on the flattened k-major grid at once:
-    the same bracket probes and swap, the same Newton-or-midpoint step, the
-    same step limit and failure reasons, on the same floating-point values,
-    so every point ends where solve_level would.  Points leave the iteration
-    as their bracket probe fails or as they converge.  Returns the solved
-    angle of every point (nan where it failed) and the failure reason or None.
+    the same bracket and midpoint start, the same Newton-or-midpoint step,
+    the same step limit and failure reason, on the same floating-point
+    values, so every point ends where a cold solve_level would.  Points
+    leave the iteration as they converge.  Returns the solved angle of every
+    point (nan where it failed) and the failure reason or None.
     """
     if not p > 0.0:
         raise ValueError("p must be positive")
@@ -325,25 +317,7 @@ def _solve_level_grid(p: float, q: float, ks: list[float], angles: list[float],
     reasons: list[str | None] = [None] * n
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         fixed_lifted, fixed_chart = _lifted_level_terms(*consts, fixed)
-        a, b, flo = np.empty(n), np.empty(n), np.empty(n)
-        probing = np.arange(n)
-        for delta in _PROBE_DELTAS:
-            if not probing.size:
-                break
-            f_lo = level(lo[probing] + delta, probing)[0]
-            f_hi = level(hi[probing] - delta, probing)[0]
-            change = (((sign * f_lo < 0.0) & (0.0 < sign * f_hi))
-                      | ((sign * f_hi < 0.0) & (0.0 < sign * f_lo)))
-            found = probing[change]
-            a[found], b[found] = lo[found] + delta, hi[found] - delta
-            flo[found] = f_lo[change]
-            probing = probing[~change]
-        for i in probing.tolist():
-            reasons[i] = f"no sign change for q={q!r} at (p={p!r}, k={ks[i // n_angles]!r})"
-
-        idx = np.setdiff1d(np.arange(n), probing)
-        swap = sign * flo[idx] > 0.0  # f(a) < 0 < f(b) in the monotone direction
-        a, b = np.where(swap, b[idx], a[idx]), np.where(swap, a[idx], b[idx])
+        idx, a, b = np.arange(n), lo + _EDGE, hi - _EDGE
         x = 0.5 * (a + b)
         fx, chart = level(x, idx)
         for _ in range(_MAX_STEPS):

@@ -629,10 +629,10 @@ class TestMonodromy:
         (Fraction(-3, 5), 0.1, False), (Fraction(1, 2), 0.05, False),
         (Fraction(1, 2), 0.5, True)])
     def test_warm_start_takes_few_evaluations(self, q, k, contractible, monkeypatch):
-        # a cold solve takes about 9 evaluations of T~; each sample after the
-        # first starts from the offset v~ - u~ extrapolated through the last
-        # accepted ones and skips the probes, and from the fifth sample on the
-        # cubic predictor leaves about one checked Newton step
+        # a cold solve takes 5 to 9 evaluations of T~ from the band midpoint;
+        # each sample after the first starts from the offset v~ - u~
+        # extrapolated through the last accepted ones, and from the fifth
+        # sample on the cubic predictor leaves about one checked Newton step
         counts, evaluations = [], [0]
         t_tilde = moduli._t_tilde
 

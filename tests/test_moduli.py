@@ -312,9 +312,10 @@ class TestChartBoundary:
 
 def reference_solve(p, q, k, fixed_angle, tol=DEFAULTS.solver_tol):
     """solve_level as a loop over the public T~ and dT~, which recompute K(k),
-    E(k) and the held angle's share on every call.  Returns the point and
-    the free angles at which T~ was evaluated, in order."""
-    TWO_PI, probes = 2 * math.pi, []
+    E(k) and the held angle's share on every call, started at the midpoint
+    of the band less moduli._EDGE at each end.  Returns the point and the
+    free angles at which T~ was evaluated, in order."""
+    TWO_PI, evaluated = 2 * math.pi, []
     if p > 1.0:
         lo, hi, sign = fixed_angle - TWO_PI, fixed_angle, 1.0
         level = lambda x: t_tilde_raw(p, k, x, fixed_angle) - q
@@ -325,17 +326,9 @@ def reference_solve(p, q, k, fixed_angle, tol=DEFAULTS.solver_tol):
         slope = lambda x: dT_tilde_dv_tilde(p, k, fixed_angle, x)
 
     def f(x):
-        probes.append(x)
+        evaluated.append(x)
         return level(x)
-    for delta in moduli._PROBE_DELTAS:
-        flo, fhi = f(lo + delta), f(hi - delta)
-        if (sign * flo < 0.0 < sign * fhi) or (sign * fhi < 0.0 < sign * flo):
-            a, b = lo + delta, hi - delta
-            break
-    else:
-        raise LevelSolveError(f"no sign change for q={q!r} at (p={p!r}, k={k!r})")
-    if sign * flo > 0.0:
-        a, b = b, a
+    a, b = lo + moduli._EDGE, hi - moduli._EDGE
     x = 0.5 * (a + b)
     fx = f(x)
     for _ in range(moduli._MAX_STEPS):
@@ -354,8 +347,8 @@ def reference_solve(p, q, k, fixed_angle, tol=DEFAULTS.solver_tol):
     else:
         raise LevelSolveError(f"no convergence for q={q!r}: residual {fx!r}")
     if p > 1.0:
-        return ModuliPoint(p=p, k=k, u_tilde=x, v_tilde=fixed_angle), probes
-    return ModuliPoint(p=p, k=k, u_tilde=fixed_angle, v_tilde=x), probes
+        return ModuliPoint(p=p, k=k, u_tilde=x, v_tilde=fixed_angle), evaluated
+    return ModuliPoint(p=p, k=k, u_tilde=fixed_angle, v_tilde=x), evaluated
 
 
 def solve_cases(seed):
@@ -392,7 +385,7 @@ class TestSolver:
             parts.append(x)
             return level_part(k, K, E, x)
         try:
-            expected, probes = reference_solve(*case)
+            expected, evaluated = reference_solve(*case)
         except LevelSolveError as exc:
             with pytest.raises(LevelSolveError, match=re.escape(str(exc))):
                 solve_level(*case)
@@ -400,7 +393,21 @@ class TestSolver:
         monkeypatch.setattr(moduli, "_level_part", recorded)
         got = solve_level(*case)
         assert hex_point(got) == hex_point(expected)
-        assert [x.hex() for x in parts] == [case[3].hex()] + [x.hex() for x in probes]
+        assert [x.hex() for x in parts] == [case[3].hex()] + [x.hex() for x in evaluated]
+
+    @pytest.mark.parametrize("case", [*solve_cases(41), *solve_cases(43)], ids=str)
+    def test_cold_solve_is_a_warm_solve_from_the_midpoint(self, case):
+        # the same bits, or the same failure, as a start at the bracket's midpoint
+        p, _, _, angle = case
+        lo, hi = (angle - 2 * math.pi, angle) if p > 1.0 else (angle, angle + 2 * math.pi)
+        midpoint = 0.5 * ((lo + moduli._EDGE) + (hi - moduli._EDGE))
+        outcomes = []
+        for start in (None, midpoint):
+            try:
+                outcomes.append(hex_point(solve_level(*case, start=start)))
+            except LevelSolveError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
     @pytest.mark.parametrize("p, q, k, angle", [(1 / 3, 0.37, 0.5, 0.2), (1.0, -1.5, 0.2, math.pi),
                                                 (5 / 2, 2.0, 0.9, -4.0)])
@@ -429,14 +436,13 @@ class TestSolver:
             assert mp.u_tilde < mp.v_tilde < mp.u_tilde + 2 * math.pi
 
     @pytest.mark.parametrize("case", list(solve_cases(43)), ids=str)
-    def test_warm_solve_starts_at_once_inside_the_innermost_probe_bracket(self, case,
-                                                                          monkeypatch):
-        # no probes: T~ diverges at the band ends, and a warm solve evaluates it
-        # first at the start and then only on [lo + 1e-12, hi - 1e-12], the ends
-        # only once bisection of an unreachable level has shrunk onto one
+    def test_warm_solve_starts_at_once_inside_the_bracket(self, case, monkeypatch):
+        # T~ diverges at the band ends, and a warm solve evaluates it first at
+        # the start and then only on [lo + 1e-12, hi - 1e-12], the ends only
+        # once bisection of an unreachable level has shrunk onto one
         p, _, _, angle = case
         lo, hi = (angle - 2 * math.pi, angle) if p > 1.0 else (angle, angle + 2 * math.pi)
-        edge = moduli._PROBE_DELTAS[-1]
+        edge = moduli._EDGE
         free = []
         level_part = moduli._level_part
 
@@ -617,7 +623,7 @@ class TestBatchedSweep:
     @pytest.mark.parametrize("q", [10 ** 4, 10 ** 7, 10 ** 9, 10 ** 11])
     @pytest.mark.parametrize("p", [Fraction(1, 3), Fraction(1), Fraction(5, 2)])
     def test_levels_at_the_precision_floor(self, p, q):
-        # T~ = q needs the smaller bracket probes, and |T~ - q| < solver_tol
+        # T~ = q lies near the band ends, and |T~ - q| < solver_tol
         # is out of reach of double precision at most points: the iteration
         # wanders for 100 steps and the residual it ends on is part of the
         # failure reason, so only the same arithmetic reproduces it
@@ -629,7 +635,7 @@ class TestBatchedSweep:
         mesh = check_batched_against_scalar(p, Fraction(10 ** 15), 3, 4, 2 * math.pi,
                                             angle_start=math.pi)
         assert not mesh.solved.any() and len(mesh.failures) == 12
-        assert all(why.startswith("no sign change") for _, _, why in mesh.failures)
+        assert all(why.startswith("no convergence") for _, _, why in mesh.failures)
 
     @pytest.mark.parametrize("p", [Fraction(1, 3), Fraction(1), Fraction(5, 2)])
     def test_coordinate_rejections_match_scalar(self, p):
