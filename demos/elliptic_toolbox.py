@@ -14,7 +14,7 @@ from harmonictori import (
     incomplete_F_imag, legendre_defect, lifted_E, lifted_F, wind,
 )
 
-print("Complete integrals by the arithmetic-geometric mean")
+print("Complete integrals from Carlson's R_F and R_D")
 print(f"{'k':>6} {'K(k)':>18} {'E(k)':>18} {'Legendre defect':>16}")
 for k in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
     print(f"{k:6.2f} {complete_K(k):18.15f} {complete_E(k):18.15f} "

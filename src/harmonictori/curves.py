@@ -28,7 +28,7 @@ from .elliptic import TWO_PI, _libm, _reduce_turns, _sqrt, _w
 
 __all__ = [
     "BranchPair", "JacobiFrame", "ModuliPoint",
-    "jacobi_modulus", "circle_points", "build_frame",
+    "S_value", "jacobi_modulus", "circle_points", "build_frame",
     "forward_coords", "inverse_coords",
     "lambda_swap", "chi_negate", "deck_lambda_tilde", "deck_iota_tilde",
     "angle_rescale",
@@ -73,6 +73,12 @@ class BranchPair:
                 * (zeta - b) * (1.0 - b.conjugate() * zeta))
 
 
+def S_value(bp: BranchPair) -> float:
+    """S = |1 - alpha||1 - beta| / (|1 + alpha||1 + beta|), positive."""
+    a, b = bp.alpha, bp.beta
+    return (abs(1.0 - a) * abs(1.0 - b)) / (abs(1.0 + a) * abs(1.0 + b))
+
+
 def jacobi_modulus(bp: BranchPair) -> float:
     """k = (|1 - conj(a) b| - |a - b|) / (|1 - conj(a) b| + |a - b|) in (0,1)."""
     num = abs(1.0 - bp.alpha.conjugate() * bp.beta)
@@ -106,7 +112,7 @@ class JacobiFrame:
     Holds the modulus k, the unit-circle points mu (to 0) and nu (to infinity),
     the scale of the Moebius map f and the center image z0 = f(0), which has
     positive real part.  f maps the unit circle into the imaginary axis and
-    satisfies f(infinity) = -conj(z0).
+    satisfies f(infinity) = -conj(z0).  The chart angles of f(+-1) are finite.
     """
 
     pair: BranchPair
@@ -136,17 +142,32 @@ class JacobiFrame:
             return cmath.inf
         return self.nu * (z - z0) / d
 
+    def _chart_angle(self, zeta: float) -> float:
+        """2 atan Im f(zeta) = 2 atan2(Im(scale (zeta - mu) conj(zeta - nu)),
+        |zeta - nu|^2), finite through zeta = nu, where it is pi."""
+        d = zeta - self.nu
+        num = (self.scale * (zeta - self.mu) * d.conjugate()).imag
+        return math.pi if d == 0 else 2.0 * math.atan2(num, abs(d) ** 2)
+
+    @cached_property
+    def u_tilde(self) -> float:
+        """The chart angle of f(1) in [-pi, pi]."""
+        return self._chart_angle(1.0)
+
+    @cached_property
+    def v_tilde(self) -> float:
+        """The chart angle of f(-1) in [-pi, pi]."""
+        return self._chart_angle(-1.0)
+
     @cached_property
     def u(self) -> float:
-        """u with i u = f(1); infinite when nu = 1."""
-        z = self.f(1.0)
-        return math.inf if cmath.isinf(z) else z.imag
+        """tan(u~/2), finite: i u = f(1) up to rounding."""
+        return _chart_value(self.u_tilde)
 
     @cached_property
     def v(self) -> float:
-        """v with i v = f(-1); infinite when nu = -1."""
-        z = self.f(-1.0)
-        return math.inf if cmath.isinf(z) else z.imag
+        """tan(v~/2), finite: i v = f(-1) up to rounding."""
+        return _chart_value(self.v_tilde)
 
     @cached_property
     def eta_to_w_scale(self) -> complex:
@@ -200,19 +221,14 @@ class ModuliPoint:
 def forward_coords(bp: BranchPair) -> ModuliPoint:
     """Coordinates (p, k, u~, v~) of a branch pair, principal lift.
 
-    p is the closing ratio S(alpha, beta); u~ is lifted into (-pi, pi] and v~
-    is the unique lift above it.  A value of f(+-1) at infinity lands on the
-    chart boundary u~ = pi (or shifts v~ accordingly).
+    p is the closing ratio S(alpha, beta); u~ is the frame's chart angle in
+    [-pi, pi] and v~ the unique lift of its own above it.
     """
-    from .moduli import S_value  # cycle-free at call time
-
     frame = build_frame(bp)
-    p = S_value(bp)
-    u, v = frame.u, frame.v
-    u_tilde = math.pi if math.isinf(u) else 2.0 * math.atan(u)
-    v_raw = math.pi if math.isinf(v) else 2.0 * math.atan(v)
-    v_tilde = v_raw if v_raw > u_tilde else v_raw + TWO_PI
-    return ModuliPoint(p=p, k=frame.k, u_tilde=u_tilde, v_tilde=v_tilde)
+    u_tilde, v_tilde = frame.u_tilde, frame.v_tilde
+    if v_tilde <= u_tilde:
+        v_tilde += TWO_PI
+    return ModuliPoint(p=S_value(bp), k=frame.k, u_tilde=u_tilde, v_tilde=v_tilde)
 
 
 def _chart_value(x_tilde: float) -> float:

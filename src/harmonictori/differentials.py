@@ -31,11 +31,11 @@ from functools import cached_property
 import numpy as np
 
 from .curves import (
-    _OFF_CHART, BranchPair, JacobiFrame, ModuliPoint, _center, _chart_value,
-    angle_rescale,
+    _OFF_CHART, BranchPair, JacobiFrame, ModuliPoint, S_value, _center,
+    _chart_value, angle_rescale,
 )
 from .elliptic import TWO_PI, _E_reg, _F, _axis_angle, complete_E, complete_K, w_imag
-from .moduli import S_value, solve_level, t0_raw
+from .moduli import solve_level, t0_raw
 
 DIFFERENTIAL_KINDS = ("omega", "e", "epsilon", "theta_E", "theta_P")
 _POLE_KINDS = DIFFERENTIAL_KINDS[2:]  # with double poles; _Geometry._theta's order
@@ -444,28 +444,23 @@ def contour_integral(kind: str, path: PathSpec, frame: JacobiFrame) -> complex:
 def _theta_P_gamma_value(sign: int, frame: JacobiFrame) -> complex:
     """Closed form of the principal closing integral of theta_P.
 
-    i [4E ImF(ix) - 4K Im(E - k i x)(x) - 4K G(x)] at x = u (sign +) or
-    x = v (sign -), with G grouped so large |x| stays cancellation-free.
-    An endpoint at infinity (nu = +-1 exactly) takes the limit from the
-    x -> +infinity side.
+    i [4E ImF(ix) - 4K Im(E - k i x)(x) - 4K G(x)] at the frame's finite
+    chart value x = u (sign +) or x = v (sign -), with G grouped so large |x|
+    stays cancellation-free.
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
     return 1j * _theta_P_gamma_imag(frame.k, frame.u if sign == 1 else frame.v, frame.z0)
 
 
 def _theta_P_gamma_imag(k: float, x: float, z0: complex) -> float:
-    """Im of _theta_P_gamma_value at the endpoint chart value x."""
+    """Im of _theta_P_gamma_value at the endpoint chart value x, which is
+    finite: a chart value stays below 1.7e16, so x^2 cannot overflow."""
     K, E = complete_K(k), complete_E(k)
     x0, y0 = z0.real, z0.imag
-    if abs(x) > 1e150:  # G = -k y0 + O(1/x); x^2 would overflow
-        G = -k * y0
-    else:
-        W = w_imag(x, k)
-        dre = -((x - y0) ** 2 + x0 * x0)
-        m_num = (x - y0) * ((1.0 + (1.0 + k * k) * x * x) / (W + k * x * x)
-                            + k * x * y0) - k * x * x0 * x0
-        G = m_num / dre
+    W = w_imag(x, k)
+    dre = -((x - y0) ** 2 + x0 * x0)
+    m_num = (x - y0) * ((1.0 + (1.0 + k * k) * x * x) / (W + k * x * x)
+                        + k * x * y0) - k * x * x0 * x0
+    G = m_num / dre
     s, c = _axis_angle(x)
     return 4.0 * E * _F(s, c, k) - 4.0 * K * (_E_reg(s, c, k) + G)
 
@@ -488,8 +483,8 @@ def theta_P_gamma_closed(sign: int, frame: JacobiFrame) -> complex:
     """Principal closing integral of theta_P in closed form, purely imaginary.
 
     Rejected within 1e-9 of nu = +-1, where the principal path runs through
-    infinity and only one-sided limits exist; callers needing those limits
-    use the internal value function.
+    infinity and the value jumps; callers needing a value there use the
+    internal value function, on the side of the frame's chart angle.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -504,8 +499,8 @@ def gamma_closing_values(frame: JacobiFrame) -> dict[tuple[str, int | str], comp
     keyed (kind, +1 or -1), and over loops A and B, keyed (kind, "A" or "B").
 
     The checklist's one quadrature pass over every contour, independent of
-    construct_psi's closed forms; when a closing endpoint sits at infinity
-    (nu within the guard of +-1) the closed-form limit stands in.  theta_E
+    construct_psi's closed forms; the closed form stands in where no closing
+    path exists (nu near +-1, a pole or branch point in the way).  theta_E
     over a closing path is its closed form, checked against the quadrature.
     A segment that does not settle raises ContinuationError.
     """

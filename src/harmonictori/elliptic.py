@@ -1,15 +1,16 @@
 """Legendre elliptic integrals on the imaginary axis and their lifts.
 
-Complete integrals K, E are computed by the arithmetic-geometric mean.  The
-incomplete integrals on the imaginary axis are closed forms: the Jacobi
-imaginary transformation (DLMF 19.7(ii)) turns Im F(ix; k) and
-Im(E(ix; k) - k ix) into real integrals at the complementary modulus over
-the angle phi = arctan(x), which Carlson's symmetric integrals R_F and R_D
-evaluate directly (DLMF 19.25(i); Carlson 1995).  The lifted versions extend
-those integrals to the universal cover of the real projective line, which is
-where the genus-one closing function lives; the winding-number helper keeps
-the two descriptions in sync.  Adaptive quadrature of the defining
-integrals is kept only in the tests, as an independent check.
+Every integral here is a closed form in Carlson's symmetric integrals R_F
+and R_D (DLMF 19.25(i); Carlson 1995).  The complete K, E and their
+complementary K', E' take the parameter k^2 and its complement 1 - k^2 both
+at full precision.  On the imaginary axis the Jacobi imaginary
+transformation (DLMF 19.7(ii)) turns Im F(ix; k) and Im(E(ix; k) - k ix)
+into real integrals at the complementary modulus over the angle
+phi = arctan(x), which R_F and R_D evaluate directly.  The lifted versions
+extend those integrals to the universal cover of the real projective line,
+which is where the genus-one closing function lives; the winding-number
+helper keeps the two descriptions in sync.  Adaptive quadrature of the
+defining integrals is kept only in the tests, as an independent check.
 
 The kernels _F and _E_reg accept floats or numpy arrays, so the batched
 level-set solver in moduli evaluates the same closed forms over a grid.
@@ -59,51 +60,47 @@ def complementary_modulus(k: float) -> float:
     return math.sqrt((1.0 - k) * (1.0 + k))
 
 
+def _complete(m: float, m1: float) -> tuple[float, float]:
+    """(K, K - E) at parameter m = 1 - m1, as R_F(0, m1, 1) and
+    m R_D(0, m1, 1)/3 (DLMF 19.25.1); m and m1 both come in at full precision."""
+    return float(elliprf(0.0, m1, 1.0)), m * (float(elliprd(0.0, m1, 1.0)) / 3.0)
+
+
 @lru_cache(maxsize=4096)
-def _agm_KE(k: float) -> tuple[float, float]:
-    """(K, E) at modulus k via the AGM iteration, keyed exactly by k bits."""
-    a, b, c = 1.0, complementary_modulus(k), k
-    csum = 0.5 * c * c
-    power = 1.0
-    for _ in range(60):
-        if abs(a - b) <= 4e-16 * a:
-            break
-        c = 0.5 * (a - b)
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-        power *= 2.0
-        csum += 0.5 * power * c * c
-    K = math.pi / (a + b)  # a and b agree to machine precision here
-    return K, K * (1.0 - csum)
+def _complete_KE(k: float) -> tuple[float, float]:
+    """(K, E) at modulus k, keyed exactly by k bits."""
+    K, KmE = _complete(k * k, (1.0 - k) * (1.0 + k))
+    return K, K - KmE
 
 
 def complete_K(k) -> float:
     """Complete elliptic integral of the first kind, modulus convention."""
-    return _agm_KE(_check_modulus(k))[0]
+    return _complete_KE(_check_modulus(k))[0]
 
 
 def complete_E(k) -> float:
     """Complete elliptic integral of the second kind, modulus convention."""
-    return _agm_KE(_check_modulus(k))[1]
+    return _complete_KE(_check_modulus(k))[1]
 
 
 @lru_cache(maxsize=4096)
 def complementary_KE(k) -> tuple[float, float]:
-    """(K'(k), K'(k) - E'(k)) from the Carlson forms, cached per k.
+    """(K'(k), K'(k) - E'(k)), cached per k.
 
     Exact as k -> 0, where complete_K(complementary_modulus(k)) loses the
     information in rounding sqrt(1 - k^2) (2e-2 relative at k = 1e-8).
     """
     k = _check_modulus(k)
-    return _F(1.0, 0.0, k), _E_reg(1.0, 0.0, k)
+    return _complete((1.0 - k) * (1.0 + k), k * k)
 
 
 def legendre_defect(k) -> float:
     """K'E + KE' - KK' - pi/2, identically zero in exact arithmetic.
 
-    K and E come from the AGM, K' and E' from the Carlson forms, so the
-    defect checks the two evaluations against each other.
+    The same Carlson forms give K, E at parameter k^2 and K', E' at 1 - k^2,
+    so the defect checks the two evaluations against each other.
     """
-    K, E = _agm_KE(_check_modulus(k))
+    K, E = _complete_KE(_check_modulus(k))
     Kp, KmEp = complementary_KE(k)
     Ep = Kp - KmEp
     return Kp * E + K * Ep - K * Kp - 0.5 * math.pi

@@ -39,7 +39,7 @@ import numpy as np
 
 from .config import DEFAULTS
 from .curves import (
-    BranchPair, ModuliPoint, _chart_value, _chart_value_array,
+    BranchPair, ModuliPoint, S_value, _chart_value, _chart_value_array,
     _inverse_coords_array, forward_coords,
 )
 from .elliptic import (
@@ -54,12 +54,6 @@ __all__ = [
     "solve_level", "sweep_level_set", "classify_component", "spectral_test",
     "moduli_summary", "best_rational",
 ]
-
-
-def S_value(bp: BranchPair) -> float:
-    """S = |1 - alpha||1 - beta| / (|1 + alpha||1 + beta|), positive."""
-    a, b = bp.alpha, bp.beta
-    return (abs(1.0 - a) * abs(1.0 - b)) / (abs(1.0 + a) * abs(1.0 + b))
 
 
 # The chart algebra below takes floats or numpy arrays alike, so the scalar
@@ -87,24 +81,20 @@ def _dt0_du(p, k, K, E, u, v):
 
 
 def t0_raw(p: float, k: float, u: float, v: float) -> float:
-    """Principal branch T0 in the (p, k, u, v) chart.
+    """Principal branch T0 in the (p, k, u, v) chart, at finite chart values.
 
     2 pi T0 = 4p[E Im F(iv) - K Im(E(iv)-kiv)]
-            - 4 [E Im F(iu) - K Im(E(iu)-kiu)] - 4K * bracket(u, v);
-    u or v = +-inf (nu = +-1) takes the bracket's limit (p + 1) k v or
-    -(p + 1) k u.
+            - 4 [E Im F(iu) - K Im(E(iu)-kiu)] - 4K * bracket(u, v).
     """
+    if not (math.isfinite(u) and math.isfinite(v)):
+        raise ValueError(f"chart values must be finite, got u={u!r}, v={v!r}")
     if u == v:
         raise ValueError("T0 is undefined on the diagonal u = v")
     K, E = complete_K(k), complete_E(k)
     (su, cu), (sv, cv) = _axis_angle(u), _axis_angle(v)
     fu = E * _F(su, cu, k) - K * _E_reg(su, cu, k)
     fv = E * _F(sv, cv, k) - K * _E_reg(sv, cv, k)
-    if math.isinf(u) or math.isinf(v):
-        bracket = (p + 1.0) * k * (v if math.isinf(u) else -u)
-    else:
-        bracket = _bracket(p, k, u, v)
-    return (4.0 * p * fv - 4.0 * fu - 4.0 * K * bracket) / TWO_PI
+    return _t_tilde(p, k, K, (fu, u), (fv, v))
 
 
 def T0_value(mp: ModuliPoint) -> float:
@@ -150,20 +140,17 @@ def T_tilde(mp: ModuliPoint) -> float:
 
 
 def dt0_du_raw(p: float, k: float, u: float, v: float) -> float:
-    """Closed-form u-derivative of T0.
+    """Closed-form u-derivative of T0, at finite chart values.
 
     (pi/2) w(iu) (u-v)^2 dT0/du
         = -(u-v)^2 E + p K w(iu) w(iv)
-          + K [1 + u^2 - uv + k^2 uv + v^2 + k^2 u^2 v^2];
-    at v = +-inf it takes the limit 2(-E + p k K w(iu) + K(1 + k^2 u^2))/(pi w(iu)).
+          + K [1 + u^2 - uv + k^2 uv + v^2 + k^2 u^2 v^2].
     """
+    if not (math.isfinite(u) and math.isfinite(v)):
+        raise ValueError(f"chart values must be finite, got u={u!r}, v={v!r}")
     if u == v:
         raise ValueError("derivative undefined on the diagonal u = v")
-    K, E = complete_K(k), complete_E(k)
-    if math.isinf(v):
-        wu = _w(u, k)
-        return 2.0 * (-E + p * k * K * wu + K * (1.0 + k * k * u * u)) / (math.pi * wu)
-    return _dt0_du(p, k, K, E, u, v)
+    return _dt0_du(p, k, complete_K(k), complete_E(k), u, v)
 
 
 def dT0_du(mp: ModuliPoint) -> float:
@@ -199,18 +186,15 @@ def _dT_dv(p, k, K, E, u, v):
 
 
 class LevelSolveError(RuntimeError):
-    """Raised when the level-set root search does not converge within
-    _MAX_STEPS steps; carries the last bracket (a, b, f(a), f(b))."""
-
-    def __init__(self, msg, bracket=None):
-        super().__init__(msg)
-        self.bracket = bracket
+    """Raised when the level-set root search does not converge: its iterate
+    stalls, or _MAX_STEPS steps pass."""
 
 
 # The root search's policy, shared by solve_level and its batched form: the
 # band less _EDGE at each end is the bracket, where T~ - q takes opposite
 # signs for every reachable level, and _MAX_STEPS Newton-or-midpoint steps
-# are taken before it gives up.
+# are taken before it gives up, or fewer if the iterate stalls, after which
+# every step would repeat the same bracket, iterate and residual.
 _EDGE = 1e-12
 _MAX_STEPS = 100
 
@@ -228,7 +212,8 @@ def solve_level(p: float, q: float, k: float, fixed_angle: float,
     at each end converges to every reachable level.  The first iterate is
     ``start``, a guess at the solved angle such as a continuation's
     prediction, when strictly inside that bracket, and else (nan included)
-    the bracket's midpoint; a level out of reach fails after _MAX_STEPS steps.
+    the bracket's midpoint; a level out of reach fails when the iterate
+    stalls, or after _MAX_STEPS steps.
     """
     if not p > 0.0:
         raise ValueError("p must be positive")
@@ -254,7 +239,9 @@ def solve_level(p: float, q: float, k: float, fixed_angle: float,
     fx = f(x)
     for _ in range(_MAX_STEPS):
         if abs(fx) < tol:
-            break
+            if solve_for_u:
+                return ModuliPoint(p=p, k=k, u_tilde=x, v_tilde=fixed_angle)
+            return ModuliPoint(p=p, k=k, u_tilde=fixed_angle, v_tilde=x)
         if (fx < 0.0) == (sign > 0.0):
             a = x
         else:
@@ -264,15 +251,10 @@ def solve_level(p: float, q: float, k: float, fixed_angle: float,
         xn = x + step
         if not (min(a, b) < xn < max(a, b)) or step == 0.0:
             xn = 0.5 * (a + b)
+        if xn == x:
+            break
         x, fx = xn, f(xn)
-    else:
-        raise LevelSolveError(
-            f"no convergence for q={q!r}: residual {fx!r}",
-            bracket=(a, b, f(a), f(b)))
-
-    if solve_for_u:
-        return ModuliPoint(p=p, k=k, u_tilde=x, v_tilde=fixed_angle)
-    return ModuliPoint(p=p, k=k, u_tilde=fixed_angle, v_tilde=x)
+    raise LevelSolveError(f"no convergence for q={q!r}: residual {fx!r}")
 
 
 def _solve_level_grid(p: float, q: float, ks: list[float], angles: list[float],
@@ -283,8 +265,8 @@ def _solve_level_grid(p: float, q: float, ks: list[float], angles: list[float],
     the same bracket and midpoint start, the same Newton-or-midpoint step,
     the same step limit and failure reason, on the same floating-point
     values, so every point ends where a cold solve_level would.  Points
-    leave the iteration as they converge.  Returns the solved angle of every
-    point (nan where it failed) and the failure reason or None.
+    leave the iteration as they converge or stall.  Returns the solved angle
+    of every point (nan where it failed) and the failure reason or None.
     """
     if not p > 0.0:
         raise ValueError("p must be positive")
@@ -313,18 +295,21 @@ def _solve_level_grid(p: float, q: float, ks: list[float], angles: list[float],
         return _dT_dv(p, k, K, E, fixed_chart[idx], chart)
 
     n = fixed.size
-    solved = np.full(n, np.nan)
+    solved, residual = np.full(n, np.nan), np.full(n, np.nan)
     reasons: list[str | None] = [None] * n
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         fixed_lifted, fixed_chart = _lifted_level_terms(*consts, fixed)
         idx, a, b = np.arange(n), lo + _EDGE, hi - _EDGE
         x = 0.5 * (a + b)
         fx, chart = level(x, idx)
+        stalled = np.zeros(n, dtype=bool)
         for _ in range(_MAX_STEPS):
             done = np.abs(fx) < tol
-            if done.any():
+            leave = done | stalled
+            if leave.any():
                 solved[idx[done]] = x[done]
-                keep = ~done
+                residual[idx[stalled]] = fx[stalled]
+                keep = ~leave
                 idx, x, fx, chart, a, b = (v[keep] for v in (idx, x, fx, chart, a, b))
             if not idx.size:
                 break
@@ -334,10 +319,12 @@ def _solve_level_grid(p: float, q: float, ks: list[float], angles: list[float],
             step = np.where(d != 0.0, -fx / d, 0.0)
             xn = x + step
             inside = (np.minimum(a, b) < xn) & (xn < np.maximum(a, b)) & (step != 0.0)
-            x = np.where(inside, xn, 0.5 * (a + b))
+            xn = np.where(inside, xn, 0.5 * (a + b))
+            stalled, x = xn == x, xn
             fx, chart = level(x, idx)
-        for i, r in zip(idx.tolist(), fx.tolist()):
-            reasons[i] = f"no convergence for q={q!r}: residual {r!r}"
+        residual[idx] = fx
+        for i in np.flatnonzero(np.isnan(solved)).tolist():
+            reasons[i] = f"no convergence for q={q!r}: residual {residual[i].item()!r}"
     return solved, reasons
 
 

@@ -27,7 +27,9 @@ from .elliptic import (
     TWO_PI, complementary_KE, complete_E, complete_K, incomplete_F_imag,
     legendre_defect, lifted_E, lifted_F,
 )
-from .moduli import S_value, T_tilde, dT_tilde_du_tilde
+from .moduli import (
+    S_value, T_tilde, dT_tilde_du_tilde, solve_level, t0_raw, t_tilde_raw,
+)
 
 
 @dataclass
@@ -219,7 +221,6 @@ def suite_differentials(seed: int = 0) -> list[InvariantResult]:
                       ((abs(theta_P_characterization_check(fr)), _pair_sample(fr.pair))
                        for fr in (_random_frame(rng) for _ in range(10)))))
 
-    from .moduli import solve_level
     S, T = Fraction(1, 3), Fraction(1, 4)
     mp = solve_level(float(S), float(T), 0.5, 0.3)
     fr = build_frame(inverse_coords(mp))
@@ -231,7 +232,6 @@ def suite_differentials(seed: int = 0) -> list[InvariantResult]:
 
 def suite_moduli(seed: int = 0) -> list[InvariantResult]:
     rng = np.random.default_rng(seed)
-    from .moduli import solve_level, t0_raw, t_tilde_raw
     out = []
 
     def deck_shift():

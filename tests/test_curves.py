@@ -187,6 +187,19 @@ class TestJacobiFrame:
                         abs(abs(fr.mu) - 1.0), abs(abs(fr.nu) - 1.0))
         assert worst < 1e-9
 
+    def test_chart_angles_are_finite_through_nu(self):
+        # nu = -1 exactly: f(-1) is infinite, its chart angle pi (atan2(0, 0)
+        # would read 0) and its chart value finite
+        fr = build_frame(BranchPair(0.3, -0.3))
+        assert fr.nu == -1.0
+        assert fr.v_tilde == math.pi and math.isfinite(fr.v)
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            a, b = rng.uniform(-0.55, 0.55, (2, 2)) @ np.array([1.0, 1j])
+            fr = build_frame(BranchPair(a, b))
+            assert abs(fr.u_tilde - 2.0 * math.atan(fr.f(1.0).imag)) <= 4e-15
+            assert abs(fr.v_tilde - 2.0 * math.atan(fr.f(-1.0).imag)) <= 4e-15
+
     def test_unit_circle_to_imaginary_axis(self):
         bp = random_pair()
         fr = build_frame(bp)

@@ -84,6 +84,16 @@ class TestLegendre:
         assert max(abs(legendre_defect(k)) for k in ks) < 1e-11
 
 
+def test_complete_KE_against_mpmath():
+    # toward both ends of (0, 1): K, E from R_F, R_D at (1 - k)(1 + k)
+    ks = np.concatenate([np.geomspace(1e-10, 0.5, 60), 1 - np.geomspace(1e-12, 0.5, 60)])
+    with mp.workdps(40):
+        for k in ks.tolist():
+            m = mp.mpf(k) ** 2
+            assert complete_K(k) == pytest.approx(float(mp.ellipk(m)), rel=1e-14), k
+            assert complete_E(k) == pytest.approx(float(mp.ellipe(m)), rel=1e-14), k
+
+
 @pytest.mark.parametrize("k", [1e-8, 1e-6, 0.5, 1 - 1e-9])
 def test_complementary_KE_against_mpmath(k):
     # the round trip through sqrt(1 - k^2) is off by 2e-2 at k = 1e-8

@@ -26,10 +26,27 @@ from harmonictori.moduli import (
 )
 
 
-def test_solver_reports_bracket_on_unreachable_level():
-    with pytest.raises(LevelSolveError) as err:
+def test_unreachable_level_stops_when_the_iterate_stalls(monkeypatch):
+    # once the next iterate equals the current one every later step repeats
+    # it, so both solvers give up there rather than after _MAX_STEPS steps
+    calls, elements = [], []
+    level_part, lifted_level_terms = moduli._level_part, moduli._lifted_level_terms
+
+    def counted_part(*args):
+        calls.append(args[-1])
+        return level_part(*args)
+
+    def counted_terms(*args):
+        elements.append(args[-1].size)
+        return lifted_level_terms(*args)
+    monkeypatch.setattr(moduli, "_level_part", counted_part)
+    monkeypatch.setattr(moduli, "_lifted_level_terms", counted_terms)
+    with pytest.raises(LevelSolveError, match="no convergence"):
         solve_level(1.0, 1e15, 0.5, 0.3)
-    assert err.value.bracket is not None
+    assert len(calls) <= 60
+    mesh = sweep_level_set(1, 10 ** 15, 3, 4, 2 * math.pi)
+    assert len(mesh.failures) == 12
+    assert sum(elements) <= 700
 
 RNG = np.random.default_rng(17)
 
@@ -204,11 +221,17 @@ class TestDerivative:
         quotient = (level(math.pi - h, free) - level(math.pi - h, free - step)) / step
         assert limit == pytest.approx(quotient, rel=1e-4)
 
-    def test_held_limit_is_the_v_infinity_limit_of_dt0_du(self):
-        p, k, u = 0.7, 0.3, -1.3
-        limit = dt0_du_raw(p, k, u, math.inf)
-        assert limit == dt0_du_raw(p, k, u, -math.inf)
-        assert limit == pytest.approx(dt0_du_raw(p, k, u, 1e9), rel=1e-8)
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_chart_functions_reject_non_finite_chart_values(self, bad):
+        # every chart value is finite, the chart boundary's included
+        for fn in (t0_raw, dt0_du_raw):
+            for u, v in ((bad, -1.3), (-1.3, bad)):
+                with pytest.raises(ValueError, match="finite"):
+                    fn(0.7, 0.3, u, v)
+        with pytest.raises(ValueError, match="T0 is undefined on the diagonal"):
+            t0_raw(0.7, 0.3, 1.3, 1.3)
+        with pytest.raises(ValueError, match="derivative undefined on the diagonal"):
+            dt0_du_raw(0.7, 0.3, 1.3, 1.3)
 
     @pytest.mark.parametrize("p", [1 / 3, 1.0, 5 / 2])
     def test_array_twins_match_scalar_on_the_boundary(self, p):
