@@ -34,8 +34,7 @@ from .genus_zero import (
     energy, harmonic_map_eval, map_params, normalize_tau, period_lattice,
 )
 from .moduli import (
-    LevelSetMesh, S_value, classify_component, moduli_summary, spectral_test,
-    sweep_level_set,
+    LevelSetMesh, S_value, moduli_summary, spectral_test, sweep_level_set,
 )
 from .verify import run_suites
 
@@ -92,8 +91,8 @@ class CurveReport:
             lines.append("spectral   = no (at the detection tolerance)")
         else:
             ps, qs = self.spectral
-            comp = classify_component(ps, qs)
             summ = moduli_summary(ps, qs)
+            comp = summ.component
             lines.append(f"spectral   = yes: p = {ps}, q = {qs}")
             lines.append(f"component  = {comp.kind}(p={comp.p}, q_class={comp.q_class})")
             lines.append(f"fibre      = {summ.fibre}")

@@ -9,10 +9,10 @@ plane.  Its zero mu and pole nu on the unit circle are the preimages of
 On top of f sit the coordinates (p, k, u, v) with i u = f(1) and
 i v = f(-1), and their lifts (u~, v~) to the universal cover, where the deck
 transformation acts by half-turns of the rescaled angles.  The inverse map
-from coordinates to branch pairs is written once in real arithmetic and
-takes floats or numpy arrays, so a whole level-set leaf is mapped at once;
-the chart value tan(x~/2) is finite at every float angle, so the same
-formulas serve the chart boundary.
+from coordinates to branch pairs is written once, in real arithmetic on
+numpy arrays, so a whole level-set leaf is mapped at once and
+inverse_coords is its one-point case; the chart value tan(x~/2) is finite
+at every float angle, so the same formulas serve the chart boundary.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 
-# why a point has no branch pair, shared by the scalar and array checks
+# why a point has no branch pair
 _OUTSIDE_DISC = "branch points must lie in the open unit disc"
 _NOT_DISTINCT = "branch points must be distinct"
 _OFF_CHART = "u = v is outside the coordinate chart"
@@ -231,25 +231,17 @@ def forward_coords(bp: BranchPair) -> ModuliPoint:
     return ModuliPoint(p=S_value(bp), k=frame.k, u_tilde=u_tilde, v_tilde=v_tilde)
 
 
-def _chart_value(x_tilde: float) -> float:
-    """tan(x~/2), finite at every float angle: at a float odd multiple of pi
-    it is below 1.7e16 in magnitude, signed by the side the float lies on."""
-    return math.tan(0.5 * x_tilde)
-
-
-def _chart_value_array(x_tilde: np.ndarray) -> np.ndarray:
-    """_chart_value on an array of angles."""
+def _chart_value(x_tilde):
+    """tan(x~/2) of a float or an array, finite at every float angle: at a
+    float odd multiple of pi it is below 1.7e16 in magnitude, signed by the
+    side the float lies on."""
     return _libm(math.tan, 0.5 * x_tilde)
-
-
-def _where(cond, a, b):
-    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
 
 
 def _divide(ar, ai, br, bi):
     """(ar + i ai)/(br + i bi) by Smith's rule, as CPython divides complex numbers."""
     swap = abs(br) < abs(bi)
-    big, small, a, b = _where(swap, (bi, br, ai, ar), (br, bi, ar, ai))
+    big, small, a, b = np.where(swap, (bi, br, ai, ar), (br, bi, ar, ai))
     ratio = small / big
     denom = big + small * ratio
     return (a + b * ratio) / denom, (1 - 2 * swap) * (b - a * ratio) / denom
@@ -266,11 +258,11 @@ def _center(p, k, u, v):
 def _branch_parts(p, k, u, v):
     """Re and Im of alpha = nu_hat (1 - z0)/(1 + conj(z0)) and of beta, the
     same with 1/k for 1, where z0 = x + i y is _center and
-    nu_hat = (iu + conj(z0))/(iu - z0), at finite chart values u and v.
+    nu_hat = (iu + conj(z0))/(iu - z0), at arrays of finite chart values.
 
-    Real arithmetic on floats or arrays in the steps of CPython's complex
-    arithmetic, so the scalar map, the level-set sweep and the complex form
-    agree bit for bit (numpy's complex * and / differ in the last bit).
+    Real arithmetic in the steps of CPython's complex arithmetic, so the map
+    and the complex form agree bit for bit (numpy's complex * and / differ
+    in the last bit).
     """
     x, y = _center(p, k, u, v)
     nu_re, nu_im = _divide(x, u - y, -x, u - y)
@@ -283,25 +275,26 @@ def _branch_parts(p, k, u, v):
 
 def inverse_coords(mp: ModuliPoint) -> BranchPair:
     """Branch pair of a moduli point: z0 from the two-circle intersection,
-    then alpha = f^{-1}(1), beta = f^{-1}(1/k).
+    then alpha = f^{-1}(1), beta = f^{-1}(1/k); the one-point case of
+    _inverse_coords_array.
 
     Evaluation is overflow-safe: tan never overflows in double precision,
     and the formulas stay accurate up to its largest values.
     """
-    u, v = _chart_value(mp.u_tilde), _chart_value(mp.v_tilde)
-    if u == v:
-        raise ValueError(_OFF_CHART)
-    ar, ai, br, bi = _branch_parts(mp.p, mp.k, u, v)
-    return BranchPair(alpha=complex(ar, ai), beta=complex(br, bi))
+    angles = np.array([[mp.u_tilde], [mp.v_tilde]])
+    (alpha,), (beta,), (why,) = _inverse_coords_array(mp.p, mp.k, *angles)
+    if why is not None:
+        raise ValueError(why)
+    return BranchPair(alpha=complex(alpha), beta=complex(beta))
 
 
 def _inverse_coords_array(p, k, u_tilde, v_tilde):
-    """inverse_coords on arrays: alpha, beta and the reason it raises at each
-    point, or None; nan angles give nan values and no reason."""
-    u, v = _chart_value_array(u_tilde), _chart_value_array(v_tilde)
+    """Branch pairs of arrays of moduli points: alpha, beta and the reason
+    each point has none, or None; nan angles give nan values and no reason."""
+    u, v = _chart_value(u_tilde), _chart_value(v_tilde)
     with np.errstate(divide="ignore", invalid="ignore"):
         ar, ai, br, bi = parts = _branch_parts(p, k, u, v)
-    # the checks of inverse_coords and BranchPair; the first one failing wins
+    # the chart's check, then BranchPair's; the first one failing wins
     reasons = np.full(u.shape, None, dtype=object)
     reasons[(ar == br) & (ai == bi)] = _NOT_DISTINCT
     reasons[(np.hypot(ar, ai) >= 1.0) | (np.hypot(br, bi) >= 1.0)] = _OUTSIDE_DISC

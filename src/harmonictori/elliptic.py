@@ -12,15 +12,16 @@ which is where the genus-one closing function lives; the winding-number
 helper keeps the two descriptions in sync.  Adaptive quadrature of the
 defining integrals is kept only in the tests, as an independent check.
 
-The kernels _F and _E_reg accept floats or numpy arrays, so the batched
-level-set solver in moduli evaluates the same closed forms over a grid.
+The kernels _F, _E_reg and _half_angle (whole turns and reduced half-angle
+of a cover angle, without a branch) take floats or numpy arrays alike, so
+both level-set solvers in moduli evaluate the same closed forms.
 
 Conventions: the modulus k always lies in (0, 1); K' and E' denote the
 complete integrals at the complementary modulus sqrt(1 - k^2), and
 complementary_KE returns K' and K' - E' without forming that modulus.  One
 full turn of the cover adds 2K' to the lifted F and 2(K' - E') to the lifted
 regularized E, so that E*F~ - K*E~ gains exactly pi per turn by Legendre's
-relation.
+relation; moduli adds that pi itself, free of the relation's float defect.
 """
 
 from __future__ import annotations
@@ -172,49 +173,39 @@ def _reduce_turns(x_tilde: float) -> tuple[int, float]:
     return m, x_tilde - TWO_PI * m
 
 
-def _half_angle(x_tilde: float) -> tuple[int, float, float]:
-    """Turns m and (sin, cos) of (x~ - 2 pi m)/2, an angle in [-pi/2, pi/2).
-
-    sin and cos are taken of x~/2 itself, so the rounding of 2 pi m never
-    enters; where the float turn count lands on the wrong side of an odd
-    multiple of pi, the sign of cos moves it over.
-    """
-    m, _ = _reduce_turns(x_tilde)
-    s, c = math.sin(0.5 * x_tilde), math.cos(0.5 * x_tilde)
-    if m % 2:
-        s, c = -s, -c
-    if c < 0.0:
-        m += 1 if s > 0.0 else -1
-        s, c = -s, -c
-    return m, s, c
-
-
-def _libm(fn, x: np.ndarray) -> np.ndarray:
-    """A math-module function over an array.
+def _libm(fn, x):
+    """A math-module function of a float, or over an array.
 
     numpy's own tan differs from the math module's in the last bit for
-    about 0.4 % of arguments on x86-64 with AVX-512, and its sin and cos may
-    on other builds.  At the precision floor of the level-set solver one such
+    about 0.4 % of arguments on x86-64 with AVX-512, and its atan may on
+    other builds.  At the precision floor of the level-set solver one such
     bit changes where the iteration goes, so the array forms take the same
     transcendental values as the scalar ones, which keeps them bit-identical.
     """
-    return np.fromiter(map(fn, x.tolist()), float, x.size)
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(fn, x.tolist()), float, x.size)
+    return fn(x)
 
 
-def _half_angle_array(x_tilde: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_half_angle on an array of angles; the turn counts come back as floats."""
-    m = np.floor((x_tilde + math.pi) / TWO_PI)
-    s, c = _libm(math.sin, 0.5 * x_tilde), _libm(math.cos, 0.5 * x_tilde)
-    odd = m % 2.0 != 0.0
-    s, c = np.where(odd, -s, s), np.where(odd, -c, c)
-    over = c < 0.0
-    m = m + np.where(over, np.where(s > 0.0, 1.0, -1.0), 0.0)
-    return m, np.where(over, -s, s), np.where(over, -c, c)
+def _half_angle(x_tilde):
+    """Turns m (a float), (sin, cos) of the reduced half-angle x~/2 - m pi in
+    [-pi/2, pi/2] and the chart value u = tan(x~/2), of a float or an array.
+
+    The reduced angle is atan(u), so (sin, cos) = (u, 1)/sqrt(1 + u^2), where
+    u^2 cannot overflow below 1.7e16; a float next to an odd multiple of pi
+    lies on the side its tan lies on, and floats and arrays round m alike.
+    """
+    h = 0.5 * x_tilde
+    u = _libm(math.tan, h)
+    c = 1.0 / _sqrt(1.0 + u * u)
+    return ((h - _libm(math.atan, u)) / math.pi + 0.5) // 1.0, u * c, c, u
 
 
 def _lifted_integrals(x_tilde: float, k: float) -> tuple[float, float]:
     """lifted_F and lifted_E from one _half_angle, at a checked modulus."""
-    m, s, c = _half_angle(float(x_tilde))
+    if not math.isfinite(x_tilde):
+        raise ValueError(f"the angle must be finite, got {x_tilde!r}")
+    m, s, c, _ = _half_angle(x_tilde)
     F, E = _F(s, c, k), _E_reg(s, c, k)
     if not m:
         return F, E

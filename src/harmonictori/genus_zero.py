@@ -65,7 +65,7 @@ class Genus0Data:
         for e in (n1, m1, n2, m2):
             if not isinstance(e, int) or abs(e) > _MAX_ENTRY:
                 raise ValueError("matrix entries must be ints with |entry| <= 2^31")
-        if n1 * m2 - m1 * n2 == 0:
+        if self.det == 0:
             raise ValueError("matrix must be nonsingular")
 
     @property
@@ -192,8 +192,7 @@ def energy(d: Genus0Data) -> float:
     denom = abs(1.0 - a * a)
     if denom == 0.0:
         raise ValueError("energy is singular at alpha = +-1")
-    (n1, m1), (n2, m2) = d.matrix
-    return math.pi**2 * (1.0 + (a * a.conjugate()).real) * (m1 * n2 - n1 * m2) / denom
+    return math.pi**2 * (1.0 + (a * a.conjugate()).real) * -d.det / denom
 
 
 def differential_scalars(alpha: complex) -> tuple[complex, complex]:

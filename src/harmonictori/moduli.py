@@ -16,12 +16,13 @@ has two forms with one policy.  solve_level works on Python floats, one
 chart point at a time; serial callers such as monodromy_track, where each
 solve starts from a prediction off the last ones, use it.  sweep_level_set
 solves a whole (k, angle) grid in lockstep on numpy arrays from the
-midpoint and maps it to branch pairs with the array form of inverse_coords,
+midpoint and maps it to branch pairs with the map inverse_coords calls,
 so a leaf comes back as grid arrays with no per-point Python.  The
-algebra of T~ and dT~ is written once for both: the chart value tan(x~/2)
-of a float angle is finite, the chart boundary included, so one formula
-serves every point.  Only the lifted integrals, the chart value and the
-Newton loop have an array twin.
+algebra of T~ and dT~ is written once for both, on floats or arrays: an
+angle's share of T~ is the principal one plus pi per whole turn, and the
+chart value tan(x~/2) of a float angle is finite, the chart boundary
+included, so one formula serves every point.  Only the Newton loop has
+an array twin.
 
 Note on normalization: T0 and T~ below are exactly the principal-branch
 formulas.  With these, the curves (a, -a) fixed by the inversion symmetry
@@ -39,12 +40,11 @@ import numpy as np
 
 from .config import DEFAULTS
 from .curves import (
-    BranchPair, ModuliPoint, S_value, _chart_value, _chart_value_array,
-    _inverse_coords_array, forward_coords,
+    BranchPair, ModuliPoint, S_value, _chart_value, _inverse_coords_array,
+    forward_coords,
 )
 from .elliptic import (
-    TWO_PI, _E_reg, _F, _axis_angle, _half_angle_array, _lifted_integrals, _w,
-    complementary_KE, complete_E, complete_K,
+    TWO_PI, _E_reg, _F, _axis_angle, _half_angle, _w, complete_E, complete_K,
 )
 
 __all__ = [
@@ -104,11 +104,12 @@ def T0_value(mp: ModuliPoint) -> float:
 def t_tilde_raw(p: float, k: float, u_tilde: float, v_tilde: float) -> float:
     """Single-valued lift of T along the universal cover.
 
-    Uses the lifted integrals in place of the incomplete ones and the chart
-    values tan(u~/2), tan(v~/2), which are finite at every float angle, so
-    the function is total off the diagonal u = v.  Satisfies
-    T~ = T0 + 2[p Wind(v~) - Wind(u~)].
+    T~ = T0 + 2[p Wind(v~) - Wind(u~)]: each angle's share is the principal
+    one plus pi per whole turn, and the chart values tan(u~/2), tan(v~/2)
+    are finite at every float angle, so T~ is total off the diagonal u = v.
     """
+    if not (math.isfinite(u_tilde) and math.isfinite(v_tilde)):
+        raise ValueError(f"angles must be finite, got u~={u_tilde!r}, v~={v_tilde!r}")
     K, E = complete_K(k), complete_E(k)
     terms_u, terms_v = _level_part(k, K, E, u_tilde), _level_part(k, K, E, v_tilde)
     if terms_u[1] == terms_v[1]:
@@ -117,20 +118,15 @@ def t_tilde_raw(p: float, k: float, u_tilde: float, v_tilde: float) -> float:
 
 
 def _level_part(k, K, E, x_tilde):
-    """E F~(x~) - K E~(x~) and tan(x~/2): one angle's share of T~."""
-    F, E_reg = _lifted_integrals(x_tilde, k)
-    return E * F - K * E_reg, _chart_value(x_tilde)
-
-
-def _lifted_level_terms(k, K, E, Kp, KmEp, x_tilde):
-    """_level_part on arrays."""
-    m, s, c = _half_angle_array(x_tilde)
-    fx = E * (2.0 * m * Kp + _F(s, c, k)) - K * (2.0 * m * KmEp + _E_reg(s, c, k))
-    return fx, _chart_value_array(x_tilde)
+    """One angle's share E F~(x~) - K E~(x~) of T~ and its chart value
+    tan(x~/2), on floats or arrays: the share at the reduced half-angle plus
+    pi per whole turn, since E K' + K E' - K K' = pi/2."""
+    m, s, c, u = _half_angle(x_tilde)
+    return E * _F(s, c, k) - K * _E_reg(s, c, k) + m * math.pi, u
 
 
 def _t_tilde(p, k, K, terms_u, terms_v):
-    """T~ from the shares of u~ and v~, floats or (_lifted_level_terms) arrays."""
+    """T~ from the shares of u~ and v~ (_level_part), floats or arrays."""
     (fu, u), (fv, v) = terms_u, terms_v
     return (4.0 * p * fv - 4.0 * fu - 4.0 * K * _bracket(p, k, u, v)) / TWO_PI
 
@@ -223,20 +219,25 @@ def solve_level(p: float, q: float, k: float, fixed_angle: float,
     K, E = complete_K(k), complete_E(k)
     held = _level_part(k, K, E, fixed_angle)
 
+    def level(x):
+        """T~ - q and the chart value at free angle x."""
+        free = _level_part(k, K, E, x)
+        if solve_for_u:
+            return _t_tilde(p, k, K, free, held) - q, free[1]
+        return _t_tilde(p, k, K, held, free) - q, free[1]
+
     if solve_for_u:
         lo, hi = fixed_angle - TWO_PI, fixed_angle
-        f = lambda x: _t_tilde(p, k, K, _level_part(k, K, E, x), held) - q
-        df = lambda x: _dT_du(p, k, K, E, _chart_value(x), held[1])
+        slope = lambda chart: _dT_du(p, k, K, E, chart, held[1])
         sign = 1.0   # T~ increasing in u~
     else:
         lo, hi = fixed_angle, fixed_angle + TWO_PI
-        f = lambda x: _t_tilde(p, k, K, held, _level_part(k, K, E, x)) - q
-        df = lambda x: _dT_dv(p, k, K, E, held[1], _chart_value(x))
+        slope = lambda chart: _dT_dv(p, k, K, E, held[1], chart)
         sign = -1.0  # T~ decreasing in v~
 
     a, b = lo + _EDGE, hi - _EDGE
     x = start if start is not None and a < start < b else 0.5 * (a + b)
-    fx = f(x)
+    fx, chart = level(x)
     for _ in range(_MAX_STEPS):
         if abs(fx) < tol:
             if solve_for_u:
@@ -246,14 +247,14 @@ def solve_level(p: float, q: float, k: float, fixed_angle: float,
             a = x
         else:
             b = x
-        d = df(x)
+        d = slope(chart)
         step = -fx / d if d != 0.0 else 0.0
         xn = x + step
         if not (min(a, b) < xn < max(a, b)) or step == 0.0:
             xn = 0.5 * (a + b)
         if xn == x:
             break
-        x, fx = xn, f(xn)
+        x, (fx, chart) = xn, level(xn)
     raise LevelSolveError(f"no convergence for q={q!r}: residual {fx!r}")
 
 
@@ -264,32 +265,33 @@ def _solve_level_grid(p: float, q: float, ks: list[float], angles: list[float],
     Runs the scalar solver's policy on the flattened k-major grid at once:
     the same bracket and midpoint start, the same Newton-or-midpoint step,
     the same step limit and failure reason, on the same floating-point
-    values, so every point ends where a cold solve_level would.  Points
-    leave the iteration as they converge or stall.  Returns the solved angle
-    of every point (nan where it failed) and the failure reason or None.
+    values through the same _level_part, so every point ends where a cold
+    solve_level would, after as many evaluations of T~: a point leaves as it
+    converges or stalls, before its next iterate is evaluated.  Returns the
+    solved angle of every point (nan where it failed) and the failure reason or None.
     """
     if not p > 0.0:
         raise ValueError("p must be positive")
     solve_for_u = p > 1.0
     sign = 1.0 if solve_for_u else -1.0
     n_angles = len(angles)
-    # per point: k, K, E, K', K' - E', each computed once per k-row
-    per_k = [(k, complete_K(k), complete_E(k), *complementary_KE(k)) for k in ks]
+    # per point: k, K, E, each computed once per k-row
+    per_k = [(k, complete_K(k), complete_E(k)) for k in ks]
     consts = np.repeat(np.array(per_k).T, n_angles, axis=1)
     fixed = np.tile(np.array(angles, dtype=float), len(ks))
     lo, hi = (fixed - TWO_PI, fixed) if solve_for_u else (fixed, fixed + TWO_PI)
 
     def level(x, idx):
         """T~ - q and the chart value at free angle x for the grid points idx."""
-        k, K, E, Kp, KmEp = consts[:, idx]
-        free = _lifted_level_terms(k, K, E, Kp, KmEp, x)
-        held = (fixed_lifted[idx], fixed_chart[idx])
+        k, K, E = consts[:, idx]
+        free = _level_part(k, K, E, x)
+        held = (fixed_share[idx], fixed_chart[idx])
         terms = (free, held) if solve_for_u else (held, free)
         return _t_tilde(p, k, K, *terms) - q, free[1]
 
     def slope(chart, idx):
         """dT~ along the free angle at chart value ``chart`` for the grid points idx."""
-        k, K, E = consts[:3, idx]
+        k, K, E = consts[:, idx]
         if solve_for_u:
             return _dT_du(p, k, K, E, chart, fixed_chart[idx])
         return _dT_dv(p, k, K, E, fixed_chart[idx], chart)
@@ -298,21 +300,12 @@ def _solve_level_grid(p: float, q: float, ks: list[float], angles: list[float],
     solved, residual = np.full(n, np.nan), np.full(n, np.nan)
     reasons: list[str | None] = [None] * n
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        fixed_lifted, fixed_chart = _lifted_level_terms(*consts, fixed)
+        fixed_share, fixed_chart = _level_part(*consts, fixed)
         idx, a, b = np.arange(n), lo + _EDGE, hi - _EDGE
         x = 0.5 * (a + b)
         fx, chart = level(x, idx)
-        stalled = np.zeros(n, dtype=bool)
         for _ in range(_MAX_STEPS):
             done = np.abs(fx) < tol
-            leave = done | stalled
-            if leave.any():
-                solved[idx[done]] = x[done]
-                residual[idx[stalled]] = fx[stalled]
-                keep = ~leave
-                idx, x, fx, chart, a, b = (v[keep] for v in (idx, x, fx, chart, a, b))
-            if not idx.size:
-                break
             lower = (fx < 0.0) == (sign > 0.0)
             a, b = np.where(lower, x, a), np.where(lower, b, x)
             d = slope(chart, idx)
@@ -320,9 +313,17 @@ def _solve_level_grid(p: float, q: float, ks: list[float], angles: list[float],
             xn = x + step
             inside = (np.minimum(a, b) < xn) & (xn < np.maximum(a, b)) & (step != 0.0)
             xn = np.where(inside, xn, 0.5 * (a + b))
-            stalled, x = xn == x, xn
-            fx, chart = level(x, idx)
-        residual[idx] = fx
+            stalled = xn == x
+            leave = done | stalled
+            if leave.any():
+                solved[idx[done]] = x[done]
+                residual[idx[stalled]] = fx[stalled]
+                idx, xn, a, b = (v[~leave] for v in (idx, xn, a, b))
+                if not idx.size:
+                    break
+            x, (fx, chart) = xn, level(xn, idx)
+        else:
+            residual[idx] = fx
         for i in np.flatnonzero(np.isnan(solved)).tolist():
             reasons[i] = f"no convergence for q={q!r}: residual {residual[i].item()!r}"
     return solved, reasons
@@ -364,8 +365,9 @@ def sweep_level_set(p: Fraction, q: Fraction, k_grid: int, angle_grid: int,
     full turn of the cover, after which the p = 1 leaves close up exactly
     while p != 1 leaves land on the next deck translate.  All grid points are
     solved together by the batched form of solve_level and mapped to branch
-    pairs by the array form of inverse_coords; both follow the scalar
-    functions bit for bit and report the same per-point failure reasons.
+    pairs by the map of which inverse_coords is the one-point case; the
+    solve follows solve_level bit for bit, and every point fails with the
+    reason the scalar functions raise.
     """
     if k_grid < 2 or angle_grid < 2:
         raise ValueError("grids must have at least 2 samples")

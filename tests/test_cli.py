@@ -22,6 +22,25 @@ def run_cli(args, env=None, cwd=None):
     return proc
 
 
+@pytest.mark.parametrize("args, message", [
+    (["curve-info", "--alpha", "0.3", "--beta", "0.1,0.2"], "expected RE,IM, got '0.3'"),
+    (["level-set", "--p", "1/0", "--q", "0", "--k-grid", "3", "--angle-grid", "4",
+      "--span", "1.0", "--out", "unused.csv"], "expected a rational like 3/4, got '1/0'"),
+    (["enumerate", "--p", "0", "--max-den", "3"], "p must be positive"),
+    (["enumerate", "--p", "2", "--max-den", "0"], "max-den must be at least 1"),
+    (["genus0", "--alpha", "0.3,0.1", "--matrix", "1,2,3"],
+     "matrix needs exactly four integers a,b,c,d"),
+], ids=["curve_info_point", "level_set_rational", "enumerate_p", "enumerate_max_den",
+        "genus0_matrix"])
+def test_invalid_input_is_a_usage_error(args, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not any(tmp_path.iterdir())
+
+
 class TestCurveInfo:
     def test_symmetric_curve_is_spectral(self, capsys):
         code = main(["curve-info", "--alpha", "0.3,0.0", "--beta=-0.3,0.0"])
@@ -348,6 +367,15 @@ class TestConfig:
         assert code == 1
         assert captured.err == f"error: bad config: {message}\n"
         assert not out.exists()
+
+    def test_line_without_equals_rejected(self, tmp_path, monkeypatch, capsys):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text("# comment\nk_min 0.2\n")
+        monkeypatch.setenv(CONFIG_ENV_VAR, str(cfg_file))
+        assert main(["enumerate", "--p", "2", "--max-den", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: bad config: {cfg_file}:2: expected key = value\n"
+        assert captured.out == ""
 
     def test_invalid_range_rejected(self, tmp_path):
         cfg_file = tmp_path / "bad2.cfg"

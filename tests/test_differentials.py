@@ -3,6 +3,7 @@
 import cmath
 import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -750,10 +751,11 @@ class TestChartRoute:
             assert abs(value - frame_gamma_plus(left)) < 1e-6
 
     def test_off_the_chart_raises_as_inverse_coords(self, monkeypatch):
-        # a ModuliPoint keeps u~ < v~ < u~ + 2 pi, so u = v needs a stand-in chart
+        # a ModuliPoint keeps u~ < v~ < u~ + 2 pi, so u = v needs a stand-in
+        # chart, which like the real one takes floats or arrays
         mp = ModuliPoint(1.0, 0.5, 0.3, 2.0)
         for module in (curves, differentials):
-            monkeypatch.setattr(module, "_chart_value", lambda x: 0.7)
+            monkeypatch.setattr(module, "_chart_value", lambda x: np.full(np.shape(x), 0.7))
         for route in (inverse_coords, _chart_gamma_plus):
             with pytest.raises(ValueError, match="u = v is outside the coordinate chart"):
                 route(mp)
@@ -969,3 +971,9 @@ class TestDomainEdges:
             edge = _theta_P_gamma_imag(0.5, sign * math.tan(math.pi / 2), z0)
             assert math.isfinite(edge)
             assert abs(edge - _theta_P_gamma_imag(0.5, sign * 1e15, z0)) < 1e-14
+
+
+@pytest.mark.parametrize("loop_samples", [7, 0])
+def test_too_few_loop_samples_rejected(loop_samples):
+    with pytest.raises(ValueError, match=re.escape("loop_samples must be at least 8")):
+        monodromy_track(Fraction(1, 3), loop_samples=loop_samples)

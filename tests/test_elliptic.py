@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from harmonictori.elliptic import (
-    ChartBoundary, _half_angle, _half_angle_array, complementary_KE,
+    ChartBoundary, _half_angle, complementary_KE,
     complementary_modulus, complete_E, complete_K, incomplete_E_reg_imag,
     incomplete_F_imag, legendre_defect, lifted_E, lifted_F, w_imag, wind,
 )
@@ -178,11 +178,29 @@ class TestLifted:
         assert lifted_F(2 * math.pi, k) == pytest.approx(float(2 * Kp), rel=1e-14)
         assert lifted_E(2 * math.pi, k) == pytest.approx(float(2 * Kp_Ep), rel=1e-14)
 
-    def test_half_angle_array_matches_scalar(self):
-        xs = [0.0, math.pi, -math.pi, 3 * math.pi, -5 * math.pi, math.pi - 1e-9,
-              2 * math.pi, 7.0, -20.0, 100.0, 1e3]
-        m, s, c = _half_angle_array(np.array(xs))
-        assert list(zip(m, s, c)) == [_half_angle(x) for x in xs]
+    def test_half_angle_on_an_array_is_the_float_calls(self):
+        rng = np.random.default_rng(19)
+        odd = [math.pi * j for j in range(-41, 42, 2)]
+        xs = np.array([0.0, -0.0, 1e-300, 2 * math.pi, math.pi - 1e-9, 1e8, -1e8,
+                       *odd, *(x + y for x in odd[::5] for y in (-1e-15, 1e-15)),
+                       *rng.uniform(-40.0, 40.0, 200), *(10.0 ** rng.uniform(2.0, 8.0, 100)
+                                                         * rng.choice([-1.0, 1.0], 100))])
+        assert [tuple(x.hex() for x in row) for row in zip(*_half_angle(xs))] == \
+            [tuple(float(x).hex() for x in _half_angle(x)) for x in xs.tolist()]
+        ulp = 2.0 ** -52
+        with mp.workdps(40):
+            for x in xs.tolist():
+                m, s, c, u = _half_angle(x)
+                assert m == int(m) and c > 0.0 and u == math.tan(0.5 * x)
+                assert abs(s * s + c * c - 1.0) <= 4 * ulp
+                reduced = mp.mpf(x) / 2 - int(m) * mp.pi
+                assert abs(math.atan2(s, c) - reduced) <= 4 * ulp, x
+
+    @pytest.mark.parametrize("fn", [lifted_F, lifted_E])
+    @pytest.mark.parametrize("x_tilde", [math.inf, -math.inf, math.nan])
+    def test_non_finite_angle_rejected(self, fn, x_tilde):
+        with pytest.raises(ValueError, match="finite"):
+            fn(x_tilde, 0.5)
 
     def test_quasi_periodicity(self):
         # E F~(x+2pi) - K E~(x+2pi) = E F~(x) - K E~(x) + pi

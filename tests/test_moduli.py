@@ -14,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 from harmonictori import moduli
 from harmonictori.config import DEFAULTS
 from harmonictori.curves import (
-    BranchPair, ModuliPoint, deck_iota_tilde, deck_lambda_tilde,
-    forward_coords, inverse_coords,
+    _NOT_DISTINCT, _OFF_CHART, _OUTSIDE_DISC, BranchPair, ModuliPoint,
+    deck_iota_tilde, deck_lambda_tilde, forward_coords, inverse_coords,
 )
 from harmonictori.elliptic import complete_E, complete_K
 from harmonictori.moduli import (
@@ -28,25 +28,41 @@ from harmonictori.moduli import (
 
 def test_unreachable_level_stops_when_the_iterate_stalls(monkeypatch):
     # once the next iterate equals the current one every later step repeats
-    # it, so both solvers give up there rather than after _MAX_STEPS steps
-    calls, elements = [], []
-    level_part, lifted_level_terms = moduli._level_part, moduli._lifted_level_terms
+    # it, so both solvers give up there rather than after _MAX_STEPS steps,
+    # and the sweep evaluates T~ at each point as often as the scalar solve
+    elements = []
+    level_part = moduli._level_part
 
-    def counted_part(*args):
-        calls.append(args[-1])
-        return level_part(*args)
-
-    def counted_terms(*args):
-        elements.append(args[-1].size)
-        return lifted_level_terms(*args)
-    monkeypatch.setattr(moduli, "_level_part", counted_part)
-    monkeypatch.setattr(moduli, "_lifted_level_terms", counted_terms)
+    def counted(k, K, E, x):
+        elements.append(np.size(x))
+        return level_part(k, K, E, x)
+    monkeypatch.setattr(moduli, "_level_part", counted)
     with pytest.raises(LevelSolveError, match="no convergence"):
         solve_level(1.0, 1e15, 0.5, 0.3)
-    assert len(calls) <= 60
+    assert len(elements) <= 60
+    elements.clear()
     mesh = sweep_level_set(1, 10 ** 15, 3, 4, 2 * math.pi)
     assert len(mesh.failures) == 12
-    assert sum(elements) <= 700
+    swept = sum(elements)
+    elements.clear()
+    for k, angle, why in mesh.failures:
+        with pytest.raises(LevelSolveError, match=re.escape(why)):
+            solve_level(1.0, 1e15, k, angle)
+    assert swept == sum(elements)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: best_rational(0.5, 0), "max_den must be at least 1"),
+    (lambda: classify_component(Fraction(0), Fraction(1, 2)), "p must be positive"),
+    (lambda: sweep_level_set(Fraction(1), Fraction(1, 2), 3, 4, 1.0, k_min=0.5, k_max=0.5),
+     "need 0 < k_min < k_max < 1"),
+    (lambda: sweep_level_set(Fraction(1), Fraction(1, 2), 3, 4, 1.0, k_min=0.6, k_max=0.4),
+     "need 0 < k_min < k_max < 1"),
+], ids=["best_rational_max_den", "classify_component_p", "sweep_k_equal", "sweep_k_reversed"])
+def test_invalid_input_rejected(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
 
 RNG = np.random.default_rng(17)
 
@@ -239,10 +255,10 @@ class TestDerivative:
         K, E = complete_K(k), complete_E(k)
         free = np.array([0.3, 1.7, 2.9])
         pi = np.full(3, math.pi)
-        du = moduli._dT_du(p, k, K, E, moduli._chart_value_array(free - 2 * math.pi),
-                           moduli._chart_value_array(pi))
-        dv = moduli._dT_dv(p, k, K, E, moduli._chart_value_array(pi),
-                           moduli._chart_value_array(free + math.pi))
+        du = moduli._dT_du(p, k, K, E, moduli._chart_value(free - 2 * math.pi),
+                           moduli._chart_value(pi))
+        dv = moduli._dT_dv(p, k, K, E, moduli._chart_value(pi),
+                           moduli._chart_value(free + math.pi))
         assert du.tolist() == [dT_tilde_du_tilde(p, k, x - 2 * math.pi, math.pi) for x in free]
         assert dv.tolist() == [dT_tilde_dv_tilde(p, k, math.pi, x + math.pi) for x in free]
         assert np.isfinite(du).all() and np.isfinite(dv).all()
@@ -331,6 +347,30 @@ class TestChartBoundary:
     def test_lifted_functions_reject_the_diagonal(self, fn, angle):
         with pytest.raises(ValueError, match="diagonal"):
             fn(1.5, 0.5, angle, angle)
+
+
+class TestTurns:
+    """Each whole turn adds pi to an angle's share of T~ (Legendre's relation)."""
+
+    @pytest.mark.parametrize("k", [1e-6, 1e-3, 0.5, 0.9])
+    def test_t_tilde_against_mpmath_after_many_turns(self, k):
+        # about 160 turns; turn terms 2m K' and 2m (K' - E') would carry the
+        # float Legendre defect once per turn, up to 1.1e-14 here
+        rng = np.random.default_rng(31)
+        worst = 0.0
+        for _ in range(60):
+            p = float(rng.uniform(0.2, 4.0))
+            ut = float(rng.choice([-1e3, 1e3]) + rng.uniform(-1.0, 1.0))
+            vt = ut + float(rng.uniform(0.1, 2 * math.pi - 0.1))
+            ref = t_tilde_reference(p, k, ut, vt)
+            worst = max(worst, abs(t_tilde_raw(p, k, ut, vt) - ref) / max(1.0, abs(ref)))
+        assert worst < 4e-15
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_t_tilde_rejects_non_finite_angles(self, bad):
+        for ut, vt in ((bad, 0.3), (0.3, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                t_tilde_raw(1.5, 0.5, ut, vt)
 
 
 def reference_solve(p, q, k, fixed_angle, tol=DEFAULTS.solver_tol):
@@ -670,13 +710,21 @@ class TestBatchedSweep:
                    for _, _, why in mesh.failures)
 
     def test_tiny_k_sweep_is_warning_free(self):
-        # below k ~ 1e-154 k^2 underflows and K' is infinite, so the held
-        # angle's lifted terms form 0 * inf; that must stay silent
+        # below k ~ 1e-154 k^2 underflows to 0; that must stay silent, and a
+        # point there either solves its level or the coordinate map rejects it
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             mesh = check_batched_against_scalar(Fraction(1, 3), Fraction(37, 100), 3, 4,
                                                 6.28, k_min=1e-160, k_max=0.5)
-        assert not mesh.solved[0].any() and mesh.solved[1:].all()
+        assert mesh.solved[1:].all()
+        k = mesh.k_values[0]
+        failed = {angle: why for k_, angle, why in mesh.failures if k_ == k}
+        for j, angle in enumerate(mesh.angle_values):
+            if mesh.solved[0, j]:
+                u, v = mesh.u_tilde[0, j], mesh.v_tilde[0, j]
+                assert abs(t_tilde_raw(1 / 3, k, u, v) - 0.37) < DEFAULTS.solver_tol
+            else:
+                assert failed[angle] in (_OUTSIDE_DISC, _NOT_DISTINCT, _OFF_CHART)
 
     def test_rejected_branch_pairs_join_the_failures(self, monkeypatch):
         # a point the coordinate map rejects fails like a point the solver
