@@ -144,9 +144,11 @@ class JacobiFrame:
 
     def _chart_angle(self, zeta: float) -> float:
         """2 atan Im f(zeta) = 2 atan2(Im(scale (zeta - mu) conj(zeta - nu)),
-        |zeta - nu|^2), finite through zeta = nu, where it is pi."""
-        d = zeta - self.nu
-        num = (self.scale * (zeta - self.mu) * d.conjugate()).imag
+        |zeta - nu|^2) with mu, nu put back on the unit circle, so zeta - nu
+        is not radial near zeta = nu; finite there, and pi at zeta = nu."""
+        mu, nu = self.mu / abs(self.mu), self.nu / abs(self.nu)
+        d = zeta - nu
+        num = (self.scale * (zeta - mu) * d.conjugate()).imag
         return math.pi if d == 0 else 2.0 * math.atan2(num, abs(d) ** 2)
 
     @cached_property

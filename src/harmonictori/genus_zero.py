@@ -34,8 +34,8 @@ class Genus0Map:
     delta: float
 
     def __post_init__(self):
-        if not self.x > 0.0:
-            raise ValueError("x must be positive")
+        if not 0.0 < self.x < math.inf:
+            raise ValueError("x must be positive and finite")
         if not (0.0 < self.delta < math.pi):
             # at delta in {0, pi} the image degenerates to a great circle
             raise ValueError("delta must lie strictly between 0 and pi")
@@ -59,7 +59,7 @@ class Genus0Data:
     matrix: tuple[tuple[int, int], tuple[int, int]]
 
     def __post_init__(self):
-        if abs(self.alpha) >= 1.0:
+        if not abs(self.alpha) < 1.0:
             raise ValueError("alpha must lie in the open unit disc")
         (n1, m1), (n2, m2) = self.matrix
         for e in (n1, m1, n2, m2):
@@ -89,7 +89,7 @@ def branch_point(m: Genus0Map) -> complex:
 def map_params(alpha: complex) -> Genus0Map:
     """Invert the branch point: x e^{i delta} = i (1 + alpha)/(1 - alpha)."""
     alpha = complex(alpha)
-    if abs(alpha) >= 1.0:
+    if not abs(alpha) < 1.0:
         raise ValueError("alpha must lie in the open unit disc")
     z = 1j * (1.0 + alpha) / (1.0 - alpha)
     return Genus0Map(x=abs(z), delta=cmath.phase(z))
@@ -125,8 +125,8 @@ def harmonic_map_eval(m: Genus0Map, w: complex) -> np.ndarray:
 
 def period_lattice(x: float) -> PeriodLattice:
     """Generators kappa_1 = (pi/4)(1 - i/x), kappa_2 = -(pi/4)(1 + i/x)."""
-    if not x > 0.0:
-        raise ValueError("x must be positive")
+    if not 0.0 < x < math.inf:
+        raise ValueError("x must be positive and finite")
     q = math.pi / 4.0
     return PeriodLattice(kappa1=q * (1.0 - 1j / x), kappa2=-q * (1.0 + 1j / x))
 

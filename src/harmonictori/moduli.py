@@ -10,19 +10,17 @@ graphs over (k, angle) charts, which is what the solver exploits.
 
 On each band T~ is strictly monotone along the free angle and diverges to
 opposite infinities at its two ends, so the band less 1e-12 at each end
-brackets every reachable level before any evaluation.  The solver starts
-at a given start strictly inside that bracket, else at its midpoint.  It
-has two forms with one policy.  solve_level works on Python floats, one
-chart point at a time; serial callers such as monodromy_track, where each
-solve starts from a prediction off the last ones, use it.  sweep_level_set
-solves a whole (k, angle) grid in lockstep on numpy arrays from the
-midpoint and maps it to branch pairs with the map inverse_coords calls,
-so a leaf comes back as grid arrays with no per-point Python.  The
-algebra of T~ and dT~ is written once for both, on floats or arrays: an
-angle's share of T~ is the principal one plus pi per whole turn, and the
-chart value tan(x~/2) of a float angle is finite, the chart boundary
-included, so one formula serves every point.  Only the Newton loop has
-an array twin.
+brackets every reachable level before any evaluation.  Both solvers pose
+one level problem, on floats or arrays: _band gives that bracket and the
+orientation, _level_fns the level T~ - q and its slope, _no_convergence
+the failure reason.  Only the Newton-or-midpoint loop is written twice:
+solve_level runs it on floats at one chart point, from a given start
+inside the bracket or else its midpoint, for serial callers such as
+monodromy_track; _solve_level_grid runs it in lockstep on per-point
+(k, angle) arrays from the midpoint, as sweep_level_set does for a leaf.
+An angle's share of T~ is the principal one plus pi per whole turn, and
+the chart value tan(x~/2) of a float angle is finite, the chart boundary
+included, so one formula serves every point.
 
 Note on normalization: T0 and T~ below are exactly the principal-branch
 formulas.  With these, the curves (a, -a) fixed by the inversion symmetry
@@ -195,58 +193,63 @@ _EDGE = 1e-12
 _MAX_STEPS = 100
 
 
+def _band(p, held_angle):
+    """The bracket (a, b), the band less _EDGE at each end, of the free angle
+    at a held angle (float or array), and the sign of dT~ along it."""
+    if p > 1.0:
+        return held_angle - TWO_PI + _EDGE, held_angle - _EDGE, 1.0
+    return held_angle + _EDGE, held_angle + TWO_PI - _EDGE, -1.0
+
+
+def _level_fns(p, q, k, K, E, held):
+    """The closures level(x), giving T~ - q and the chart value at free angle
+    x, and slope(chart), giving dT~ along the free angle at that chart value,
+    for the held angle's share ``held`` (_level_part); floats or arrays."""
+    solve_for_u = p > 1.0
+
+    def level(x):
+        free = _level_part(k, K, E, x)
+        if solve_for_u:
+            return _t_tilde(p, k, K, free, held) - q, free[1]
+        return _t_tilde(p, k, K, held, free) - q, free[1]
+    if solve_for_u:
+        return level, lambda chart: _dT_du(p, k, K, E, chart, held[1])
+    return level, lambda chart: _dT_dv(p, k, K, E, held[1], chart)
+
+
+def _no_convergence(q, residual) -> str:
+    return f"no convergence for q={q!r}: residual {residual!r}"
+
+
 def solve_level(p: float, q: float, k: float, fixed_angle: float,
                 tol: float = DEFAULTS.solver_tol,
                 start: float | None = None) -> ModuliPoint:
     """Solve T~ = q on the slice S = p at one (k, angle) chart point.
 
-    For p >= 1 the fixed angle is v~ and the solution angle u~ lies in
-    (v~ - 2 pi, v~); for p <= 1 the fixed angle is u~ and v~ is solved in
-    (u~, u~ + 2 pi); at p = 1 the second convention is used.  T~ diverges
-    with opposite signs at the band ends and is strictly monotone between
-    them, so bracketed Newton with bisection fallback on the band less 1e-12
-    at each end converges to every reachable level.  The first iterate is
-    ``start``, a guess at the solved angle such as a continuation's
-    prediction, when strictly inside that bracket, and else (nan included)
-    the bracket's midpoint; a level out of reach fails when the iterate
-    stalls, or after _MAX_STEPS steps.
+    For p > 1 the fixed angle is v~ and the solution angle u~ lies in
+    (v~ - 2 pi, v~), where T~ increases; for p <= 1 the fixed angle is u~
+    and v~ is solved in (u~, u~ + 2 pi), where T~ decreases.  T~ diverges
+    with opposite signs at the band ends, so bracketed Newton with bisection
+    fallback on the band less 1e-12 at each end (_band) converges to every
+    reachable level.  The first iterate is ``start``, a guess at the solved
+    angle such as a continuation's prediction, when strictly inside that
+    bracket, and else (nan included) the bracket's midpoint; a level out of
+    reach fails when the iterate stalls, or after _MAX_STEPS steps.
     """
     if not p > 0.0:
         raise ValueError("p must be positive")
     if not math.isfinite(fixed_angle):
         raise ValueError(f"the held angle must be finite, got {fixed_angle!r}")
-    solve_for_u = p > 1.0
     K, E = complete_K(k), complete_E(k)
-    held = _level_part(k, K, E, fixed_angle)
-
-    def level(x):
-        """T~ - q and the chart value at free angle x."""
-        free = _level_part(k, K, E, x)
-        if solve_for_u:
-            return _t_tilde(p, k, K, free, held) - q, free[1]
-        return _t_tilde(p, k, K, held, free) - q, free[1]
-
-    if solve_for_u:
-        lo, hi = fixed_angle - TWO_PI, fixed_angle
-        slope = lambda chart: _dT_du(p, k, K, E, chart, held[1])
-        sign = 1.0   # T~ increasing in u~
-    else:
-        lo, hi = fixed_angle, fixed_angle + TWO_PI
-        slope = lambda chart: _dT_dv(p, k, K, E, held[1], chart)
-        sign = -1.0  # T~ decreasing in v~
-
-    a, b = lo + _EDGE, hi - _EDGE
+    a, b, sign = _band(p, fixed_angle)
+    level, slope = _level_fns(p, q, k, K, E, _level_part(k, K, E, fixed_angle))
     x = start if start is not None and a < start < b else 0.5 * (a + b)
     fx, chart = level(x)
     for _ in range(_MAX_STEPS):
         if abs(fx) < tol:
-            if solve_for_u:
-                return ModuliPoint(p=p, k=k, u_tilde=x, v_tilde=fixed_angle)
-            return ModuliPoint(p=p, k=k, u_tilde=fixed_angle, v_tilde=x)
-        if (fx < 0.0) == (sign > 0.0):
-            a = x
-        else:
-            b = x
+            u, v = (x, fixed_angle) if p > 1.0 else (fixed_angle, x)
+            return ModuliPoint(p=p, k=k, u_tilde=u, v_tilde=v)
+        a, b = (x, b) if (fx < 0.0) == (sign > 0.0) else (a, x)
         d = slope(chart)
         step = -fx / d if d != 0.0 else 0.0
         xn = x + step
@@ -255,60 +258,39 @@ def solve_level(p: float, q: float, k: float, fixed_angle: float,
         if xn == x:
             break
         x, (fx, chart) = xn, level(xn)
-    raise LevelSolveError(f"no convergence for q={q!r}: residual {fx!r}")
+    raise LevelSolveError(_no_convergence(q, fx))
 
 
-def _solve_level_grid(p: float, q: float, ks: list[float], angles: list[float],
+def _solve_level_grid(p: float, q: float, k: np.ndarray, angle: np.ndarray,
                       tol: float) -> tuple[np.ndarray, list[str | None]]:
-    """solve_level at every (k, angle) of a grid, in lockstep.
+    """solve_level at every point (k[i], angle[i]) of two arrays, in lockstep.
 
-    Runs the scalar solver's policy on the flattened k-major grid at once:
-    the same bracket and midpoint start, the same Newton-or-midpoint step,
-    the same step limit and failure reason, on the same floating-point
-    values through the same _level_part, so every point ends where a cold
-    solve_level would, after as many evaluations of T~: a point leaves as it
-    converges or stalls, before its next iterate is evaluated.  Returns the
-    solved angle of every point (nan where it failed) and the failure reason or None.
+    Runs the scalar solver's policy on all points at once: the same bracket
+    and midpoint start (_band), level and slope (_level_fns), Newton-or-
+    midpoint step, step limit and failure reason, on the same floating-point
+    values, so every point ends where a cold solve_level would, after as many
+    evaluations of T~: a point leaves as it converges or stalls, before its
+    next iterate is evaluated.  K and E are looked up once per distinct k;
+    the per-point constants are cut to the running points as points leave.
+    Returns the solved angle of every point (nan where it failed) and the
+    failure reason or None.
     """
     if not p > 0.0:
         raise ValueError("p must be positive")
-    solve_for_u = p > 1.0
-    sign = 1.0 if solve_for_u else -1.0
-    n_angles = len(angles)
-    # per point: k, K, E, each computed once per k-row
-    per_k = [(k, complete_K(k), complete_E(k)) for k in ks]
-    consts = np.repeat(np.array(per_k).T, n_angles, axis=1)
-    fixed = np.tile(np.array(angles, dtype=float), len(ks))
-    lo, hi = (fixed - TWO_PI, fixed) if solve_for_u else (fixed, fixed + TWO_PI)
-
-    def level(x, idx):
-        """T~ - q and the chart value at free angle x for the grid points idx."""
-        k, K, E = consts[:, idx]
-        free = _level_part(k, K, E, x)
-        held = (fixed_share[idx], fixed_chart[idx])
-        terms = (free, held) if solve_for_u else (held, free)
-        return _t_tilde(p, k, K, *terms) - q, free[1]
-
-    def slope(chart, idx):
-        """dT~ along the free angle at chart value ``chart`` for the grid points idx."""
-        k, K, E = consts[:, idx]
-        if solve_for_u:
-            return _dT_du(p, k, K, E, chart, fixed_chart[idx])
-        return _dT_dv(p, k, K, E, fixed_chart[idx], chart)
-
-    n = fixed.size
-    solved, residual = np.full(n, np.nan), np.full(n, np.nan)
-    reasons: list[str | None] = [None] * n
+    distinct, at = np.unique(k, return_inverse=True)
+    K, E = np.array([(complete_K(x), complete_E(x)) for x in distinct.tolist()]).T[:, at]
+    a, b, sign = _band(p, angle)
+    solved, residual = np.full((2, angle.size), np.nan)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        fixed_share, fixed_chart = _level_part(*consts, fixed)
-        idx, a, b = np.arange(n), lo + _EDGE, hi - _EDGE
-        x = 0.5 * (a + b)
-        fx, chart = level(x, idx)
+        held = _level_part(k, K, E, angle)
+        level, slope = _level_fns(p, q, k, K, E, held)
+        idx, x = np.arange(angle.size), 0.5 * (a + b)
+        fx, chart = level(x)
         for _ in range(_MAX_STEPS):
             done = np.abs(fx) < tol
             lower = (fx < 0.0) == (sign > 0.0)
             a, b = np.where(lower, x, a), np.where(lower, b, x)
-            d = slope(chart, idx)
+            d = slope(chart)
             step = np.where(d != 0.0, -fx / d, 0.0)
             xn = x + step
             inside = (np.minimum(a, b) < xn) & (xn < np.maximum(a, b)) & (step != 0.0)
@@ -318,15 +300,17 @@ def _solve_level_grid(p: float, q: float, ks: list[float], angles: list[float],
             if leave.any():
                 solved[idx[done]] = x[done]
                 residual[idx[stalled]] = fx[stalled]
-                idx, xn, a, b = (v[~leave] for v in (idx, xn, a, b))
-                if not idx.size:
+                stay = ~leave
+                if not stay.any():
                     break
-            x, (fx, chart) = xn, level(xn, idx)
+                idx, xn, a, b, k, K, E, *held = (
+                    v[stay] for v in (idx, xn, a, b, k, K, E, *held))
+                level, slope = _level_fns(p, q, k, K, E, held)
+            x, (fx, chart) = xn, level(xn)
         else:
             residual[idx] = fx
-        for i in np.flatnonzero(np.isnan(solved)).tolist():
-            reasons[i] = f"no convergence for q={q!r}: residual {residual[i].item()!r}"
-    return solved, reasons
+    return solved, [_no_convergence(q, r) if x != x else None
+                    for x, r in zip(solved.tolist(), residual.tolist())]
 
 
 @dataclass
@@ -361,13 +345,14 @@ def sweep_level_set(p: Fraction, q: Fraction, k_grid: int, angle_grid: int,
                     solver_tol: float = DEFAULTS.solver_tol) -> LevelSetMesh:
     """Sample the level set T~ = q on S = p over a (k, angle) grid.
 
-    The free angle is v~ for p > 1 and u~ otherwise; a span of 2 pi walks one
-    full turn of the cover, after which the p = 1 leaves close up exactly
-    while p != 1 leaves land on the next deck translate.  All grid points are
-    solved together by the batched form of solve_level and mapped to branch
-    pairs by the map of which inverse_coords is the one-point case; the
-    solve follows solve_level bit for bit, and every point fails with the
-    reason the scalar functions raise.
+    The grid's angle is the held one, v~ for p > 1 and u~ otherwise; a span
+    of 2 pi walks one full turn of the cover, after which the p = 1 leaves
+    close up exactly while p != 1 leaves land on the next deck translate.
+    The grid is flattened k-major once, into per-point k and angle arrays
+    that _solve_level_grid solves in lockstep and the map of which
+    inverse_coords is the one-point case takes to branch pairs; the solve
+    follows solve_level bit for bit, and every point fails with the reason
+    the scalar functions raise.
     """
     if k_grid < 2 or angle_grid < 2:
         raise ValueError("grids must have at least 2 samples")
@@ -378,19 +363,18 @@ def sweep_level_set(p: Fraction, q: Fraction, k_grid: int, angle_grid: int,
     ks = np.linspace(k_min, k_max, k_grid).tolist()
     angles = (angle_start + np.linspace(0.0, angle_span, angle_grid)).tolist()
     pf, qf = float(p), float(q)
-    solved, reasons = _solve_level_grid(pf, qf, ks, angles, solver_tol)
-    fixed = np.tile(angles, k_grid)
+    k, fixed = np.repeat(ks, angle_grid), np.tile(angles, k_grid)
+    solved, reasons = _solve_level_grid(pf, qf, k, fixed, solver_tol)
     u_tilde, v_tilde = (solved, fixed) if pf > 1.0 else (fixed, solved)
-    alpha, beta, rejected = _inverse_coords_array(pf, np.repeat(ks, angle_grid),
-                                                  u_tilde, v_tilde)
+    alpha, beta, rejected = _inverse_coords_array(pf, k, u_tilde, v_tilde)
     reasons = [why or off for why, off in zip(reasons, rejected)]
     failed = np.array([why is not None for why in reasons])
-    grid = ((k, ang) for k in ks for ang in angles)
     return LevelSetMesh(
         Fraction(p), Fraction(q), ks, angles,
         *(np.where(failed, np.nan, x).reshape(k_grid, angle_grid)
           for x in (u_tilde, v_tilde, alpha, beta)),
-        failures=[(k, ang, why) for (k, ang), why in zip(grid, reasons) if why])
+        failures=[(kf, ang, why) for kf, ang, why
+                  in zip(k.tolist(), fixed.tolist(), reasons) if why])
 
 
 @dataclass(frozen=True)

@@ -30,8 +30,10 @@ def run_cli(args, env=None, cwd=None):
     (["enumerate", "--p", "2", "--max-den", "0"], "max-den must be at least 1"),
     (["genus0", "--alpha", "0.3,0.1", "--matrix", "1,2,3"],
      "matrix needs exactly four integers a,b,c,d"),
+    (["genus0", "--alpha", "nan,0", "--matrix", "0,1,1,0"],
+     "alpha must lie in the open unit disc"),
 ], ids=["curve_info_point", "level_set_rational", "enumerate_p", "enumerate_max_den",
-        "genus0_matrix"])
+        "genus0_matrix", "genus0_nan_alpha"])
 def test_invalid_input_is_a_usage_error(args, message, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(args) == 1

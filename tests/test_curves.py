@@ -287,6 +287,15 @@ class TestCoordinates:
                         abs(back.u_tilde - ut), abs(back.v_tilde - vt))
         assert worst < 1e-9
 
+    def test_round_trip_with_u_on_the_chart_boundary(self):
+        # u~ is the float pi: nu = 1.0000000000000004 lies off the unit
+        # circle by rounding, so 1 - nu is radial and, unless nu is put back
+        # on the circle, the frame reads u~ = pi/2
+        mp = ModuliPoint(2.0, 0.3217894089186045, math.pi, 3.9268510575976245)
+        back = forward_coords(inverse_coords(mp))
+        assert back.u_tilde == pytest.approx(math.pi, abs=1e-12)
+        assert back.v_tilde == pytest.approx(mp.v_tilde, abs=1e-12)
+
     @pytest.mark.parametrize("k", [0.2, 0.5, 0.8])
     @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
     def test_round_trip_near_the_diagonal(self, p, k):

@@ -730,6 +730,21 @@ class TestChartRoute:
             n += 1
         assert worst < 1e-11
 
+    def test_matches_the_frame_route_with_u_on_the_chart_boundary(self):
+        # u~ exactly on a float odd multiple of pi, where nu lies within
+        # rounding of zeta = 1: the two routes may take opposite sides of the
+        # boundary, so they agree up to whole multiples of 2 pi
+        rng = np.random.default_rng(3)
+        worst = 0.0
+        for _ in range(3000):
+            ut = float(rng.choice([-3 * math.pi, -math.pi, math.pi, 3 * math.pi]))
+            vt = ut + float(rng.uniform(0.05, 2 * math.pi - 0.05))
+            p, k = float(rng.choice([0.5, 1.0, 2.0])), float(rng.uniform(0.05, 0.95))
+            mp = ModuliPoint(p, k, ut, vt)
+            gap = _chart_gamma_plus(mp) - frame_gamma_plus(mp)
+            worst = max(worst, abs(gap - 2 * math.pi * round(gap / (2 * math.pi))))
+        assert worst < 1e-10
+
     @pytest.mark.parametrize("u_tilde, v_tilde", [(math.pi, math.pi + 1.0), (0.3, math.pi),
                                                   (-math.pi, 2.0), (math.pi - 4.0, math.pi)])
     def test_finite_at_infinite_chart_values(self, u_tilde, v_tilde):

@@ -333,3 +333,21 @@ def _alpha_past_the_disc(alpha):
 def test_invalid_input_rejected(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call, message", [
+    (lambda bad: Genus0Data(alpha=complex(bad, 0.0), matrix=((0, 1), (1, 0))),
+     "alpha must lie in the open unit disc"),
+    (lambda bad: Genus0Data(alpha=complex(0.0, bad), matrix=((0, 1), (1, 0))),
+     "alpha must lie in the open unit disc"),
+    (lambda bad: map_params(complex(bad, 0.0)), "alpha must lie in the open unit disc"),
+    (lambda bad: map_params(bad), "alpha must lie in the open unit disc"),
+    (lambda bad: Genus0Map(x=bad, delta=1.0), "x must be positive and finite"),
+    (lambda bad: period_lattice(bad), "x must be positive and finite"),
+], ids=["Genus0Data_re", "Genus0Data_im", "map_params_complex", "map_params_float",
+        "Genus0Map_x", "period_lattice_x"])
+def test_non_finite_input_rejected(call, message, bad):
+    # nan fails every comparison, so each check is written to fail on it
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(bad)

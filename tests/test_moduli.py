@@ -745,6 +745,35 @@ class TestBatchedSweep:
             assert np.isnan(grid[0, 0]) and np.isnan(grid[1, 2])
             assert not np.isnan(np.delete(grid.ravel(), [0, 6])).any()
 
+    def test_per_point_arrays_match_scalar_solves(self):
+        # points that form no grid: each k repeats and they come out of
+        # order, some held angles are float odd multiples of pi, and a few
+        # points sit on a level out of reach
+        rng = np.random.default_rng(41)
+        n, boundary = 200, [m * math.pi for m in (-3, -1, 1, 3)]
+        ks = rng.choice(rng.uniform(0.02, 0.98, 15), n)
+        angles = np.where(rng.random(n) < 0.3, rng.choice(boundary, n),
+                          rng.uniform(-4 * math.pi, 4 * math.pi, n))
+        ps = rng.choice([1 / 3, 1.0, 5 / 2], n)
+        qs = np.where(rng.random(n) < 0.05, 1e15, rng.choice([-2.05, 0.37, 1.6], n))
+        outcomes = []
+        for p, q in sorted(set(zip(ps.tolist(), qs.tolist()))):
+            at = np.flatnonzero((ps == p) & (qs == q))
+            solved, reasons = moduli._solve_level_grid(p, q, ks[at], angles[at],
+                                                       DEFAULTS.solver_tol)
+            for x, why, k, angle in zip(solved.tolist(), reasons, ks[at].tolist(),
+                                        angles[at].tolist()):
+                try:
+                    mp = solve_level(p, q, k, angle)
+                except LevelSolveError as exc:
+                    assert math.isnan(x) and why == str(exc)
+                    outcomes.append("failed")
+                    continue
+                assert why is None
+                assert x.hex() == (mp.u_tilde if p > 1.0 else mp.v_tilde).hex()
+                outcomes.append("solved on the boundary" if angle in boundary else "solved")
+        assert len(outcomes) == n and len(set(outcomes)) == 3
+
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(p=st.fractions(Fraction(1, 4), Fraction(4), max_denominator=6),
            q=st.fractions(Fraction(-3), Fraction(3), max_denominator=100),
