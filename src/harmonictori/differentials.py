@@ -9,9 +9,13 @@ w^2 = Q(z) = (1 - z^2)(1 - k^2 z^2) and the interesting differentials are
     theta_E  = i d(eta/zeta), expressed through w and the frame constant
     theta_P  = 2E omega - 2K epsilon         (periods 0 and 2 pi i)
 
-Contour integration refines a composite Gauss rule by doubling, tracking the
-sheet of w by nearest continuation, for all open segments of all contours of
-a frame at once, in blocks of up to 4096 nodes.  Homology representatives
+Contour integration lays out each path segment's panels by distance, each
+at most twice as long as its distance from the nearest branch point or
+double pole, and takes the 33-point Kronrod rule on every panel with the
+16-point Gauss rule nested in it: a value settles on one level when the two
+agree, and a segment halves its panels otherwise.  The sheet of w is
+tracked by nearest continuation, for all open segments of all contours of a
+frame at once, in blocks of up to 4096 nodes.  Homology representatives
 are rectangles crossing the real axis inside the gaps between branch points,
 and the closing paths join the two points over zeta = +-1 while winding once
 around z = 1, following the principal route.  Integrals of the
@@ -26,7 +30,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache
 
 import numpy as np
 
@@ -81,44 +85,20 @@ def theta_E_gamma(sign: int, bp: BranchPair) -> complex:
 # ---------------------------------------------------------------------------
 # frame-derived geometry
 
-@dataclass(frozen=True)
 class _Geometry:
-    """Cached constants and coefficient functions for one Jacobi frame."""
+    """Constants and coefficient functions for one Jacobi frame."""
 
-    frame: JacobiFrame
-
-    @cached_property
-    def k(self) -> float:
-        return self.frame.k
-
-    @cached_property
-    def K(self) -> float:
-        return complete_K(self.k)
-
-    @cached_property
-    def E(self) -> float:
-        return complete_E(self.k)
-
-    @cached_property
-    def z0(self) -> complex:
-        return self.frame.z0
-
-    @cached_property
-    def branch_points(self) -> tuple[float, float, float, float]:
-        return (1.0, -1.0, 1.0 / self.k, -1.0 / self.k)
-
-    @cached_property
-    def poles(self) -> tuple[complex, complex]:
-        return (self.z0, -self.z0.conjugate())
-
-    @cached_property
-    def exact_scale(self) -> complex:
-        """C with theta_E = i C d[w/D]; C = 4 nu (Re z0)^2 / c, real negative."""
-        return 4.0 * self.frame.nu * self.z0.real ** 2 / self.frame.eta_to_w_scale
+    def __init__(self, frame: JacobiFrame):
+        self.frame, self.k, self.z0 = frame, frame.k, frame.z0
+        self.K, self.E = complete_K(self.k), complete_E(self.k)
+        self.branch_points = (1.0, -1.0, 1.0 / self.k, -1.0 / self.k)
+        self.poles = (self.z0, -self.z0.conjugate())
+        # C with theta_E = i C d[w/D]; C = 4 nu (Re z0)^2 / c, real negative
+        self.exact_scale = 4.0 * frame.nu * self.z0.real ** 2 / frame.eta_to_w_scale
 
     def Q(self, z: complex) -> complex:
-        k2 = self.k * self.k
-        return (1.0 - z * z) * (1.0 - k2 * z * z)
+        z2 = z * z
+        return (1.0 - z2) * (1.0 - self.k * self.k * z2)
 
     def dQ(self, z: complex) -> complex:
         k2 = self.k * self.k
@@ -196,24 +176,13 @@ def _distances(a, b, centers) -> np.ndarray:
 _CLEARANCE = 1e-3
 
 
-def _check_clearance(path: PathSpec, centers) -> None:
-    d = _distances(path.points[:-1], path.points[1:], centers)
+def _check_clearance(d: np.ndarray, centers) -> None:
+    """PathError if a distance d[segment, center] falls below _CLEARANCE."""
     near = np.argwhere(d < _CLEARANCE)
     if len(near):
         i, j = near[0]
         raise PathError(f"path passes within {d[i, j]:.2e} of {centers[j]!r} "
                         f"(clearance {_CLEARANCE:.2e})")
-
-
-def _grade(y_from: float, y_to: float) -> list[float]:
-    """Geometric intermediate levels for a long vertical run toward the axis."""
-    out = [y_from]
-    y = y_from
-    while abs(y) > 4.0 and abs(y) > 2.0 * abs(y_to) + 1.0:
-        y = y / 2.0
-        out.append(y)
-    out.append(y_to)
-    return out
 
 
 def loop_A(frame: JacobiFrame) -> PathSpec:
@@ -257,39 +226,112 @@ def _pick_height(frame: JacobiFrame) -> float:
     return float(hs[np.minimum(abs(y - hs), abs(y + hs)).argmax()])
 
 
+#: gamma0_path's nine candidate (d, h): the half-width of its vertical runs
+#: beside the origin and the height of its cut crossing, d outer.
+_GAMMA_D, _GAMMA_H = np.repeat([0.35, 0.5, 0.22], 3), np.tile([0.25, 0.4, 0.15], 3)
+
+
 def gamma0_path(sign: int, frame: JacobiFrame) -> PathSpec:
     """Principal closing path over zeta = +1 (sign +) or -1 (sign -).
 
     Starts at f(+-1) = i x on the sheet w = -w+(x), drops to the real axis
     beside the origin, winds once around the branch point z = 1 crossing the
-    cut midway between 1 and 1/k, and returns on the other sheet.
+    cut midway between 1 and 1/k, and returns on the other sheet.  Each run
+    is one segment, however long: the quadrature grades its panels.
     """
+    return _gamma0_path(sign, frame, check=False)
+
+
+def _gamma0_path(sign: int, frame: JacobiFrame, check: bool) -> PathSpec:
+    """gamma0_path; with check, PathError where it passes within _CLEARANCE
+    of a branch point or double pole.  Of the candidates (d, h), the one
+    farthest from the poles, the first on a tie, is built."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     x = frame.u if sign == 1 else frame.v
     if abs(x) > 1e4:
         raise PathError("endpoint too close to nu = +-1; use a deck translate")
-    k = frame.k
+    k, d, h = frame.k, _GAMMA_D, _GAMMA_H
     xc = 0.5 * (1.0 + 1.0 / k)
-    poles = (frame.z0, -frame.z0.conjugate())
-
-    def build(d, h):
-        left = [complex(-d, y) for y in _grade(x, -h)]
-        right = [complex(d, y) for y in _grade(x, h)][::-1]
-        pts = [1j * x, *left, xc - 1j * h, xc + 1j * h, *right, 1j * x]
-        return PathSpec(points=tuple(pts), sheet=-1)
-
-    paths = [build(d, h) for d in (0.35, 0.5, 0.22) for h in (0.25, 0.4, 0.15)]
-    gaps = _distances([a for p in paths for a in p.points[:-1]],
-                      [b for p in paths for b in p.points[1:]], poles).min(axis=1)
-    firsts = np.cumsum([0] + [len(p.points) - 1 for p in paths[:-1]])
-    return paths[np.minimum.reduceat(gaps, firsts).argmax()]
+    ix = np.full(9, 1j * x)
+    pts = np.array([ix, -d + 1j * x, -d - 1j * h, xc - 1j * h, xc + 1j * h,
+                    d + 1j * h, d + 1j * x, ix])
+    centers = (1.0, -1.0, 1.0 / k, -1.0 / k, frame.z0, -frame.z0.conjugate())
+    dist = _distances(pts[:-1].ravel(), pts[1:].ravel(), centers).reshape(len(pts) - 1, 9, -1)
+    best = dist[..., 4:].min(axis=(0, 2)).argmax()
+    if check:
+        _check_clearance(dist[:, best], centers)
+    return PathSpec(points=tuple(complex(z) for z in pts[:, best]), sheet=-1)
 
 
 # ---------------------------------------------------------------------------
 # quadrature with sheet tracking
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(16)
+
+# The 33-point Kronrod extension of the 16-point Gauss rule on [-1, 1]
+# (Piessens et al., QUADPACK, 1983; Laurie, Math. Comp. 66, 1997), exact
+# through degree 49: its new nodes in [0, 1), and the weights of its nodes in
+# [0, 1) in increasing order.  _RULE_X runs from -1 to 1 with the Gauss nodes
+# at the odd places; the rows of _RULE_W are the Kronrod weights and their
+# excess over the Gauss weights (zero at the new nodes), whose sum is K - G.
+_NEW_X = (0.0, 0.18916857901808373, 0.37148378087841627, 0.5404076763521397,
+          0.6897411066817623, 0.8142402870624444, 0.9091576670123429,
+          0.9715059509693926, 0.9982392741454446)
+_HALF_W = (0.0951542160804983, 0.09472840124723005, 0.09343867406092123,
+           0.09129203282819166, 0.08833750257911273, 0.08459580379259064,
+           0.08005394126371929, 0.07476982388559955, 0.06886299519153125,
+           0.062358806011834855, 0.055205633095422174, 0.047506215976407015,
+           0.039512951202421966, 0.031260543647380526, 0.022498859440049444,
+           0.013257930688091158, 0.004742777049247318)
+_half_x = np.sort(np.concatenate((_NEW_X, _GAUSS_X[8:])))
+_RULE_X = np.concatenate((-_half_x[:0:-1], _half_x))
+_RULE_W = np.array([_HALF_W[:0:-1] + _HALF_W] * 2)
+_RULE_W[1, 1::2] -= _GAUSS_W
+del _half_x
+
+#: Powers of 3, as many as a grid down to the distance floor 2^-40 takes.
+_POW3 = 3.0 ** np.arange(28)
+
+
+def _layout(z1, z2, centers) -> list[np.ndarray]:
+    """Panel breakpoints of each segment [z1, z2], as fractions from 0 to 1:
+    each panel is at most twice as long as its distance from the nearest
+    center (branch point or double pole).
+
+    In the segment's own coordinate, where it runs from 0 to 1, a center
+    lies at t0 + i h; the squared distances of two centers differ by a linear
+    function of t, so the points nearest each center form an interval, whose
+    ends are breakpoints.  In its interval a center lays out the grid
+    t1 +- d 3^j (j = 0, 1, ...), t1 being the segment's point nearest it and
+    d their distance (floored at 2^-40); every panel of that grid is at most
+    twice as long as its distance from the center.
+    """
+    a = np.asarray(z1, complex)[:, None]
+    rel = (np.asarray(centers, complex) - a) / (np.asarray(z2, complex)[:, None] - a)
+    t0, h2 = rel.real, rel.imag * rel.imag
+    t1 = np.clip(t0, 0.0, 1.0)
+    d = np.maximum(np.abs(rel - t1), 2.0 ** -40)
+    # center p is nearer than q where t <= cross (t0_q > t0_p) or t >= cross
+    # (t0_q < t0_p); equal t0 give +-inf, and nan for a tie, which is ignored
+    slope = t0[:, None, :] - t0[:, :, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross = 0.5 * (t0[:, :, None] + t0[:, None, :] - (h2[:, :, None] - h2[:, None, :]) / slope)
+    lo = np.where(slope < 0.0, cross, 0.0).max(axis=2)[..., None]
+    hi = np.where(slope >= 0.0, np.fmin(cross, 1.0), 1.0).min(axis=2)[..., None]
+    r = d[..., None] * _POW3[:max(0, int(-math.log(d.min(), 3.0)) + 2)]
+    grid = np.concatenate((t1[..., None] - r, t1[..., None] + r), axis=-1)
+    grid = np.where((lo < grid) & (grid < hi), grid, 1.0).reshape(len(grid), -1)
+    t = np.sort(np.concatenate((np.where(lo < hi, lo, 0.0)[..., 0], grid,
+                                np.ones((len(grid), 1))), axis=1), axis=1)
+    keep = np.diff(t, axis=1, prepend=-1.0) > 0.0
+    t, ends = t[keep], np.cumsum(keep.sum(axis=1)).tolist()
+    return [t[a:b] for a, b in zip([0] + ends, ends)]
+
+
+def _halve(t: np.ndarray) -> np.ndarray:
+    """The breakpoints t with the midpoint of each panel added."""
+    return np.append(np.column_stack((t[:-1], 0.5 * (t[:-1] + t[1:]))).ravel(), t[-1])
 
 
 def _track_runs(geom: _Geometry, zs: np.ndarray, starts, heads: np.ndarray):
@@ -301,18 +343,19 @@ def _track_runs(geom: _Geometry, zs: np.ndarray, starts, heads: np.ndarray):
     prev = np.concatenate(([0j], s[:-1]))
     prev[heads] = starts
     flips = np.cumsum((s * prev.conj()).real < 0.0)
-    flips -= np.repeat(np.concatenate(([0], flips[heads[1:] - 1])),
-                       np.diff(heads, append=len(zs)))
-    sign = np.where(flips % 2 == 1, -1.0, 1.0)
+    before = np.zeros(len(zs), int)  # the flips before each run, from its head on
+    before[heads[1:]] = flips[heads[1:] - 1]
+    sign = 1.0 - 2.0 * ((flips - np.maximum.accumulate(before)) & 1)
     w = s * sign
     w_prev = np.concatenate(([0j], w[:-1]))
     w_prev[heads] = starts
     return s, sign, np.abs(w - w_prev) > 0.6 * np.abs(w_prev)
 
 
-def _track_sheet(geom: _Geometry, zs: np.ndarray, w0: complex) -> np.ndarray:
-    """w along the nodes zs from w0; ContinuationError where a step is ambiguous."""
-    s, sign, bad = _track_runs(geom, zs, [w0], np.zeros(1, int))
+def _track_sheet(geom: _Geometry, zs: np.ndarray, starts, heads=(0,)) -> np.ndarray:
+    """w along the runs zs[heads[i]:heads[i + 1]] from starts[i] (one run from
+    a w0 by default); ContinuationError where a step is ambiguous."""
+    s, sign, bad = _track_runs(geom, zs, starts, np.asarray(heads))
     if bad.any():
         raise ContinuationError(f"sheet tracking ambiguous near "
                                 f"{complex(zs[bad.argmax()])!r}; refine the path")
@@ -331,7 +374,7 @@ class _Segment:
 
     z1: complex
     z2: complex
-    nsub: int
+    t: np.ndarray  # panel breakpoints, fractions from 0 to 1
     vals: list
     open_: list  # indices of the values still refining
     end: tuple | None = None  # (sqrt(Q(z2)), sign of the tracked w there) once settled
@@ -341,52 +384,56 @@ def _blocks(segs: list[_Segment]) -> list[list[_Segment]]:
     """Consecutive runs of segments with at most _BLOCK nodes, or one segment."""
     blocks, size = [], _BLOCK
     for seg in segs:
-        size += 16 * seg.nsub + 1
+        nodes = 33 * (len(seg.t) - 1) + 1
+        size += nodes
         if size > _BLOCK:
             blocks.append([])
-            size = 16 * seg.nsub + 1
+            size = nodes
         blocks[-1].append(seg)
     return blocks
 
 
 def _sweep(geom: _Geometry, integrand, segs: list[_Segment]) -> None:
     """One refinement level of a block of segments, with one sheet track, one
-    integrand call and one Gauss reduction: each composite 16-point rule of
-    nsub panels (its nodes, then z2) is tracked from the principal sqrt(Q(z1)).
-    An ambiguous track doubles that segment's nsub; otherwise its open values
-    take the freeze test, and once none is left open the segment keeps its end."""
-    nsub = np.array([seg.nsub for seg in segs])
-    half = [0.5 * (seg.z2 - seg.z1) / seg.nsub for seg in segs]
-    halves = np.repeat(half, nsub)
-    lo = np.cumsum(nsub) - nsub  # each segment's first panel
-    panel = np.arange(nsub.sum()) - np.repeat(lo, nsub)
-    mids = np.repeat([seg.z1 for seg in segs], nsub) + halves * (2 * panel + 1)
-    nodes = (mids[:, None] + halves[:, None] * _GAUSS_X).ravel()
-    firsts = 16 * lo  # of each segment's nodes
-    heads = firsts + np.arange(len(segs))  # the same in zs, where z2 follows them
-    ends = heads + 16 * nsub
-    zs = np.insert(nodes, firsts + 16 * nsub, [seg.z2 for seg in segs])
-    starts = np.sqrt(geom.Q(np.array([seg.z1 for seg in segs])))
-    s, sign, bad = _track_runs(geom, zs, starts, heads)
-    f = integrand(nodes, np.delete(s * sign, ends))
-    sums = np.add.reduceat(np.reshape(f, (len(f), -1, 16)) @ _GAUSS_W, lo, axis=1)
-    ambiguous = np.logical_or.reduceat(bad, heads)
-    for seg, h, total, e, failed in zip(segs, half, sums.T, ends, ambiguous):
-        if failed:
-            seg.nsub *= 2
-            continue
-        still = []
-        for i in seg.open_:
-            val = complex(h * total[i])
-            old = seg.vals[i]
-            if old is None or not abs(val - old) <= max(1e-13, 1e-10 * max(abs(val), 1.0)):
-                still.append(i)
-            seg.vals[i] = val
-        seg.open_ = still
-        if still:
-            seg.nsub *= 2
-        else:
-            seg.end = (s[e], sign[e])
+    integrand call and one reduction by both rules: each segment's panels
+    (their 33 nodes each, then z2) are tracked from the principal sqrt(Q(z1)).
+    An ambiguous track halves every panel of that segment.  Otherwise each
+    open value whose Kronrod and Gauss sums agree to 1e-10 relative (1e-13
+    absolute) keeps its Kronrod sum; a value left open halves the panels, and
+    once none is left open the segment keeps its end."""
+    counts = np.array([len(seg.t) - 1 for seg in segs])  # panels per segment
+    t = np.concatenate([seg.t for seg in segs])
+    last = np.cumsum(counts + 1) - 1  # each segment's breakpoint 1
+    ta, tb = np.delete(t, last), np.delete(t, last - counts)
+    z1 = np.array([seg.z1 for seg in segs])
+    dz = np.repeat([seg.z2 - seg.z1 for seg in segs], counts)
+    half = 0.5 * (tb - ta) * dz
+    mids = np.repeat(z1, counts) + 0.5 * (ta + tb) * dz
+    nodes = (mids[:, None] + half[:, None] * _RULE_X).ravel()
+    lo = np.cumsum(counts) - counts  # each segment's first panel
+    heads = 33 * lo + np.arange(len(segs))  # its first node in zs, where z2 follows them
+    ends = heads + 33 * counts
+    zs = np.insert(nodes, ends - np.arange(len(segs)), [seg.z2 for seg in segs])
+    s, sign, bad = _track_runs(geom, zs, np.sqrt(geom.Q(z1)), heads)
+    # each panel's sums by a product and a sum over its own 33 nodes, so that
+    # they round as for a lone segment, whatever the block
+    f = np.reshape(integrand(nodes, np.delete(s * sign, ends)), (-1, len(half), 1, 33))
+    sums = np.add.reduceat((f * _RULE_W).sum(axis=-1) * half[:, None], lo, axis=1)
+    kron, excess = np.moveaxis(sums, -1, 0)
+    settled = (np.abs(excess)
+               <= np.maximum(1e-13, 1e-10 * np.maximum(np.abs(kron), 1.0))).T.tolist()
+    kron = kron.T.tolist()
+    for seg, ok, vals, e, failed in zip(segs, settled, kron, ends,
+                                        np.logical_or.reduceat(bad, heads)):
+        if not failed:
+            for i in seg.open_:
+                if ok[i]:
+                    seg.vals[i] = vals[i]
+            seg.open_ = [i for i in seg.open_ if not ok[i]]
+            if not seg.open_:
+                seg.end = (s[e], sign[e])
+                continue
+        seg.t = _halve(seg.t)
 
 
 def _integrate(geom: _Geometry, integrand, count: int, *paths: PathSpec) -> list:
@@ -394,15 +441,21 @@ def _integrate(geom: _Geometry, integrand, count: int, *paths: PathSpec) -> list
     returns each path's (values, final w), or raises ContinuationError at
     the first segment, in path order, that did not settle.
 
-    Each of at most 13 levels refines the open segments of all paths
-    together, in blocks (_sweep); nsub starts at 2 to 32 by length.  The
-    sheets of the segments are chained along each path afterwards, exact as
-    the integrands are odd in w.  A value freezes at the first level where
-    two successive rules agree to 1e-10 relative (1e-13 absolute), bit for
-    bit as if integrated alone, path by path and one segment after the other.
+    Every segment's panels are laid out at once (_layout), graded by distance
+    to the branch points and double poles, and each panel takes the 33-point
+    Kronrod rule with the 16-point Gauss rule nested in it, so that a value
+    settles on one level when the two agree.  Each of at most 13 levels
+    sweeps the open segments of all paths together, in blocks (_sweep), and
+    a segment with an ambiguous track or an open value has every panel
+    halved for the next.  The sheets of the segments are chained along each
+    path afterwards, exact as the integrands are odd in w.  Every value is
+    bit for bit as if integrated alone, path by path and one segment after
+    the other.
     """
-    per_path = [[_Segment(z1, z2, max(2, min(32, int(abs(z2 - z1) / 0.5) + 1)),
-                          [None] * count, list(range(count)))
+    pairs = [(z1, z2) for path in paths
+             for z1, z2 in zip(path.points[:-1], path.points[1:]) if z1 != z2]
+    layouts = iter(_layout(*zip(*pairs), geom.branch_points + geom.poles) if pairs else ())
+    per_path = [[_Segment(z1, z2, next(layouts), [None] * count, list(range(count)))
                  for z1, z2 in zip(path.points[:-1], path.points[1:]) if z1 != z2]
                 for path in paths]
     for _ in range(13):
@@ -435,7 +488,7 @@ def contour_integral(kind: str, path: PathSpec, frame: JacobiFrame) -> complex:
     centers = list(geom.branch_points)
     if kind in _POLE_KINDS:
         centers += list(geom.poles)
-    _check_clearance(path, centers)
+    _check_clearance(_distances(path.points[:-1], path.points[1:], centers), centers)
     coeff = geom.coefficient(kind)
     [((value,), _)] = _integrate(geom, lambda z, w: (coeff(z, w),), 1, path)
     return value
@@ -509,12 +562,9 @@ def gamma_closing_values(frame: JacobiFrame) -> dict[tuple[str, int | str], comp
     for s in (1, -1):
         out[("theta_E", s)] = theta_E_gamma(s, frame.pair)
         try:
-            path = gamma0_path(s, frame)
-            _check_clearance(path, geom.branch_points + geom.poles)
+            paths[s] = _gamma0_path(s, frame, check=True)
         except PathError:
             out[("theta_P", s)] = _theta_P_gamma_value(s, frame)
-            continue
-        paths[s] = path
     paths.update(A=loop_A(frame), B=loop_B(frame))
     results = _integrate(geom, geom.pair(), 2, *paths.values())
     for key, ((quad_E, quad_P), _) in zip(paths, results):
@@ -542,6 +592,24 @@ def _pole_radius(geom: _Geometry, center: complex) -> float:
     return rho
 
 
+#: The sample angles of a Laurent circle, and its points on the unit circle.
+_THETAS = np.linspace(0.0, TWO_PI, 128, endpoint=False)
+_CIRCLE = np.exp(1j * _THETAS)
+
+
+def _laurent(geom: _Geometry, centers, rhos, coeff, orders) -> list[dict[int, complex]]:
+    """Laurent coefficients of coeff(z, w) at each center, on its circle of
+    128 samples and radius rho: all circles tracked in one _track_runs call,
+    each from the principal square root at its first sample, and one coeff call."""
+    zs = np.concatenate([center + rho * _CIRCLE for center, rho in zip(centers, rhos)])
+    heads = np.arange(0, len(zs), 128)
+    vals = np.asarray(coeff(zs, _track_sheet(geom, zs, np.sqrt(geom.Q(zs[heads])), heads)))
+    powers = np.exp(-1j * np.multiply.outer(orders, _THETAS))
+    means = (vals.reshape(*vals.shape[:-1], len(centers), 1, 128) * powers).mean(axis=-1)
+    return [{mth: means[..., j, i] / rho ** mth for i, mth in enumerate(orders)}
+            for j, rho in enumerate(rhos)]
+
+
 def laurent_coefficients(kind: str, center: complex, frame: JacobiFrame,
                          orders=(-2, -1, 0), coeff=None) -> dict[int, complex]:
     """Laurent coefficients of a differential's dz-coefficient at a point.
@@ -554,16 +622,8 @@ def laurent_coefficients(kind: str, center: complex, frame: JacobiFrame,
     coefficients at once, like _Geometry.pair, gives an array per order.
     """
     geom = _Geometry(frame)
-    if coeff is None:
-        coeff = geom.coefficient(kind)
-    rho = _pole_radius(geom, center)
-    thetas = np.linspace(0.0, TWO_PI, 128, endpoint=False)
-    zs = center + rho * np.exp(1j * thetas)
-    vals = np.asarray(coeff(zs, _track_sheet(geom, zs, np.sqrt(geom.Q(zs[0])))))
-    out = {}
-    for mth in orders:
-        out[mth] = (vals * np.exp(-1j * mth * thetas)).mean(axis=-1) / rho ** mth
-    return out
+    coeff = coeff or geom.coefficient(kind)
+    return _laurent(geom, [center], [_pole_radius(geom, center)], coeff, orders)[0]
 
 
 def theta_P_characterization_check(frame: JacobiFrame) -> float:
@@ -767,6 +827,16 @@ class ChecklistEntry:
     detail: str
 
 
+@cache
+def _checklist_samples() -> tuple[np.ndarray, np.ndarray]:
+    """The checklist's fixed samples, drawn once: 16 points for P1 and 12 for
+    P4 and P5 (those far enough from the branch points and poles are used)."""
+    rng = np.random.default_rng(7)
+    p1_z = np.exp(1j * rng.uniform(0, TWO_PI, 16)) * rng.uniform(0.4, 2.0, 16)
+    xy = rng.uniform(-1.5, 1.5, (12, 2))
+    return p1_z, xy[:, 0] + 1j * xy[:, 1]
+
+
 def hitchin_checklist(frame: JacobiFrame,
                       closing: ClosingData | None = None) -> list[ChecklistEntry]:
     """Numerical validation of the spectral-data conditions for a curve.
@@ -781,15 +851,14 @@ def hitchin_checklist(frame: JacobiFrame,
     quaternionic line-bundle condition is a one-parameter choice that this
     library does not construct; it is reported as a note.
     """
-    rng = np.random.default_rng(7)
+    p1_z, test_z = _checklist_samples()
     geom = _Geometry(frame)
     bp = frame.pair
     entries: list[ChecklistEntry] = []
 
     # real curve: zeta^4 conj(P(1/conj(zeta))) = P(zeta)
-    zs = np.exp(1j * rng.uniform(0, TWO_PI, 16)) * rng.uniform(0.4, 2.0, 16)
-    res = max(abs(z**4 * np.conj(bp.curve_poly(1.0 / np.conj(z))) - bp.curve_poly(z))
-              / max(1.0, abs(bp.curve_poly(z))) for z in zs)
+    P, P_inv = np.split(bp.curve_poly(np.concatenate((p1_z, 1.0 / np.conj(p1_z)))), 2)
+    res = (np.abs(p1_z**4 * np.conj(P_inv) - P) / np.maximum(1.0, np.abs(P))).max()
     entries.append(ChecklistEntry("P1 real curve", float(res),
                                   "max |z^4 conj P(1/conj z) - P(z)| / |P|"))
 
@@ -799,25 +868,25 @@ def hitchin_checklist(frame: JacobiFrame,
 
     pair = geom.pair(closing)
     pole_res = 0.0
-    for center in geom.poles:  # one circle and one sheet track for the pair
-        cs = laurent_coefficients("", center, frame, orders=(-2, -1), coeff=pair)
-        if center == geom.z0:
-            c2 = cs[-2]  # leading coefficient at z0 of each differential, for P9
+    # both circles in one sheet track and one evaluation of the pair
+    rhos = [_pole_radius(geom, center) for center in geom.poles]
+    laurent = _laurent(geom, geom.poles, rhos, pair, (-2, -1))
+    c2 = laurent[0][-2]  # leading coefficient at z0 of each differential, for P9
+    for rho, cs in zip(rhos, laurent):
         for lead, residue in zip(cs[-2], cs[-1]):
             if abs(lead) < 1e-10:
                 pole_res = max(pole_res, 1.0)
-            pole_res = max(pole_res, abs(residue) * _pole_radius(geom, center) / abs(lead))
+            pole_res = max(pole_res, abs(residue) * rho / abs(lead))
     entries.append(ChecklistEntry("P3 double poles, no residues", float(pole_res),
                                   "normalized residue at the poles over 0, infinity"))
 
     # sample points near the unit-circle image for the symmetry checks
-    test_z = [complex(x, y) for x, y in rng.uniform(-1.5, 1.5, (12, 2))]
-    test_z = [z for z in test_z
-              if min(abs(z - c) for c in list(geom.branch_points) + list(geom.poles)) > 0.15]
-    z = np.array(test_z, complex)
+    z = test_z[np.abs(test_z[:, None] - np.array(geom.branch_points + geom.poles)).min(axis=1)
+               > 0.15]
     w = np.sqrt(geom.Q(z))
-    f, f_sigma, f_rho = (np.array(pair(*zw))
-                         for zw in ((z, w), (z, -w), (-z.conj(), w.conj())))
+    # the pair at (z, w), (z, -w) and (-conj z, conj w), in one call
+    f, f_sigma, f_rho = np.split(np.array(pair(np.concatenate((z, z, -z.conj())),
+                                               np.concatenate((w, -w, w.conj())))), 3, axis=1)
     scale = np.maximum(1.0, np.abs(f))
     sig_res = (np.abs(f_sigma + f) / scale).max(initial=0.0)
     rho_res = (np.abs(f_rho - f.conj()) / scale).max(initial=0.0)

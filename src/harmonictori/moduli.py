@@ -262,7 +262,7 @@ def solve_level(p: float, q: float, k: float, fixed_angle: float,
 
 
 def _solve_level_grid(p: float, q: float, k: np.ndarray, angle: np.ndarray,
-                      tol: float) -> tuple[np.ndarray, list[str | None]]:
+                      tol: float) -> tuple[np.ndarray, np.ndarray]:
     """solve_level at every point (k[i], angle[i]) of two arrays, in lockstep.
 
     Runs the scalar solver's policy on all points at once: the same bracket
@@ -272,8 +272,9 @@ def _solve_level_grid(p: float, q: float, k: np.ndarray, angle: np.ndarray,
     evaluations of T~: a point leaves as it converges or stalls, before its
     next iterate is evaluated.  K and E are looked up once per distinct k;
     the per-point constants are cut to the running points as points leave.
-    Returns the solved angle of every point (nan where it failed) and the
-    failure reason or None.
+    Returns the solved angle of every point, nan where it failed, and the
+    residual T~ - q where it failed (nan elsewhere), whose reason is
+    _no_convergence(q, residual).
     """
     if not p > 0.0:
         raise ValueError("p must be positive")
@@ -309,8 +310,7 @@ def _solve_level_grid(p: float, q: float, k: np.ndarray, angle: np.ndarray,
             x, (fx, chart) = xn, level(xn)
         else:
             residual[idx] = fx
-    return solved, [_no_convergence(q, r) if x != x else None
-                    for x, r in zip(solved.tolist(), residual.tolist())]
+    return solved, residual
 
 
 @dataclass
@@ -364,17 +364,20 @@ def sweep_level_set(p: Fraction, q: Fraction, k_grid: int, angle_grid: int,
     angles = (angle_start + np.linspace(0.0, angle_span, angle_grid)).tolist()
     pf, qf = float(p), float(q)
     k, fixed = np.repeat(ks, angle_grid), np.tile(angles, k_grid)
-    solved, reasons = _solve_level_grid(pf, qf, k, fixed, solver_tol)
+    solved, residual = _solve_level_grid(pf, qf, k, fixed, solver_tol)
     u_tilde, v_tilde = (solved, fixed) if pf > 1.0 else (fixed, solved)
     alpha, beta, rejected = _inverse_coords_array(pf, k, u_tilde, v_tilde)
-    reasons = [why or off for why, off in zip(reasons, rejected)]
-    failed = np.array([why is not None for why in reasons])
+    # a point the solver failed has nan angles, which the map does not reject
+    unsolved = np.isnan(solved)
+    failed = unsolved | np.not_equal(rejected, None)
+    at = np.flatnonzero(failed)
+    reasons = [_no_convergence(qf, r) if no_root else rejected[i] for i, no_root, r
+               in zip(at.tolist(), unsolved[at].tolist(), residual[at].tolist())]
     return LevelSetMesh(
         Fraction(p), Fraction(q), ks, angles,
         *(np.where(failed, np.nan, x).reshape(k_grid, angle_grid)
           for x in (u_tilde, v_tilde, alpha, beta)),
-        failures=[(kf, ang, why) for kf, ang, why
-                  in zip(k.tolist(), fixed.tolist(), reasons) if why])
+        failures=list(zip(k[at].tolist(), fixed[at].tolist(), reasons)))
 
 
 @dataclass(frozen=True)

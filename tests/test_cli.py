@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from harmonictori import differentials
 from harmonictori.cli import _write_level_set, _write_mesh_obj, f17, main
 from harmonictori.config import CONFIG_ENV_VAR, RunConfig, load_config
 from harmonictori.curves import BranchPair
@@ -81,15 +82,30 @@ class TestCurveInfo:
     @pytest.mark.parametrize("alpha, beta, message", [
         # alpha = 0 puts the double pole over zeta = 0 on the branch point f(alpha) = 1
         ("0,0", "0.9,0", "double pole (1-0j) sits on a branch point"),
-        # k within 3e-10 of 1: the loop quadrature cannot separate 1 from 1/k
-        ("0.5,0", "0.5000000001,0", "no quadrature convergence"),
-    ], ids=["pole_on_branch_point", "nearly_equal_points"])
+    ], ids=["pole_on_branch_point"])
     def test_failing_checklist_is_an_error(self, capsys, alpha, beta, message):
         assert main(["curve-info", "--alpha", alpha, "--beta", beta]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error: checklist failed: ")
         assert message in captured.err
         assert captured.out == ""
+
+    def test_unsettled_quadrature_is_an_error(self, capsys, monkeypatch):
+        # a contour segment that does not settle in 13 levels fails the
+        # checklist; here no sweep settles any
+        monkeypatch.setattr(differentials, "_sweep", lambda geom, integrand, segs: None)
+        assert main(["curve-info", "--alpha", "0.3,0", "--beta=-0.3,0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: checklist failed: no quadrature convergence on [")
+        assert captured.out == ""
+
+    def test_nearly_equal_points_pass(self, capsys):
+        # k within 3e-10 of 1: loop A's panels, graded by distance, pass
+        # between the branch points 1 and 1/k
+        assert main(["curve-info", "--alpha", "0.5,0", "--beta", "0.5000000001,0"]) == 0
+        out = capsys.readouterr().out
+        assert "spectral   = yes: p = 1/9, q = -7/9" in out
+        assert "P8 closing integrals" in out
 
     @pytest.mark.parametrize("max_den", ["0", "-3"])
     def test_max_den_below_one_invalid(self, capsys, max_den):

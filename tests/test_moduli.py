@@ -759,17 +759,17 @@ class TestBatchedSweep:
         outcomes = []
         for p, q in sorted(set(zip(ps.tolist(), qs.tolist()))):
             at = np.flatnonzero((ps == p) & (qs == q))
-            solved, reasons = moduli._solve_level_grid(p, q, ks[at], angles[at],
-                                                       DEFAULTS.solver_tol)
-            for x, why, k, angle in zip(solved.tolist(), reasons, ks[at].tolist(),
-                                        angles[at].tolist()):
+            solved, residual = moduli._solve_level_grid(p, q, ks[at], angles[at],
+                                                        DEFAULTS.solver_tol)
+            for x, r, k, angle in zip(solved.tolist(), residual.tolist(), ks[at].tolist(),
+                                      angles[at].tolist()):
                 try:
                     mp = solve_level(p, q, k, angle)
                 except LevelSolveError as exc:
-                    assert math.isnan(x) and why == str(exc)
+                    assert math.isnan(x) and moduli._no_convergence(q, r) == str(exc)
                     outcomes.append("failed")
                     continue
-                assert why is None
+                assert math.isnan(r)
                 assert x.hex() == (mp.u_tilde if p > 1.0 else mp.v_tilde).hex()
                 outcomes.append("solved on the boundary" if angle in boundary else "solved")
         assert len(outcomes) == n and len(set(outcomes)) == 3
