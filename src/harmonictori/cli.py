@@ -18,6 +18,7 @@ arguments produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -312,7 +313,10 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser, built once per process on first use and shared by every
+    main() call: parsing leaves no state in it."""
     parser = _Parser(
         prog="harmonic-tori",
         description="Spectral data for equivariant harmonic tori in the 3-sphere.",
@@ -358,8 +362,7 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = load_config()
     except (OSError, ValueError) as exc:

@@ -244,8 +244,8 @@ def gamma0_path(sign: int, frame: JacobiFrame) -> PathSpec:
 
 def _gamma0_path(sign: int, frame: JacobiFrame, check: bool) -> PathSpec:
     """gamma0_path; with check, PathError where it passes within _CLEARANCE
-    of a branch point or double pole.  Of the candidates (d, h), the one
-    farthest from the poles, the first on a tie, is built."""
+    of a branch point or double pole.  Of the candidates (d, h), the first
+    within a relative 1e-12 of the farthest from the poles is built."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     x = frame.u if sign == 1 else frame.v
@@ -258,7 +258,8 @@ def _gamma0_path(sign: int, frame: JacobiFrame, check: bool) -> PathSpec:
                     d + 1j * h, d + 1j * x, ix])
     centers = (1.0, -1.0, 1.0 / k, -1.0 / k, frame.z0, -frame.z0.conjugate())
     dist = _distances(pts[:-1].ravel(), pts[1:].ravel(), centers).reshape(len(pts) - 1, 9, -1)
-    best = dist[..., 4:].min(axis=(0, 2)).argmax()
+    clearance = dist[..., 4:].min(axis=(0, 2))
+    best = np.argmax(clearance >= clearance.max() * (1.0 - 1e-12))
     if check:
         _check_clearance(dist[:, best], centers)
     return PathSpec(points=tuple(complex(z) for z in pts[:, best]), sheet=-1)

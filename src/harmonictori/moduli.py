@@ -202,19 +202,23 @@ def _band(p, held_angle):
 
 
 def _level_fns(p, q, k, K, E, held):
-    """The closures level(x), giving T~ - q and the chart value at free angle
-    x, and slope(chart), giving dT~ along the free angle at that chart value,
-    for the held angle's share ``held`` (_level_part); floats or arrays."""
-    solve_for_u = p > 1.0
+    """The closures level(x), giving f = T~ - q and the chart value w at free
+    angle x, and slope(f, w), giving f' + f g'/g for g = sin(|x - held|/2),
+    for the held angle's share ``held`` (_level_part); floats or arrays.  Then
+    -f/slope is Newton's step on f g, which has the roots of f but not its
+    poles at the band ends; g'/g = (1 + u w)/(2(w - u)) at held chart value u."""
+    solve_for_u, u = p > 1.0, held[1]
 
     def level(x):
         free = _level_part(k, K, E, x)
         if solve_for_u:
             return _t_tilde(p, k, K, free, held) - q, free[1]
         return _t_tilde(p, k, K, held, free) - q, free[1]
-    if solve_for_u:
-        return level, lambda chart: _dT_du(p, k, K, E, chart, held[1])
-    return level, lambda chart: _dT_dv(p, k, K, E, held[1], chart)
+
+    def slope(f, w):
+        d = _dT_du(p, k, K, E, w, u) if solve_for_u else _dT_dv(p, k, K, E, u, w)
+        return d + f * (1.0 + u * w) / (2.0 * (w - u))
+    return level, slope
 
 
 def _no_convergence(q, residual) -> str:
@@ -230,7 +234,8 @@ def solve_level(p: float, q: float, k: float, fixed_angle: float,
     (v~ - 2 pi, v~), where T~ increases; for p <= 1 the fixed angle is u~
     and v~ is solved in (u~, u~ + 2 pi), where T~ decreases.  T~ diverges
     with opposite signs at the band ends, so bracketed Newton with bisection
-    fallback on the band less 1e-12 at each end (_band) converges to every
+    fallback on the band less 1e-12 at each end (_band), stepping on the
+    level with those poles deflated (_level_fns), converges to every
     reachable level.  The first iterate is ``start``, a guess at the solved
     angle such as a continuation's prediction, when strictly inside that
     bracket, and else (nan included) the bracket's midpoint; a level out of
@@ -250,7 +255,7 @@ def solve_level(p: float, q: float, k: float, fixed_angle: float,
             u, v = (x, fixed_angle) if p > 1.0 else (fixed_angle, x)
             return ModuliPoint(p=p, k=k, u_tilde=u, v_tilde=v)
         a, b = (x, b) if (fx < 0.0) == (sign > 0.0) else (a, x)
-        d = slope(chart)
+        d = slope(fx, chart)
         step = -fx / d if d != 0.0 else 0.0
         xn = x + step
         if not (min(a, b) < xn < max(a, b)) or step == 0.0:
@@ -291,7 +296,7 @@ def _solve_level_grid(p: float, q: float, k: np.ndarray, angle: np.ndarray,
             done = np.abs(fx) < tol
             lower = (fx < 0.0) == (sign > 0.0)
             a, b = np.where(lower, x, a), np.where(lower, b, x)
-            d = slope(chart)
+            d = slope(fx, chart)
             step = np.where(d != 0.0, -fx / d, 0.0)
             xn = x + step
             inside = (np.minimum(a, b) < xn) & (xn < np.maximum(a, b)) & (step != 0.0)

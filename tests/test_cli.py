@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import harmonictori
 from harmonictori import differentials
 from harmonictori.cli import _write_level_set, _write_mesh_obj, f17, main
 from harmonictori.config import CONFIG_ENV_VAR, RunConfig, load_config
@@ -16,11 +17,14 @@ from harmonictori.curves import BranchPair
 from harmonictori.moduli import spectral_test, sweep_level_set
 
 
-def run_cli(args, env=None, cwd=None):
-    proc = subprocess.run(
-        [sys.executable, "-m", "harmonictori.cli", *args],
-        capture_output=True, text=True, env=env, cwd=cwd)
-    return proc
+def run_cli(args, cwd=None):
+    """The CLI in a fresh interpreter that imports this package, whether or
+    not PYTHONPATH names it."""
+    src = os.path.dirname(os.path.dirname(harmonictori.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-m", "harmonictori.cli", *args],
+                          capture_output=True, text=True, env=env, cwd=cwd)
 
 
 @pytest.mark.parametrize("args, message", [
@@ -42,6 +46,41 @@ def test_invalid_input_is_a_usage_error(args, message, tmp_path, monkeypatch, ca
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
     assert not any(tmp_path.iterdir())
+
+
+def test_successive_calls_match_fresh_interpreters(tmp_path, monkeypatch, capsys):
+    # main() builds its parser once per process: each call of a sequence, an
+    # argparse rejection among them, gives the exit code, output and files of
+    # the same call in a fresh interpreter, and a failed call leaks nothing
+    calls = [
+        ["level-set", "--p=1/2", "--q=1/3", "--k-grid=3", "--angle-grid=4",
+         "--span=6.0", "--out=leaf.csv", "--mesh=leaf.obj"],
+        ["level-set", "--p=2", "--q=1", "--k-grid=x", "--out=bad.csv"],
+        ["verify", "--suite", "elliptic"],
+        ["curve-info", "--alpha", "0.3,0.0", "--beta=-0.3,0.0"],
+        ["level-set", "--p=2", "--q=1", "--k-grid=2", "--angle-grid=3", "--span=1.0",
+         "--out=other.csv"],
+    ]
+    monkeypatch.setenv("COLUMNS", "80")
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    here.mkdir()
+    fresh.mkdir()
+    monkeypatch.chdir(here)
+    codes = []
+    for argv in calls:
+        try:
+            codes.append(main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+        captured = capsys.readouterr()
+        proc = run_cli(argv, cwd=fresh)
+        assert (codes[-1], captured.out, captured.err) == (
+            proc.returncode, proc.stdout, proc.stderr)
+    assert codes == [0, 1, 0, 0, 0]
+    for folder in (here, fresh):
+        assert sorted(p.name for p in folder.iterdir()) == ["leaf.csv", "leaf.obj", "other.csv"]
+    for name in ("leaf.csv", "leaf.obj", "other.csv"):
+        assert (here / name).read_bytes() == (fresh / name).read_bytes()
 
 
 class TestCurveInfo:
@@ -335,6 +374,7 @@ class TestVerify:
     def test_unknown_suite_rejected(self):
         proc = run_cli(["verify", "--suite", "nonsense"])
         assert proc.returncode == 1
+        assert "argument --suite: invalid choice: 'nonsense'" in proc.stderr
 
 
 class TestConfig:

@@ -1126,7 +1126,8 @@ def grade(y_from, y_to):
 
 def nine_candidate_choice(sign, frame):
     """(d, h) of gamma0_path by the rule that built all nine candidate paths,
-    their vertical runs graded, and kept the first farthest from the poles."""
+    their vertical runs graded, and kept the first within a relative 1e-12
+    of the largest clearance from the poles."""
     x = frame.u if sign == 1 else frame.v
     xc = 0.5 * (1.0 + 1.0 / frame.k)
     poles = (frame.z0, -frame.z0.conjugate())
@@ -1138,15 +1139,14 @@ def nine_candidate_choice(sign, frame):
                 t = min(1.0, max(0.0, ((p - a) * (b - a).conjugate()).real / abs(b - a) ** 2))
                 out = min(out, abs(p - (a + t * (b - a))))
         return out
-    best = None
+    gaps = []
     for d in (0.35, 0.5, 0.22):
         for h in (0.25, 0.4, 0.15):
             left = [complex(-d, y) for y in grade(x, -h)]
             right = [complex(d, y) for y in grade(x, h)][::-1]
-            g = gap([1j * x, *left, xc - 1j * h, xc + 1j * h, *right, 1j * x])
-            if best is None or g > best[0]:
-                best = (g, d, h)
-    return best[1:]
+            gaps.append((gap([1j * x, *left, xc - 1j * h, xc + 1j * h, *right, 1j * x]), d, h))
+    largest = max(g for g, _, _ in gaps)
+    return next((d, h) for g, d, h in gaps if g >= largest * (1.0 - 1e-12))
 
 
 class TestCensus:
