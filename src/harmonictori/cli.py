@@ -18,7 +18,6 @@ arguments produce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -313,10 +312,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     return 0
 
 
-@functools.cache
 def build_parser() -> _Parser:
-    """The parser, built once per process on first use and shared by every
-    main() call: parsing leaves no state in it."""
     parser = _Parser(
         prog="harmonic-tori",
         description="Spectral data for equivariant harmonic tori in the 3-sphere.",
@@ -362,7 +358,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         cfg = load_config()
     except (OSError, ValueError) as exc:

@@ -12,11 +12,11 @@ On each band T~ is strictly monotone along the free angle and diverges to
 opposite infinities at its two ends, so the band less 1e-12 at each end
 brackets every reachable level before any evaluation.  Both solvers pose
 one level problem, on floats or arrays: _band gives that bracket and the
-orientation, _level_fns the level T~ - q and its slope, _no_convergence
-the failure reason.  Only the Newton-or-midpoint loop is written twice:
-solve_level runs it on floats at one chart point, from a given start
-inside the bracket or else its midpoint, for serial callers such as
-monodromy_track; _solve_level_grid runs it in lockstep on per-point
+orientation, _level_fns the level T~ - q and the slope of the pole-deflated
+level (T~ - q) sin(|x - held|/2), _no_convergence the failure reason.  Only
+the Newton-or-midpoint loop is written twice: solve_level runs it on floats
+at one chart point, from a given start inside the bracket or else its
+midpoint, for serial callers such as monodromy_track; _solve_level_grid runs it in lockstep on per-point
 (k, angle) arrays from the midpoint, as sweep_level_set does for a leaf.
 An angle's share of T~ is the principal one plus pi per whole turn, and
 the chart value tan(x~/2) of a float angle is finite, the chart boundary

@@ -49,9 +49,9 @@ def test_invalid_input_is_a_usage_error(args, message, tmp_path, monkeypatch, ca
 
 
 def test_successive_calls_match_fresh_interpreters(tmp_path, monkeypatch, capsys):
-    # main() builds its parser once per process: each call of a sequence, an
-    # argparse rejection among them, gives the exit code, output and files of
-    # the same call in a fresh interpreter, and a failed call leaks nothing
+    # in one process, each call of a sequence of main() calls, an argparse
+    # rejection among them, gives the exit code, output and files of the
+    # same call in a fresh interpreter, and a failed call leaks nothing
     calls = [
         ["level-set", "--p=1/2", "--q=1/3", "--k-grid=3", "--angle-grid=4",
          "--span=6.0", "--out=leaf.csv", "--mesh=leaf.obj"],

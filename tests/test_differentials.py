@@ -2,12 +2,10 @@
 
 import cmath
 import dataclasses
-import importlib.util
 import math
 import random
 import re
 from fractions import Fraction
-from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -1102,12 +1100,9 @@ class TestGradedPanels:
             assert e.residual < 1e-6, (e.item, e.residual, e.detail)
 
 
-def census_curves(seed):
-    """The curve-info inputs of the benchmark's curve census at a seed."""
-    where = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("census_inputs", where)
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
+def census_curves(inputs, seed):
+    """The curve-info inputs of the benchmark's curve census at a seed, from
+    its input generators ``inputs`` (the bench_inputs fixture)."""
     jobs, _ = inputs.curve_jobs(random.Random(f"curve_census:{seed}"), 20,
                                 solve_level, inverse_coords)
     return [BranchPair(complex(*job["alpha"]), complex(*job["beta"])) for job in jobs]
@@ -1151,8 +1146,8 @@ def nine_candidate_choice(sign, frame):
 
 class TestCensus:
     @pytest.mark.parametrize("seed", [1, 2, 3, 21])
-    def test_gamma0_path_takes_the_nine_candidate_choice(self, seed):
-        for bp in census_curves(seed):
+    def test_gamma0_path_takes_the_nine_candidate_choice(self, seed, bench_inputs):
+        for bp in census_curves(bench_inputs, seed):
             fr = build_frame(bp)
             for sign in (1, -1):
                 try:
@@ -1164,7 +1159,7 @@ class TestCensus:
                 assert path.points[1].imag == path.points[-2].imag == (
                     fr.u if sign == 1 else fr.v)
 
-    def test_one_sweep_per_curve(self, monkeypatch):
+    def test_one_sweep_per_curve(self, monkeypatch, bench_inputs):
         # each segment mostly settles on its first level, and the four paths of
         # a curve mostly fit in one block: at most 1.3 sweeps per curve
         sweeps, inner = [0], differentials._sweep
@@ -1173,7 +1168,7 @@ class TestCensus:
             sweeps[0] += 1
             return inner(*args)
         monkeypatch.setattr(differentials, "_sweep", counted)
-        curves = census_curves(1)
+        curves = census_curves(bench_inputs, 1)
         for bp in curves:
             fr = build_frame(bp)
             detected = spectral_test(bp, 50)

@@ -1,13 +1,11 @@
 """Closing functions S, T0, T~, the level-set solver and component logic."""
 
-import importlib.util
 import itertools
 import math
 import random
 import re
 import warnings
 from fractions import Fraction
-from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -436,12 +434,9 @@ def solve_cases(seed):
 UNREACHED = (0, 1, 2, 12, 13, 14, 24, 25, 26, 36, 37, 38)
 
 
-def leaf_jobs(seed):
-    """The level-set leaves of the benchmark's leaf sweep at a seed."""
-    where = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("leaf_inputs", where)
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
+def leaf_jobs(inputs, seed):
+    """The level-set leaves of the benchmark's leaf sweep at a seed, from its
+    input generators ``inputs`` (the bench_inputs fixture)."""
     return inputs.leaf_jobs(random.Random(f"leaf_sweep:{seed}"), 20)
 
 
@@ -543,7 +538,7 @@ class TestSolver:
             assert free[:2] == [angle, start]  # the held angle's share comes first
             assert all(lo + edge <= x <= hi - edge for x in free[1:])
 
-    def test_leaf_sweep_work_is_bounded_in_counts(self, monkeypatch):
+    def test_leaf_sweep_work_is_bounded_in_counts(self, monkeypatch, bench_inputs):
         # Newton's step on the deflated level (T~ - q) sin(|x - held|/2)
         # leaves the poles at the band ends behind: over the benchmark's
         # seed-1 leaves (k 0.02-0.98) a leaf takes at most 9.5 lockstep
@@ -557,7 +552,7 @@ class TestSolver:
             evaluations[0] += np.size(x)
             return level_part(k, K, E, x)
         monkeypatch.setattr(moduli, "_level_part", counted)
-        jobs, points = leaf_jobs(1), 0
+        jobs, points = leaf_jobs(bench_inputs, 1), 0
         for job in jobs:
             mesh = sweep_level_set(Fraction(job["p"]), Fraction(job["q"]), job["k_grid"],
                                    job["angle_grid"], job["span"], k_min=0.02, k_max=0.98)
