@@ -38,7 +38,7 @@ from .curves import (
     _OFF_CHART, BranchPair, JacobiFrame, ModuliPoint, S_value, _center,
     _chart_value, angle_rescale,
 )
-from .elliptic import TWO_PI, _E_reg, _F, _axis_angle, complete_E, complete_K, w_imag
+from .elliptic import TWO_PI, _FE, _axis_angle, _check_modulus, _complete_KE, _w
 from .moduli import solve_level, t0_raw
 
 DIFFERENTIAL_KINDS = ("omega", "e", "epsilon", "theta_E", "theta_P")
@@ -90,7 +90,7 @@ class _Geometry:
 
     def __init__(self, frame: JacobiFrame):
         self.frame, self.k, self.z0 = frame, frame.k, frame.z0
-        self.K, self.E = complete_K(self.k), complete_E(self.k)
+        self.K, self.E = _complete_KE(_check_modulus(self.k))
         self.branch_points = (1.0, -1.0, 1.0 / self.k, -1.0 / self.k)
         self.poles = (self.z0, -self.z0.conjugate())
         # C with theta_E = i C d[w/D]; C = 4 nu (Re z0)^2 / c, real negative
@@ -508,15 +508,15 @@ def _theta_P_gamma_value(sign: int, frame: JacobiFrame) -> complex:
 def _theta_P_gamma_imag(k: float, x: float, z0: complex) -> float:
     """Im of _theta_P_gamma_value at the endpoint chart value x, which is
     finite: a chart value stays below 1.7e16, so x^2 cannot overflow."""
-    K, E = complete_K(k), complete_E(k)
+    K, E = _complete_KE(_check_modulus(k))
     x0, y0 = z0.real, z0.imag
-    W = w_imag(x, k)
+    W = _w(x, k)
     dre = -((x - y0) ** 2 + x0 * x0)
     m_num = (x - y0) * ((1.0 + (1.0 + k * k) * x * x) / (W + k * x * x)
                         + k * x * y0) - k * x * x0 * x0
     G = m_num / dre
-    s, c = _axis_angle(x)
-    return 4.0 * E * _F(s, c, k) - 4.0 * K * (_E_reg(s, c, k) + G)
+    F, E_reg = _FE(*_axis_angle(x), k)
+    return 4.0 * E * F - 4.0 * K * (E_reg + G)
 
 
 def _chart_gamma_plus(mp: ModuliPoint) -> float:

@@ -12,9 +12,12 @@ which is where the genus-one closing function lives; the winding-number
 helper keeps the two descriptions in sync.  Adaptive quadrature of the
 defining integrals is kept only in the tests, as an independent check.
 
-The kernels _F, _E_reg and _half_angle (whole turns and reduced half-angle
-of a cover angle, without a branch) take floats or numpy arrays alike, so
-both level-set solvers in moduli evaluate the same closed forms.
+The kernels _FE (F and regularized E from one R_F and one R_D) and
+_half_angle (whole turns and reduced half-angle of a cover angle, without a
+branch) take floats or numpy arrays alike, so both level-set solvers in
+moduli evaluate the same closed forms.  Floats go through the float-to-float
+elliprf/elliprd of scipy.special.cython_special, arrays through the ufuncs
+of the same names: one C code, the same bits, and no ufunc call per float.
 
 Conventions: the modulus k always lies in (0, 1); K' and E' denote the
 complete integrals at the complementary modulus sqrt(1 - k^2), and
@@ -30,7 +33,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import elliprd, elliprf
+from scipy.special import cython_special, elliprd, elliprf
 
 TWO_PI = 2.0 * math.pi
 
@@ -64,7 +67,7 @@ def complementary_modulus(k: float) -> float:
 def _complete(m: float, m1: float) -> tuple[float, float]:
     """(K, K - E) at parameter m = 1 - m1, as R_F(0, m1, 1) and
     m R_D(0, m1, 1)/3 (DLMF 19.25.1); m and m1 both come in at full precision."""
-    return float(elliprf(0.0, m1, 1.0)), m * (float(elliprd(0.0, m1, 1.0)) / 3.0)
+    return cython_special.elliprf(0.0, m1, 1.0), m * (cython_special.elliprd(0.0, m1, 1.0) / 3.0)
 
 
 @lru_cache(maxsize=4096)
@@ -113,11 +116,6 @@ def _sqrt(x):
     return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
 
 
-def _value(r):
-    """A ufunc result as a Python float on scalar input, unchanged on arrays."""
-    return r if isinstance(r, np.ndarray) else float(r)
-
-
 def _w(x, k):
     """w(ix) = +sqrt((1 + x^2)(1 + k^2 x^2)), +inf at x = +-inf."""
     return _sqrt((1.0 + x * x) * (1.0 + k * k * x * x))
@@ -131,22 +129,22 @@ def w_imag(u: float, k) -> float:
 # Kernels over phi in [-pi/2, pi/2], given as s = sin(phi), c = cos(phi), with
 # y = c^2 + k^2 s^2 = 1 - k'^2 s^2.  At (s, c) = (1, 0) they are K' and K' - E',
 # exact as k -> 0 because k never passes through sqrt(1 - k^2).
-def _F(s, c, k):
-    """F(phi; k') = int_0^phi dt / sqrt(1 - k'^2 sin^2 t)."""
-    return s * _value(elliprf(c * c, c * c + k * k * s * s, 1.0))
+def _FE(s, c, k):
+    """(F, E_reg) at phi: F(phi; k') = int_0^phi dt / sqrt(1 - k'^2 sin^2 t)
+    and E_reg = int_0^phi k'^2 dt / (sqrt(1 - k'^2 sin^2 t) + k).
 
-
-def _E_reg(s, c, k):
-    """int_0^phi k'^2 dt / (sqrt(1 - k'^2 sin^2 t) + k).
-
-    This is F(phi; k') - E(phi; k') + tan(phi) (sqrt(y) - k), written with
+    E_reg is F(phi; k') - E(phi; k') + tan(phi) (sqrt(y) - k), written with
     R_D for the first difference and (y - k^2) = k'^2 c^2 for the second,
     so that neither cancels.
     """
-    y = c * c + k * k * s * s
-    return (1.0 - k) * (1.0 + k) * (
-        s * s * s * _value(elliprd(c * c, y, 1.0)) / 3.0
-        + s * c / (_sqrt(y) + k))
+    c2 = c * c
+    y = c2 + k * k * s * s
+    if isinstance(y, np.ndarray):
+        rf, rd, root = elliprf(c2, y, 1.0), elliprd(c2, y, 1.0), np.sqrt(y)
+    else:
+        rf, rd = cython_special.elliprf(c2, y, 1.0), cython_special.elliprd(c2, y, 1.0)
+        root = math.sqrt(y)
+    return s * rf, (1.0 - k) * (1.0 + k) * (s * s * s * rd / 3.0 + s * c / (root + k))
 
 
 def _axis_angle(x: float) -> tuple[float, float]:
@@ -159,12 +157,12 @@ def _axis_angle(x: float) -> tuple[float, float]:
 
 def incomplete_F_imag(x: float, k) -> float:
     """Im F(ix; k): odd, increasing, bounded by K'(k)."""
-    return _F(*_axis_angle(float(x)), _check_modulus(k))
+    return _FE(*_axis_angle(float(x)), _check_modulus(k))[0]
 
 
 def incomplete_E_reg_imag(x: float, k) -> float:
     """Im(E(ix; k) - k ix): odd, increasing, bounded by K'(k) - E'(k)."""
-    return _E_reg(*_axis_angle(float(x)), _check_modulus(k))
+    return _FE(*_axis_angle(float(x)), _check_modulus(k))[1]
 
 
 def _reduce_turns(x_tilde: float) -> tuple[int, float]:
@@ -206,7 +204,7 @@ def _lifted_integrals(x_tilde: float, k: float) -> tuple[float, float]:
     if not math.isfinite(x_tilde):
         raise ValueError(f"the angle must be finite, got {x_tilde!r}")
     m, s, c, _ = _half_angle(x_tilde)
-    F, E = _F(s, c, k), _E_reg(s, c, k)
+    F, E = _FE(s, c, k)
     if not m:
         return F, E
     Kp, KmEp = complementary_KE(k)

@@ -41,9 +41,7 @@ from .curves import (
     BranchPair, ModuliPoint, S_value, _chart_value, _inverse_coords_array,
     forward_coords,
 )
-from .elliptic import (
-    TWO_PI, _E_reg, _F, _axis_angle, _half_angle, _w, complete_E, complete_K,
-)
+from .elliptic import TWO_PI, _FE, _axis_angle, _check_modulus, _complete_KE, _half_angle, _w
 
 __all__ = [
     "ComponentId", "LevelSetMesh", "ModuliSummary",
@@ -88,10 +86,10 @@ def t0_raw(p: float, k: float, u: float, v: float) -> float:
         raise ValueError(f"chart values must be finite, got u={u!r}, v={v!r}")
     if u == v:
         raise ValueError("T0 is undefined on the diagonal u = v")
-    K, E = complete_K(k), complete_E(k)
+    K, E = _complete_KE(_check_modulus(k))
     (su, cu), (sv, cv) = _axis_angle(u), _axis_angle(v)
-    fu = E * _F(su, cu, k) - K * _E_reg(su, cu, k)
-    fv = E * _F(sv, cv, k) - K * _E_reg(sv, cv, k)
+    (Fu, Eu), (Fv, Ev) = _FE(su, cu, k), _FE(sv, cv, k)
+    fu, fv = E * Fu - K * Eu, E * Fv - K * Ev
     return _t_tilde(p, k, K, (fu, u), (fv, v))
 
 
@@ -108,7 +106,7 @@ def t_tilde_raw(p: float, k: float, u_tilde: float, v_tilde: float) -> float:
     """
     if not (math.isfinite(u_tilde) and math.isfinite(v_tilde)):
         raise ValueError(f"angles must be finite, got u~={u_tilde!r}, v~={v_tilde!r}")
-    K, E = complete_K(k), complete_E(k)
+    K, E = _complete_KE(_check_modulus(k))
     terms_u, terms_v = _level_part(k, K, E, u_tilde), _level_part(k, K, E, v_tilde)
     if terms_u[1] == terms_v[1]:
         raise ValueError("T~ is undefined on the diagonal u = v")
@@ -120,7 +118,8 @@ def _level_part(k, K, E, x_tilde):
     tan(x~/2), on floats or arrays: the share at the reduced half-angle plus
     pi per whole turn, since E K' + K E' - K K' = pi/2."""
     m, s, c, u = _half_angle(x_tilde)
-    return E * _F(s, c, k) - K * _E_reg(s, c, k) + m * math.pi, u
+    F, E_reg = _FE(s, c, k)
+    return E * F - K * E_reg + m * math.pi, u
 
 
 def _t_tilde(p, k, K, terms_u, terms_v):
@@ -144,7 +143,7 @@ def dt0_du_raw(p: float, k: float, u: float, v: float) -> float:
         raise ValueError(f"chart values must be finite, got u={u!r}, v={v!r}")
     if u == v:
         raise ValueError("derivative undefined on the diagonal u = v")
-    return _dt0_du(p, k, complete_K(k), complete_E(k), u, v)
+    return _dt0_du(p, k, *_complete_KE(_check_modulus(k)), u, v)
 
 
 def dT0_du(mp: ModuliPoint) -> float:
@@ -157,7 +156,7 @@ def dT_tilde_du_tilde(p: float, k: float, u_tilde: float, v_tilde: float) -> flo
     u, v = _chart_value(u_tilde), _chart_value(v_tilde)
     if u == v:
         raise ValueError("derivative undefined on the diagonal u = v")
-    return _dT_du(p, k, complete_K(k), complete_E(k), u, v)
+    return _dT_du(p, k, *_complete_KE(_check_modulus(k)), u, v)
 
 
 def _dT_du(p, k, K, E, u, v):
@@ -171,7 +170,7 @@ def dT_tilde_dv_tilde(p: float, k: float, u_tilde: float, v_tilde: float) -> flo
     u, v = _chart_value(u_tilde), _chart_value(v_tilde)
     if u == v:
         raise ValueError("derivative undefined on the diagonal u = v")
-    return _dT_dv(p, k, complete_K(k), complete_E(k), u, v)
+    return _dT_dv(p, k, *_complete_KE(_check_modulus(k)), u, v)
 
 
 def _dT_dv(p, k, K, E, u, v):
@@ -245,7 +244,7 @@ def solve_level(p: float, q: float, k: float, fixed_angle: float,
         raise ValueError("p must be positive")
     if not math.isfinite(fixed_angle):
         raise ValueError(f"the held angle must be finite, got {fixed_angle!r}")
-    K, E = complete_K(k), complete_E(k)
+    K, E = _complete_KE(_check_modulus(k))
     a, b, sign = _band(p, fixed_angle)
     level, slope = _level_fns(p, q, k, K, E, _level_part(k, K, E, fixed_angle))
     x = start if start is not None and a < start < b else 0.5 * (a + b)
@@ -284,7 +283,7 @@ def _solve_level_grid(p: float, q: float, k: np.ndarray, angle: np.ndarray,
     if not p > 0.0:
         raise ValueError("p must be positive")
     distinct, at = np.unique(k, return_inverse=True)
-    K, E = np.array([(complete_K(x), complete_E(x)) for x in distinct.tolist()]).T[:, at]
+    K, E = np.array([_complete_KE(_check_modulus(x)) for x in distinct.tolist()]).T[:, at]
     a, b, sign = _band(p, angle)
     solved, residual = np.full((2, angle.size), np.nan)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -48,6 +48,16 @@ def test_invalid_input_is_a_usage_error(args, message, tmp_path, monkeypatch, ca
     assert not any(tmp_path.iterdir())
 
 
+def test_cli_import_leaves_out_test_only_modules():
+    # every CLI call pays the import: quadrature and the test oracles stay out
+    src = os.path.dirname(os.path.dirname(harmonictori.__file__))
+    probe = "import sys, harmonictori.cli; print(*sys.modules)"
+    loaded = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, check=True).stdout.split()
+    assert "harmonictori.cli" in loaded
+    assert not {"scipy.integrate", "mpmath", "hypothesis"} & set(loaded)
+
+
 def test_successive_calls_match_fresh_interpreters(tmp_path, monkeypatch, capsys):
     # in one process, each call of a sequence of main() calls, an argparse
     # rejection among them, gives the exit code, output and files of the

@@ -1,17 +1,22 @@
 """Elliptic integral layer: oracles first, then the lifted functions."""
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import elliprd, elliprf
 
+import harmonictori.elliptic
+from harmonictori.differentials import monodromy_track
 from harmonictori.elliptic import (
-    ChartBoundary, _half_angle, complementary_KE,
+    ChartBoundary, _complete, _complete_KE, _FE, _half_angle, complementary_KE,
     complementary_modulus, complete_E, complete_K, incomplete_E_reg_imag,
     incomplete_F_imag, legendre_defect, lifted_E, lifted_F, w_imag, wind,
 )
+from harmonictori.moduli import solve_level
 
 # independent quadrature oracles on the defining integrals
 
@@ -280,3 +285,56 @@ def test_edges_against_mpmath(k):
         ref = float(ref)
         assert abs(fn(arg, k) - ref) <= 1e-14 * max(1.0, abs(ref), Kp), (
             fn.__name__, arg, fn(arg, k), ref)
+
+
+# _FE and _complete evaluate floats through scipy.special.cython_special and
+# arrays through the elliprf/elliprd ufuncs; both must give the same bits.
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+FE_EDGE_K = [1e-300, 1e-8, 0.5, 1.0 - 2.0 ** -53]
+FE_EDGE_SC = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (1e-300, 1.0), (-1e-300, 1.0)]
+
+
+def _FE_points():
+    rng = np.random.default_rng(20)
+    phi = rng.uniform(-math.pi / 2, math.pi / 2, 400)
+    ks = np.concatenate([rng.uniform(0.0, 1.0, 200), 10.0 ** rng.uniform(-12, 0, 200)])
+    ks = np.clip(ks, 1e-300, 1.0 - 2.0 ** -53)
+    points = [(math.sin(a), math.cos(a), k) for a, k in zip(phi.tolist(), ks.tolist())]
+    return points + [(s, c, k) for k in FE_EDGE_K for s, c in FE_EDGE_SC]
+
+
+def test_FE_float_path_matches_array_path_bit_for_bit():
+    s, c, k = map(list, zip(*_FE_points()))
+    F_arr, E_arr = _FE(np.array(s), np.array(c), np.array(k))
+    floats = [_FE(*point) for point in zip(s, c, k)]
+    assert all(type(F) is float and type(E) is float for F, E in floats)
+    assert _bits(F for F, _ in floats) == _bits(F_arr)
+    assert _bits(E for _, E in floats) == _bits(E_arr)
+
+
+@pytest.mark.parametrize("k", FE_EDGE_K + [0.3, 1e-150])
+def test_complete_matches_the_ufuncs_bit_for_bit(k):
+    for m, m1 in ((k * k, (1.0 - k) * (1.0 + k)), ((1.0 - k) * (1.0 + k), k * k)):
+        K, KmE = _complete(m, m1)
+        assert type(K) is float and type(KmE) is float
+        ufunc = (elliprf(0.0, m1, 1.0), m * (elliprd(0.0, m1, 1.0) / 3.0))
+        assert _bits((K, KmE)) == _bits(ufunc)
+
+
+def test_serial_path_makes_no_ufunc_call(monkeypatch):
+    # a cold scalar solve and a monodromy loop take every R_F and R_D from
+    # the float functions: with the ufuncs made to raise they return as before
+    expected = solve_level(1.0, 0.3, 0.41, 0.7), monodromy_track(Fraction(1, 3), 16, 0.37, 0.2)
+
+    def refuse(*args):
+        raise AssertionError("ufunc called on the serial path")
+    monkeypatch.setattr(harmonictori.elliptic, "elliprf", refuse)
+    monkeypatch.setattr(harmonictori.elliptic, "elliprd", refuse)
+    _complete_KE.cache_clear()
+    complementary_KE.cache_clear()
+    got = solve_level(1.0, 0.3, 0.41, 0.7), monodromy_track(Fraction(1, 3), 16, 0.37, 0.2)
+    assert got == expected
