@@ -11,7 +11,7 @@ import math
 
 from harmonictori import (
     complementary_KE, complete_E, complete_K, incomplete_E_reg_imag,
-    incomplete_F_imag, legendre_defect, lifted_E, lifted_F, wind,
+    incomplete_F_imag, legendre_defect, lifted_E, lifted_F,
 )
 
 print("Complete integrals from Carlson's R_F and R_D")
@@ -35,11 +35,11 @@ print("The x -> infinity rows saturate at K' and K' - E'.")
 # combination gains exactly pi, which is what makes the level function of
 # the moduli space single valued upstairs.
 print("\nLifted integrals along the cover (k = 0.5)")
-print(f"{'x~':>8} {'F~':>14} {'E~':>14} {'E F~ - K E~':>14} {'winding':>8}")
+print(f"{'x~':>8} {'F~':>14} {'E~':>14} {'E F~ - K E~':>14} {'turn':>8}")
 K, E = complete_K(k), complete_E(k)
 for turn in range(-1, 3):
     xt = 0.8 + 2 * math.pi * turn
     comb = E * lifted_F(xt, k) - K * lifted_E(xt, k)
     print(f"{xt:8.3f} {lifted_F(xt, k):14.9f} {lifted_E(xt, k):14.9f} "
-          f"{comb:14.9f} {wind(xt):8d}")
+          f"{comb:14.9f} {turn:8d}")
 print("Each turn adds 2K' to F~, 2(K'-E') to E~, and pi to the combination.")

@@ -3,7 +3,7 @@
 Subpackages by area:
 
 - ``elliptic``       complete/incomplete Legendre integrals on the imaginary
-                     axis, lifts to the universal cover, winding numbers
+                     axis and their lifts to the universal cover
 - ``genus_zero``     homogeneous tori: maps, period lattice, holonomy,
                      branch points, differential scalars, energy
 - ``curves``         genus-one branch pairs, Jacobi normalization, the
@@ -17,9 +17,9 @@ Subpackages by area:
 
 from .config import DEFAULTS, RunConfig, load_config
 from .elliptic import (
-    ChartBoundary, complementary_KE, complementary_modulus, complete_E,
-    complete_K, incomplete_E_reg_imag, incomplete_F_imag, legendre_defect,
-    lifted_E, lifted_F, w_imag, wind,
+    complementary_KE, complementary_modulus, complete_E, complete_K,
+    incomplete_E_reg_imag, incomplete_F_imag, legendre_defect, lifted_E,
+    lifted_F, w_imag,
 )
 from .genus_zero import (
     Genus0Data, Genus0Map, PeriodLattice,

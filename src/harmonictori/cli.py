@@ -158,8 +158,8 @@ def _solved_text(mesh: LevelSetMesh) -> tuple[list[str], ...]:
 
 
 def _write_level_set(mesh: LevelSetMesh, cfg: RunConfig, span: float, path: str,
-                     text: tuple[list[str], ...] | None = None) -> None:
-    """The leaf as CSV; ``text`` is _solved_text(mesh) when already made."""
+                     text: tuple[list[str], ...]) -> None:
+    """The leaf as CSV, from its _solved_text(mesh)."""
     row = f"{f17(float(mesh.p))},{f17(float(mesh.q))}," + ",".join(["%s"] * 7) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# level set p={mesh.p} q={mesh.q} k_grid={len(mesh.k_values)} "
@@ -169,20 +169,19 @@ def _write_level_set(mesh: LevelSetMesh, cfg: RunConfig, span: float, path: str,
         if not mesh.complete:
             fh.write(f"# partial: {len(mesh.failures)} grid points failed\n")
         fh.write("p,q,k,u_tilde,v_tilde,re_alpha,im_alpha,re_beta,im_beta\n")
-        fh.writelines(map(row.__mod__, zip(*(text or _solved_text(mesh)))))
+        fh.writelines(map(row.__mod__, zip(*text)))
 
 
-def _write_mesh_obj(mesh: LevelSetMesh, path: str,
-                    text: tuple[list[str], ...] | None = None) -> None:
+def _write_mesh_obj(mesh: LevelSetMesh, path: str, text: tuple[list[str], ...]) -> None:
     """ASCII OBJ triangle mesh with the (Re alpha, Im alpha, k) embedding:
     the solved points are the vertices, and each grid quad whose four
-    corners solved gives two triangles.  ``text`` is as for _write_level_set."""
+    corners solved gives two triangles.  ``text`` is _solved_text(mesh)."""
     def corners(a):
         return np.stack([a[:-1, :-1], a[1:, :-1], a[1:, 1:], a[:-1, 1:]], axis=-1)
     ok = mesh.solved
     number = np.cumsum(ok).reshape(ok.shape)  # 1-based vertex numbers where ok
     quads = corners(number)[corners(ok).all(axis=-1)].tolist()
-    k, _, _, re_alpha, im_alpha, _, _ = text or _solved_text(mesh)
+    k, _, _, re_alpha, im_alpha, _, _ = text
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# level set p={mesh.p} q={mesh.q}\n")
         fh.writelines(map("v %s %s %s\n".__mod__, zip(re_alpha, im_alpha, k)))

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .elliptic import TWO_PI, _libm, _reduce_turns, _sqrt, _w
+from .elliptic import TWO_PI, _chart_value, _half_angle, _sqrt, _w
 
 __all__ = [
     "BranchPair", "JacobiFrame", "ModuliPoint",
@@ -233,13 +233,6 @@ def forward_coords(bp: BranchPair) -> ModuliPoint:
     return ModuliPoint(p=S_value(bp), k=frame.k, u_tilde=u_tilde, v_tilde=v_tilde)
 
 
-def _chart_value(x_tilde):
-    """tan(x~/2) of a float or an array, finite at every float angle: at a
-    float odd multiple of pi it is below 1.7e16 in magnitude, signed by the
-    side the float lies on."""
-    return _libm(math.tan, 0.5 * x_tilde)
-
-
 def _divide(ar, ai, br, bi):
     """(ar + i ai)/(br + i bi) by Smith's rule, as CPython divides complex numbers."""
     swap = abs(br) < abs(bi)
@@ -324,14 +317,11 @@ def chi_negate(bp: BranchPair) -> BranchPair:
 
 
 def angle_rescale(x_tilde: float, s: float) -> float:
-    """Winding-preserving rescale 2 pi W + 2 atan(s tan(x~/2)).
-
-    Fixes odd multiples of pi; order preserving for s > 0.
-    """
-    m, r = _reduce_turns(x_tilde)
-    if abs(r) == math.pi:
-        return x_tilde
-    return TWO_PI * m + 2.0 * math.atan(s * math.tan(0.5 * r))
+    """The rescale 2 pi m + 2 atan(s tan(x~/2)) of the float x~, m its turn
+    (_half_angle), order preserving for s > 0.  Next to an odd multiple of pi
+    tan(x~/2) has the sign of the side x~ lies on, and so has the rescale."""
+    m, _, _, u = _half_angle(x_tilde)
+    return TWO_PI * m + 2.0 * math.atan(s * u)
 
 
 def deck_lambda_tilde(mp: ModuliPoint, inverse: bool = False) -> ModuliPoint:

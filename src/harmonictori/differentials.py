@@ -35,10 +35,9 @@ from functools import cache
 import numpy as np
 
 from .curves import (
-    _OFF_CHART, BranchPair, JacobiFrame, ModuliPoint, S_value, _center,
-    _chart_value, angle_rescale,
+    _OFF_CHART, BranchPair, JacobiFrame, ModuliPoint, S_value, _center, angle_rescale,
 )
-from .elliptic import TWO_PI, _FE, _axis_angle, _check_modulus, _complete_KE, _w
+from .elliptic import TWO_PI, _FE, _axis_angle, _chart_value, _check_modulus, _complete_KE, _w_minus
 from .moduli import solve_level, t0_raw
 
 DIFFERENTIAL_KINDS = ("omega", "e", "epsilon", "theta_E", "theta_P")
@@ -484,13 +483,11 @@ def contour_integral(kind: str, path: PathSpec, frame: JacobiFrame) -> complex:
     when the differential has them.
     """
     geom = _Geometry(frame)
-    if kind not in DIFFERENTIAL_KINDS:
-        raise ValueError(f"unknown differential {kind!r}")
+    coeff = geom.coefficient(kind)
     centers = list(geom.branch_points)
     if kind in _POLE_KINDS:
         centers += list(geom.poles)
     _check_clearance(_distances(path.points[:-1], path.points[1:], centers), centers)
-    coeff = geom.coefficient(kind)
     [((value,), _)] = _integrate(geom, lambda z, w: (coeff(z, w),), 1, path)
     return value
 
@@ -510,10 +507,8 @@ def _theta_P_gamma_imag(k: float, x: float, z0: complex) -> float:
     finite: a chart value stays below 1.7e16, so x^2 cannot overflow."""
     K, E = _complete_KE(_check_modulus(k))
     x0, y0 = z0.real, z0.imag
-    W = _w(x, k)
     dre = -((x - y0) ** 2 + x0 * x0)
-    m_num = (x - y0) * ((1.0 + (1.0 + k * k) * x * x) / (W + k * x * x)
-                        + k * x * y0) - k * x * x0 * x0
+    m_num = (x - y0) * (_w_minus(x, k) + k * x * y0) - k * x * x0 * x0
     G = m_num / dre
     F, E_reg = _FE(*_axis_angle(x), k)
     return 4.0 * E * F - 4.0 * K * (E_reg + G)

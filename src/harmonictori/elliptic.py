@@ -8,9 +8,9 @@ transformation (DLMF 19.7(ii)) turns Im F(ix; k) and Im(E(ix; k) - k ix)
 into real integrals at the complementary modulus over the angle
 phi = arctan(x), which R_F and R_D evaluate directly.  The lifted versions
 extend those integrals to the universal cover of the real projective line,
-which is where the genus-one closing function lives; the winding-number
-helper keeps the two descriptions in sync.  Adaptive quadrature of the
-defining integrals is kept only in the tests, as an independent check.
+which is where the genus-one closing function lives; _half_angle alone
+decides which turn of the cover an angle lies in.  Adaptive quadrature of
+the defining integrals is kept only in the tests, as an independent check.
 
 The kernels _FE (F and regularized E from one R_F and one R_D) and
 _half_angle (whole turns and reduced half-angle of a cover angle, without a
@@ -38,17 +38,11 @@ from scipy.special import cython_special, elliprd, elliprf
 TWO_PI = 2.0 * math.pi
 
 __all__ = [
-    "ChartBoundary",
     "complete_K", "complete_E", "complementary_modulus", "complementary_KE",
     "legendre_defect",
     "w_imag", "incomplete_F_imag", "incomplete_E_reg_imag",
-    "lifted_F", "lifted_E", "wind",
+    "lifted_F", "lifted_E",
 ]
-
-
-class ChartBoundary(ValueError):
-    """Raised by wind for an angle within 1e-9 of an odd multiple of pi,
-    where the winding number is not unique."""
 
 
 def _check_modulus(k: float) -> float:
@@ -121,6 +115,11 @@ def _w(x, k):
     return _sqrt((1.0 + x * x) * (1.0 + k * k * x * x))
 
 
+def _w_minus(x, k):
+    """w(ix) - k x^2 as (1 + (1 + k^2) x^2)/(w(ix) + k x^2), free of cancellation."""
+    return (1.0 + (1.0 + k * k) * x * x) / (_w(x, k) + k * x * x)
+
+
 def w_imag(u: float, k) -> float:
     """w(iu) = +sqrt((1 + u^2)(1 + k^2 u^2)), the positive sheet value."""
     return _w(float(u), _check_modulus(k))
@@ -165,12 +164,6 @@ def incomplete_E_reg_imag(x: float, k) -> float:
     return _FE(*_axis_angle(float(x)), _check_modulus(k))[1]
 
 
-def _reduce_turns(x_tilde: float) -> tuple[int, float]:
-    """Split x~ into full turns plus a remainder in [-pi, pi)."""
-    m = math.floor((x_tilde + math.pi) / TWO_PI)
-    return m, x_tilde - TWO_PI * m
-
-
 def _libm(fn, x):
     """A math-module function of a float, or over an array.
 
@@ -185,6 +178,13 @@ def _libm(fn, x):
     return fn(x)
 
 
+def _chart_value(x_tilde):
+    """tan(x~/2) of a float or an array, finite at every float angle: at a
+    float odd multiple of pi it is below 1.7e16 in magnitude, signed by the
+    side the float lies on."""
+    return _libm(math.tan, 0.5 * x_tilde)
+
+
 def _half_angle(x_tilde):
     """Turns m (a float), (sin, cos) of the reduced half-angle x~/2 - m pi in
     [-pi/2, pi/2] and the chart value u = tan(x~/2), of a float or an array.
@@ -193,10 +193,9 @@ def _half_angle(x_tilde):
     u^2 cannot overflow below 1.7e16; a float next to an odd multiple of pi
     lies on the side its tan lies on, and floats and arrays round m alike.
     """
-    h = 0.5 * x_tilde
-    u = _libm(math.tan, h)
+    u = _chart_value(x_tilde)
     c = 1.0 / _sqrt(1.0 + u * u)
-    return ((h - _libm(math.atan, u)) / math.pi + 0.5) // 1.0, u * c, c, u
+    return ((0.5 * x_tilde - _libm(math.atan, u)) / math.pi + 0.5) // 1.0, u * c, c, u
 
 
 def _lifted_integrals(x_tilde: float, k: float) -> tuple[float, float]:
@@ -226,17 +225,3 @@ def lifted_E(x_tilde: float, k) -> float:
     E~(x~ + 2 pi) = E~(x~) + 2 (K'(k) - E'(k)).
     """
     return _lifted_integrals(x_tilde, _check_modulus(k))[1]
-
-
-def wind(x_tilde: float) -> int:
-    """The unique integer W with -pi < x~ - 2 pi W < pi.
-
-    An odd multiple of pi lies halfway between two turns, where W is not
-    unique (the strict bounds admit neither neighbour, and either one is as
-    near); within 1e-9 of one ChartBoundary is raised.
-    """
-    x_tilde = float(x_tilde)
-    m, r = _reduce_turns(x_tilde)
-    if abs(abs(r) - math.pi) < 1e-9:
-        raise ChartBoundary(f"{x_tilde!r} lies on the infinity chart boundary")
-    return m

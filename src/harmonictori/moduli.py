@@ -37,11 +37,10 @@ from fractions import Fraction
 import numpy as np
 
 from .config import DEFAULTS
-from .curves import (
-    BranchPair, ModuliPoint, S_value, _chart_value, _inverse_coords_array,
-    forward_coords,
+from .curves import BranchPair, ModuliPoint, S_value, _inverse_coords_array, forward_coords
+from .elliptic import (
+    TWO_PI, _FE, _axis_angle, _chart_value, _check_modulus, _complete_KE, _half_angle, _w, _w_minus,
 )
-from .elliptic import TWO_PI, _FE, _axis_angle, _check_modulus, _complete_KE, _half_angle, _w
 
 __all__ = [
     "ComponentId", "LevelSetMesh", "ModuliSummary",
@@ -58,13 +57,11 @@ def _bracket(p, k, u, v):
     """The algebraic part p(w(iv)/(u-v) + kv) + (w(iu)/(u-v) - ku).
 
     Evaluated in a cancellation-free arrangement: each group is written as
-    [(1 + (1+k^2)x^2)/(w(ix) + k x^2) + k u v]/(u - v), exact algebra that
+    [(w(ix) - k x^2) + k u v]/(u - v) with _w_minus, exact algebra that
     stays accurate for |u| or |v| up to the floating tan limit.
     """
     kuv = k * u * v
-    du = (1.0 + (1.0 + k * k) * u * u) / (_w(u, k) + k * u * u)
-    dv = (1.0 + (1.0 + k * k) * v * v) / (_w(v, k) + k * v * v)
-    return (p * (dv + kuv) + (du + kuv)) / (u - v)
+    return (p * (_w_minus(v, k) + kuv) + (_w_minus(u, k) + kuv)) / (u - v)
 
 
 def _dt0_du(p, k, K, E, u, v):
@@ -86,7 +83,8 @@ def t0_raw(p: float, k: float, u: float, v: float) -> float:
         raise ValueError(f"chart values must be finite, got u={u!r}, v={v!r}")
     if u == v:
         raise ValueError("T0 is undefined on the diagonal u = v")
-    K, E = _complete_KE(_check_modulus(k))
+    k = _check_modulus(k)
+    K, E = _complete_KE(k)
     (su, cu), (sv, cv) = _axis_angle(u), _axis_angle(v)
     (Fu, Eu), (Fv, Ev) = _FE(su, cu, k), _FE(sv, cv, k)
     fu, fv = E * Fu - K * Eu, E * Fv - K * Ev
@@ -100,13 +98,15 @@ def T0_value(mp: ModuliPoint) -> float:
 def t_tilde_raw(p: float, k: float, u_tilde: float, v_tilde: float) -> float:
     """Single-valued lift of T along the universal cover.
 
-    T~ = T0 + 2[p Wind(v~) - Wind(u~)]: each angle's share is the principal
-    one plus pi per whole turn, and the chart values tan(u~/2), tan(v~/2)
-    are finite at every float angle, so T~ is total off the diagonal u = v.
+    T~ = T0 + 2[p m(v~) - m(u~)], m an angle's turn (elliptic._half_angle):
+    each angle's share is the principal one plus pi per whole turn, and the
+    chart values tan(u~/2), tan(v~/2) are finite at every float angle, so T~
+    is total off the diagonal u = v.
     """
     if not (math.isfinite(u_tilde) and math.isfinite(v_tilde)):
         raise ValueError(f"angles must be finite, got u~={u_tilde!r}, v~={v_tilde!r}")
-    K, E = _complete_KE(_check_modulus(k))
+    k = _check_modulus(k)
+    K, E = _complete_KE(k)
     terms_u, terms_v = _level_part(k, K, E, u_tilde), _level_part(k, K, E, v_tilde)
     if terms_u[1] == terms_v[1]:
         raise ValueError("T~ is undefined on the diagonal u = v")
@@ -143,7 +143,8 @@ def dt0_du_raw(p: float, k: float, u: float, v: float) -> float:
         raise ValueError(f"chart values must be finite, got u={u!r}, v={v!r}")
     if u == v:
         raise ValueError("derivative undefined on the diagonal u = v")
-    return _dt0_du(p, k, *_complete_KE(_check_modulus(k)), u, v)
+    k = _check_modulus(k)
+    return _dt0_du(p, k, *_complete_KE(k), u, v)
 
 
 def dT0_du(mp: ModuliPoint) -> float:
@@ -156,7 +157,8 @@ def dT_tilde_du_tilde(p: float, k: float, u_tilde: float, v_tilde: float) -> flo
     u, v = _chart_value(u_tilde), _chart_value(v_tilde)
     if u == v:
         raise ValueError("derivative undefined on the diagonal u = v")
-    return _dT_du(p, k, *_complete_KE(_check_modulus(k)), u, v)
+    k = _check_modulus(k)
+    return _dT_du(p, k, *_complete_KE(k), u, v)
 
 
 def _dT_du(p, k, K, E, u, v):
@@ -170,7 +172,8 @@ def dT_tilde_dv_tilde(p: float, k: float, u_tilde: float, v_tilde: float) -> flo
     u, v = _chart_value(u_tilde), _chart_value(v_tilde)
     if u == v:
         raise ValueError("derivative undefined on the diagonal u = v")
-    return _dT_dv(p, k, *_complete_KE(_check_modulus(k)), u, v)
+    k = _check_modulus(k)
+    return _dT_dv(p, k, *_complete_KE(k), u, v)
 
 
 def _dT_dv(p, k, K, E, u, v):
@@ -244,7 +247,8 @@ def solve_level(p: float, q: float, k: float, fixed_angle: float,
         raise ValueError("p must be positive")
     if not math.isfinite(fixed_angle):
         raise ValueError(f"the held angle must be finite, got {fixed_angle!r}")
-    K, E = _complete_KE(_check_modulus(k))
+    k = _check_modulus(k)
+    K, E = _complete_KE(k)
     a, b, sign = _band(p, fixed_angle)
     level, slope = _level_fns(p, q, k, K, E, _level_part(k, K, E, fixed_angle))
     x = start if start is not None and a < start < b else 0.5 * (a + b)

@@ -1,17 +1,20 @@
 """Command-line interface: exit codes, file formats, determinism, config."""
 
+import ast
+import importlib
 import math
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import harmonictori
 from harmonictori import differentials
-from harmonictori.cli import _write_level_set, _write_mesh_obj, f17, main
+from harmonictori.cli import _solved_text, _write_level_set, _write_mesh_obj, f17, main
 from harmonictori.config import CONFIG_ENV_VAR, RunConfig, load_config
 from harmonictori.curves import BranchPair
 from harmonictori.moduli import spectral_test, sweep_level_set
@@ -56,6 +59,23 @@ def test_cli_import_leaves_out_test_only_modules():
                             env={**os.environ, "PYTHONPATH": src}, check=True).stdout.split()
     assert "harmonictori.cli" in loaded
     assert not {"scipy.integrate", "mpmath", "hypothesis"} & set(loaded)
+
+
+def test_modules_use_their_imports_and_export_defined_names():
+    # every module but the package's own re-export list reads each name it
+    # imports (in code or in __all__), and every name of an __all__ resolves
+    for path in sorted(Path(harmonictori.__file__).parent.glob("*.py")):
+        name = f"harmonictori.{path.stem}" if path.stem != "__init__" else "harmonictori"
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exported = getattr(importlib.import_module(name), "__all__", [])
+        assert [x for x in exported if not hasattr(sys.modules[name], x)] == [], name
+        if path.stem == "__init__":
+            continue
+        imported = [alias.asname or alias.name.partition(".")[0]
+                    for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__" for alias in node.names]
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert [x for x in imported if x not in read and x not in exported] == [], name
 
 
 def test_successive_calls_match_fresh_interpreters(tmp_path, monkeypatch, capsys):
@@ -288,7 +308,7 @@ class TestWriters:
     @HELD_SIDES
     def test_obj_matches_float_keyed_algorithm(self, p, tmp_path):
         mesh = mesh_with_holes(p)
-        _write_mesh_obj(mesh, str(tmp_path / "leaf.obj"))
+        _write_mesh_obj(mesh, str(tmp_path / "leaf.obj"), _solved_text(mesh))
         text = (tmp_path / "leaf.obj").read_text()
         assert text == float_keyed_obj(mesh)
         assert sum(1 for line in text.splitlines() if line.startswith("v ")) == 35 - 6
@@ -298,7 +318,7 @@ class TestWriters:
     def test_csv_rows_match_f17_per_value(self, p, tmp_path):
         mesh = mesh_with_holes(p)
         _write_level_set(mesh, RunConfig(k_min=0.3, k_max=0.6), 2 * math.pi,
-                         str(tmp_path / "leaf.csv"))
+                         str(tmp_path / "leaf.csv"), _solved_text(mesh))
         lines = (tmp_path / "leaf.csv").read_text().splitlines()
         assert lines[1] == "# partial: 6 grid points failed"
         expected = [",".join(f17(x) for x in (

@@ -488,3 +488,23 @@ class TestDeck:
         xs = np.linspace(-7, 7, 101)
         ys = [angle_rescale(x, 0.6) for x in xs]
         assert all(b > a for a, b in zip(ys, ys[1:]))
+
+    @pytest.mark.parametrize("s", [1e-3, 0.5, 2.0, 1e3])
+    def test_rescale_keeps_the_turn_next_to_odd_multiples_of_pi(self, s):
+        # a float within 3 ulps of n pi rescales to itself up to rounding,
+        # never to the odd multiple a full turn away
+        for n in range(-201, 202, 2):
+            below = above = n * math.pi
+            near = [below]
+            for _ in range(3):
+                below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+                near += [below, above]
+            for x in near:
+                assert abs(angle_rescale(x, s) - x) < 1e-6, (n, x.hex())
+
+    def test_lambda_on_a_float_odd_multiple_of_pi(self):
+        # u~ = 19 pi keeps its turn through both rescales, so the image of a
+        # point of the band stays in the band
+        out = deck_lambda_tilde(ModuliPoint(1.0, 0.25, 19 * math.pi, 19 * math.pi + 1.0))
+        assert out.u_tilde < out.v_tilde < out.u_tilde + 2 * math.pi
+        assert out.u_tilde == pytest.approx(20 * math.pi, abs=1e-12)

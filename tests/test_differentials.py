@@ -521,6 +521,12 @@ class TestGammaQuadrature:
         with pytest.raises(PathError):
             contour_integral("omega", bad, fr)
 
+    def test_unknown_kind_rejected_before_the_path(self):
+        fr = build_frame(BranchPair(0.2, -0.4))
+        bad = PathSpec(points=(0.5 - 0.5j, 1.0, 0.5 + 0.5j), sheet=1)
+        with pytest.raises(ValueError, match=re.escape("unknown differential 'zeta'")):
+            contour_integral("zeta", bad, fr)
+
 
 class TestCharacterization:
     def test_ratio_purely_imaginary(self):

@@ -12,9 +12,9 @@ from scipy.special import elliprd, elliprf
 import harmonictori.elliptic
 from harmonictori.differentials import monodromy_track
 from harmonictori.elliptic import (
-    ChartBoundary, _complete, _complete_KE, _FE, _half_angle, complementary_KE,
+    _complete, _complete_KE, _FE, _half_angle, complementary_KE,
     complementary_modulus, complete_E, complete_K, incomplete_E_reg_imag,
-    incomplete_F_imag, legendre_defect, lifted_E, lifted_F, w_imag, wind,
+    incomplete_F_imag, legendre_defect, lifted_E, lifted_F, w_imag,
 )
 from harmonictori.moduli import solve_level
 
@@ -236,21 +236,6 @@ class TestLifted:
         xs = np.linspace(-7, 7, 57)
         vals = [lifted_F(x, k) for x in xs]
         assert all(b > a for a, b in zip(vals, vals[1:]))
-
-
-class TestWinding:
-    @pytest.mark.parametrize("x,expect", [
-        (0.0, 0), (3 * math.pi / 2, 1), (-3 * math.pi / 2, -1),
-        (2 * math.pi, 1), (7.0, 1), (-0.5, 0),
-    ])
-    def test_values(self, x, expect):
-        assert wind(x) == expect
-
-    def test_boundary_flag(self):
-        with pytest.raises(ChartBoundary):
-            wind(math.pi)
-        with pytest.raises(ChartBoundary):
-            wind(3 * math.pi + 1e-12)
 
 
 # 40-digit mpmath oracle at the edges of the domain.  With phi the angle of

@@ -52,6 +52,37 @@ def test_unreachable_level_stops_when_the_iterate_stalls(monkeypatch):
     assert swept == sum(elements)
 
 
+@pytest.mark.parametrize("k", [np.float32(0.41), Fraction(41, 100), np.float64(0.41)],
+                         ids=["float32", "Fraction", "float64"])
+def test_level_functions_evaluate_at_the_checked_float_of_k(k):
+    # each entry point evaluates at float(k), the k it checked, not at the
+    # caller's type: a float32 k would run the solve in float32
+    for fn, args in [(t0_raw, (2.5, 0.5, -1.5)), (t_tilde_raw, (1.0, 0.7, 4.5)),
+                     (dt0_du_raw, (2.5, 0.5, -1.5)), (dT_tilde_du_tilde, (1.0, 0.7, 4.5)),
+                     (dT_tilde_dv_tilde, (1.0, 0.7, 4.5))]:
+        p, *angles = args
+        got, want = fn(p, k, *angles), fn(p, float(k), *angles)
+        assert type(got) is float and got.hex() == want.hex(), fn.__name__
+    got, want = solve_level(1.0, 0.3, k, 0.7), solve_level(1.0, 0.3, float(k), 0.7)
+    assert type(got.k) is float and type(got.v_tilde) is float
+    assert (got.k.hex(), got.v_tilde.hex()) == (want.k.hex(), want.v_tilde.hex())
+
+
+def test_step_limit_fails_with_the_scalar_reason(monkeypatch, bench_inputs):
+    # a point still iterating after _MAX_STEPS steps fails on the residual
+    # of its last iterate, in the sweep as in solve_level
+    monkeypatch.setattr(moduli, "_MAX_STEPS", 5)
+    job = leaf_jobs(bench_inputs, 1)[0]
+    p, q = Fraction(job["p"]), Fraction(job["q"])
+    mesh = sweep_level_set(p, q, job["k_grid"], job["angle_grid"], job["span"],
+                           k_min=0.02, k_max=0.98)
+    assert mesh.failures and mesh.solved.any()
+    for k, angle, why in mesh.failures:
+        with pytest.raises(LevelSolveError) as failed:
+            solve_level(float(p), float(q), k, angle)
+        assert str(failed.value) == why
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: best_rational(0.5, 0), "max_den must be at least 1"),
     (lambda: classify_component(Fraction(0), Fraction(1, 2)), "p must be positive"),
@@ -155,7 +186,8 @@ class TestTtilde:
             assert T_tilde(mp) == pytest.approx(T0_value(mp), abs=1e-12)
 
     def test_winding_relation(self):
-        from harmonictori.elliptic import wind
+        def turn(x):
+            return math.floor((x + math.pi) / (2 * math.pi))
         for _ in range(50):
             mp = random_point()
             shift_u = RNG.integers(-2, 3)
@@ -163,7 +195,7 @@ class TestTtilde:
             vt = mp.v_tilde + 2 * math.pi * shift_u
             big = ModuliPoint(p=mp.p, k=mp.k, u_tilde=ut, v_tilde=vt)
             expect = (T0_value(big)
-                      + 2 * (mp.p * wind(big.v_tilde) - wind(big.u_tilde)))
+                      + 2 * (mp.p * turn(big.v_tilde) - turn(big.u_tilde)))
             assert T_tilde(big) == pytest.approx(expect, abs=1e-10)
 
     def test_deck_shift(self):
@@ -738,8 +770,8 @@ class TestBatchedSweep:
     def test_levels_at_the_precision_floor(self, p, q):
         # T~ = q lies near the band ends, and |T~ - q| < solver_tol
         # is out of reach of double precision at most points: the iteration
-        # wanders for 100 steps and the residual it ends on is part of the
-        # failure reason, so only the same arithmetic reproduces it
+        # stalls and the residual it ends on is part of the failure reason,
+        # so only the same arithmetic reproduces it
         mesh = check_batched_against_scalar(p, Fraction(q), 3, 5, 2 * math.pi)
         assert any(why.startswith("no convergence") for _, _, why in mesh.failures)
 
