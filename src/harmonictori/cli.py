@@ -36,7 +36,7 @@ from .genus_zero import (
 from .moduli import (
     LevelSetMesh, S_value, moduli_summary, spectral_test, sweep_level_set,
 )
-from .verify import run_suites
+from .verify import SUITES, run_suites
 
 import numpy as np
 
@@ -349,8 +349,7 @@ def build_parser() -> _Parser:
     g0.set_defaults(func=cmd_genus0)
 
     ve = sub.add_parser("verify", help="run the invariant suites")
-    ve.add_argument("--suite", default="all",
-                    choices=["all", "elliptic", "curves", "differentials", "moduli"])
+    ve.add_argument("--suite", default="all", choices=["all", *SUITES])
     ve.add_argument("--seed", type=int, default=0)
     ve.set_defaults(func=cmd_verify)
     return parser

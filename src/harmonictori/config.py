@@ -2,9 +2,9 @@
 
 ``RunConfig`` holds the level-set solver and rational-detection tolerances
 and the sweep range, and mirrors the flat key=value config file accepted by
-the CLI (see ``load_config``).  ``DEFAULTS`` also supplies the
-library-side defaults of those settings.  Fixed numerical constants live at
-their single use in the modules.
+the CLI (see ``load_config``); building one rejects a value out of range.
+``DEFAULTS`` also supplies the library-side defaults of those settings.
+Fixed numerical constants live at their single use in the modules.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ class RunConfig:
     k_max: float = 0.9
     angle_start: float = 0.1
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for name in ("solver_tol", "detection_tol"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
@@ -65,6 +65,4 @@ def load_config(path: str | None = None) -> RunConfig:
             if key not in known:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             values[key] = float(val)
-    cfg = RunConfig(**values)  # type: ignore[arg-type]
-    cfg.validate()
-    return cfg
+    return RunConfig(**values)  # type: ignore[arg-type]

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .elliptic import TWO_PI, _chart_value, _half_angle, _sqrt, _w
+from .elliptic import TWO_PI, _chart_value, _check_modulus, _half_angle, _sqrt, _w
 
 __all__ = [
     "BranchPair", "JacobiFrame", "ModuliPoint",
@@ -194,9 +194,17 @@ def build_frame(bp: BranchPair) -> JacobiFrame:
     return frame
 
 
+def _check_ratio(p: float) -> float:
+    """The ratio p = S as a float, which must lie in (0, inf)."""
+    p = float(p)
+    if not 0.0 < p < math.inf:
+        raise ValueError("p must be finite" if p == math.inf else "p must be positive")
+    return p
+
+
 @dataclass(frozen=True)
 class ModuliPoint:
-    """A point (p, k, u~, v~) of the universal cover, with u~ < v~ < u~ + 2 pi."""
+    """A point (p, k, u~, v~) of the universal cover, as floats, with u~ < v~ < u~ + 2 pi."""
 
     p: float
     k: float
@@ -204,10 +212,10 @@ class ModuliPoint:
     v_tilde: float
 
     def __post_init__(self):
-        if not self.p > 0.0:
-            raise ValueError("p must be positive")
-        if not (0.0 < self.k < 1.0):
-            raise ValueError("k must lie in (0,1)")
+        object.__setattr__(self, "p", _check_ratio(self.p))
+        object.__setattr__(self, "k", _check_modulus(self.k))
+        object.__setattr__(self, "u_tilde", float(self.u_tilde))
+        object.__setattr__(self, "v_tilde", float(self.v_tilde))
         if not (self.u_tilde < self.v_tilde < self.u_tilde + TWO_PI):
             raise ValueError("need u~ < v~ < u~ + 2 pi")
 

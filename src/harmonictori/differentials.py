@@ -505,7 +505,8 @@ def _theta_P_gamma_value(sign: int, frame: JacobiFrame) -> complex:
 def _theta_P_gamma_imag(k: float, x: float, z0: complex) -> float:
     """Im of _theta_P_gamma_value at the endpoint chart value x, which is
     finite: a chart value stays below 1.7e16, so x^2 cannot overflow."""
-    K, E = _complete_KE(_check_modulus(k))
+    k = _check_modulus(k)
+    K, E = _complete_KE(k)
     x0, y0 = z0.real, z0.imag
     dre = -((x - y0) ** 2 + x0 * x0)
     m_num = (x - y0) * (_w_minus(x, k) + k * x * y0) - k * x * x0 * x0

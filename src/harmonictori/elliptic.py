@@ -18,6 +18,10 @@ branch) take floats or numpy arrays alike, so both level-set solvers in
 moduli evaluate the same closed forms.  Floats go through the float-to-float
 elliprf/elliprd of scipy.special.cython_special, arrays through the ufuncs
 of the same names: one C code, the same bits, and no ufunc call per float.
+Arrays call math.tan per element in _chart_value alone: numpy's tan can
+differ in the last bit, which moves the level-set solver at its precision
+floor.  numpy's arctan can too, but _half_angle's turn is the floor of a
+value about half a unit from any integer, which no last bit moves.
 
 Conventions: the modulus k always lies in (0, 1); K' and E' denote the
 complete integrals at the complementary modulus sqrt(1 - k^2), and
@@ -164,25 +168,13 @@ def incomplete_E_reg_imag(x: float, k) -> float:
     return _FE(*_axis_angle(float(x)), _check_modulus(k))[1]
 
 
-def _libm(fn, x):
-    """A math-module function of a float, or over an array.
-
-    numpy's own tan differs from the math module's in the last bit for
-    about 0.4 % of arguments on x86-64 with AVX-512, and its atan may on
-    other builds.  At the precision floor of the level-set solver one such
-    bit changes where the iteration goes, so the array forms take the same
-    transcendental values as the scalar ones, which keeps them bit-identical.
-    """
-    if isinstance(x, np.ndarray):
-        return np.fromiter(map(fn, x.tolist()), float, x.size)
-    return fn(x)
-
-
 def _chart_value(x_tilde):
     """tan(x~/2) of a float or an array, finite at every float angle: at a
     float odd multiple of pi it is below 1.7e16 in magnitude, signed by the
-    side the float lies on."""
-    return _libm(math.tan, 0.5 * x_tilde)
+    side the float lies on; an array's are the float calls' bit for bit."""
+    if isinstance(x_tilde, np.ndarray):
+        return np.fromiter(map(math.tan, (0.5 * x_tilde).tolist()), float, x_tilde.size)
+    return math.tan(0.5 * x_tilde)
 
 
 def _half_angle(x_tilde):
@@ -191,11 +183,13 @@ def _half_angle(x_tilde):
 
     The reduced angle is atan(u), so (sin, cos) = (u, 1)/sqrt(1 + u^2), where
     u^2 cannot overflow below 1.7e16; a float next to an odd multiple of pi
-    lies on the side its tan lies on, and floats and arrays round m alike.
+    lies on the side its tan lies on, and floats and arrays round m alike:
+    the floor's argument lies within about 1e-15 max(1, |x~|) of m + 1/2.
     """
     u = _chart_value(x_tilde)
     c = 1.0 / _sqrt(1.0 + u * u)
-    return ((0.5 * x_tilde - _libm(math.atan, u)) / math.pi + 0.5) // 1.0, u * c, c, u
+    atan = np.arctan if isinstance(u, np.ndarray) else math.atan
+    return ((0.5 * x_tilde - atan(u)) / math.pi + 0.5) // 1.0, u * c, c, u
 
 
 def _lifted_integrals(x_tilde: float, k: float) -> tuple[float, float]:

@@ -20,7 +20,10 @@ midpoint, for serial callers such as monodromy_track; _solve_level_grid runs it 
 (k, angle) arrays from the midpoint, as sweep_level_set does for a leaf.
 An angle's share of T~ is the principal one plus pi per whole turn, and
 the chart value tan(x~/2) of a float angle is finite, the chart boundary
-included, so one formula serves every point.
+included, so one formula serves every point.  The scalar entry points take
+0 < p < inf, k in (0, 1), and finite angles (chart values for t0_raw and
+dt0_du_raw) off the diagonal u = v, or for solve_level a finite held angle
+and level q; else they raise ValueError.
 
 Note on normalization: T0 and T~ below are exactly the principal-branch
 formulas.  With these, the curves (a, -a) fixed by the inversion symmetry
@@ -37,7 +40,7 @@ from fractions import Fraction
 import numpy as np
 
 from .config import DEFAULTS
-from .curves import BranchPair, ModuliPoint, S_value, _inverse_coords_array, forward_coords
+from .curves import BranchPair, ModuliPoint, S_value, _check_ratio, _inverse_coords_array, forward_coords
 from .elliptic import (
     TWO_PI, _FE, _axis_angle, _chart_value, _check_modulus, _complete_KE, _half_angle, _w, _w_minus,
 )
@@ -64,6 +67,23 @@ def _bracket(p, k, u, v):
     return (p * (_w_minus(v, k) + kuv) + (_w_minus(u, k) + kuv)) / (u - v)
 
 
+def _chart_args(p, k, u, v):
+    """The checked (p, k, K(k), E(k), u, v), as _dt0_du, _dT_du and _dT_dv take it."""
+    if not (math.isfinite(u) and math.isfinite(v)):
+        raise ValueError(f"chart values must be finite, got u={u!r}, v={v!r}")
+    if u == v:
+        raise ValueError("the level functions are undefined on the diagonal u = v")
+    p, k = _check_ratio(p), _check_modulus(k)
+    return (p, k, *_complete_KE(k), u, v)
+
+
+def _angle_args(p, k, u_tilde, v_tilde):
+    """_chart_args at the chart values tan(u~/2) and tan(v~/2) of two angles."""
+    if not (math.isfinite(u_tilde) and math.isfinite(v_tilde)):
+        raise ValueError(f"angles must be finite, got u~={u_tilde!r}, v~={v_tilde!r}")
+    return _chart_args(p, k, _chart_value(u_tilde), _chart_value(v_tilde))
+
+
 def _dt0_du(p, k, K, E, u, v):
     """dT0/du off the diagonal, given K(k) and E(k); see dt0_du_raw."""
     wu, wv = _w(u, k), _w(v, k)
@@ -79,12 +99,7 @@ def t0_raw(p: float, k: float, u: float, v: float) -> float:
     2 pi T0 = 4p[E Im F(iv) - K Im(E(iv)-kiv)]
             - 4 [E Im F(iu) - K Im(E(iu)-kiu)] - 4K * bracket(u, v).
     """
-    if not (math.isfinite(u) and math.isfinite(v)):
-        raise ValueError(f"chart values must be finite, got u={u!r}, v={v!r}")
-    if u == v:
-        raise ValueError("T0 is undefined on the diagonal u = v")
-    k = _check_modulus(k)
-    K, E = _complete_KE(k)
+    p, k, K, E, u, v = _chart_args(p, k, u, v)
     (su, cu), (sv, cv) = _axis_angle(u), _axis_angle(v)
     (Fu, Eu), (Fv, Ev) = _FE(su, cu, k), _FE(sv, cv, k)
     fu, fv = E * Fu - K * Eu, E * Fv - K * Ev
@@ -103,14 +118,8 @@ def t_tilde_raw(p: float, k: float, u_tilde: float, v_tilde: float) -> float:
     chart values tan(u~/2), tan(v~/2) are finite at every float angle, so T~
     is total off the diagonal u = v.
     """
-    if not (math.isfinite(u_tilde) and math.isfinite(v_tilde)):
-        raise ValueError(f"angles must be finite, got u~={u_tilde!r}, v~={v_tilde!r}")
-    k = _check_modulus(k)
-    K, E = _complete_KE(k)
-    terms_u, terms_v = _level_part(k, K, E, u_tilde), _level_part(k, K, E, v_tilde)
-    if terms_u[1] == terms_v[1]:
-        raise ValueError("T~ is undefined on the diagonal u = v")
-    return _t_tilde(p, k, K, terms_u, terms_v)
+    p, k, K, E, _, _ = _angle_args(p, k, u_tilde, v_tilde)
+    return _t_tilde(p, k, K, _level_part(k, K, E, u_tilde), _level_part(k, K, E, v_tilde))
 
 
 def _level_part(k, K, E, x_tilde):
@@ -139,12 +148,7 @@ def dt0_du_raw(p: float, k: float, u: float, v: float) -> float:
         = -(u-v)^2 E + p K w(iu) w(iv)
           + K [1 + u^2 - uv + k^2 uv + v^2 + k^2 u^2 v^2].
     """
-    if not (math.isfinite(u) and math.isfinite(v)):
-        raise ValueError(f"chart values must be finite, got u={u!r}, v={v!r}")
-    if u == v:
-        raise ValueError("derivative undefined on the diagonal u = v")
-    k = _check_modulus(k)
-    return _dt0_du(p, k, *_complete_KE(k), u, v)
+    return _dt0_du(*_chart_args(p, k, u, v))
 
 
 def dT0_du(mp: ModuliPoint) -> float:
@@ -154,11 +158,7 @@ def dT0_du(mp: ModuliPoint) -> float:
 def dT_tilde_du_tilde(p: float, k: float, u_tilde: float, v_tilde: float) -> float:
     """dT~/du~ = (1 + u^2)/2 * dT0/du at the chart values u = tan(u~/2) and
     v = tan(v~/2), which are finite at every float angle."""
-    u, v = _chart_value(u_tilde), _chart_value(v_tilde)
-    if u == v:
-        raise ValueError("derivative undefined on the diagonal u = v")
-    k = _check_modulus(k)
-    return _dT_du(p, k, *_complete_KE(k), u, v)
+    return _dT_du(*_angle_args(p, k, u_tilde, v_tilde))
 
 
 def _dT_du(p, k, K, E, u, v):
@@ -169,11 +169,7 @@ def _dT_du(p, k, K, E, u, v):
 def dT_tilde_dv_tilde(p: float, k: float, u_tilde: float, v_tilde: float) -> float:
     """dT~/dv~, obtained from the u-derivative through the inversion symmetry
     T0(p,k,u,v) = -p T0(1/p,k,v,u)."""
-    u, v = _chart_value(u_tilde), _chart_value(v_tilde)
-    if u == v:
-        raise ValueError("derivative undefined on the diagonal u = v")
-    k = _check_modulus(k)
-    return _dT_dv(p, k, *_complete_KE(k), u, v)
+    return _dT_dv(*_angle_args(p, k, u_tilde, v_tilde))
 
 
 def _dT_dv(p, k, K, E, u, v):
@@ -243,10 +239,11 @@ def solve_level(p: float, q: float, k: float, fixed_angle: float,
     bracket, and else (nan included) the bracket's midpoint; a level out of
     reach fails when the iterate stalls, or after _MAX_STEPS steps.
     """
-    if not p > 0.0:
-        raise ValueError("p must be positive")
+    p = _check_ratio(p)
     if not math.isfinite(fixed_angle):
         raise ValueError(f"the held angle must be finite, got {fixed_angle!r}")
+    if not math.isfinite(q):
+        raise ValueError(f"the level q must be finite, got {q!r}")
     k = _check_modulus(k)
     K, E = _complete_KE(k)
     a, b, sign = _band(p, fixed_angle)
@@ -284,8 +281,7 @@ def _solve_level_grid(p: float, q: float, k: np.ndarray, angle: np.ndarray,
     residual T~ - q where it failed (nan elsewhere), whose reason is
     _no_convergence(q, residual).
     """
-    if not p > 0.0:
-        raise ValueError("p must be positive")
+    p = _check_ratio(p)
     distinct, at = np.unique(k, return_inverse=True)
     K, E = np.array([_complete_KE(_check_modulus(x)) for x in distinct.tolist()]).T[:, at]
     a, b, sign = _band(p, angle)

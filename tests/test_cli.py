@@ -20,14 +20,22 @@ from harmonictori.curves import BranchPair
 from harmonictori.moduli import spectral_test, sweep_level_set
 
 
-def run_cli(args, cwd=None):
-    """The CLI in a fresh interpreter that imports this package, whether or
-    not PYTHONPATH names it."""
+def start_cli(args, cwd=None):
+    """The CLI started in a fresh interpreter that imports this package,
+    whether or not PYTHONPATH names it."""
     src = os.path.dirname(os.path.dirname(harmonictori.__file__))
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    return subprocess.run([sys.executable, "-m", "harmonictori.cli", *args],
-                          capture_output=True, text=True, env=env, cwd=cwd)
+    return subprocess.Popen([sys.executable, "-m", "harmonictori.cli", *args],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            env=env, cwd=cwd)
+
+
+def run_cli(args, cwd=None):
+    """start_cli, waited for."""
+    proc = start_cli(args, cwd)
+    stdout, stderr = proc.communicate()
+    return subprocess.CompletedProcess(proc.args, proc.returncode, stdout, stderr)
 
 
 @pytest.mark.parametrize("args, message", [
@@ -96,16 +104,17 @@ def test_successive_calls_match_fresh_interpreters(tmp_path, monkeypatch, capsys
     here.mkdir()
     fresh.mkdir()
     monkeypatch.chdir(here)
+    # the fresh interpreters run meanwhile; each writes files of its own
+    procs = [start_cli(argv, cwd=fresh) for argv in calls]
     codes = []
-    for argv in calls:
+    for argv, proc in zip(calls, procs):
         try:
             codes.append(main(argv))
         except SystemExit as exc:
             codes.append(exc.code)
         captured = capsys.readouterr()
-        proc = run_cli(argv, cwd=fresh)
-        assert (codes[-1], captured.out, captured.err) == (
-            proc.returncode, proc.stdout, proc.stderr)
+        stdout, stderr = proc.communicate()
+        assert (codes[-1], captured.out, captured.err) == (proc.returncode, stdout, stderr)
     assert codes == [0, 1, 0, 0, 0]
     for folder in (here, fresh):
         assert sorted(p.name for p in folder.iterdir()) == ["leaf.csv", "leaf.obj", "other.csv"]
@@ -464,6 +473,16 @@ class TestConfig:
         captured = capsys.readouterr()
         assert captured.err == f"error: bad config: {cfg_file}:2: expected key = value\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"solver_tol": -1.0}, "solver_tol must be positive and finite"),
+        ({"angle_start": math.nan}, "angle_start must be finite"),
+        ({"k_min": 0.5, "k_max": 0.5}, "need 0 < k_min < k_max < 1"),
+    ], ids=["solver_tol_negative", "angle_start_nan", "k_equal"])
+    def test_invalid_config_rejected_when_built(self, kwargs, message):
+        # a sweep with such a config would fail at every point
+        with pytest.raises(ValueError, match=message):
+            RunConfig(**kwargs)
 
     def test_invalid_range_rejected(self, tmp_path):
         cfg_file = tmp_path / "bad2.cfg"

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -323,6 +324,15 @@ class TestCoordinates:
             ModuliPoint(p=1.0, k=0.5, u_tilde=0.0, v_tilde=7.0)
         with pytest.raises(ValueError):
             ModuliPoint(p=1.0, k=0.5, u_tilde=0.5, v_tilde=0.4)
+
+    def test_stores_floats(self):
+        # consumers read floats: a Fraction k would make inverse_coords build
+        # object arrays, and a float32 angle would run the deck maps in float32
+        mp = ModuliPoint(Fraction(1), Fraction(1, 4), np.float32(0.3), 2.0)
+        want = ModuliPoint(1.0, 0.25, float(np.float32(0.3)), 2.0)
+        assert [type(x) for x in (mp.p, mp.k, mp.u_tilde, mp.v_tilde)] == [float] * 4
+        got, want = inverse_coords(mp), inverse_coords(want)
+        assert (bits(got.alpha), bits(got.beta)) == (bits(want.alpha), bits(want.beta))
 
 
 def bits(z):

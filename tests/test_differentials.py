@@ -803,6 +803,10 @@ class TestChartRoute:
         with pytest.raises(ValueError, match="Re z0 > 0"):
             _chart_gamma_plus(ModuliPoint(1.0, 0.5, 0.3, 2.0))
 
+    def test_float32_modulus_evaluates_in_double(self):
+        value = _chart_gamma_plus(ModuliPoint(1.0, np.float32(0.25), 0.3, 2.0))
+        assert type(value) is float and value == -4.625921940083428
+
     @pytest.mark.parametrize("q, k, u_tilde0, contractible", [
         (Fraction(0), 0.5, 0.3, False), (Fraction(1, 2), 0.1, 0.3, False),
         (Fraction(-3, 5), 0.9, -2.0, False), (Fraction(2, 7), 0.3, 2.5, False),

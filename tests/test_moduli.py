@@ -90,7 +90,21 @@ def test_step_limit_fails_with_the_scalar_reason(monkeypatch, bench_inputs):
      "need 0 < k_min < k_max < 1"),
     (lambda: sweep_level_set(Fraction(1), Fraction(1, 2), 3, 4, 1.0, k_min=0.6, k_max=0.4),
      "need 0 < k_min < k_max < 1"),
-], ids=["best_rational_max_den", "classify_component_p", "sweep_k_equal", "sweep_k_reversed"])
+    # a point outside the moduli space: 0 < p < inf, finite angles and level
+    (lambda: dT_tilde_du_tilde(1.0, 0.5, math.nan, 1.0), "angles must be finite"),
+    (lambda: dT_tilde_du_tilde(1.0, 0.5, math.inf, 1.0), "angles must be finite"),
+    (lambda: dT_tilde_dv_tilde(0.0, 0.5, 0.3, 1.0), "p must be positive"),
+    (lambda: t_tilde_raw(-1.0, 0.5, 0.3, 1.0), "p must be positive"),
+    (lambda: t0_raw(math.inf, 0.5, 0.3, 1.0), "p must be finite"),
+    (lambda: dt0_du_raw(math.nan, 0.5, 0.3, 1.0), "p must be positive"),
+    (lambda: ModuliPoint(math.inf, 0.5, 0.0, 1.0), "p must be finite"),
+    (lambda: solve_level(math.inf, 0.3, 0.5, 0.3), "p must be finite"),
+    (lambda: solve_level(1.0, math.nan, 0.5, 0.3), "the level q must be finite, got nan"),
+    (lambda: solve_level(1.0, -math.inf, 0.5, 0.3), "the level q must be finite, got -inf"),
+], ids=["best_rational_max_den", "classify_component_p", "sweep_k_equal", "sweep_k_reversed",
+        "dT_du_nan_angle", "dT_du_inf_angle", "dT_dv_p_zero", "t_tilde_p_negative",
+        "t0_p_inf", "dt0_du_p_nan", "moduli_point_p_inf", "solve_level_p_inf",
+        "solve_level_q_nan", "solve_level_q_inf"])
 def test_invalid_input_rejected(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
@@ -277,9 +291,9 @@ class TestDerivative:
             for u, v in ((bad, -1.3), (-1.3, bad)):
                 with pytest.raises(ValueError, match="finite"):
                     fn(0.7, 0.3, u, v)
-        with pytest.raises(ValueError, match="T0 is undefined on the diagonal"):
+        with pytest.raises(ValueError, match="the level functions are undefined on the diagonal u = v"):
             t0_raw(0.7, 0.3, 1.3, 1.3)
-        with pytest.raises(ValueError, match="derivative undefined on the diagonal"):
+        with pytest.raises(ValueError, match="the level functions are undefined on the diagonal u = v"):
             dt0_du_raw(0.7, 0.3, 1.3, 1.3)
 
     @pytest.mark.parametrize("p", [1 / 3, 1.0, 5 / 2])
