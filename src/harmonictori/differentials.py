@@ -37,8 +37,12 @@ import numpy as np
 from .curves import (
     _OFF_CHART, BranchPair, JacobiFrame, ModuliPoint, S_value, _center, angle_rescale,
 )
-from .elliptic import TWO_PI, _FE, _axis_angle, _chart_value, _check_modulus, _complete_KE, _w_minus
-from .moduli import solve_level, t0_raw
+from .config import DEFAULTS
+from .elliptic import (
+    TWO_PI, _FE, _axis_angle, _chart_value, _check_modulus, _complete_KE, _complete_KE_array,
+    _w_minus,
+)
+from .moduli import LevelSolveError, _no_convergence, _solve_level_grid, solve_level, t0_raw
 
 DIFFERENTIAL_KINDS = ("omega", "e", "epsilon", "theta_E", "theta_P")
 _POLE_KINDS = DIFFERENTIAL_KINDS[2:]  # with double poles; _Geometry._theta's order
@@ -506,27 +510,39 @@ def _theta_P_gamma_imag(k: float, x: float, z0: complex) -> float:
     """Im of _theta_P_gamma_value at the endpoint chart value x, which is
     finite: a chart value stays below 1.7e16, so x^2 cannot overflow."""
     k = _check_modulus(k)
-    K, E = _complete_KE(k)
-    x0, y0 = z0.real, z0.imag
-    dre = -((x - y0) ** 2 + x0 * x0)
-    m_num = (x - y0) * (_w_minus(x, k) + k * x * y0) - k * x * x0 * x0
-    G = m_num / dre
+    return _gamma_imag(k, *_complete_KE(k), x, z0.real, z0.imag)
+
+
+def _gamma_imag(k, K, E, x, x0, y0):
+    """_theta_P_gamma_imag at z0 = x0 + i y0, given K(k) and E(k), on floats
+    or arrays."""
+    d = x - y0
+    m_num = d * (_w_minus(x, k) + k * x * y0) - k * x * x0 * x0
     F, E_reg = _FE(*_axis_angle(x), k)
-    return 4.0 * E * F - 4.0 * K * (E_reg + G)
+    return 4.0 * E * F - 4.0 * K * (E_reg - m_num / (d * d + x0 * x0))
+
+
+def _gamma_plus(p, k, K, E, u, v):
+    """Im of the gamma+ closing integral of theta_P at chart values u and v,
+    floats or arrays, given K(k) and E(k): the closed form at u and the
+    chart's z0 (_center) rather than the frame of inverse_coords, with that
+    route's checks at every point, u != v and z0 finite with Re z0 > 0."""
+    if np.any(u == v):
+        raise ValueError(_OFF_CHART)
+    x0, y0 = _center(p, k, u, v)
+    bad = np.flatnonzero(~((0.0 < x0) & (x0 < math.inf) & np.isfinite(y0)))
+    if bad.size:
+        z0 = complex(np.ravel(x0)[bad[0]], np.ravel(y0)[bad[0]])
+        raise ValueError(f"z0 = {z0!r} is not finite with Re z0 > 0")
+    return _gamma_imag(k, K, E, u, x0, y0)
 
 
 def _chart_gamma_plus(mp: ModuliPoint) -> float:
-    """Im of the gamma+ closing integral of theta_P at mp, from the chart's u and
-    z0 rather than the frame of inverse_coords(mp), with that route's checks.
+    """_gamma_plus at one moduli point, the one-point case of the array pass.
     At a float odd multiple of pi it takes the side the float lies on (the
     right of -pi and -3 pi, 4 pi off the left); monodromy_track absorbs that."""
-    u, v = _chart_value(mp.u_tilde), _chart_value(mp.v_tilde)
-    if u == v:
-        raise ValueError(_OFF_CHART)
-    x0, y0 = _center(mp.p, mp.k, u, v)
-    if not (0.0 < x0 < math.inf and math.isfinite(y0)):
-        raise ValueError(f"z0 = {complex(x0, y0)!r} is not finite with Re z0 > 0")
-    return _theta_P_gamma_imag(mp.k, u, complex(x0, y0))
+    return _gamma_plus(mp.p, mp.k, *_complete_KE(mp.k),
+                       _chart_value(mp.u_tilde), _chart_value(mp.v_tilde))
 
 
 def theta_P_gamma_closed(sign: int, frame: JacobiFrame) -> complex:
@@ -736,14 +752,17 @@ def construct_psi(S: Fraction, T: Fraction, frame: JacobiFrame) -> ClosingData:
 # ---------------------------------------------------------------------------
 # monodromy around an annulus component
 
-def _extrapolate(xs: list[float], ys: list[float], x: float) -> float:
+def _extrapolate(xs: list, ys: list, x):
     """Value at x of the polynomial through the points (xs, ys), by Neville's
-    scheme; nan with no point."""
+    scheme; nan with no point.  Floats, or arrays of as many polynomials."""
     p = ys[:]
     for m in range(1, len(xs)):
         for i in range(len(xs) - m):
             p[i] = ((x - xs[i + m]) * p[i] + (xs[i] - x) * p[i + 1]) / (xs[i] - xs[i + m])
     return p[0] if p else math.nan
+
+
+_CHAIN_STRIDE = 16  # samples between two solve_level calls of monodromy_track's chain
 
 
 def monodromy_track(q: Fraction, loop_samples: int = 48, k: float = 0.5,
@@ -756,12 +775,17 @@ def monodromy_track(q: Fraction, loop_samples: int = 48, k: float = 0.5,
     small contractible loop in the (k, angle) chart when ``contractible``.
     The annulus loop is oriented so that the closing integral over the
     gamma+ path gains +2 pi i per circuit, matching the deck-shift bookkeeping.
-    Each sample's solve starts from the cubic extrapolation of v~ - u~ through
-    the last four accepted samples (fewer near the start, a cold solve at the
-    first), so a sample angle agrees with a cold solve_level to within
-    solver_tol, not bit for bit; every sample takes exactly one solve_level;
-    its gamma+ integral is the closed form at the u and z0 of the chart, with
-    no branch pair or frame built.
+    A coarse chain of every 16th sample and the last one takes one
+    solve_level each, started from the cubic extrapolation of v~ - u~
+    through the last four chain samples (a cold solve at the first).  Every
+    other sample is solved in one _solve_level_grid call, started from the
+    interpolation of v~ - u~ through its nearest four chain samples, so a
+    sample angle agrees with a cold solve_level to within solver_tol, not
+    bit for bit.  The gamma+ integrals of all samples are then the closed
+    form at the u and z0 of the chart, in one array pass, with no branch
+    pair or frame built.  Where a step crosses a principal-branch jump too
+    fast it is bisected; each inserted midpoint takes one solve_level,
+    started from the extrapolation through the last four accepted samples.
     """
     if not 0.0 < k < 1.0 or contractible and not 0.05 < k < 0.95:
         raise ValueError(f"k={k!r} outside (0, 1), or (0.05, 0.95) for a contractible loop")
@@ -781,25 +805,47 @@ def monodromy_track(q: Fraction, loop_samples: int = 48, k: float = 0.5,
                     u_tilde0 + 0.2 * (math.cos(TWO_PI * t) - 1.0))
         return k, angle_rescale(U0 + math.pi * t, 1.0 / rk)
 
-    def principal(t: float) -> tuple[float, float]:
-        """gamma+ value and v~ - u~ at t."""
-        kk, ut = sample(t)
-        mp = solve_level(1.0, qf, kk, ut, start=ut + _extrapolate(done_t, done_offset, t))
-        return _chart_gamma_plus(mp), mp.v_tilde - mp.u_tilde
+    ts = [j / loop_samples for j in range(loop_samples + 1)]
+    ks, us = (np.array(x) for x in zip(*map(sample, ts)))
+    vs = np.full(us.size, math.nan)
+    # the coarse chain: every 16th sample and the last one, one solve_level each
+    chain = [*range(0, loop_samples, _CHAIN_STRIDE), loop_samples]
+    for i, j in enumerate(chain):
+        near = chain[max(0, i - 4):i]
+        guess = _extrapolate([ts[c] for c in near], (vs[near] - us[near]).tolist(), ts[j])
+        ut = us[j].item()
+        vs[j] = solve_level(1.0, qf, ks[j].item(), ut, start=ut + guess).v_tilde
+    # the other samples in lockstep, each started from the interpolation
+    # through its nearest four chain samples (rows of ``near``)
+    fill = np.flatnonzero(np.isnan(vs))
+    order = min(4, len(chain))
+    first = np.clip(np.searchsorted(chain, fill) - 2, 0, len(chain) - order)
+    near = np.array(chain)[first + np.arange(order)[:, None]]
+    guess = _extrapolate(list(near / loop_samples), list(vs[near] - us[near]), fill / loop_samples)
+    solved, residual = _solve_level_grid(1.0, qf, ks[fill], us[fill], DEFAULTS.solver_tol,
+                                         start=us[fill] + guess)
+    failed = np.isnan(solved)
+    if failed.any():
+        raise LevelSolveError(_no_convergence(qf, residual[failed][0].item()))
+    vs[fill] = solved
+    values = _gamma_plus(1.0, ks, *_complete_KE_array(ks), _chart_value(us), _chart_value(vs))
 
     # continuity tracking of the gamma+ integral, with local bisection when
-    # a principal-branch jump is crossed too fast; a sample whose step is
-    # bisected keeps its solve for when the loop comes back to it
-    ts = [j / loop_samples for j in range(loop_samples + 1)]
+    # a principal-branch jump is crossed too fast; every sample keeps its
+    # gamma+ value and offset v~ - u~ for when the loop comes back to it
+    known = dict(zip(ts, zip(values.tolist(), (vs - us).tolist())))
     done_t, done_offset = [], []  # t and v~ - u~ of the last four accepted samples
-    cont, pending, idx = [], {}, 0
+    cont, idx = [], 0
     while idx < len(ts):
         t = ts[idx]
-        I_raw, offset = pending.pop(t) if t in pending else principal(t)
+        if t not in known:  # an inserted midpoint
+            kk, ut = sample(t)
+            mp = solve_level(1.0, qf, kk, ut, start=ut + _extrapolate(done_t, done_offset, t))
+            known[t] = _chart_gamma_plus(mp), mp.v_tilde - mp.u_tilde
+        I_raw, offset = known[t]
         prev_I = cont[-1] if cont else I_raw
         I_adj = I_raw + TWO_PI * round((prev_I - I_raw) / TWO_PI)
         if abs(I_adj - prev_I) > 2.0 and (t - done_t[-1]) > 1e-4:
-            pending[t] = I_raw, offset
             ts.insert(idx, 0.5 * (done_t[-1] + t))
             continue
         cont.append(I_adj)

@@ -18,10 +18,12 @@ branch) take floats or numpy arrays alike, so both level-set solvers in
 moduli evaluate the same closed forms.  Floats go through the float-to-float
 elliprf/elliprd of scipy.special.cython_special, arrays through the ufuncs
 of the same names: one C code, the same bits, and no ufunc call per float.
-Arrays call math.tan per element in _chart_value alone: numpy's tan can
-differ in the last bit, which moves the level-set solver at its precision
-floor.  numpy's arctan can too, but _half_angle's turn is the floor of a
-value about half a unit from any integer, which no last bit moves.
+Arrays call math.tan per element in _chart_value, and math.hypot in
+_axis_angle, so that an array's values are its floats' bit for bit: numpy's
+tan can differ in the last bit, which moves the level-set solver at its
+precision floor, and so can numpy's hypot.  numpy's arctan can too, but
+_half_angle's turn is the floor of a value about half a unit from any
+integer, which no last bit moves.
 
 Conventions: the modulus k always lies in (0, 1); K' and E' denote the
 complete integrals at the complementary modulus sqrt(1 - k^2), and
@@ -33,6 +35,7 @@ relation; moduli adds that pi itself, free of the relation's float defect.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 
@@ -73,6 +76,13 @@ def _complete_KE(k: float) -> tuple[float, float]:
     """(K, E) at modulus k, keyed exactly by k bits."""
     K, KmE = _complete(k * k, (1.0 - k) * (1.0 + k))
     return K, K - KmE
+
+
+def _complete_KE_array(k: np.ndarray) -> np.ndarray:
+    """(K, E) at every point of an array of moduli, each checked, looked up
+    once per distinct k."""
+    distinct, at = np.unique(k, return_inverse=True)
+    return np.array([_complete_KE(_check_modulus(x)) for x in distinct.tolist()]).T[:, at]
 
 
 def complete_K(k) -> float:
@@ -150,8 +160,13 @@ def _FE(s, c, k):
     return s * rf, (1.0 - k) * (1.0 + k) * (s * s * s * rd / 3.0 + s * c / (root + k))
 
 
-def _axis_angle(x: float) -> tuple[float, float]:
-    """(sin, cos) of arctan(x), exact at x = +-inf."""
+def _axis_angle(x):
+    """(sin, cos) of arctan(x), exact at x = +-inf, of a float or an array of
+    finite values; an array's are the float calls' bit for bit, by math.hypot
+    per element (numpy's hypot can differ in the last bit)."""
+    if isinstance(x, np.ndarray):
+        h = np.fromiter(map(math.hypot, itertools.repeat(1.0), x.tolist()), float, x.size)
+        return x / h, 1.0 / h
     if math.isinf(x):
         return math.copysign(1.0, x), 0.0
     h = math.hypot(1.0, x)
@@ -193,7 +208,9 @@ def _half_angle(x_tilde):
 
 
 def _lifted_integrals(x_tilde: float, k: float) -> tuple[float, float]:
-    """lifted_F and lifted_E from one _half_angle, at a checked modulus."""
+    """lifted_F and lifted_E from one _half_angle, at a checked modulus and
+    at float(x~), not in the caller's float type."""
+    x_tilde = float(x_tilde)
     if not math.isfinite(x_tilde):
         raise ValueError(f"the angle must be finite, got {x_tilde!r}")
     m, s, c, _ = _half_angle(x_tilde)

@@ -15,9 +15,11 @@ one level problem, on floats or arrays: _band gives that bracket and the
 orientation, _level_fns the level T~ - q and the slope of the pole-deflated
 level (T~ - q) sin(|x - held|/2), _no_convergence the failure reason.  Only
 the Newton-or-midpoint loop is written twice: solve_level runs it on floats
-at one chart point, from a given start inside the bracket or else its
-midpoint, for serial callers such as monodromy_track; _solve_level_grid runs it in lockstep on per-point
-(k, angle) arrays from the midpoint, as sweep_level_set does for a leaf.
+at one chart point, _solve_level_grid in lockstep on per-point (k, angle)
+arrays, as sweep_level_set does for a leaf and monodromy_track for the
+samples between its coarse chain of solve_level calls.  Each starts from a
+given start inside the bracket, per point for the arrays, or else the
+bracket's midpoint, and a point of the arrays ends on solve_level's bits.
 An angle's share of T~ is the principal one plus pi per whole turn, and
 the chart value tan(x~/2) of a float angle is finite, the chart boundary
 included, so one formula serves every point.  The scalar entry points take
@@ -42,7 +44,8 @@ import numpy as np
 from .config import DEFAULTS
 from .curves import BranchPair, ModuliPoint, S_value, _check_ratio, _inverse_coords_array, forward_coords
 from .elliptic import (
-    TWO_PI, _FE, _axis_angle, _chart_value, _check_modulus, _complete_KE, _half_angle, _w, _w_minus,
+    TWO_PI, _FE, _axis_angle, _chart_value, _check_modulus, _complete_KE, _complete_KE_array,
+    _half_angle, _w, _w_minus,
 )
 
 __all__ = [
@@ -78,7 +81,9 @@ def _chart_args(p, k, u, v):
 
 
 def _angle_args(p, k, u_tilde, v_tilde):
-    """_chart_args at the chart values tan(u~/2) and tan(v~/2) of two angles."""
+    """_chart_args at the chart values tan(u~/2) and tan(v~/2) of two angles,
+    taken as floats, not in the caller's float type."""
+    u_tilde, v_tilde = float(u_tilde), float(v_tilde)
     if not (math.isfinite(u_tilde) and math.isfinite(v_tilde)):
         raise ValueError(f"angles must be finite, got u~={u_tilde!r}, v~={v_tilde!r}")
     return _chart_args(p, k, _chart_value(u_tilde), _chart_value(v_tilde))
@@ -118,6 +123,7 @@ def t_tilde_raw(p: float, k: float, u_tilde: float, v_tilde: float) -> float:
     chart values tan(u~/2), tan(v~/2) are finite at every float angle, so T~
     is total off the diagonal u = v.
     """
+    u_tilde, v_tilde = float(u_tilde), float(v_tilde)
     p, k, K, E, _, _ = _angle_args(p, k, u_tilde, v_tilde)
     return _t_tilde(p, k, K, _level_part(k, K, E, u_tilde), _level_part(k, K, E, v_tilde))
 
@@ -237,9 +243,12 @@ def solve_level(p: float, q: float, k: float, fixed_angle: float,
     reachable level.  The first iterate is ``start``, a guess at the solved
     angle such as a continuation's prediction, when strictly inside that
     bracket, and else (nan included) the bracket's midpoint; a level out of
-    reach fails when the iterate stalls, or after _MAX_STEPS steps.
+    reach fails when the iterate stalls, or after _MAX_STEPS steps.  The
+    held angle and the start are taken as floats, not in the caller's type.
     """
     p = _check_ratio(p)
+    fixed_angle = float(fixed_angle)
+    start = None if start is None else float(start)
     if not math.isfinite(fixed_angle):
         raise ValueError(f"the held angle must be finite, got {fixed_angle!r}")
     if not math.isfinite(q):
@@ -267,29 +276,36 @@ def solve_level(p: float, q: float, k: float, fixed_angle: float,
 
 
 def _solve_level_grid(p: float, q: float, k: np.ndarray, angle: np.ndarray,
-                      tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """solve_level at every point (k[i], angle[i]) of two arrays, in lockstep.
+                      tol: float, start: np.ndarray | None = None,
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """solve_level at every point (k[i], angle[i]) of two arrays, in lockstep,
+    from the per-point starts start[i] when given.
 
     Runs the scalar solver's policy on all points at once: the same bracket
-    and midpoint start (_band), level and slope (_level_fns), Newton-or-
-    midpoint step, step limit and failure reason, on the same floating-point
-    values, so every point ends where a cold solve_level would, after as many
-    evaluations of T~: a point leaves as it converges or stalls, before its
-    next iterate is evaluated.  K and E are looked up once per distinct k;
-    the per-point constants are cut to the running points as points leave.
-    Returns the solved angle of every point, nan where it failed, and the
-    residual T~ - q where it failed (nan elsewhere), whose reason is
+    and start (_band; a start strictly inside the bracket, else the
+    midpoint), level and slope (_level_fns), Newton-or-midpoint step, step
+    limit and failure reason, on the same floating-point values, so every
+    point ends where solve_level(p, q, k[i], angle[i], tol, start[i]) would,
+    after as many evaluations of T~: a point leaves as it converges or
+    stalls, before its next iterate is evaluated.  The arrays are taken as
+    float64; K and E are looked up once per distinct k, and the per-point
+    constants are cut to the running points as points leave.  Returns the
+    solved angle of every point, nan where it failed, and the residual
+    T~ - q where it failed (nan elsewhere), whose reason is
     _no_convergence(q, residual).
     """
     p = _check_ratio(p)
-    distinct, at = np.unique(k, return_inverse=True)
-    K, E = np.array([_complete_KE(_check_modulus(x)) for x in distinct.tolist()]).T[:, at]
+    k, angle = np.asarray(k, float), np.asarray(angle, float)
+    K, E = _complete_KE_array(k)
     a, b, sign = _band(p, angle)
     solved, residual = np.full((2, angle.size), np.nan)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         held = _level_part(k, K, E, angle)
         level, slope = _level_fns(p, q, k, K, E, held)
         idx, x = np.arange(angle.size), 0.5 * (a + b)
+        if start is not None:
+            start = np.asarray(start, float)
+            x = np.where((a < start) & (start < b), start, x)
         fx, chart = level(x)
         for _ in range(_MAX_STEPS):
             done = np.abs(fx) < tol

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .curves import (
-    BranchPair, ModuliPoint, build_frame, chi_negate, circle_points,
+    BranchPair, ModuliPoint, _inverse_coords_array, build_frame, chi_negate, circle_points,
     deck_lambda_tilde, forward_coords, inverse_coords, lambda_swap,
 )
 from .differentials import (
@@ -143,10 +143,16 @@ def suite_curves(seed: int = 0) -> list[InvariantResult]:
                       frame_normalization()))
 
     def round_trip():
-        for _ in range(200):
-            bp = _random_pair(rng)
-            bp2 = inverse_coords(forward_coords(bp))
-            for r in (abs(bp2.alpha - bp.alpha), abs(bp2.beta - bp.beta)):
+        # the 200 pairs' coordinates map back in one call of the array map
+        # of which inverse_coords is the one-point case
+        pairs = [_random_pair(rng) for _ in range(200)]
+        mps = [forward_coords(bp) for bp in pairs]
+        alpha, beta, rejected = _inverse_coords_array(
+            *(np.array(x) for x in zip(*((mp.p, mp.k, mp.u_tilde, mp.v_tilde) for mp in mps))))
+        for bp, a, b, why in zip(pairs, alpha.tolist(), beta.tolist(), rejected):
+            if why is not None:
+                raise ValueError(why)
+            for r in (abs(a - bp.alpha), abs(b - bp.beta)):
                 yield r, _pair_sample(bp)
     out.append(_worst("coordinate round trip", 1e-9, round_trip()))
 

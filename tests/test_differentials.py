@@ -2,6 +2,7 @@
 
 import cmath
 import dataclasses
+import itertools
 import math
 import random
 import re
@@ -25,7 +26,9 @@ from harmonictori.differentials import (
     loop_B, monodromy_track, theta_E_gamma, theta_P_characterization_check,
     theta_P_gamma_closed,
 )
-from harmonictori.elliptic import complementary_modulus, complete_E, complete_K
+from harmonictori.elliptic import (
+    _chart_value, _complete_KE_array, complementary_modulus, complete_E, complete_K,
+)
 from harmonictori.config import DEFAULTS
 from harmonictori.moduli import S_value, solve_level, spectral_test, t0_raw, t_tilde_raw
 
@@ -617,21 +620,50 @@ class TestConstructPsi:
             construct_psi(Fraction(1), Fraction(1, 7), fr)
 
 
-def tracked_monodromy(monkeypatch, q, **kwargs):
-    """monodromy_track, with a check that every sample it solves (warm-started
-    from the last one) solves its level to solver_tol."""
-    solves = []
+def recorded_solves(monkeypatch):
+    """Record every solve monodromy_track makes: its solve_level calls (the
+    chain and inserted midpoints) as (args, kwargs, point), and its
+    _solve_level_grid calls (the lockstep fill) as (args, kwargs, solved)."""
+    scalar, lockstep = [], []
 
     def recorded(*args, **kw):
         mp = solve_level(*args, **kw)
-        solves.append((args, mp))
+        scalar.append((args, kw, mp))
         return mp
+
+    def recorded_grid(*args, **kw):
+        solved, residual = moduli._solve_level_grid(*args, **kw)
+        lockstep.append((args, kw, solved))
+        return solved, residual
     monkeypatch.setattr(differentials, "solve_level", recorded)
-    turns = monodromy_track(q, **kwargs)
-    assert len(solves) > kwargs["loop_samples"]
-    for (p, qf, k, angle), mp in solves:
-        assert (p, qf, mp.k, mp.u_tilde) == (1.0, float(q), k, angle)
-        assert abs(t_tilde_raw(p, k, mp.u_tilde, mp.v_tilde) - qf) < DEFAULTS.solver_tol
+    monkeypatch.setattr(differentials, "_solve_level_grid", recorded_grid)
+    return scalar, lockstep
+
+
+def tracked_monodromy(monkeypatch, q, loop_samples, k=0.5, u_tilde0=0.3, contractible=False):
+    """monodromy_track, with a check that every sample it solves, in its
+    solve_level chain, its lockstep fill or an inserted midpoint, solves its
+    level to solver_tol at its held angle, that a fill point is solve_level's
+    from the same start bit for bit, and that every loop point is one of
+    them."""
+    scalar, lockstep = recorded_solves(monkeypatch)
+    turns = monodromy_track(q, loop_samples, k, u_tilde0, contractible)
+    points = []
+    for (p, qf, kk, angle), _, mp in scalar:
+        assert (p, qf, mp.k, mp.u_tilde) == (1.0, float(q), kk, angle)
+        points.append((kk, angle, mp.v_tilde))
+    for (p, qf, ks, angles, _), kw, solved in lockstep:
+        assert (p, qf) == (1.0, float(q))
+        fill = list(zip(ks.tolist(), angles.tolist(), solved.tolist()))
+        for (kk, angle, v_tilde), start in zip(fill, kw["start"].tolist()):
+            assert solve_level(1.0, qf, kk, angle, start=start).v_tilde.hex() == v_tilde.hex()
+        points += fill
+    for kk, angle, v_tilde in points:
+        assert angle < v_tilde < angle + 2 * math.pi
+        assert abs(t_tilde_raw(1.0, kk, angle, v_tilde) - float(q)) < DEFAULTS.solver_tol
+    loop = {loop_point(j / loop_samples, k, u_tilde0, contractible)
+            for j in range(loop_samples + 1)}
+    assert loop <= {(kk, angle) for kk, angle, _ in points}
     return turns
 
 
@@ -651,29 +683,47 @@ class TestMonodromy:
         (Fraction(-3, 5), 0.1, False), (Fraction(1, 2), 0.05, False),
         (Fraction(1, 2), 0.5, True)])
     def test_warm_start_takes_few_evaluations(self, q, k, contractible, monkeypatch):
-        # a cold solve takes 5 to 9 evaluations of T~ from the band midpoint;
-        # each sample after the first starts from the offset v~ - u~
-        # extrapolated through the last accepted ones, and from the fifth
-        # sample on the cubic predictor leaves about one checked Newton step
-        counts, evaluations = [], [0]
-        t_tilde = moduli._t_tilde
+        # a cold solve takes 5 to 9 evaluations of T~ from the band midpoint.
+        # Each chain sample after the first starts from the offset v~ - u~
+        # extrapolated through the last chain samples, 16 samples apart; the
+        # lockstep fill starts each other sample from the interpolation
+        # through its nearest four chain samples, which leaves a point at
+        # most four and on average about three checked Newton steps.  The
+        # whole 96-sample loop takes at most 60 calls of the share kernel,
+        # where one solve_level per sample took about 298
+        chain, fill, evaluations, calls = [], [], [], [0]
+        t_tilde, level_part = moduli._t_tilde, moduli._level_part
+        grid = moduli._solve_level_grid
 
         def counted(*args):
-            evaluations[0] += 1
-            return t_tilde(*args)
+            value = t_tilde(*args)
+            evaluations.append(np.size(value))
+            return value
+
+        def part(*args):
+            calls[0] += 1
+            return level_part(*args)
 
         def recorded(*args, **kw):
-            evaluations[0] = 0
+            evaluations.clear()
             mp = solve_level(*args, **kw)
-            counts.append(evaluations[0])
+            chain.append(len(evaluations))
             return mp
+
+        def recorded_grid(*args, **kw):
+            evaluations.clear()
+            out = grid(*args, **kw)
+            fill.append((len(evaluations), sum(evaluations), args[3].size))
+            return out
         monkeypatch.setattr(moduli, "_t_tilde", counted)
+        monkeypatch.setattr(moduli, "_level_part", part)
         monkeypatch.setattr(differentials, "solve_level", recorded)
+        monkeypatch.setattr(differentials, "_solve_level_grid", recorded_grid)
         monodromy_track(q, loop_samples=96, k=k, contractible=contractible)
-        assert len(counts) == 97
-        assert 0 < max(counts[1:]) <= 5
-        assert max(counts[4:]) <= 4
-        assert sum(counts[4:]) / len(counts[4:]) <= 2.5
+        assert len(chain) == 7 and 0 < max(chain[1:]) <= 5
+        [(steps, evaluated, points)] = fill
+        assert points == 90 and steps <= 4 and evaluated / points <= 3.5
+        assert calls[0] <= 60
 
     @pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(-3, 5), Fraction(2, 7), Fraction(0)])
     @pytest.mark.parametrize("u_tilde0", [0.3, -2.0, 2.5, 3.1])
@@ -681,18 +731,35 @@ class TestMonodromy:
         # at k = 0.05 eight samples cross a principal-branch jump too fast, so
         # the loop bisects a step; the predictor must only ever see accepted
         # samples (a rejected t seen twice would divide by zero), and each
-        # sample, inserted or not, takes one solve_level
-        angles = []
-
-        def recorded(*args, **kw):
-            angles.append(args[3])
-            return solve_level(*args, **kw)
-        monkeypatch.setattr(differentials, "solve_level", recorded)
+        # sample, inserted or not, is solved once: the chain's two and each
+        # inserted midpoint by solve_level, the other seven in lockstep
+        scalar, lockstep = recorded_solves(monkeypatch)
         turns = monodromy_track(q, 8, 0.05, u_tilde0)
-        assert len(angles) > 9
+        [((_, _, _, fill, _), _, _)] = lockstep
+        angles = [args[3] for args, _, _ in scalar] + fill.tolist()
+        assert len(scalar) > 2 and fill.size == 7
         assert len(angles) == len(set(angles))
         monkeypatch.undo()
         assert turns == reference_monodromy(q, 8, 0.05, u_tilde0)
+
+    @pytest.mark.parametrize("contractible, samples", itertools.product(
+        (False, True), (64, 96, 128)))
+    def test_benchmark_loops_keep_a_solve_level_chain(self, contractible, samples,
+                                                      monkeypatch, bench_inputs):
+        # the benchmark checks each loop by sampling the solve_level calls
+        # that it makes with (p, q, k, angle) as positional arguments, so
+        # every loop must still make one; over two seed-1 loops of each kind
+        # and length, each returns the integer of the cold frame loop
+        jobs = [job for job in loop_jobs(bench_inputs, 1)
+                if (job["contractible"], job["samples"]) == (contractible, samples)]
+        assert len(jobs) >= 2
+        for job in jobs[:2]:
+            scalar, _ = recorded_solves(monkeypatch)
+            args = Fraction(job["q"]), samples, job["k"], job["u_tilde0"], contractible
+            turns = monodromy_track(*args)
+            assert scalar and all(len(a) >= 4 for a, _, _ in scalar)
+            monkeypatch.undo()
+            assert turns == reference_monodromy(*args)
 
     @pytest.mark.parametrize("k, contractible", [
         (0.0, False), (-0.1, False), (1.0, False), (math.nan, False),
@@ -707,17 +774,27 @@ def frame_gamma_plus(mp):
     return _theta_P_gamma_value(1, build_frame(inverse_coords(mp))).imag
 
 
+def loop_point(t, k, u_tilde0=0.3, contractible=False):
+    """(k, u~) of the loop at parameter t in [0, 1], as monodromy_track samples it."""
+    if contractible:
+        return (k + 0.05 * math.sin(2 * math.pi * t),
+                u_tilde0 + 0.2 * (math.cos(2 * math.pi * t) - 1.0))
+    rk = math.sqrt(k)
+    return k, angle_rescale(angle_rescale(u_tilde0, rk) + math.pi * t, 1.0 / rk)
+
+
+def loop_jobs(inputs, seed):
+    """The loops of the benchmark's annulus_loop workload at a seed, from its
+    input generators ``inputs`` (the bench_inputs fixture)."""
+    return inputs.loop_jobs(random.Random(f"annulus_loop:{seed}"), 20)
+
+
 def reference_monodromy(q, loop_samples, k, u_tilde0=0.3, contractible=False):
     """monodromy_track with cold solves and the frame route at every sample."""
-    l, qf, rk = Fraction(q).denominator, float(q), math.sqrt(k)
+    l, qf = Fraction(q).denominator, float(q)
 
     def principal(t):
-        if contractible:
-            kk = k + 0.05 * math.sin(2 * math.pi * t)
-            ut = u_tilde0 + 0.2 * (math.cos(2 * math.pi * t) - 1.0)
-        else:
-            kk, ut = k, angle_rescale(angle_rescale(u_tilde0, rk) + math.pi * t, 1.0 / rk)
-        return frame_gamma_plus(solve_level(1.0, qf, kk, ut))
+        return frame_gamma_plus(solve_level(1.0, qf, *loop_point(t, k, u_tilde0, contractible)))
 
     ts = [j / loop_samples for j in range(loop_samples + 1)]
     cont, prev_t, idx = [principal(0.0)], 0.0, 1
@@ -802,6 +879,31 @@ class TestChartRoute:
         monkeypatch.setattr(differentials, "_center", lambda p, k, u, v: (x0, y0))
         with pytest.raises(ValueError, match="Re z0 > 0"):
             _chart_gamma_plus(ModuliPoint(1.0, 0.5, 0.3, 2.0))
+
+    def test_array_pass_is_the_one_point_value_bit_for_bit(self):
+        # the loop's one gamma+ pass over its samples, at ratios other than 1
+        # too and with held angles on float odd multiples of pi
+        rng = np.random.default_rng(37)
+        n = 400
+        ps, ks = rng.choice([0.5, 1.0, 2.0], n), rng.uniform(0.05, 0.95, n)
+        u_tilde = np.where(rng.random(n) < 0.2, rng.choice([-math.pi, math.pi, 3 * math.pi], n),
+                           rng.uniform(-3 * math.pi, 3 * math.pi, n))
+        v_tilde = u_tilde + rng.uniform(0.05, 2 * math.pi - 0.05, n)
+        values = differentials._gamma_plus(ps, ks, *_complete_KE_array(ks),
+                                           _chart_value(u_tilde), _chart_value(v_tilde))
+        one = [_chart_gamma_plus(ModuliPoint(*point))
+               for point in zip(ps.tolist(), ks.tolist(), u_tilde.tolist(), v_tilde.tolist())]
+        assert [x.hex() for x in values.tolist()] == [x.hex() for x in one]
+
+    def test_array_pass_checks_every_point(self, monkeypatch):
+        K, E = _complete_KE_array(np.full(3, 0.5))
+        u = np.array([0.3, 1.0, -0.5])
+        with pytest.raises(ValueError, match="u = v is outside the coordinate chart"):
+            differentials._gamma_plus(1.0, 0.5, K, E, u, np.array([2.0, 1.0, 0.4]))
+        centers = np.array([1.0, 0.0, math.nan]), np.array([0.3, 0.3, 0.3])
+        monkeypatch.setattr(differentials, "_center", lambda p, k, u, v: centers)
+        with pytest.raises(ValueError, match=re.escape("z0 = 0.3j is not finite with Re z0 > 0")):
+            differentials._gamma_plus(1.0, 0.5, K, E, u, np.array([2.0, 2.5, 0.4]))
 
     def test_float32_modulus_evaluates_in_double(self):
         value = _chart_gamma_plus(ModuliPoint(1.0, np.float32(0.25), 0.3, 2.0))

@@ -1,7 +1,6 @@
 """Elliptic integral layer: oracles first, then the lifted functions."""
 
 import math
-from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -10,9 +9,9 @@ from scipy.integrate import quad
 from scipy.special import elliprd, elliprf
 
 import harmonictori.elliptic
-from harmonictori.differentials import monodromy_track
+from harmonictori.differentials import _chart_gamma_plus
 from harmonictori.elliptic import (
-    _complete, _complete_KE, _FE, _half_angle, complementary_KE,
+    _axis_angle, _complete, _complete_KE, _FE, _half_angle, complementary_KE,
     complementary_modulus, complete_E, complete_K, incomplete_E_reg_imag,
     incomplete_F_imag, legendre_defect, lifted_E, lifted_F, w_imag,
 )
@@ -311,9 +310,14 @@ def test_complete_matches_the_ufuncs_bit_for_bit(k):
 
 
 def test_serial_path_makes_no_ufunc_call(monkeypatch):
-    # a cold scalar solve and a monodromy loop take every R_F and R_D from
-    # the float functions: with the ufuncs made to raise they return as before
-    expected = solve_level(1.0, 0.3, 0.41, 0.7), monodromy_track(Fraction(1, 3), 16, 0.37, 0.2)
+    # a cold and a warm scalar solve, as a monodromy loop's chain and its
+    # inserted midpoints take them, and a midpoint's one-point gamma+ value
+    # take every R_F and R_D from the float functions: with the ufuncs made
+    # to raise they return as before
+    def serial():
+        mp = solve_level(1.0, 0.3, 0.41, 0.7)
+        return mp, solve_level(1.0, 0.3, 0.37, 0.2, start=1.5), _chart_gamma_plus(mp)
+    expected = serial()
 
     def refuse(*args):
         raise AssertionError("ufunc called on the serial path")
@@ -321,5 +325,22 @@ def test_serial_path_makes_no_ufunc_call(monkeypatch):
     monkeypatch.setattr(harmonictori.elliptic, "elliprd", refuse)
     _complete_KE.cache_clear()
     complementary_KE.cache_clear()
-    got = solve_level(1.0, 0.3, 0.41, 0.7), monodromy_track(Fraction(1, 3), 16, 0.37, 0.2)
-    assert got == expected
+    assert serial() == expected
+
+
+def test_axis_angle_of_an_array_is_its_floats_bit_for_bit():
+    # math.hypot per element: numpy's hypot differs in the last bit on some
+    # of these arguments (12 of the 2 000 with glibc 2.36)
+    x = np.random.default_rng(5).uniform(-2.0, 2.0, 2000)
+    s, c = _axis_angle(x)
+    floats = [_axis_angle(v) for v in x.tolist()]
+    assert _bits(s) == _bits(sf for sf, _ in floats)
+    assert _bits(c) == _bits(cf for _, cf in floats)
+
+
+@pytest.mark.parametrize("fn", [lifted_F, lifted_E])
+def test_lifted_integrals_evaluate_at_the_float_of_the_angle(fn):
+    # a float32 angle is taken as its float, not evaluated in float32
+    # (lifted_F(np.float32(30.0), 0.5) gave np.float32(20.809708))
+    got, want = fn(np.float32(30.0), 0.5), fn(float(np.float32(30.0)), 0.5)
+    assert type(got) is float and got.hex() == want.hex()

@@ -68,6 +68,29 @@ def test_level_functions_evaluate_at_the_checked_float_of_k(k):
     assert (got.k.hex(), got.v_tilde.hex()) == (want.k.hex(), want.v_tilde.hex())
 
 
+def test_level_functions_evaluate_at_the_float_of_each_angle():
+    # a float32 angle or start is taken as its float, not computed in
+    # float32: t_tilde_raw(1.0, 0.25, np.float32(0.3), 2.0) gave
+    # np.float32(2.0824769), and solve_level(1.0, 0.3, 0.5, np.float32(0.7))
+    # failed on a float32 residual
+    x = np.float32(0.3)
+    for fn in (t_tilde_raw, dT_tilde_du_tilde, dT_tilde_dv_tilde):
+        got, want = fn(1.0, 0.25, x, 2.0), fn(1.0, 0.25, float(x), 2.0)
+        assert type(got) is float and got.hex() == want.hex(), fn.__name__
+    held, start = np.float32(0.7), np.float32(2.5)
+    for given, taken in ((None, None), (start, float(start))):
+        got = solve_level(1.0, 0.3, 0.5, held, start=given)
+        want = solve_level(1.0, 0.3, 0.5, float(held), start=taken)
+        assert type(got.v_tilde) is float and hex_point(got) == hex_point(want)
+    # and the lockstep solver takes its arrays as float64
+    ks, angles, starts = (np.float32(x) for x in ([0.5, 0.3, 0.9], [0.7, -2.0, 3.0],
+                                                  [2.5, math.nan, 4.0]))
+    got = moduli._solve_level_grid(1.0, 0.3, ks, angles, DEFAULTS.solver_tol, starts)
+    want = moduli._solve_level_grid(1.0, 0.3, ks.astype(float), angles.astype(float),
+                                    DEFAULTS.solver_tol, starts.astype(float))
+    assert got[0].dtype == np.float64 and got[0].tobytes() == want[0].tobytes()
+
+
 def test_step_limit_fails_with_the_scalar_reason(monkeypatch, bench_inputs):
     # a point still iterating after _MAX_STEPS steps fails on the residual
     # of its last iterate, in the sweep as in solve_level
@@ -869,6 +892,47 @@ class TestBatchedSweep:
                 assert x.hex() == (mp.u_tilde if p > 1.0 else mp.v_tilde).hex()
                 outcomes.append("solved on the boundary" if angle in boundary else "solved")
         assert len(outcomes) == n and len(set(outcomes)) == 3
+
+    def test_per_point_starts_match_warm_scalar_solves(self):
+        # each point takes its start as solve_level takes it: strictly inside
+        # the bracket, and else (at either end, outside it, infinite or nan)
+        # the midpoint; points at p below, at and above 1, some held angles
+        # on float odd multiples of pi, a few levels out of reach
+        rng = np.random.default_rng(43)
+        n, boundary = 300, [m * math.pi for m in (-3, -1, 1, 3)]
+        ks = rng.choice(rng.uniform(0.02, 0.98, 15), n)
+        angles = np.where(rng.random(n) < 0.2, rng.choice(boundary, n),
+                          rng.uniform(-4 * math.pi, 4 * math.pi, n))
+        ps = rng.choice([1 / 3, 1.0, 5 / 2], n)
+        qs = np.where(rng.random(n) < 0.05, 1e15, rng.choice([-2.05, 0.37, 1.6], n))
+        kinds = rng.choice(["inside", "lower end", "upper end", "below", "above",
+                            "infinite", "nan"], n, p=[0.4, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1])
+        starts = []
+        for p, angle, kind, frac in zip(ps.tolist(), angles.tolist(), kinds, rng.random(n)):
+            a, b, _ = moduli._band(p, angle)
+            starts.append({"inside": a + (b - a) * frac, "lower end": a, "upper end": b,
+                           "below": a - frac, "above": b + frac, "infinite": -math.inf,
+                           "nan": math.nan}[kind])
+        starts = np.array(starts)
+        outcomes = set()
+        for p, q in sorted(set(zip(ps.tolist(), qs.tolist()))):
+            at = np.flatnonzero((ps == p) & (qs == q))
+            solved, residual = moduli._solve_level_grid(p, q, ks[at], angles[at],
+                                                        DEFAULTS.solver_tol, starts[at])
+            for x, r, k, angle, start, kind in zip(
+                    solved.tolist(), residual.tolist(), ks[at].tolist(), angles[at].tolist(),
+                    starts[at].tolist(), kinds[at]):
+                try:
+                    mp = solve_level(p, q, k, angle, start=start)
+                except LevelSolveError as exc:
+                    assert math.isnan(x) and moduli._no_convergence(q, r) == str(exc)
+                    outcomes.add(("failed", p))
+                    continue
+                assert math.isnan(r)
+                assert x.hex() == (mp.u_tilde if p > 1.0 else mp.v_tilde).hex()
+                outcomes.add((kind, p))
+        kinds = {"inside", "lower end", "upper end", "below", "above", "infinite", "nan", "failed"}
+        assert outcomes == set(itertools.product(kinds, (1 / 3, 1.0, 5 / 2)))
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(p=st.fractions(Fraction(1, 4), Fraction(4), max_denominator=6),
