@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .elliptic import TWO_PI, _chart_value, _check_modulus, _half_angle, _sqrt, _w
+from .elliptic import TWO_PI, _chart_value, _check_modulus, _half_angle, _per_element, _sqrt, _w
 
 __all__ = [
     "BranchPair", "JacobiFrame", "ModuliPoint",
@@ -326,10 +326,11 @@ def chi_negate(bp: BranchPair) -> BranchPair:
 
 def angle_rescale(x_tilde: float, s: float) -> float:
     """The rescale 2 pi m + 2 atan(s tan(x~/2)) of the float x~, m its turn
-    (_half_angle), order preserving for s > 0.  Next to an odd multiple of pi
-    tan(x~/2) has the sign of the side x~ lies on, and so has the rescale."""
+    (_half_angle), order preserving for s > 0; of an array, the float calls'
+    values bit for bit.  Next to an odd multiple of pi tan(x~/2) has the sign
+    of the side x~ lies on, and so has the rescale."""
     m, _, _, u = _half_angle(x_tilde)
-    return TWO_PI * m + 2.0 * math.atan(s * u)
+    return TWO_PI * m + 2.0 * _per_element(math.atan, s * u)
 
 
 def deck_lambda_tilde(mp: ModuliPoint, inverse: bool = False) -> ModuliPoint:

@@ -40,7 +40,7 @@ from .curves import (
 from .config import DEFAULTS
 from .elliptic import (
     TWO_PI, _FE, _axis_angle, _chart_value, _check_modulus, _complete_KE, _complete_KE_array,
-    _w_minus,
+    _per_element, _w_terms,
 )
 from .moduli import LevelSolveError, _no_convergence, _solve_level_grid, solve_level, t0_raw
 
@@ -517,7 +517,7 @@ def _gamma_imag(k, K, E, x, x0, y0):
     """_theta_P_gamma_imag at z0 = x0 + i y0, given K(k) and E(k), on floats
     or arrays."""
     d = x - y0
-    m_num = d * (_w_minus(x, k) + k * x * y0) - k * x * x0 * x0
+    m_num = d * (_w_terms(x, k)[1] + k * x * y0) - k * x * x0 * x0
     F, E_reg = _FE(*_axis_angle(x), k)
     return 4.0 * E * F - 4.0 * K * (E_reg - m_num / (d * d + x0 * x0))
 
@@ -775,44 +775,45 @@ def monodromy_track(q: Fraction, loop_samples: int = 48, k: float = 0.5,
     small contractible loop in the (k, angle) chart when ``contractible``.
     The annulus loop is oriented so that the closing integral over the
     gamma+ path gains +2 pi i per circuit, matching the deck-shift bookkeeping.
-    A coarse chain of every 16th sample and the last one takes one
-    solve_level each, started from the cubic extrapolation of v~ - u~
-    through the last four chain samples (a cold solve at the first).  Every
-    other sample is solved in one _solve_level_grid call, started from the
-    interpolation of v~ - u~ through its nearest four chain samples, so a
-    sample angle agrees with a cold solve_level to within solver_tol, not
-    bit for bit.  The gamma+ integrals of all samples are then the closed
-    form at the u and z0 of the chart, in one array pass, with no branch
-    pair or frame built.  Where a step crosses a principal-branch jump too
-    fast it is bisected; each inserted midpoint takes one solve_level,
-    started from the extrapolation through the last four accepted samples.
-    """
+    The samples (k, u~) are taken in one array pass.  A coarse chain of
+    every 16th sample and the last one takes one solve_level each, started
+    from the cubic extrapolation of v~ - u~ through the last four chain
+    samples (a cold solve at the first).  The other samples are solved in
+    one _solve_level_grid call, started from the interpolation of v~ - u~
+    through their nearest four chain samples, so a sample angle agrees with
+    a cold solve_level to within solver_tol, not bit for bit.  gamma+ is
+    then the chart's closed form at all samples in one array pass.  A step's
+    increment is its difference d to the nearest turn, d + 2 pi round(-d/2 pi);
+    a step whose increment exceeds 2 and that is longer than 1e-4 is bisected,
+    in rounds, each midpoint by one solve_level started from the
+    interpolation through its nearest samples."""
     if not 0.0 < k < 1.0 or contractible and not 0.05 < k < 0.95:
         raise ValueError(f"k={k!r} outside (0, 1), or (0.05, 0.95) for a contractible loop")
+    if not math.isfinite(u_tilde0):
+        raise ValueError(f"the start angle u_tilde0 must be finite, got {u_tilde0!r}")
     if loop_samples < 8:
         raise ValueError("loop_samples must be at least 8")
     q = Fraction(q)
-    mp_ = q.denominator
-    l = mp_  # at p = 1, n = m = 1 so l = m'/gcd(m', n') = m'
+    l = q.denominator  # at p = 1, n = m = 1 so l = m'/gcd(m', n') = m'
     qf = float(q)
     rk = math.sqrt(k)
     U0 = angle_rescale(u_tilde0, rk)
 
-    def sample(t: float) -> tuple[float, float]:
-        """(k, u~) along the loop at parameter t in [0, 1]."""
+    def sample(t):
+        """(k, u~) along the loop at parameter t in [0, 1], float or array."""
         if contractible:
-            return (k + 0.05 * math.sin(TWO_PI * t),
-                    u_tilde0 + 0.2 * (math.cos(TWO_PI * t) - 1.0))
+            return (k + 0.05 * _per_element(math.sin, TWO_PI * t),
+                    u_tilde0 + 0.2 * (_per_element(math.cos, TWO_PI * t) - 1.0))
         return k, angle_rescale(U0 + math.pi * t, 1.0 / rk)
 
-    ts = [j / loop_samples for j in range(loop_samples + 1)]
-    ks, us = (np.array(x) for x in zip(*map(sample, ts)))
+    ts = np.arange(loop_samples + 1) / loop_samples
+    ks, us = (np.full(ts.size, x) for x in sample(ts))  # the annulus's k is a float
     vs = np.full(us.size, math.nan)
     # the coarse chain: every 16th sample and the last one, one solve_level each
     chain = [*range(0, loop_samples, _CHAIN_STRIDE), loop_samples]
     for i, j in enumerate(chain):
         near = chain[max(0, i - 4):i]
-        guess = _extrapolate([ts[c] for c in near], (vs[near] - us[near]).tolist(), ts[j])
+        guess = _extrapolate(ts[near].tolist(), (vs[near] - us[near]).tolist(), ts[j])
         ut = us[j].item()
         vs[j] = solve_level(1.0, qf, ks[j].item(), ut, start=ut + guess).v_tilde
     # the other samples in lockstep, each started from the interpolation
@@ -821,7 +822,7 @@ def monodromy_track(q: Fraction, loop_samples: int = 48, k: float = 0.5,
     order = min(4, len(chain))
     first = np.clip(np.searchsorted(chain, fill) - 2, 0, len(chain) - order)
     near = np.array(chain)[first + np.arange(order)[:, None]]
-    guess = _extrapolate(list(near / loop_samples), list(vs[near] - us[near]), fill / loop_samples)
+    guess = _extrapolate(list(ts[near]), list(vs[near] - us[near]), ts[fill])
     solved, residual = _solve_level_grid(1.0, qf, ks[fill], us[fill], DEFAULTS.solver_tol,
                                          start=us[fill] + guess)
     failed = np.isnan(solved)
@@ -830,29 +831,25 @@ def monodromy_track(q: Fraction, loop_samples: int = 48, k: float = 0.5,
     vs[fill] = solved
     values = _gamma_plus(1.0, ks, *_complete_KE_array(ks), _chart_value(us), _chart_value(vs))
 
-    # continuity tracking of the gamma+ integral, with local bisection when
-    # a principal-branch jump is crossed too fast; every sample keeps its
-    # gamma+ value and offset v~ - u~ for when the loop comes back to it
-    known = dict(zip(ts, zip(values.tolist(), (vs - us).tolist())))
-    done_t, done_offset = [], []  # t and v~ - u~ of the last four accepted samples
-    cont, idx = [], 0
-    while idx < len(ts):
-        t = ts[idx]
-        if t not in known:  # an inserted midpoint
+    # rounds of bisection where a step crosses a principal-branch jump too fast
+    offsets = vs - us
+    while True:
+        d = values[1:] - values[:-1]
+        increments = d + TWO_PI * np.rint(-d / TWO_PI)
+        steps = ((np.abs(increments) > 2.0) & (ts[1:] - ts[:-1] > 1e-4)).nonzero()[0]
+        if not steps.size:
+            break
+        mids, inserted = 0.5 * (ts[steps] + ts[steps + 1]), []
+        for i, t in zip(steps.tolist(), mids.tolist()):
+            near = slice(max(0, i - 1), i + 3)
             kk, ut = sample(t)
-            mp = solve_level(1.0, qf, kk, ut, start=ut + _extrapolate(done_t, done_offset, t))
-            known[t] = _chart_gamma_plus(mp), mp.v_tilde - mp.u_tilde
-        I_raw, offset = known[t]
-        prev_I = cont[-1] if cont else I_raw
-        I_adj = I_raw + TWO_PI * round((prev_I - I_raw) / TWO_PI)
-        if abs(I_adj - prev_I) > 2.0 and (t - done_t[-1]) > 1e-4:
-            ts.insert(idx, 0.5 * (done_t[-1] + t))
-            continue
-        cont.append(I_adj)
-        done_t, done_offset = done_t[-3:] + [t], done_offset[-3:] + [offset]
-        idx += 1
+            mp = solve_level(1.0, qf, kk, ut,
+                             start=ut + _extrapolate(ts[near].tolist(), offsets[near].tolist(), t))
+            inserted.append((_chart_gamma_plus(mp), mp.v_tilde - mp.u_tilde))
+        ts, values, offsets = (np.insert(x, steps + 1, y) for x, y in
+                               zip((ts, values, offsets), (mids, *zip(*inserted))))
 
-    delta = cont[-1] - cont[0]
+    delta = float(increments.sum())
     turns = round(delta / TWO_PI)
     if abs(delta - TWO_PI * turns) > 1e-6 * max(1.0, abs(delta)) + 1e-6:
         raise ContinuationError(f"gamma+ integral shifted by {delta!r}, not 2 pi Z")

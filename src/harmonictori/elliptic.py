@@ -35,9 +35,8 @@ relation; moduli adds that pi itself, free of the relation's float defect.
 
 from __future__ import annotations
 
-import itertools
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.special import cython_special, elliprd, elliprf
@@ -65,10 +64,12 @@ def complementary_modulus(k: float) -> float:
     return math.sqrt((1.0 - k) * (1.0 + k))
 
 
-def _complete(m: float, m1: float) -> tuple[float, float]:
-    """(K, K - E) at parameter m = 1 - m1, as R_F(0, m1, 1) and
-    m R_D(0, m1, 1)/3 (DLMF 19.25.1); m and m1 both come in at full precision."""
-    return cython_special.elliprf(0.0, m1, 1.0), m * (cython_special.elliprd(0.0, m1, 1.0) / 3.0)
+def _complete(m, m1):
+    """(K, K - E) at parameter m = 1 - m1, floats or arrays, as R_F(0, m1, 1)
+    and m R_D(0, m1, 1)/3 (DLMF 19.25.1); m and m1 come in at full precision."""
+    array = isinstance(m1, np.ndarray)
+    rf, rd = (elliprf, elliprd) if array else (cython_special.elliprf, cython_special.elliprd)
+    return rf(0.0, m1, 1.0), m * (rd(0.0, m1, 1.0) / 3.0)
 
 
 @lru_cache(maxsize=4096)
@@ -79,10 +80,13 @@ def _complete_KE(k: float) -> tuple[float, float]:
 
 
 def _complete_KE_array(k: np.ndarray) -> np.ndarray:
-    """(K, E) at every point of an array of moduli, each checked, looked up
-    once per distinct k."""
-    distinct, at = np.unique(k, return_inverse=True)
-    return np.array([_complete_KE(_check_modulus(x)) for x in distinct.tolist()]).T[:, at]
+    """(K, E) at every point of an array of moduli, each checked, computed in
+    one array pass over the distinct k, with _complete_KE's bits."""
+    k, at = np.unique(np.asarray(k, float), return_inverse=True)
+    for bad in k[~((0.0 < k) & (k < 1.0))][:1].tolist():
+        _check_modulus(bad)
+    K, KmE = _complete(k * k, (1.0 - k) * (1.0 + k))
+    return np.array([K, K - KmE])[:, at]
 
 
 def complete_K(k) -> float:
@@ -129,9 +133,10 @@ def _w(x, k):
     return _sqrt((1.0 + x * x) * (1.0 + k * k * x * x))
 
 
-def _w_minus(x, k):
-    """w(ix) - k x^2 as (1 + (1 + k^2) x^2)/(w(ix) + k x^2), free of cancellation."""
-    return (1.0 + (1.0 + k * k) * x * x) / (_w(x, k) + k * x * x)
+def _w_terms(x, k):
+    """w(ix) and w(ix) - k x^2 = (1 + (1 + k^2) x^2)/(w(ix) + k x^2), free of cancellation."""
+    w = _w(x, k)
+    return w, (1.0 + (1.0 + k * k) * x * x) / (w + k * x * x)
 
 
 def w_imag(u: float, k) -> float:
@@ -160,16 +165,20 @@ def _FE(s, c, k):
     return s * rf, (1.0 - k) * (1.0 + k) * (s * s * s * rd / 3.0 + s * c / (root + k))
 
 
+def _per_element(fn, x):
+    """fn (of math) of a float, or per element of an array with the float calls' bits."""
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(fn, x.tolist()), float, x.size)
+    return fn(x)
+
+
 def _axis_angle(x):
     """(sin, cos) of arctan(x), exact at x = +-inf, of a float or an array of
     finite values; an array's are the float calls' bit for bit, by math.hypot
     per element (numpy's hypot can differ in the last bit)."""
-    if isinstance(x, np.ndarray):
-        h = np.fromiter(map(math.hypot, itertools.repeat(1.0), x.tolist()), float, x.size)
-        return x / h, 1.0 / h
-    if math.isinf(x):
+    if not isinstance(x, np.ndarray) and math.isinf(x):
         return math.copysign(1.0, x), 0.0
-    h = math.hypot(1.0, x)
+    h = _per_element(partial(math.hypot, 1.0), x)
     return x / h, 1.0 / h
 
 
@@ -187,9 +196,7 @@ def _chart_value(x_tilde):
     """tan(x~/2) of a float or an array, finite at every float angle: at a
     float odd multiple of pi it is below 1.7e16 in magnitude, signed by the
     side the float lies on; an array's are the float calls' bit for bit."""
-    if isinstance(x_tilde, np.ndarray):
-        return np.fromiter(map(math.tan, (0.5 * x_tilde).tolist()), float, x_tilde.size)
-    return math.tan(0.5 * x_tilde)
+    return _per_element(math.tan, 0.5 * x_tilde)
 
 
 def _half_angle(x_tilde):

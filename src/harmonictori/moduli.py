@@ -13,13 +13,14 @@ opposite infinities at its two ends, so the band less 1e-12 at each end
 brackets every reachable level before any evaluation.  Both solvers pose
 one level problem, on floats or arrays: _band gives that bracket and the
 orientation, _level_fns the level T~ - q and the slope of the pole-deflated
-level (T~ - q) sin(|x - held|/2), _no_convergence the failure reason.  Only
-the Newton-or-midpoint loop is written twice: solve_level runs it on floats
-at one chart point, _solve_level_grid in lockstep on per-point (k, angle)
-arrays, as sweep_level_set does for a leaf and monodromy_track for the
-samples between its coarse chain of solve_level calls.  Each starts from a
-given start inside the bracket, per point for the arrays, or else the
-bracket's midpoint, and a point of the arrays ends on solve_level's bits.
+level (T~ - q) sin(|x - held|/2) at the held angle's terms (_level_part),
+computed once per solve and cut with the lockstep's running points, with
+w(ix) of the free angle once per step; _no_convergence the failure reason.
+Only the Newton-or-midpoint loop is written twice: solve_level on floats,
+_solve_level_grid in lockstep on per-point (k, angle) arrays, for
+sweep_level_set's leaves and monodromy_track's samples between its chain.
+Each starts from a given start inside the bracket, per point for the
+arrays, or else the midpoint; a point of the arrays ends on solve_level's bits.
 An angle's share of T~ is the principal one plus pi per whole turn, and
 the chart value tan(x~/2) of a float angle is finite, the chart boundary
 included, so one formula serves every point.  The scalar entry points take
@@ -45,7 +46,7 @@ from .config import DEFAULTS
 from .curves import BranchPair, ModuliPoint, S_value, _check_ratio, _inverse_coords_array, forward_coords
 from .elliptic import (
     TWO_PI, _FE, _axis_angle, _chart_value, _check_modulus, _complete_KE, _complete_KE_array,
-    _half_angle, _w, _w_minus,
+    _half_angle, _w, _w_terms,
 )
 
 __all__ = [
@@ -59,15 +60,15 @@ __all__ = [
 
 # The chart algebra below takes floats or numpy arrays alike, so the scalar
 # functions and the batched solver share it.
-def _bracket(p, k, u, v):
+def _bracket(p, k, u, v, mu, mv):
     """The algebraic part p(w(iv)/(u-v) + kv) + (w(iu)/(u-v) - ku).
 
     Evaluated in a cancellation-free arrangement: each group is written as
-    [(w(ix) - k x^2) + k u v]/(u - v) with _w_minus, exact algebra that
-    stays accurate for |u| or |v| up to the floating tan limit.
+    [m + k u v]/(u - v), m = w(ix) - k x^2 given as mu and mv (_w_terms),
+    exact algebra that stays accurate for |u| or |v| up to the tan limit.
     """
     kuv = k * u * v
-    return (p * (_w_minus(v, k) + kuv) + (_w_minus(u, k) + kuv)) / (u - v)
+    return (p * (mv + kuv) + (mu + kuv)) / (u - v)
 
 
 def _chart_args(p, k, u, v):
@@ -89,9 +90,9 @@ def _angle_args(p, k, u_tilde, v_tilde):
     return _chart_args(p, k, _chart_value(u_tilde), _chart_value(v_tilde))
 
 
-def _dt0_du(p, k, K, E, u, v):
-    """dT0/du off the diagonal, given K(k) and E(k); see dt0_du_raw."""
-    wu, wv = _w(u, k), _w(v, k)
+def _dt0_du(p, k, K, E, u, v, wu=None, wv=None):
+    """dT0/du off the diagonal, given K(k), E(k), and w(iu), w(iv) if known; see dt0_du_raw."""
+    wu, wv = (_w(u, k), _w(v, k)) if wu is None else (wu, wv)
     d = u - v
     duv = d * d
     poly = 1.0 + u * u - u * v + k * k * u * v + v * v + k * k * u * u * v * v
@@ -108,7 +109,7 @@ def t0_raw(p: float, k: float, u: float, v: float) -> float:
     (su, cu), (sv, cv) = _axis_angle(u), _axis_angle(v)
     (Fu, Eu), (Fv, Ev) = _FE(su, cu, k), _FE(sv, cv, k)
     fu, fv = E * Fu - K * Eu, E * Fv - K * Ev
-    return _t_tilde(p, k, K, (fu, u), (fv, v))
+    return _t_tilde(p, k, K, (fu, u, *_w_terms(u, k)), (fv, v, *_w_terms(v, k)))
 
 
 def T0_value(mp: ModuliPoint) -> float:
@@ -129,18 +130,18 @@ def t_tilde_raw(p: float, k: float, u_tilde: float, v_tilde: float) -> float:
 
 
 def _level_part(k, K, E, x_tilde):
-    """One angle's share E F~(x~) - K E~(x~) of T~ and its chart value
-    tan(x~/2), on floats or arrays: the share at the reduced half-angle plus
-    pi per whole turn, since E K' + K E' - K K' = pi/2."""
+    """One angle's share E F~(x~) - K E~(x~) of T~, its chart value
+    u = tan(x~/2) and _w_terms(u), on floats or arrays: the share at the
+    reduced half-angle plus pi per whole turn, since E K' + K E' - K K' = pi/2."""
     m, s, c, u = _half_angle(x_tilde)
     F, E_reg = _FE(s, c, k)
-    return E * F - K * E_reg + m * math.pi, u
+    return E * F - K * E_reg + m * math.pi, u, *_w_terms(u, k)
 
 
 def _t_tilde(p, k, K, terms_u, terms_v):
-    """T~ from the shares of u~ and v~ (_level_part), floats or arrays."""
-    (fu, u), (fv, v) = terms_u, terms_v
-    return (4.0 * p * fv - 4.0 * fu - 4.0 * K * _bracket(p, k, u, v)) / TWO_PI
+    """T~ from the terms of u~ and v~ (_level_part), floats or arrays."""
+    (fu, u, _, mu), (fv, v, _, mv) = terms_u, terms_v
+    return (4.0 * p * fv - 4.0 * fu - 4.0 * K * _bracket(p, k, u, v, mu, mv)) / TWO_PI
 
 
 def T_tilde(mp: ModuliPoint) -> float:
@@ -167,9 +168,9 @@ def dT_tilde_du_tilde(p: float, k: float, u_tilde: float, v_tilde: float) -> flo
     return _dT_du(*_angle_args(p, k, u_tilde, v_tilde))
 
 
-def _dT_du(p, k, K, E, u, v):
-    """dT_tilde_du_tilde at chart values u and v (floats or arrays), given K(k) and E(k)."""
-    return 0.5 * (1.0 + u * u) * _dt0_du(p, k, K, E, u, v)
+def _dT_du(p, k, K, E, u, v, wu=None, wv=None):
+    """dT_tilde_du_tilde at chart values u, v (floats or arrays), given K(k), E(k), w's if known."""
+    return 0.5 * (1.0 + u * u) * _dt0_du(p, k, K, E, u, v, wu, wv)
 
 
 def dT_tilde_dv_tilde(p: float, k: float, u_tilde: float, v_tilde: float) -> float:
@@ -178,9 +179,9 @@ def dT_tilde_dv_tilde(p: float, k: float, u_tilde: float, v_tilde: float) -> flo
     return _dT_dv(*_angle_args(p, k, u_tilde, v_tilde))
 
 
-def _dT_dv(p, k, K, E, u, v):
-    """dT_tilde_dv_tilde at chart values u and v (floats or arrays), given K(k) and E(k)."""
-    return -0.5 * (1.0 + v * v) * p * _dt0_du(1.0 / p, k, K, E, v, u)
+def _dT_dv(p, k, K, E, u, v, wu=None, wv=None):
+    """dT_tilde_dv_tilde at chart values u, v (floats or arrays), given K(k), E(k), w's if known."""
+    return -0.5 * (1.0 + v * v) * p * _dt0_du(1.0 / p, k, K, E, v, u, wv, wu)
 
 
 class LevelSolveError(RuntimeError):
@@ -206,21 +207,22 @@ def _band(p, held_angle):
 
 
 def _level_fns(p, q, k, K, E, held):
-    """The closures level(x), giving f = T~ - q and the chart value w at free
-    angle x, and slope(f, w), giving f' + f g'/g for g = sin(|x - held|/2),
-    for the held angle's share ``held`` (_level_part); floats or arrays.  Then
-    -f/slope is Newton's step on f g, which has the roots of f but not its
-    poles at the band ends; g'/g = (1 + u w)/(2(w - u)) at held chart value u."""
-    solve_for_u, u = p > 1.0, held[1]
+    """The closures level(x), giving f = T~ - q and the terms of free angle
+    x, and slope(f, free), giving f' + f g'/g for g = sin(|x - held|/2), at
+    the held angle's terms ``held`` (_level_part); floats or arrays.  -f/slope
+    is Newton's step on f g, which has the roots of f but not its poles at
+    the band ends; g'/g = (1 + u w)/(2(w - u)) at chart values u held, w free."""
+    solve_for_u, (_, u, wu, _) = p > 1.0, held
 
     def level(x):
         free = _level_part(k, K, E, x)
         if solve_for_u:
-            return _t_tilde(p, k, K, free, held) - q, free[1]
-        return _t_tilde(p, k, K, held, free) - q, free[1]
+            return _t_tilde(p, k, K, free, held) - q, free
+        return _t_tilde(p, k, K, held, free) - q, free
 
-    def slope(f, w):
-        d = _dT_du(p, k, K, E, w, u) if solve_for_u else _dT_dv(p, k, K, E, u, w)
+    def slope(f, free):
+        _, w, ww, _ = free
+        d = _dT_du(p, k, K, E, w, u, ww, wu) if solve_for_u else _dT_dv(p, k, K, E, u, w, wu, ww)
         return d + f * (1.0 + u * w) / (2.0 * (w - u))
     return level, slope
 
@@ -244,7 +246,7 @@ def solve_level(p: float, q: float, k: float, fixed_angle: float,
     angle such as a continuation's prediction, when strictly inside that
     bracket, and else (nan included) the bracket's midpoint; a level out of
     reach fails when the iterate stalls, or after _MAX_STEPS steps.  The
-    held angle and the start are taken as floats, not in the caller's type.
+    held angle, start and q are solved as floats, not in the caller's type.
     """
     p = _check_ratio(p)
     fixed_angle = float(fixed_angle)
@@ -256,22 +258,22 @@ def solve_level(p: float, q: float, k: float, fixed_angle: float,
     k = _check_modulus(k)
     K, E = _complete_KE(k)
     a, b, sign = _band(p, fixed_angle)
-    level, slope = _level_fns(p, q, k, K, E, _level_part(k, K, E, fixed_angle))
+    level, slope = _level_fns(p, float(q), k, K, E, _level_part(k, K, E, fixed_angle))
     x = start if start is not None and a < start < b else 0.5 * (a + b)
-    fx, chart = level(x)
+    fx, free = level(x)
     for _ in range(_MAX_STEPS):
         if abs(fx) < tol:
             u, v = (x, fixed_angle) if p > 1.0 else (fixed_angle, x)
             return ModuliPoint(p=p, k=k, u_tilde=u, v_tilde=v)
         a, b = (x, b) if (fx < 0.0) == (sign > 0.0) else (a, x)
-        d = slope(fx, chart)
+        d = slope(fx, free)
         step = -fx / d if d != 0.0 else 0.0
         xn = x + step
         if not (min(a, b) < xn < max(a, b)) or step == 0.0:
             xn = 0.5 * (a + b)
         if xn == x:
             break
-        x, (fx, chart) = xn, level(xn)
+        x, (fx, free) = xn, level(xn)
     raise LevelSolveError(_no_convergence(q, fx))
 
 
@@ -306,12 +308,12 @@ def _solve_level_grid(p: float, q: float, k: np.ndarray, angle: np.ndarray,
         if start is not None:
             start = np.asarray(start, float)
             x = np.where((a < start) & (start < b), start, x)
-        fx, chart = level(x)
+        fx, free = level(x)
         for _ in range(_MAX_STEPS):
             done = np.abs(fx) < tol
             lower = (fx < 0.0) == (sign > 0.0)
             a, b = np.where(lower, x, a), np.where(lower, b, x)
-            d = slope(fx, chart)
+            d = slope(fx, free)
             step = np.where(d != 0.0, -fx / d, 0.0)
             xn = x + step
             inside = (np.minimum(a, b) < xn) & (xn < np.maximum(a, b)) & (step != 0.0)
@@ -327,7 +329,7 @@ def _solve_level_grid(p: float, q: float, k: np.ndarray, angle: np.ndarray,
                 idx, xn, a, b, k, K, E, *held = (
                     v[stay] for v in (idx, xn, a, b, k, K, E, *held))
                 level, slope = _level_fns(p, q, k, K, E, held)
-            x, (fx, chart) = xn, level(xn)
+            x, (fx, free) = xn, level(xn)
         else:
             residual[idx] = fx
     return solved, residual

@@ -748,25 +748,89 @@ class TestMonodromy:
                                                       monkeypatch, bench_inputs):
         # the benchmark checks each loop by sampling the solve_level calls
         # that it makes with (p, q, k, angle) as positional arguments, so
-        # every loop must still make one; over two seed-1 loops of each kind
-        # and length, each returns the integer of the cold frame loop
-        jobs = [job for job in loop_jobs(bench_inputs, 1)
-                if (job["contractible"], job["samples"]) == (contractible, samples)]
-        assert len(jobs) >= 2
-        for job in jobs[:2]:
-            scalar, _ = recorded_solves(monkeypatch)
-            args = Fraction(job["q"]), samples, job["k"], job["u_tilde0"], contractible
-            turns = monodromy_track(*args)
-            assert scalar and all(len(a) >= 4 for a, _, _ in scalar)
-            monkeypatch.undo()
-            assert turns == reference_monodromy(*args)
+        # every loop must still make one; over two loops of each kind and
+        # length at seeds 1, 2 and 3, each returns the cold frame loop's integer
+        for seed in (1, 2, 3):
+            jobs = [job for job in loop_jobs(bench_inputs, seed)
+                    if (job["contractible"], job["samples"]) == (contractible, samples)]
+            assert len(jobs) >= 2
+            for job in jobs[:2]:
+                scalar, _ = recorded_solves(monkeypatch)
+                args = Fraction(job["q"]), samples, job["k"], job["u_tilde0"], contractible
+                turns = monodromy_track(*args)
+                assert scalar and all(len(a) >= 4 for a, _, _ in scalar)
+                monkeypatch.undo()
+                assert turns == reference_monodromy(*args)
 
-    @pytest.mark.parametrize("k, contractible", [
-        (0.0, False), (-0.1, False), (1.0, False), (math.nan, False),
-        (0.03, True), (0.97, True), (0.05, True)])
-    def test_modulus_out_of_range_rejected(self, k, contractible):
-        with pytest.raises(ValueError, match=r"k=.*outside"):
-            monodromy_track(Fraction(1, 2), loop_samples=16, k=k, contractible=contractible)
+    @pytest.mark.parametrize("contractible", [False, True])
+    @pytest.mark.parametrize("samples", [64, 96, 128])
+    def test_samples_are_the_loop_points_bit_for_bit(self, contractible, samples, monkeypatch):
+        # the one array pass over the samples gives loop_point's (k, u~) at
+        # every sample, start angles on float odd multiples of pi included
+        chain = [*range(0, samples, 16), samples]
+        for u_tilde0 in (0.3, math.pi, -math.pi, 3 * math.pi):
+            scalar, lockstep = recorded_solves(monkeypatch)
+            monodromy_track(Fraction(1, 2), samples, 0.5, u_tilde0, contractible)
+            monkeypatch.undo()
+            got = {j: (args[2], args[3]) for j, (args, _, _) in zip(chain, scalar)}
+            [((_, _, ks, angles, _), _, _)] = lockstep
+            fill = [j for j in range(samples + 1) if j not in got]
+            got.update(zip(fill, zip(ks.tolist(), angles.tolist())))
+            want = [loop_point(j / samples, 0.5, u_tilde0, contractible)
+                    for j in range(samples + 1)]
+            assert [(k.hex(), u.hex()) for k, u in map(got.get, range(samples + 1))] == [
+                (k.hex(), u.hex()) for k, u in want]
+
+    @pytest.mark.parametrize("contractible", [False, True])
+    def test_a_loop_without_bisection_makes_no_per_sample_call(self, contractible,
+                                                              monkeypatch):
+        # the samples come from one array pass, so the scalar calls are the
+        # rescale of the start angle and the chain's seven solve_level calls
+        rescaled = []
+
+        def recorded_rescale(x_tilde, s):
+            rescaled.append(x_tilde)
+            return angle_rescale(x_tilde, s)
+        monkeypatch.setattr(differentials, "angle_rescale", recorded_rescale)
+        scalar, _ = recorded_solves(monkeypatch)
+        monodromy_track(Fraction(1, 2), 96, 0.5, 0.3, contractible)
+        assert [type(x) for x in rescaled] == [float] + [np.ndarray] * (not contractible)
+        assert [args[3] for args, _, _ in scalar] == [
+            loop_point(j / 96, 0.5, 0.3, contractible)[1] for j in (0, 16, 32, 48, 64, 80, 96)]
+
+    def test_a_jump_is_bisected_down_to_the_floor(self, monkeypatch):
+        # a false jump of 3 in gamma+ where k > 0.53 on the contractible loop
+        # around k = 0.5, entered near t = 0.102 and left near t = 0.398:
+        # each of the two steps across it is bisected until it is at most
+        # 1e-4 long, 7 halvings of 1/96, and then the opposite jumps cancel
+        gamma_plus, angles = differentials._gamma_plus, []
+
+        def jumped(p, k, K, E, u, v):
+            return gamma_plus(p, k, K, E, u, v) + 3.0 * (k > 0.53)
+
+        def counted(*args, **kw):
+            angles.append(args[3])
+            assert len(angles) < 100, "the bisection does not stop"
+            return solve_level(*args, **kw)
+        monkeypatch.setattr(differentials, "_gamma_plus", jumped)
+        monkeypatch.setattr(differentials, "solve_level", counted)
+        assert monodromy_track(Fraction(1, 2), 96, 0.5, 0.3, contractible=True) == 0
+        assert len(angles) == 7 + 2 * 7
+
+    @pytest.mark.parametrize("k, u_tilde0, contractible, message", [
+        (0.0, 0.3, False, "k=0.0 outside"), (-0.1, 0.3, False, "k=-0.1 outside"),
+        (1.0, 0.3, False, "k=1.0 outside"), (math.nan, 0.3, False, "k=nan outside"),
+        (0.03, 0.3, True, "k=0.03 outside"), (0.97, 0.3, True, "k=0.97 outside"),
+        (0.05, 0.3, True, "k=0.05 outside"),
+        # math.tan(inf) raised "math domain error"; nan failed in the chain
+        (0.5, math.inf, False, "u_tilde0 must be finite, got inf"),
+        (0.5, math.nan, False, "u_tilde0 must be finite, got nan"),
+        (0.5, -math.inf, True, "u_tilde0 must be finite, got -inf"),
+        (0.5, math.nan, True, "u_tilde0 must be finite, got nan")])
+    def test_out_of_range_input_rejected(self, k, u_tilde0, contractible, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            monodromy_track(Fraction(1, 2), loop_samples=16, k=k, u_tilde0=u_tilde0,
+                            contractible=contractible)
 
 
 def frame_gamma_plus(mp):

@@ -91,6 +91,18 @@ def test_level_functions_evaluate_at_the_float_of_each_angle():
     assert got[0].dtype == np.float64 and got[0].tobytes() == want[0].tobytes()
 
 
+@pytest.mark.parametrize("q", [np.float32(0.3), np.float64(0.3), Fraction(3, 10)],
+                         ids=["float32", "float64", "Fraction"])
+def test_solve_level_solves_at_the_float_of_q(q):
+    # solve_level(1.0, np.float32(0.3), 0.5, 0.7) failed on the float32
+    # residual np.float32(8.940697e-08): T~ - q took the caller's type
+    got, want = solve_level(1.0, q, 0.5, 0.7), solve_level(1.0, float(q), 0.5, 0.7)
+    assert type(got.v_tilde) is float and hex_point(got) == hex_point(want)
+    # an unreachable level fails with the caller's q in its reason
+    with pytest.raises(LevelSolveError, match=re.escape(f"no convergence for q={q * 10**15!r}: ")):
+        solve_level(1.0, q * 10**15, 0.5, 0.7)
+
+
 def test_step_limit_fails_with_the_scalar_reason(monkeypatch, bench_inputs):
     # a point still iterating after _MAX_STEPS steps fails on the residual
     # of its last iterate, in the sweep as in solve_level
