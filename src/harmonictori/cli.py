@@ -110,16 +110,12 @@ class CurveReport:
 
 
 def cmd_curve_info(args, cfg: RunConfig) -> int:
-    try:
-        alpha = _parse_complex(args.alpha)
-        beta = _parse_complex(args.beta)
-        if args.max_den < 1:
-            raise ValueError("max-den must be at least 1")
-        bp = BranchPair(alpha, beta)
-        frame = build_frame(bp)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    alpha = _parse_complex(args.alpha)
+    beta = _parse_complex(args.beta)
+    if args.max_den < 1:
+        raise ValueError("max-den must be at least 1")
+    bp = BranchPair(alpha, beta)
+    frame = build_frame(bp)
     detected = spectral_test(bp, args.max_den, cfg.detection_tol)
     closing = None
     if detected is not None:
@@ -189,24 +185,16 @@ def _write_mesh_obj(mesh: LevelSetMesh, path: str, text: tuple[list[str], ...]) 
 
 
 def cmd_level_set(args, cfg: RunConfig) -> int:
-    try:
-        p = _parse_fraction(args.p)
-        q = _parse_fraction(args.q)
-        mesh = sweep_level_set(p, q, args.k_grid, args.angle_grid, args.span,
-                               k_min=cfg.k_min, k_max=cfg.k_max,
-                               angle_start=cfg.angle_start,
-                               solver_tol=cfg.solver_tol)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    p = _parse_fraction(args.p)
+    q = _parse_fraction(args.q)
+    mesh = sweep_level_set(p, q, args.k_grid, args.angle_grid, args.span,
+                           k_min=cfg.k_min, k_max=cfg.k_max,
+                           angle_start=cfg.angle_start,
+                           solver_tol=cfg.solver_tol)
     text = _solved_text(mesh)
-    try:
-        _write_level_set(mesh, cfg, args.span, args.out, text)
-        if args.mesh:
-            _write_mesh_obj(mesh, args.mesh, text)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    _write_level_set(mesh, cfg, args.span, args.out, text)
+    if args.mesh:
+        _write_mesh_obj(mesh, args.mesh, text)
     n_ok, n_bad = int(mesh.solved.sum()), len(mesh.failures)
     print(f"wrote {n_ok} records to {args.out}"
           + (f" ({n_bad} failures)" if n_bad else "")
@@ -215,15 +203,11 @@ def cmd_level_set(args, cfg: RunConfig) -> int:
 
 
 def cmd_enumerate(args, cfg: RunConfig) -> int:
-    try:
-        p = _parse_fraction(args.p)
-        if p <= 0:
-            raise ValueError("p must be positive")
-        if args.max_den < 1:
-            raise ValueError("max-den must be at least 1")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    p = _parse_fraction(args.p)
+    if p <= 0:
+        raise ValueError("p must be positive")
+    if args.max_den < 1:
+        raise ValueError("max-den must be at least 1")
     if p == 1:
         # annuli are labeled by q itself; list |q| <= 1 at this denominator cap
         qs = sorted({Fraction(n, d) for d in range(1, args.max_den + 1)
@@ -245,17 +229,13 @@ def cmd_enumerate(args, cfg: RunConfig) -> int:
 
 
 def cmd_genus0(args, cfg: RunConfig) -> int:
-    try:
-        alpha = _parse_complex(args.alpha)
-        entries = [int(v) for v in args.matrix.split(",")]
-        if len(entries) != 4:
-            raise ValueError("matrix needs exactly four integers a,b,c,d")
-        matrix = ((entries[0], entries[1]), (entries[2], entries[3]))
-        data = Genus0Data(alpha=alpha, matrix=matrix)
-        m = map_params(alpha)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    alpha = _parse_complex(args.alpha)
+    entries = [int(v) for v in args.matrix.split(",")]
+    if len(entries) != 4:
+        raise ValueError("matrix needs exactly four integers a,b,c,d")
+    matrix = ((entries[0], entries[1]), (entries[2], entries[3]))
+    data = Genus0Data(alpha=alpha, matrix=matrix)
+    m = map_params(alpha)
     # cross-checks before printing: inverse transform, double periodicity
     # and the closed form of r_1
     lat = period_lattice(m.x)
@@ -293,11 +273,7 @@ def cmd_genus0(args, cfg: RunConfig) -> int:
 
 
 def cmd_verify(args, cfg: RunConfig) -> int:
-    try:
-        results = run_suites(args.suite, args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    results = run_suites(args.suite, args.seed)
     failed = [r for r in results if not r.passed]
     for r in results:
         print(r.line())
@@ -363,7 +339,11 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: bad config: {exc}", file=sys.stderr)
         return 1
-    return args.func(args, cfg)
+    try:
+        return args.func(args, cfg)
+    except (OSError, ValueError) as exc:  # invalid input, or an output path not writable
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

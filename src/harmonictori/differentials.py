@@ -35,7 +35,7 @@ from functools import cache
 import numpy as np
 
 from .curves import (
-    _OFF_CHART, BranchPair, JacobiFrame, ModuliPoint, S_value, _center, angle_rescale,
+    _OFF_CHART, BranchPair, JacobiFrame, S_value, _center, angle_rescale,
 )
 from .config import DEFAULTS
 from .elliptic import (
@@ -501,21 +501,16 @@ def _theta_P_gamma_value(sign: int, frame: JacobiFrame) -> complex:
 
     i [4E ImF(ix) - 4K Im(E - k i x)(x) - 4K G(x)] at the frame's finite
     chart value x = u (sign +) or x = v (sign -), with G grouped so large |x|
-    stays cancellation-free.
+    stays cancellation-free; a chart value stays below 1.7e16, so x^2
+    cannot overflow.
     """
-    return 1j * _theta_P_gamma_imag(frame.k, frame.u if sign == 1 else frame.v, frame.z0)
-
-
-def _theta_P_gamma_imag(k: float, x: float, z0: complex) -> float:
-    """Im of _theta_P_gamma_value at the endpoint chart value x, which is
-    finite: a chart value stays below 1.7e16, so x^2 cannot overflow."""
-    k = _check_modulus(k)
-    return _gamma_imag(k, *_complete_KE(k), x, z0.real, z0.imag)
+    x, z0 = frame.u if sign == 1 else frame.v, frame.z0
+    return 1j * _gamma_imag(frame.k, *_complete_KE(frame.k), x, z0.real, z0.imag)
 
 
 def _gamma_imag(k, K, E, x, x0, y0):
-    """_theta_P_gamma_imag at z0 = x0 + i y0, given K(k) and E(k), on floats
-    or arrays."""
+    """Im of _theta_P_gamma_value at the chart value x and z0 = x0 + i y0,
+    given K(k) and E(k), on floats or arrays."""
     d = x - y0
     m_num = d * (_w_terms(x, k)[1] + k * x * y0) - k * x * x0 * x0
     F, E_reg = _FE(*_axis_angle(x), k)
@@ -535,14 +530,6 @@ def _gamma_plus(p, k, K, E, u, v):
         z0 = complex(np.ravel(x0)[bad[0]], np.ravel(y0)[bad[0]])
         raise ValueError(f"z0 = {z0!r} is not finite with Re z0 > 0")
     return _gamma_imag(k, K, E, u, x0, y0)
-
-
-def _chart_gamma_plus(mp: ModuliPoint) -> float:
-    """_gamma_plus at one moduli point, the one-point case of the array pass.
-    At a float odd multiple of pi it takes the side the float lies on (the
-    right of -pi and -3 pi, 4 pi off the left); monodromy_track absorbs that."""
-    return _gamma_plus(mp.p, mp.k, *_complete_KE(mp.k),
-                       _chart_value(mp.u_tilde), _chart_value(mp.v_tilde))
 
 
 def theta_P_gamma_closed(sign: int, frame: JacobiFrame) -> complex:
@@ -775,18 +762,18 @@ def monodromy_track(q: Fraction, loop_samples: int = 48, k: float = 0.5,
     small contractible loop in the (k, angle) chart when ``contractible``.
     The annulus loop is oriented so that the closing integral over the
     gamma+ path gains +2 pi i per circuit, matching the deck-shift bookkeeping.
-    The samples (k, u~) are taken in one array pass.  A coarse chain of
-    every 16th sample and the last one takes one solve_level each, started
-    from the cubic extrapolation of v~ - u~ through the last four chain
-    samples (a cold solve at the first).  The other samples are solved in
-    one _solve_level_grid call, started from the interpolation of v~ - u~
-    through their nearest four chain samples, so a sample angle agrees with
-    a cold solve_level to within solver_tol, not bit for bit.  gamma+ is
-    then the chart's closed form at all samples in one array pass.  A step's
+    The samples (k, u~) are taken in array passes.  A coarse chain of every
+    16th sample and the last one takes one solve_level each, started from
+    the cubic extrapolation of v~ - u~ through the last four chain samples
+    (a cold solve at the first).  Every other sample is solved in rounds.
+    A round solves its unsolved samples in one _solve_level_grid call, each
+    started from the interpolation of v~ - u~ through its nearest four
+    solved samples, so a sample angle agrees with a cold solve_level to
+    within solver_tol, not bit for bit; then it evaluates gamma+, the
+    chart's closed form, at every sample in one array pass.  A step's
     increment is its difference d to the nearest turn, d + 2 pi round(-d/2 pi);
-    a step whose increment exceeds 2 and that is longer than 1e-4 is bisected,
-    in rounds, each midpoint by one solve_level started from the
-    interpolation through its nearest samples."""
+    the midpoint of each step whose increment exceeds 2 and that is longer
+    than 1e-4 is an unsolved sample of the next round."""
     if not 0.0 < k < 1.0 or contractible and not 0.05 < k < 0.95:
         raise ValueError(f"k={k!r} outside (0, 1), or (0.05, 0.95) for a contractible loop")
     if not math.isfinite(u_tilde0):
@@ -800,15 +787,15 @@ def monodromy_track(q: Fraction, loop_samples: int = 48, k: float = 0.5,
     U0 = angle_rescale(u_tilde0, rk)
 
     def sample(t):
-        """(k, u~) along the loop at parameter t in [0, 1], float or array."""
+        """(k, u~) arrays along the loop at the parameters t in [0, 1]."""
         if contractible:
             return (k + 0.05 * _per_element(math.sin, TWO_PI * t),
                     u_tilde0 + 0.2 * (_per_element(math.cos, TWO_PI * t) - 1.0))
-        return k, angle_rescale(U0 + math.pi * t, 1.0 / rk)
+        return np.full(t.size, k), angle_rescale(U0 + math.pi * t, 1.0 / rk)
 
     ts = np.arange(loop_samples + 1) / loop_samples
-    ks, us = (np.full(ts.size, x) for x in sample(ts))  # the annulus's k is a float
-    vs = np.full(us.size, math.nan)
+    ks, us = sample(ts)
+    vs = np.full(ts.size, math.nan)
     # the coarse chain: every 16th sample and the last one, one solve_level each
     chain = [*range(0, loop_samples, _CHAIN_STRIDE), loop_samples]
     for i, j in enumerate(chain):
@@ -816,38 +803,30 @@ def monodromy_track(q: Fraction, loop_samples: int = 48, k: float = 0.5,
         guess = _extrapolate(ts[near].tolist(), (vs[near] - us[near]).tolist(), ts[j])
         ut = us[j].item()
         vs[j] = solve_level(1.0, qf, ks[j].item(), ut, start=ut + guess).v_tilde
-    # the other samples in lockstep, each started from the interpolation
-    # through its nearest four chain samples (rows of ``near``)
-    fill = np.flatnonzero(np.isnan(vs))
-    order = min(4, len(chain))
-    first = np.clip(np.searchsorted(chain, fill) - 2, 0, len(chain) - order)
-    near = np.array(chain)[first + np.arange(order)[:, None]]
-    guess = _extrapolate(list(ts[near]), list(vs[near] - us[near]), ts[fill])
-    solved, residual = _solve_level_grid(1.0, qf, ks[fill], us[fill], DEFAULTS.solver_tol,
-                                         start=us[fill] + guess)
-    failed = np.isnan(solved)
-    if failed.any():
-        raise LevelSolveError(_no_convergence(qf, residual[failed][0].item()))
-    vs[fill] = solved
-    values = _gamma_plus(1.0, ks, *_complete_KE_array(ks), _chart_value(us), _chart_value(vs))
-
-    # rounds of bisection where a step crosses a principal-branch jump too fast
-    offsets = vs - us
     while True:
+        # the unsolved samples in lockstep, each started from the
+        # interpolation through its nearest four solved samples (rows of ``near``)
+        fill, known = np.flatnonzero(np.isnan(vs)), np.flatnonzero(~np.isnan(vs))
+        order = min(4, known.size)
+        first = np.clip(np.searchsorted(known, fill) - 2, 0, known.size - order)
+        near = known[first + np.arange(order)[:, None]]
+        guess = _extrapolate(list(ts[near]), list(vs[near] - us[near]), ts[fill])
+        solved, residual = _solve_level_grid(1.0, qf, ks[fill], us[fill], DEFAULTS.solver_tol,
+                                             start=us[fill] + guess)
+        failed = np.isnan(solved)
+        if failed.any():
+            raise LevelSolveError(_no_convergence(qf, residual[failed][0].item()))
+        vs[fill] = solved
+        values = _gamma_plus(1.0, ks, *_complete_KE_array(ks), _chart_value(us), _chart_value(vs))
+        # bisect where a step crosses a principal-branch jump too fast
         d = values[1:] - values[:-1]
         increments = d + TWO_PI * np.rint(-d / TWO_PI)
         steps = ((np.abs(increments) > 2.0) & (ts[1:] - ts[:-1] > 1e-4)).nonzero()[0]
         if not steps.size:
             break
-        mids, inserted = 0.5 * (ts[steps] + ts[steps + 1]), []
-        for i, t in zip(steps.tolist(), mids.tolist()):
-            near = slice(max(0, i - 1), i + 3)
-            kk, ut = sample(t)
-            mp = solve_level(1.0, qf, kk, ut,
-                             start=ut + _extrapolate(ts[near].tolist(), offsets[near].tolist(), t))
-            inserted.append((_chart_gamma_plus(mp), mp.v_tilde - mp.u_tilde))
-        ts, values, offsets = (np.insert(x, steps + 1, y) for x, y in
-                               zip((ts, values, offsets), (mids, *zip(*inserted))))
+        mids = 0.5 * (ts[steps] + ts[steps + 1])
+        ts, ks, us, vs = (np.insert(x, steps + 1, y) for x, y in
+                          zip((ts, ks, us, vs), (mids, *sample(mids), math.nan)))
 
     delta = float(increments.sum())
     turns = round(delta / TWO_PI)
@@ -888,8 +867,9 @@ def hitchin_checklist(frame: JacobiFrame,
     l theta_P from one quadrature pass over every contour, and P8 measures
     the closing integrals / 2 pi i against the closing's integers (n, m,
     gamma_plus, gamma_minus), or the nearest integers for the raw pair.  The
-    quaternionic line-bundle condition is a one-parameter choice that this
-    library does not construct; it is reported as a note.
+    quaternionic line bundle, a circle of choices, is not constructed, so
+    the list has no entry for it: each entry's residual is one the
+    checklist computes.
     """
     p1_z, test_z = _checklist_samples()
     geom = _Geometry(frame)
@@ -968,6 +948,4 @@ def hitchin_checklist(frame: JacobiFrame,
     entries.append(ChecklistEntry("P9 independent principal parts",
                                   0.0 if indep > 1e-6 else 1.0,
                                   f"|Im(pp ratio)| = {indep:.3e}"))
-    entries.append(ChecklistEntry("P10 quaternionic line bundle", 0.0,
-                                  "circle of line-bundle choices; not constructed"))
     return entries

@@ -18,7 +18,8 @@ computed once per solve and cut with the lockstep's running points, with
 w(ix) of the free angle once per step; _no_convergence the failure reason.
 Only the Newton-or-midpoint loop is written twice: solve_level on floats,
 _solve_level_grid in lockstep on per-point (k, angle) arrays, for
-sweep_level_set's leaves and monodromy_track's samples between its chain.
+sweep_level_set's leaves and, one call per round, every monodromy_track
+sample off its solve_level chain, bisection midpoints included.
 Each starts from a given start inside the bracket, per point for the
 arrays, or else the midpoint; a point of the arrays ends on solve_level's bits.
 An angle's share of T~ is the principal one plus pi per whole turn, and

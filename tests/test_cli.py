@@ -4,6 +4,7 @@ import ast
 import importlib
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -134,6 +135,20 @@ class TestCurveInfo:
             if "residual" in line and "P" in line:
                 val = float(line.split("residual")[1].split()[0])
                 assert val < 1e-7
+
+    def test_checklist_prints_the_nine_measured_entries(self, capsys):
+        # the quaternionic line bundle is not constructed, so no line reports
+        # a residual for it; each printed line is a measured residual
+        assert main(["curve-info", "--alpha", "0.3,0.0", "--beta=-0.3,0.0"]) == 0
+        out = capsys.readouterr().out
+        lines = out.split("checklist:\n")[1].splitlines()
+        items = [re.fullmatch(r"  (.{34}) residual \d\.\d{3}e[+-]\d\d  \(.*\)", line)
+                 for line in lines]
+        assert [m[1].rstrip() for m in items] == [
+            "P1 real curve", "P2 no circle zeros", "P3 double poles, no residues",
+            "P4 involution odd", "P5 reality", "P6 imaginary periods", "P7 periods in 2 pi i Z",
+            "P8 closing integrals", "P9 independent principal parts"]
+        assert "line bundle" not in out
 
     def test_generic_curve_not_spectral(self, capsys):
         code = main(["curve-info", "--alpha", "0.31,0.2", "--beta", "0.4,-0.12"])

@@ -19,15 +19,15 @@ from harmonictori.curves import (
 )
 from harmonictori.differentials import (
     _BLOCK, _RULE_W, _RULE_X, ContinuationError, PathError, PathSpec, PoleError,
-    _Geometry, _Segment, _chart_gamma_plus, _integrate, _sweep, _theta_P_gamma_imag,
-    _theta_P_gamma_value,
+    _Geometry, _Segment, _gamma_imag, _integrate, _sweep, _theta_P_gamma_value,
     _track_sheet, construct_psi, contour_integral,
     eta_plus, gamma0_path, gamma_closing_values, hitchin_checklist, laurent_coefficients, loop_A,
     loop_B, monodromy_track, theta_E_gamma, theta_P_characterization_check,
     theta_P_gamma_closed,
 )
 from harmonictori.elliptic import (
-    _chart_value, _complete_KE_array, complementary_modulus, complete_E, complete_K,
+    _chart_value, _complete_KE, _complete_KE_array, complementary_modulus, complete_E,
+    complete_K,
 )
 from harmonictori.config import DEFAULTS
 from harmonictori.moduli import S_value, solve_level, spectral_test, t0_raw, t_tilde_raw
@@ -622,8 +622,8 @@ class TestConstructPsi:
 
 def recorded_solves(monkeypatch):
     """Record every solve monodromy_track makes: its solve_level calls (the
-    chain and inserted midpoints) as (args, kwargs, point), and its
-    _solve_level_grid calls (the lockstep fill) as (args, kwargs, solved)."""
+    chain) as (args, kwargs, point), and its _solve_level_grid calls (one
+    per round of lockstep solves) as (args, kwargs, solved)."""
     scalar, lockstep = [], []
 
     def recorded(*args, **kw):
@@ -642,10 +642,9 @@ def recorded_solves(monkeypatch):
 
 def tracked_monodromy(monkeypatch, q, loop_samples, k=0.5, u_tilde0=0.3, contractible=False):
     """monodromy_track, with a check that every sample it solves, in its
-    solve_level chain, its lockstep fill or an inserted midpoint, solves its
-    level to solver_tol at its held angle, that a fill point is solve_level's
-    from the same start bit for bit, and that every loop point is one of
-    them."""
+    solve_level chain or a lockstep round, solves its level to solver_tol at
+    its held angle, that a lockstep point is solve_level's from the same
+    start bit for bit, and that every loop point is one of them."""
     scalar, lockstep = recorded_solves(monkeypatch)
     turns = monodromy_track(q, loop_samples, k, u_tilde0, contractible)
     points = []
@@ -729,16 +728,27 @@ class TestMonodromy:
     @pytest.mark.parametrize("u_tilde0", [0.3, -2.0, 2.5, 3.1])
     def test_inserted_midpoints(self, q, u_tilde0, monkeypatch):
         # at k = 0.05 eight samples cross a principal-branch jump too fast, so
-        # the loop bisects a step; the predictor must only ever see accepted
-        # samples (a rejected t seen twice would divide by zero), and each
-        # sample, inserted or not, is solved once: the chain's two and each
-        # inserted midpoint by solve_level, the other seven in lockstep
+        # the loop bisects a step.  The chain solves two samples by
+        # solve_level and the first lockstep round the other seven; each
+        # later round solves exactly the midpoints of adjacent samples that
+        # it inserts, in one lockstep call.  So each sample is solved once,
+        # and every start is finite: the interpolation runs through solved
+        # samples only (an unsolved one would give a nan start)
         scalar, lockstep = recorded_solves(monkeypatch)
         turns = monodromy_track(q, 8, 0.05, u_tilde0)
-        [((_, _, _, fill, _), _, _)] = lockstep
-        angles = [args[3] for args, _, _ in scalar] + fill.tolist()
-        assert len(scalar) > 2 and fill.size == 7
+        rounds = [(angles.tolist(), kw["start"]) for (_, _, _, angles, _), kw, _ in lockstep]
+        assert len(scalar) == 2 and len(rounds[0][0]) == 7 and len(rounds) > 1
+        ts = [j / 8 for j in range(9)]
+        assert sorted(rounds[0][0] + [args[3] for args, _, _ in scalar]) == sorted(
+            loop_point(t, 0.05, u_tilde0)[1] for t in ts)
+        for angles, _ in rounds[1:]:
+            mids = {loop_point(m, 0.05, u_tilde0)[1]: m for m in
+                    (0.5 * (a + b) for a, b in zip(ts, ts[1:]))}
+            assert len(set(angles)) == len(angles) and set(angles) <= set(mids)
+            ts = sorted(ts + [mids[a] for a in angles])
+        angles = [args[3] for args, _, _ in scalar] + [a for r, _ in rounds for a in r]
         assert len(angles) == len(set(angles))
+        assert all(np.isfinite(start).all() for _, start in rounds)
         monkeypatch.undo()
         assert turns == reference_monodromy(q, 8, 0.05, u_tilde0)
 
@@ -802,20 +812,23 @@ class TestMonodromy:
         # a false jump of 3 in gamma+ where k > 0.53 on the contractible loop
         # around k = 0.5, entered near t = 0.102 and left near t = 0.398:
         # each of the two steps across it is bisected until it is at most
-        # 1e-4 long, 7 halvings of 1/96, and then the opposite jumps cancel
-        gamma_plus, angles = differentials._gamma_plus, []
+        # 1e-4 long, 7 halvings of 1/96, and then the opposite jumps cancel.
+        # The chain takes 7 solve_level calls, the first lockstep round the
+        # other 90 samples, and each of 7 more rounds the 2 new midpoints
+        scalar, lockstep = recorded_solves(monkeypatch)
+        gamma_plus, record = differentials._gamma_plus, differentials._solve_level_grid
 
         def jumped(p, k, K, E, u, v):
             return gamma_plus(p, k, K, E, u, v) + 3.0 * (k > 0.53)
 
         def counted(*args, **kw):
-            angles.append(args[3])
-            assert len(angles) < 100, "the bisection does not stop"
-            return solve_level(*args, **kw)
+            assert len(lockstep) < 20, "the bisection does not stop"
+            return record(*args, **kw)
         monkeypatch.setattr(differentials, "_gamma_plus", jumped)
-        monkeypatch.setattr(differentials, "solve_level", counted)
+        monkeypatch.setattr(differentials, "_solve_level_grid", counted)
         assert monodromy_track(Fraction(1, 2), 96, 0.5, 0.3, contractible=True) == 0
-        assert len(angles) == 7 + 2 * 7
+        assert len(scalar) == 7
+        assert [args[3].size for args, _, _ in lockstep] == [90] + [2] * 7
 
     @pytest.mark.parametrize("k, u_tilde0, contractible, message", [
         (0.0, 0.3, False, "k=0.0 outside"), (-0.1, 0.3, False, "k=-0.1 outside"),
@@ -836,6 +849,16 @@ class TestMonodromy:
 def frame_gamma_plus(mp):
     """The gamma+ value through the branch pair and its Jacobi frame."""
     return _theta_P_gamma_value(1, build_frame(inverse_coords(mp))).imag
+
+
+def chart_gamma_plus(mp):
+    """The loop's gamma+ value at one moduli point: _gamma_plus at the
+    point's floats and chart values.  At a float odd multiple of pi it takes
+    the side the float lies on (the right of -pi and -3 pi, 4 pi off the
+    left); monodromy_track absorbs that."""
+    chart = differentials._chart_value
+    return differentials._gamma_plus(mp.p, mp.k, *_complete_KE(mp.k),
+                                     chart(mp.u_tilde), chart(mp.v_tilde))
 
 
 def loop_point(t, k, u_tilde0=0.3, contractible=False):
@@ -888,7 +911,7 @@ class TestChartRoute:
             if abs(vt - math.pi) < 0.05:
                 continue
             mp = ModuliPoint(1.0, float(rng.uniform(0.05, 0.95)), ut, vt)
-            worst = max(worst, abs(_chart_gamma_plus(mp) - frame_gamma_plus(mp)))
+            worst = max(worst, abs(chart_gamma_plus(mp) - frame_gamma_plus(mp)))
             n += 1
         assert worst < 1e-11
 
@@ -903,7 +926,7 @@ class TestChartRoute:
             vt = ut + float(rng.uniform(0.05, 2 * math.pi - 0.05))
             p, k = float(rng.choice([0.5, 1.0, 2.0])), float(rng.uniform(0.05, 0.95))
             mp = ModuliPoint(p, k, ut, vt)
-            gap = _chart_gamma_plus(mp) - frame_gamma_plus(mp)
+            gap = chart_gamma_plus(mp) - frame_gamma_plus(mp)
             worst = max(worst, abs(gap - 2 * math.pi * round(gap / (2 * math.pi))))
         assert worst < 1e-10
 
@@ -911,9 +934,9 @@ class TestChartRoute:
                                                   (-math.pi, 2.0), (math.pi - 4.0, math.pi)])
     def test_finite_at_infinite_chart_values(self, u_tilde, v_tilde):
         for k in (0.1, 0.5, 0.9):
-            value = _chart_gamma_plus(ModuliPoint(1.0, k, u_tilde, v_tilde))
+            value = chart_gamma_plus(ModuliPoint(1.0, k, u_tilde, v_tilde))
             assert math.isfinite(value)
-            below = _chart_gamma_plus(ModuliPoint(1.0, k, u_tilde, v_tilde - 1e-9))
+            below = chart_gamma_plus(ModuliPoint(1.0, k, u_tilde, v_tilde - 1e-9))
             assert abs(value - below) < 1e-6
 
     def test_continuous_from_the_left_where_the_frame_breaks(self):
@@ -921,10 +944,10 @@ class TestChartRoute:
         # trip gives nu = 0.9999999999999999, frame.u = -0.5 and -0.752 rather
         # than the left limit 5.836
         mp = ModuliPoint(1.0, 0.45491254410216786, 9.42477796076938, 12.273052843795298)
-        value = _chart_gamma_plus(mp)
+        value = chart_gamma_plus(mp)
         for step in (1e-9, 1e-12):
             left = ModuliPoint(1.0, mp.k, mp.u_tilde - step, mp.v_tilde)
-            assert abs(value - _chart_gamma_plus(left)) < 1e-6
+            assert abs(value - chart_gamma_plus(left)) < 1e-6
             assert abs(value - frame_gamma_plus(left)) < 1e-6
 
     def test_off_the_chart_raises_as_inverse_coords(self, monkeypatch):
@@ -933,7 +956,7 @@ class TestChartRoute:
         mp = ModuliPoint(1.0, 0.5, 0.3, 2.0)
         for module in (curves, differentials):
             monkeypatch.setattr(module, "_chart_value", lambda x: np.full(np.shape(x), 0.7))
-        for route in (inverse_coords, _chart_gamma_plus):
+        for route in (inverse_coords, chart_gamma_plus):
             with pytest.raises(ValueError, match="u = v is outside the coordinate chart"):
                 route(mp)
 
@@ -942,7 +965,7 @@ class TestChartRoute:
     def test_z0_must_be_finite_in_the_right_half_plane(self, x0, y0, monkeypatch):
         monkeypatch.setattr(differentials, "_center", lambda p, k, u, v: (x0, y0))
         with pytest.raises(ValueError, match="Re z0 > 0"):
-            _chart_gamma_plus(ModuliPoint(1.0, 0.5, 0.3, 2.0))
+            chart_gamma_plus(ModuliPoint(1.0, 0.5, 0.3, 2.0))
 
     def test_array_pass_is_the_one_point_value_bit_for_bit(self):
         # the loop's one gamma+ pass over its samples, at ratios other than 1
@@ -955,7 +978,7 @@ class TestChartRoute:
         v_tilde = u_tilde + rng.uniform(0.05, 2 * math.pi - 0.05, n)
         values = differentials._gamma_plus(ps, ks, *_complete_KE_array(ks),
                                            _chart_value(u_tilde), _chart_value(v_tilde))
-        one = [_chart_gamma_plus(ModuliPoint(*point))
+        one = [chart_gamma_plus(ModuliPoint(*point))
                for point in zip(ps.tolist(), ks.tolist(), u_tilde.tolist(), v_tilde.tolist())]
         assert [x.hex() for x in values.tolist()] == [x.hex() for x in one]
 
@@ -970,7 +993,7 @@ class TestChartRoute:
             differentials._gamma_plus(1.0, 0.5, K, E, u, np.array([2.0, 2.5, 0.4]))
 
     def test_float32_modulus_evaluates_in_double(self):
-        value = _chart_gamma_plus(ModuliPoint(1.0, np.float32(0.25), 0.3, 2.0))
+        value = chart_gamma_plus(ModuliPoint(1.0, np.float32(0.25), 0.3, 2.0))
         assert type(value) is float and value == -4.625921940083428
 
     @pytest.mark.parametrize("q, k, u_tilde0, contractible", [
@@ -989,7 +1012,7 @@ class TestChecklist:
         fr = build_frame(inverse_coords(mp))
         cd = construct_psi(S, T, fr)
         entries = hitchin_checklist(fr, cd)
-        assert len(entries) == 10
+        assert len(entries) == 9
         for e in entries:
             assert e.residual < 1e-7, (e.item, e.residual, e.detail)
 
@@ -1181,10 +1204,11 @@ class TestDomainEdges:
                 assert e.residual <= 1e-10, e
         # the closed form at the largest chart value, tan(pi/2) = 1.6e16
         z0 = 0.3 + 0.2j
+        KE = _complete_KE(0.5)
         for sign in (1.0, -1.0):
-            edge = _theta_P_gamma_imag(0.5, sign * math.tan(math.pi / 2), z0)
+            edge = _gamma_imag(0.5, *KE, sign * math.tan(math.pi / 2), z0.real, z0.imag)
             assert math.isfinite(edge)
-            assert abs(edge - _theta_P_gamma_imag(0.5, sign * 1e15, z0)) < 1e-14
+            assert abs(edge - _gamma_imag(0.5, *KE, sign * 1e15, z0.real, z0.imag)) < 1e-14
 
 
 @pytest.mark.parametrize("loop_samples", [7, 0])

@@ -9,10 +9,10 @@ from scipy.integrate import quad
 from scipy.special import elliprd, elliprf
 
 import harmonictori.elliptic
-from harmonictori.differentials import _chart_gamma_plus
+from harmonictori.differentials import _gamma_plus
 from harmonictori.elliptic import (
-    _axis_angle, _complete, _complete_KE, _complete_KE_array, _FE, _half_angle, complementary_KE,
-    complementary_modulus, complete_E, complete_K, incomplete_E_reg_imag,
+    _axis_angle, _chart_value, _complete, _complete_KE, _complete_KE_array, _FE, _half_angle,
+    complementary_KE, complementary_modulus, complete_E, complete_K, incomplete_E_reg_imag,
     incomplete_F_imag, legendre_defect, lifted_E, lifted_F, w_imag,
 )
 from harmonictori.moduli import solve_level
@@ -326,13 +326,15 @@ def test_complete_KE_array_is_the_float_values_bit_for_bit():
 
 
 def test_serial_path_makes_no_ufunc_call(monkeypatch):
-    # a cold and a warm scalar solve, as a monodromy loop's chain and its
-    # inserted midpoints take them, and a midpoint's one-point gamma+ value
-    # take every R_F and R_D from the float functions: with the ufuncs made
-    # to raise they return as before
+    # a cold and a warm scalar solve, as a monodromy loop's chain takes them,
+    # and the gamma+ closed form at one point's floats take every R_F and R_D
+    # from the float functions: with the ufuncs made to raise they return as
+    # before
     def serial():
         mp = solve_level(1.0, 0.3, 0.41, 0.7)
-        return mp, solve_level(1.0, 0.3, 0.37, 0.2, start=1.5), _chart_gamma_plus(mp)
+        gamma = _gamma_plus(mp.p, mp.k, *_complete_KE(mp.k),
+                            _chart_value(mp.u_tilde), _chart_value(mp.v_tilde))
+        return mp, solve_level(1.0, 0.3, 0.37, 0.2, start=1.5), gamma
     expected = serial()
 
     def refuse(*args):
