@@ -250,10 +250,10 @@ def _divide(ar, ai, br, bi):
     return (a + b * ratio) / denom, (1 - 2 * swap) * (b - a * ratio) / denom
 
 
-def _center(p, k, u, v):
+def _center(p, k, u, v, wu=None):
     """(Re, Im) of z0 = f(0), the two-circle intersection, at finite chart
-    values u and v (floats or arrays)."""
-    wu, wv = _w(u, k), _w(v, k)
+    values u and v (floats or arrays), given w(iu) when known."""
+    wu, wv = _w(u, k) if wu is None else wu, _w(v, k)
     den = p * wv + wu
     return _sqrt(p * wu * wv) * abs(u - v) / den, (p * u * wv + v * wu) / den
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -42,7 +43,7 @@ from .elliptic import (
     TWO_PI, _FE, _axis_angle, _chart_value, _check_modulus, _complete_KE, _complete_KE_array,
     _per_element, _w_terms,
 )
-from .moduli import LevelSolveError, _no_convergence, _solve_level_grid, solve_level, t0_raw
+from .moduli import LevelSolveError, _at, _level_part, _lockstep, _no_convergence, solve_level, t0_raw
 
 DIFFERENTIAL_KINDS = ("omega", "e", "epsilon", "theta_E", "theta_P")
 _POLE_KINDS = DIFFERENTIAL_KINDS[2:]  # with double poles; _Geometry._theta's order
@@ -508,28 +509,31 @@ def _theta_P_gamma_value(sign: int, frame: JacobiFrame) -> complex:
     return 1j * _gamma_imag(frame.k, *_complete_KE(frame.k), x, z0.real, z0.imag)
 
 
-def _gamma_imag(k, K, E, x, x0, y0):
+def _gamma_imag(k, K, E, x, x0, y0, terms=None):
     """Im of _theta_P_gamma_value at the chart value x and z0 = x0 + i y0,
-    given K(k) and E(k), on floats or arrays."""
+    given K(k) and E(k), on floats or arrays, and x's terms when known:
+    w(ix), w(ix) - k x^2, and F and E_reg at atan(x), the last four of
+    _level_part."""
+    _, mx, F, E_reg = (*_w_terms(x, k), *_FE(*_axis_angle(x), k)) if terms is None else terms
     d = x - y0
-    m_num = d * (_w_terms(x, k)[1] + k * x * y0) - k * x * x0 * x0
-    F, E_reg = _FE(*_axis_angle(x), k)
+    m_num = d * (mx + k * x * y0) - k * x * x0 * x0
     return 4.0 * E * F - 4.0 * K * (E_reg - m_num / (d * d + x0 * x0))
 
 
-def _gamma_plus(p, k, K, E, u, v):
+def _gamma_plus(p, k, K, E, u, v, terms=None):
     """Im of the gamma+ closing integral of theta_P at chart values u and v,
-    floats or arrays, given K(k) and E(k): the closed form at u and the
-    chart's z0 (_center) rather than the frame of inverse_coords, with that
-    route's checks at every point, u != v and z0 finite with Re z0 > 0."""
+    floats or arrays, given K(k) and E(k) and u's terms when known
+    (_gamma_imag): the closed form at u and the chart's z0 (_center) rather
+    than the frame of inverse_coords, with that route's checks at every
+    point, u != v and z0 finite with Re z0 > 0."""
     if np.any(u == v):
         raise ValueError(_OFF_CHART)
-    x0, y0 = _center(p, k, u, v)
+    x0, y0 = _center(p, k, u, v, None if terms is None else terms[0])
     bad = np.flatnonzero(~((0.0 < x0) & (x0 < math.inf) & np.isfinite(y0)))
     if bad.size:
         z0 = complex(np.ravel(x0)[bad[0]], np.ravel(y0)[bad[0]])
         raise ValueError(f"z0 = {z0!r} is not finite with Re z0 > 0")
-    return _gamma_imag(k, K, E, u, x0, y0)
+    return _gamma_imag(k, K, E, u, x0, y0, terms)
 
 
 def theta_P_gamma_closed(sign: int, frame: JacobiFrame) -> complex:
@@ -739,14 +743,30 @@ def construct_psi(S: Fraction, T: Fraction, frame: JacobiFrame) -> ClosingData:
 # ---------------------------------------------------------------------------
 # monodromy around an annulus component
 
-def _extrapolate(xs: list, ys: list, x):
-    """Value at x of the polynomial through the points (xs, ys), by Neville's
-    scheme; nan with no point.  Floats, or arrays of as many polynomials."""
-    p = ys[:]
-    for m in range(1, len(xs)):
-        for i in range(len(xs) - m):
-            p[i] = ((x - xs[i + m]) * p[i] + (xs[i] - x) * p[i + 1]) / (xs[i] - xs[i + m])
-    return p[0] if p else math.nan
+@cache
+def _other_nodes(r: int) -> np.ndarray:
+    """Indices of shape (r, r - 1): row j runs over the m != j of r nodes."""
+    return np.nonzero(~np.eye(r, dtype=bool))[1].reshape(r, r - 1)
+
+
+def _extrapolate(xs: np.ndarray, ys: np.ndarray, x):
+    """Value at x of the polynomial through the points (xs[j], ys[j]), nan
+    with no point: the sum of ys[j] times its Lagrange weight, the product
+    over m != j of (x - xs[m])/(xs[j] - xs[m]), which divides by node gaps
+    only.  xs and ys are arrays of the points; with x an array, their
+    columns are as many polynomials."""
+    if not len(xs):
+        return math.nan
+    xm = xs[_other_nodes(len(xs))]
+    weights = np.multiply.reduce((x - xm) / (xs[:, None] - xm), 1)
+    return np.add.reduce(weights * ys, 0)
+
+
+def _turn_increments(values: np.ndarray) -> np.ndarray:
+    """Each step's increment of the gamma+ values, the difference d taken to
+    the nearest turn, d + 2 pi round(-d/2 pi)."""
+    d = values[1:] - values[:-1]
+    return d + TWO_PI * np.rint(-d / TWO_PI)
 
 
 _CHAIN_STRIDE = 16  # samples between two solve_level calls of monodromy_track's chain
@@ -766,21 +786,29 @@ def monodromy_track(q: Fraction, loop_samples: int = 48, k: float = 0.5,
     16th sample and the last one takes one solve_level each, started from
     the cubic extrapolation of v~ - u~ through the last four chain samples
     (a cold solve at the first).  Every other sample is solved in rounds.
-    A round solves its unsolved samples in one _solve_level_grid call, each
-    started from the interpolation of v~ - u~ through its nearest four
-    solved samples, so a sample angle agrees with a cold solve_level to
-    within solver_tol, not bit for bit; then it evaluates gamma+, the
-    chart's closed form, at every sample in one array pass.  A step's
-    increment is its difference d to the nearest turn, d + 2 pi round(-d/2 pi);
-    the midpoint of each step whose increment exceeds 2 and that is longer
-    than 1e-4 is an unsolved sample of the next round."""
+    A round first computes the held angle's terms (_level_part) at every
+    sample in one array pass, with K and E of the annulus's one k (cached)
+    or one _complete_KE_array pass over the contractible loop's k.  It then
+    solves its unsolved samples in one _lockstep call on their slices of
+    those terms, each started from the interpolation of v~ - u~ through its
+    nearest four solved samples, so a sample angle agrees with a cold
+    solve_level to within solver_tol, not bit for bit; and it evaluates
+    gamma+, the chart's closed form, at every sample from the same terms.
+    A step's increment is its difference d to the nearest turn,
+    d + 2 pi round(-d/2 pi); the midpoint of each step whose increment
+    exceeds 2 and that is longer than 1e-4 is an unsolved sample of the
+    next round."""
     if not 0.0 < k < 1.0 or contractible and not 0.05 < k < 0.95:
         raise ValueError(f"k={k!r} outside (0, 1), or (0.05, 0.95) for a contractible loop")
     if not math.isfinite(u_tilde0):
         raise ValueError(f"the start angle u_tilde0 must be finite, got {u_tilde0!r}")
+    try:
+        loop_samples = operator.index(loop_samples)
+    except TypeError:
+        raise ValueError(f"loop_samples must be an integer, got {loop_samples!r}") from None
     if loop_samples < 8:
         raise ValueError("loop_samples must be at least 8")
-    q = Fraction(q)
+    q, k = Fraction(q), float(k)
     l = q.denominator  # at p = 1, n = m = 1 so l = m'/gcd(m', n') = m'
     qf = float(q)
     rk = math.sqrt(k)
@@ -797,30 +825,33 @@ def monodromy_track(q: Fraction, loop_samples: int = 48, k: float = 0.5,
     ks, us = sample(ts)
     vs = np.full(ts.size, math.nan)
     # the coarse chain: every 16th sample and the last one, one solve_level each
-    chain = [*range(0, loop_samples, _CHAIN_STRIDE), loop_samples]
-    for i, j in enumerate(chain):
+    chain = np.array([*range(0, loop_samples, _CHAIN_STRIDE), loop_samples])
+    for i, j in enumerate(chain.tolist()):
         near = chain[max(0, i - 4):i]
-        guess = _extrapolate(ts[near].tolist(), (vs[near] - us[near]).tolist(), ts[j])
         ut = us[j].item()
-        vs[j] = solve_level(1.0, qf, ks[j].item(), ut, start=ut + guess).v_tilde
+        start = ut + _extrapolate(ts[near], vs[near] - us[near], ts[j])
+        vs[j] = solve_level(1.0, qf, ks[j].item(), ut, start=start).v_tilde
     while True:
+        # the held angle's terms at every sample, for the lockstep and gamma+
+        kk, K, E = (ks, *_complete_KE_array(ks)) if contractible else (k, *_complete_KE(k))
+        terms = _level_part(kk, K, E, us)
         # the unsolved samples in lockstep, each started from the
         # interpolation through its nearest four solved samples (rows of ``near``)
-        fill, known = np.flatnonzero(np.isnan(vs)), np.flatnonzero(~np.isnan(vs))
+        unsolved = np.isnan(vs)
+        fill, known = unsolved.nonzero()[0], (~unsolved).nonzero()[0]
         order = min(4, known.size)
-        first = np.clip(np.searchsorted(known, fill) - 2, 0, known.size - order)
+        first = np.minimum(np.maximum(np.searchsorted(known, fill) - 2, 0), known.size - order)
         near = known[first + np.arange(order)[:, None]]
-        guess = _extrapolate(list(ts[near]), list(vs[near] - us[near]), ts[fill])
-        solved, residual = _solve_level_grid(1.0, qf, ks[fill], us[fill], DEFAULTS.solver_tol,
-                                             start=us[fill] + guess)
+        start = us[fill] + _extrapolate(ts[near], vs[near] - us[near], ts[fill])
+        solved, residual = _lockstep(1.0, qf, *_at(fill, kk, K, E), us[fill],
+                                     _at(fill, *terms[:4]), DEFAULTS.solver_tol, start)
         failed = np.isnan(solved)
         if failed.any():
             raise LevelSolveError(_no_convergence(qf, residual[failed][0].item()))
         vs[fill] = solved
-        values = _gamma_plus(1.0, ks, *_complete_KE_array(ks), _chart_value(us), _chart_value(vs))
+        values = _gamma_plus(1.0, kk, K, E, terms[1], _chart_value(vs), terms[2:])
         # bisect where a step crosses a principal-branch jump too fast
-        d = values[1:] - values[:-1]
-        increments = d + TWO_PI * np.rint(-d / TWO_PI)
+        increments = _turn_increments(values)
         steps = ((np.abs(increments) > 2.0) & (ts[1:] - ts[:-1] > 1e-4)).nonzero()[0]
         if not steps.size:
             break

@@ -17,9 +17,11 @@ level (T~ - q) sin(|x - held|/2) at the held angle's terms (_level_part),
 computed once per solve and cut with the lockstep's running points, with
 w(ix) of the free angle once per step; _no_convergence the failure reason.
 Only the Newton-or-midpoint loop is written twice: solve_level on floats,
-_solve_level_grid in lockstep on per-point (k, angle) arrays, for
-sweep_level_set's leaves and, one call per round, every monodromy_track
-sample off its solve_level chain, bisection midpoints included.
+_lockstep on per-point (k, angle) arrays, given K, E and the held angle's
+terms.  _solve_level_grid computes those for sweep_level_set's leaves;
+monodromy_track computes them once per round at every loop sample, shares
+them with its gamma+ closed form, and calls _lockstep on the slices of the
+samples off its solve_level chain, bisection midpoints included.
 Each starts from a given start inside the bracket, per point for the
 arrays, or else the midpoint; a point of the arrays ends on solve_level's bits.
 An angle's share of T~ is the principal one plus pi per whole turn, and
@@ -132,16 +134,17 @@ def t_tilde_raw(p: float, k: float, u_tilde: float, v_tilde: float) -> float:
 
 def _level_part(k, K, E, x_tilde):
     """One angle's share E F~(x~) - K E~(x~) of T~, its chart value
-    u = tan(x~/2) and _w_terms(u), on floats or arrays: the share at the
-    reduced half-angle plus pi per whole turn, since E K' + K E' - K K' = pi/2."""
+    u = tan(x~/2), _w_terms(u), and F and E_reg at the reduced half-angle
+    atan(u), on floats or arrays: the share at the reduced half-angle plus
+    pi per whole turn, since E K' + K E' - K K' = pi/2."""
     m, s, c, u = _half_angle(x_tilde)
     F, E_reg = _FE(s, c, k)
-    return E * F - K * E_reg + m * math.pi, u, *_w_terms(u, k)
+    return E * F - K * E_reg + m * math.pi, u, *_w_terms(u, k), F, E_reg
 
 
 def _t_tilde(p, k, K, terms_u, terms_v):
     """T~ from the terms of u~ and v~ (_level_part), floats or arrays."""
-    (fu, u, _, mu), (fv, v, _, mv) = terms_u, terms_v
+    (fu, u, _, mu, *_), (fv, v, _, mv, *_) = terms_u, terms_v
     return (4.0 * p * fv - 4.0 * fu - 4.0 * K * _bracket(p, k, u, v, mu, mv)) / TWO_PI
 
 
@@ -213,7 +216,7 @@ def _level_fns(p, q, k, K, E, held):
     the held angle's terms ``held`` (_level_part); floats or arrays.  -f/slope
     is Newton's step on f g, which has the roots of f but not its poles at
     the band ends; g'/g = (1 + u w)/(2(w - u)) at chart values u held, w free."""
-    solve_for_u, (_, u, wu, _) = p > 1.0, held
+    solve_for_u, u, wu = p > 1.0, held[1], held[2]
 
     def level(x):
         free = _level_part(k, K, E, x)
@@ -222,7 +225,7 @@ def _level_fns(p, q, k, K, E, held):
         return _t_tilde(p, k, K, held, free) - q, free
 
     def slope(f, free):
-        _, w, ww, _ = free
+        w, ww = free[1], free[2]
         d = _dT_du(p, k, K, E, w, u, ww, wu) if solve_for_u else _dT_dv(p, k, K, E, u, w, wu, ww)
         return d + f * (1.0 + u * w) / (2.0 * (w - u))
     return level, slope
@@ -282,7 +285,29 @@ def _solve_level_grid(p: float, q: float, k: np.ndarray, angle: np.ndarray,
                       tol: float, start: np.ndarray | None = None,
                       ) -> tuple[np.ndarray, np.ndarray]:
     """solve_level at every point (k[i], angle[i]) of two arrays, in lockstep,
-    from the per-point starts start[i] when given.
+    from the per-point starts start[i] when given: the arrays are taken as
+    float64, K and E are looked up once per distinct k, and the held angle's
+    terms (_level_part) are computed once, for _lockstep."""
+    p = _check_ratio(p)
+    k, angle = np.asarray(k, float), np.asarray(angle, float)
+    K, E = _complete_KE_array(k)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        held = _level_part(k, K, E, angle)[:4]
+    return _lockstep(p, q, k, K, E, angle, held, tol,
+                     None if start is None else np.asarray(start, float))
+
+
+def _at(at, *values):
+    """Each array of ``values`` at the indices or mask ``at``; a float as it is."""
+    return [v[at] if isinstance(v, np.ndarray) else v for v in values]
+
+
+def _lockstep(p: float, q: float, k, K, E, angle: np.ndarray, held, tol: float,
+              start: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The lockstep core of _solve_level_grid: solve_level at every point
+    (k[i], angle[i]), given a checked p, K(k) and E(k), k, K and E each an
+    array of per-point values or one float for every point, and the first
+    four of the held angle's terms (_level_part) at every point.
 
     Runs the scalar solver's policy on all points at once: the same bracket
     and start (_band; a start strictly inside the bracket, else the
@@ -290,24 +315,18 @@ def _solve_level_grid(p: float, q: float, k: np.ndarray, angle: np.ndarray,
     limit and failure reason, on the same floating-point values, so every
     point ends where solve_level(p, q, k[i], angle[i], tol, start[i]) would,
     after as many evaluations of T~: a point leaves as it converges or
-    stalls, before its next iterate is evaluated.  The arrays are taken as
-    float64; K and E are looked up once per distinct k, and the per-point
+    stalls, before its next iterate is evaluated, and the per-point
     constants are cut to the running points as points leave.  Returns the
     solved angle of every point, nan where it failed, and the residual
     T~ - q where it failed (nan elsewhere), whose reason is
     _no_convergence(q, residual).
     """
-    p = _check_ratio(p)
-    k, angle = np.asarray(k, float), np.asarray(angle, float)
-    K, E = _complete_KE_array(k)
     a, b, sign = _band(p, angle)
     solved, residual = np.full((2, angle.size), np.nan)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        held = _level_part(k, K, E, angle)
         level, slope = _level_fns(p, q, k, K, E, held)
         idx, x = np.arange(angle.size), 0.5 * (a + b)
         if start is not None:
-            start = np.asarray(start, float)
             x = np.where((a < start) & (start < b), start, x)
         fx, free = level(x)
         for _ in range(_MAX_STEPS):
@@ -327,8 +346,7 @@ def _solve_level_grid(p: float, q: float, k: np.ndarray, angle: np.ndarray,
                 stay = ~leave
                 if not stay.any():
                     break
-                idx, xn, a, b, k, K, E, *held = (
-                    v[stay] for v in (idx, xn, a, b, k, K, E, *held))
+                idx, xn, a, b, k, K, E, *held = _at(stay, idx, xn, a, b, k, K, E, *held)
                 level, slope = _level_fns(p, q, k, K, E, held)
             x, (fx, free) = xn, level(xn)
         else:

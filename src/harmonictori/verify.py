@@ -20,15 +20,17 @@ from .curves import (
     deck_lambda_tilde, forward_coords, inverse_coords, lambda_swap,
 )
 from .differentials import (
-    construct_psi, contour_integral, eta_plus, gamma0_path, hitchin_checklist,
-    loop_A, loop_B, theta_P_characterization_check, theta_P_gamma_closed,
+    ContinuationError, construct_psi, contour_integral, eta_plus, gamma0_path,
+    hitchin_checklist, loop_A, loop_B, monodromy_track, theta_P_characterization_check,
+    theta_P_gamma_closed,
 )
 from .elliptic import (
     TWO_PI, complementary_KE, complete_E, complete_K, incomplete_F_imag,
     legendre_defect, lifted_E, lifted_F,
 )
 from .moduli import (
-    S_value, T_tilde, dT_tilde_du_tilde, solve_level, t0_raw, t_tilde_raw,
+    LevelSolveError, S_value, T_tilde, dT_tilde_du_tilde, moduli_summary, solve_level, t0_raw,
+    t_tilde_raw,
 )
 
 
@@ -306,11 +308,36 @@ def suite_moduli(seed: int = 0) -> list[InvariantResult]:
     return out
 
 
+def suite_bundle(seed: int = 0) -> list[InvariantResult]:
+    """The monodromy of the bundle of spectral data over the annuli: around
+    the annulus at q = n/d, monodromy_track gives moduli_summary's -d, and
+    around a contractible loop 0.  A loop that raises fails with its error."""
+    rng = np.random.default_rng(seed)
+
+    def loops(contractible, count):
+        for _ in range(count):
+            d = int(rng.integers(1, 8))
+            q = Fraction(int(rng.integers(-3 * d, 3 * d + 1)), d)
+            k, u_tilde0 = float(rng.uniform(0.1, 0.9)), float(rng.uniform(-math.pi, math.pi))
+            expected = 0 if contractible else moduli_summary(Fraction(1), q).monodromy
+            sample = {"q": str(q), "loop_samples": 64, "k": k, "u_tilde0": u_tilde0,
+                      "contractible": contractible, "expected": expected}
+            try:
+                got = monodromy_track(q, 64, k, u_tilde0, contractible)
+            except (LevelSolveError, ContinuationError) as exc:
+                yield math.inf, {**sample, "error": f"{type(exc).__name__}: {exc}"}
+            else:
+                yield abs(got - expected), {**sample, "got": got}
+    return [_worst("annulus monodromy equals moduli_summary", 0.5, loops(False, 36)),
+            _worst("contractible loop has monodromy 0", 0.5, loops(True, 12))]
+
+
 SUITES = {
     "elliptic": suite_elliptic,
     "curves": suite_curves,
     "differentials": suite_differentials,
     "moduli": suite_moduli,
+    "bundle": suite_bundle,
 }
 
 

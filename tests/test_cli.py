@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import json
 import math
 import os
 import re
@@ -414,7 +415,49 @@ class TestVerify:
 
     def test_all_suites(self, capsys):
         assert main(["verify", "--suite", "all"]) == 0
-        assert "21/21 invariants passed" in capsys.readouterr().out
+        assert "23/23 invariants passed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("seed", ["0", "42"])
+    def test_bundle_suite(self, seed, capsys):
+        assert main(["verify", "--suite", "bundle", "--seed", seed]) == 0
+        assert "2/2 invariants passed" in capsys.readouterr().out
+
+    @staticmethod
+    def failed_bundle_loop(capsys) -> dict:
+        """The replay sample of the annulus invariant of a failed bundle suite."""
+        assert main(["verify", "--suite", "bundle"]) == 3
+        captured = capsys.readouterr()
+        assert "[FAIL] annulus monodromy equals moduli_summary" in captured.out
+        assert "[pass] contractible loop has monodromy 0" in captured.out
+        assert "1/2 invariants passed" in captured.out
+        [line] = captured.err.splitlines()
+        return json.loads(line.removeprefix("replay sample: "))
+
+    def test_bundle_suite_fails_on_a_sign_flip(self, monkeypatch, capsys):
+        from harmonictori import verify
+        track = verify.monodromy_track
+        monkeypatch.setattr(verify, "monodromy_track", lambda *args: -track(*args))
+        sample = self.failed_bundle_loop(capsys)
+        monkeypatch.undo()
+        args = (Fraction(sample["q"]), sample["loop_samples"], sample["k"],
+                sample["u_tilde0"], sample["contractible"])
+        assert sample["got"] == -sample["expected"] == -track(*args) != 0
+
+    def test_bundle_suite_fails_without_the_nearest_turn_rule(self, monkeypatch, capsys):
+        monkeypatch.setattr(differentials, "_turn_increments", lambda v: v[1:] - v[:-1])
+        sample = self.failed_bundle_loop(capsys)
+        assert sample["got"] != sample["expected"]
+
+    def test_bundle_suite_fails_on_a_loop_that_raises(self, monkeypatch, capsys):
+        from harmonictori import verify
+
+        def raising(q, *args):
+            raise differentials.ContinuationError("gamma+ integral shifted by 1.0, not 2 pi Z")
+        monkeypatch.setattr(verify, "monodromy_track", raising)
+        assert main(["verify", "--suite", "bundle"]) == 3
+        captured = capsys.readouterr()
+        assert "max residual inf" in captured.out and "0/2 invariants passed" in captured.out
+        assert '"error": "ContinuationError: gamma+ integral shifted by 1.0' in captured.err
 
     def test_nan_residual_fails(self, monkeypatch, capsys):
         from harmonictori import verify

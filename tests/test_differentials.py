@@ -7,6 +7,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -26,8 +27,8 @@ from harmonictori.differentials import (
     theta_P_gamma_closed,
 )
 from harmonictori.elliptic import (
-    _chart_value, _complete_KE, _complete_KE_array, complementary_modulus, complete_E,
-    complete_K,
+    _chart_value, _complete_KE, _complete_KE_array, _half_angle, complementary_modulus,
+    complete_E, complete_K,
 )
 from harmonictori.config import DEFAULTS
 from harmonictori.moduli import S_value, solve_level, spectral_test, t0_raw, t_tilde_raw
@@ -620,24 +621,48 @@ class TestConstructPsi:
             construct_psi(Fraction(1), Fraction(1, 7), fr)
 
 
-def recorded_solves(monkeypatch):
-    """Record every solve monodromy_track makes: its solve_level calls (the
-    chain) as (args, kwargs, point), and its _solve_level_grid calls (one
-    per round of lockstep solves) as (args, kwargs, solved)."""
-    scalar, lockstep = [], []
+def record_loop(monkeypatch, max_rounds=None):
+    """Record what monodromy_track solves, at its two solver entries.
 
-    def recorded(*args, **kw):
-        mp = solve_level(*args, **kw)
-        scalar.append((args, kw, mp))
-        return mp
+    Returns (chain, rounds, counts).  ``chain`` holds one (args, kw, point,
+    evaluations) per solve_level call; ``rounds`` one namespace per lockstep
+    round (moduli._lockstep, as the loop calls it) with p, q, the per-point
+    k and held angles as float lists, the starts, the solved angles, the
+    lockstep's steps (its T~ evaluations) and the T~ evaluations summed
+    over its points; ``counts["level_part"]`` counts the loop's _level_part
+    calls.  A round past ``max_rounds`` fails, so a runaway bisection does."""
+    chain, rounds, counts, sizes = [], [], {"level_part": 0}, []
+    t_tilde, level_part = moduli._t_tilde, moduli._level_part
 
-    def recorded_grid(*args, **kw):
-        solved, residual = moduli._solve_level_grid(*args, **kw)
-        lockstep.append((args, kw, solved))
+    def counted_t_tilde(*args):
+        value = t_tilde(*args)
+        sizes.append(np.size(value))
+        return value
+
+    def counted_level_part(*args):
+        counts["level_part"] += 1
+        return level_part(*args)
+
+    def scalar(*args, **kw):
+        sizes.clear()
+        point = solve_level(*args, **kw)
+        chain.append((args, kw, point, len(sizes)))
+        return point
+
+    def lockstep(p, q, k, K, E, angle, held, tol, start=None):
+        assert max_rounds is None or len(rounds) < max_rounds, "the bisection does not stop"
+        sizes.clear()
+        solved, residual = moduli._lockstep(p, q, k, K, E, angle, held, tol, start)
+        rounds.append(SimpleNamespace(
+            p=p, q=q, k=np.broadcast_to(k, angle.shape).tolist(), angle=angle.tolist(),
+            start=start, solved=solved.tolist(), steps=len(sizes), evaluations=sum(sizes)))
         return solved, residual
-    monkeypatch.setattr(differentials, "solve_level", recorded)
-    monkeypatch.setattr(differentials, "_solve_level_grid", recorded_grid)
-    return scalar, lockstep
+    monkeypatch.setattr(moduli, "_t_tilde", counted_t_tilde)
+    for module in (moduli, differentials):
+        monkeypatch.setattr(module, "_level_part", counted_level_part)
+    monkeypatch.setattr(differentials, "solve_level", scalar)
+    monkeypatch.setattr(differentials, "_lockstep", lockstep)
+    return chain, rounds, counts
 
 
 def tracked_monodromy(monkeypatch, q, loop_samples, k=0.5, u_tilde0=0.3, contractible=False):
@@ -645,17 +670,17 @@ def tracked_monodromy(monkeypatch, q, loop_samples, k=0.5, u_tilde0=0.3, contrac
     solve_level chain or a lockstep round, solves its level to solver_tol at
     its held angle, that a lockstep point is solve_level's from the same
     start bit for bit, and that every loop point is one of them."""
-    scalar, lockstep = recorded_solves(monkeypatch)
+    chain, rounds, _ = record_loop(monkeypatch)
     turns = monodromy_track(q, loop_samples, k, u_tilde0, contractible)
     points = []
-    for (p, qf, kk, angle), _, mp in scalar:
+    for (p, qf, kk, angle), _, mp, _ in chain:
         assert (p, qf, mp.k, mp.u_tilde) == (1.0, float(q), kk, angle)
         points.append((kk, angle, mp.v_tilde))
-    for (p, qf, ks, angles, _), kw, solved in lockstep:
-        assert (p, qf) == (1.0, float(q))
-        fill = list(zip(ks.tolist(), angles.tolist(), solved.tolist()))
-        for (kk, angle, v_tilde), start in zip(fill, kw["start"].tolist()):
-            assert solve_level(1.0, qf, kk, angle, start=start).v_tilde.hex() == v_tilde.hex()
+    for r in rounds:
+        assert (r.p, r.q) == (1.0, float(q))
+        fill = list(zip(r.k, r.angle, r.solved))
+        for (kk, angle, v_tilde), start in zip(fill, r.start.tolist()):
+            assert solve_level(1.0, r.q, kk, angle, start=start).v_tilde.hex() == v_tilde.hex()
         points += fill
     for kk, angle, v_tilde in points:
         assert angle < v_tilde < angle + 2 * math.pi
@@ -690,39 +715,13 @@ class TestMonodromy:
         # most four and on average about three checked Newton steps.  The
         # whole 96-sample loop takes at most 60 calls of the share kernel,
         # where one solve_level per sample took about 298
-        chain, fill, evaluations, calls = [], [], [], [0]
-        t_tilde, level_part = moduli._t_tilde, moduli._level_part
-        grid = moduli._solve_level_grid
-
-        def counted(*args):
-            value = t_tilde(*args)
-            evaluations.append(np.size(value))
-            return value
-
-        def part(*args):
-            calls[0] += 1
-            return level_part(*args)
-
-        def recorded(*args, **kw):
-            evaluations.clear()
-            mp = solve_level(*args, **kw)
-            chain.append(len(evaluations))
-            return mp
-
-        def recorded_grid(*args, **kw):
-            evaluations.clear()
-            out = grid(*args, **kw)
-            fill.append((len(evaluations), sum(evaluations), args[3].size))
-            return out
-        monkeypatch.setattr(moduli, "_t_tilde", counted)
-        monkeypatch.setattr(moduli, "_level_part", part)
-        monkeypatch.setattr(differentials, "solve_level", recorded)
-        monkeypatch.setattr(differentials, "_solve_level_grid", recorded_grid)
+        chain, rounds, counts = record_loop(monkeypatch)
         monodromy_track(q, loop_samples=96, k=k, contractible=contractible)
-        assert len(chain) == 7 and 0 < max(chain[1:]) <= 5
-        [(steps, evaluated, points)] = fill
-        assert points == 90 and steps <= 4 and evaluated / points <= 3.5
-        assert calls[0] <= 60
+        evaluations = [n for *_, n in chain]
+        assert len(chain) == 7 and 0 < max(evaluations[1:]) <= 5
+        [fill] = rounds
+        assert len(fill.angle) == 90 and fill.steps <= 4 and fill.evaluations / 90 <= 3.5
+        assert counts["level_part"] <= 60
 
     @pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(-3, 5), Fraction(2, 7), Fraction(0)])
     @pytest.mark.parametrize("u_tilde0", [0.3, -2.0, 2.5, 3.1])
@@ -734,21 +733,20 @@ class TestMonodromy:
         # it inserts, in one lockstep call.  So each sample is solved once,
         # and every start is finite: the interpolation runs through solved
         # samples only (an unsolved one would give a nan start)
-        scalar, lockstep = recorded_solves(monkeypatch)
+        chain, rounds, _ = record_loop(monkeypatch)
         turns = monodromy_track(q, 8, 0.05, u_tilde0)
-        rounds = [(angles.tolist(), kw["start"]) for (_, _, _, angles, _), kw, _ in lockstep]
-        assert len(scalar) == 2 and len(rounds[0][0]) == 7 and len(rounds) > 1
+        assert len(chain) == 2 and len(rounds[0].angle) == 7 and len(rounds) > 1
         ts = [j / 8 for j in range(9)]
-        assert sorted(rounds[0][0] + [args[3] for args, _, _ in scalar]) == sorted(
+        assert sorted(rounds[0].angle + [args[3] for args, *_ in chain]) == sorted(
             loop_point(t, 0.05, u_tilde0)[1] for t in ts)
-        for angles, _ in rounds[1:]:
+        for r in rounds[1:]:
             mids = {loop_point(m, 0.05, u_tilde0)[1]: m for m in
                     (0.5 * (a + b) for a, b in zip(ts, ts[1:]))}
-            assert len(set(angles)) == len(angles) and set(angles) <= set(mids)
-            ts = sorted(ts + [mids[a] for a in angles])
-        angles = [args[3] for args, _, _ in scalar] + [a for r, _ in rounds for a in r]
+            assert len(set(r.angle)) == len(r.angle) and set(r.angle) <= set(mids)
+            ts = sorted(ts + [mids[a] for a in r.angle])
+        angles = [args[3] for args, *_ in chain] + [a for r in rounds for a in r.angle]
         assert len(angles) == len(set(angles))
-        assert all(np.isfinite(start).all() for _, start in rounds)
+        assert all(np.isfinite(r.start).all() for r in rounds)
         monkeypatch.undo()
         assert turns == reference_monodromy(q, 8, 0.05, u_tilde0)
 
@@ -765,10 +763,10 @@ class TestMonodromy:
                     if (job["contractible"], job["samples"]) == (contractible, samples)]
             assert len(jobs) >= 2
             for job in jobs[:2]:
-                scalar, _ = recorded_solves(monkeypatch)
+                chain, _, _ = record_loop(monkeypatch)
                 args = Fraction(job["q"]), samples, job["k"], job["u_tilde0"], contractible
                 turns = monodromy_track(*args)
-                assert scalar and all(len(a) >= 4 for a, _, _ in scalar)
+                assert chain and all(len(a) >= 4 for a, *_ in chain)
                 monkeypatch.undo()
                 assert turns == reference_monodromy(*args)
 
@@ -779,13 +777,13 @@ class TestMonodromy:
         # every sample, start angles on float odd multiples of pi included
         chain = [*range(0, samples, 16), samples]
         for u_tilde0 in (0.3, math.pi, -math.pi, 3 * math.pi):
-            scalar, lockstep = recorded_solves(monkeypatch)
+            scalar, rounds, _ = record_loop(monkeypatch)
             monodromy_track(Fraction(1, 2), samples, 0.5, u_tilde0, contractible)
             monkeypatch.undo()
-            got = {j: (args[2], args[3]) for j, (args, _, _) in zip(chain, scalar)}
-            [((_, _, ks, angles, _), _, _)] = lockstep
+            got = {j: (args[2], args[3]) for j, (args, *_) in zip(chain, scalar)}
+            [fill_round] = rounds
             fill = [j for j in range(samples + 1) if j not in got]
-            got.update(zip(fill, zip(ks.tolist(), angles.tolist())))
+            got.update(zip(fill, zip(fill_round.k, fill_round.angle)))
             want = [loop_point(j / samples, 0.5, u_tilde0, contractible)
                     for j in range(samples + 1)]
             assert [(k.hex(), u.hex()) for k, u in map(got.get, range(samples + 1))] == [
@@ -802,10 +800,10 @@ class TestMonodromy:
             rescaled.append(x_tilde)
             return angle_rescale(x_tilde, s)
         monkeypatch.setattr(differentials, "angle_rescale", recorded_rescale)
-        scalar, _ = recorded_solves(monkeypatch)
+        chain, _, _ = record_loop(monkeypatch)
         monodromy_track(Fraction(1, 2), 96, 0.5, 0.3, contractible)
         assert [type(x) for x in rescaled] == [float] + [np.ndarray] * (not contractible)
-        assert [args[3] for args, _, _ in scalar] == [
+        assert [args[3] for args, *_ in chain] == [
             loop_point(j / 96, 0.5, 0.3, contractible)[1] for j in (0, 16, 32, 48, 64, 80, 96)]
 
     def test_a_jump_is_bisected_down_to_the_floor(self, monkeypatch):
@@ -815,35 +813,127 @@ class TestMonodromy:
         # 1e-4 long, 7 halvings of 1/96, and then the opposite jumps cancel.
         # The chain takes 7 solve_level calls, the first lockstep round the
         # other 90 samples, and each of 7 more rounds the 2 new midpoints
-        scalar, lockstep = recorded_solves(monkeypatch)
-        gamma_plus, record = differentials._gamma_plus, differentials._solve_level_grid
+        chain, rounds, _ = record_loop(monkeypatch, max_rounds=20)
+        gamma_plus = differentials._gamma_plus
 
-        def jumped(p, k, K, E, u, v):
-            return gamma_plus(p, k, K, E, u, v) + 3.0 * (k > 0.53)
-
-        def counted(*args, **kw):
-            assert len(lockstep) < 20, "the bisection does not stop"
-            return record(*args, **kw)
+        def jumped(p, k, K, E, u, v, terms=None):
+            return gamma_plus(p, k, K, E, u, v, terms) + 3.0 * (k > 0.53)
         monkeypatch.setattr(differentials, "_gamma_plus", jumped)
-        monkeypatch.setattr(differentials, "_solve_level_grid", counted)
         assert monodromy_track(Fraction(1, 2), 96, 0.5, 0.3, contractible=True) == 0
-        assert len(scalar) == 7
-        assert [args[3].size for args, _, _ in lockstep] == [90] + [2] * 7
+        assert len(chain) == 7
+        assert [len(r.angle) for r in rounds] == [90] + [2] * 7
 
-    @pytest.mark.parametrize("k, u_tilde0, contractible, message", [
-        (0.0, 0.3, False, "k=0.0 outside"), (-0.1, 0.3, False, "k=-0.1 outside"),
-        (1.0, 0.3, False, "k=1.0 outside"), (math.nan, 0.3, False, "k=nan outside"),
-        (0.03, 0.3, True, "k=0.03 outside"), (0.97, 0.3, True, "k=0.97 outside"),
-        (0.05, 0.3, True, "k=0.05 outside"),
+    @pytest.mark.parametrize("k, u_tilde0, contractible, samples, message", [
+        (0.0, 0.3, False, 16, "k=0.0 outside"), (-0.1, 0.3, False, 16, "k=-0.1 outside"),
+        (1.0, 0.3, False, 16, "k=1.0 outside"), (math.nan, 0.3, False, 16, "k=nan outside"),
+        (0.03, 0.3, True, 16, "k=0.03 outside"), (0.97, 0.3, True, 16, "k=0.97 outside"),
+        (0.05, 0.3, True, 16, "k=0.05 outside"),
         # math.tan(inf) raised "math domain error"; nan failed in the chain
-        (0.5, math.inf, False, "u_tilde0 must be finite, got inf"),
-        (0.5, math.nan, False, "u_tilde0 must be finite, got nan"),
-        (0.5, -math.inf, True, "u_tilde0 must be finite, got -inf"),
-        (0.5, math.nan, True, "u_tilde0 must be finite, got nan")])
-    def test_out_of_range_input_rejected(self, k, u_tilde0, contractible, message):
+        (0.5, math.inf, False, 16, "u_tilde0 must be finite, got inf"),
+        (0.5, math.nan, False, 16, "u_tilde0 must be finite, got nan"),
+        (0.5, -math.inf, True, 16, "u_tilde0 must be finite, got -inf"),
+        (0.5, math.nan, True, 16, "u_tilde0 must be finite, got nan"),
+        # range() raised TypeError on the floats, and '<' on the string
+        (0.5, 0.3, False, 96.0, "loop_samples must be an integer, got 96.0"),
+        (0.5, 0.3, True, 9.5, "loop_samples must be an integer, got 9.5"),
+        (0.5, 0.3, False, "96", "loop_samples must be an integer, got '96'"),
+        (0.5, 0.3, False, 7, "loop_samples must be at least 8"),
+        (0.5, 0.3, False, np.int64(7), "loop_samples must be at least 8")])
+    def test_out_of_range_input_rejected(self, k, u_tilde0, contractible, samples, message):
         with pytest.raises(ValueError, match=re.escape(message)):
-            monodromy_track(Fraction(1, 2), loop_samples=16, k=k, u_tilde0=u_tilde0,
+            monodromy_track(Fraction(1, 2), loop_samples=samples, k=k, u_tilde0=u_tilde0,
                             contractible=contractible)
+
+    @pytest.mark.parametrize("samples", [np.int64(16), np.int32(16), np.uint8(16)])
+    def test_numpy_integer_loop_samples(self, samples):
+        assert monodromy_track(Fraction(1, 2), samples) == monodromy_track(Fraction(1, 2), 16)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_extrapolate_is_exact_on_polynomials_of_its_degree(self, order):
+        # the chain's starts come from float nodes, the fill's column by
+        # column; both reproduce a polynomial of degree order - 1, and a
+        # column is the float call's value bit for bit
+        rng = np.random.default_rng(order)
+        coeffs = rng.normal(size=(order, 6))
+        xs = np.sort(rng.uniform(0.0, 1.0, (order, 6)), axis=0)
+        x = rng.uniform(1.0, 1.5, 6)
+
+        def poly(t):
+            return sum(c * t ** n for n, c in enumerate(coeffs))
+        got = differentials._extrapolate(xs, poly(xs), x)
+        assert np.allclose(got, poly(x), rtol=1e-9, atol=1e-12)
+        one = [differentials._extrapolate(xs[:, i], poly(xs)[:, i], x[i].item())
+               for i in range(6)]
+        assert [v.hex() for v in got.tolist()] == [float(v).hex() for v in one]
+        assert math.isnan(differentials._extrapolate(xs[:0, 0], xs[:0, 0], 0.5))
+
+    @pytest.mark.parametrize("contractible", [False, True])
+    def test_loop_gamma_plus_is_the_closed_form_at_its_chart_values(
+            self, contractible, monkeypatch, bench_inputs):
+        # the loop's gamma+ takes F, E_reg and w(iu) - k u^2 from the held
+        # angle's pass, at _half_angle's (s, c) where _gamma_plus alone takes
+        # _axis_angle's, so the last bits may differ but no more
+        gamma_plus, seen = differentials._gamma_plus, []
+
+        def recorded(p, k, K, E, u, v, terms=None):
+            values = gamma_plus(p, k, K, E, u, v, terms)
+            seen.append((p, k, u, v, terms, values))
+            return values
+        monkeypatch.setattr(differentials, "_gamma_plus", recorded)
+        for seed in (1, 2, 3):
+            jobs = [job for job in loop_jobs(bench_inputs, seed)
+                    if job["contractible"] == contractible]
+            for job in jobs[:12]:
+                seen.clear()
+                monodromy_track(Fraction(job["q"]), job["samples"], job["k"],
+                                job["u_tilde0"], contractible)
+                [(p, k, u, v, terms, values)] = seen
+                assert terms is not None and values.size == job["samples"] + 1
+                ks = np.broadcast_to(k, u.shape)
+                want = gamma_plus(p, ks, *_complete_KE_array(ks), u, v)
+                assert np.all(np.abs(values - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("contractible, jump", [(False, False), (True, False), (True, True)])
+    def test_one_held_angle_pass_per_round(self, contractible, jump, monkeypatch):
+        # F and E_reg of the held angles are evaluated in one array pass a
+        # round, which the lockstep and gamma+ share; with the false jump of
+        # test_a_jump_is_bisected_down_to_the_floor the loop takes 8 rounds
+        passes = []
+        for module in (moduli, differentials):
+            def recorded(s, c, k, fe=module._FE):
+                if isinstance(s, np.ndarray):
+                    passes.append(s)
+                return fe(s, c, k)
+            monkeypatch.setattr(module, "_FE", recorded)
+        if jump:
+            gamma_plus = differentials._gamma_plus
+            monkeypatch.setattr(differentials, "_gamma_plus", lambda p, k, *args: (
+                gamma_plus(p, k, *args) + 3.0 * (k > 0.53)))
+        chain, rounds, _ = record_loop(monkeypatch, max_rounds=20)
+        monodromy_track(Fraction(1, 2), 96, 0.5, 0.3, contractible)
+        held = np.array([args[3] for args, *_ in chain] + [a for r in rounds for a in r.angle])
+        held_s = np.sort(_half_angle(held)[1])
+
+        def of_held_angles(s):
+            at = np.clip(np.searchsorted(held_s, s), 1, held_s.size - 1)
+            gap = np.minimum(np.abs(held_s[at] - s), np.abs(held_s[at - 1] - s))
+            return bool(np.all(gap < 1e-12))
+        assert len(rounds) == (8 if jump else 1)
+        assert sum(map(of_held_angles, passes)) == len(rounds)
+
+    @pytest.mark.parametrize("contractible", [False, True])
+    def test_K_and_E_once_per_round_and_cached_on_an_annulus(self, contractible, monkeypatch):
+        # the annulus has one k, whose K and E come from the cache; the
+        # contractible loop takes one _complete_KE_array pass a round
+        calls = []
+        for module in (moduli, differentials):
+            def recorded(k, ke=module._complete_KE_array):
+                calls.append(np.size(k))
+                return ke(k)
+            monkeypatch.setattr(module, "_complete_KE_array", recorded)
+        _, rounds, _ = record_loop(monkeypatch)
+        monodromy_track(Fraction(1, 2), 96, 0.5, 0.3, contractible)
+        assert len(rounds) == 1 and calls == ([97] if contractible else [])
 
 
 def frame_gamma_plus(mp):
@@ -963,7 +1053,7 @@ class TestChartRoute:
     @pytest.mark.parametrize("x0, y0", [(0.0, 0.3), (-1.0, 0.3), (math.inf, 0.3),
                                         (math.nan, 0.3), (1.0, math.nan), (1.0, -math.inf)])
     def test_z0_must_be_finite_in_the_right_half_plane(self, x0, y0, monkeypatch):
-        monkeypatch.setattr(differentials, "_center", lambda p, k, u, v: (x0, y0))
+        monkeypatch.setattr(differentials, "_center", lambda *args: (x0, y0))
         with pytest.raises(ValueError, match="Re z0 > 0"):
             chart_gamma_plus(ModuliPoint(1.0, 0.5, 0.3, 2.0))
 
@@ -988,7 +1078,7 @@ class TestChartRoute:
         with pytest.raises(ValueError, match="u = v is outside the coordinate chart"):
             differentials._gamma_plus(1.0, 0.5, K, E, u, np.array([2.0, 1.0, 0.4]))
         centers = np.array([1.0, 0.0, math.nan]), np.array([0.3, 0.3, 0.3])
-        monkeypatch.setattr(differentials, "_center", lambda p, k, u, v: centers)
+        monkeypatch.setattr(differentials, "_center", lambda *args: centers)
         with pytest.raises(ValueError, match=re.escape("z0 = 0.3j is not finite with Re z0 > 0")):
             differentials._gamma_plus(1.0, 0.5, K, E, u, np.array([2.0, 2.5, 0.4]))
 
