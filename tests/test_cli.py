@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 import harmonictori
-from harmonictori import differentials
-from harmonictori.cli import _solved_text, _write_level_set, _write_mesh_obj, f17, main
+from harmonictori import cli, differentials
+from harmonictori.cli import _BLOCK, _solved_text, _write_level_set, _write_mesh_obj, f17, main
 from harmonictori.config import CONFIG_ENV_VAR, RunConfig, load_config
 from harmonictori.curves import BranchPair
 from harmonictori.moduli import spectral_test, sweep_level_set
@@ -71,6 +71,42 @@ def test_cli_import_leaves_out_test_only_modules():
     assert not {"scipy.integrate", "mpmath", "hypothesis"} & set(loaded)
 
 
+def test_cli_import_builds_no_parser():
+    # the parser is built on the first main() call, so the import that every
+    # CLI call pays constructs no ArgumentParser; the build_parser call after
+    # it shows that the probe counts a build
+    src = os.path.dirname(os.path.dirname(harmonictori.__file__))
+    probe = ("import argparse\n"
+             "built = []\n"
+             "init = argparse.ArgumentParser.__init__\n"
+             "def counted(self, *args, **kwargs):\n"
+             "    built.append(self)\n"
+             "    init(self, *args, **kwargs)\n"
+             "argparse.ArgumentParser.__init__ = counted\n"
+             "import harmonictori.cli\n"
+             "print(len(built))\n"
+             "harmonictori.cli.build_parser()\n"
+             "print(len(built))\n")
+    counts = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, check=True).stdout.split()
+    assert counts[0] == "0" and int(counts[1]) > 0
+
+
+def test_later_main_calls_build_no_parser(monkeypatch, capsys):
+    built = []
+    init = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    assert main(["enumerate", "--p", "2", "--max-den", "2"]) == 0
+    built.clear()
+    assert main(["enumerate", "--p", "1/2", "--max-den", "2"]) == 0
+    capsys.readouterr()
+    assert built == []
+
+
 def test_modules_use_their_imports_and_export_defined_names():
     # every module but the package's own re-export list reads each name it
     # imports (in code or in __all__), and every name of an __all__ resolves
@@ -89,14 +125,17 @@ def test_modules_use_their_imports_and_export_defined_names():
 
 
 def test_successive_calls_match_fresh_interpreters(tmp_path, monkeypatch, capsys):
-    # in one process, each call of a sequence of main() calls, an argparse
-    # rejection among them, gives the exit code, output and files of the
-    # same call in a fresh interpreter, and a failed call leaks nothing
+    # in one process, each call of a sequence of main() calls, a help request
+    # and argparse rejections among them, gives the exit code, output and
+    # files of the same call in a fresh interpreter, and a failed call leaks
+    # nothing: the parser main reuses keeps no state from call to call
     calls = [
         ["level-set", "--p=1/2", "--q=1/3", "--k-grid=3", "--angle-grid=4",
          "--span=6.0", "--out=leaf.csv", "--mesh=leaf.obj"],
+        ["level-set", "--help"],
         ["level-set", "--p=2", "--q=1", "--k-grid=x", "--out=bad.csv"],
         ["verify", "--suite", "elliptic"],
+        ["verify", "--suite", "nope"],
         ["curve-info", "--alpha", "0.3,0.0", "--beta=-0.3,0.0"],
         ["level-set", "--p=2", "--q=1", "--k-grid=2", "--angle-grid=3", "--span=1.0",
          "--out=other.csv"],
@@ -117,7 +156,7 @@ def test_successive_calls_match_fresh_interpreters(tmp_path, monkeypatch, capsys
         captured = capsys.readouterr()
         stdout, stderr = proc.communicate()
         assert (codes[-1], captured.out, captured.err) == (proc.returncode, stdout, stderr)
-    assert codes == [0, 1, 0, 0, 0]
+    assert codes == [0, 0, 1, 0, 1, 0, 0]
     for folder in (here, fresh):
         assert sorted(p.name for p in folder.iterdir()) == ["leaf.csv", "leaf.obj", "other.csv"]
     for name in ("leaf.csv", "leaf.obj", "other.csv"):
@@ -290,12 +329,14 @@ class TestLevelSet:
         assert captured.out == "" and not out.exists()
 
 
-def mesh_with_holes(p=Fraction(1)):
-    """A 5x7 leaf with failures injected inside it, on its edges and at a
-    corner, as a failed solve leaves them: nan in every grid array."""
-    mesh = sweep_level_set(p, Fraction(0), 5, 7, 2 * math.pi,
+def mesh_with_holes(p=Fraction(1), k_grid=5, angle_grid=7,
+                    holes=((2, 3), (0, 4), (4, 0), (3, 6), (1, 1), (1, 2))):
+    """A leaf with failures injected at the grid points ``holes`` (by default
+    a 5x7 leaf with holes inside it, on its edges and at a corner), as a
+    failed solve leaves them: nan in every grid array."""
+    mesh = sweep_level_set(p, Fraction(0), k_grid, angle_grid, 2 * math.pi,
                            k_min=0.3, k_max=0.6)
-    for i, j in ((2, 3), (0, 4), (4, 0), (3, 6), (1, 1), (1, 2)):
+    for i, j in holes:
         for grid in (mesh.u_tilde, mesh.v_tilde, mesh.alpha, mesh.beta):
             grid[i, j] = np.nan
         mesh.failures.append((mesh.k_values[i], mesh.angle_values[j], "injected"))
@@ -324,6 +365,24 @@ def float_keyed_obj(mesh):
     return "\n".join(lines) + "\n"
 
 
+def f17_rows(mesh):
+    """The CSV records by one f17 per value, solved points in grid order."""
+    return [",".join(f17(x) for x in (
+        mesh.p, mesh.q, k, mesh.u_tilde[i, j], mesh.v_tilde[i, j],
+        mesh.alpha[i, j].real, mesh.alpha[i, j].imag,
+        mesh.beta[i, j].real, mesh.beta[i, j].imag))
+        for i, k in enumerate(mesh.k_values) for j in range(len(mesh.angle_values))
+        if not np.isnan(mesh.u_tilde[i, j])]
+
+
+# a 20x16 leaf with a hole 6 grid points before and 4 after the one that
+# becomes vertex _BLOCK, so the writers' first block boundary falls between
+# two holes; its 318 vertices and 554 faces fill more than one block each
+PAST_BLOCK = {"k_grid": 20, "angle_grid": 16,
+              "holes": (divmod(_BLOCK - 6, 16), divmod(_BLOCK + 4, 16))}
+ALL_FAILED = {"k_grid": 4, "angle_grid": 5,
+              "holes": tuple((i, j) for i in range(4) for j in range(5))}
+
 # the held angle is u~ for p <= 1 and v~ for p > 1
 HELD_SIDES = pytest.mark.parametrize("p", [Fraction(1), Fraction(1, 3), Fraction(5, 2)],
                                      ids=["p=1", "p=1/3", "p=5/2"])
@@ -346,13 +405,29 @@ class TestWriters:
                          str(tmp_path / "leaf.csv"), _solved_text(mesh))
         lines = (tmp_path / "leaf.csv").read_text().splitlines()
         assert lines[1] == "# partial: 6 grid points failed"
-        expected = [",".join(f17(x) for x in (
-            mesh.p, mesh.q, k, mesh.u_tilde[i, j], mesh.v_tilde[i, j],
-            mesh.alpha[i, j].real, mesh.alpha[i, j].imag,
-            mesh.beta[i, j].real, mesh.beta[i, j].imag))
-            for i, k in enumerate(mesh.k_values) for j in range(7)
-            if not np.isnan(mesh.u_tilde[i, j])]
-        assert lines[3:] == expected
+        assert lines[3:] == f17_rows(mesh)
+
+    @HELD_SIDES
+    @pytest.mark.parametrize("leaf, failed, vertices, faces", [
+        (PAST_BLOCK, 2, 320 - 2, 2 * (19 * 15 - 8)), (ALL_FAILED, 20, 0, 0),
+    ], ids=["past_block", "all_failed"])
+    def test_block_edges_match_references(self, leaf, failed, vertices, faces, p, tmp_path):
+        # an all-failed leaf writes only the CSV's header lines and the OBJ's comment
+        mesh = mesh_with_holes(p, **leaf)
+        text = _solved_text(mesh)
+        _write_level_set(mesh, RunConfig(k_min=0.3, k_max=0.6), 2 * math.pi,
+                         str(tmp_path / "leaf.csv"), text)
+        _write_mesh_obj(mesh, str(tmp_path / "leaf.obj"), text)
+        lines = (tmp_path / "leaf.csv").read_text().splitlines()
+        assert lines[0].startswith("# level set ")
+        assert lines[1:3] == [f"# partial: {failed} grid points failed",
+                              "p,q,k,u_tilde,v_tilde,re_alpha,im_alpha,re_beta,im_beta"]
+        assert lines[3:] == f17_rows(mesh) and len(lines[3:]) == vertices
+        obj = (tmp_path / "leaf.obj").read_text()
+        assert obj == float_keyed_obj(mesh)
+        obj_lines = obj.splitlines()
+        assert [sum(1 for line in obj_lines if line.startswith(tag)) for tag in ("v ", "f ")] \
+            == [vertices, faces] and len(obj_lines) == 1 + vertices + faces
 
 
 class TestEnumerate:
@@ -394,7 +469,6 @@ class TestGenus0:
         assert "warning" in capsys.readouterr().out
 
     def test_failed_cross_check_exits_3(self, monkeypatch, capsys):
-        from harmonictori import cli
         true_branch_point = cli.branch_point
         monkeypatch.setattr(cli, "branch_point",
                             lambda m: true_branch_point(m) + 1e-6)
