@@ -743,23 +743,17 @@ def construct_psi(S: Fraction, T: Fraction, frame: JacobiFrame) -> ClosingData:
 # ---------------------------------------------------------------------------
 # monodromy around an annulus component
 
-@cache
-def _other_nodes(r: int) -> np.ndarray:
-    """Indices of shape (r, r - 1): row j runs over the m != j of r nodes."""
-    return np.nonzero(~np.eye(r, dtype=bool))[1].reshape(r, r - 1)
-
-
-def _extrapolate(xs: np.ndarray, ys: np.ndarray, x):
-    """Value at x of the polynomial through the points (xs[j], ys[j]), nan
-    with no point: the sum of ys[j] times its Lagrange weight, the product
-    over m != j of (x - xs[m])/(xs[j] - xs[m]), which divides by node gaps
-    only.  xs and ys are arrays of the points; with x an array, their
-    columns are as many polynomials."""
-    if not len(xs):
-        return math.nan
-    xm = xs[_other_nodes(len(xs))]
-    weights = np.multiply.reduce((x - xm) / (xs[:, None] - xm), 1)
-    return np.add.reduce(weights * ys, 0)
+def _periodic(ts: np.ndarray, gs: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Value at the points t of the trigonometric interpolant of period 1
+    through the points (ts[j], gs[j]), in barycentric form (Henrici 1979):
+    the weights w_j = 1/prod over m != j of sin(pi (ts[j] - ts[m])) against
+    csc(pi (t - ts[j])) for an odd node count and cot for an even one, which
+    reproduces trigonometric polynomials of degree (len(ts) - 1)//2."""
+    d = np.sin(np.pi * (ts[:, None] - ts))
+    np.fill_diagonal(d, 1.0)
+    x = np.pi * (t - ts[:, None])
+    c = (1.0 / d.prod(1))[:, None] / (np.sin(x) if ts.size % 2 else np.tan(x))
+    return (c * gs[:, None]).sum(0) / c.sum(0)
 
 
 def _turn_increments(values: np.ndarray) -> np.ndarray:
@@ -782,17 +776,21 @@ def monodromy_track(q: Fraction, loop_samples: int = 48, k: float = 0.5,
     small contractible loop in the (k, angle) chart when ``contractible``.
     The annulus loop is oriented so that the closing integral over the
     gamma+ path gains +2 pi i per circuit, matching the deck-shift bookkeeping.
-    The samples (k, u~) are taken in array passes.  A coarse chain of every
-    16th sample and the last one takes one solve_level each, started from
-    the cubic extrapolation of v~ - u~ through the last four chain samples
-    (a cold solve at the first).  Every other sample is solved in rounds.
+    The samples (k, u~) and U~ = angle_rescale(u~, sqrt(k)) are taken in
+    array passes.  A loop is one orbit of the deck generator, +pi on U~ and
+    V~ (curves.deck_lambda_tilde), or closed, so the gap g = V~ - U~ has
+    period 1 in the loop parameter t; a start is a gap taken back to v~ =
+    angle_rescale(U~ + g, 1/sqrt(k)).  A coarse chain of every 16th sample
+    and the last takes one solve_level each, from the previous one's gap (a
+    cold solve at the first).  Every other sample is solved in rounds.
     A round first computes the held angle's terms (_level_part) at every
     sample in one array pass, with K and E of the annulus's one k (cached)
     or one _complete_KE_array pass over the contractible loop's k.  It then
     solves its unsolved samples in one _lockstep call on their slices of
-    those terms, each started from the interpolation of v~ - u~ through its
-    nearest four solved samples, so a sample angle agrees with a cold
-    solve_level to within solver_tol, not bit for bit; and it evaluates
+    those terms, the first round's from the periodic interpolant of the
+    chain's gaps less the last (t = 1 repeats t = 0), a bisection midpoint
+    from the mean of its step's end gaps, so a sample angle agrees with a
+    cold solve_level to within solver_tol, not bit for bit; and it evaluates
     gamma+, the chart's closed form, at every sample from the same terms.
     A step's increment is its difference d to the nearest turn,
     d + 2 pi round(-d/2 pi); the midpoint of each step whose increment
@@ -815,34 +813,36 @@ def monodromy_track(q: Fraction, loop_samples: int = 48, k: float = 0.5,
     U0 = angle_rescale(u_tilde0, rk)
 
     def sample(t):
-        """(k, u~) arrays along the loop at the parameters t in [0, 1]."""
+        """(k, u~, U~) arrays along the loop at the parameters t in [0, 1]."""
         if contractible:
-            return (k + 0.05 * _per_element(math.sin, TWO_PI * t),
-                    u_tilde0 + 0.2 * (_per_element(math.cos, TWO_PI * t) - 1.0))
-        return np.full(t.size, k), angle_rescale(U0 + math.pi * t, 1.0 / rk)
+            ks = k + 0.05 * _per_element(math.sin, TWO_PI * t)
+            us = u_tilde0 + 0.2 * (_per_element(math.cos, TWO_PI * t) - 1.0)
+            return ks, us, angle_rescale(us, np.sqrt(ks))
+        Us = U0 + math.pi * t
+        return np.full(t.size, k), angle_rescale(Us, 1.0 / rk), Us
 
     ts = np.arange(loop_samples + 1) / loop_samples
-    ks, us = sample(ts)
-    vs = np.full(ts.size, math.nan)
-    # the coarse chain: every 16th sample and the last one, one solve_level each
-    chain = np.array([*range(0, loop_samples, _CHAIN_STRIDE), loop_samples])
-    for i, j in enumerate(chain.tolist()):
-        near = chain[max(0, i - 4):i]
-        ut = us[j].item()
-        start = ut + _extrapolate(ts[near], vs[near] - us[near], ts[j])
-        vs[j] = solve_level(1.0, qf, ks[j].item(), ut, start=start).v_tilde
+    ks, us, Us = sample(ts)
+    vs, gs = np.full((2, ts.size), math.nan)  # gs: the gap, or an unsolved sample's start gap
+    # the coarse chain: every 16th sample and the last one, one solve_level
+    # each, started from the previous chain sample's gap g
+    chain = [*range(0, loop_samples, _CHAIN_STRIDE), loop_samples]
+    g = None
+    for j in chain:
+        kj, Uj = ks[j].item(), Us[j].item()
+        rkj = math.sqrt(kj)
+        start = None if g is None else angle_rescale(Uj + g, 1.0 / rkj)
+        vs[j] = solve_level(1.0, qf, kj, us[j].item(), start=start).v_tilde
+        g = gs[j] = angle_rescale(vs[j].item(), rkj) - Uj
+    fill = np.isnan(vs).nonzero()[0]
+    gs[fill] = _periodic(ts[chain[:-1]], gs[chain[:-1]], ts[fill])
     while True:
         # the held angle's terms at every sample, for the lockstep and gamma+
         kk, K, E = (ks, *_complete_KE_array(ks)) if contractible else (k, *_complete_KE(k))
         terms = _level_part(kk, K, E, us)
-        # the unsolved samples in lockstep, each started from the
-        # interpolation through its nearest four solved samples (rows of ``near``)
-        unsolved = np.isnan(vs)
-        fill, known = unsolved.nonzero()[0], (~unsolved).nonzero()[0]
-        order = min(4, known.size)
-        first = np.minimum(np.maximum(np.searchsorted(known, fill) - 2, 0), known.size - order)
-        near = known[first + np.arange(order)[:, None]]
-        start = us[fill] + _extrapolate(ts[near], vs[near] - us[near], ts[fill])
+        # the unsolved samples in lockstep, each started from its start gap
+        fill = np.isnan(vs).nonzero()[0]
+        start = angle_rescale(Us[fill] + gs[fill], 1.0 / np.sqrt(ks[fill]))
         solved, residual = _lockstep(1.0, qf, *_at(fill, kk, K, E), us[fill],
                                      _at(fill, *terms[:4]), DEFAULTS.solver_tol, start)
         failed = np.isnan(solved)
@@ -855,9 +855,11 @@ def monodromy_track(q: Fraction, loop_samples: int = 48, k: float = 0.5,
         steps = ((np.abs(increments) > 2.0) & (ts[1:] - ts[:-1] > 1e-4)).nonzero()[0]
         if not steps.size:
             break
+        gs[fill] = angle_rescale(solved, np.sqrt(ks[fill])) - Us[fill]
         mids = 0.5 * (ts[steps] + ts[steps + 1])
-        ts, ks, us, vs = (np.insert(x, steps + 1, y) for x, y in
-                          zip((ts, ks, us, vs), (mids, *sample(mids), math.nan)))
+        ts, ks, us, Us, vs, gs = (np.insert(x, steps + 1, y) for x, y in zip(
+            (ts, ks, us, Us, vs, gs),
+            (mids, *sample(mids), math.nan, 0.5 * (gs[steps] + gs[steps + 1]))))
 
     delta = float(increments.sum())
     turns = round(delta / TWO_PI)

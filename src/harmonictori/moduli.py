@@ -23,7 +23,9 @@ monodromy_track computes them once per round at every loop sample, shares
 them with its gamma+ closed form, and calls _lockstep on the slices of the
 samples off its solve_level chain, bisection midpoints included.
 Each starts from a given start inside the bracket, per point for the
-arrays, or else the midpoint; a point of the arrays ends on solve_level's bits.
+arrays, or else the midpoint, and stops before the slope once converged
+(every running point, for the arrays); a point of the arrays ends on
+solve_level's bits.
 An angle's share of T~ is the principal one plus pi per whole turn, and
 the chart value tan(x~/2) of a float angle is finite, the chart boundary
 included, so one formula serves every point.  The scalar entry points take
@@ -316,7 +318,9 @@ def _lockstep(p: float, q: float, k, K, E, angle: np.ndarray, held, tol: float,
     point ends where solve_level(p, q, k[i], angle[i], tol, start[i]) would,
     after as many evaluations of T~: a point leaves as it converges or
     stalls, before its next iterate is evaluated, and the per-point
-    constants are cut to the running points as points leave.  Returns the
+    constants are cut to the running points as points leave.  Once every
+    running point has converged the solve stops before the slope, as
+    solve_level returns before its slope.  Returns the
     solved angle of every point, nan where it failed, and the residual
     T~ - q where it failed (nan elsewhere), whose reason is
     _no_convergence(q, residual).
@@ -331,6 +335,9 @@ def _lockstep(p: float, q: float, k, K, E, angle: np.ndarray, held, tol: float,
         fx, free = level(x)
         for _ in range(_MAX_STEPS):
             done = np.abs(fx) < tol
+            if done.all():  # as solve_level returns, before the slope
+                solved[idx] = x
+                break
             lower = (fx < 0.0) == (sign > 0.0)
             a, b = np.where(lower, x, a), np.where(lower, b, x)
             d = slope(fx, free)

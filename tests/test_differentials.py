@@ -7,6 +7,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from functools import cache
 from types import SimpleNamespace
 
 import mpmath as mp
@@ -708,11 +709,11 @@ class TestMonodromy:
         (Fraction(1, 2), 0.5, True)])
     def test_warm_start_takes_few_evaluations(self, q, k, contractible, monkeypatch):
         # a cold solve takes 5 to 9 evaluations of T~ from the band midpoint.
-        # Each chain sample after the first starts from the offset v~ - u~
-        # extrapolated through the last chain samples, 16 samples apart; the
-        # lockstep fill starts each other sample from the interpolation
-        # through its nearest four chain samples, which leaves a point at
-        # most four and on average about three checked Newton steps.  The
+        # Each chain sample after the first starts from the rescaled gap
+        # V~ - U~ of the chain sample 16 samples before it; the lockstep fill
+        # starts each other sample from the periodic interpolant of the
+        # chain's gaps, which leaves a point at most four and on average
+        # under three checked Newton steps.  The
         # whole 96-sample loop takes at most 60 calls of the share kernel,
         # where one solve_level per sample took about 298
         chain, rounds, counts = record_loop(monkeypatch)
@@ -731,8 +732,8 @@ class TestMonodromy:
         # solve_level and the first lockstep round the other seven; each
         # later round solves exactly the midpoints of adjacent samples that
         # it inserts, in one lockstep call.  So each sample is solved once,
-        # and every start is finite: the interpolation runs through solved
-        # samples only (an unsolved one would give a nan start)
+        # and every start is finite: a midpoint's start is the mean of the
+        # gaps of its two solved neighbours (an unsolved one would give nan)
         chain, rounds, _ = record_loop(monkeypatch)
         turns = monodromy_track(q, 8, 0.05, u_tilde0)
         assert len(chain) == 2 and len(rounds[0].angle) == 7 and len(rounds) > 1
@@ -792,19 +793,62 @@ class TestMonodromy:
     @pytest.mark.parametrize("contractible", [False, True])
     def test_a_loop_without_bisection_makes_no_per_sample_call(self, contractible,
                                                               monkeypatch):
-        # the samples come from one array pass, so the scalar calls are the
-        # rescale of the start angle and the chain's seven solve_level calls
+        # the samples, their rescaled angles and the fill's starts come from
+        # array passes, so the scalar calls are the chain's seven solve_level
+        # calls and the float rescales of the start angle and of the chain:
+        # each chain sample's solved angle, to its gap, and each start that
+        # the chain passes to solve_level
         rescaled = []
 
         def recorded_rescale(x_tilde, s):
-            rescaled.append(x_tilde)
-            return angle_rescale(x_tilde, s)
+            y = angle_rescale(x_tilde, s)
+            rescaled.append((x_tilde, s, y))
+            return y
         monkeypatch.setattr(differentials, "angle_rescale", recorded_rescale)
         chain, _, _ = record_loop(monkeypatch)
         monodromy_track(Fraction(1, 2), 96, 0.5, 0.3, contractible)
-        assert [type(x) for x in rescaled] == [float] + [np.ndarray] * (not contractible)
         assert [args[3] for args, *_ in chain] == [
             loop_point(j / 96, 0.5, 0.3, contractible)[1] for j in (0, 16, 32, 48, 64, 80, 96)]
+        floats = [(x, s, y) for x, s, y in rescaled if not isinstance(x, np.ndarray)]
+        assert len(floats) < len(rescaled) and all(type(x) is float for x, *_ in floats)
+        solved = {mp.v_tilde for *_, mp, _ in chain}
+        starts = {kw["start"] for _, kw, *_ in chain} - {None}
+        assert floats[0][:2] == (0.3, math.sqrt(0.5)) and len(starts) == 6
+        assert all(x in solved or y in starts for x, _, y in floats[1:])
+
+    def test_an_annulus_loop_ends_on_the_deck_image_of_its_start(self, bench_inputs):
+        # one annulus loop is one orbit of the deck generator, +pi on both
+        # rescaled angles: on the benchmark's annulus loops the solved t = 1
+        # sample is deck_lambda_tilde of the t = 0 one, the held angle to a
+        # few ulps and the solved one to the solver's precision, so the
+        # rescaled gap V~ - U~ that the loop's starts interpolate has period
+        # 1.  The held angles are bit for bit on 450 of the 468 loops; the
+        # rest differ by 1 to 4 ulps, because angle_rescale(u~, sqrt(k))
+        # returns the loop's U~ at t = 0 only to rounding
+        annuli = [(job, chain) for job, chain, _ in recorded_bench_loops(bench_inputs)
+                  if not job["contractible"]]
+        assert len(annuli) == 468
+        for job, chain in annuli:
+            (_, _, first, _), (_, _, last, _) = chain[0], chain[-1]
+            image = curves.deck_lambda_tilde(first)
+            assert abs(image.u_tilde - last.u_tilde) <= 1e-14
+            assert abs(image.v_tilde - last.v_tilde) <= 1e-8
+            rk = math.sqrt(job["k"])
+            gap0, gap1 = (angle_rescale(mp.v_tilde, rk) - angle_rescale(mp.u_tilde, rk)
+                          for mp in (first, last))
+            assert abs(gap1 - gap0) <= 1e-8
+
+    def test_the_fill_takes_few_level_evaluations_on_the_benchmark_loops(self, bench_inputs):
+        # each chain sample starts from the previous one's gap, and the first
+        # round each other sample from the periodic interpolant of the chain's
+        # gaps: over the benchmark's loops of seeds 1-3 the fill's lockstep
+        # takes 2.4 level evaluations on average (3.15 from the nearest four
+        # samples' Lagrange interpolant of v~ - u~), a chain solve after the
+        # first at most 5
+        loops = recorded_bench_loops(bench_inputs)
+        assert len(loops) == 624
+        assert np.mean([rounds[0].steps for *_, rounds in loops]) <= 2.6
+        assert max(n for _, chain, _ in loops for *_, n in chain[1:]) <= 5
 
     def test_a_jump_is_bisected_down_to_the_floor(self, monkeypatch):
         # a false jump of 3 in gamma+ where k > 0.53 on the contractible loop
@@ -848,24 +892,27 @@ class TestMonodromy:
     def test_numpy_integer_loop_samples(self, samples):
         assert monodromy_track(Fraction(1, 2), samples) == monodromy_track(Fraction(1, 2), 16)
 
-    @pytest.mark.parametrize("order", [1, 2, 3, 4])
-    def test_extrapolate_is_exact_on_polynomials_of_its_degree(self, order):
-        # the chain's starts come from float nodes, the fill's column by
-        # column; both reproduce a polynomial of degree order - 1, and a
-        # column is the float call's value bit for bit
-        rng = np.random.default_rng(order)
-        coeffs = rng.normal(size=(order, 6))
-        xs = np.sort(rng.uniform(0.0, 1.0, (order, 6)), axis=0)
-        x = rng.uniform(1.0, 1.5, 6)
+    @pytest.mark.parametrize("spacing", ["equispaced", "random"])
+    @pytest.mark.parametrize("nodes", range(1, 9))
+    def test_periodic_is_exact_on_trigonometric_polynomials_of_its_degree(self, nodes, spacing):
+        # the first round's start gaps come from the chain samples less the
+        # last, up to eight nodes on the benchmark's loops, equispaced but
+        # for a shorter last gap; the interpolant reproduces every
+        # trigonometric polynomial of period 1 and degree (nodes - 1)//2, at
+        # points off [0, 1) too.  The random nodes are each drawn within 0.4
+        # of a spacing of the equispaced one: nodes drawn anywhere can
+        # cluster, and then the Lebesgue constant scales the rounding (eight
+        # uniform draws with five in a span of 0.12 gave 2.9e-12)
+        rng = np.random.default_rng(nodes)
+        jitter = rng.uniform(-0.4, 0.4, nodes) if spacing == "random" else 0.0
+        ts = (np.arange(nodes) + jitter) / nodes
+        a, b = rng.normal(size=(2, (nodes - 1) // 2 + 1))
 
-        def poly(t):
-            return sum(c * t ** n for n, c in enumerate(coeffs))
-        got = differentials._extrapolate(xs, poly(xs), x)
-        assert np.allclose(got, poly(x), rtol=1e-9, atol=1e-12)
-        one = [differentials._extrapolate(xs[:, i], poly(xs)[:, i], x[i].item())
-               for i in range(6)]
-        assert [v.hex() for v in got.tolist()] == [float(v).hex() for v in one]
-        assert math.isnan(differentials._extrapolate(xs[:0, 0], xs[:0, 0], 0.5))
+        def trig(t):
+            return sum(a[n] * np.cos(2 * math.pi * n * t) + b[n] * np.sin(2 * math.pi * n * t)
+                       for n in range(a.size))
+        t = rng.uniform(-1.0, 2.0, 200)
+        assert np.max(np.abs(differentials._periodic(ts, trig(ts), t) - trig(t))) <= 1e-12
 
     @pytest.mark.parametrize("contractible", [False, True])
     def test_loop_gamma_plus_is_the_closed_form_at_its_chart_values(
@@ -964,6 +1011,22 @@ def loop_jobs(inputs, seed):
     """The loops of the benchmark's annulus_loop workload at a seed, from its
     input generators ``inputs`` (the bench_inputs fixture)."""
     return inputs.loop_jobs(random.Random(f"annulus_loop:{seed}"), 20)
+
+
+@cache
+def recorded_bench_loops(inputs):
+    """(job, chain, rounds) of record_loop for every loop of the benchmark's
+    annulus_loop workload at seeds 1, 2 and 3, recorded once per session."""
+    loops = []
+    with pytest.MonkeyPatch.context() as patch:
+        for seed in (1, 2, 3):
+            for job in loop_jobs(inputs, seed):
+                chain, rounds, _ = record_loop(patch)
+                monodromy_track(Fraction(job["q"]), job["samples"], job["k"],
+                                job["u_tilde0"], job["contractible"])
+                patch.undo()
+                loops.append((job, chain, rounds))
+    return loops
 
 
 def reference_monodromy(q, loop_samples, k, u_tilde0=0.3, contractible=False):

@@ -946,6 +946,39 @@ class TestBatchedSweep:
         kinds = {"inside", "lower end", "upper end", "below", "above", "infinite", "nan", "failed"}
         assert outcomes == set(itertools.product(kinds, (1 / 3, 1.0, 5 / 2)))
 
+    def test_a_converged_lockstep_makes_no_slope_call(self, monkeypatch):
+        # once every running point has converged the lockstep stops before
+        # its slope, as solve_level returns before its slope: from cold
+        # starts it takes one slope per evaluation of the level but the
+        # last, and started on solved angles it takes none, each point
+        # still on solve_level's bits
+        level_fns, calls = moduli._level_fns, {"level": 0, "slope": 0}
+
+        def counted(*args):
+            level, slope = level_fns(*args)
+
+            def counted_level(x):
+                calls["level"] += 1
+                return level(x)
+
+            def counted_slope(f, free):
+                calls["slope"] += 1
+                return slope(f, free)
+            return counted_level, counted_slope
+        monkeypatch.setattr(moduli, "_level_fns", counted)
+        rng = np.random.default_rng(47)
+        ks, angles = rng.uniform(0.05, 0.95, 40), rng.uniform(-4 * math.pi, 4 * math.pi, 40)
+        for p in (1 / 3, 1.0, 5 / 2):
+            calls.update(level=0, slope=0)
+            cold, _ = moduli._solve_level_grid(p, 0.37, ks, angles, DEFAULTS.solver_tol)
+            assert calls["level"] > 1 and calls["slope"] == calls["level"] - 1
+            calls.update(level=0, slope=0)
+            warm, _ = moduli._solve_level_grid(p, 0.37, ks, angles, DEFAULTS.solver_tol, cold)
+            assert calls == {"level": 1, "slope": 0}
+            for x, y, k, angle in zip(warm.tolist(), cold.tolist(), ks.tolist(), angles.tolist()):
+                mp = solve_level(p, 0.37, k, angle)
+                assert x.hex() == y.hex() == (mp.u_tilde if p > 1.0 else mp.v_tilde).hex()
+
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(p=st.fractions(Fraction(1, 4), Fraction(4), max_denominator=6),
            q=st.fractions(Fraction(-3), Fraction(3), max_denominator=100),
