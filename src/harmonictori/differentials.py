@@ -743,27 +743,11 @@ def construct_psi(S: Fraction, T: Fraction, frame: JacobiFrame) -> ClosingData:
 # ---------------------------------------------------------------------------
 # monodromy around an annulus component
 
-def _periodic(ts: np.ndarray, gs: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Value at the points t of the trigonometric interpolant of period 1
-    through the points (ts[j], gs[j]), in barycentric form (Henrici 1979):
-    the weights w_j = 1/prod over m != j of sin(pi (ts[j] - ts[m])) against
-    csc(pi (t - ts[j])) for an odd node count and cot for an even one, which
-    reproduces trigonometric polynomials of degree (len(ts) - 1)//2."""
-    d = np.sin(np.pi * (ts[:, None] - ts))
-    np.fill_diagonal(d, 1.0)
-    x = np.pi * (t - ts[:, None])
-    c = (1.0 / d.prod(1))[:, None] / (np.sin(x) if ts.size % 2 else np.tan(x))
-    return (c * gs[:, None]).sum(0) / c.sum(0)
-
-
 def _turn_increments(values: np.ndarray) -> np.ndarray:
     """Each step's increment of the gamma+ values, the difference d taken to
     the nearest turn, d + 2 pi round(-d/2 pi)."""
     d = values[1:] - values[:-1]
     return d + TWO_PI * np.rint(-d / TWO_PI)
-
-
-_CHAIN_STRIDE = 16  # samples between two solve_level calls of monodromy_track's chain
 
 
 def monodromy_track(q: Fraction, loop_samples: int = 48, k: float = 0.5,
@@ -779,19 +763,17 @@ def monodromy_track(q: Fraction, loop_samples: int = 48, k: float = 0.5,
     The samples (k, u~) and U~ = angle_rescale(u~, sqrt(k)) are taken in
     array passes.  A loop is one orbit of the deck generator, +pi on U~ and
     V~ (curves.deck_lambda_tilde), or closed, so the gap g = V~ - U~ has
-    period 1 in the loop parameter t; a start is a gap taken back to v~ =
-    angle_rescale(U~ + g, 1/sqrt(k)).  A coarse chain of every 16th sample
-    and the last takes one solve_level each, from the previous one's gap (a
-    cold solve at the first).  Every other sample is solved in rounds.
+    period 1 in the loop parameter t.  One cold solve_level at t = 0, the
+    anchor, gives that gap g; every other sample, t = 1 and each bisection
+    midpoint included, is solved in rounds from the start v~ =
+    angle_rescale(U~ + g, 1/sqrt(k)), so a sample angle agrees with a cold
+    solve_level to within solver_tol, not bit for bit.
     A round first computes the held angle's terms (_level_part) at every
     sample in one array pass, with K and E of the annulus's one k (cached)
     or one _complete_KE_array pass over the contractible loop's k.  It then
     solves its unsolved samples in one _lockstep call on their slices of
-    those terms, the first round's from the periodic interpolant of the
-    chain's gaps less the last (t = 1 repeats t = 0), a bisection midpoint
-    from the mean of its step's end gaps, so a sample angle agrees with a
-    cold solve_level to within solver_tol, not bit for bit; and it evaluates
-    gamma+, the chart's closed form, at every sample from the same terms.
+    those terms, and evaluates gamma+, the chart's closed form, at every
+    sample from the same terms.
     A step's increment is its difference d to the nearest turn,
     d + 2 pi round(-d/2 pi); the midpoint of each step whose increment
     exceeds 2 and that is longer than 1e-4 is an unsolved sample of the
@@ -823,26 +805,17 @@ def monodromy_track(q: Fraction, loop_samples: int = 48, k: float = 0.5,
 
     ts = np.arange(loop_samples + 1) / loop_samples
     ks, us, Us = sample(ts)
-    vs, gs = np.full((2, ts.size), math.nan)  # gs: the gap, or an unsolved sample's start gap
-    # the coarse chain: every 16th sample and the last one, one solve_level
-    # each, started from the previous chain sample's gap g
-    chain = [*range(0, loop_samples, _CHAIN_STRIDE), loop_samples]
-    g = None
-    for j in chain:
-        kj, Uj = ks[j].item(), Us[j].item()
-        rkj = math.sqrt(kj)
-        start = None if g is None else angle_rescale(Uj + g, 1.0 / rkj)
-        vs[j] = solve_level(1.0, qf, kj, us[j].item(), start=start).v_tilde
-        g = gs[j] = angle_rescale(vs[j].item(), rkj) - Uj
-    fill = np.isnan(vs).nonzero()[0]
-    gs[fill] = _periodic(ts[chain[:-1]], gs[chain[:-1]], ts[fill])
+    vs = np.full(ts.size, math.nan)
+    # the anchor: one cold solve_level at t = 0, whose gap g starts every other sample
+    vs[0] = solve_level(1.0, qf, k, us[0].item()).v_tilde
+    g = angle_rescale(vs[0].item(), rk) - U0
     while True:
         # the held angle's terms at every sample, for the lockstep and gamma+
         kk, K, E = (ks, *_complete_KE_array(ks)) if contractible else (k, *_complete_KE(k))
         terms = _level_part(kk, K, E, us)
-        # the unsolved samples in lockstep, each started from its start gap
+        # the unsolved samples in lockstep, each started from the anchor's gap
         fill = np.isnan(vs).nonzero()[0]
-        start = angle_rescale(Us[fill] + gs[fill], 1.0 / np.sqrt(ks[fill]))
+        start = angle_rescale(Us[fill] + g, 1.0 / np.sqrt(ks[fill]))
         solved, residual = _lockstep(1.0, qf, *_at(fill, kk, K, E), us[fill],
                                      _at(fill, *terms[:4]), DEFAULTS.solver_tol, start)
         failed = np.isnan(solved)
@@ -855,11 +828,9 @@ def monodromy_track(q: Fraction, loop_samples: int = 48, k: float = 0.5,
         steps = ((np.abs(increments) > 2.0) & (ts[1:] - ts[:-1] > 1e-4)).nonzero()[0]
         if not steps.size:
             break
-        gs[fill] = angle_rescale(solved, np.sqrt(ks[fill])) - Us[fill]
         mids = 0.5 * (ts[steps] + ts[steps + 1])
-        ts, ks, us, Us, vs, gs = (np.insert(x, steps + 1, y) for x, y in zip(
-            (ts, ks, us, Us, vs, gs),
-            (mids, *sample(mids), math.nan, 0.5 * (gs[steps] + gs[steps + 1]))))
+        ts, ks, us, Us, vs = (np.insert(x, steps + 1, y) for x, y in zip(
+            (ts, ks, us, Us, vs), (mids, *sample(mids), math.nan)))
 
     delta = float(increments.sum())
     turns = round(delta / TWO_PI)

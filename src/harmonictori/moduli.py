@@ -21,7 +21,7 @@ _lockstep on per-point (k, angle) arrays, given K, E and the held angle's
 terms.  _solve_level_grid computes those for sweep_level_set's leaves;
 monodromy_track computes them once per round at every loop sample, shares
 them with its gamma+ closed form, and calls _lockstep on the slices of the
-samples off its solve_level chain, bisection midpoints included.
+samples but its solve_level anchor, bisection midpoints included.
 Each starts from a given start inside the bracket, per point for the
 arrays, or else the midpoint, and stops before the slope once converged
 (every running point, for the arrays); a point of the arrays ends on

@@ -625,14 +625,15 @@ class TestConstructPsi:
 def record_loop(monkeypatch, max_rounds=None):
     """Record what monodromy_track solves, at its two solver entries.
 
-    Returns (chain, rounds, counts).  ``chain`` holds one (args, kw, point,
-    evaluations) per solve_level call; ``rounds`` one namespace per lockstep
+    Returns (anchor, rounds, counts).  ``anchor`` holds one (args, kw, point,
+    evaluations) per solve_level call, the loop's one cold solve at t = 0;
+    ``rounds`` one namespace per lockstep
     round (moduli._lockstep, as the loop calls it) with p, q, the per-point
     k and held angles as float lists, the starts, the solved angles, the
     lockstep's steps (its T~ evaluations) and the T~ evaluations summed
     over its points; ``counts["level_part"]`` counts the loop's _level_part
     calls.  A round past ``max_rounds`` fails, so a runaway bisection does."""
-    chain, rounds, counts, sizes = [], [], {"level_part": 0}, []
+    anchor, rounds, counts, sizes = [], [], {"level_part": 0}, []
     t_tilde, level_part = moduli._t_tilde, moduli._level_part
 
     def counted_t_tilde(*args):
@@ -647,7 +648,7 @@ def record_loop(monkeypatch, max_rounds=None):
     def scalar(*args, **kw):
         sizes.clear()
         point = solve_level(*args, **kw)
-        chain.append((args, kw, point, len(sizes)))
+        anchor.append((args, kw, point, len(sizes)))
         return point
 
     def lockstep(p, q, k, K, E, angle, held, tol, start=None):
@@ -663,18 +664,18 @@ def record_loop(monkeypatch, max_rounds=None):
         monkeypatch.setattr(module, "_level_part", counted_level_part)
     monkeypatch.setattr(differentials, "solve_level", scalar)
     monkeypatch.setattr(differentials, "_lockstep", lockstep)
-    return chain, rounds, counts
+    return anchor, rounds, counts
 
 
 def tracked_monodromy(monkeypatch, q, loop_samples, k=0.5, u_tilde0=0.3, contractible=False):
-    """monodromy_track, with a check that every sample it solves, in its
-    solve_level chain or a lockstep round, solves its level to solver_tol at
-    its held angle, that a lockstep point is solve_level's from the same
+    """monodromy_track, with a check that every sample it solves, at its
+    solve_level anchor or in a lockstep round, solves its level to solver_tol
+    at its held angle, that a lockstep point is solve_level's from the same
     start bit for bit, and that every loop point is one of them."""
-    chain, rounds, _ = record_loop(monkeypatch)
+    anchor, rounds, _ = record_loop(monkeypatch)
     turns = monodromy_track(q, loop_samples, k, u_tilde0, contractible)
     points = []
-    for (p, qf, kk, angle), _, mp, _ in chain:
+    for (p, qf, kk, angle), _, mp, _ in anchor:
         assert (p, qf, mp.k, mp.u_tilde) == (1.0, float(q), kk, angle)
         points.append((kk, angle, mp.v_tilde))
     for r in rounds:
@@ -709,43 +710,40 @@ class TestMonodromy:
         (Fraction(1, 2), 0.5, True)])
     def test_warm_start_takes_few_evaluations(self, q, k, contractible, monkeypatch):
         # a cold solve takes 5 to 9 evaluations of T~ from the band midpoint.
-        # Each chain sample after the first starts from the rescaled gap
-        # V~ - U~ of the chain sample 16 samples before it; the lockstep fill
-        # starts each other sample from the periodic interpolant of the
-        # chain's gaps, which leaves a point at most four and on average
-        # under three checked Newton steps.  The
-        # whole 96-sample loop takes at most 60 calls of the share kernel,
-        # where one solve_level per sample took about 298
-        chain, rounds, counts = record_loop(monkeypatch)
+        # Only the anchor at t = 0 takes one; the lockstep fill starts every
+        # other sample, t = 1 included, from the anchor's rescaled gap
+        # V~ - U~, which leaves the fill at most five checked Newton steps
+        # and a point at most 4.5 evaluations on average.  The whole 96-sample loop
+        # takes at most 15 calls of the share kernel, where one solve_level
+        # per sample took about 298
+        anchor, rounds, counts = record_loop(monkeypatch)
         monodromy_track(q, loop_samples=96, k=k, contractible=contractible)
-        evaluations = [n for *_, n in chain]
-        assert len(chain) == 7 and 0 < max(evaluations[1:]) <= 5
+        assert len(anchor) == 1
         [fill] = rounds
-        assert len(fill.angle) == 90 and fill.steps <= 4 and fill.evaluations / 90 <= 3.5
-        assert counts["level_part"] <= 60
+        assert len(fill.angle) == 96 and fill.steps <= 5 and fill.evaluations / 96 <= 4.5
+        assert counts["level_part"] <= 15
 
     @pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(-3, 5), Fraction(2, 7), Fraction(0)])
     @pytest.mark.parametrize("u_tilde0", [0.3, -2.0, 2.5, 3.1])
     def test_inserted_midpoints(self, q, u_tilde0, monkeypatch):
         # at k = 0.05 eight samples cross a principal-branch jump too fast, so
-        # the loop bisects a step.  The chain solves two samples by
-        # solve_level and the first lockstep round the other seven; each
+        # the loop bisects a step.  The anchor solves the t = 0 sample by
+        # solve_level and the first lockstep round the other eight; each
         # later round solves exactly the midpoints of adjacent samples that
         # it inserts, in one lockstep call.  So each sample is solved once,
-        # and every start is finite: a midpoint's start is the mean of the
-        # gaps of its two solved neighbours (an unsolved one would give nan)
-        chain, rounds, _ = record_loop(monkeypatch)
+        # and every start, the anchor's gap taken back to v~, is finite
+        anchor, rounds, _ = record_loop(monkeypatch)
         turns = monodromy_track(q, 8, 0.05, u_tilde0)
-        assert len(chain) == 2 and len(rounds[0].angle) == 7 and len(rounds) > 1
+        assert len(anchor) == 1 and len(rounds[0].angle) == 8 and len(rounds) > 1
         ts = [j / 8 for j in range(9)]
-        assert sorted(rounds[0].angle + [args[3] for args, *_ in chain]) == sorted(
+        assert sorted(rounds[0].angle + [args[3] for args, *_ in anchor]) == sorted(
             loop_point(t, 0.05, u_tilde0)[1] for t in ts)
         for r in rounds[1:]:
             mids = {loop_point(m, 0.05, u_tilde0)[1]: m for m in
                     (0.5 * (a + b) for a, b in zip(ts, ts[1:]))}
             assert len(set(r.angle)) == len(r.angle) and set(r.angle) <= set(mids)
             ts = sorted(ts + [mids[a] for a in r.angle])
-        angles = [args[3] for args, *_ in chain] + [a for r in rounds for a in r.angle]
+        angles = [args[3] for args, *_ in anchor] + [a for r in rounds for a in r.angle]
         assert len(angles) == len(set(angles))
         assert all(np.isfinite(r.start).all() for r in rounds)
         monkeypatch.undo()
@@ -754,34 +752,38 @@ class TestMonodromy:
     @pytest.mark.parametrize("contractible, samples", itertools.product(
         (False, True), (64, 96, 128)))
     def test_benchmark_loops_keep_a_solve_level_chain(self, contractible, samples,
-                                                      monkeypatch, bench_inputs):
-        # the benchmark checks each loop by sampling the solve_level calls
-        # that it makes with (p, q, k, angle) as positional arguments, so
-        # every loop must still make one; over two loops of each kind and
-        # length at seeds 1, 2 and 3, each returns the cold frame loop's integer
+                                                      bench_inputs):
+        # the benchmark checks each loop by sampling one of the solve_level
+        # calls that it makes with (p, q, k, angle) as positional arguments,
+        # so every loop makes exactly one, its cold anchor at t = 0 with no
+        # start; over two loops of each kind and length at seeds 1, 2 and 3,
+        # each returns the cold frame loop's integer
+        loops = [(job, anchor) for job, anchor, _ in recorded_bench_loops(bench_inputs)
+                 if (job["contractible"], job["samples"]) == (contractible, samples)]
+        assert len(loops) >= 6
+        for job, anchor in loops:
+            [(args, kw, _, _)] = anchor
+            assert kw == {} and args == (1.0, float(Fraction(job["q"])),
+                                         *loop_point(0.0, job["k"], job["u_tilde0"], contractible))
         for seed in (1, 2, 3):
             jobs = [job for job in loop_jobs(bench_inputs, seed)
                     if (job["contractible"], job["samples"]) == (contractible, samples)]
             assert len(jobs) >= 2
             for job in jobs[:2]:
-                chain, _, _ = record_loop(monkeypatch)
                 args = Fraction(job["q"]), samples, job["k"], job["u_tilde0"], contractible
-                turns = monodromy_track(*args)
-                assert chain and all(len(a) >= 4 for a, *_ in chain)
-                monkeypatch.undo()
-                assert turns == reference_monodromy(*args)
+                assert monodromy_track(*args) == reference_monodromy(*args)
 
     @pytest.mark.parametrize("contractible", [False, True])
     @pytest.mark.parametrize("samples", [64, 96, 128])
     def test_samples_are_the_loop_points_bit_for_bit(self, contractible, samples, monkeypatch):
         # the one array pass over the samples gives loop_point's (k, u~) at
         # every sample, start angles on float odd multiples of pi included
-        chain = [*range(0, samples, 16), samples]
         for u_tilde0 in (0.3, math.pi, -math.pi, 3 * math.pi):
-            scalar, rounds, _ = record_loop(monkeypatch)
+            anchor, rounds, _ = record_loop(monkeypatch)
             monodromy_track(Fraction(1, 2), samples, 0.5, u_tilde0, contractible)
             monkeypatch.undo()
-            got = {j: (args[2], args[3]) for j, (args, *_) in zip(chain, scalar)}
+            [(args, *_)] = anchor
+            got = {0: (args[2], args[3])}
             [fill_round] = rounds
             fill = [j for j in range(samples + 1) if j not in got]
             got.update(zip(fill, zip(fill_round.k, fill_round.angle)))
@@ -794,10 +796,9 @@ class TestMonodromy:
     def test_a_loop_without_bisection_makes_no_per_sample_call(self, contractible,
                                                               monkeypatch):
         # the samples, their rescaled angles and the fill's starts come from
-        # array passes, so the scalar calls are the chain's seven solve_level
-        # calls and the float rescales of the start angle and of the chain:
-        # each chain sample's solved angle, to its gap, and each start that
-        # the chain passes to solve_level
+        # array passes, so the scalar calls are the anchor's one solve_level
+        # call and two float rescales: of the start angle, to U0, and of the
+        # anchor's solved angle, to its gap
         rescaled = []
 
         def recorded_rescale(x_tilde, s):
@@ -805,74 +806,73 @@ class TestMonodromy:
             rescaled.append((x_tilde, s, y))
             return y
         monkeypatch.setattr(differentials, "angle_rescale", recorded_rescale)
-        chain, _, _ = record_loop(monkeypatch)
+        anchor, _, _ = record_loop(monkeypatch)
         monodromy_track(Fraction(1, 2), 96, 0.5, 0.3, contractible)
-        assert [args[3] for args, *_ in chain] == [
-            loop_point(j / 96, 0.5, 0.3, contractible)[1] for j in (0, 16, 32, 48, 64, 80, 96)]
-        floats = [(x, s, y) for x, s, y in rescaled if not isinstance(x, np.ndarray)]
-        assert len(floats) < len(rescaled) and all(type(x) is float for x, *_ in floats)
-        solved = {mp.v_tilde for *_, mp, _ in chain}
-        starts = {kw["start"] for _, kw, *_ in chain} - {None}
-        assert floats[0][:2] == (0.3, math.sqrt(0.5)) and len(starts) == 6
-        assert all(x in solved or y in starts for x, _, y in floats[1:])
+        [(args, kw, mp, _)] = anchor
+        assert args[3] == loop_point(0.0, 0.5, 0.3, contractible)[1] and kw == {}
+        floats = [(x, s) for x, s, _ in rescaled if not isinstance(x, np.ndarray)]
+        assert len(floats) < len(rescaled) and all(type(x) is float for x, _ in floats)
+        assert floats == [(0.3, math.sqrt(0.5)), (mp.v_tilde, math.sqrt(0.5))]
 
     def test_an_annulus_loop_ends_on_the_deck_image_of_its_start(self, bench_inputs):
         # one annulus loop is one orbit of the deck generator, +pi on both
-        # rescaled angles: on the benchmark's annulus loops the solved t = 1
-        # sample is deck_lambda_tilde of the t = 0 one, the held angle to a
-        # few ulps and the solved one to the solver's precision, so the
-        # rescaled gap V~ - U~ that the loop's starts interpolate has period
-        # 1.  The held angles are bit for bit on 450 of the 468 loops; the
-        # rest differ by 1 to 4 ulps, because angle_rescale(u~, sqrt(k))
-        # returns the loop's U~ at t = 0 only to rounding
-        annuli = [(job, chain) for job, chain, _ in recorded_bench_loops(bench_inputs)
-                  if not job["contractible"]]
+        # rescaled angles: on the benchmark's annulus loops the t = 1 sample,
+        # the first round's last point, solved from the anchor's gap, is
+        # deck_lambda_tilde of the anchor at t = 0, the held angle to a few
+        # ulps and the solved one to a few ulps of its size, so the rescaled
+        # gap V~ - U~ that starts every sample has period 1.  The held angles
+        # are bit for bit on 450 of the 468 loops; the rest differ by 1 to 4
+        # ulps, because angle_rescale(u~, sqrt(k)) returns the loop's U~ at
+        # t = 0 only to rounding
+        annuli = [(job, anchor, rounds) for job, anchor, rounds
+                  in recorded_bench_loops(bench_inputs) if not job["contractible"]]
         assert len(annuli) == 468
-        for job, chain in annuli:
-            (_, _, first, _), (_, _, last, _) = chain[0], chain[-1]
+        for job, [(_, _, first, _)], rounds in annuli:
+            fill = rounds[0]
+            last = ModuliPoint(fill.p, fill.k[-1], fill.angle[-1], fill.solved[-1])
             image = curves.deck_lambda_tilde(first)
             assert abs(image.u_tilde - last.u_tilde) <= 1e-14
-            assert abs(image.v_tilde - last.v_tilde) <= 1e-8
+            assert abs(image.v_tilde - last.v_tilde) <= 1e-12
             rk = math.sqrt(job["k"])
             gap0, gap1 = (angle_rescale(mp.v_tilde, rk) - angle_rescale(mp.u_tilde, rk)
                           for mp in (first, last))
-            assert abs(gap1 - gap0) <= 1e-8
+            assert abs(gap1 - gap0) <= 1e-12
 
     def test_the_fill_takes_few_level_evaluations_on_the_benchmark_loops(self, bench_inputs):
-        # each chain sample starts from the previous one's gap, and the first
-        # round each other sample from the periodic interpolant of the chain's
-        # gaps: over the benchmark's loops of seeds 1-3 the fill's lockstep
-        # takes 2.4 level evaluations on average (3.15 from the nearest four
-        # samples' Lagrange interpolant of v~ - u~), a chain solve after the
-        # first at most 5
+        # the anchor is a cold solve, and the first round starts every other
+        # sample from its gap: over the benchmark's loops of seeds 1-3 the
+        # anchor's level evaluations and the fill's lockstep steps add up to
+        # about 9 on average, the anchor's at most 9 and the fill's at most 6
         loops = recorded_bench_loops(bench_inputs)
         assert len(loops) == 624
-        assert np.mean([rounds[0].steps for *_, rounds in loops]) <= 2.6
-        assert max(n for _, chain, _ in loops for *_, n in chain[1:]) <= 5
+        anchors = [n for _, [(*_, n)], _ in loops]
+        fills = [rounds[0].steps for *_, rounds in loops]
+        assert np.mean(np.add(anchors, fills)) <= 10
+        assert max(anchors) <= 9 and max(fills) <= 6
 
     def test_a_jump_is_bisected_down_to_the_floor(self, monkeypatch):
         # a false jump of 3 in gamma+ where k > 0.53 on the contractible loop
         # around k = 0.5, entered near t = 0.102 and left near t = 0.398:
         # each of the two steps across it is bisected until it is at most
         # 1e-4 long, 7 halvings of 1/96, and then the opposite jumps cancel.
-        # The chain takes 7 solve_level calls, the first lockstep round the
-        # other 90 samples, and each of 7 more rounds the 2 new midpoints
-        chain, rounds, _ = record_loop(monkeypatch, max_rounds=20)
+        # The anchor takes 1 solve_level call, the first lockstep round the
+        # other 96 samples, and each of 7 more rounds the 2 new midpoints
+        anchor, rounds, _ = record_loop(monkeypatch, max_rounds=20)
         gamma_plus = differentials._gamma_plus
 
         def jumped(p, k, K, E, u, v, terms=None):
             return gamma_plus(p, k, K, E, u, v, terms) + 3.0 * (k > 0.53)
         monkeypatch.setattr(differentials, "_gamma_plus", jumped)
         assert monodromy_track(Fraction(1, 2), 96, 0.5, 0.3, contractible=True) == 0
-        assert len(chain) == 7
-        assert [len(r.angle) for r in rounds] == [90] + [2] * 7
+        assert len(anchor) == 1
+        assert [len(r.angle) for r in rounds] == [96] + [2] * 7
 
     @pytest.mark.parametrize("k, u_tilde0, contractible, samples, message", [
         (0.0, 0.3, False, 16, "k=0.0 outside"), (-0.1, 0.3, False, 16, "k=-0.1 outside"),
         (1.0, 0.3, False, 16, "k=1.0 outside"), (math.nan, 0.3, False, 16, "k=nan outside"),
         (0.03, 0.3, True, 16, "k=0.03 outside"), (0.97, 0.3, True, 16, "k=0.97 outside"),
         (0.05, 0.3, True, 16, "k=0.05 outside"),
-        # math.tan(inf) raised "math domain error"; nan failed in the chain
+        # math.tan(inf) raised "math domain error"; nan failed in the first solve
         (0.5, math.inf, False, 16, "u_tilde0 must be finite, got inf"),
         (0.5, math.nan, False, 16, "u_tilde0 must be finite, got nan"),
         (0.5, -math.inf, True, 16, "u_tilde0 must be finite, got -inf"),
@@ -892,27 +892,19 @@ class TestMonodromy:
     def test_numpy_integer_loop_samples(self, samples):
         assert monodromy_track(Fraction(1, 2), samples) == monodromy_track(Fraction(1, 2), 16)
 
-    @pytest.mark.parametrize("spacing", ["equispaced", "random"])
-    @pytest.mark.parametrize("nodes", range(1, 9))
-    def test_periodic_is_exact_on_trigonometric_polynomials_of_its_degree(self, nodes, spacing):
-        # the first round's start gaps come from the chain samples less the
-        # last, up to eight nodes on the benchmark's loops, equispaced but
-        # for a shorter last gap; the interpolant reproduces every
-        # trigonometric polynomial of period 1 and degree (nodes - 1)//2, at
-        # points off [0, 1) too.  The random nodes are each drawn within 0.4
-        # of a spacing of the equispaced one: nodes drawn anywhere can
-        # cluster, and then the Lebesgue constant scales the rounding (eight
-        # uniform draws with five in a span of 0.12 gave 2.9e-12)
-        rng = np.random.default_rng(nodes)
-        jitter = rng.uniform(-0.4, 0.4, nodes) if spacing == "random" else 0.0
-        ts = (np.arange(nodes) + jitter) / nodes
-        a, b = rng.normal(size=(2, (nodes - 1) // 2 + 1))
-
-        def trig(t):
-            return sum(a[n] * np.cos(2 * math.pi * n * t) + b[n] * np.sin(2 * math.pi * n * t)
-                       for n in range(a.size))
-        t = rng.uniform(-1.0, 2.0, 200)
-        assert np.max(np.abs(differentials._periodic(ts, trig(ts), t) - trig(t))) <= 1e-12
+    @pytest.mark.parametrize("k, u_tilde0, contractible", [
+        (0.2, -1.0, False), (0.85, 2.0, False), (0.3, 1.0, True), (0.75, -2.5, True)])
+    @pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(-3, 5), Fraction(2, 7), Fraction(0)])
+    def test_the_anchor_gap_gives_the_cold_loop_off_the_benchmark(
+            self, q, k, u_tilde0, contractible, monkeypatch):
+        # every sample but t = 0 starts from the anchor's gap, however far the
+        # loop carries its own gap from it: on loops away from the benchmark's
+        # k and start angles each sample still solves its level to
+        # solver_tol, and the loop returns the integer of cold solves and the
+        # frame route at every sample
+        turns = tracked_monodromy(monkeypatch, q, 32, k, u_tilde0, contractible)
+        monkeypatch.undo()
+        assert turns == reference_monodromy(q, 32, k, u_tilde0, contractible)
 
     @pytest.mark.parametrize("contractible", [False, True])
     def test_loop_gamma_plus_is_the_closed_form_at_its_chart_values(
@@ -956,9 +948,9 @@ class TestMonodromy:
             gamma_plus = differentials._gamma_plus
             monkeypatch.setattr(differentials, "_gamma_plus", lambda p, k, *args: (
                 gamma_plus(p, k, *args) + 3.0 * (k > 0.53)))
-        chain, rounds, _ = record_loop(monkeypatch, max_rounds=20)
+        anchor, rounds, _ = record_loop(monkeypatch, max_rounds=20)
         monodromy_track(Fraction(1, 2), 96, 0.5, 0.3, contractible)
-        held = np.array([args[3] for args, *_ in chain] + [a for r in rounds for a in r.angle])
+        held = np.array([args[3] for args, *_ in anchor] + [a for r in rounds for a in r.angle])
         held_s = np.sort(_half_angle(held)[1])
 
         def of_held_angles(s):
@@ -1015,17 +1007,17 @@ def loop_jobs(inputs, seed):
 
 @cache
 def recorded_bench_loops(inputs):
-    """(job, chain, rounds) of record_loop for every loop of the benchmark's
+    """(job, anchor, rounds) of record_loop for every loop of the benchmark's
     annulus_loop workload at seeds 1, 2 and 3, recorded once per session."""
     loops = []
     with pytest.MonkeyPatch.context() as patch:
         for seed in (1, 2, 3):
             for job in loop_jobs(inputs, seed):
-                chain, rounds, _ = record_loop(patch)
+                anchor, rounds, _ = record_loop(patch)
                 monodromy_track(Fraction(job["q"]), job["samples"], job["k"],
                                 job["u_tilde0"], job["contractible"])
                 patch.undo()
-                loops.append((job, chain, rounds))
+                loops.append((job, anchor, rounds))
     return loops
 
 

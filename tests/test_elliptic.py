@@ -326,7 +326,7 @@ def test_complete_KE_array_is_the_float_values_bit_for_bit():
 
 
 def test_serial_path_makes_no_ufunc_call(monkeypatch):
-    # a cold and a warm scalar solve, as a monodromy loop's chain takes them,
+    # a cold scalar solve, as a monodromy loop's anchor takes it, a warm one,
     # and the gamma+ closed form at one point's floats take every R_F and R_D
     # from the float functions: with the ufuncs made to raise they return as
     # before
