@@ -64,5 +64,8 @@ def load_config(path: str | None = None) -> RunConfig:
             key, val = key.strip(), val.strip()
             if key not in known:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = float(val)
+            try:
+                values[key] = float(val)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: {key} must be a number, got {val!r}") from None
     return RunConfig(**values)  # type: ignore[arg-type]

@@ -40,8 +40,7 @@ from .curves import (
 )
 from .config import DEFAULTS
 from .elliptic import (
-    TWO_PI, _FE, _axis_angle, _chart_value, _check_modulus, _complete_KE, _complete_KE_array,
-    _per_element, _w_terms,
+    TWO_PI, _FE, _axis_angle, _chart_value, _check_modulus, _complete_KE, _per_element, _w_terms,
 )
 from .moduli import LevelSolveError, _at, _level_part, _lockstep, _no_convergence, solve_level, t0_raw
 
@@ -769,8 +768,8 @@ def monodromy_track(q: Fraction, loop_samples: int = 48, k: float = 0.5,
     angle_rescale(U~ + g, 1/sqrt(k)), so a sample angle agrees with a cold
     solve_level to within solver_tol, not bit for bit.
     A round first computes the held angle's terms (_level_part) at every
-    sample in one array pass, with K and E of the annulus's one k (cached)
-    or one _complete_KE_array pass over the contractible loop's k.  It then
+    sample in one array pass, with K and E from one _complete_KE call, at
+    the annulus's one k or over the contractible loop's k.  It then
     solves its unsolved samples in one _lockstep call on their slices of
     those terms, and evaluates gamma+, the chart's closed form, at every
     sample from the same terms.
@@ -811,7 +810,8 @@ def monodromy_track(q: Fraction, loop_samples: int = 48, k: float = 0.5,
     g = angle_rescale(vs[0].item(), rk) - U0
     while True:
         # the held angle's terms at every sample, for the lockstep and gamma+
-        kk, K, E = (ks, *_complete_KE_array(ks)) if contractible else (k, *_complete_KE(k))
+        kk = ks if contractible else k
+        K, E = _complete_KE(kk)
         terms = _level_part(kk, K, E, us)
         # the unsolved samples in lockstep, each started from the anchor's gap
         fill = np.isnan(vs).nonzero()[0]

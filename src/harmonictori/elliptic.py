@@ -12,10 +12,11 @@ which is where the genus-one closing function lives; _half_angle alone
 decides which turn of the cover an angle lies in.  Adaptive quadrature of
 the defining integrals is kept only in the tests, as an independent check.
 
-The kernels _FE (F and regularized E from one R_F and one R_D) and
-_half_angle (whole turns and reduced half-angle of a cover angle, without a
-branch) take floats or numpy arrays alike, so both level-set solvers in
-moduli evaluate the same closed forms.  Floats go through the float-to-float
+The kernels _complete_KE (K and E at a modulus the caller has checked), _FE
+(F and regularized E from one R_F and one R_D) and _half_angle (whole turns
+and reduced half-angle of a cover angle, without a branch) take floats or
+numpy arrays alike, so both level-set solvers in moduli evaluate the same
+closed forms.  Floats go through the float-to-float
 elliprf/elliprd of scipy.special.cython_special, arrays through the ufuncs
 of the same names: one C code, the same bits, and no ufunc call per float.
 Arrays call math.tan per element in _chart_value, and math.hypot in
@@ -72,21 +73,10 @@ def _complete(m, m1):
     return rf(0.0, m1, 1.0), m * (rd(0.0, m1, 1.0) / 3.0)
 
 
-@lru_cache(maxsize=4096)
-def _complete_KE(k: float) -> tuple[float, float]:
-    """(K, E) at modulus k, keyed exactly by k bits."""
+def _complete_KE(k):
+    """(K, E) at modulus k, a float or an array, which the caller has checked."""
     K, KmE = _complete(k * k, (1.0 - k) * (1.0 + k))
     return K, K - KmE
-
-
-def _complete_KE_array(k: np.ndarray) -> np.ndarray:
-    """(K, E) at every point of an array of moduli, each checked, computed in
-    one array pass over the distinct k, with _complete_KE's bits."""
-    k, at = np.unique(np.asarray(k, float), return_inverse=True)
-    for bad in k[~((0.0 < k) & (k < 1.0))][:1].tolist():
-        _check_modulus(bad)
-    K, KmE = _complete(k * k, (1.0 - k) * (1.0 + k))
-    return np.array([K, K - KmE])[:, at]
 
 
 def complete_K(k) -> float:

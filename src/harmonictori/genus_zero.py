@@ -189,10 +189,7 @@ def energy(d: Genus0Data) -> float:
     energy take the absolute value.  Diverges as alpha -> +-1.
     """
     a = d.alpha
-    denom = abs(1.0 - a * a)
-    if denom == 0.0:
-        raise ValueError("energy is singular at alpha = +-1")
-    return math.pi**2 * (1.0 + (a * a.conjugate()).real) * -d.det / denom
+    return math.pi**2 * (1.0 + (a * a.conjugate()).real) * -d.det / abs(1.0 - a * a)
 
 
 def differential_scalars(alpha: complex) -> tuple[complex, complex]:

@@ -18,10 +18,9 @@ computed once per solve and cut with the lockstep's running points, with
 w(ix) of the free angle once per step; _no_convergence the failure reason.
 Only the Newton-or-midpoint loop is written twice: solve_level on floats,
 _lockstep on per-point (k, angle) arrays, given K, E and the held angle's
-terms.  _solve_level_grid computes those for sweep_level_set's leaves;
-monodromy_track computes them once per round at every loop sample, shares
-them with its gamma+ closed form, and calls _lockstep on the slices of the
-samples but its solve_level anchor, bisection midpoints included.
+terms, which its two callers compute: sweep_level_set once per leaf (K and
+E once per grid row), monodromy_track once per round at every loop sample,
+shared with its gamma+ closed form, for every sample but its anchor.
 Each starts from a given start inside the bracket, per point for the
 arrays, or else the midpoint, and stops before the slope once converged
 (every running point, for the arrays); a point of the arrays ends on
@@ -50,8 +49,7 @@ import numpy as np
 from .config import DEFAULTS
 from .curves import BranchPair, ModuliPoint, S_value, _check_ratio, _inverse_coords_array, forward_coords
 from .elliptic import (
-    TWO_PI, _FE, _axis_angle, _chart_value, _check_modulus, _complete_KE, _complete_KE_array,
-    _half_angle, _w, _w_terms,
+    TWO_PI, _FE, _axis_angle, _chart_value, _check_modulus, _complete_KE, _half_angle, _w, _w_terms,
 )
 
 __all__ = [
@@ -283,22 +281,6 @@ def solve_level(p: float, q: float, k: float, fixed_angle: float,
     raise LevelSolveError(_no_convergence(q, fx))
 
 
-def _solve_level_grid(p: float, q: float, k: np.ndarray, angle: np.ndarray,
-                      tol: float, start: np.ndarray | None = None,
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """solve_level at every point (k[i], angle[i]) of two arrays, in lockstep,
-    from the per-point starts start[i] when given: the arrays are taken as
-    float64, K and E are looked up once per distinct k, and the held angle's
-    terms (_level_part) are computed once, for _lockstep."""
-    p = _check_ratio(p)
-    k, angle = np.asarray(k, float), np.asarray(angle, float)
-    K, E = _complete_KE_array(k)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        held = _level_part(k, K, E, angle)[:4]
-    return _lockstep(p, q, k, K, E, angle, held, tol,
-                     None if start is None else np.asarray(start, float))
-
-
 def _at(at, *values):
     """Each array of ``values`` at the indices or mask ``at``; a float as it is."""
     return [v[at] if isinstance(v, np.ndarray) else v for v in values]
@@ -306,10 +288,11 @@ def _at(at, *values):
 
 def _lockstep(p: float, q: float, k, K, E, angle: np.ndarray, held, tol: float,
               start: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The lockstep core of _solve_level_grid: solve_level at every point
-    (k[i], angle[i]), given a checked p, K(k) and E(k), k, K and E each an
-    array of per-point values or one float for every point, and the first
-    four of the held angle's terms (_level_part) at every point.
+    """solve_level at every point (k[i], angle[i]) of float64 arrays, in
+    lockstep, from the per-point starts start[i] when given, given a checked
+    p, K(k) and E(k) (elliptic._complete_KE), k, K and E each an array of
+    per-point values or one float for every point, and the first four of the
+    held angle's terms (_level_part) at every point.
 
     Runs the scalar solver's policy on all points at once: the same bracket
     and start (_band; a start strictly inside the bracket, else the
@@ -397,10 +380,11 @@ def sweep_level_set(p: Fraction, q: Fraction, k_grid: int, angle_grid: int,
     of 2 pi walks one full turn of the cover, after which the p = 1 leaves
     close up exactly while p != 1 leaves land on the next deck translate.
     The grid is flattened k-major once, into per-point k and angle arrays
-    that _solve_level_grid solves in lockstep and the map of which
-    inverse_coords is the one-point case takes to branch pairs; the solve
-    follows solve_level bit for bit, and every point fails with the reason
-    the scalar functions raise.
+    that _lockstep solves, given K and E from one _complete_KE pass over the
+    grid's k values and the held angle's terms at every point, and that the
+    map of which inverse_coords is the one-point case takes to branch pairs;
+    the solve follows solve_level bit for bit, and every point fails with
+    the reason the scalar functions raise.
     """
     if k_grid < 2 or angle_grid < 2:
         raise ValueError("grids must have at least 2 samples")
@@ -408,11 +392,15 @@ def sweep_level_set(p: Fraction, q: Fraction, k_grid: int, angle_grid: int,
         raise ValueError("need 0 < k_min < k_max < 1")
     if not (math.isfinite(angle_span) and math.isfinite(angle_start)):
         raise ValueError("angle span and start must be finite")
+    pf, qf = _check_ratio(p), float(q)
     ks = np.linspace(k_min, k_max, k_grid).tolist()
     angles = (angle_start + np.linspace(0.0, angle_span, angle_grid)).tolist()
-    pf, qf = float(p), float(q)
     k, fixed = np.repeat(ks, angle_grid), np.tile(angles, k_grid)
-    solved, residual = _solve_level_grid(pf, qf, k, fixed, solver_tol)
+    # K and E once per row of the k-major grid, the held terms at every point
+    K, E = (np.repeat(x, angle_grid) for x in _complete_KE(np.array(ks)))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        held = _level_part(k, K, E, fixed)[:4]
+    solved, residual = _lockstep(pf, qf, k, K, E, fixed, held, solver_tol)
     u_tilde, v_tilde = (solved, fixed) if pf > 1.0 else (fixed, solved)
     alpha, beta, rejected = _inverse_coords_array(pf, k, u_tilde, v_tilde)
     # a point the solver failed has nan angles, which the map does not reject

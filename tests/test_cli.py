@@ -109,10 +109,14 @@ def test_later_main_calls_build_no_parser(monkeypatch, capsys):
 
 def test_modules_use_their_imports_and_export_defined_names():
     # every module but the package's own re-export list reads each name it
-    # imports (in code or in __all__), and every name of an __all__ resolves
+    # imports (in code or in __all__), and every name of an __all__ resolves;
+    # every private name a module defines at its top level is read somewhere
+    # in the package, by name, attribute or import, so that no helper lives
+    # on for the tests alone
+    trees = {}
     for path in sorted(Path(harmonictori.__file__).parent.glob("*.py")):
         name = f"harmonictori.{path.stem}" if path.stem != "__init__" else "harmonictori"
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+        tree = trees[name] = ast.parse(path.read_text(encoding="utf-8"))
         exported = getattr(importlib.import_module(name), "__all__", [])
         assert [x for x in exported if not hasattr(sys.modules[name], x)] == [], name
         if path.stem == "__init__":
@@ -122,6 +126,23 @@ def test_modules_use_their_imports_and_export_defined_names():
                     and getattr(node, "module", None) != "__future__" for alias in node.names]
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert [x for x in imported if x not in read and x not in exported] == [], name
+    used = set()
+    for node in (node for tree in trees.values() for node in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    for name, tree in trees.items():
+        defined = [target.id for node in tree.body
+                   if isinstance(node, (ast.Assign, ast.AnnAssign))
+                   for target in ast.walk(node) if isinstance(target, ast.Name)
+                   and isinstance(target.ctx, ast.Store)]
+        defined += [node.name for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+        private = [x for x in defined if x.startswith("_") and not x.startswith("__")]
+        assert [x for x in private if x not in used] == [], name
 
 
 def test_successive_calls_match_fresh_interpreters(tmp_path, monkeypatch, capsys):
@@ -604,6 +625,18 @@ class TestConfig:
         assert main(["enumerate", "--p", "2", "--max-den", "2"]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: bad config: {cfg_file}:2: expected key = value\n"
+        assert captured.out == ""
+
+    def test_value_that_is_not_a_number_names_its_line_and_key(self, tmp_path, monkeypatch,
+                                                              capsys):
+        # float()'s own message named neither the file, the line nor the key
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text("k_min = 0.2\nsolver_tol = abc\n")
+        monkeypatch.setenv(CONFIG_ENV_VAR, str(cfg_file))
+        assert main(["enumerate", "--p", "2", "--max-den", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: bad config: {cfg_file}:2: "
+                                f"solver_tol must be a number, got 'abc'\n")
         assert captured.out == ""
 
     @pytest.mark.parametrize("kwargs, message", [

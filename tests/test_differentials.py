@@ -28,8 +28,7 @@ from harmonictori.differentials import (
     theta_P_gamma_closed,
 )
 from harmonictori.elliptic import (
-    _chart_value, _complete_KE, _complete_KE_array, _half_angle, complementary_modulus,
-    complete_E, complete_K,
+    _chart_value, _complete_KE, _half_angle, complementary_modulus, complete_E, complete_K,
 )
 from harmonictori.config import DEFAULTS
 from harmonictori.moduli import S_value, solve_level, spectral_test, t0_raw, t_tilde_raw
@@ -751,8 +750,7 @@ class TestMonodromy:
 
     @pytest.mark.parametrize("contractible, samples", itertools.product(
         (False, True), (64, 96, 128)))
-    def test_benchmark_loops_keep_a_solve_level_chain(self, contractible, samples,
-                                                      bench_inputs):
+    def test_benchmark_loops_make_one_anchor_solve(self, contractible, samples, bench_inputs):
         # the benchmark checks each loop by sampling one of the solve_level
         # calls that it makes with (p, q, k, angle) as positional arguments,
         # so every loop makes exactly one, its cold anchor at t = 0 with no
@@ -929,7 +927,7 @@ class TestMonodromy:
                 [(p, k, u, v, terms, values)] = seen
                 assert terms is not None and values.size == job["samples"] + 1
                 ks = np.broadcast_to(k, u.shape)
-                want = gamma_plus(p, ks, *_complete_KE_array(ks), u, v)
+                want = gamma_plus(p, ks, *_complete_KE(ks), u, v)
                 assert np.all(np.abs(values - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
     @pytest.mark.parametrize("contractible, jump", [(False, False), (True, False), (True, True)])
@@ -961,18 +959,19 @@ class TestMonodromy:
         assert sum(map(of_held_angles, passes)) == len(rounds)
 
     @pytest.mark.parametrize("contractible", [False, True])
-    def test_K_and_E_once_per_round_and_cached_on_an_annulus(self, contractible, monkeypatch):
-        # the annulus has one k, whose K and E come from the cache; the
-        # contractible loop takes one _complete_KE_array pass a round
-        calls = []
-        for module in (moduli, differentials):
-            def recorded(k, ke=module._complete_KE_array):
-                calls.append(np.size(k))
-                return ke(k)
-            monkeypatch.setattr(module, "_complete_KE_array", recorded)
+    def test_K_and_E_in_one_call_per_round(self, contractible, monkeypatch):
+        # the annulus takes K and E at its one k as a float; the contractible
+        # loop in one array pass over its 97 samples' k
+        calls, complete_KE = [], differentials._complete_KE
+
+        def recorded(k):
+            calls.append((type(k), np.size(k)))
+            return complete_KE(k)
+        monkeypatch.setattr(differentials, "_complete_KE", recorded)
         _, rounds, _ = record_loop(monkeypatch)
         monodromy_track(Fraction(1, 2), 96, 0.5, 0.3, contractible)
-        assert len(rounds) == 1 and calls == ([97] if contractible else [])
+        assert len(rounds) == 1
+        assert calls == [(np.ndarray, 97) if contractible else (float, 1)]
 
 
 def frame_gamma_plus(mp):
@@ -1121,14 +1120,14 @@ class TestChartRoute:
         u_tilde = np.where(rng.random(n) < 0.2, rng.choice([-math.pi, math.pi, 3 * math.pi], n),
                            rng.uniform(-3 * math.pi, 3 * math.pi, n))
         v_tilde = u_tilde + rng.uniform(0.05, 2 * math.pi - 0.05, n)
-        values = differentials._gamma_plus(ps, ks, *_complete_KE_array(ks),
+        values = differentials._gamma_plus(ps, ks, *_complete_KE(ks),
                                            _chart_value(u_tilde), _chart_value(v_tilde))
         one = [chart_gamma_plus(ModuliPoint(*point))
                for point in zip(ps.tolist(), ks.tolist(), u_tilde.tolist(), v_tilde.tolist())]
         assert [x.hex() for x in values.tolist()] == [x.hex() for x in one]
 
     def test_array_pass_checks_every_point(self, monkeypatch):
-        K, E = _complete_KE_array(np.full(3, 0.5))
+        K, E = _complete_KE(np.full(3, 0.5))
         u = np.array([0.3, 1.0, -0.5])
         with pytest.raises(ValueError, match="u = v is outside the coordinate chart"):
             differentials._gamma_plus(1.0, 0.5, K, E, u, np.array([2.0, 1.0, 0.4]))

@@ -11,7 +11,7 @@ from scipy.special import elliprd, elliprf
 import harmonictori.elliptic
 from harmonictori.differentials import _gamma_plus
 from harmonictori.elliptic import (
-    _axis_angle, _chart_value, _complete, _complete_KE, _complete_KE_array, _FE, _half_angle,
+    _axis_angle, _chart_value, _complete, _complete_KE, _FE, _half_angle,
     complementary_KE, complementary_modulus, complete_E, complete_K, incomplete_E_reg_imag,
     incomplete_F_imag, legendre_defect, lifted_E, lifted_F, w_imag,
 )
@@ -309,20 +309,16 @@ def test_complete_matches_the_ufuncs_bit_for_bit(k):
         assert _bits((K, KmE)) == _bits(ufunc)
 
 
-def test_complete_KE_array_is_the_float_values_bit_for_bit():
-    # one array pass over the distinct moduli, repeated ones included, gives
-    # each point _complete_KE's (K, E); a modulus out of (0, 1) is refused
-    # with the scalar check's message, the smallest one first
+def test_complete_KE_of_an_array_is_the_float_values_bit_for_bit():
+    # one array pass over the moduli, repeated ones included, gives each
+    # point the (K, E) of its float
     rng = np.random.default_rng(23)
     ks = np.concatenate([rng.uniform(0.0, 1.0, 300), 10.0 ** rng.uniform(-12, 0, 100),
                          1.0 - 10.0 ** rng.uniform(-15, 0, 100), FE_EDGE_K])
     ks = rng.permutation(np.concatenate([ks, ks[:50]]))
-    K, E = _complete_KE_array(ks)
+    K, E = _complete_KE(ks)
     floats = [_complete_KE(k) for k in ks.tolist()]
     assert _bits(K) == _bits(K for K, _ in floats) and _bits(E) == _bits(E for _, E in floats)
-    for bad, shown in (([0.5, 1.0, -0.5], "-0.5"), ([0.5, math.nan], "nan"), ([0.0, 2.0], "0.0")):
-        with pytest.raises(ValueError, match=f"must lie in \\(0,1\\), got {shown}$"):
-            _complete_KE_array(np.array(bad))
 
 
 def test_serial_path_makes_no_ufunc_call(monkeypatch):
@@ -341,7 +337,6 @@ def test_serial_path_makes_no_ufunc_call(monkeypatch):
         raise AssertionError("ufunc called on the serial path")
     monkeypatch.setattr(harmonictori.elliptic, "elliprf", refuse)
     monkeypatch.setattr(harmonictori.elliptic, "elliprd", refuse)
-    _complete_KE.cache_clear()
     complementary_KE.cache_clear()
     assert serial() == expected
 

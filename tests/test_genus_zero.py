@@ -308,13 +308,6 @@ class TestValidation:
             Genus0Map(-1.0, 1.0)
 
 
-def _alpha_past_the_disc(alpha):
-    """Genus0Data refuses |alpha| >= 1, so alpha is set past its check."""
-    d = Genus0Data(alpha=0.3, matrix=((1, 0), (0, 1)))
-    object.__setattr__(d, "alpha", complex(alpha))
-    return d
-
-
 @pytest.mark.parametrize("call, message", [
     (lambda: su2_exp(np.zeros((3, 3))), "Z must be 2x2"),
     (lambda: su2_exp(np.diag([1j, 1j])), "Z must be traceless"),
@@ -323,13 +316,14 @@ def _alpha_past_the_disc(alpha):
      "degenerate period: tau_1 vanishes for this x"),
     (lambda: holonomy_B(3, 0.5, map_params(0.3), 1.0), "l must be 1 or 2"),
     (lambda: holonomy_B(1, 0.0, map_params(0.3), 1.0), "zeta must be nonzero"),
-    (lambda: energy(_alpha_past_the_disc(1.0)), "energy is singular at alpha = +-1"),
-    (lambda: energy(_alpha_past_the_disc(-1.0)), "energy is singular at alpha = +-1"),
+    (lambda: Genus0Data(1.0, ((1, 0), (0, 1))), "alpha must lie in the open unit disc"),
+    (lambda: Genus0Data(-1.0, ((1, 0), (0, 1))), "alpha must lie in the open unit disc"),
     (lambda: differential_scalars(1.0), "singular at alpha = +-1"),
     (lambda: differential_scalars(-1.0), "singular at alpha = +-1"),
 ], ids=["su2_exp_3x3", "su2_exp_trace", "period_lattice_x", "conformal_type_tau1",
-        "holonomy_l", "holonomy_zeta", "energy_plus_1", "energy_minus_1",
-        "differential_scalars_plus_1", "differential_scalars_minus_1"])
+        "holonomy_l", "holonomy_zeta", "genus0data_alpha_plus_1",
+        "genus0data_alpha_minus_1", "differential_scalars_plus_1",
+        "differential_scalars_minus_1"])
 def test_invalid_input_rejected(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()

@@ -18,7 +18,7 @@ from harmonictori.curves import (
     _NOT_DISTINCT, _OFF_CHART, _OUTSIDE_DISC, BranchPair, ModuliPoint,
     deck_iota_tilde, deck_lambda_tilde, forward_coords, inverse_coords,
 )
-from harmonictori.elliptic import complete_E, complete_K
+from harmonictori.elliptic import _complete_KE, complete_E, complete_K
 from harmonictori.moduli import (
     ComponentId, LevelSolveError, S_value, T0_value, T_tilde, best_rational,
     classify_component, dT0_du, dT_tilde_du_tilde, dT_tilde_dv_tilde, dt0_du_raw,
@@ -82,13 +82,6 @@ def test_level_functions_evaluate_at_the_float_of_each_angle():
         got = solve_level(1.0, 0.3, 0.5, held, start=given)
         want = solve_level(1.0, 0.3, 0.5, float(held), start=taken)
         assert type(got.v_tilde) is float and hex_point(got) == hex_point(want)
-    # and the lockstep solver takes its arrays as float64
-    ks, angles, starts = (np.float32(x) for x in ([0.5, 0.3, 0.9], [0.7, -2.0, 3.0],
-                                                  [2.5, math.nan, 4.0]))
-    got = moduli._solve_level_grid(1.0, 0.3, ks, angles, DEFAULTS.solver_tol, starts)
-    want = moduli._solve_level_grid(1.0, 0.3, ks.astype(float), angles.astype(float),
-                                    DEFAULTS.solver_tol, starts.astype(float))
-    assert got[0].dtype == np.float64 and got[0].tobytes() == want[0].tobytes()
 
 
 @pytest.mark.parametrize("q", [np.float32(0.3), np.float64(0.3), Fraction(3, 10)],
@@ -749,6 +742,16 @@ class TestSweep:
             assert classify_component(*got) == target
 
 
+def lockstep_solve(p, q, ks, angles, start=None):
+    """moduli._lockstep at every point (ks[i], angles[i]), fed as
+    sweep_level_set feeds it: K and E from one _complete_KE pass and the
+    held angle's terms at every point."""
+    K, E = _complete_KE(ks)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        held = moduli._level_part(ks, K, E, angles)[:4]
+    return moduli._lockstep(p, q, ks, K, E, angles, held, DEFAULTS.solver_tol, start)
+
+
 def bits(x):
     """The exact bits of a float or complex, sign of zero included."""
     z = complex(x)
@@ -890,8 +893,7 @@ class TestBatchedSweep:
         outcomes = []
         for p, q in sorted(set(zip(ps.tolist(), qs.tolist()))):
             at = np.flatnonzero((ps == p) & (qs == q))
-            solved, residual = moduli._solve_level_grid(p, q, ks[at], angles[at],
-                                                        DEFAULTS.solver_tol)
+            solved, residual = lockstep_solve(p, q, ks[at], angles[at])
             for x, r, k, angle in zip(solved.tolist(), residual.tolist(), ks[at].tolist(),
                                       angles[at].tolist()):
                 try:
@@ -929,8 +931,7 @@ class TestBatchedSweep:
         outcomes = set()
         for p, q in sorted(set(zip(ps.tolist(), qs.tolist()))):
             at = np.flatnonzero((ps == p) & (qs == q))
-            solved, residual = moduli._solve_level_grid(p, q, ks[at], angles[at],
-                                                        DEFAULTS.solver_tol, starts[at])
+            solved, residual = lockstep_solve(p, q, ks[at], angles[at], starts[at])
             for x, r, k, angle, start, kind in zip(
                     solved.tolist(), residual.tolist(), ks[at].tolist(), angles[at].tolist(),
                     starts[at].tolist(), kinds[at]):
@@ -970,10 +971,10 @@ class TestBatchedSweep:
         ks, angles = rng.uniform(0.05, 0.95, 40), rng.uniform(-4 * math.pi, 4 * math.pi, 40)
         for p in (1 / 3, 1.0, 5 / 2):
             calls.update(level=0, slope=0)
-            cold, _ = moduli._solve_level_grid(p, 0.37, ks, angles, DEFAULTS.solver_tol)
+            cold, _ = lockstep_solve(p, 0.37, ks, angles)
             assert calls["level"] > 1 and calls["slope"] == calls["level"] - 1
             calls.update(level=0, slope=0)
-            warm, _ = moduli._solve_level_grid(p, 0.37, ks, angles, DEFAULTS.solver_tol, cold)
+            warm, _ = lockstep_solve(p, 0.37, ks, angles, cold)
             assert calls == {"level": 1, "slope": 0}
             for x, y, k, angle in zip(warm.tolist(), cold.tolist(), ks.tolist(), angles.tolist()):
                 mp = solve_level(p, 0.37, k, angle)
