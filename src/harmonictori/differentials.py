@@ -15,8 +15,8 @@ double pole, and takes the 33-point Kronrod rule on every panel with the
 16-point Gauss rule nested in it: a value settles on one level when the two
 agree, and a segment halves its panels otherwise.  The sheet of w is
 tracked by nearest continuation, for all open segments of all contours of a
-frame at once, in blocks of up to 4096 nodes.  Homology representatives
-are rectangles crossing the real axis inside the gaps between branch points,
+frame at once, one level after another.  Homology representatives are
+rectangles crossing the real axis inside the gaps between branch points,
 and the closing paths join the two points over zeta = +-1 while winding once
 around z = 1, following the principal route.  Integrals of the
 period-normalized differential over those paths have the closed forms used
@@ -39,10 +39,10 @@ from .curves import (
     _OFF_CHART, BranchPair, JacobiFrame, S_value, _center, angle_rescale,
 )
 from .config import DEFAULTS
-from .elliptic import (
-    TWO_PI, _FE, _axis_angle, _chart_value, _check_modulus, _complete_KE, _per_element, _w_terms,
+from .elliptic import TWO_PI, _axis_angle, _chart_value, _check_modulus, _complete_KE, _per_element
+from .moduli import (
+    LevelSolveError, _at, _chart_terms, _level_part, _lockstep, _no_convergence, solve_level, t0_raw,
 )
-from .moduli import LevelSolveError, _at, _level_part, _lockstep, _no_convergence, solve_level, t0_raw
 
 DIFFERENTIAL_KINDS = ("omega", "e", "epsilon", "theta_E", "theta_P")
 _POLE_KINDS = DIFFERENTIAL_KINDS[2:]  # with double poles; _Geometry._theta's order
@@ -366,12 +366,6 @@ def _track_sheet(geom: _Geometry, zs: np.ndarray, starts, heads=(0,)) -> np.ndar
     return s * sign
 
 
-#: Most nodes one sheet track and integrand call take, unless one segment has more.
-#: Blocks stay under numpy's 256 KiB temporary elision, which can swap a complex
-#: product's operands and so round it otherwise than a lone segment's walk.
-_BLOCK = 4096
-
-
 @dataclass(eq=False)
 class _Segment:
     """A path segment [z1, z2] on its way through the levels of _integrate."""
@@ -384,21 +378,8 @@ class _Segment:
     end: tuple | None = None  # (sqrt(Q(z2)), sign of the tracked w there) once settled
 
 
-def _blocks(segs: list[_Segment]) -> list[list[_Segment]]:
-    """Consecutive runs of segments with at most _BLOCK nodes, or one segment."""
-    blocks, size = [], _BLOCK
-    for seg in segs:
-        nodes = 33 * (len(seg.t) - 1) + 1
-        size += nodes
-        if size > _BLOCK:
-            blocks.append([])
-            size = nodes
-        blocks[-1].append(seg)
-    return blocks
-
-
 def _sweep(geom: _Geometry, integrand, segs: list[_Segment]) -> None:
-    """One refinement level of a block of segments, with one sheet track, one
+    """One refinement level of the open segments, with one sheet track, one
     integrand call and one reduction by both rules: each segment's panels
     (their 33 nodes each, then z2) are tracked from the principal sqrt(Q(z1)).
     An ambiguous track halves every panel of that segment.  Otherwise each
@@ -420,7 +401,7 @@ def _sweep(geom: _Geometry, integrand, segs: list[_Segment]) -> None:
     zs = np.insert(nodes, ends - np.arange(len(segs)), [seg.z2 for seg in segs])
     s, sign, bad = _track_runs(geom, zs, np.sqrt(geom.Q(z1)), heads)
     # each panel's sums by a product and a sum over its own 33 nodes, so that
-    # they round as for a lone segment, whatever the block
+    # they round as for a lone segment, whatever the other segments
     f = np.reshape(integrand(nodes, np.delete(s * sign, ends)), (-1, len(half), 1, 33))
     sums = np.add.reduceat((f * _RULE_W).sum(axis=-1) * half[:, None], lo, axis=1)
     kron, excess = np.moveaxis(sums, -1, 0)
@@ -448,13 +429,14 @@ def _integrate(geom: _Geometry, integrand, count: int, *paths: PathSpec) -> list
     Every segment's panels are laid out at once (_layout), graded by distance
     to the branch points and double poles, and each panel takes the 33-point
     Kronrod rule with the 16-point Gauss rule nested in it, so that a value
-    settles on one level when the two agree.  Each of at most 13 levels
-    sweeps the open segments of all paths together, in blocks (_sweep), and
-    a segment with an ambiguous track or an open value has every panel
-    halved for the next.  The sheets of the segments are chained along each
-    path afterwards, exact as the integrands are odd in w.  Every value is
-    bit for bit as if integrated alone, path by path and one segment after
-    the other.
+    settles on one level when the two agree.  Each of at most 13 levels is
+    one _sweep of the open segments of all paths, and a segment with an
+    ambiguous track or an open value has every panel halved for the next.
+    The sheets of the segments are chained along each path afterwards, exact
+    as the integrands are odd in w.  Every value is bit for bit as if
+    integrated alone, path by path and one segment after the other, on
+    levels under 16 384 nodes: numpy elides the temporaries of larger arrays
+    (256 KiB of complex values), which can round a complex product otherwise.
     """
     pairs = [(z1, z2) for path in paths
              for z1, z2 in zip(path.points[:-1], path.points[1:]) if z1 != z2]
@@ -463,8 +445,8 @@ def _integrate(geom: _Geometry, integrand, count: int, *paths: PathSpec) -> list
                  for z1, z2 in zip(path.points[:-1], path.points[1:]) if z1 != z2]
                 for path in paths]
     for _ in range(13):
-        for block in _blocks([seg for segs in per_path for seg in segs if seg.end is None]):
-            _sweep(geom, integrand, block)
+        if open_ := [seg for segs in per_path for seg in segs if seg.end is None]:
+            _sweep(geom, integrand, open_)
     out = []
     for path, segs in zip(paths, per_path):
         sign, w = float(path.sheet), path.sheet * cmath.sqrt(geom.Q(path.points[0]))
@@ -510,10 +492,9 @@ def _theta_P_gamma_value(sign: int, frame: JacobiFrame) -> complex:
 
 def _gamma_imag(k, K, E, x, x0, y0, terms=None):
     """Im of _theta_P_gamma_value at the chart value x and z0 = x0 + i y0,
-    given K(k) and E(k), on floats or arrays, and x's terms when known:
-    w(ix), w(ix) - k x^2, and F and E_reg at atan(x), the last four of
-    _level_part."""
-    _, mx, F, E_reg = (*_w_terms(x, k), *_FE(*_axis_angle(x), k)) if terms is None else terms
+    given K(k) and E(k), on floats or arrays, and x's terms when known, the
+    last four of _chart_terms: w(ix), w(ix) - k x^2, F and E_reg."""
+    _, mx, F, E_reg = _chart_terms(k, K, E, x, *_axis_angle(x))[2:] if terms is None else terms
     d = x - y0
     m_num = d * (mx + k * x * y0) - k * x * x0 * x0
     return 4.0 * E * F - 4.0 * K * (E_reg - m_num / (d * d + x0 * x0))

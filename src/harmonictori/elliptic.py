@@ -37,7 +37,6 @@ relation; moduli adds that pi itself, free of the relation's float defect.
 from __future__ import annotations
 
 import math
-from functools import lru_cache, partial
 
 import numpy as np
 from scipy.special import cython_special, elliprd, elliprf
@@ -89,9 +88,8 @@ def complete_E(k) -> float:
     return _complete_KE(_check_modulus(k))[1]
 
 
-@lru_cache(maxsize=4096)
 def complementary_KE(k) -> tuple[float, float]:
-    """(K'(k), K'(k) - E'(k)), cached per k.
+    """(K'(k), K'(k) - E'(k)).
 
     Exact as k -> 0, where complete_K(complementary_modulus(k)) loses the
     information in rounding sqrt(1 - k^2) (2e-2 relative at k = 1e-8).
@@ -168,7 +166,7 @@ def _axis_angle(x):
     per element (numpy's hypot can differ in the last bit)."""
     if not isinstance(x, np.ndarray) and math.isinf(x):
         return math.copysign(1.0, x), 0.0
-    h = _per_element(partial(math.hypot, 1.0), x)
+    h = _per_element(lambda y: math.hypot(1.0, y), x)
     return x / h, 1.0 / h
 
 

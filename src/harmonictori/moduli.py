@@ -20,17 +20,15 @@ Only the Newton-or-midpoint loop is written twice: solve_level on floats,
 _lockstep on per-point (k, angle) arrays, given K, E and the held angle's
 terms, which its two callers compute: sweep_level_set once per leaf (K and
 E once per grid row), monodromy_track once per round at every loop sample,
-shared with its gamma+ closed form, for every sample but its anchor.
-Each starts from a given start inside the bracket, per point for the
-arrays, or else the midpoint, and stops before the slope once converged
-(every running point, for the arrays); a point of the arrays ends on
-solve_level's bits.
+shared with its gamma+ closed form, for every sample but its anchor; a
+point of the arrays ends on solve_level's bits, or fails with its reason.
+_chart_terms alone builds a chart value's terms, for T0, T~ and gamma+.
 An angle's share of T~ is the principal one plus pi per whole turn, and
 the chart value tan(x~/2) of a float angle is finite, the chart boundary
 included, so one formula serves every point.  The scalar entry points take
 0 < p < inf, k in (0, 1), and finite angles (chart values for t0_raw and
-dt0_du_raw) off the diagonal u = v, or for solve_level a finite held angle
-and level q; else they raise ValueError.
+dt0_du_raw, where they do not overflow) off the diagonal u = v, or for
+solve_level a finite held angle and level q; else they raise ValueError.
 
 Note on normalization: T0 and T~ below are exactly the principal-branch
 formulas.  With these, the curves (a, -a) fixed by the inversion symmetry
@@ -102,6 +100,21 @@ def _dt0_du(p, k, K, E, u, v, wu=None, wv=None):
     return 2.0 * (-duv * E + p * K * wu * wv + K * poly) / (math.pi * wu * duv)
 
 
+def _finite(value, u, v):
+    """value, or ValueError where the squares of chart values u, v overflow it."""
+    if not math.isfinite(value):
+        raise ValueError(f"the level functions overflow at chart values u={u!r}, v={v!r}")
+    return value
+
+
+def _chart_terms(k, K, E, u, s, c):
+    """The terms of a chart value u, given (s, c), the sine and cosine of its
+    angle atan(u), on floats or arrays: its share E F - K E_reg of T0, u,
+    w(iu) and w(iu) - k u^2 (_w_terms), and F and E_reg at atan(u) (_FE)."""
+    F, E_reg = _FE(s, c, k)
+    return E * F - K * E_reg, u, *_w_terms(u, k), F, E_reg
+
+
 def t0_raw(p: float, k: float, u: float, v: float) -> float:
     """Principal branch T0 in the (p, k, u, v) chart, at finite chart values.
 
@@ -109,10 +122,8 @@ def t0_raw(p: float, k: float, u: float, v: float) -> float:
             - 4 [E Im F(iu) - K Im(E(iu)-kiu)] - 4K * bracket(u, v).
     """
     p, k, K, E, u, v = _chart_args(p, k, u, v)
-    (su, cu), (sv, cv) = _axis_angle(u), _axis_angle(v)
-    (Fu, Eu), (Fv, Ev) = _FE(su, cu, k), _FE(sv, cv, k)
-    fu, fv = E * Fu - K * Eu, E * Fv - K * Ev
-    return _t_tilde(p, k, K, (fu, u, *_w_terms(u, k)), (fv, v, *_w_terms(v, k)))
+    terms = (_chart_terms(k, K, E, x, *_axis_angle(x)) for x in (u, v))
+    return _finite(_t_tilde(p, k, K, *terms), u, v)
 
 
 def T0_value(mp: ModuliPoint) -> float:
@@ -133,13 +144,13 @@ def t_tilde_raw(p: float, k: float, u_tilde: float, v_tilde: float) -> float:
 
 
 def _level_part(k, K, E, x_tilde):
-    """One angle's share E F~(x~) - K E~(x~) of T~, its chart value
-    u = tan(x~/2), _w_terms(u), and F and E_reg at the reduced half-angle
-    atan(u), on floats or arrays: the share at the reduced half-angle plus
-    pi per whole turn, since E K' + K E' - K K' = pi/2."""
+    """One angle's terms, those of its chart value u = tan(x~/2)
+    (_chart_terms), on floats or arrays, but for the share E F~(x~) - K E~(x~)
+    of T~: the share at the reduced half-angle atan(u) plus pi per whole
+    turn, since E K' + K E' - K K' = pi/2."""
     m, s, c, u = _half_angle(x_tilde)
-    F, E_reg = _FE(s, c, k)
-    return E * F - K * E_reg + m * math.pi, u, *_w_terms(u, k), F, E_reg
+    share, *terms = _chart_terms(k, K, E, u, s, c)
+    return share + m * math.pi, *terms
 
 
 def _t_tilde(p, k, K, terms_u, terms_v):
@@ -159,7 +170,7 @@ def dt0_du_raw(p: float, k: float, u: float, v: float) -> float:
         = -(u-v)^2 E + p K w(iu) w(iv)
           + K [1 + u^2 - uv + k^2 uv + v^2 + k^2 u^2 v^2].
     """
-    return _dt0_du(*_chart_args(p, k, u, v))
+    return _finite(_dt0_du(*_chart_args(p, k, u, v)), u, v)
 
 
 def dT0_du(mp: ModuliPoint) -> float:
@@ -220,9 +231,7 @@ def _level_fns(p, q, k, K, E, held):
 
     def level(x):
         free = _level_part(k, K, E, x)
-        if solve_for_u:
-            return _t_tilde(p, k, K, free, held) - q, free
-        return _t_tilde(p, k, K, held, free) - q, free
+        return _t_tilde(p, k, K, *((free, held) if solve_for_u else (held, free))) - q, free
 
     def slope(f, free):
         w, ww = free[1], free[2]
@@ -249,8 +258,9 @@ def solve_level(p: float, q: float, k: float, fixed_angle: float,
     reachable level.  The first iterate is ``start``, a guess at the solved
     angle such as a continuation's prediction, when strictly inside that
     bracket, and else (nan included) the bracket's midpoint; a level out of
-    reach fails when the iterate stalls, or after _MAX_STEPS steps.  The
-    held angle, start and q are solved as floats, not in the caller's type.
+    reach fails when the iterate stalls or lands on the held angle, T~'s
+    pole (at once, residual nan, where the band holds no float), or after
+    _MAX_STEPS steps.  The held angle, start and q are solved as floats.
     """
     p = _check_ratio(p)
     fixed_angle = float(fixed_angle)
@@ -264,6 +274,8 @@ def solve_level(p: float, q: float, k: float, fixed_angle: float,
     a, b, sign = _band(p, fixed_angle)
     level, slope = _level_fns(p, float(q), k, K, E, _level_part(k, K, E, fixed_angle))
     x = start if start is not None and a < start < b else 0.5 * (a + b)
+    if x == fixed_angle:  # the band holds no float: no residual, as in _lockstep
+        raise LevelSolveError(_no_convergence(q, math.nan))
     fx, free = level(x)
     for _ in range(_MAX_STEPS):
         if abs(fx) < tol:
@@ -275,7 +287,7 @@ def solve_level(p: float, q: float, k: float, fixed_angle: float,
         xn = x + step
         if not (min(a, b) < xn < max(a, b)) or step == 0.0:
             xn = 0.5 * (a + b)
-        if xn == x:
+        if xn == x or xn == fixed_angle:  # a stall, or T~'s pole at the held angle
             break
         x, (fx, free) = xn, level(xn)
     raise LevelSolveError(_no_convergence(q, fx))
@@ -299,14 +311,14 @@ def _lockstep(p: float, q: float, k, K, E, angle: np.ndarray, held, tol: float,
     midpoint), level and slope (_level_fns), Newton-or-midpoint step, step
     limit and failure reason, on the same floating-point values, so every
     point ends where solve_level(p, q, k[i], angle[i], tol, start[i]) would,
-    after as many evaluations of T~: a point leaves as it converges or
-    stalls, before its next iterate is evaluated, and the per-point
-    constants are cut to the running points as points leave.  Once every
-    running point has converged the solve stops before the slope, as
-    solve_level returns before its slope.  Returns the
+    after as many evaluations of T~ where its band holds a float: a point
+    leaves as it converges, stalls or lands on its held angle, before its
+    next iterate is evaluated, and the per-point constants are cut to the
+    running points as points leave.  Once every running point has converged
+    the solve stops before the slope, as solve_level does.  Returns the
     solved angle of every point, nan where it failed, and the residual
-    T~ - q where it failed (nan elsewhere), whose reason is
-    _no_convergence(q, residual).
+    T~ - q where it failed, nan elsewhere or with no float in the band, whose
+    reason is _no_convergence(q, residual).
     """
     a, b, sign = _band(p, angle)
     solved, residual = np.full((2, angle.size), np.nan)
@@ -316,6 +328,7 @@ def _lockstep(p: float, q: float, k, K, E, angle: np.ndarray, held, tol: float,
         if start is not None:
             x = np.where((a < start) & (start < b), start, x)
         fx, free = level(x)
+        fx[x == angle] = np.nan  # the band holds no float: no residual, as in solve_level
         for _ in range(_MAX_STEPS):
             done = np.abs(fx) < tol
             if done.all():  # as solve_level returns, before the slope
@@ -328,7 +341,7 @@ def _lockstep(p: float, q: float, k, K, E, angle: np.ndarray, held, tol: float,
             xn = x + step
             inside = (np.minimum(a, b) < xn) & (xn < np.maximum(a, b)) & (step != 0.0)
             xn = np.where(inside, xn, 0.5 * (a + b))
-            stalled = xn == x
+            stalled = (xn == x) | (xn == angle)
             leave = done | stalled
             if leave.any():
                 solved[idx[done]] = x[done]
@@ -336,7 +349,7 @@ def _lockstep(p: float, q: float, k, K, E, angle: np.ndarray, held, tol: float,
                 stay = ~leave
                 if not stay.any():
                     break
-                idx, xn, a, b, k, K, E, *held = _at(stay, idx, xn, a, b, k, K, E, *held)
+                idx, xn, a, b, angle, k, K, E, *held = _at(stay, idx, xn, a, b, angle, k, K, E, *held)
                 level, slope = _level_fns(p, q, k, K, E, held)
             x, (fx, free) = xn, level(xn)
         else:

@@ -20,7 +20,7 @@ from harmonictori.curves import (
     BranchPair, ModuliPoint, angle_rescale, build_frame, inverse_coords,
 )
 from harmonictori.differentials import (
-    _BLOCK, _RULE_W, _RULE_X, ContinuationError, PathError, PathSpec, PoleError,
+    _RULE_W, _RULE_X, ContinuationError, PathError, PathSpec, PoleError,
     _Geometry, _Segment, _gamma_imag, _integrate, _sweep, _theta_P_gamma_value,
     _track_sheet, construct_psi, contour_integral,
     eta_plus, gamma0_path, gamma_closing_values, hitchin_checklist, laurent_coefficients, loop_A,
@@ -31,7 +31,9 @@ from harmonictori.elliptic import (
     _chart_value, _complete_KE, _half_angle, complementary_modulus, complete_E, complete_K,
 )
 from harmonictori.config import DEFAULTS
-from harmonictori.moduli import S_value, solve_level, spectral_test, t0_raw, t_tilde_raw
+from harmonictori.moduli import (
+    LevelSolveError, S_value, solve_level, spectral_test, t0_raw, t_tilde_raw,
+)
 
 RNG = np.random.default_rng(23)
 
@@ -217,7 +219,7 @@ class TestSheetTracking:
 
     def test_refinement_recovers_period(self):
         # the first segment grazes the branch point 1 at distance 0.005; on 17
-        # equal panels the sheet cannot be followed there, and the block sweep
+        # equal panels the sheet cannot be followed there, and the level's sweep
         # halves that segment's panels alone, while the other settles on its
         # first level.  Laid out by distance, the grazing segment needs no
         # halving, and the integral matches the lone loop bit for bit
@@ -254,9 +256,9 @@ def spectral_frame(S, T, k=0.5, angle=0.3):
 
 # The quadrature as a lone loop: one walk per segment and level, each segment
 # laid out alone and tracked from the w where the previous one ended, its
-# panel sums by both rules added by np.add.reduceat, as the block's one
-# reduction adds them.  The block sweep must give its values and final w bit
-# for bit.
+# panel sums by both rules added by np.add.reduceat, as the level's one
+# reduction adds them.  The fused sweep of a level must give its values and
+# final w bit for bit.
 
 def reference_track_sheet(geom, zs, w0):
     s = np.sqrt(geom.Q(zs))
@@ -340,18 +342,18 @@ def alone(coeff):
     return lambda z, w: (coeff(z, w),)
 
 
-SMALL_K = spectral_frame(1, 1, k=0.05)  # its gamma- levels span several blocks
+SMALL_K = spectral_frame(1, 1, k=0.05)  # the second level of its four paths: 4 626 nodes
 
 
 class TestFusedQuadrature:
     def test_pair_equals_lone_integrations(self, monkeypatch):
         # one pass over both gamma paths and loops A and B, one sweep per
-        # block for both coefficients of the pair, gives each path's values,
+        # level for both coefficients of the pair, gives each path's values,
         # and its final w, bit for bit as that path integrated alone and as
         # the per-segment walks of one coefficient at a time do, also when one
         # value freezes at a coarser level than the other (the gamma paths of
-        # the symmetric-annulus curve at k = 0.75) and when a level spans
-        # several blocks (SMALL_K)
+        # the symmetric-annulus curve at k = 0.75) and on a level of 4 626
+        # nodes (SMALL_K)
         one_open = [0]  # segment levels that refined one value only
 
         def counted(geom, integrand, segs):
@@ -387,8 +389,8 @@ class TestFusedQuadrature:
                     contour_integral("theta_P", path, fr))
 
     def test_one_track_per_level_on_the_gamma_path(self, monkeypatch):
-        # the k = 0.05 gamma- path fits in one block: its levels are the most
-        # walks any of its segments took, two, and each level is one sheet track
+        # the k = 0.05 gamma- path alone: its levels are the most walks any
+        # of its segments took, two, and each level is one sheet track
         fr = SMALL_K
         geom = _Geometry(fr)
         walks = {}
@@ -408,31 +410,32 @@ class TestFusedQuadrature:
         _integrate(geom, geom.pair(), 2, gamma0_path(-1, fr))
         assert len(tracks) == max(walks.values()) == 2
 
-    def test_no_evaluation_exceeds_the_block(self, monkeypatch):
-        # an integrand call takes at most _BLOCK nodes unless its block is one
-        # segment; at k = 0.05 the first level of the four paths needs
-        # several blocks
-        sizes, per_level = [], []
-        blocks = differentials._blocks
-
-        def split(segs):
-            out = list(blocks(segs))
-            per_level.append(len(out))
-            return out
+    def test_the_largest_levels_equal_lone_integrations(self, monkeypatch):
+        # the paths of the checklist's quadrature pass on the symmetric
+        # annulus at k = 1e-6 (the gamma- path refused there, as by
+        # gamma_closing_values) peak at 11 422 nodes a level, near the 16 384
+        # of numpy's temporary elision: the fused pass still gives each
+        # path's values and final w bit for bit as that path integrated alone
+        fr = spectral_frame(1, 1, k=1e-6)
+        geom = _Geometry(fr)
+        paths = [loop_A(fr), loop_B(fr)]
+        for sign in (1, -1):
+            try:
+                paths.append(differentials._gamma0_path(sign, fr, check=True))
+            except PathError:
+                continue
+        sizes = []
 
         def counted(geom, integrand, segs):
-            def sized(z, w):
-                sizes.append((len(z), len(segs)))
-                return integrand(z, w)
-            return _sweep(geom, sized, segs)
-        monkeypatch.setattr(differentials, "_blocks", split)
+            sizes.append(sum(33 * (len(seg.t) - 1) + 1 for seg in segs))
+            return _sweep(geom, integrand, segs)
         monkeypatch.setattr(differentials, "_sweep", counted)
-        for fr in (SMALL_K, spectral_frame(1, 1, k=0.75)):
-            geom = _Geometry(fr)
-            _integrate(geom, geom.pair(), 2, loop_A(fr), loop_B(fr), gamma0_path(1, fr),
-                       gamma0_path(-1, fr))
-        assert sizes and all(n <= _BLOCK or segs == 1 for n, segs in sizes)
-        assert max(per_level) > 1
+        together = _integrate(geom, geom.pair(), 2, *paths)
+        assert len(paths) == 3 and 8192 < max(sizes) < 16384
+        for path, (values, w_end) in zip(paths, together):
+            [(lone, w_lone)] = _integrate(geom, geom.pair(), 2, path)
+            assert ([bits(v) for v in values], bits(w_end)) == (
+                [bits(v) for v in lone], bits(w_lone))
 
 
 class TestClosingReuse:
@@ -886,6 +889,14 @@ class TestMonodromy:
             monodromy_track(Fraction(1, 2), loop_samples=samples, k=k, u_tilde0=u_tilde0,
                             contractible=contractible)
 
+    @pytest.mark.parametrize("contractible", [False, True])
+    @pytest.mark.parametrize("u_tilde0", [1e12, 2e16, 1e17])
+    def test_a_start_angle_near_the_float_limit_fails_to_solve(self, u_tilde0, contractible):
+        # where a sample's band holds one float or none, the anchor or the
+        # fill fails with LevelSolveError, not ZeroDivisionError (2e16, 1e17)
+        with pytest.raises(LevelSolveError, match="no convergence for q=0.5: residual "):
+            monodromy_track(Fraction(1, 2), 64, 0.5, u_tilde0, contractible)
+
     @pytest.mark.parametrize("samples", [np.int64(16), np.int32(16), np.uint8(16)])
     def test_numpy_integer_loop_samples(self, samples):
         assert monodromy_track(Fraction(1, 2), samples) == monodromy_track(Fraction(1, 2), 16)
@@ -935,13 +946,13 @@ class TestMonodromy:
         # F and E_reg of the held angles are evaluated in one array pass a
         # round, which the lockstep and gamma+ share; with the false jump of
         # test_a_jump_is_bisected_down_to_the_floor the loop takes 8 rounds
-        passes = []
-        for module in (moduli, differentials):
-            def recorded(s, c, k, fe=module._FE):
-                if isinstance(s, np.ndarray):
-                    passes.append(s)
-                return fe(s, c, k)
-            monkeypatch.setattr(module, "_FE", recorded)
+        passes, fe = [], moduli._FE
+
+        def recorded(s, c, k):
+            if isinstance(s, np.ndarray):
+                passes.append(s)
+            return fe(s, c, k)
+        monkeypatch.setattr(moduli, "_FE", recorded)
         if jump:
             gamma_plus = differentials._gamma_plus
             monkeypatch.setattr(differentials, "_gamma_plus", lambda p, k, *args: (
@@ -1504,13 +1515,16 @@ class TestCensus:
                     fr.u if sign == 1 else fr.v)
 
     def test_one_sweep_per_curve(self, monkeypatch, bench_inputs):
-        # each segment mostly settles on its first level, and the four paths of
-        # a curve mostly fit in one block: at most 1.3 sweeps per curve
-        sweeps, inner = [0], differentials._sweep
+        # each segment mostly settles on its first level, and each level of a
+        # curve's four paths is one sweep: at most 1.3 sweeps per curve.  No
+        # level reaches the 16 384 nodes of numpy's temporary elision, below
+        # which a fused level rounds as its paths integrated alone
+        sweeps, nodes, inner = [0], [], differentials._sweep
 
-        def counted(*args):
+        def counted(geom, integrand, segs):
             sweeps[0] += 1
-            return inner(*args)
+            nodes.append(sum(33 * (len(seg.t) - 1) + 1 for seg in segs))
+            return inner(geom, integrand, segs)
         monkeypatch.setattr(differentials, "_sweep", counted)
         curves = census_curves(bench_inputs, 1)
         for bp in curves:
@@ -1518,3 +1532,4 @@ class TestCensus:
             detected = spectral_test(bp, 50)
             hitchin_checklist(fr, None if detected is None else construct_psi(*detected, fr))
         assert sweeps[0] <= 1.3 * len(curves)
+        assert max(nodes) < 16384

@@ -324,6 +324,29 @@ class TestDerivative:
         with pytest.raises(ValueError, match="the level functions are undefined on the diagonal u = v"):
             dt0_du_raw(0.7, 0.3, 1.3, 1.3)
 
+    def test_chart_functions_refuse_chart_values_that_overflow(self):
+        # a chart value whose square overflows gave nan (t0_raw at 1e160,
+        # dt0_du_raw at 1e100) or inf (dt0_du_raw at (1.7, 1e80)); every
+        # finite chart value off the diagonal now evaluates to a finite
+        # value or raises ValueError
+        with pytest.raises(ValueError, match=re.escape(
+                "the level functions overflow at chart values u=1e+160, v=0.3")):
+            t0_raw(1.0, 0.5, 1e160, 0.3)
+        for u, v in ((1e100, 0.3), (1.7, 1e80)):
+            with pytest.raises(ValueError, match="overflow"):
+                dt0_du_raw(1.0, 0.5, u, v)
+        values = 1.7 * 10.0 ** np.arange(0, 309, 7) * np.array([[1.0], [-1.0]])
+        for fn in (t0_raw, dt0_du_raw):
+            assert math.isfinite(fn(1.0, 0.5, 1e20, 0.3)), fn.__name__
+            raised = 0
+            for u, v in itertools.product(values.ravel().tolist(), (0.3, -2.0, 1e80)):
+                try:
+                    assert math.isfinite(fn(2.5, 0.5, u, v)), (fn.__name__, u, v)
+                except ValueError as exc:
+                    assert "overflow" in str(exc)
+                    raised += 1
+            assert raised, fn.__name__
+
     @pytest.mark.parametrize("p", [1 / 3, 1.0, 5 / 2])
     def test_array_twins_match_scalar_on_the_boundary(self, p):
         k = 0.5
@@ -906,6 +929,26 @@ class TestBatchedSweep:
                 assert x.hex() == (mp.u_tilde if p > 1.0 else mp.v_tilde).hex()
                 outcomes.append("solved on the boundary" if angle in boundary else "solved")
         assert len(outcomes) == n and len(set(outcomes)) == 3
+
+    @pytest.mark.parametrize("p", [1 / 3, 1.0, 5 / 2])
+    def test_held_angles_near_the_float_limit_fail_alike(self, p):
+        # from about 1.8e16 a held angle's band holds one float or none: an
+        # iterate can land on the held angle, T~'s pole, and at 1e17 even
+        # the bracket's midpoint is the held angle.  The solve stops there,
+        # on the last residual, or at once on residual nan, in lockstep as in
+        # solve_level and with no ZeroDivisionError
+        held = np.array([1e12, 1e15, 1e16, 2e16, 3e16, 1e17])
+        ks = np.repeat([0.2, 0.5, 0.9], 2 * held.size)
+        angles = np.tile(np.concatenate((held, -held)), 3)
+        solved, residual = lockstep_solve(p, 0.5, ks, angles)
+        for r, k, angle in zip(residual.tolist(), ks.tolist(), angles.tolist()):
+            with pytest.raises(LevelSolveError) as failed:
+                solve_level(p, 0.5, k, angle)
+            assert str(failed.value) == moduli._no_convergence(0.5, r)
+            assert math.isnan(r) == (abs(angle) == 1e17)
+        assert np.isnan(solved).all()
+        mesh = sweep_level_set(Fraction(p), Fraction(1, 2), 2, 2, 0.0, angle_start=1e17)
+        assert [why for _, _, why in mesh.failures] == ["no convergence for q=0.5: residual nan"] * 4
 
     def test_per_point_starts_match_warm_scalar_solves(self):
         # each point takes its start as solve_level takes it: strictly inside
