@@ -39,7 +39,9 @@ from .curves import (
     _OFF_CHART, BranchPair, JacobiFrame, S_value, _center, angle_rescale,
 )
 from .config import DEFAULTS
-from .elliptic import TWO_PI, _axis_angle, _chart_value, _check_modulus, _complete_KE, _per_element
+from .elliptic import (
+    TWO_PI, _axis_angle, _chart_value, _check_modulus, _complete_KE, _half_angle, _per_element,
+)
 from .moduli import (
     LevelSolveError, _at, _chart_terms, _level_part, _lockstep, _no_convergence, solve_level, t0_raw,
 )
@@ -723,13 +725,6 @@ def construct_psi(S: Fraction, T: Fraction, frame: JacobiFrame) -> ClosingData:
 # ---------------------------------------------------------------------------
 # monodromy around an annulus component
 
-def _turn_increments(values: np.ndarray) -> np.ndarray:
-    """Each step's increment of the gamma+ values, the difference d taken to
-    the nearest turn, d + 2 pi round(-d/2 pi)."""
-    d = values[1:] - values[:-1]
-    return d + TWO_PI * np.rint(-d / TWO_PI)
-
-
 def monodromy_track(q: Fraction, loop_samples: int = 48, k: float = 0.5,
                     u_tilde0: float = 0.3,
                     contractible: bool = False) -> int:
@@ -744,20 +739,19 @@ def monodromy_track(q: Fraction, loop_samples: int = 48, k: float = 0.5,
     array passes.  A loop is one orbit of the deck generator, +pi on U~ and
     V~ (curves.deck_lambda_tilde), or closed, so the gap g = V~ - U~ has
     period 1 in the loop parameter t.  One cold solve_level at t = 0, the
-    anchor, gives that gap g; every other sample, t = 1 and each bisection
-    midpoint included, is solved in rounds from the start v~ =
-    angle_rescale(U~ + g, 1/sqrt(k)), so a sample angle agrees with a cold
-    solve_level to within solver_tol, not bit for bit.
-    A round first computes the held angle's terms (_level_part) at every
-    sample in one array pass, with K and E from one _complete_KE call, at
-    the annulus's one k or over the contractible loop's k.  It then
-    solves its unsolved samples in one _lockstep call on their slices of
-    those terms, and evaluates gamma+, the chart's closed form, at every
-    sample from the same terms.
-    A step's increment is its difference d to the nearest turn,
-    d + 2 pi round(-d/2 pi); the midpoint of each step whose increment
-    exceeds 2 and that is longer than 1e-4 is an unsolved sample of the
-    next round."""
+    anchor, gives that gap g; every other sample is solved in one _lockstep
+    call from the start v~ = angle_rescale(U~ + g, 1/sqrt(k)), so a sample
+    angle agrees with a cold solve_level to within solver_tol, not bit for
+    bit.  The held angle's terms (_level_part) come from one array pass at
+    every sample, with K and E from one _complete_KE call, at the annulus's
+    one k or over the contractible loop's k; the lockstep and gamma+, the
+    chart's closed form evaluated at every sample with its checks, share them.
+    The principal gamma+ value P jumps by -4 pi where the held angle u~
+    crosses an odd multiple of pi, for E F - K E_reg at the reduced angle
+    loses the pi per turn of E F~ - K E~ (E K' + K E' - K K' = pi/2).  So
+    L = P + 4 pi m, m the turn of u~ (elliptic._half_angle), is continuous
+    along the level set, and the loop's integer is read off L(1) - L(0),
+    which must lie on 2 pi Z."""
     if not 0.0 < k < 1.0 or contractible and not 0.05 < k < 0.95:
         raise ValueError(f"k={k!r} outside (0, 1), or (0.05, 0.95) for a contractible loop")
     if not math.isfinite(u_tilde0):
@@ -773,47 +767,30 @@ def monodromy_track(q: Fraction, loop_samples: int = 48, k: float = 0.5,
     qf = float(q)
     rk = math.sqrt(k)
     U0 = angle_rescale(u_tilde0, rk)
-
-    def sample(t):
-        """(k, u~, U~) arrays along the loop at the parameters t in [0, 1]."""
-        if contractible:
-            ks = k + 0.05 * _per_element(math.sin, TWO_PI * t)
-            us = u_tilde0 + 0.2 * (_per_element(math.cos, TWO_PI * t) - 1.0)
-            return ks, us, angle_rescale(us, np.sqrt(ks))
-        Us = U0 + math.pi * t
-        return np.full(t.size, k), angle_rescale(Us, 1.0 / rk), Us
-
     ts = np.arange(loop_samples + 1) / loop_samples
-    ks, us, Us = sample(ts)
-    vs = np.full(ts.size, math.nan)
+    if contractible:  # k at every sample
+        kk = k + 0.05 * _per_element(math.sin, TWO_PI * ts)
+        us = u_tilde0 + 0.2 * (_per_element(math.cos, TWO_PI * ts) - 1.0)
+        Us = angle_rescale(us, np.sqrt(kk))
+    else:  # the annulus's one k
+        kk, Us = k, U0 + math.pi * ts
+        us = angle_rescale(Us, 1.0 / rk)
     # the anchor: one cold solve_level at t = 0, whose gap g starts every other sample
-    vs[0] = solve_level(1.0, qf, k, us[0].item()).v_tilde
-    g = angle_rescale(vs[0].item(), rk) - U0
-    while True:
-        # the held angle's terms at every sample, for the lockstep and gamma+
-        kk = ks if contractible else k
-        K, E = _complete_KE(kk)
-        terms = _level_part(kk, K, E, us)
-        # the unsolved samples in lockstep, each started from the anchor's gap
-        fill = np.isnan(vs).nonzero()[0]
-        start = angle_rescale(Us[fill] + g, 1.0 / np.sqrt(ks[fill]))
-        solved, residual = _lockstep(1.0, qf, *_at(fill, kk, K, E), us[fill],
-                                     _at(fill, *terms[:4]), DEFAULTS.solver_tol, start)
-        failed = np.isnan(solved)
-        if failed.any():
-            raise LevelSolveError(_no_convergence(qf, residual[failed][0].item()))
-        vs[fill] = solved
-        values = _gamma_plus(1.0, kk, K, E, terms[1], _chart_value(vs), terms[2:])
-        # bisect where a step crosses a principal-branch jump too fast
-        increments = _turn_increments(values)
-        steps = ((np.abs(increments) > 2.0) & (ts[1:] - ts[:-1] > 1e-4)).nonzero()[0]
-        if not steps.size:
-            break
-        mids = 0.5 * (ts[steps] + ts[steps + 1])
-        ts, ks, us, Us, vs = (np.insert(x, steps + 1, y) for x, y in zip(
-            (ts, ks, us, Us, vs), (mids, *sample(mids), math.nan)))
-
-    delta = float(increments.sum())
+    v0 = solve_level(1.0, qf, k, us[0].item()).v_tilde
+    g = angle_rescale(v0, rk) - U0
+    # the held angle's terms at every sample, for the lockstep and gamma+
+    K, E = _complete_KE(kk)
+    terms = _level_part(kk, K, E, us)
+    rest = slice(1, None)
+    start = angle_rescale(Us + g, 1.0 / np.sqrt(kk))[rest]
+    solved, residual = _lockstep(1.0, qf, *_at(rest, kk, K, E), us[rest],
+                                 _at(rest, *terms[:4]), DEFAULTS.solver_tol, start)
+    failed = np.isnan(solved)
+    if failed.any():
+        raise LevelSolveError(_no_convergence(qf, residual[failed][0].item()))
+    P = _gamma_plus(1.0, kk, K, E, terms[1], _chart_value(np.append(v0, solved)), terms[2:])
+    m0, m1 = (_half_angle(us[j].item())[0] for j in (0, -1))
+    delta = float(P[-1] - P[0]) + 4.0 * math.pi * (m1 - m0)
     turns = round(delta / TWO_PI)
     if abs(delta - TWO_PI * turns) > 1e-6 * max(1.0, abs(delta)) + 1e-6:
         raise ContinuationError(f"gamma+ integral shifted by {delta!r}, not 2 pi Z")

@@ -19,7 +19,7 @@ w(ix) of the free angle once per step; _no_convergence the failure reason.
 Only the Newton-or-midpoint loop is written twice: solve_level on floats,
 _lockstep on per-point (k, angle) arrays, given K, E and the held angle's
 terms, which its two callers compute: sweep_level_set once per leaf (K and
-E once per grid row), monodromy_track once per round at every loop sample,
+E once per grid row), monodromy_track once per loop at every loop sample,
 shared with its gamma+ closed form, for every sample but its anchor; a
 point of the arrays ends on solve_level's bits, or fails with its reason.
 _chart_terms alone builds a chart value's terms, for T0, T~ and gamma+.

@@ -311,19 +311,25 @@ def suite_moduli(seed: int = 0) -> list[InvariantResult]:
 def suite_bundle(seed: int = 0) -> list[InvariantResult]:
     """The monodromy of the bundle of spectral data over the annuli: around
     the annulus at q = n/d, monodromy_track gives moduli_summary's -d, and
-    around a contractible loop 0.  A loop that raises fails with its error."""
+    around a contractible loop 0.  A loop that raises fails with its error.
+    The annuli's k and every loop's sample count are drawn log-uniformly, k
+    from [1e-3, 0.99] and the count from 8 to 128, so the small k and the
+    few samples where a loop is hardest to follow are as likely as the
+    middle."""
     rng = np.random.default_rng(seed)
 
     def loops(contractible, count):
         for _ in range(count):
             d = int(rng.integers(1, 8))
             q = Fraction(int(rng.integers(-3 * d, 3 * d + 1)), d)
-            k, u_tilde0 = float(rng.uniform(0.1, 0.9)), float(rng.uniform(-math.pi, math.pi))
+            k = float(rng.uniform(0.1, 0.9) if contractible else 1e-3 * 990.0 ** rng.uniform())
+            u_tilde0 = float(rng.uniform(-math.pi, math.pi))
+            samples = round(8.0 * 16.0 ** rng.uniform())
             expected = 0 if contractible else moduli_summary(Fraction(1), q).monodromy
-            sample = {"q": str(q), "loop_samples": 64, "k": k, "u_tilde0": u_tilde0,
+            sample = {"q": str(q), "loop_samples": samples, "k": k, "u_tilde0": u_tilde0,
                       "contractible": contractible, "expected": expected}
             try:
-                got = monodromy_track(q, 64, k, u_tilde0, contractible)
+                got = monodromy_track(q, samples, k, u_tilde0, contractible)
             except (LevelSolveError, ContinuationError) as exc:
                 yield math.inf, {**sample, "error": f"{type(exc).__name__}: {exc}"}
             else:

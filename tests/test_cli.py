@@ -538,8 +538,10 @@ class TestVerify:
                 sample["u_tilde0"], sample["contractible"])
         assert sample["got"] == -sample["expected"] == -track(*args) != 0
 
-    def test_bundle_suite_fails_without_the_nearest_turn_rule(self, monkeypatch, capsys):
-        monkeypatch.setattr(differentials, "_turn_increments", lambda v: v[1:] - v[:-1])
+    def test_bundle_suite_fails_without_the_lift(self, monkeypatch, capsys):
+        # a loop whose held angle crosses a turn needs the 4 pi m of the
+        # lifted gamma+; with m held at 0 its integer is off by 2 per turn
+        monkeypatch.setattr(differentials, "_half_angle", lambda x_tilde: (0.0,))
         sample = self.failed_bundle_loop(capsys)
         assert sample["got"] != sample["expected"]
 
