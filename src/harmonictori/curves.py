@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .elliptic import TWO_PI, _chart_value, _check_modulus, _half_angle, _per_element, _sqrt, _w
+from .elliptic import TWO_PI, _chart_value, _check_modulus, _half_angle, _sqrt, _ufunc, _w
 
 __all__ = [
     "BranchPair", "JacobiFrame", "ModuliPoint",
@@ -325,12 +325,16 @@ def chi_negate(bp: BranchPair) -> BranchPair:
 
 
 def angle_rescale(x_tilde: float, s: float) -> float:
-    """The rescale 2 pi m + 2 atan(s tan(x~/2)) of the float x~, m its turn
-    (_half_angle), order preserving for s > 0; of an array, the float calls'
-    values bit for bit.  Next to an odd multiple of pi tan(x~/2) has the sign
-    of the side x~ lies on, and so has the rescale."""
+    """The rescale 2 pi m + 2 atan(s tan(x~/2)) of a finite float x~ (a float32
+    as its float), m its turn (_half_angle), order preserving for s > 0; of an
+    array, the float calls' values bit for bit (elliptic._ufunc).  Next to an
+    odd multiple of pi it has the sign of the side x~ lies on, as tan(x~/2)."""
+    if not isinstance(x_tilde, np.ndarray):
+        x_tilde = float(x_tilde)
+        if not math.isfinite(x_tilde):
+            raise ValueError(f"the angle must be finite, got {x_tilde!r}")
     m, _, _, u = _half_angle(x_tilde)
-    return TWO_PI * m + 2.0 * _per_element(math.atan, s * u)
+    return TWO_PI * m + 2.0 * _ufunc(np.arctan, s * u)
 
 
 def deck_lambda_tilde(mp: ModuliPoint, inverse: bool = False) -> ModuliPoint:

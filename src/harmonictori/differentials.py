@@ -39,9 +39,7 @@ from .curves import (
     _OFF_CHART, BranchPair, JacobiFrame, S_value, _center, angle_rescale,
 )
 from .config import DEFAULTS
-from .elliptic import (
-    TWO_PI, _axis_angle, _chart_value, _check_modulus, _complete_KE, _half_angle, _per_element,
-)
+from .elliptic import TWO_PI, _axis_angle, _chart_value, _check_modulus, _complete_KE, _half_angle
 from .moduli import (
     LevelSolveError, _at, _chart_terms, _level_part, _lockstep, _no_convergence, solve_level, t0_raw,
 )
@@ -485,7 +483,7 @@ def _theta_P_gamma_value(sign: int, frame: JacobiFrame) -> complex:
 
     i [4E ImF(ix) - 4K Im(E - k i x)(x) - 4K G(x)] at the frame's finite
     chart value x = u (sign +) or x = v (sign -), with G grouped so large |x|
-    stays cancellation-free; a chart value stays below 1.7e16, so x^2
+    stays cancellation-free; a chart value stays far below 1e154, so x^2
     cannot overflow.
     """
     x, z0 = frame.u if sign == 1 else frame.v, frame.z0
@@ -618,8 +616,8 @@ def theta_P_characterization_check(frame: JacobiFrame) -> float:
     The period-normalized differential is characterized by this ratio being
     purely imaginary; the returned deviation should vanish to 1e-8.
     """
-    cE, cP = laurent_coefficients("", frame.z0, frame, orders=(-2,),
-                                  coeff=_Geometry(frame).pair())[-2]
+    geom = _Geometry(frame)
+    cE, cP = _laurent(geom, [frame.z0], [_pole_radius(geom, frame.z0)], geom.pair(), (-2,))[0][-2]
     return (cP / cE).real
 
 
@@ -769,8 +767,8 @@ def monodromy_track(q: Fraction, loop_samples: int = 48, k: float = 0.5,
     U0 = angle_rescale(u_tilde0, rk)
     ts = np.arange(loop_samples + 1) / loop_samples
     if contractible:  # k at every sample
-        kk = k + 0.05 * _per_element(math.sin, TWO_PI * ts)
-        us = u_tilde0 + 0.2 * (_per_element(math.cos, TWO_PI * ts) - 1.0)
+        kk = k + 0.05 * np.sin(TWO_PI * ts)
+        us = u_tilde0 + 0.2 * (np.cos(TWO_PI * ts) - 1.0)
         Us = angle_rescale(us, np.sqrt(kk))
     else:  # the annulus's one k
         kk, Us = k, U0 + math.pi * ts

@@ -19,12 +19,8 @@ numpy arrays alike, so both level-set solvers in moduli evaluate the same
 closed forms.  Floats go through the float-to-float
 elliprf/elliprd of scipy.special.cython_special, arrays through the ufuncs
 of the same names: one C code, the same bits, and no ufunc call per float.
-Arrays call math.tan per element in _chart_value, and math.hypot in
-_axis_angle, so that an array's values are its floats' bit for bit: numpy's
-tan can differ in the last bit, which moves the level-set solver at its
-precision floor, and so can numpy's hypot.  numpy's arctan can too, but
-_half_angle's turn is the floor of a value about half a unit from any
-integer, which no last bit moves.
+tan, hypot and arctan are numpy's ufuncs for floats too (_ufunc), so an
+array's values are its floats' bit for bit, from the same ufunc loop.
 
 Conventions: the modulus k always lies in (0, 1); K' and E' denote the
 complete integrals at the complementary modulus sqrt(1 - k^2), and
@@ -153,20 +149,18 @@ def _FE(s, c, k):
     return s * rf, (1.0 - k) * (1.0 + k) * (s * s * s * rd / 3.0 + s * c / (root + k))
 
 
-def _per_element(fn, x):
-    """fn (of math) of a float, or per element of an array with the float calls' bits."""
-    if isinstance(x, np.ndarray):
-        return np.fromiter(map(fn, x.tolist()), float, x.size)
-    return fn(x)
+def _ufunc(fn, x, *args):
+    """The numpy ufunc fn(x, *args) in float64, of an array an array, of a float
+    (a float32 or np.float64 taken as its float) a float, by the same loop."""
+    return fn(x, *args, dtype=float) if isinstance(x, np.ndarray) else float(fn(float(x), *args))
 
 
 def _axis_angle(x):
     """(sin, cos) of arctan(x), exact at x = +-inf, of a float or an array of
-    finite values; an array's are the float calls' bit for bit, by math.hypot
-    per element (numpy's hypot can differ in the last bit)."""
+    finite values, by numpy's hypot (_ufunc)."""
     if not isinstance(x, np.ndarray) and math.isinf(x):
         return math.copysign(1.0, x), 0.0
-    h = _per_element(lambda y: math.hypot(1.0, y), x)
+    h = _ufunc(np.hypot, x, 1.0)
     return x / h, 1.0 / h
 
 
@@ -181,10 +175,11 @@ def incomplete_E_reg_imag(x: float, k) -> float:
 
 
 def _chart_value(x_tilde):
-    """tan(x~/2) of a float or an array, finite at every float angle: at a
-    float odd multiple of pi it is below 1.7e16 in magnitude, signed by the
-    side the float lies on; an array's are the float calls' bit for bit."""
-    return _per_element(math.tan, 0.5 * x_tilde)
+    """tan(x~/2) of a float or an array by numpy's tan (_ufunc), finite at
+    every finite float angle: at a float odd multiple of pi it is large
+    (1.6e16 at pi, 1.6e18 at 29 pi) and signed by the side the float lies
+    on.  A non-finite angle has none: numpy's tan warns and returns nan."""
+    return _ufunc(np.tan, 0.5 * x_tilde)
 
 
 def _half_angle(x_tilde):
@@ -192,14 +187,13 @@ def _half_angle(x_tilde):
     [-pi/2, pi/2] and the chart value u = tan(x~/2), of a float or an array.
 
     The reduced angle is atan(u), so (sin, cos) = (u, 1)/sqrt(1 + u^2), where
-    u^2 cannot overflow below 1.7e16; a float next to an odd multiple of pi
-    lies on the side its tan lies on, and floats and arrays round m alike:
-    the floor's argument lies within about 1e-15 max(1, |x~|) of m + 1/2.
+    u^2 cannot overflow; a float next to an odd multiple of pi lies on the
+    side its tan lies on, and no last bit of the arctan moves m: the floor's
+    argument lies within about 1e-15 max(1, |x~|) of m + 1/2.
     """
     u = _chart_value(x_tilde)
     c = 1.0 / _sqrt(1.0 + u * u)
-    atan = np.arctan if isinstance(u, np.ndarray) else math.atan
-    return ((0.5 * x_tilde - atan(u)) / math.pi + 0.5) // 1.0, u * c, c, u
+    return ((0.5 * x_tilde - _ufunc(np.arctan, u)) / math.pi + 0.5) // 1.0, u * c, c, u
 
 
 def _lifted_integrals(x_tilde: float, k: float) -> tuple[float, float]:

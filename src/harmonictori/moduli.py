@@ -285,7 +285,7 @@ def solve_level(p: float, q: float, k: float, fixed_angle: float,
         d = slope(fx, free)
         step = -fx / d if d != 0.0 else 0.0
         xn = x + step
-        if not (min(a, b) < xn < max(a, b)) or step == 0.0:
+        if not (a < xn < b) or step == 0.0:
             xn = 0.5 * (a + b)
         if xn == x or xn == fixed_angle:  # a stall, or T~'s pole at the held angle
             break
@@ -339,7 +339,7 @@ def _lockstep(p: float, q: float, k, K, E, angle: np.ndarray, held, tol: float,
             d = slope(fx, free)
             step = np.where(d != 0.0, -fx / d, 0.0)
             xn = x + step
-            inside = (np.minimum(a, b) < xn) & (xn < np.maximum(a, b)) & (step != 0.0)
+            inside = (a < xn) & (xn < b) & (step != 0.0)
             xn = np.where(inside, xn, 0.5 * (a + b))
             stalled = (xn == x) | (xn == angle)
             leave = done | stalled

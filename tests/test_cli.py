@@ -145,6 +145,42 @@ def test_modules_use_their_imports_and_export_defined_names():
         assert [x for x in private if x not in used] == [], name
 
 
+def per_element_calls(source):
+    """The calls of ``source`` that apply a Python function to an array one
+    element at a time: np.fromiter over a map or generator, and a map or
+    comprehension over an array's .tolist() that calls a math function."""
+    def over_tolist(node):
+        return isinstance(node, ast.Call) and ast.unparse(node.func).endswith(".tolist")
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and node.args:
+            head, first = ast.unparse(node.func), node.args[0]
+            if head == "np.fromiter" and (isinstance(first, ast.GeneratorExp) or
+                                          isinstance(first, ast.Call) and ast.unparse(first.func) == "map"):
+                found.append(ast.unparse(node))
+            elif head == "map" and "math." in ast.unparse(first) and any(map(over_tolist, node.args[1:])):
+                found.append(ast.unparse(node))
+        elif isinstance(node, (ast.ListComp, ast.GeneratorExp, ast.SetComp)):
+            if "math." in ast.unparse(node.elt) and any(over_tolist(g.iter) for g in node.generators):
+                found.append(ast.unparse(node))
+    return found
+
+
+def test_src_maps_no_python_function_over_array_elements():
+    # numpy's ufuncs serve floats and arrays alike (elliptic._ufunc), so no
+    # module pays a Python call per element of an array to reproduce them;
+    # the scan itself catches the per-element forms it names
+    for bad in ("np.fromiter(map(fn, x.tolist()), float, x.size)",
+                "np.fromiter(map(lambda y: math.hypot(1.0, y), x.tolist()), float)",
+                "y = list(map(math.tan, (0.5 * x).tolist()))",
+                "y = [math.atan(v) for v in x.tolist()]"):
+        assert per_element_calls(bad) != [], bad
+    assert per_element_calls('text = list(map("%.17g".__mod__, grid.tolist()))') == []
+    for path in sorted(Path(harmonictori.__file__).parent.glob("*.py")):
+        assert per_element_calls(path.read_text(encoding="utf-8")) == [], path.name
+
+
 def test_successive_calls_match_fresh_interpreters(tmp_path, monkeypatch, capsys):
     # in one process, each call of a sequence of main() calls, a help request
     # and argparse rejections among them, gives the exit code, output and

@@ -461,6 +461,18 @@ class TestSymmetries:
             assert fr2.v == pytest.approx(fr.u, rel=1e-9, abs=1e-9)
 
 
+def near_odd_multiples_of_pi():
+    """The floats n pi for odd n in [-201, 201] and their 3 neighbours on each side."""
+    near = []
+    for n in range(-201, 202, 2):
+        below = above = n * math.pi
+        near.append(below)
+        for _ in range(3):
+            below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+            near += [below, above]
+    return near
+
+
 class TestDeck:
     def test_lambda_squared_is_iota(self):
         for _ in range(20):
@@ -503,14 +515,31 @@ class TestDeck:
     def test_rescale_keeps_the_turn_next_to_odd_multiples_of_pi(self, s):
         # a float within 3 ulps of n pi rescales to itself up to rounding,
         # never to the odd multiple a full turn away
-        for n in range(-201, 202, 2):
-            below = above = n * math.pi
-            near = [below]
-            for _ in range(3):
-                below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
-                near += [below, above]
-            for x in near:
-                assert abs(angle_rescale(x, s) - x) < 1e-6, (n, x.hex())
+        for x in near_odd_multiples_of_pi():
+            assert abs(angle_rescale(x, s) - x) < 1e-6, x.hex()
+
+    @pytest.mark.parametrize("s", [1e-3, 0.5, 2.0, 1e3])
+    def test_rescale_and_chart_value_of_an_array_are_the_float_calls(self, s):
+        # numpy's tan and arctan serve floats and arrays alike, so an array's
+        # values are its floats' bit for bit, at random angles and within 3
+        # ulps of odd multiples of pi; float32 angles, as scalars or as an
+        # array, are evaluated as their floats
+        rng = np.random.default_rng(41)
+        xs = np.array([*near_odd_multiples_of_pi(), *rng.uniform(-40.0, 40.0, 300),
+                       *(10.0 ** rng.uniform(2.0, 8.0, 100) * rng.choice([-1.0, 1.0], 100))])
+        for fn in (lambda x: angle_rescale(x, s), _chart_value):
+            for array in (xs, xs[-400:].astype(np.float32)):
+                got = fn(array)
+                floats = [fn(float(x)) for x in array.tolist()]
+                assert got.dtype == np.float64
+                assert [y.hex() for y in got.tolist()] == [y.hex() for y in floats]
+                scalars = [fn(x) for x in array]  # np.float64 or np.float32
+                assert all(type(y) is float for y in scalars) and scalars == floats
+
+    @pytest.mark.parametrize("x_tilde", [math.inf, -math.inf, math.nan])
+    def test_rescale_rejects_a_non_finite_angle(self, x_tilde):
+        with pytest.raises(ValueError, match="finite"):
+            angle_rescale(x_tilde, 0.5)
 
     def test_lambda_on_a_float_odd_multiple_of_pi(self):
         # u~ = 19 pi keeps its turn through both rescales, so the image of a

@@ -1006,8 +1006,8 @@ def chart_gamma_plus(mp):
 def loop_point(t, k, u_tilde0=0.3, contractible=False):
     """(k, u~) of the loop at parameter t in [0, 1], as monodromy_track samples it."""
     if contractible:
-        return (k + 0.05 * math.sin(2 * math.pi * t),
-                u_tilde0 + 0.2 * (math.cos(2 * math.pi * t) - 1.0))
+        return (k + 0.05 * float(np.sin(2 * math.pi * t)),
+                u_tilde0 + 0.2 * (float(np.cos(2 * math.pi * t)) - 1.0))
     rk = math.sqrt(k)
     return k, angle_rescale(angle_rescale(u_tilde0, rk) + math.pi * t, 1.0 / rk)
 
