@@ -19,7 +19,7 @@ from harmonictori import (
     RunConfig, T_tilde, classify_component, deck_lambda_tilde, inverse_coords,
     moduli_summary, monodromy_track, solve_level, sweep_level_set,
 )
-from harmonictori.cli import _solved_text, _write_level_set, _write_mesh_obj
+from harmonictori.cli import _write_leaf
 
 TWO_PI = 2 * math.pi
 out_dir = Path.cwd()
@@ -34,9 +34,7 @@ print(f"  symmetry on the leaf: max |alpha + beta| = "
 
 csv_path, obj_path = out_dir / "annulus.csv", out_dir / "annulus.obj"
 cfg = RunConfig(k_min=0.25, k_max=0.75)
-text = _solved_text(mesh)
-_write_level_set(mesh, cfg, TWO_PI, str(csv_path), text)
-_write_mesh_obj(mesh, str(obj_path), text)
+_write_leaf(mesh, cfg, TWO_PI, str(csv_path), str(obj_path))
 print(f"  wrote {csv_path.name} and {obj_path.name}")
 
 print("\nhelicoid component: ratio p = 1/2, level q = 0")

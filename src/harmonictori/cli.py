@@ -13,9 +13,9 @@ detection tolerance, 3 verification failure.  Rationals cross the boundary
 as exact "n/m" strings.  All floating-point output is serialized at 17
 significant digits and carries no timestamps, so identical configuration and
 arguments produce byte-identical files.  ``main`` builds its parser on its
-first call and reuses it for every later call in the process, and the file
-writers write blocks of lines, one write per block; identical inputs still
-give byte-identical files.
+first call and reuses it for every later call in the process, and
+``level-set`` writes each of its files with one write; identical inputs
+still give byte-identical files.
 """
 
 from __future__ import annotations
@@ -43,11 +43,6 @@ from .moduli import (
 from .verify import SUITES, run_suites
 
 import numpy as np
-
-# lines per write in the file writers: enough to make the per-write cost
-# vanish, few enough that a leaf's text is never held as one string
-_BLOCK = 256
-
 
 def f17(x: float) -> str:
     return format(float(x), ".17g")
@@ -161,17 +156,6 @@ def _solved_text(mesh: LevelSetMesh) -> tuple[list[str], ...]:
         mesh.alpha.real, mesh.alpha.imag, mesh.beta.real, mesh.beta.imag)))
 
 
-def _write_lines(fh, line: str, values: tuple) -> None:
-    """Writes ``line`` filled from consecutive ``values``, one line per as
-    many values as it has fields, in writes of _BLOCK lines each."""
-    width = line.count("%")
-    step = _BLOCK * width
-    block = line * _BLOCK
-    for start in range(0, len(values), step):
-        chunk = values[start:start + step]
-        fh.write((block if len(chunk) == step else line * (len(chunk) // width)) % chunk)
-
-
 def _rows(*columns: list) -> tuple:
     """The entries of equal-length columns, row by row."""
     flat = [None] * (len(columns) * len(columns[0]))
@@ -180,35 +164,37 @@ def _rows(*columns: list) -> tuple:
     return tuple(flat)
 
 
-def _write_level_set(mesh: LevelSetMesh, cfg: RunConfig, span: float, path: str,
-                     text: tuple[list[str], ...]) -> None:
-    """The leaf as CSV, from its _solved_text(mesh)."""
+def _write_leaf(mesh: LevelSetMesh, cfg: RunConfig, span: float, path: str,
+                mesh_path: str = "") -> None:
+    """The leaf as CSV at ``path`` and, given ``mesh_path``, as an ASCII OBJ
+    triangle mesh with the (Re alpha, Im alpha, k) embedding: the solved
+    points are the vertices, and each grid quad whose four corners solved
+    gives two triangles.  One write per file, from one _solved_text(mesh)."""
+    text = _solved_text(mesh)
+    n = len(text[0])
     row = f"{f17(float(mesh.p))},{f17(float(mesh.q))}," + ",".join(["%s"] * 7) + "\n"
+    partial = "" if mesh.complete else f"# partial: {len(mesh.failures)} grid points failed\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# level set p={mesh.p} q={mesh.q} k_grid={len(mesh.k_values)} "
                  f"angle_grid={len(mesh.angle_values)} span={f17(span)} "
                  f"k_min={f17(cfg.k_min)} k_max={f17(cfg.k_max)} "
-                 f"angle_start={f17(cfg.angle_start)}\n")
-        if not mesh.complete:
-            fh.write(f"# partial: {len(mesh.failures)} grid points failed\n")
-        fh.write("p,q,k,u_tilde,v_tilde,re_alpha,im_alpha,re_beta,im_beta\n")
-        _write_lines(fh, row, _rows(*text))
+                 f"angle_start={f17(cfg.angle_start)}\n{partial}"
+                 "p,q,k,u_tilde,v_tilde,re_alpha,im_alpha,re_beta,im_beta\n"
+                 + row * n % _rows(*text))
+    if not mesh_path:
+        return
 
-
-def _write_mesh_obj(mesh: LevelSetMesh, path: str, text: tuple[list[str], ...]) -> None:
-    """ASCII OBJ triangle mesh with the (Re alpha, Im alpha, k) embedding:
-    the solved points are the vertices, and each grid quad whose four
-    corners solved gives two triangles.  ``text`` is _solved_text(mesh)."""
     def corners(a):
         return np.stack([a[:-1, :-1], a[1:, :-1], a[1:, 1:], a[:-1, 1:]], axis=-1)
     ok = mesh.solved
     number = np.cumsum(ok).reshape(ok.shape)  # 1-based vertex numbers where ok
     quads = corners(number)[corners(ok).all(axis=-1)]
     k, _, _, re_alpha, im_alpha, _, _ = text
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# level set p={mesh.p} q={mesh.q}\n")
-        _write_lines(fh, "v %s %s %s\n", _rows(re_alpha, im_alpha, k))
-        _write_lines(fh, "f %d %d %d\n", tuple(quads[:, [0, 1, 2, 0, 2, 3]].ravel().tolist()))
+    with open(mesh_path, "w", encoding="utf-8") as fh:
+        fh.write(f"# level set p={mesh.p} q={mesh.q}\n"
+                 + "v %s %s %s\n" * n % _rows(re_alpha, im_alpha, k)
+                 + "f %d %d %d\n" * (2 * len(quads))
+                 % tuple(quads[:, [0, 1, 2, 0, 2, 3]].ravel().tolist()))
 
 
 def cmd_level_set(args, cfg: RunConfig) -> int:
@@ -218,10 +204,7 @@ def cmd_level_set(args, cfg: RunConfig) -> int:
                            k_min=cfg.k_min, k_max=cfg.k_max,
                            angle_start=cfg.angle_start,
                            solver_tol=cfg.solver_tol)
-    text = _solved_text(mesh)
-    _write_level_set(mesh, cfg, args.span, args.out, text)
-    if args.mesh:
-        _write_mesh_obj(mesh, args.mesh, text)
+    _write_leaf(mesh, cfg, args.span, args.out, args.mesh)
     n_ok, n_bad = int(mesh.solved.sum()), len(mesh.failures)
     print(f"wrote {n_ok} records to {args.out}"
           + (f" ({n_bad} failures)" if n_bad else "")

@@ -27,7 +27,8 @@ An angle's share of T~ is the principal one plus pi per whole turn, and
 the chart value tan(x~/2) of a float angle is finite, the chart boundary
 included, so one formula serves every point.  The scalar entry points take
 0 < p < inf, k in (0, 1), and finite angles (chart values for t0_raw and
-dt0_du_raw, where they do not overflow) off the diagonal u = v, or for
+dt0_du_raw, which regroup their closed forms where an intermediate would
+overflow and raise only where the value does) off the diagonal u = v, or for
 solve_level a finite held angle and level q; else they raise ValueError.
 
 Note on normalization: T0 and T~ below are exactly the principal-branch
@@ -100,8 +101,31 @@ def _dt0_du(p, k, K, E, u, v, wu=None, wv=None):
     return 2.0 * (-duv * E + p * K * wu * wv + K * poly) / (math.pi * wu * duv)
 
 
+def _scaled_w(k, x):
+    """(s, omega, w(ix) - k x^2) of a chart value x, s = max(1, |x|) and
+    omega = w(ix)/s^2, none of which overflows: where |x| > 1, x^2 is divided
+    out of w(ix) and of both parts of _w_terms' (1 + (1 + k^2) x^2)/(w(ix) + k x^2)."""
+    if abs(x) <= 1.0:
+        return (1.0, *_w_terms(x, k))
+    r = 1.0 / x
+    omega = math.sqrt((r * r + 1.0) * (r * r + k * k))
+    return abs(x), omega, (r * r + 1.0 + k * k) / (omega + k)
+
+
+def _dt0_du_far(p, k, K, E, u, v):
+    """_dt0_du where its form overflows, each term divided by (u - v)^2 first:
+    (pi/2) dT0/du = [K poly/(u-v)^2 - E]/w(iu) + p K w(iv)/(u-v)^2, poly/(u-v)^2
+    in a = u/(u-v) and b = v/(u-v), and w(ix) = s^2 omega (_scaled_w)."""
+    (su, ou, _), (sv, ov, _) = _scaled_w(k, u), _scaled_w(k, v)
+    d = u - v
+    a, b, e, y = u / d, v / d, 1.0 / d, sv / d
+    kub = k * b * (u / su)
+    return 2.0 * ((K * (e * e + a * a + (k * k - 1.0) * a * b + b * b) - E) / su / su / ou
+                  + K * kub * kub / ou + p * K * ov * y * y) / math.pi
+
+
 def _finite(value, u, v):
-    """value, or ValueError where the squares of chart values u, v overflow it."""
+    """value, or ValueError where it overflows at chart values u, v."""
     if not math.isfinite(value):
         raise ValueError(f"the level functions overflow at chart values u={u!r}, v={v!r}")
     return value
@@ -120,10 +144,17 @@ def t0_raw(p: float, k: float, u: float, v: float) -> float:
 
     2 pi T0 = 4p[E Im F(iv) - K Im(E(iv)-kiv)]
             - 4 [E Im F(iu) - K Im(E(iu)-kiu)] - 4K * bracket(u, v).
+    Where the square of u or v overflows _bracket, its terms are divided by
+    u - v first; ValueError where T0 itself overflows.
     """
     p, k, K, E, u, v = _chart_args(p, k, u, v)
-    terms = (_chart_terms(k, K, E, x, *_axis_angle(x)) for x in (u, v))
-    return _finite(_t_tilde(p, k, K, *terms), u, v)
+    (fu, *_), (fv, *_) = terms = [_chart_terms(k, K, E, x, *_axis_angle(x)) for x in (u, v)]
+    value = _t_tilde(p, k, K, *terms)
+    if not math.isfinite(value):
+        d, mu, mv = u - v, _scaled_w(k, u)[2], _scaled_w(k, v)[2]
+        bracket = (p * mv + mu) / d + (p + 1.0) * k * u * (v / d)
+        value = (4.0 * p * fv - 4.0 * fu - 4.0 * K * bracket) / TWO_PI
+    return _finite(value, u, v)
 
 
 def T0_value(mp: ModuliPoint) -> float:
@@ -168,9 +199,13 @@ def dt0_du_raw(p: float, k: float, u: float, v: float) -> float:
 
     (pi/2) w(iu) (u-v)^2 dT0/du
         = -(u-v)^2 E + p K w(iu) w(iv)
-          + K [1 + u^2 - uv + k^2 uv + v^2 + k^2 u^2 v^2].
+          + K [1 + u^2 - uv + k^2 uv + v^2 + k^2 u^2 v^2],
+    each term divided by w(iu) (u-v)^2 first where that form overflows
+    (_dt0_du_far); ValueError where dT0/du itself overflows.
     """
-    return _finite(_dt0_du(*_chart_args(p, k, u, v)), u, v)
+    args = _chart_args(p, k, u, v)
+    value = _dt0_du(*args) if (u - v) * (u - v) else math.inf  # else the value overflows
+    return _finite(value if math.isfinite(value) else _dt0_du_far(*args), u, v)
 
 
 def dT0_du(mp: ModuliPoint) -> float:

@@ -33,6 +33,7 @@ from harmonictori.moduli import (
     T0_value, T_tilde, dT_tilde_du_tilde, dt0_du_raw, solve_level,
     spectral_test, sweep_level_set, t0_raw,
 )
+from harmonictori.verify import _random_frame, _random_pair
 
 TWO_PI = 2.0 * math.pi
 
@@ -45,21 +46,6 @@ def _report(name: str, residual: float, tol: float, t0: float, limit: float,
           f"(tolerance {tol:.1e}, {elapsed:.1f}s / limit {limit:.0f}s){note}")
     assert elapsed < limit, f"runtime {elapsed:.1f}s over the {limit:.0f}s limit"
     assert residual < tol
-
-
-def _random_pair(rng, radius=0.8, min_gap=5e-2):
-    while True:
-        a = complex(*rng.uniform(-radius, radius, 2))
-        b = complex(*rng.uniform(-radius, radius, 2))
-        if abs(a) < radius and abs(b) < radius and abs(a - b) > min_gap:
-            return BranchPair(a, b)
-
-
-def _random_frame(rng, max_uv=25.0):
-    while True:
-        fr = build_frame(_random_pair(rng))
-        if max(abs(fr.u), abs(fr.v)) < max_uv:
-            return fr
 
 
 def test_criterion_01_legendre_relation():

@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, file formats, determinism, config."""
 
 import ast
+import dataclasses
+import functools
 import importlib
 import json
 import math
@@ -13,10 +15,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import harmonictori
 from harmonictori import cli, differentials
-from harmonictori.cli import _BLOCK, _solved_text, _write_level_set, _write_mesh_obj, f17, main
+from harmonictori.cli import _write_leaf, f17, main
 from harmonictori.config import CONFIG_ENV_VAR, RunConfig, load_config
 from harmonictori.curves import BranchPair
 from harmonictori.moduli import spectral_test, sweep_level_set
@@ -432,11 +435,10 @@ def f17_rows(mesh):
         if not np.isnan(mesh.u_tilde[i, j])]
 
 
-# a 20x16 leaf with a hole 6 grid points before and 4 after the one that
-# becomes vertex _BLOCK, so the writers' first block boundary falls between
-# two holes; its 318 vertices and 554 faces fill more than one block each
-PAST_BLOCK = {"k_grid": 20, "angle_grid": 16,
-              "holes": (divmod(_BLOCK - 6, 16), divmod(_BLOCK + 4, 16))}
+# a 20x16 leaf with holes at its grid points (15, 10) and (16, 4), 6 grid
+# points before and 4 after the one that becomes its 256th record; 318
+# vertices and 554 faces
+PAST_BLOCK = {"k_grid": 20, "angle_grid": 16, "holes": ((15, 10), (16, 4))}
 ALL_FAILED = {"k_grid": 4, "angle_grid": 5,
               "holes": tuple((i, j) for i in range(4) for j in range(5))}
 
@@ -445,12 +447,26 @@ HELD_SIDES = pytest.mark.parametrize("p", [Fraction(1), Fraction(1, 3), Fraction
                                      ids=["p=1", "p=1/3", "p=5/2"])
 
 
+def write_leaf(mesh, tmp_path):
+    """The CSV lines and the OBJ text that _write_leaf writes for ``mesh``."""
+    csv, obj = tmp_path / "leaf.csv", tmp_path / "leaf.obj"
+    _write_leaf(mesh, RunConfig(k_min=0.3, k_max=0.6), 2 * math.pi, str(csv), str(obj))
+    return csv.read_text().splitlines(), obj.read_text()
+
+
+@functools.cache
+def solved_leaf(p):
+    """One 12x10 leaf with every point solved, shared by the hole-mask examples."""
+    mesh = sweep_level_set(p, Fraction(0), 12, 10, 2 * math.pi, k_min=0.3, k_max=0.6)
+    assert mesh.complete
+    return mesh
+
+
 class TestWriters:
     @HELD_SIDES
     def test_obj_matches_float_keyed_algorithm(self, p, tmp_path):
         mesh = mesh_with_holes(p)
-        _write_mesh_obj(mesh, str(tmp_path / "leaf.obj"), _solved_text(mesh))
-        text = (tmp_path / "leaf.obj").read_text()
+        _, text = write_leaf(mesh, tmp_path)
         assert text == float_keyed_obj(mesh)
         assert sum(1 for line in text.splitlines() if line.startswith("v ")) == 35 - 6
         assert sum(1 for line in text.splitlines() if line.startswith("f ")) == 2 * (24 - 14)
@@ -458,9 +474,7 @@ class TestWriters:
     @HELD_SIDES
     def test_csv_rows_match_f17_per_value(self, p, tmp_path):
         mesh = mesh_with_holes(p)
-        _write_level_set(mesh, RunConfig(k_min=0.3, k_max=0.6), 2 * math.pi,
-                         str(tmp_path / "leaf.csv"), _solved_text(mesh))
-        lines = (tmp_path / "leaf.csv").read_text().splitlines()
+        lines, _ = write_leaf(mesh, tmp_path)
         assert lines[1] == "# partial: 6 grid points failed"
         assert lines[3:] == f17_rows(mesh)
 
@@ -471,20 +485,66 @@ class TestWriters:
     def test_block_edges_match_references(self, leaf, failed, vertices, faces, p, tmp_path):
         # an all-failed leaf writes only the CSV's header lines and the OBJ's comment
         mesh = mesh_with_holes(p, **leaf)
-        text = _solved_text(mesh)
-        _write_level_set(mesh, RunConfig(k_min=0.3, k_max=0.6), 2 * math.pi,
-                         str(tmp_path / "leaf.csv"), text)
-        _write_mesh_obj(mesh, str(tmp_path / "leaf.obj"), text)
-        lines = (tmp_path / "leaf.csv").read_text().splitlines()
+        lines, obj = write_leaf(mesh, tmp_path)
         assert lines[0].startswith("# level set ")
         assert lines[1:3] == [f"# partial: {failed} grid points failed",
                               "p,q,k,u_tilde,v_tilde,re_alpha,im_alpha,re_beta,im_beta"]
         assert lines[3:] == f17_rows(mesh) and len(lines[3:]) == vertices
-        obj = (tmp_path / "leaf.obj").read_text()
         assert obj == float_keyed_obj(mesh)
         obj_lines = obj.splitlines()
         assert [sum(1 for line in obj_lines if line.startswith(tag)) for tag in ("v ", "f ")] \
             == [vertices, faces] and len(obj_lines) == 1 + vertices + faces
+
+    @HELD_SIDES
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(holes=st.lists(st.booleans(), min_size=120, max_size=120))
+    @example(holes=[False] * 120)
+    @example(holes=[True] * 120)
+    def test_hole_masks_match_references(self, p, holes, tmp_path_factory):
+        # any set of failed points, the empty and the full one included,
+        # leaves the same records and faces as the per-value references
+        leaf = solved_leaf(p)
+        mask = np.array(holes).reshape(12, 10)
+        grids = {name: getattr(leaf, name).copy()
+                 for name in ("u_tilde", "v_tilde", "alpha", "beta")}
+        for grid in grids.values():
+            grid[mask] = np.nan
+        mesh = dataclasses.replace(leaf, **grids, failures=[
+            (leaf.k_values[i], leaf.angle_values[j], "injected") for i, j in np.argwhere(mask)])
+        lines, obj = write_leaf(mesh, tmp_path_factory.mktemp("leaf"))
+        header = 3 if mask.any() else 2
+        assert lines[header - 1].startswith("p,q,k,") and lines[header:] == f17_rows(mesh)
+        assert obj == float_keyed_obj(mesh)
+
+    def test_level_set_writes_each_file_once(self, tmp_path, monkeypatch, capsys):
+        # the files cli opens count their writes; a leaf of 320 records, more
+        # than the writers' old 256-line blocks, is still one write per file
+        writes = {}
+
+        class Counted:
+            def __init__(self, fh, path):
+                self.fh, self.path = fh, path
+
+            def __enter__(self):
+                self.fh.__enter__()
+                return self
+
+            def __exit__(self, *exc):
+                return self.fh.__exit__(*exc)
+
+            def write(self, text):
+                writes[self.path] = writes.get(self.path, 0) + 1
+                return self.fh.write(text)
+
+        monkeypatch.setattr(cli, "open", lambda path, *args, **kwargs:
+                            Counted(open(path, *args, **kwargs), path), raising=False)
+        csv, obj = tmp_path / "leaf.csv", tmp_path / "leaf.obj"
+        assert main(["level-set", "--p", "1/3", "--q", "1/2", "--k-grid", "20",
+                     "--angle-grid", "16", "--span", "6.283185307179586",
+                     "--out", str(csv), "--mesh", str(obj)]) == 0
+        assert "wrote 320 records" in capsys.readouterr().out
+        assert writes == {str(csv): 1, str(obj): 1}
+        assert len(csv.read_text().splitlines()) == 2 + 320
 
 
 class TestEnumerate:

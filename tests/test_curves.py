@@ -518,12 +518,12 @@ class TestDeck:
         for x in near_odd_multiples_of_pi():
             assert abs(angle_rescale(x, s) - x) < 1e-6, x.hex()
 
-    @pytest.mark.parametrize("s", [1e-3, 0.5, 2.0, 1e3])
+    @pytest.mark.parametrize("s", [1e-3, 0.5, 2.0, 1e3, np.float32(0.7)])
     def test_rescale_and_chart_value_of_an_array_are_the_float_calls(self, s):
         # numpy's tan and arctan serve floats and arrays alike, so an array's
         # values are its floats' bit for bit, at random angles and within 3
         # ulps of odd multiples of pi; float32 angles, as scalars or as an
-        # array, are evaluated as their floats
+        # array, and a float32 scale are evaluated as their floats
         rng = np.random.default_rng(41)
         xs = np.array([*near_odd_multiples_of_pi(), *rng.uniform(-40.0, 40.0, 300),
                        *(10.0 ** rng.uniform(2.0, 8.0, 100) * rng.choice([-1.0, 1.0], 100))])

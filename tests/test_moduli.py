@@ -1,5 +1,6 @@
 """Closing functions S, T0, T~, the level-set solver and component logic."""
 
+import functools
 import itertools
 import math
 import random
@@ -324,28 +325,34 @@ class TestDerivative:
         with pytest.raises(ValueError, match="the level functions are undefined on the diagonal u = v"):
             dt0_du_raw(0.7, 0.3, 1.3, 1.3)
 
-    def test_chart_functions_refuse_chart_values_that_overflow(self):
-        # a chart value whose square overflows gave nan (t0_raw at 1e160,
-        # dt0_du_raw at 1e100) or inf (dt0_du_raw at (1.7, 1e80)); every
-        # finite chart value off the diagonal now evaluates to a finite
-        # value or raises ValueError
-        with pytest.raises(ValueError, match=re.escape(
-                "the level functions overflow at chart values u=1e+160, v=0.3")):
-            t0_raw(1.0, 0.5, 1e160, 0.3)
-        for u, v in ((1e100, 0.3), (1.7, 1e80)):
-            with pytest.raises(ValueError, match="overflow"):
-                dt0_du_raw(1.0, 0.5, u, v)
-        values = 1.7 * 10.0 ** np.arange(0, 309, 7) * np.array([[1.0], [-1.0]])
-        for fn in (t0_raw, dt0_du_raw):
-            assert math.isfinite(fn(1.0, 0.5, 1e20, 0.3)), fn.__name__
-            raised = 0
-            for u, v in itertools.product(values.ravel().tolist(), (0.3, -2.0, 1e80)):
-                try:
-                    assert math.isfinite(fn(2.5, 0.5, u, v)), (fn.__name__, u, v)
-                except ValueError as exc:
-                    assert "overflow" in str(exc)
-                    raised += 1
-            assert raised, fn.__name__
+    def test_chart_values_that_overflow_the_forms_evaluate_to_the_closed_forms(self):
+        # dt0_du_raw from v = 1e78 and t0_raw from 1.3e154 raised ValueError
+        # where an intermediate overflowed (p = 1, k = 0.5, u = 0.3); each
+        # now groups its terms by (u - v) first there, and every value on
+        # the grid, and with both chart values large, is the closed form's
+        assert dt0_du_raw(1.0, 0.5, 0.3, 1e78) == pytest.approx(0.69110, abs=5e-6)
+        assert t0_raw(1.0, 0.5, 0.3, 1.3e154) == pytest.approx(1.20425, abs=5e-6)
+        pairs = [(u, v) for big, other in itertools.product(
+            np.logspace(0, 300, 61).tolist(), (-3.0, 0.3, 2.0)) for u, v in ((big, other), (other, big))]
+        pairs += [(-1e100, 0.3), (2.0, -1e200), (1e300, -1e300), (1e200, 3e200), (-1e250, 1e-300)]
+        worst = {t0_raw: 0.0, dt0_du_raw: 0.0}
+        for (p, k), (u, v) in itertools.product(
+                itertools.product((1 / 3, 1.0, 5 / 2), (0.1, 0.5, 0.9)), pairs):
+            ref = t0_reference(p, k, u, v)
+            worst[t0_raw] = max(worst[t0_raw], abs(t0_raw(p, k, u, v) - ref) / max(1.0, abs(ref)))
+            # dT0/du falls like 1/u^2, below the normal floats from u = 1e154
+            ref = dt0_du_reference(p, k, u, v)
+            worst[dt0_du_raw] = max(worst[dt0_du_raw],
+                                    abs(dt0_du_raw(p, k, u, v) - ref) / max(1e-300, abs(ref)))
+        assert worst[t0_raw] < 2e-14 and worst[dt0_du_raw] < 2e-14, worst
+        assert dt0_du_raw(0.5, 0.5, 1e308, 9.999999999999e307) == pytest.approx(
+            dt0_du_reference(0.5, 0.5, 1e308, 9.999999999999e307), rel=1e-14)
+        # a value beyond the float range raises, where (u - v)^2 underflows too
+        for fn, u, v in ((t0_raw, 1e308, 9.999999999999e307), (dt0_du_raw, 1e-170, 0.0),
+                         (dt0_du_raw, 1e-300, 2e-300)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"the level functions overflow at chart values u={u!r}, v={v!r}")):
+                fn(0.5, 0.5, u, v)
 
     @pytest.mark.parametrize("p", [1 / 3, 1.0, 5 / 2])
     def test_array_twins_match_scalar_on_the_boundary(self, p):
@@ -376,31 +383,80 @@ class TestDerivative:
         assert abs(t_tilde_raw(p, 0.5, mp.u_tilde, mp.v_tilde) - 0.37) < DEFAULTS.solver_tol
 
 
-def t_tilde_reference(p, k, u_tilde, v_tilde):
-    """T~ at the float angles by mpmath at 50 digits, bracket written literally.
+@functools.cache
+def reference_KE(k):
+    """K(k) and E(k) by mpmath at 50 digits."""
+    with mpmath.workdps(50):
+        k = mpmath.mpf(k)
+        return mpmath.ellipk(k * k), mpmath.ellipe(k * k)
+
+
+@functools.cache
+def reference_share(k, theta):
+    """E F~ - K E~ at the half-angle theta (an mpf) by mpmath at 50 digits.
 
     The lifted integrals come from the Jacobi imaginary transformation at
-    m = k'^2 with theta = x~/2: F~ = F(theta | m) and
+    m = k'^2: F~ = F(theta | m) and
     E~ = F(theta | m) - E(theta | m) + m sin cos / (sqrt(1 - m sin^2) + k).
-    At a chart value of 1.6e16 the literal bracket cancels about 16 digits,
-    which 50 digits leave room for.
     """
+    K, E = reference_KE(k)
     with mpmath.workdps(50):
-        p, k = mpmath.mpf(p), mpmath.mpf(k)
+        k = mpmath.mpf(k)
         m = 1 - k * k
-        K, E = mpmath.ellipk(k * k), mpmath.ellipe(k * k)
+        s, c = mpmath.sin(theta), mpmath.cos(theta)
+        F = mpmath.ellipf(theta, m)
+        E_reg = F - mpmath.ellipe(theta, m) + m * s * c / (mpmath.sqrt(1 - m * s * s) + k)
+        return E * F - K * E_reg
 
-        def share(x_tilde):
-            theta = mpmath.mpf(x_tilde) / 2
-            s, c = mpmath.sin(theta), mpmath.cos(theta)
-            F = mpmath.ellipf(theta, m)
-            E_reg = F - mpmath.ellipe(theta, m) + m * s * c / (mpmath.sqrt(1 - m * s * s) + k)
-            return E * F - K * E_reg, mpmath.tan(theta)
-        (fu, u), (fv, v) = share(u_tilde), share(v_tilde)
+
+def extra_digits(u, v):
+    """About the digits that p(w(iv)/(u-v) + kv) + (w(iu)/(u-v) - ku) cancels."""
+    return int(mpmath.log10(1 + abs(mpmath.mpf(u)) + abs(mpmath.mpf(v))))
+
+
+def level_reference(p, k, theta_u, theta_v, u, v):
+    """(4 p f(v) - 4 f(u) - 4 K bracket)/(2 pi) by mpmath, f the share of each
+    half-angle (reference_share) and the bracket written literally at the
+    chart values u, v, with 50 digits to spare beyond its cancellation."""
+    fu, fv = reference_share(k, theta_u), reference_share(k, theta_v)
+    K = reference_KE(k)[0]
+    with mpmath.workdps(50 + extra_digits(u, v)):
+        p, k = mpmath.mpf(p), mpmath.mpf(k)
         wu = mpmath.sqrt((1 + u * u) * (1 + k * k * u * u))
         wv = mpmath.sqrt((1 + v * v) * (1 + k * k * v * v))
         bracket = p * (wv / (u - v) + k * v) + (wu / (u - v) - k * u)
         return float((4 * p * fv - 4 * fu - 4 * K * bracket) / (2 * mpmath.pi))
+
+
+def t_tilde_reference(p, k, u_tilde, v_tilde):
+    """T~ at the float angles by mpmath (level_reference at theta = x~/2).
+    At a chart value of 1.6e16 the literal bracket cancels about 16 digits."""
+    with mpmath.workdps(50):
+        theta_u, theta_v = mpmath.mpf(u_tilde) / 2, mpmath.mpf(v_tilde) / 2
+        u, v = mpmath.tan(theta_u), mpmath.tan(theta_v)
+    return level_reference(p, k, theta_u, theta_v, u, v)
+
+
+def t0_reference(p, k, u, v):
+    """T0 at the float chart values by mpmath (level_reference at theta = atan(x))."""
+    u, v = mpmath.mpf(u), mpmath.mpf(v)
+    with mpmath.workdps(50):
+        theta_u, theta_v = mpmath.atan(u), mpmath.atan(v)
+    return level_reference(p, k, theta_u, theta_v, u, v)
+
+
+def dt0_du_reference(p, k, u, v):
+    """dT0/du at the float chart values by mpmath, from its closed form
+    (pi/2) w(iu) (u-v)^2 dT0/du = -(u-v)^2 E + p K w(iu) w(iv)
+    + K [1 + u^2 - uv + k^2 uv + v^2 + k^2 u^2 v^2], written literally."""
+    K, E = reference_KE(k)
+    with mpmath.workdps(50 + extra_digits(u, v)):
+        p, k, u, v = map(mpmath.mpf, (p, k, u, v))
+        wu = mpmath.sqrt((1 + u * u) * (1 + k * k * u * u))
+        wv = mpmath.sqrt((1 + v * v) * (1 + k * k * v * v))
+        duv = (u - v) ** 2
+        poly = 1 + u * u - u * v + k * k * u * v + v * v + k * k * u * u * v * v
+        return float(2 * (-duv * E + p * K * wu * wv + K * poly) / (mpmath.pi * wu * duv))
 
 
 class TestChartBoundary:
