@@ -38,11 +38,8 @@ import numpy as np
 from .curves import (
     _OFF_CHART, BranchPair, JacobiFrame, S_value, _center, angle_rescale,
 )
-from .config import DEFAULTS
 from .elliptic import TWO_PI, _axis_angle, _chart_value, _check_modulus, _complete_KE, _half_angle
-from .moduli import (
-    LevelSolveError, _at, _chart_terms, _level_part, _lockstep, _no_convergence, solve_level, t0_raw,
-)
+from .moduli import _chart_terms, _level_part, solve_level, t0_raw
 
 DIFFERENTIAL_KINDS = ("omega", "e", "epsilon", "theta_E", "theta_P")
 _POLE_KINDS = DIFFERENTIAL_KINDS[2:]  # with double poles; _Geometry._theta's order
@@ -728,28 +725,25 @@ def monodromy_track(q: Fraction, loop_samples: int = 48, k: float = 0.5,
                     contractible: bool = False) -> int:
     """Integer c with psi_P(end) - psi_P(start) = c psi_E around a loop.
 
-    Tracks the non-exact closing differential continuously around the p = 1
-    annulus at level q (one half-turn of the rescaled angle), or around a
-    small contractible loop in the (k, angle) chart when ``contractible``.
-    The annulus loop is oriented so that the closing integral over the
-    gamma+ path gains +2 pi i per circuit, matching the deck-shift bookkeeping.
-    The samples (k, u~) and U~ = angle_rescale(u~, sqrt(k)) are taken in
-    array passes.  A loop is one orbit of the deck generator, +pi on U~ and
-    V~ (curves.deck_lambda_tilde), or closed, so the gap g = V~ - U~ has
-    period 1 in the loop parameter t.  One cold solve_level at t = 0, the
-    anchor, gives that gap g; every other sample is solved in one _lockstep
-    call from the start v~ = angle_rescale(U~ + g, 1/sqrt(k)), so a sample
-    angle agrees with a cold solve_level to within solver_tol, not bit for
-    bit.  The held angle's terms (_level_part) come from one array pass at
-    every sample, with K and E from one _complete_KE call, at the annulus's
-    one k or over the contractible loop's k; the lockstep and gamma+, the
-    chart's closed form evaluated at every sample with its checks, share them.
-    The principal gamma+ value P jumps by -4 pi where the held angle u~
-    crosses an odd multiple of pi, for E F - K E_reg at the reduced angle
-    loses the pi per turn of E F~ - K E~ (E K' + K E' - K K' = pi/2).  So
-    L = P + 4 pi m, m the turn of u~ (elliptic._half_angle), is continuous
-    along the level set, and the loop's integer is read off L(1) - L(0),
-    which must lie on 2 pi Z."""
+    The loop runs once around the p = 1 annulus at level q (one half-turn of
+    the rescaled angle), or around a small contractible loop in the
+    (k, angle) chart when ``contractible``.  The annulus loop is oriented so
+    that the closing integral over the gamma+ path gains +2 pi i per
+    circuit, matching the deck-shift bookkeeping.  The principal gamma+
+    value P jumps by -4 pi where the held angle u~ crosses an odd multiple
+    of pi, for E F - K E_reg at the reduced angle loses the pi per turn of
+    E F~ - K E~ (E K' + K E' - K K' = pi/2).  So L = P + 4 pi m, m the turn
+    of u~ (elliptic._half_angle), is continuous along the level set, and the
+    loop's integer is read off L(1) - L(0), which must lie on 2 pi Z: only
+    the loop's two ends are solved.  With U~ = angle_rescale(u~, sqrt(k)),
+    U0 that of u~0, an annulus loop is one orbit of the deck generator, +pi
+    on U~ and V~ (curves.deck_lambda_tilde), from U~ = U0 to U0 + pi; a
+    contractible loop's ends coincide, at u~0, so it returns 0 whenever its
+    start solves.  The start is one cold solve_level; its rescaled gap
+    g = V~ - U~ starts the end's solve_level at v~ = angle_rescale(U~ + g,
+    1/sqrt(k)).  gamma+ is evaluated at both ends from the held angles'
+    terms (_level_part).  ``loop_samples`` (an integer, at least 8) no
+    longer changes the work or the result."""
     if not 0.0 < k < 1.0 or contractible and not 0.05 < k < 0.95:
         raise ValueError(f"k={k!r} outside (0, 1), or (0.05, 0.95) for a contractible loop")
     if not math.isfinite(u_tilde0):
@@ -765,30 +759,20 @@ def monodromy_track(q: Fraction, loop_samples: int = 48, k: float = 0.5,
     qf = float(q)
     rk = math.sqrt(k)
     U0 = angle_rescale(u_tilde0, rk)
-    ts = np.arange(loop_samples + 1) / loop_samples
-    if contractible:  # k at every sample
-        kk = k + 0.05 * np.sin(TWO_PI * ts)
-        us = u_tilde0 + 0.2 * (np.cos(TWO_PI * ts) - 1.0)
-        Us = angle_rescale(us, np.sqrt(kk))
-    else:  # the annulus's one k
-        kk, Us = k, U0 + math.pi * ts
-        us = angle_rescale(Us, 1.0 / rk)
-    # the anchor: one cold solve_level at t = 0, whose gap g starts every other sample
-    v0 = solve_level(1.0, qf, k, us[0].item()).v_tilde
+    if contractible:  # the loop closes in the chart: its ends coincide
+        U1, u0, u1 = U0, u_tilde0, u_tilde0
+    else:  # one orbit of the deck generator, +pi on U~
+        U1 = U0 + math.pi
+        u0, u1 = (angle_rescale(U, 1.0 / rk) for U in (U0, U1))
+    v0 = solve_level(1.0, qf, k, u0).v_tilde
     g = angle_rescale(v0, rk) - U0
-    # the held angle's terms at every sample, for the lockstep and gamma+
-    K, E = _complete_KE(kk)
-    terms = _level_part(kk, K, E, us)
-    rest = slice(1, None)
-    start = angle_rescale(Us + g, 1.0 / np.sqrt(kk))[rest]
-    solved, residual = _lockstep(1.0, qf, *_at(rest, kk, K, E), us[rest],
-                                 _at(rest, *terms[:4]), DEFAULTS.solver_tol, start)
-    failed = np.isnan(solved)
-    if failed.any():
-        raise LevelSolveError(_no_convergence(qf, residual[failed][0].item()))
-    P = _gamma_plus(1.0, kk, K, E, terms[1], _chart_value(np.append(v0, solved)), terms[2:])
-    m0, m1 = (_half_angle(us[j].item())[0] for j in (0, -1))
-    delta = float(P[-1] - P[0]) + 4.0 * math.pi * (m1 - m0)
+    v1 = solve_level(1.0, qf, k, u1, start=angle_rescale(U1 + g, 1.0 / rk)).v_tilde
+    us = np.array([u0, u1])
+    K, E = _complete_KE(k)
+    terms = _level_part(k, K, E, us)
+    P = _gamma_plus(1.0, k, K, E, terms[1], _chart_value(np.array([v0, v1])), terms[2:])
+    m0, m1 = (_half_angle(u)[0] for u in (u0, u1))
+    delta = float(P[1] - P[0]) + 4.0 * math.pi * (m1 - m0)
     turns = round(delta / TWO_PI)
     if abs(delta - TWO_PI * turns) > 1e-6 * max(1.0, abs(delta)) + 1e-6:
         raise ContinuationError(f"gamma+ integral shifted by {delta!r}, not 2 pi Z")

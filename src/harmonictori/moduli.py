@@ -17,11 +17,12 @@ level (T~ - q) sin(|x - held|/2) at the held angle's terms (_level_part),
 computed once per solve and cut with the lockstep's running points, with
 w(ix) of the free angle once per step; _no_convergence the failure reason.
 Only the Newton-or-midpoint loop is written twice: solve_level on floats,
-_lockstep on per-point (k, angle) arrays, given K, E and the held angle's
-terms, which its two callers compute: sweep_level_set once per leaf (K and
-E once per grid row), monodromy_track once per loop at every loop sample,
-shared with its gamma+ closed form, for every sample but its anchor; a
-point of the arrays ends on solve_level's bits, or fails with its reason.
+from a given start when one is known (monodromy_track solves a loop's end
+from its start's gap), and _lockstep on per-point (k, angle) arrays from
+the band midpoints, given K, E and the held angle's terms, which its one
+caller, sweep_level_set, computes once per leaf (K and E once per grid
+row); a point of the arrays ends on solve_level's bits, or fails with its
+reason.
 _chart_terms alone builds a chart value's terms, for T0, T~ and gamma+.
 An angle's share of T~ is the principal one plus pi per whole turn, and
 the chart value tan(x~/2) of a float angle is finite, the chart boundary
@@ -74,7 +75,9 @@ def _bracket(p, k, u, v, mu, mv):
 
 
 def _chart_args(p, k, u, v):
-    """The checked (p, k, K(k), E(k), u, v), as _dt0_du, _dT_du and _dT_dv take it."""
+    """The checked (p, k, K(k), E(k), u, v), as _dt0_du, _dT_du and _dT_dv take
+    it, with u and v taken as floats, not in the caller's float type."""
+    u, v = float(u), float(v)
     if not (math.isfinite(u) and math.isfinite(v)):
         raise ValueError(f"chart values must be finite, got u={u!r}, v={v!r}")
     if u == v:
@@ -203,7 +206,7 @@ def dt0_du_raw(p: float, k: float, u: float, v: float) -> float:
     each term divided by w(iu) (u-v)^2 first where that form overflows
     (_dt0_du_far); ValueError where dT0/du itself overflows.
     """
-    args = _chart_args(p, k, u, v)
+    p, k, K, E, u, v = args = _chart_args(p, k, u, v)
     value = _dt0_du(*args) if (u - v) * (u - v) else math.inf  # else the value overflows
     return _finite(value if math.isfinite(value) else _dt0_du_far(*args), u, v)
 
@@ -333,35 +336,32 @@ def _at(at, *values):
     return [v[at] if isinstance(v, np.ndarray) else v for v in values]
 
 
-def _lockstep(p: float, q: float, k, K, E, angle: np.ndarray, held, tol: float,
-              start: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _lockstep(p: float, q: float, k, K, E, angle: np.ndarray, held,
+              tol: float) -> tuple[np.ndarray, np.ndarray]:
     """solve_level at every point (k[i], angle[i]) of float64 arrays, in
-    lockstep, from the per-point starts start[i] when given, given a checked
-    p, K(k) and E(k) (elliptic._complete_KE), k, K and E each an array of
-    per-point values or one float for every point, and the first four of the
-    held angle's terms (_level_part) at every point.
+    lockstep, given a checked p, K(k) and E(k) (elliptic._complete_KE), k, K
+    and E each an array of per-point values or one float for every point,
+    and the first four of the held angle's terms (_level_part) at every point.
 
     Runs the scalar solver's policy on all points at once: the same bracket
-    and start (_band; a start strictly inside the bracket, else the
-    midpoint), level and slope (_level_fns), Newton-or-midpoint step, step
-    limit and failure reason, on the same floating-point values, so every
-    point ends where solve_level(p, q, k[i], angle[i], tol, start[i]) would,
-    after as many evaluations of T~ where its band holds a float: a point
-    leaves as it converges, stalls or lands on its held angle, before its
-    next iterate is evaluated, and the per-point constants are cut to the
-    running points as points leave.  Once every running point has converged
-    the solve stops before the slope, as solve_level does.  Returns the
-    solved angle of every point, nan where it failed, and the residual
-    T~ - q where it failed, nan elsewhere or with no float in the band, whose
-    reason is _no_convergence(q, residual).
+    and start (_band's midpoint), level and slope (_level_fns),
+    Newton-or-midpoint step, step limit and failure reason, on the same
+    floating-point values, so every point ends where
+    solve_level(p, q, k[i], angle[i], tol) would, after as many evaluations
+    of T~ where its band holds a float: a point leaves as it converges,
+    stalls or lands on its held angle, before its next iterate is evaluated,
+    and the per-point constants are cut to the running points as points
+    leave.  Once every running point has converged the solve stops before
+    the slope, as solve_level does.  Returns the solved angle of every
+    point, nan where it failed, and the residual T~ - q where it failed, nan
+    elsewhere or with no float in the band, whose reason is
+    _no_convergence(q, residual).
     """
     a, b, sign = _band(p, angle)
     solved, residual = np.full((2, angle.size), np.nan)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         level, slope = _level_fns(p, q, k, K, E, held)
         idx, x = np.arange(angle.size), 0.5 * (a + b)
-        if start is not None:
-            x = np.where((a < start) & (start < b), start, x)
         fx, free = level(x)
         fx[x == angle] = np.nan  # the band holds no float: no residual, as in solve_level
         for _ in range(_MAX_STEPS):
@@ -440,6 +440,8 @@ def sweep_level_set(p: Fraction, q: Fraction, k_grid: int, angle_grid: int,
         raise ValueError("need 0 < k_min < k_max < 1")
     if not (math.isfinite(angle_span) and math.isfinite(angle_start)):
         raise ValueError("angle span and start must be finite")
+    if not math.isfinite(q):
+        raise ValueError(f"the level q must be finite, got {q!r}")
     pf, qf = _check_ratio(p), float(q)
     ks = np.linspace(k_min, k_max, k_grid).tolist()
     angles = (angle_start + np.linspace(0.0, angle_span, angle_grid)).tolist()

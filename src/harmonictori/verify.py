@@ -312,10 +312,11 @@ def suite_bundle(seed: int = 0) -> list[InvariantResult]:
     """The monodromy of the bundle of spectral data over the annuli: around
     the annulus at q = n/d, monodromy_track gives moduli_summary's -d, and
     around a contractible loop 0.  A loop that raises fails with its error.
-    The annuli's k and every loop's sample count are drawn log-uniformly, k
-    from [1e-3, 0.99] and the count from 8 to 128, so the small k and the
-    few samples where a loop is hardest to follow are as likely as the
-    middle."""
+    The annuli's k is drawn log-uniformly from [1e-3, 0.99], so the small k
+    where a level is hardest to solve is as likely as the middle.  Every
+    loop also draws a sample count, log-uniformly from 8 to 128, which the
+    loop no longer uses; the draw is kept so that a seed draws the same
+    loops."""
     rng = np.random.default_rng(seed)
 
     def loops(contractible, count):

@@ -1,17 +1,20 @@
-"""The benchmark's spans and counters find the library names they hook.
+"""The benchmark's spans, counters and oracle find the library names they hook.
 
 perfbench/spans.py replaces each ``(namespace, attribute)`` of its SPANS and
 COUNTERS tables in that namespace, and lists a name it cannot find as absent;
-its metrics then read 0 without failing the run.  This test reads the tables
-with ``ast``, without importing the benchmark, so that a refactor that hides
-one more name from them fails here.
+its metrics then read 0 without failing the run.  perfbench/worker.py's
+record_solves wraps one library function for the loop oracle and records
+nothing when that name is missing, so the oracle then checks no loop point.
+These tests read both files with ``ast``, without importing the benchmark, so
+that a refactor that hides one more name from them fails here.
 """
 
 import ast
 import importlib
 from pathlib import Path
 
-SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS_PY, WORKER_PY = PERFBENCH / "spans.py", PERFBENCH / "worker.py"
 
 # the names the tables already miss (ROADMAP item 1); fewer is fine
 KNOWN_ABSENT = {
@@ -43,3 +46,28 @@ def test_every_library_hook_resolves_but_the_known_absent():
     unresolved = {f"{where}.{attr}" for where, attr in hooks
                   if not callable(getattr(importlib.import_module(where), attr, None))}
     assert unresolved <= KNOWN_ABSENT, sorted(unresolved - KNOWN_ABSENT)
+
+
+def oracle_hook() -> tuple[list, list]:
+    """The module names record_solves looks up in sys.modules, and the
+    attribute names it reads from them with getattr, in perfbench/worker.py."""
+    tree = ast.parse(WORKER_PY.read_text(encoding="utf-8"))
+    [func] = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == "record_solves"]
+    modules, attrs = [], []
+    for node in ast.walk(func):
+        if not isinstance(node, ast.Call) or not node.args:
+            continue
+        first = node.args[0]
+        if ast.unparse(node.func) == "sys.modules.get" and isinstance(first, ast.Constant):
+            modules.append(first.value)
+        elif ast.unparse(node.func) == "getattr" and isinstance(node.args[1], ast.Constant):
+            attrs.append(node.args[1].value)
+    return modules, attrs
+
+
+def test_the_loop_oracle_hook_resolves():
+    modules, attrs = oracle_hook()
+    assert len(modules) == len(attrs) == 1
+    [(where, attr)] = zip(modules, attrs)
+    assert callable(getattr(importlib.import_module(where), attr, None)), f"{where}.{attr}"

@@ -8,7 +8,6 @@ import random
 import re
 from fractions import Fraction
 from functools import cache
-from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -624,73 +623,50 @@ class TestConstructPsi:
             construct_psi(Fraction(1), Fraction(1, 7), fr)
 
 
-def record_loop(monkeypatch):
-    """Record what monodromy_track solves, at its two solver entries.
+def record_solves(monkeypatch):
+    """Record monodromy_track's solve_level calls, one (args, kw, point) each,
+    and fail the test on any moduli._lockstep call."""
+    calls = []
 
-    Returns (anchor, rounds, counts).  ``anchor`` holds one (args, kw, point,
-    evaluations) per solve_level call, the loop's one cold solve at t = 0;
-    ``rounds`` one namespace per lockstep
-    round (moduli._lockstep, as the loop calls it) with p, q, the per-point
-    k and held angles as float lists, the starts, the solved angles, the
-    lockstep's steps (its T~ evaluations) and the T~ evaluations summed
-    over its points; ``counts["level_part"]`` counts the loop's _level_part
-    calls."""
-    anchor, rounds, counts, sizes = [], [], {"level_part": 0}, []
-    t_tilde, level_part = moduli._t_tilde, moduli._level_part
-
-    def counted_t_tilde(*args):
-        value = t_tilde(*args)
-        sizes.append(np.size(value))
-        return value
-
-    def counted_level_part(*args):
-        counts["level_part"] += 1
-        return level_part(*args)
-
-    def scalar(*args, **kw):
-        sizes.clear()
+    def recorded(*args, **kw):
         point = solve_level(*args, **kw)
-        anchor.append((args, kw, point, len(sizes)))
+        calls.append((args, kw, point))
         return point
+    monkeypatch.setattr(differentials, "solve_level", recorded)
+    monkeypatch.setattr(moduli, "_lockstep", lambda *args: pytest.fail("the loop ran _lockstep"))
+    return calls
 
-    def lockstep(p, q, k, K, E, angle, held, tol, start=None):
-        sizes.clear()
-        solved, residual = moduli._lockstep(p, q, k, K, E, angle, held, tol, start)
-        rounds.append(SimpleNamespace(
-            p=p, q=q, k=np.broadcast_to(k, angle.shape).tolist(), angle=angle.tolist(),
-            start=start, solved=solved.tolist(), steps=len(sizes), evaluations=sum(sizes)))
-        return solved, residual
-    monkeypatch.setattr(moduli, "_t_tilde", counted_t_tilde)
-    for module in (moduli, differentials):
-        monkeypatch.setattr(module, "_level_part", counted_level_part)
-    monkeypatch.setattr(differentials, "solve_level", scalar)
-    monkeypatch.setattr(differentials, "_lockstep", lockstep)
-    return anchor, rounds, counts
+
+def check_loop_solves(calls, q, k, u_tilde0=0.3, contractible=False):
+    """A loop's recorded solves are two, each with positional (p, q, k,
+    angle) and each a ModuliPoint on its level within solver_tol at its held
+    angle: the first at t = 0, the second at t = 1, the loop's end (for an
+    annulus, the deck image of the start to 1e-14 in u~ and 1e-12 in v~; a
+    contractible loop's ends coincide).  Returns the two points."""
+    assert len(calls) == 2
+    for args, _, mp in calls:
+        assert len(args) == 4 and args[:3] == (1.0, float(q), k)
+        assert isinstance(mp, ModuliPoint) and (mp.p, mp.k, mp.u_tilde) == (1.0, k, args[3])
+        assert mp.u_tilde < mp.v_tilde < mp.u_tilde + 2 * math.pi
+        assert abs(t_tilde_raw(1.0, k, mp.u_tilde, mp.v_tilde) - float(q)) < DEFAULTS.solver_tol
+    (_, kw0, first), (_, kw1, last) = calls
+    assert kw0 == {} and list(kw1) == ["start"]
+    assert first.u_tilde == loop_point(0.0, k, u_tilde0, contractible)[1]
+    if contractible:
+        assert last.u_tilde == first.u_tilde
+    else:
+        assert last.u_tilde == loop_point(1.0, k, u_tilde0)[1]
+        image = curves.deck_lambda_tilde(first)
+        assert abs(image.u_tilde - last.u_tilde) <= 1e-14
+        assert abs(image.v_tilde - last.v_tilde) <= 1e-12
+    return first, last
 
 
 def tracked_monodromy(monkeypatch, q, loop_samples, k=0.5, u_tilde0=0.3, contractible=False):
-    """monodromy_track, with a check that every sample it solves, at its
-    solve_level anchor or in a lockstep round, solves its level to solver_tol
-    at its held angle, that a lockstep point is solve_level's from the same
-    start bit for bit, and that every loop point is one of them."""
-    anchor, rounds, _ = record_loop(monkeypatch)
+    """monodromy_track, with check_loop_solves on the solves it makes."""
+    calls = record_solves(monkeypatch)
     turns = monodromy_track(q, loop_samples, k, u_tilde0, contractible)
-    points = []
-    for (p, qf, kk, angle), _, mp, _ in anchor:
-        assert (p, qf, mp.k, mp.u_tilde) == (1.0, float(q), kk, angle)
-        points.append((kk, angle, mp.v_tilde))
-    for r in rounds:
-        assert (r.p, r.q) == (1.0, float(q))
-        fill = list(zip(r.k, r.angle, r.solved))
-        for (kk, angle, v_tilde), start in zip(fill, r.start.tolist()):
-            assert solve_level(1.0, r.q, kk, angle, start=start).v_tilde.hex() == v_tilde.hex()
-        points += fill
-    for kk, angle, v_tilde in points:
-        assert angle < v_tilde < angle + 2 * math.pi
-        assert abs(t_tilde_raw(1.0, kk, angle, v_tilde) - float(q)) < DEFAULTS.solver_tol
-    loop = {loop_point(j / loop_samples, k, u_tilde0, contractible)
-            for j in range(loop_samples + 1)}
-    assert loop <= {(kk, angle) for kk, angle, _ in points}
+    check_loop_solves(calls, q, k, u_tilde0, contractible)
     return turns
 
 
@@ -705,25 +681,6 @@ class TestMonodromy:
         assert tracked_monodromy(monkeypatch, Fraction(1, 2), loop_samples=24,
                                  contractible=True) == 0
 
-    @pytest.mark.parametrize("q, k, contractible", [
-        (Fraction(1, 2), 0.5, False), (Fraction(0), 0.5, False),
-        (Fraction(-3, 5), 0.1, False), (Fraction(1, 2), 0.05, False),
-        (Fraction(1, 2), 0.5, True)])
-    def test_warm_start_takes_few_evaluations(self, q, k, contractible, monkeypatch):
-        # a cold solve takes 5 to 9 evaluations of T~ from the band midpoint.
-        # Only the anchor at t = 0 takes one; the lockstep fill starts every
-        # other sample, t = 1 included, from the anchor's rescaled gap
-        # V~ - U~, which leaves the fill at most five checked Newton steps
-        # and a point at most 4.5 evaluations on average.  The whole 96-sample loop
-        # takes at most 15 calls of the share kernel, where one solve_level
-        # per sample took about 298
-        anchor, rounds, counts = record_loop(monkeypatch)
-        monodromy_track(q, loop_samples=96, k=k, contractible=contractible)
-        assert len(anchor) == 1
-        [fill] = rounds
-        assert len(fill.angle) == 96 and fill.steps <= 5 and fill.evaluations / 96 <= 4.5
-        assert counts["level_part"] <= 15
-
     @pytest.mark.parametrize("k", [1e-4, 1e-3, 3e-3, 0.05])
     @pytest.mark.parametrize("q", [Fraction(n, d) for d, ns in (
         (1, (-3, 0, 2)), (2, (-5, 1, 3)), (3, (-7, 1, 5)), (5, (-3,)), (7, (-20, 2, 3, 16)))
@@ -736,6 +693,18 @@ class TestMonodromy:
         for u_tilde0 in (-math.pi, 0.3, 2.0, -2.0, 2.5, 3.1):
             assert monodromy_track(q, 8, k, u_tilde0) == moduli_summary(Fraction(1), q).monodromy
 
+    @pytest.mark.parametrize("samples", [8, 1024])
+    @pytest.mark.parametrize("q, u_tilde0", [
+        (Fraction(-3, 2), 0.3), (Fraction(-3, 2), 2.0), (Fraction(-2), 2.0),
+        (Fraction(-11, 7), 0.3)])
+    def test_a_loop_at_k_1e_5_gives_minus_d_at_any_sample_count(self, q, u_tilde0, samples,
+                                                                monkeypatch):
+        # solving every sample between the ends raised LevelSolveError on
+        # these loops at 1 024 samples, where 8 gave -d: with its two ends
+        # solved, no sample count changes a loop
+        turns = tracked_monodromy(monkeypatch, q, samples, 1e-5, u_tilde0)
+        assert turns == moduli_summary(Fraction(1), q).monodromy
+
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(q=st.integers(1, 13).flatmap(
                lambda d: st.integers(-3 * d, 3 * d).map(lambda n: Fraction(n, d))),
@@ -743,8 +712,8 @@ class TestMonodromy:
            u_tilde0=st.floats(-math.pi, math.pi), samples=st.integers(8, 128))
     def test_a_loop_gives_moduli_summary_or_raises(self, q, log_k, k_contractible, u_tilde0,
                                                    samples):
-        # k is drawn log-uniformly, so the small k where a loop is hardest to
-        # follow is as likely as the middle
+        # k is drawn log-uniformly, so the small k where a level is hardest
+        # to solve is as likely as the middle
         try:
             turns = monodromy_track(q, samples, math.exp(log_k), u_tilde0)
         except LevelSolveError:
@@ -779,19 +748,17 @@ class TestMonodromy:
 
     @pytest.mark.parametrize("contractible, samples", itertools.product(
         (False, True), (64, 96, 128)))
-    def test_benchmark_loops_make_one_anchor_solve(self, contractible, samples, bench_inputs):
+    def test_benchmark_loops_make_two_solves(self, contractible, samples, bench_inputs):
         # the benchmark checks each loop by sampling one of the solve_level
-        # calls that it makes with (p, q, k, angle) as positional arguments,
-        # so every loop makes exactly one, its cold anchor at t = 0 with no
-        # start; over two loops of each kind and length at seeds 1, 2 and 3,
-        # each returns the cold frame loop's integer
-        loops = [(job, anchor) for job, anchor, _ in recorded_bench_loops(bench_inputs)
+        # calls that it makes with (p, q, k, angle) as positional arguments:
+        # every loop makes two, at its start and its end (check_loop_solves).
+        # Over two loops of each kind and length at seeds 1, 2 and 3, each
+        # returns the cold frame loop's integer
+        loops = [(job, calls) for job, calls in recorded_bench_loops(bench_inputs)
                  if (job["contractible"], job["samples"]) == (contractible, samples)]
         assert len(loops) >= 6
-        for job, anchor in loops:
-            [(args, kw, _, _)] = anchor
-            assert kw == {} and args == (1.0, float(Fraction(job["q"])),
-                                         *loop_point(0.0, job["k"], job["u_tilde0"], contractible))
+        for job, calls in loops:
+            check_loop_solves(calls, Fraction(job["q"]), job["k"], job["u_tilde0"], contractible)
         for seed in (1, 2, 3):
             jobs = [job for job in loop_jobs(bench_inputs, seed)
                     if (job["contractible"], job["samples"]) == (contractible, samples)]
@@ -801,80 +768,41 @@ class TestMonodromy:
                 assert monodromy_track(*args) == reference_monodromy(*args)
 
     @pytest.mark.parametrize("contractible", [False, True])
-    @pytest.mark.parametrize("samples", [64, 96, 128])
-    def test_samples_are_the_loop_points_bit_for_bit(self, contractible, samples, monkeypatch):
-        # the one array pass over the samples gives loop_point's (k, u~) at
-        # every sample, start angles on float odd multiples of pi included
-        for u_tilde0 in (0.3, math.pi, -math.pi, 3 * math.pi):
-            anchor, rounds, _ = record_loop(monkeypatch)
-            monodromy_track(Fraction(1, 2), samples, 0.5, u_tilde0, contractible)
+    def test_loop_samples_change_neither_the_work_nor_the_result(self, contractible,
+                                                                 monkeypatch):
+        # the loop solves its two ends whatever its sample count: 8 and
+        # 1 024 samples make the same solve_level and angle_rescale calls,
+        # every one on floats, and return the same integer
+        def recorded_calls(samples):
+            rescaled = []
+
+            def recorded_rescale(x_tilde, s):
+                rescaled.append((type(x_tilde), x_tilde.hex(), s.hex()))
+                return angle_rescale(x_tilde, s)
+            monkeypatch.setattr(differentials, "angle_rescale", recorded_rescale)
+            calls = record_solves(monkeypatch)
+            turns = monodromy_track(Fraction(1, 2), samples, 0.5, 0.3, contractible)
             monkeypatch.undo()
-            [(args, *_)] = anchor
-            got = {0: (args[2], args[3])}
-            [fill_round] = rounds
-            fill = [j for j in range(samples + 1) if j not in got]
-            got.update(zip(fill, zip(fill_round.k, fill_round.angle)))
-            want = [loop_point(j / samples, 0.5, u_tilde0, contractible)
-                    for j in range(samples + 1)]
-            assert [(k.hex(), u.hex()) for k, u in map(got.get, range(samples + 1))] == [
-                (k.hex(), u.hex()) for k, u in want]
-
-    @pytest.mark.parametrize("contractible", [False, True])
-    def test_a_loop_makes_no_per_sample_call(self, contractible, monkeypatch):
-        # the samples, their rescaled angles and the fill's starts come from
-        # array passes, so the scalar calls are the anchor's one solve_level
-        # call and two float rescales: of the start angle, to U0, and of the
-        # anchor's solved angle, to its gap
-        rescaled = []
-
-        def recorded_rescale(x_tilde, s):
-            y = angle_rescale(x_tilde, s)
-            rescaled.append((x_tilde, s, y))
-            return y
-        monkeypatch.setattr(differentials, "angle_rescale", recorded_rescale)
-        anchor, _, _ = record_loop(monkeypatch)
-        monodromy_track(Fraction(1, 2), 96, 0.5, 0.3, contractible)
-        [(args, kw, mp, _)] = anchor
-        assert args[3] == loop_point(0.0, 0.5, 0.3, contractible)[1] and kw == {}
-        floats = [(x, s) for x, s, _ in rescaled if not isinstance(x, np.ndarray)]
-        assert len(floats) < len(rescaled) and all(type(x) is float for x, _ in floats)
-        assert floats == [(0.3, math.sqrt(0.5)), (mp.v_tilde, math.sqrt(0.5))]
+            return turns, rescaled, [(args, kw, mp.u_tilde.hex(), mp.v_tilde.hex()) for args, kw, mp in calls]
+        few, many = recorded_calls(8), recorded_calls(1024)
+        assert few == many and few[0] == (0 if contractible else -2)
+        assert {kind for kind, *_ in few[1]} == {float}
 
     def test_an_annulus_loop_ends_on_the_deck_image_of_its_start(self, bench_inputs):
         # one annulus loop is one orbit of the deck generator, +pi on both
-        # rescaled angles: on the benchmark's annulus loops the t = 1 sample,
-        # the first round's last point, solved from the anchor's gap, is
-        # deck_lambda_tilde of the anchor at t = 0, the held angle to a few
-        # ulps and the solved one to a few ulps of its size, so the rescaled
-        # gap V~ - U~ that starts every sample has period 1.  The held angles
-        # are bit for bit on 450 of the 468 loops; the rest differ by 1 to 4
-        # ulps, because angle_rescale(u~, sqrt(k)) returns the loop's U~ at
-        # t = 0 only to rounding
-        annuli = [(job, anchor, rounds) for job, anchor, rounds
-                  in recorded_bench_loops(bench_inputs) if not job["contractible"]]
+        # rescaled angles: on the benchmark's annulus loops the end, solved
+        # from the start's gap, is deck_lambda_tilde of the start, the held
+        # angle to a few ulps and the solved one to a few ulps of its size
+        # (check_loop_solves), so the rescaled gap V~ - U~ has period 1
+        annuli = [(job, calls) for job, calls in recorded_bench_loops(bench_inputs)
+                  if not job["contractible"]]
         assert len(annuli) == 468
-        for job, [(_, _, first, _)], rounds in annuli:
-            fill = rounds[0]
-            last = ModuliPoint(fill.p, fill.k[-1], fill.angle[-1], fill.solved[-1])
-            image = curves.deck_lambda_tilde(first)
-            assert abs(image.u_tilde - last.u_tilde) <= 1e-14
-            assert abs(image.v_tilde - last.v_tilde) <= 1e-12
+        for job, calls in annuli:
             rk = math.sqrt(job["k"])
             gap0, gap1 = (angle_rescale(mp.v_tilde, rk) - angle_rescale(mp.u_tilde, rk)
-                          for mp in (first, last))
+                          for mp in check_loop_solves(calls, Fraction(job["q"]), job["k"],
+                                                      job["u_tilde0"]))
             assert abs(gap1 - gap0) <= 1e-12
-
-    def test_the_fill_takes_few_level_evaluations_on_the_benchmark_loops(self, bench_inputs):
-        # the anchor is a cold solve, and the first round starts every other
-        # sample from its gap: over the benchmark's loops of seeds 1-3 the
-        # anchor's level evaluations and the fill's lockstep steps add up to
-        # about 9 on average, the anchor's at most 9 and the fill's at most 6
-        loops = recorded_bench_loops(bench_inputs)
-        assert len(loops) == 624
-        anchors = [n for _, [(*_, n)], _ in loops]
-        fills = [rounds[0].steps for *_, rounds in loops]
-        assert np.mean(np.add(anchors, fills)) <= 10
-        assert max(anchors) <= 9 and max(fills) <= 6
 
     @pytest.mark.parametrize("k, u_tilde0, contractible, samples, message", [
         (0.0, 0.3, False, 16, "k=0.0 outside"), (-0.1, 0.3, False, 16, "k=-0.1 outside"),
@@ -900,8 +828,8 @@ class TestMonodromy:
     @pytest.mark.parametrize("contractible", [False, True])
     @pytest.mark.parametrize("u_tilde0", [1e12, 2e16, 1e17])
     def test_a_start_angle_near_the_float_limit_fails_to_solve(self, u_tilde0, contractible):
-        # where a sample's band holds one float or none, the anchor or the
-        # fill fails with LevelSolveError, not ZeroDivisionError (2e16, 1e17)
+        # where a held angle's band holds one float or none, the loop fails
+        # with LevelSolveError, not ZeroDivisionError (2e16, 1e17)
         with pytest.raises(LevelSolveError, match="no convergence for q=0.5: residual "):
             monodromy_track(Fraction(1, 2), 64, 0.5, u_tilde0, contractible)
 
@@ -914,11 +842,10 @@ class TestMonodromy:
     @pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(-3, 5), Fraction(2, 7), Fraction(0)])
     def test_the_anchor_gap_gives_the_cold_loop_off_the_benchmark(
             self, q, k, u_tilde0, contractible, monkeypatch):
-        # every sample but t = 0 starts from the anchor's gap, however far the
-        # loop carries its own gap from it: on loops away from the benchmark's
-        # k and start angles each sample still solves its level to
-        # solver_tol, and the loop returns the integer of cold solves and the
-        # frame route at every sample
+        # the loop's end starts from the anchor's gap at t = 0: on loops away
+        # from the benchmark's k and start angles both ends still solve their
+        # level to solver_tol (check_loop_solves), and the loop returns the
+        # integer of cold solves and the frame route at every sample
         turns = tracked_monodromy(monkeypatch, q, 32, k, u_tilde0, contractible)
         monkeypatch.undo()
         assert turns == reference_monodromy(q, 32, k, u_tilde0, contractible)
@@ -944,48 +871,10 @@ class TestMonodromy:
                 monodromy_track(Fraction(job["q"]), job["samples"], job["k"],
                                 job["u_tilde0"], contractible)
                 [(p, k, u, v, terms, values)] = seen
-                assert terms is not None and values.size == job["samples"] + 1
+                assert terms is not None and values.size == 2
                 ks = np.broadcast_to(k, u.shape)
                 want = gamma_plus(p, ks, *_complete_KE(ks), u, v)
                 assert np.all(np.abs(values - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
-
-    @pytest.mark.parametrize("contractible", [False, True])
-    def test_one_held_angle_pass_per_round(self, contractible, monkeypatch):
-        # F and E_reg of the held angles are evaluated in one array pass,
-        # which the loop's one lockstep round and gamma+ share
-        passes, fe = [], moduli._FE
-
-        def recorded(s, c, k):
-            if isinstance(s, np.ndarray):
-                passes.append(s)
-            return fe(s, c, k)
-        monkeypatch.setattr(moduli, "_FE", recorded)
-        anchor, rounds, _ = record_loop(monkeypatch)
-        monodromy_track(Fraction(1, 2), 96, 0.5, 0.3, contractible)
-        held = np.array([args[3] for args, *_ in anchor] + [a for r in rounds for a in r.angle])
-        held_s = np.sort(_half_angle(held)[1])
-
-        def of_held_angles(s):
-            at = np.clip(np.searchsorted(held_s, s), 1, held_s.size - 1)
-            gap = np.minimum(np.abs(held_s[at] - s), np.abs(held_s[at - 1] - s))
-            return bool(np.all(gap < 1e-12))
-        assert len(rounds) == 1
-        assert sum(map(of_held_angles, passes)) == 1
-
-    @pytest.mark.parametrize("contractible", [False, True])
-    def test_K_and_E_in_one_call_per_round(self, contractible, monkeypatch):
-        # the annulus takes K and E at its one k as a float; the contractible
-        # loop in one array pass over its 97 samples' k
-        calls, complete_KE = [], differentials._complete_KE
-
-        def recorded(k):
-            calls.append((type(k), np.size(k)))
-            return complete_KE(k)
-        monkeypatch.setattr(differentials, "_complete_KE", recorded)
-        _, rounds, _ = record_loop(monkeypatch)
-        monodromy_track(Fraction(1, 2), 96, 0.5, 0.3, contractible)
-        assert len(rounds) == 1
-        assert calls == [(np.ndarray, 97) if contractible else (float, 1)]
 
 
 def frame_gamma_plus(mp):
@@ -1004,7 +893,9 @@ def chart_gamma_plus(mp):
 
 
 def loop_point(t, k, u_tilde0=0.3, contractible=False):
-    """(k, u~) of the loop at parameter t in [0, 1], as monodromy_track samples it."""
+    """(k, u~) of the loop at parameter t in [0, 1].  monodromy_track solves
+    an annulus loop at t = 0 and t = 1, and a contractible one at t = 0
+    twice, for its ends coincide."""
     if contractible:
         return (k + 0.05 * float(np.sin(2 * math.pi * t)),
                 u_tilde0 + 0.2 * (float(np.cos(2 * math.pi * t)) - 1.0))
@@ -1020,17 +911,17 @@ def loop_jobs(inputs, seed):
 
 @cache
 def recorded_bench_loops(inputs):
-    """(job, anchor, rounds) of record_loop for every loop of the benchmark's
+    """(job, calls) of record_solves for every loop of the benchmark's
     annulus_loop workload at seeds 1, 2 and 3, recorded once per session."""
     loops = []
     with pytest.MonkeyPatch.context() as patch:
         for seed in (1, 2, 3):
             for job in loop_jobs(inputs, seed):
-                anchor, rounds, _ = record_loop(patch)
+                calls = record_solves(patch)
                 monodromy_track(Fraction(job["q"]), job["samples"], job["k"],
                                 job["u_tilde0"], job["contractible"])
                 patch.undo()
-                loops.append((job, anchor, rounds))
+                loops.append((job, calls))
     return loops
 
 

@@ -85,6 +85,17 @@ def test_level_functions_evaluate_at_the_float_of_each_angle():
         assert type(got.v_tilde) is float and hex_point(got) == hex_point(want)
 
 
+@pytest.mark.parametrize("u, v", [
+    (np.float32(-1.5), 0.3), (2.5, np.float32(0.3)), (np.float64(-1.5), np.float64(0.3)),
+    (-1, 2), (np.int64(3), -2.0)], ids=["float32_u", "float32_v", "float64", "int", "int64"])
+def test_chart_functions_evaluate_at_the_float_of_each_chart_value(u, v):
+    # a chart value is taken as its float, not computed in its own type:
+    # t0_raw(2.5, 0.5, np.float32(-1.5), 0.3) gave np.float32(2.4762425)
+    for fn in (t0_raw, dt0_du_raw):
+        got, want = fn(2.5, 0.5, u, v), fn(2.5, 0.5, float(u), float(v))
+        assert type(got) is float and got.hex() == want.hex(), fn.__name__
+
+
 @pytest.mark.parametrize("q", [np.float32(0.3), np.float64(0.3), Fraction(3, 10)],
                          ids=["float32", "float64", "Fraction"])
 def test_solve_level_solves_at_the_float_of_q(q):
@@ -95,6 +106,15 @@ def test_solve_level_solves_at_the_float_of_q(q):
     # an unreachable level fails with the caller's q in its reason
     with pytest.raises(LevelSolveError, match=re.escape(f"no convergence for q={q * 10**15!r}: ")):
         solve_level(1.0, q * 10**15, 0.5, 0.7)
+
+
+@pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
+def test_sweep_rejects_a_non_finite_level_before_solving(q, monkeypatch):
+    # Fraction(q) raised ValueError (nan) or OverflowError (inf) only after
+    # the whole grid was solved
+    monkeypatch.setattr(moduli, "_lockstep", lambda *args: pytest.fail("the grid was solved"))
+    with pytest.raises(ValueError, match=re.escape(f"the level q must be finite, got {q!r}")):
+        sweep_level_set(Fraction(1), q, 3, 4, 1.0)
 
 
 def test_step_limit_fails_with_the_scalar_reason(monkeypatch, bench_inputs):
@@ -821,14 +841,14 @@ class TestSweep:
             assert classify_component(*got) == target
 
 
-def lockstep_solve(p, q, ks, angles, start=None):
+def lockstep_solve(p, q, ks, angles):
     """moduli._lockstep at every point (ks[i], angles[i]), fed as
     sweep_level_set feeds it: K and E from one _complete_KE pass and the
     held angle's terms at every point."""
     K, E = _complete_KE(ks)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         held = moduli._level_part(ks, K, E, angles)[:4]
-    return moduli._lockstep(p, q, ks, K, E, angles, held, DEFAULTS.solver_tol, start)
+    return moduli._lockstep(p, q, ks, K, E, angles, held, DEFAULTS.solver_tol)
 
 
 def bits(x):
@@ -1006,52 +1026,11 @@ class TestBatchedSweep:
         mesh = sweep_level_set(Fraction(p), Fraction(1, 2), 2, 2, 0.0, angle_start=1e17)
         assert [why for _, _, why in mesh.failures] == ["no convergence for q=0.5: residual nan"] * 4
 
-    def test_per_point_starts_match_warm_scalar_solves(self):
-        # each point takes its start as solve_level takes it: strictly inside
-        # the bracket, and else (at either end, outside it, infinite or nan)
-        # the midpoint; points at p below, at and above 1, some held angles
-        # on float odd multiples of pi, a few levels out of reach
-        rng = np.random.default_rng(43)
-        n, boundary = 300, [m * math.pi for m in (-3, -1, 1, 3)]
-        ks = rng.choice(rng.uniform(0.02, 0.98, 15), n)
-        angles = np.where(rng.random(n) < 0.2, rng.choice(boundary, n),
-                          rng.uniform(-4 * math.pi, 4 * math.pi, n))
-        ps = rng.choice([1 / 3, 1.0, 5 / 2], n)
-        qs = np.where(rng.random(n) < 0.05, 1e15, rng.choice([-2.05, 0.37, 1.6], n))
-        kinds = rng.choice(["inside", "lower end", "upper end", "below", "above",
-                            "infinite", "nan"], n, p=[0.4, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1])
-        starts = []
-        for p, angle, kind, frac in zip(ps.tolist(), angles.tolist(), kinds, rng.random(n)):
-            a, b, _ = moduli._band(p, angle)
-            starts.append({"inside": a + (b - a) * frac, "lower end": a, "upper end": b,
-                           "below": a - frac, "above": b + frac, "infinite": -math.inf,
-                           "nan": math.nan}[kind])
-        starts = np.array(starts)
-        outcomes = set()
-        for p, q in sorted(set(zip(ps.tolist(), qs.tolist()))):
-            at = np.flatnonzero((ps == p) & (qs == q))
-            solved, residual = lockstep_solve(p, q, ks[at], angles[at], starts[at])
-            for x, r, k, angle, start, kind in zip(
-                    solved.tolist(), residual.tolist(), ks[at].tolist(), angles[at].tolist(),
-                    starts[at].tolist(), kinds[at]):
-                try:
-                    mp = solve_level(p, q, k, angle, start=start)
-                except LevelSolveError as exc:
-                    assert math.isnan(x) and moduli._no_convergence(q, r) == str(exc)
-                    outcomes.add(("failed", p))
-                    continue
-                assert math.isnan(r)
-                assert x.hex() == (mp.u_tilde if p > 1.0 else mp.v_tilde).hex()
-                outcomes.add((kind, p))
-        kinds = {"inside", "lower end", "upper end", "below", "above", "infinite", "nan", "failed"}
-        assert outcomes == set(itertools.product(kinds, (1 / 3, 1.0, 5 / 2)))
-
     def test_a_converged_lockstep_makes_no_slope_call(self, monkeypatch):
         # once every running point has converged the lockstep stops before
-        # its slope, as solve_level returns before its slope: from cold
-        # starts it takes one slope per evaluation of the level but the
-        # last, and started on solved angles it takes none, each point
-        # still on solve_level's bits
+        # its slope, as solve_level returns before its slope: it takes one
+        # slope per evaluation of the level but the last, each point on
+        # solve_level's bits
         level_fns, calls = moduli._level_fns, {"level": 0, "slope": 0}
 
         def counted(*args):
@@ -1072,12 +1051,9 @@ class TestBatchedSweep:
             calls.update(level=0, slope=0)
             cold, _ = lockstep_solve(p, 0.37, ks, angles)
             assert calls["level"] > 1 and calls["slope"] == calls["level"] - 1
-            calls.update(level=0, slope=0)
-            warm, _ = lockstep_solve(p, 0.37, ks, angles, cold)
-            assert calls == {"level": 1, "slope": 0}
-            for x, y, k, angle in zip(warm.tolist(), cold.tolist(), ks.tolist(), angles.tolist()):
+            for x, k, angle in zip(cold.tolist(), ks.tolist(), angles.tolist()):
                 mp = solve_level(p, 0.37, k, angle)
-                assert x.hex() == y.hex() == (mp.u_tilde if p > 1.0 else mp.v_tilde).hex()
+                assert x.hex() == (mp.u_tilde if p > 1.0 else mp.v_tilde).hex()
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(p=st.fractions(Fraction(1, 4), Fraction(4), max_denominator=6),
