@@ -326,12 +326,15 @@ def chi_negate(bp: BranchPair) -> BranchPair:
 
 def angle_rescale(x_tilde: float, s: float) -> float:
     """The rescale 2 pi m + 2 atan(s tan(x~/2)) of a finite float x~ (a float32
-    x~ or s as its float), m its turn (_half_angle), order preserving for
-    s > 0; of an array, the float calls' values bit for bit (elliptic._ufunc).
-    Next to an odd multiple of pi it has the sign of the side x~ lies on, as
-    tan(x~/2)."""
+    x~ or s as its float) by a positive finite s, m its turn (_half_angle),
+    order preserving; of an array, the float calls' values bit for bit
+    (elliptic._ufunc).  Next to an odd multiple of pi it has the sign of the
+    side x~ lies on, as tan(x~/2)."""
+    s = float(s)
+    if not 0.0 < s < math.inf:
+        raise ValueError(f"the scale must be positive and finite, got {s!r}")
     if not isinstance(x_tilde, np.ndarray):
-        x_tilde, s = float(x_tilde), float(s)
+        x_tilde = float(x_tilde)
         if not math.isfinite(x_tilde):
             raise ValueError(f"the angle must be finite, got {x_tilde!r}")
     m, _, _, u = _half_angle(x_tilde)

@@ -36,7 +36,7 @@ from functools import cache
 import numpy as np
 
 from .curves import (
-    _OFF_CHART, BranchPair, JacobiFrame, S_value, _center, angle_rescale,
+    _OFF_CHART, BranchPair, JacobiFrame, S_value, _center, deck_lambda_tilde,
 )
 from .elliptic import TWO_PI, _axis_angle, _chart_value, _check_modulus, _complete_KE, _half_angle
 from .moduli import _chart_terms, _level_part, solve_level, t0_raw
@@ -135,9 +135,7 @@ class _Geometry:
         """(theta_E, theta_P), or (psi_E, psi_P) of a closing pair, as one f(z, w)."""
         def pair(z, w):
             _, thE, thP = self._theta(z, w)
-            if closing is None:
-                return thE, thP
-            return closing.a * thE, closing.b * thE + closing.l * thP
+            return (thE, thP) if closing is None else closing.psi(thE, thP)
         return pair
 
 
@@ -643,6 +641,10 @@ class ClosingData:
     gamma_minus: int
     residual: float
 
+    def psi(self, theta_E, theta_P):
+        """(psi_E, psi_P) = (a theta_E, b theta_E + l theta_P), on values or arrays."""
+        return self.a * theta_E, self.b * theta_E + self.l * theta_P
+
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     if b == 0:
@@ -734,16 +736,14 @@ def monodromy_track(q: Fraction, loop_samples: int = 48, k: float = 0.5,
     of pi, for E F - K E_reg at the reduced angle loses the pi per turn of
     E F~ - K E~ (E K' + K E' - K K' = pi/2).  So L = P + 4 pi m, m the turn
     of u~ (elliptic._half_angle), is continuous along the level set, and the
-    loop's integer is read off L(1) - L(0), which must lie on 2 pi Z: only
-    the loop's two ends are solved.  With U~ = angle_rescale(u~, sqrt(k)),
-    U0 that of u~0, an annulus loop is one orbit of the deck generator, +pi
-    on U~ and V~ (curves.deck_lambda_tilde), from U~ = U0 to U0 + pi; a
-    contractible loop's ends coincide, at u~0, so it returns 0 whenever its
-    start solves.  The start is one cold solve_level; its rescaled gap
-    g = V~ - U~ starts the end's solve_level at v~ = angle_rescale(U~ + g,
-    1/sqrt(k)).  gamma+ is evaluated at both ends from the held angles'
-    terms (_level_part).  ``loop_samples`` (an integer, at least 8) no
-    longer changes the work or the result."""
+    loop's integer is read off L(1) - L(0), which must lie on 2 pi Z.  The
+    start is one cold solve_level at u~0.  At p = 1 the deck generator
+    (curves.deck_lambda_tilde, +pi on the rescaled angles) leaves T~ fixed,
+    and an annulus loop is one of its orbits, so the loop's end is the deck
+    image of its start; a contractible loop's ends coincide, so it returns 0
+    whenever its start solves.  gamma+ is evaluated at both ends from the
+    held angles' terms (_level_part).  ``loop_samples`` (an integer, at
+    least 8) no longer changes the work or the result."""
     if not 0.0 < k < 1.0 or contractible and not 0.05 < k < 0.95:
         raise ValueError(f"k={k!r} outside (0, 1), or (0.05, 0.95) for a contractible loop")
     if not math.isfinite(u_tilde0):
@@ -756,22 +756,13 @@ def monodromy_track(q: Fraction, loop_samples: int = 48, k: float = 0.5,
         raise ValueError("loop_samples must be at least 8")
     q, k = Fraction(q), float(k)
     l = q.denominator  # at p = 1, n = m = 1 so l = m'/gcd(m', n') = m'
-    qf = float(q)
-    rk = math.sqrt(k)
-    U0 = angle_rescale(u_tilde0, rk)
-    if contractible:  # the loop closes in the chart: its ends coincide
-        U1, u0, u1 = U0, u_tilde0, u_tilde0
-    else:  # one orbit of the deck generator, +pi on U~
-        U1 = U0 + math.pi
-        u0, u1 = (angle_rescale(U, 1.0 / rk) for U in (U0, U1))
-    v0 = solve_level(1.0, qf, k, u0).v_tilde
-    g = angle_rescale(v0, rk) - U0
-    v1 = solve_level(1.0, qf, k, u1, start=angle_rescale(U1 + g, 1.0 / rk)).v_tilde
-    us = np.array([u0, u1])
+    start = solve_level(1.0, float(q), k, u_tilde0)
+    end = start if contractible else deck_lambda_tilde(start)
+    u, v = np.array([(mp.u_tilde, mp.v_tilde) for mp in (start, end)]).T
     K, E = _complete_KE(k)
-    terms = _level_part(k, K, E, us)
-    P = _gamma_plus(1.0, k, K, E, terms[1], _chart_value(np.array([v0, v1])), terms[2:])
-    m0, m1 = (_half_angle(u)[0] for u in (u0, u1))
+    terms = _level_part(k, K, E, u)
+    P = _gamma_plus(1.0, k, K, E, terms[1], _chart_value(v), terms[2:])
+    m0, m1 = (_half_angle(x)[0] for x in u.tolist())
     delta = float(P[1] - P[0]) + 4.0 * math.pi * (m1 - m0)
     turns = round(delta / TWO_PI)
     if abs(delta - TWO_PI * turns) > 1e-6 * max(1.0, abs(delta)) + 1e-6:
@@ -860,12 +851,11 @@ def hitchin_checklist(frame: JacobiFrame,
                                   "rho* theta = -conj(theta) on samples"))
 
     gvals = gamma_closing_values(frame)
+    names = ("theta_E", "theta_P") if closing is None else ("psi_E", "psi_P")
 
     def integrals(key):
-        thE, thP = gvals[("theta_E", key)], gvals[("theta_P", key)]
-        if closing is None:
-            return {"theta_E": thE, "theta_P": thP}
-        return {"psi_E": closing.a * thE, "psi_P": closing.b * thE + closing.l * thP}
+        pair = gvals[("theta_E", key)], gvals[("theta_P", key)]
+        return dict(zip(names, pair if closing is None else closing.psi(*pair)))
 
     loops = {lname: integrals(lname) for lname in ("A", "B")}
     periods = [(f"{name}.{lname}", loops[lname][name] / TWO_PI)

@@ -49,7 +49,7 @@ __all__ = [
 
 def _check_modulus(k: float) -> float:
     k = float(k)
-    if not (0.0 < k < 1.0) or math.isnan(k):
+    if not (0.0 < k < 1.0):
         raise ValueError(f"elliptic modulus must lie in (0,1), got {k!r}")
     return k
 

@@ -16,13 +16,11 @@ orientation, _level_fns the level T~ - q and the slope of the pole-deflated
 level (T~ - q) sin(|x - held|/2) at the held angle's terms (_level_part),
 computed once per solve and cut with the lockstep's running points, with
 w(ix) of the free angle once per step; _no_convergence the failure reason.
-Only the Newton-or-midpoint loop is written twice: solve_level on floats,
-from a given start when one is known (monodromy_track solves a loop's end
-from its start's gap), and _lockstep on per-point (k, angle) arrays from
-the band midpoints, given K, E and the held angle's terms, which its one
-caller, sweep_level_set, computes once per leaf (K and E once per grid
-row); a point of the arrays ends on solve_level's bits, or fails with its
-reason.
+Only the Newton-or-midpoint loop is written twice, both from the band
+midpoint: solve_level on floats, and _lockstep on per-point (k, angle)
+arrays, given K, E and the held angle's terms, which its one caller,
+sweep_level_set, computes once per leaf (K and E once per grid row); a
+point of the arrays ends on solve_level's bits, or fails with its reason.
 _chart_terms alone builds a chart value's terms, for T0, T~ and gamma+.
 An angle's share of T~ is the principal one plus pi per whole turn, and
 the chart value tan(x~/2) of a float angle is finite, the chart boundary
@@ -283,8 +281,7 @@ def _no_convergence(q, residual) -> str:
 
 
 def solve_level(p: float, q: float, k: float, fixed_angle: float,
-                tol: float = DEFAULTS.solver_tol,
-                start: float | None = None) -> ModuliPoint:
+                tol: float = DEFAULTS.solver_tol) -> ModuliPoint:
     """Solve T~ = q on the slice S = p at one (k, angle) chart point.
 
     For p > 1 the fixed angle is v~ and the solution angle u~ lies in
@@ -293,16 +290,13 @@ def solve_level(p: float, q: float, k: float, fixed_angle: float,
     with opposite signs at the band ends, so bracketed Newton with bisection
     fallback on the band less 1e-12 at each end (_band), stepping on the
     level with those poles deflated (_level_fns), converges to every
-    reachable level.  The first iterate is ``start``, a guess at the solved
-    angle such as a continuation's prediction, when strictly inside that
-    bracket, and else (nan included) the bracket's midpoint; a level out of
-    reach fails when the iterate stalls or lands on the held angle, T~'s
-    pole (at once, residual nan, where the band holds no float), or after
-    _MAX_STEPS steps.  The held angle, start and q are solved as floats.
+    reachable level.  The first iterate is the bracket's midpoint; a level
+    out of reach fails when the iterate stalls or lands on the held angle,
+    T~'s pole (at once, residual nan, where the band holds no float), or
+    after _MAX_STEPS steps.  The held angle and q are solved as floats.
     """
     p = _check_ratio(p)
     fixed_angle = float(fixed_angle)
-    start = None if start is None else float(start)
     if not math.isfinite(fixed_angle):
         raise ValueError(f"the held angle must be finite, got {fixed_angle!r}")
     if not math.isfinite(q):
@@ -311,7 +305,7 @@ def solve_level(p: float, q: float, k: float, fixed_angle: float,
     K, E = _complete_KE(k)
     a, b, sign = _band(p, fixed_angle)
     level, slope = _level_fns(p, float(q), k, K, E, _level_part(k, K, E, fixed_angle))
-    x = start if start is not None and a < start < b else 0.5 * (a + b)
+    x = 0.5 * (a + b)
     if x == fixed_angle:  # the band holds no float: no residual, as in _lockstep
         raise LevelSolveError(_no_convergence(q, math.nan))
     fx, free = level(x)

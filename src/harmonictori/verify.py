@@ -310,33 +310,45 @@ def suite_moduli(seed: int = 0) -> list[InvariantResult]:
 
 def suite_bundle(seed: int = 0) -> list[InvariantResult]:
     """The monodromy of the bundle of spectral data over the annuli: around
-    the annulus at q = n/d, monodromy_track gives moduli_summary's -d, and
-    around a contractible loop 0.  A loop that raises fails with its error.
-    The annuli's k is drawn log-uniformly from [1e-3, 0.99], so the small k
-    where a level is hardest to solve is as likely as the middle.  Every
-    loop also draws a sample count, log-uniformly from 8 to 128, which the
-    loop no longer uses; the draw is kept so that a seed draws the same
-    loops."""
+    the annulus at q = n/d, monodromy_track gives moduli_summary's -d, the
+    loop's end, the deck image of its start, lies on its level, and around
+    a contractible loop the monodromy is 0; a loop that raises fails with
+    its error.  The annuli, drawn first, take k log-uniformly from
+    [1e-3, 0.99], so the small k where a level is hardest to solve is as
+    likely as the middle.  Every loop also draws a sample count, which the
+    loop no longer uses, so that a seed draws the same loops."""
     rng = np.random.default_rng(seed)
 
-    def loops(contractible, count):
-        for _ in range(count):
-            d = int(rng.integers(1, 8))
-            q = Fraction(int(rng.integers(-3 * d, 3 * d + 1)), d)
-            k = float(rng.uniform(0.1, 0.9) if contractible else 1e-3 * 990.0 ** rng.uniform())
-            u_tilde0 = float(rng.uniform(-math.pi, math.pi))
-            samples = round(8.0 * 16.0 ** rng.uniform())
-            expected = 0 if contractible else moduli_summary(Fraction(1), q).monodromy
-            sample = {"q": str(q), "loop_samples": samples, "k": k, "u_tilde0": u_tilde0,
-                      "contractible": contractible, "expected": expected}
+    def draw(contractible):
+        d = int(rng.integers(1, 8))
+        q = Fraction(int(rng.integers(-3 * d, 3 * d + 1)), d)
+        k = float(rng.uniform(0.1, 0.9) if contractible else 1e-3 * 990.0 ** rng.uniform())
+        u_tilde0 = float(rng.uniform(-math.pi, math.pi))
+        return {"q": str(q), "loop_samples": round(8.0 * 16.0 ** rng.uniform()), "k": k,
+                "u_tilde0": u_tilde0, "contractible": contractible,
+                "expected": 0 if contractible else moduli_summary(1, q).monodromy}
+
+    def trials(samples, residual):
+        for sample in samples:
             try:
-                got = monodromy_track(q, samples, k, u_tilde0, contractible)
+                yield residual(sample, Fraction(sample["q"]))
             except (LevelSolveError, ContinuationError) as exc:
                 yield math.inf, {**sample, "error": f"{type(exc).__name__}: {exc}"}
-            else:
-                yield abs(got - expected), {**sample, "got": got}
-    return [_worst("annulus monodromy equals moduli_summary", 0.5, loops(False, 36)),
-            _worst("contractible loop has monodromy 0", 0.5, loops(True, 12))]
+
+    def monodromy(sample, q):
+        got = monodromy_track(q, sample["loop_samples"], sample["k"], sample["u_tilde0"],
+                              sample["contractible"])
+        return abs(got - sample["expected"]), {**sample, "got": got}
+
+    def end_level(sample, q):
+        end = deck_lambda_tilde(solve_level(1.0, float(q), sample["k"], sample["u_tilde0"]))
+        return abs(T_tilde(end) - float(q)), sample
+
+    annuli = [draw(False) for _ in range(36)]
+    return [_worst("annulus monodromy equals moduli_summary", 0.5, trials(annuli, monodromy)),
+            _worst("annulus loop end lies on its level", 1e-9, trials(annuli, end_level)),
+            _worst("contractible loop has monodromy 0", 0.5,
+                   trials([draw(True) for _ in range(12)], monodromy))]
 
 
 SUITES = {

@@ -606,12 +606,12 @@ class TestVerify:
 
     def test_all_suites(self, capsys):
         assert main(["verify", "--suite", "all"]) == 0
-        assert "23/23 invariants passed" in capsys.readouterr().out
+        assert "24/24 invariants passed" in capsys.readouterr().out
 
     @pytest.mark.parametrize("seed", ["0", "42"])
     def test_bundle_suite(self, seed, capsys):
         assert main(["verify", "--suite", "bundle", "--seed", seed]) == 0
-        assert "2/2 invariants passed" in capsys.readouterr().out
+        assert "3/3 invariants passed" in capsys.readouterr().out
 
     @staticmethod
     def failed_bundle_loop(capsys) -> dict:
@@ -619,8 +619,9 @@ class TestVerify:
         assert main(["verify", "--suite", "bundle"]) == 3
         captured = capsys.readouterr()
         assert "[FAIL] annulus monodromy equals moduli_summary" in captured.out
+        assert "[pass] annulus loop end lies on its level" in captured.out
         assert "[pass] contractible loop has monodromy 0" in captured.out
-        assert "1/2 invariants passed" in captured.out
+        assert "2/3 invariants passed" in captured.out
         [line] = captured.err.splitlines()
         return json.loads(line.removeprefix("replay sample: "))
 
@@ -649,8 +650,31 @@ class TestVerify:
         monkeypatch.setattr(verify, "monodromy_track", raising)
         assert main(["verify", "--suite", "bundle"]) == 3
         captured = capsys.readouterr()
-        assert "max residual inf" in captured.out and "0/2 invariants passed" in captured.out
+        assert "max residual inf" in captured.out and "1/3 invariants passed" in captured.out
         assert '"error": "ContinuationError: gamma+ integral shifted by 1.0' in captured.err
+
+    def test_bundle_suite_fails_on_an_end_off_its_level(self, monkeypatch, capsys):
+        # a deck map that moves v~ alone takes the loop's end off its level
+        from harmonictori import verify
+        monkeypatch.setattr(verify, "deck_lambda_tilde",
+                            lambda mp: dataclasses.replace(mp, v_tilde=mp.v_tilde + 1e-3))
+        assert main(["verify", "--suite", "bundle"]) == 3
+        captured = capsys.readouterr()
+        assert "[FAIL] annulus loop end lies on its level" in captured.out
+        assert "2/3 invariants passed" in captured.out
+        sample = json.loads(captured.err.splitlines()[0].removeprefix("replay sample: "))
+        assert not sample["contractible"] and "error" not in sample
+
+    def test_bundle_suite_fails_on_an_end_that_does_not_solve(self, monkeypatch, capsys):
+        from harmonictori import verify
+
+        def raising(*args):
+            raise verify.LevelSolveError("no convergence for q=0.5: residual nan")
+        monkeypatch.setattr(verify, "solve_level", raising)
+        assert main(["verify", "--suite", "bundle"]) == 3
+        captured = capsys.readouterr()
+        assert "[FAIL] annulus loop end lies on its level: max residual inf" in captured.out
+        assert '"error": "LevelSolveError: no convergence for q=0.5' in captured.err
 
     def test_nan_residual_fails(self, monkeypatch, capsys):
         from harmonictori import verify

@@ -541,6 +541,16 @@ class TestDeck:
         with pytest.raises(ValueError, match="finite"):
             angle_rescale(x_tilde, 0.5)
 
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf, -1.0, 0.0, -0.0, -1e-300])
+    def test_rescale_rejects_a_scale_that_is_not_positive_and_finite(self, s):
+        # it returned nan at s = nan, -0.3 at (0.3, -1), 0.0 at s = 0 and pi
+        # at s = inf, and raised nothing
+        for x_tilde in (0.3, np.array([0.3, -2.0])):
+            with pytest.raises(ValueError, match="scale must be positive and finite"):
+                angle_rescale(x_tilde, s)
+        with pytest.raises(ValueError, match="scale must be positive and finite"):
+            angle_rescale(0.3, np.float32(s))
+
     def test_lambda_on_a_float_odd_multiple_of_pi(self):
         # u~ = 19 pi keeps its turn through both rescales, so the image of a
         # point of the band stays in the band

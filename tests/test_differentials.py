@@ -624,42 +624,44 @@ class TestConstructPsi:
 
 
 def record_solves(monkeypatch):
-    """Record monodromy_track's solve_level calls, one (args, kw, point) each,
-    and fail the test on any moduli._lockstep call."""
+    """Record monodromy_track's solve_level and deck_lambda_tilde calls, one
+    (name, args, kw, result) each, and fail the test on any moduli._lockstep
+    call."""
     calls = []
 
-    def recorded(*args, **kw):
-        point = solve_level(*args, **kw)
-        calls.append((args, kw, point))
-        return point
-    monkeypatch.setattr(differentials, "solve_level", recorded)
+    def recorder(name, fn):
+        def recorded(*args, **kw):
+            result = fn(*args, **kw)
+            calls.append((name, args, kw, result))
+            return result
+        monkeypatch.setattr(differentials, name, recorded)
+    recorder("solve_level", solve_level)
+    recorder("deck_lambda_tilde", curves.deck_lambda_tilde)
     monkeypatch.setattr(moduli, "_lockstep", lambda *args: pytest.fail("the loop ran _lockstep"))
     return calls
 
 
 def check_loop_solves(calls, q, k, u_tilde0=0.3, contractible=False):
-    """A loop's recorded solves are two, each with positional (p, q, k,
-    angle) and each a ModuliPoint on its level within solver_tol at its held
-    angle: the first at t = 0, the second at t = 1, the loop's end (for an
-    annulus, the deck image of the start to 1e-14 in u~ and 1e-12 in v~; a
-    contractible loop's ends coincide).  Returns the two points."""
-    assert len(calls) == 2
-    for args, _, mp in calls:
-        assert len(args) == 4 and args[:3] == (1.0, float(q), k)
-        assert isinstance(mp, ModuliPoint) and (mp.p, mp.k, mp.u_tilde) == (1.0, k, args[3])
-        assert mp.u_tilde < mp.v_tilde < mp.u_tilde + 2 * math.pi
-        assert abs(t_tilde_raw(1.0, k, mp.u_tilde, mp.v_tilde) - float(q)) < DEFAULTS.solver_tol
-    (_, kw0, first), (_, kw1, last) = calls
-    assert kw0 == {} and list(kw1) == ["start"]
-    assert first.u_tilde == loop_point(0.0, k, u_tilde0, contractible)[1]
+    """A loop's recorded calls are one solve_level, with positional
+    (1.0, q, k, u~0), which returns a ModuliPoint on its level within
+    solver_tol at that held angle, and for an annulus one deck_lambda_tilde
+    of that point, whose u~ is the loop's at t = 1.  Returns the loop's two
+    ends: the start, and the deck image of the start bit for bit, or for a
+    contractible loop the start itself."""
+    assert [name for name, *_ in calls] == ["solve_level"] + ["deck_lambda_tilde"] * (not contractible)
+    (_, args, kw, start), *deck = calls
+    assert args == (1.0, float(q), k, u_tilde0) and kw == {}
+    assert isinstance(start, ModuliPoint) and (start.p, start.k, start.u_tilde) == (1.0, k, u_tilde0)
+    assert start.u_tilde < start.v_tilde < start.u_tilde + 2 * math.pi
+    assert abs(t_tilde_raw(1.0, k, start.u_tilde, start.v_tilde) - float(q)) < DEFAULTS.solver_tol
     if contractible:
-        assert last.u_tilde == first.u_tilde
-    else:
-        assert last.u_tilde == loop_point(1.0, k, u_tilde0)[1]
-        image = curves.deck_lambda_tilde(first)
-        assert abs(image.u_tilde - last.u_tilde) <= 1e-14
-        assert abs(image.v_tilde - last.v_tilde) <= 1e-12
-    return first, last
+        return start, start
+    [(_, args, kw, end)] = deck
+    assert args[0] is start and (args[1:], kw) == ((), {})
+    image = curves.deck_lambda_tilde(start)
+    assert (end.u_tilde.hex(), end.v_tilde.hex()) == (image.u_tilde.hex(), image.v_tilde.hex())
+    assert end.u_tilde == loop_point(1.0, k, u_tilde0)[1]
+    return start, end
 
 
 def tracked_monodromy(monkeypatch, q, loop_samples, k=0.5, u_tilde0=0.3, contractible=False):
@@ -700,8 +702,10 @@ class TestMonodromy:
     def test_a_loop_at_k_1e_5_gives_minus_d_at_any_sample_count(self, q, u_tilde0, samples,
                                                                 monkeypatch):
         # solving every sample between the ends raised LevelSolveError on
-        # these loops at 1 024 samples, where 8 gave -d: with its two ends
-        # solved, no sample count changes a loop
+        # these loops at 1 024 samples, and solving the end from the
+        # rescaled round trip of u~0 raised it at any count: with its start
+        # solved at u~0 and its end the deck image, no sample count changes
+        # a loop
         turns = tracked_monodromy(monkeypatch, q, samples, 1e-5, u_tilde0)
         assert turns == moduli_summary(Fraction(1), q).monodromy
 
@@ -720,6 +724,21 @@ class TestMonodromy:
             turns = None
         assert turns in (None, moduli_summary(Fraction(1), q).monodromy)
         assert monodromy_track(q, samples, k_contractible, u_tilde0, contractible=True) == 0
+
+    def test_the_small_k_probe_at_k_1e_5_gives_minus_d_on_every_loop(self):
+        # solving the end a second time raised LevelSolveError on 30 of these
+        outcomes = small_k_probe(1e-5)
+        assert len(outcomes) == 267
+        assert all(got == moduli_summary(Fraction(1), q).monodromy for q, _, got in outcomes)
+
+    def test_the_small_k_probe_at_k_1e_6_fails_only_to_solve_a_start_at_minus_pi(self):
+        # the 29 failures are roots that no float represents at a held angle
+        # at an odd multiple of pi; every other loop gives -d
+        outcomes = small_k_probe(1e-6)
+        failed = [(q, u_tilde0) for q, u_tilde0, got in outcomes if got is LevelSolveError]
+        assert len(failed) == 29 and {u_tilde0 for _, u_tilde0 in failed} == {-math.pi}
+        assert all(got == moduli_summary(Fraction(1), q).monodromy
+                   for q, _, got in outcomes if got is not LevelSolveError)
 
     def test_the_property_s_shrunk_counterexample(self):
         # test_a_loop_gives_moduli_summary_or_raises shrank the nearest-turn
@@ -748,10 +767,10 @@ class TestMonodromy:
 
     @pytest.mark.parametrize("contractible, samples", itertools.product(
         (False, True), (64, 96, 128)))
-    def test_benchmark_loops_make_two_solves(self, contractible, samples, bench_inputs):
+    def test_benchmark_loops_make_one_solve(self, contractible, samples, bench_inputs):
         # the benchmark checks each loop by sampling one of the solve_level
         # calls that it makes with (p, q, k, angle) as positional arguments:
-        # every loop makes two, at its start and its end (check_loop_solves).
+        # every loop makes one, at its start (check_loop_solves).
         # Over two loops of each kind and length at seeds 1, 2 and 3, each
         # returns the cold frame loop's integer
         loops = [(job, calls) for job, calls in recorded_bench_loops(bench_inputs)
@@ -770,39 +789,29 @@ class TestMonodromy:
     @pytest.mark.parametrize("contractible", [False, True])
     def test_loop_samples_change_neither_the_work_nor_the_result(self, contractible,
                                                                  monkeypatch):
-        # the loop solves its two ends whatever its sample count: 8 and
-        # 1 024 samples make the same solve_level and angle_rescale calls,
-        # every one on floats, and return the same integer
+        # the loop solves its start and takes its end whatever its sample
+        # count: 8 and 1 024 samples make the same calls on the same floats
+        # and return the same integer
         def recorded_calls(samples):
-            rescaled = []
-
-            def recorded_rescale(x_tilde, s):
-                rescaled.append((type(x_tilde), x_tilde.hex(), s.hex()))
-                return angle_rescale(x_tilde, s)
-            monkeypatch.setattr(differentials, "angle_rescale", recorded_rescale)
             calls = record_solves(monkeypatch)
             turns = monodromy_track(Fraction(1, 2), samples, 0.5, 0.3, contractible)
             monkeypatch.undo()
-            return turns, rescaled, [(args, kw, mp.u_tilde.hex(), mp.v_tilde.hex()) for args, kw, mp in calls]
+            return turns, [(name, mp.u_tilde.hex(), mp.v_tilde.hex()) for name, _, _, mp in calls]
         few, many = recorded_calls(8), recorded_calls(1024)
         assert few == many and few[0] == (0 if contractible else -2)
-        assert {kind for kind, *_ in few[1]} == {float}
 
     def test_an_annulus_loop_ends_on_the_deck_image_of_its_start(self, bench_inputs):
         # one annulus loop is one orbit of the deck generator, +pi on both
-        # rescaled angles: on the benchmark's annulus loops the end, solved
-        # from the start's gap, is deck_lambda_tilde of the start, the held
-        # angle to a few ulps and the solved one to a few ulps of its size
-        # (check_loop_solves), so the rescaled gap V~ - U~ has period 1
+        # rescaled angles, which leaves T~ fixed at p = 1: on the benchmark's
+        # annulus loops the end is deck_lambda_tilde of the start
+        # (check_loop_solves), and it lies on the start's level to 1e-9
         annuli = [(job, calls) for job, calls in recorded_bench_loops(bench_inputs)
                   if not job["contractible"]]
         assert len(annuli) == 468
         for job, calls in annuli:
-            rk = math.sqrt(job["k"])
-            gap0, gap1 = (angle_rescale(mp.v_tilde, rk) - angle_rescale(mp.u_tilde, rk)
-                          for mp in check_loop_solves(calls, Fraction(job["q"]), job["k"],
-                                                      job["u_tilde0"]))
-            assert abs(gap1 - gap0) <= 1e-12
+            q = Fraction(job["q"])
+            _, end = check_loop_solves(calls, q, job["k"], job["u_tilde0"])
+            assert abs(t_tilde_raw(1.0, end.k, end.u_tilde, end.v_tilde) - float(q)) <= 1e-9
 
     @pytest.mark.parametrize("k, u_tilde0, contractible, samples, message", [
         (0.0, 0.3, False, 16, "k=0.0 outside"), (-0.1, 0.3, False, 16, "k=-0.1 outside"),
@@ -840,10 +849,10 @@ class TestMonodromy:
     @pytest.mark.parametrize("k, u_tilde0, contractible", [
         (0.2, -1.0, False), (0.85, 2.0, False), (0.3, 1.0, True), (0.75, -2.5, True)])
     @pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(-3, 5), Fraction(2, 7), Fraction(0)])
-    def test_the_anchor_gap_gives_the_cold_loop_off_the_benchmark(
+    def test_the_deck_image_end_gives_the_cold_loop_off_the_benchmark(
             self, q, k, u_tilde0, contractible, monkeypatch):
-        # the loop's end starts from the anchor's gap at t = 0: on loops away
-        # from the benchmark's k and start angles both ends still solve their
+        # the loop's end is the deck image of its start: on loops away from
+        # the benchmark's k and start angles the start still solves its
         # level to solver_tol (check_loop_solves), and the loop returns the
         # integer of cold solves and the frame route at every sample
         turns = tracked_monodromy(monkeypatch, q, 32, k, u_tilde0, contractible)
@@ -894,13 +903,30 @@ def chart_gamma_plus(mp):
 
 def loop_point(t, k, u_tilde0=0.3, contractible=False):
     """(k, u~) of the loop at parameter t in [0, 1].  monodromy_track solves
-    an annulus loop at t = 0 and t = 1, and a contractible one at t = 0
-    twice, for its ends coincide."""
+    a loop at u~0 itself, and takes an annulus loop's end, at t = 1, from
+    the deck map; a contractible loop's ends coincide."""
     if contractible:
         return (k + 0.05 * float(np.sin(2 * math.pi * t)),
                 u_tilde0 + 0.2 * (float(np.cos(2 * math.pi * t)) - 1.0))
     rk = math.sqrt(k)
     return k, angle_rescale(angle_rescale(u_tilde0, rk) + math.pi * t, 1.0 / rk)
+
+
+def small_k_probe(k):
+    """(q, u~0, integer, or LevelSolveError where the loop raised it) of the
+    267 annulus loops at k of the small-k probe: q = n/d with d in
+    {1, 2, 3, 7, 13} and every n coprime to d with |n| <= 2d, u~0 in
+    {-pi, 0.3, 2}, and 8 samples."""
+    outcomes = []
+    for d in (1, 2, 3, 7, 13):
+        for q in (Fraction(n, d) for n in range(-2 * d, 2 * d + 1) if math.gcd(n, d) == 1):
+            for u_tilde0 in (-math.pi, 0.3, 2.0):
+                try:
+                    got = monodromy_track(q, 8, k, u_tilde0)
+                except LevelSolveError:
+                    got = LevelSolveError
+                outcomes.append((q, u_tilde0, got))
+    return outcomes
 
 
 def loop_jobs(inputs, seed):

@@ -322,15 +322,15 @@ def test_complete_KE_of_an_array_is_the_float_values_bit_for_bit():
 
 
 def test_serial_path_makes_no_ufunc_call(monkeypatch):
-    # a cold scalar solve, as a monodromy loop's anchor takes it, a warm one,
-    # and the gamma+ closed form at one point's floats take every R_F and R_D
+    # scalar solves, the one a monodromy loop starts from among them, and
+    # the gamma+ closed form at one point's floats take every R_F and R_D
     # from the float functions: with the ufuncs made to raise they return as
     # before
     def serial():
         mp = solve_level(1.0, 0.3, 0.41, 0.7)
         gamma = _gamma_plus(mp.p, mp.k, *_complete_KE(mp.k),
                             _chart_value(mp.u_tilde), _chart_value(mp.v_tilde))
-        return mp, solve_level(1.0, 0.3, 0.37, 0.2, start=1.5), gamma
+        return mp, solve_level(2.5, 0.3, 0.37, 0.2), gamma
     expected = serial()
 
     def refuse(*args):

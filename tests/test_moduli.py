@@ -70,7 +70,7 @@ def test_level_functions_evaluate_at_the_checked_float_of_k(k):
 
 
 def test_level_functions_evaluate_at_the_float_of_each_angle():
-    # a float32 angle or start is taken as its float, not computed in
+    # a float32 angle is taken as its float, not computed in
     # float32: t_tilde_raw(1.0, 0.25, np.float32(0.3), 2.0) gave
     # np.float32(2.0824769), and solve_level(1.0, 0.3, 0.5, np.float32(0.7))
     # failed on a float32 residual
@@ -78,11 +78,9 @@ def test_level_functions_evaluate_at_the_float_of_each_angle():
     for fn in (t_tilde_raw, dT_tilde_du_tilde, dT_tilde_dv_tilde):
         got, want = fn(1.0, 0.25, x, 2.0), fn(1.0, 0.25, float(x), 2.0)
         assert type(got) is float and got.hex() == want.hex(), fn.__name__
-    held, start = np.float32(0.7), np.float32(2.5)
-    for given, taken in ((None, None), (start, float(start))):
-        got = solve_level(1.0, 0.3, 0.5, held, start=given)
-        want = solve_level(1.0, 0.3, 0.5, float(held), start=taken)
-        assert type(got.v_tilde) is float and hex_point(got) == hex_point(want)
+    held = np.float32(0.7)
+    got, want = solve_level(1.0, 0.3, 0.5, held), solve_level(1.0, 0.3, 0.5, float(held))
+    assert type(got.v_tilde) is float and hex_point(got) == hex_point(want)
 
 
 @pytest.mark.parametrize("u, v", [
@@ -613,14 +611,6 @@ def leaf_jobs(inputs, seed):
     return inputs.leaf_jobs(random.Random(f"leaf_sweep:{seed}"), 20)
 
 
-def warm_starts(case):
-    """Starts a quarter, a half and most of the way across the band, and
-    just inside its lower end."""
-    p, _, _, angle = case
-    lo = angle - 2 * math.pi if p > 1.0 else angle
-    return [lo + 2 * math.pi * frac for frac in (1e-3, 0.25, 0.5, 0.9)]
-
-
 def hex_point(mp):
     return mp.p, mp.k, mp.u_tilde.hex(), mp.v_tilde.hex()
 
@@ -646,70 +636,6 @@ class TestSolver:
         got = solve_level(*case)
         assert hex_point(got) == hex_point(expected)
         assert [x.hex() for x in parts] == [case[3].hex()] + [x.hex() for x in evaluated]
-
-    @pytest.mark.parametrize("case", [*solve_cases(41), *solve_cases(43)], ids=str)
-    def test_cold_solve_is_a_warm_solve_from_the_midpoint(self, case):
-        # the same bits, or the same failure, as a start at the bracket's midpoint
-        p, _, _, angle = case
-        lo, hi = (angle - 2 * math.pi, angle) if p > 1.0 else (angle, angle + 2 * math.pi)
-        midpoint = 0.5 * ((lo + moduli._EDGE) + (hi - moduli._EDGE))
-        outcomes = []
-        for start in (None, midpoint):
-            try:
-                outcomes.append(hex_point(solve_level(*case, start=start)))
-            except LevelSolveError as exc:
-                outcomes.append(str(exc))
-        assert outcomes[0] == outcomes[1]
-
-    @pytest.mark.parametrize("p, q, k, angle", [(1 / 3, 0.37, 0.5, 0.2), (1.0, -1.5, 0.2, math.pi),
-                                                (5 / 2, 2.0, 0.9, -4.0)])
-    def test_start_outside_the_bracket_is_ignored(self, p, q, k, angle):
-        cold = solve_level(p, q, k, angle)
-        band = (angle - 2 * math.pi, angle) if p > 1.0 else (angle, angle + 2 * math.pi)
-        for start in (*band, band[0] - 1.0, band[1] + 0.5, band[0] + 1e-13,
-                      math.nan, math.inf, -math.inf):
-            assert hex_point(solve_level(p, q, k, angle, start=start)) == hex_point(cold)
-
-    @pytest.mark.parametrize("case", [*solve_cases(41), *solve_cases(43)], ids=str)
-    def test_start_inside_the_bracket_solves_the_level(self, case):
-        # and fails, with LevelSolveError alone, exactly where a cold solve fails
-        p, q, k, angle = case
-        try:
-            reference_solve(*case)
-        except LevelSolveError:
-            for start in warm_starts(case):
-                with pytest.raises(LevelSolveError):
-                    solve_level(*case, start=start)
-            return
-        for start in warm_starts(case):
-            mp = solve_level(*case, start=start)
-            assert abs(t_tilde_raw(p, k, mp.u_tilde, mp.v_tilde) - q) < DEFAULTS.solver_tol
-            assert (mp.v_tilde if p > 1.0 else mp.u_tilde) == angle
-            assert mp.u_tilde < mp.v_tilde < mp.u_tilde + 2 * math.pi
-
-    @pytest.mark.parametrize("case", list(solve_cases(43)), ids=str)
-    def test_warm_solve_starts_at_once_inside_the_bracket(self, case, monkeypatch):
-        # T~ diverges at the band ends, and a warm solve evaluates it first at
-        # the start and then only on [lo + 1e-12, hi - 1e-12], the ends only
-        # once bisection of an unreachable level has shrunk onto one
-        p, _, _, angle = case
-        lo, hi = (angle - 2 * math.pi, angle) if p > 1.0 else (angle, angle + 2 * math.pi)
-        edge = moduli._EDGE
-        free = []
-        level_part = moduli._level_part
-
-        def recorded(k, K, E, x):
-            free.append(x)
-            return level_part(k, K, E, x)
-        monkeypatch.setattr(moduli, "_level_part", recorded)
-        for start in warm_starts(case):
-            free.clear()
-            try:
-                solve_level(*case, start=start)
-            except LevelSolveError:
-                pass
-            assert free[:2] == [angle, start]  # the held angle's share comes first
-            assert all(lo + edge <= x <= hi - edge for x in free[1:])
 
     def test_leaf_sweep_work_is_bounded_in_counts(self, monkeypatch, bench_inputs):
         # Newton's step on the deflated level (T~ - q) sin(|x - held|/2)
