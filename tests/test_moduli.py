@@ -637,6 +637,61 @@ class TestSolver:
         assert hex_point(got) == hex_point(expected)
         assert [x.hex() for x in parts] == [case[3].hex()] + [x.hex() for x in evaluated]
 
+    @pytest.mark.parametrize("case", [*solve_cases(41), *solve_cases(43)], ids=str)
+    def test_cold_solve_solves_the_level_inside_the_band(self, case):
+        # and fails, with LevelSolveError alone, exactly where the reference fails
+        p, q, k, angle = case
+        try:
+            reference_solve(*case)
+        except LevelSolveError:
+            with pytest.raises(LevelSolveError):
+                solve_level(*case)
+            return
+        mp = solve_level(*case)
+        assert abs(t_tilde_raw(p, k, mp.u_tilde, mp.v_tilde) - q) < DEFAULTS.solver_tol
+        assert (mp.v_tilde if p > 1.0 else mp.u_tilde) == angle
+        assert mp.u_tilde < mp.v_tilde < mp.u_tilde + 2 * math.pi
+
+    @pytest.mark.parametrize("case", [*solve_cases(41), *solve_cases(43)], ids=str)
+    def test_cold_solve_starts_at_the_midpoint_inside_the_bracket(self, case, monkeypatch):
+        # T~ diverges at the band ends, and a solve evaluates it first at the
+        # midpoint of [lo + 1e-12, hi - 1e-12] and then only on that
+        # bracket, the ends only once bisection of an unreachable level has
+        # shrunk onto one
+        p, _, _, angle = case
+        lo, hi = (angle - 2 * math.pi, angle) if p > 1.0 else (angle, angle + 2 * math.pi)
+        edge = moduli._EDGE
+        free = []
+        level_part = moduli._level_part
+
+        def recorded(k, K, E, x):
+            free.append(x)
+            return level_part(k, K, E, x)
+        monkeypatch.setattr(moduli, "_level_part", recorded)
+        try:
+            solve_level(*case)
+        except LevelSolveError:
+            pass
+        # the held angle's share comes first
+        assert free[:2] == [angle, 0.5 * ((lo + edge) + (hi - edge))]
+        assert all(lo + edge <= x <= hi - edge for x in free[1:])
+
+    @pytest.mark.parametrize("case", [*solve_cases(41), *solve_cases(43)], ids=str)
+    def test_lockstep_point_is_the_scalar_solve_bit_for_bit(self, case):
+        # the two level solvers share bracket, start, level, slope and step:
+        # at one point the lockstep gives solve_level's bits, or its failure
+        # with the same reason
+        p, q, k, angle = case
+        solved, residual = lockstep_solve(p, q, np.array([k]), np.array([angle]))
+        [x], [r] = solved.tolist(), residual.tolist()
+        try:
+            mp = solve_level(*case)
+        except LevelSolveError as exc:
+            assert math.isnan(x) and moduli._no_convergence(q, r) == str(exc)
+            return
+        assert math.isnan(r)
+        assert x.hex() == (mp.u_tilde if p > 1.0 else mp.v_tilde).hex()
+
     def test_leaf_sweep_work_is_bounded_in_counts(self, monkeypatch, bench_inputs):
         # Newton's step on the deflated level (T~ - q) sin(|x - held|/2)
         # leaves the poles at the band ends behind: over the benchmark's
