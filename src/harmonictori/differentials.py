@@ -15,7 +15,8 @@ double pole, and takes the 33-point Kronrod rule on every panel with the
 16-point Gauss rule nested in it: a value settles on one level when the two
 agree, and a segment halves its panels otherwise.  The sheet of w is
 tracked by nearest continuation, for all open segments of all contours of a
-frame at once, one level after another.  Homology representatives are
+frame at once, one level after another, each distinct segment once, on one
+set of flat panel arrays.  Homology representatives are
 rectangles crossing the real axis inside the gaps between branch points,
 and the closing paths join the two points over zeta = +-1 while winding once
 around z = 1, following the principal route.  Integrals of the
@@ -32,6 +33,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -77,9 +79,7 @@ def theta_E_gamma(sign: int, bp: BranchPair) -> complex:
     """Closing integral of the exact differential: 2i eta+(1), -2i eta+(-1)."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    if sign == 1:
-        return 2j * eta_plus(1.0, bp)
-    return -2j * eta_plus(-1.0, bp)
+    return 2j * sign * eta_plus(float(sign), bp)
 
 
 # ---------------------------------------------------------------------------
@@ -174,15 +174,6 @@ def _distances(a, b, centers) -> np.ndarray:
 _CLEARANCE = 1e-3
 
 
-def _check_clearance(d: np.ndarray, centers) -> None:
-    """PathError if a distance d[segment, center] falls below _CLEARANCE."""
-    near = np.argwhere(d < _CLEARANCE)
-    if len(near):
-        i, j = near[0]
-        raise PathError(f"path passes within {d[i, j]:.2e} of {centers[j]!r} "
-                        f"(clearance {_CLEARANCE:.2e})")
-
-
 def loop_A(frame: JacobiFrame) -> PathSpec:
     """Cycle around the branch points -1 and 1, oriented so that the
     holomorphic differential integrates to +4K on the starting sheet.
@@ -191,42 +182,19 @@ def loop_A(frame: JacobiFrame) -> PathSpec:
     pole lies within 0.1 of them, and otherwise at the candidate in (1, 1/k)
     farthest from the poles and branch points.
     """
-    h = _pick_height(frame)
-    poles = (frame.z0, -frame.z0.conjugate())
-
-    def gap(x, centers=poles + (1.0, 1.0 / frame.k)):  # the left edge mirrors it
-        return _distances(x - 1j * h, x + 1j * h, centers).min(axis=1)
-    xa = min(1.2, 0.5 * (1.0 + 1.0 / frame.k))
-    if gap(np.array([xa]), poles)[0] < 0.1:
-        xs = 1.0 + np.array([1.0, 0.5, 1.5, 0.25, 1.75]) * (xa - 1.0)
-        xa = float(xs[gap(xs).argmax()])
-    pts = (-1j * h, xa - 1j * h, xa + 1j * h, -xa + 1j * h, -xa - 1j * h, -1j * h)
-    return PathSpec(points=pts, sheet=1)
+    return _contours(frame, ())["A"]
 
 
 def loop_B(frame: JacobiFrame) -> PathSpec:
     """Cycle around the branch points 1 and 1/k; +2iK' for the first kind."""
-    k = frame.k
-    xB = 1.0 / k + max(0.25, 0.25 * (1.0 / k - 1.0))
-    h = _pick_height(frame)
-    pts = (-1j * h, 1j * h, xB + 1j * h, xB - 1j * h, -1j * h)
-    return PathSpec(points=pts, sheet=1)
+    return _contours(frame, ())["B"]
 
 
-def _pick_height(frame: JacobiFrame) -> float:
-    """Rectangle height maximizing distance from the double poles.
-
-    Pole crossings cost no correctness (the residues vanish) but ruin the
-    quadrature rate, so the loop geometry dodges them when it can.
-    """
-    hs = np.array([0.45, 0.3, 0.65, 0.2])
-    y = frame.z0.imag  # of both poles, z0 and -conj(z0)
-    return float(hs[np.minimum(abs(y - hs), abs(y + hs)).argmax()])
-
-
-#: gamma0_path's nine candidate (d, h): the half-width of its vertical runs
-#: beside the origin and the height of its cut crossing, d outer.
-_GAMMA_D, _GAMMA_H = np.repeat([0.35, 0.5, 0.22], 3), np.tile([0.25, 0.4, 0.15], 3)
+#: gamma0_path's nine candidate (d, i h): the half-width of its vertical runs
+#: beside the origin and the height of its cut crossing, d outer; and their
+#: corners -d - i h and d + i h, below and above the cut.
+_GAMMA_D, _GAMMA_IH = np.repeat([0.35, 0.5, 0.22], 3), 1j * np.tile([0.25, 0.4, 0.15], 3)
+_GAMMA_LOW, _GAMMA_HIGH = -_GAMMA_D - _GAMMA_IH, _GAMMA_D + _GAMMA_IH
 
 
 def gamma0_path(sign: int, frame: JacobiFrame) -> PathSpec:
@@ -237,30 +205,53 @@ def gamma0_path(sign: int, frame: JacobiFrame) -> PathSpec:
     cut midway between 1 and 1/k, and returns on the other sheet.  Each run
     is one segment, however long: the quadrature grades its panels.
     """
-    return _gamma0_path(sign, frame, check=False)
-
-
-def _gamma0_path(sign: int, frame: JacobiFrame, check: bool) -> PathSpec:
-    """gamma0_path; with check, PathError where it passes within _CLEARANCE
-    of a branch point or double pole.  Of the candidates (d, h), the first
-    within a relative 1e-12 of the farthest from the poles is built."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    x = frame.u if sign == 1 else frame.v
-    if abs(x) > 1e4:
+    if sign not in (paths := _contours(frame, (sign,))):
         raise PathError("endpoint too close to nu = +-1; use a deck translate")
-    k, d, h = frame.k, _GAMMA_D, _GAMMA_H
-    xc = 0.5 * (1.0 + 1.0 / k)
-    ix = np.full(9, 1j * x)
-    pts = np.array([ix, -d + 1j * x, -d - 1j * h, xc - 1j * h, xc + 1j * h,
-                    d + 1j * h, d + 1j * x, ix])
+    return paths[sign]
+
+
+def _contours(frame: JacobiFrame, signs, check: bool = False) -> dict:
+    """The closing paths over the given signs, keyed by sign, then loops A
+    and B, keyed "A" and "B", chosen from one _distances table of every
+    candidate segment: each closing path's nine (d, h) and loop A's default
+    and fallback edges.  Of a closing path's candidates, the first within a
+    relative 1e-12 of the farthest from the poles is built; it is left out
+    where its endpoint lies beyond 1e4 or, with check, where it passes
+    within _CLEARANCE of a branch point or double pole.  Both loops take the
+    height farthest from the poles: crossing one costs no correctness (the
+    residues vanish) but ruins the quadrature rate."""
+    y = frame.z0.imag  # of both poles, z0 and -conj(z0)
+    k, h = frame.k, max((0.45, 0.3, 0.65, 0.2), key=lambda h: min(abs(y - h), abs(y + h)))
     centers = (1.0, -1.0, 1.0 / k, -1.0 / k, frame.z0, -frame.z0.conjugate())
-    dist = _distances(pts[:-1].ravel(), pts[1:].ravel(), centers).reshape(len(pts) - 1, 9, -1)
-    clearance = dist[..., 4:].min(axis=(0, 2))
-    best = np.argmax(clearance >= clearance.max() * (1.0 - 1e-12))
-    if check:
-        _check_clearance(dist[:, best], centers)
-    return PathSpec(points=tuple(complex(z) for z in pts[:, best]), sheet=-1)
+    xc = 0.5 * (1.0 + 1.0 / k)
+    signs = [s for s in signs if abs(frame.u if s == 1 else frame.v) <= 1e4]
+    ix = 1j * np.array([frame.u if s == 1 else frame.v for s in signs]).reshape(-1, 1)
+    # the eight points of each closing path's nine candidates: (point, sign, candidate)
+    pts = np.empty((8, len(signs), 9), complex)
+    pts[0] = pts[7] = ix
+    pts[1], pts[2], pts[3] = -_GAMMA_D + ix, _GAMMA_LOW, xc - _GAMMA_IH
+    pts[4], pts[5], pts[6] = xc + _GAMMA_IH, _GAMMA_HIGH, _GAMMA_D + ix
+    xa = min(1.2, xc)
+    edges = np.concatenate(([xa], 1.0 + np.array([1.0, 0.5, 1.5, 0.25, 1.75]) * (xa - 1.0)))
+    dist = _distances(np.concatenate((pts[:-1].ravel(), edges - 1j * h)),
+                      np.concatenate((pts[1:].ravel(), edges + 1j * h)), centers)
+    paths = dist[:-6].reshape(7, len(signs), 9, 6)
+    clearance = paths[..., 4:].min(axis=(0, 3))
+    best = np.argmax(clearance >= clearance.max(axis=1, keepdims=True) * (1.0 - 1e-12), axis=1)
+    out = {}
+    for i, (s, j) in enumerate(zip(signs, best.tolist())):
+        if not (check and (paths[:, i, j] < _CLEARANCE).any()):
+            out[s] = PathSpec(points=tuple(pts[:, i, j].tolist()), sheet=-1)
+    gaps = dist[-6:]
+    if gaps[0, 4:].min() < 0.1:  # a pole near the default edge: the fallback
+        xa = float(edges[1:][gaps[1:, [0, 2, 4, 5]].min(axis=1).argmax()])
+    out["A"] = PathSpec(points=(-1j * h, xa - 1j * h, xa + 1j * h, -xa + 1j * h,
+                                -xa - 1j * h, -1j * h), sheet=1)
+    xB = 1.0 / k + max(0.25, 0.25 * (1.0 / k - 1.0))
+    out["B"] = PathSpec(points=(-1j * h, 1j * h, xB + 1j * h, xB - 1j * h, -1j * h), sheet=1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +284,11 @@ del _half_x
 _POW3 = 3.0 ** np.arange(28)
 
 
-def _layout(z1, z2, centers) -> list[np.ndarray]:
-    """Panel breakpoints of each segment [z1, z2], as fractions from 0 to 1:
-    each panel is at most twice as long as its distance from the nearest
-    center (branch point or double pole).
+def _layout(z1, z2, centers) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The panels of the segments [z1, z2], segment by segment: the ends ta <
+    tb of each, as fractions from 0 to 1, and its segment's index.  Each
+    panel is at most twice as long as its distance from the nearest center
+    (branch point or double pole).
 
     In the segment's own coordinate, where it runs from 0 to 1, a center
     lies at t0 + i h; the squared distances of two centers differ by a linear
@@ -323,14 +315,10 @@ def _layout(z1, z2, centers) -> list[np.ndarray]:
     grid = np.where((lo < grid) & (grid < hi), grid, 1.0).reshape(len(grid), -1)
     t = np.sort(np.concatenate((np.where(lo < hi, lo, 0.0)[..., 0], grid,
                                 np.ones((len(grid), 1))), axis=1), axis=1)
-    keep = np.diff(t, axis=1, prepend=-1.0) > 0.0
-    t, ends = t[keep], np.cumsum(keep.sum(axis=1)).tolist()
-    return [t[a:b] for a, b in zip([0] + ends, ends)]
-
-
-def _halve(t: np.ndarray) -> np.ndarray:
-    """The breakpoints t with the midpoint of each panel added."""
-    return np.append(np.column_stack((t[:-1], 0.5 * (t[:-1] + t[1:]))).ravel(), t[-1])
+    # a panel ends at each breakpoint past the last, and starts at the one
+    # before it, which equals the last
+    ends = t[:, 1:] > t[:, :-1]
+    return t[:, :-1][ends], t[:, 1:][ends], np.nonzero(ends)[0]
 
 
 def _track_runs(geom: _Geometry, zs: np.ndarray, starts, heads: np.ndarray):
@@ -361,59 +349,48 @@ def _track_sheet(geom: _Geometry, zs: np.ndarray, starts, heads=(0,)) -> np.ndar
     return s * sign
 
 
-@dataclass(eq=False)
-class _Segment:
-    """A path segment [z1, z2] on its way through the levels of _integrate."""
-
-    z1: complex
-    z2: complex
-    t: np.ndarray  # panel breakpoints, fractions from 0 to 1
-    vals: list
-    open_: list  # indices of the values still refining
-    end: tuple | None = None  # (sqrt(Q(z2)), sign of the tracked w there) once settled
-
-
-def _sweep(geom: _Geometry, integrand, segs: list[_Segment]) -> None:
+def _sweep(geom: _Geometry, integrand, segs: SimpleNamespace) -> None:
     """One refinement level of the open segments, with one sheet track, one
     integrand call and one reduction by both rules: each segment's panels
     (their 33 nodes each, then z2) are tracked from the principal sqrt(Q(z1)).
     An ambiguous track halves every panel of that segment.  Otherwise each
     open value whose Kronrod and Gauss sums agree to 1e-10 relative (1e-13
     absolute) keeps its Kronrod sum; a value left open halves the panels, and
-    once none is left open the segment keeps its end."""
-    counts = np.array([len(seg.t) - 1 for seg in segs])  # panels per segment
-    t = np.concatenate([seg.t for seg in segs])
-    last = np.cumsum(counts + 1) - 1  # each segment's breakpoint 1
-    ta, tb = np.delete(t, last), np.delete(t, last - counts)
-    z1 = np.array([seg.z1 for seg in segs])
-    dz = np.repeat([seg.z2 - seg.z1 for seg in segs], counts)
+    once none is left open the segment keeps its end.  segs holds flat arrays:
+    the segments z1, z2; the open ones' panels ta < tb (fractions) and their
+    segment seg, in order; the (value, segment) vals and open_ flags; and the
+    settled ones' sqrt(Q(z2)) s_end and tracked sign there sign_end (else 0)."""
+    ta, tb, seg = segs.ta, segs.tb, segs.seg
+    first = np.concatenate(([True], seg[1:] != seg[:-1]))
+    lo = np.flatnonzero(first)  # each open segment's first panel
+    ids, rank, n = seg[lo], np.cumsum(first) - 1, len(lo)
+    dz = (segs.z2 - segs.z1)[seg]
     half = 0.5 * (tb - ta) * dz
-    mids = np.repeat(z1, counts) + 0.5 * (ta + tb) * dz
+    mids = segs.z1[seg] + 0.5 * (ta + tb) * dz
     nodes = (mids[:, None] + half[:, None] * _RULE_X).ravel()
-    lo = np.cumsum(counts) - counts  # each segment's first panel
-    heads = 33 * lo + np.arange(len(segs))  # its first node in zs, where z2 follows them
-    ends = heads + 33 * counts
-    zs = np.insert(nodes, ends - np.arange(len(segs)), [seg.z2 for seg in segs])
-    s, sign, bad = _track_runs(geom, zs, np.sqrt(geom.Q(z1)), heads)
+    # zs holds each segment's nodes, then its z2
+    at = (np.arange(len(nodes)).reshape(-1, 33) + rank[:, None]).ravel()
+    heads = 33 * lo + np.arange(n)
+    ends = np.append(heads[1:], len(nodes) + n) - 1
+    zs = np.empty(len(nodes) + n, complex)
+    zs[at], zs[ends] = nodes, segs.z2[ids]
+    s, sign, bad = _track_runs(geom, zs, np.sqrt(geom.Q(segs.z1[ids])), heads)
     # each panel's sums by a product and a sum over its own 33 nodes, so that
     # they round as for a lone segment, whatever the other segments
-    f = np.reshape(integrand(nodes, np.delete(s * sign, ends)), (-1, len(half), 1, 33))
+    f = np.reshape(integrand(nodes, (s * sign)[at]), (-1, len(half), 1, 33))
     sums = np.add.reduceat((f * _RULE_W).sum(axis=-1) * half[:, None], lo, axis=1)
-    kron, excess = np.moveaxis(sums, -1, 0)
-    settled = (np.abs(excess)
-               <= np.maximum(1e-13, 1e-10 * np.maximum(np.abs(kron), 1.0))).T.tolist()
-    kron = kron.T.tolist()
-    for seg, ok, vals, e, failed in zip(segs, settled, kron, ends,
-                                        np.logical_or.reduceat(bad, heads)):
-        if not failed:
-            for i in seg.open_:
-                if ok[i]:
-                    seg.vals[i] = vals[i]
-            seg.open_ = [i for i in seg.open_ if not ok[i]]
-            if not seg.open_:
-                seg.end = (s[e], sign[e])
-                continue
-        seg.t = _halve(seg.t)
+    kron, excess = sums[..., 0], sums[..., 1]
+    ok = (np.abs(excess) <= np.maximum(1e-13, 1e-10 * np.maximum(np.abs(kron), 1.0))) \
+        & ~np.logical_or.reduceat(bad, heads)
+    open_ = segs.open_[:, ids]
+    segs.vals[:, ids] = np.where(ok & open_, kron, segs.vals[:, ids])
+    segs.open_[:, ids] = open_ = open_ & ~ok
+    done = ~open_.any(axis=0)
+    segs.s_end[ids[done]], segs.sign_end[ids[done]] = s[ends[done]], sign[ends[done]]
+    keep = ~done[rank]
+    ta, tb = np.repeat(ta[keep], 2), np.repeat(tb[keep], 2)
+    ta[1::2] = tb[::2] = 0.5 * (ta[::2] + tb[::2])
+    segs.ta, segs.tb, segs.seg = ta, tb, np.repeat(seg[keep], 2)
 
 
 def _integrate(geom: _Geometry, integrand, count: int, *paths: PathSpec) -> list:
@@ -421,11 +398,13 @@ def _integrate(geom: _Geometry, integrand, count: int, *paths: PathSpec) -> list
     returns each path's (values, final w), or raises ContinuationError at
     the first segment, in path order, that did not settle.
 
-    Every segment's panels are laid out at once (_layout), graded by distance
-    to the branch points and double poles, and each panel takes the 33-point
-    Kronrod rule with the 16-point Gauss rule nested in it, so that a value
-    settles on one level when the two agree.  Each of at most 13 levels is
-    one _sweep of the open segments of all paths, and a segment with an
+    Each distinct segment of the paths is integrated once, tracked from the
+    principal sqrt(Q) at its own start, and its values serve every path it
+    lies on.  Every segment's panels are laid out at once (_layout), graded
+    by distance to the branch points and double poles, and each panel takes
+    the 33-point Kronrod rule with the 16-point Gauss rule nested in it, so
+    that a value settles on one level when the two agree.  Each of at most
+    13 levels is one _sweep of the open segments, and a segment with an
     ambiguous track or an open value has every panel halved for the next.
     The sheets of the segments are chained along each path afterwards, exact
     as the integrands are odd in w.  Every value is bit for bit as if
@@ -433,25 +412,30 @@ def _integrate(geom: _Geometry, integrand, count: int, *paths: PathSpec) -> list
     levels under 16 384 nodes: numpy elides the temporaries of larger arrays
     (256 KiB of complex values), which can round a complex product otherwise.
     """
-    pairs = [(z1, z2) for path in paths
-             for z1, z2 in zip(path.points[:-1], path.points[1:]) if z1 != z2]
-    layouts = iter(_layout(*zip(*pairs), geom.branch_points + geom.poles) if pairs else ())
-    per_path = [[_Segment(z1, z2, next(layouts), [None] * count, list(range(count)))
-                 for z1, z2 in zip(path.points[:-1], path.points[1:]) if z1 != z2]
-                for path in paths]
+    index: dict = {}  # each distinct segment (z1, z2), in path order
+    runs = [[index.setdefault(zz, len(index)) for zz in zip(path.points[:-1], path.points[1:])
+             if zz[0] != zz[1]] for path in paths]
+    n = len(index)
+    z1, z2 = np.array(list(index), complex).reshape(n, 2).T
+    ta, tb, seg = _layout(z1, z2, geom.branch_points + geom.poles) if n else ([], [], [])
+    segs = SimpleNamespace(z1=z1, z2=z2, ta=ta, tb=tb, seg=seg, s_end=np.zeros(n, complex),
+                           vals=np.zeros((count, n), complex), open_=np.ones((count, n), bool),
+                           sign_end=np.zeros(n))
     for _ in range(13):
-        if open_ := [seg for segs in per_path for seg in segs if seg.end is None]:
-            _sweep(geom, integrand, open_)
+        if len(segs.seg):
+            _sweep(geom, integrand, segs)
+    pairs, vals = list(index), segs.vals.T.tolist()
+    s_end, sign_end = segs.s_end.tolist(), segs.sign_end.tolist()
     out = []
-    for path, segs in zip(paths, per_path):
+    for path, run in zip(paths, runs):
         sign, w = float(path.sheet), path.sheet * cmath.sqrt(geom.Q(path.points[0]))
         totals = [0.0 + 0.0j] * count
-        for seg in segs:
-            if seg.end is None:
-                raise ContinuationError(f"no quadrature convergence on [{seg.z1!r}, {seg.z2!r}]")
-            totals = [t + (v if sign > 0 else -v) for t, v in zip(totals, seg.vals)]
-            sign *= seg.end[1]
-            w = complex(seg.end[0] * sign)
+        for i in run:
+            if not sign_end[i]:
+                raise ContinuationError("no quadrature convergence on [%r, %r]" % pairs[i])
+            totals = [t + (v if sign > 0 else -v) for t, v in zip(totals, vals[i])]
+            sign *= sign_end[i]
+            w = complex(s_end[i] * sign)
         out.append((totals, w))
     return out
 
@@ -468,7 +452,11 @@ def contour_integral(kind: str, path: PathSpec, frame: JacobiFrame) -> complex:
     centers = list(geom.branch_points)
     if kind in _POLE_KINDS:
         centers += list(geom.poles)
-    _check_clearance(_distances(path.points[:-1], path.points[1:], centers), centers)
+    d = _distances(path.points[:-1], path.points[1:], centers)
+    if (near := np.argwhere(d < _CLEARANCE)).size:
+        i, j = near[0]
+        raise PathError(f"path passes within {d[i, j]:.2e} of {centers[j]!r} "
+                        f"(clearance {_CLEARANCE:.2e})")
     [((value,), _)] = _integrate(geom, lambda z, w: (coeff(z, w),), 1, path)
     return value
 
@@ -537,14 +525,12 @@ def gamma_closing_values(frame: JacobiFrame) -> dict[tuple[str, int | str], comp
     A segment that does not settle raises ContinuationError.
     """
     geom = _Geometry(frame)
-    out, paths = {}, {}
+    paths = _contours(frame, (1, -1), check=True)
+    out = {}
     for s in (1, -1):
         out[("theta_E", s)] = theta_E_gamma(s, frame.pair)
-        try:
-            paths[s] = _gamma0_path(s, frame, check=True)
-        except PathError:
+        if s not in paths:
             out[("theta_P", s)] = _theta_P_gamma_value(s, frame)
-    paths.update(A=loop_A(frame), B=loop_B(frame))
     results = _integrate(geom, geom.pair(), 2, *paths.values())
     for key, ((quad_E, quad_P), _) in zip(paths, results):
         out[("theta_P", key)] = quad_P
@@ -576,15 +562,26 @@ _THETAS = np.linspace(0.0, TWO_PI, 128, endpoint=False)
 _CIRCLE = np.exp(1j * _THETAS)
 
 
-def _laurent(geom: _Geometry, centers, rhos, coeff, orders) -> list[dict[int, complex]]:
-    """Laurent coefficients of coeff(z, w) at each center, on its circle of
-    128 samples and radius rho: all circles tracked in one _track_runs call,
-    each from the principal square root at its first sample, and one coeff call."""
+@cache
+def _rows(orders: tuple) -> np.ndarray:
+    """The projection rows exp(-i m theta) of the orders m on the samples."""
+    return np.exp(-1j * np.multiply.outer(orders, _THETAS))
+
+
+def _circles(geom: _Geometry, centers, rhos) -> tuple[np.ndarray, np.ndarray]:
+    """The 128 samples of each center's Laurent circle of radius rho, and w
+    there, tracked around each circle from the principal square root at its
+    first sample: all circles in one _track_sheet call."""
     zs = np.concatenate([center + rho * _CIRCLE for center, rho in zip(centers, rhos)])
     heads = np.arange(0, len(zs), 128)
-    vals = np.asarray(coeff(zs, _track_sheet(geom, zs, np.sqrt(geom.Q(zs[heads])), heads)))
-    powers = np.exp(-1j * np.multiply.outer(orders, _THETAS))
-    means = (vals.reshape(*vals.shape[:-1], len(centers), 1, 128) * powers).mean(axis=-1)
+    return zs, _track_sheet(geom, zs, np.sqrt(geom.Q(zs[heads])), heads)
+
+
+def _project(vals: np.ndarray, rhos, orders) -> list[dict[int, complex]]:
+    """Laurent coefficients of the given orders at each circle of _circles,
+    from a coefficient's values on their samples (the last axis of vals)."""
+    means = (vals.reshape(*vals.shape[:-1], len(rhos), 1, 128)
+             * _rows(tuple(orders))).sum(axis=-1) / 128
     return [{mth: means[..., j, i] / rho ** mth for i, mth in enumerate(orders)}
             for j, rho in enumerate(rhos)]
 
@@ -601,8 +598,9 @@ def laurent_coefficients(kind: str, center: complex, frame: JacobiFrame,
     coefficients at once, like _Geometry.pair, gives an array per order.
     """
     geom = _Geometry(frame)
-    coeff = coeff or geom.coefficient(kind)
-    return _laurent(geom, [center], [_pole_radius(geom, center)], coeff, orders)[0]
+    rho = _pole_radius(geom, center)
+    vals = (coeff or geom.coefficient(kind))(*_circles(geom, [center], [rho]))
+    return _project(np.asarray(vals), [rho], orders)[0]
 
 
 def theta_P_characterization_check(frame: JacobiFrame) -> float:
@@ -611,8 +609,7 @@ def theta_P_characterization_check(frame: JacobiFrame) -> float:
     The period-normalized differential is characterized by this ratio being
     purely imaginary; the returned deviation should vanish to 1e-8.
     """
-    geom = _Geometry(frame)
-    cE, cP = _laurent(geom, [frame.z0], [_pole_radius(geom, frame.z0)], geom.pair(), (-2,))[0][-2]
+    cE, cP = laurent_coefficients("", frame.z0, frame, (-2,), _Geometry(frame).pair())[-2]
     return (cP / cE).real
 
 
@@ -821,12 +818,19 @@ def hitchin_checklist(frame: JacobiFrame,
     entries.append(ChecklistEntry("P2 no circle zeros", 0.0 if margin > 0 else 1.0,
                                   f"distance of branch points to circle: {margin:.3e}"))
 
-    pair = geom.pair(closing)
-    pole_res = 0.0
-    # both circles in one sheet track and one evaluation of the pair
     rhos = [_pole_radius(geom, center) for center in geom.poles]
-    laurent = _laurent(geom, geom.poles, rhos, pair, (-2, -1))
+    circles, w_circles = _circles(geom, geom.poles, rhos)
+    # sample points near the unit-circle image for the symmetry checks
+    z = test_z[np.abs(test_z[:, None] - np.array(geom.branch_points + geom.poles)).min(axis=1)
+               > 0.15]
+    w = np.sqrt(geom.Q(z))
+    # one evaluation of the pair: on both Laurent circles, and at (z, w),
+    # (z, -w) and (-conj z, conj w)
+    vals = np.array(geom.pair(closing)(np.concatenate((circles, z, z, -z.conj())),
+                                       np.concatenate((w_circles, w, -w, w.conj()))))
+    laurent = _project(vals[:, :len(circles)], rhos, (-2, -1))
     c2 = laurent[0][-2]  # leading coefficient at z0 of each differential, for P9
+    pole_res = 0.0
     for rho, cs in zip(rhos, laurent):
         for lead, residue in zip(cs[-2], cs[-1]):
             if abs(lead) < 1e-10:
@@ -835,13 +839,7 @@ def hitchin_checklist(frame: JacobiFrame,
     entries.append(ChecklistEntry("P3 double poles, no residues", float(pole_res),
                                   "normalized residue at the poles over 0, infinity"))
 
-    # sample points near the unit-circle image for the symmetry checks
-    z = test_z[np.abs(test_z[:, None] - np.array(geom.branch_points + geom.poles)).min(axis=1)
-               > 0.15]
-    w = np.sqrt(geom.Q(z))
-    # the pair at (z, w), (z, -w) and (-conj z, conj w), in one call
-    f, f_sigma, f_rho = np.split(np.array(pair(np.concatenate((z, z, -z.conj())),
-                                               np.concatenate((w, -w, w.conj())))), 3, axis=1)
+    f, f_sigma, f_rho = np.split(vals[:, len(circles):], 3, axis=1)
     scale = np.maximum(1.0, np.abs(f))
     sig_res = (np.abs(f_sigma + f) / scale).max(initial=0.0)
     rho_res = (np.abs(f_rho - f.conj()) / scale).max(initial=0.0)

@@ -103,21 +103,19 @@ def _dt0_du(p, k, K, E, u, v, wu=None, wv=None):
 
 
 def _scaled_w(k, x):
-    """(s, omega, w(ix) - k x^2) of a chart value x, s = max(1, |x|) and
-    omega = w(ix)/s^2, none of which overflows: where |x| > 1, x^2 is divided
-    out of w(ix) and of both parts of _w_terms' (1 + (1 + k^2) x^2)/(w(ix) + k x^2)."""
+    """(s, omega) of a chart value x, s = max(1, |x|) and omega = w(ix)/s^2,
+    neither of which overflows: where |x| > 1, x^2 is divided out of w(ix)."""
     if abs(x) <= 1.0:
-        return (1.0, *_w_terms(x, k))
+        return 1.0, _w(x, k)
     r = 1.0 / x
-    omega = math.sqrt((r * r + 1.0) * (r * r + k * k))
-    return abs(x), omega, (r * r + 1.0 + k * k) / (omega + k)
+    return abs(x), math.sqrt((r * r + 1.0) * (r * r + k * k))
 
 
 def _dt0_du_far(p, k, K, E, u, v):
     """_dt0_du where its form overflows, each term divided by (u - v)^2 first:
     (pi/2) dT0/du = [K poly/(u-v)^2 - E]/w(iu) + p K w(iv)/(u-v)^2, poly/(u-v)^2
     in a = u/(u-v) and b = v/(u-v), and w(ix) = s^2 omega (_scaled_w)."""
-    (su, ou, _), (sv, ov, _) = _scaled_w(k, u), _scaled_w(k, v)
+    (su, ou), (sv, ov) = _scaled_w(k, u), _scaled_w(k, v)
     d = u - v
     a, b, e, y = u / d, v / d, 1.0 / d, sv / d
     kub = k * b * (u / su)
@@ -145,15 +143,16 @@ def t0_raw(p: float, k: float, u: float, v: float) -> float:
 
     2 pi T0 = 4p[E Im F(iv) - K Im(E(iv)-kiv)]
             - 4 [E Im F(iu) - K Im(E(iu)-kiu)] - 4K * bracket(u, v).
-    Where the square of u or v overflows _bracket, its terms are divided by
-    u - v first; ValueError where T0 itself overflows.
+    Where the square of u or v (past about 1e154) overflows _bracket, its
+    term (p + 1) k u v/(u - v) alone is kept, divided by u - v first: |u - v|,
+    an ulp there at least, passes 1e138, and leaves the rest below rounding.
+    ValueError where T0 itself overflows.
     """
     p, k, K, E, u, v = _chart_args(p, k, u, v)
     (fu, *_), (fv, *_) = terms = [_chart_terms(k, K, E, x, *_axis_angle(x)) for x in (u, v)]
     value = _t_tilde(p, k, K, *terms)
     if not math.isfinite(value):
-        d, mu, mv = u - v, _scaled_w(k, u)[2], _scaled_w(k, v)[2]
-        bracket = (p * mv + mu) / d + (p + 1.0) * k * u * (v / d)
+        bracket = (p + 1.0) * k * u * (v / (u - v))
         value = (4.0 * p * fv - 4.0 * fu - 4.0 * K * bracket) / TWO_PI
     return _finite(value, u, v)
 

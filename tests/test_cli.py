@@ -685,6 +685,33 @@ class TestVerify:
         assert "4/5 invariants passed" in captured.out
         assert '"k": 1e-06' in captured.err
 
+    @pytest.mark.parametrize("name, invariant, drawn", [
+        ("theta_P_characterization_check", "principal part characterization", True),
+        ("hitchin_checklist", "checklist on a constructed closing pair", False),
+    ])
+    def test_an_exception_fails_its_invariant_alone(self, monkeypatch, capsys, name,
+                                                    invariant, drawn):
+        # an exception inside one invariant is that invariant's failure: a
+        # nan residual, and a replay sample that names the exception, after
+        # the draw it was raised on where the suite knows it.  Every other
+        # invariant still runs and passes, and verify exits 3
+        from harmonictori import verify
+
+        def raising(*args):
+            raise RuntimeError("raised on purpose")
+        monkeypatch.setattr(verify, name, raising)
+        assert main(["verify", "--suite", "differentials"]) == 3
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert len(lines) == 5 and lines[-1] == "3/4 invariants passed (suite=differentials, seed=0)"
+        [failed] = [line for line in lines if line.startswith("[FAIL]")]
+        assert failed.startswith(f"[FAIL] {invariant}: max residual nan (")
+        [line] = captured.err.splitlines()
+        sample = json.loads(line.removeprefix("replay sample: "))
+        assert sample.pop("invariant") == invariant
+        assert sample.pop("error") == "RuntimeError: raised on purpose"
+        assert list(sample) == (["alpha", "beta"] if drawn else [])
+
     def test_unknown_suite_rejected(self):
         proc = run_cli(["verify", "--suite", "nonsense"])
         assert proc.returncode == 1

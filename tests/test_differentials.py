@@ -8,26 +8,28 @@ import random
 import re
 from fractions import Fraction
 from functools import cache
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from harmonictori import curves, differentials, moduli
+from harmonictori import curves, differentials, moduli, verify
 from harmonictori.curves import (
     BranchPair, ModuliPoint, angle_rescale, build_frame, inverse_coords,
 )
 from harmonictori.differentials import (
     _RULE_W, _RULE_X, ContinuationError, PathError, PathSpec, PoleError,
-    _Geometry, _Segment, _gamma_imag, _integrate, _sweep, _theta_P_gamma_value,
+    _Geometry, _gamma_imag, _integrate, _sweep, _theta_P_gamma_value,
     _track_sheet, construct_psi, contour_integral,
     eta_plus, gamma0_path, gamma_closing_values, hitchin_checklist, laurent_coefficients, loop_A,
     loop_B, monodromy_track, theta_E_gamma, theta_P_characterization_check,
     theta_P_gamma_closed,
 )
 from harmonictori.elliptic import (
-    _chart_value, _complete_KE, _half_angle, complementary_modulus, complete_E, complete_K,
+    _chart_value, _complete_KE, _half_angle, complementary_KE, complementary_modulus, complete_E,
+    complete_K,
 )
 from harmonictori.config import DEFAULTS
 from harmonictori.moduli import (
@@ -130,6 +132,39 @@ class TestPeriodTable:
                 scale = max(1.0, abs(expect))
                 assert abs(val - expect) / scale < 1e-8, (kind, val, expect)
 
+    def test_loop_A_fallback_edges_keep_the_periods(self, monkeypatch):
+        # of 300 pairs from verify's draw with |z| <= 0.97, those with a
+        # double pole within 0.1 of loop A's default edge x = min(1.2,
+        # (1 + 1/k)/2) move the edge between 1 and 1/k; the loops keep the
+        # periods 4K and 2iK' of dz/w, and the checklist's quadrature pass
+        # integrates the same loops
+        rng = np.random.default_rng(24)
+        passes, inner = [], differentials._integrate
+
+        def recorded(geom, integrand, count, *paths):
+            passes.append(paths)
+            return inner(geom, integrand, count, *paths)
+        monkeypatch.setattr(differentials, "_integrate", recorded)
+        taken = 0
+        for _ in range(300):
+            fr = build_frame(verify._random_pair(rng, 0.97))
+            A, B = loop_A(fr), loop_B(fr)
+            xa, h = min(1.2, 0.5 * (1.0 + 1.0 / fr.k)), A.points[2].imag
+            if min(math.hypot(p.real - xa, max(0.0, abs(p.imag) - h))
+                   for p in (fr.z0, -fr.z0.conjugate())) >= 0.1:
+                continue
+            taken += 1
+            assert 1.0 < A.points[1].real < 1.0 / fr.k
+            Kp, _ = complementary_KE(fr.k)
+            assert abs(contour_integral("omega", A, fr) - 4.0 * complete_K(fr.k)) < 1e-8
+            assert abs(contour_integral("omega", B, fr) - 2j * Kp) < 1e-8
+            passes.clear()
+            vals = gamma_closing_values(fr)
+            assert passes[0][-2:] == (A, B)
+            assert abs(vals[("theta_P", "A")]) < 1e-8
+            assert abs(vals[("theta_P", "B")] - 2j * math.pi) < 1e-8
+        assert taken >= 5
+
     def test_axis_route_oracle_for_B_periods(self):
         # independent realization of the B-cycle along the imaginary axis:
         # the first kind integrates directly; the second kind has its pole at
@@ -220,8 +255,9 @@ class TestSheetTracking:
         # the first segment grazes the branch point 1 at distance 0.005; on 17
         # equal panels the sheet cannot be followed there, and the level's sweep
         # halves that segment's panels alone, while the other settles on its
-        # first level.  Laid out by distance, the grazing segment needs no
-        # halving, and the integral matches the lone loop bit for bit
+        # first level and leaves the level's panels.  Laid out by distance,
+        # the grazing segment needs no halving, and the integral matches the
+        # lone loop bit for bit
         fr = self.FRAME
         geom = _Geometry(fr)
         z1, z2 = 1.005 - 2j, 1.005 + 2j
@@ -229,13 +265,18 @@ class TestSheetTracking:
         equal = np.linspace(0.0, 1.0, 18)
         with pytest.raises(ContinuationError):
             reference_walk_segment(geom, [omega], z1, z2, cmath.sqrt(geom.Q(z1)), equal)
-        grazing = _Segment(z1, z2, equal, [None], [0])
-        easy = _Segment(-1.2 + 2j, -1.2 - 2j, equal, [None], [0])
-        _sweep(geom, lambda z, w: (omega(z, w),), [grazing, easy])
-        assert (len(grazing.t), grazing.vals, grazing.end) == (35, [None], None)
-        assert np.array_equal(grazing.t[::2], equal)
-        assert (len(easy.t), easy.vals[0] is not None, easy.end is not None) == (18, True, True)
-        [t] = differentials._layout([z1], [z2], geom.branch_points + geom.poles)
+        segs = SimpleNamespace(
+            z1=np.array([z1, -1.2 + 2j]), z2=np.array([z2, -1.2 - 2j]), ta=np.tile(equal[:-1], 2),
+            tb=np.tile(equal[1:], 2), seg=np.repeat([0, 1], 17), vals=np.zeros((1, 2), complex),
+            open_=np.ones((1, 2), bool), s_end=np.zeros(2, complex), sign_end=np.zeros(2))
+        _sweep(geom, lambda z, w: (omega(z, w),), segs)
+        assert np.array_equal(segs.seg, np.zeros(34, int))
+        assert np.array_equal(np.append(segs.ta, 1.0)[::2], equal)
+        assert np.array_equal(segs.tb, np.append(segs.ta[1:], 1.0))
+        assert segs.open_.tolist() == [[True, False]]
+        assert (segs.vals[0, 0], segs.sign_end[0]) == (0.0, 0.0)
+        assert segs.vals[0, 1] != 0.0 and abs(segs.sign_end[1]) == 1.0
+        t = layout_one(z1, z2, geom.branch_points + geom.poles)
         reference_walk_segment(geom, [omega], z1, z2, cmath.sqrt(geom.Q(z1)), t)
         path = PathSpec(points=(z1, z2, -1.2 + 2j, -1.2 - 2j, z1), sheet=1)
         val = contour_integral("omega", path, fr)
@@ -247,6 +288,23 @@ class TestSheetTracking:
 
 def bits(z):
     return z.real.hex(), z.imag.hex()
+
+
+def layout_one(z1, z2, centers):
+    """The breakpoints of the panels _layout gives the one segment [z1, z2]."""
+    ta, tb, seg = differentials._layout([z1], [z2], centers)
+    assert not seg.any() and np.array_equal(ta[1:], tb[:-1])
+    return np.append(ta, tb[-1])
+
+
+def halve(t):
+    """The breakpoints t with the midpoint of each panel added."""
+    return np.append(np.column_stack((t[:-1], 0.5 * (t[:-1] + t[1:]))).ravel(), t[-1])
+
+
+def level_nodes(segs):
+    """The points a level of _sweep tracks: 33 nodes a panel and one z2 a segment."""
+    return 33 * len(segs.seg) + len(set(segs.seg.tolist()))
 
 
 def spectral_frame(S, T, k=0.5, angle=0.3):
@@ -293,13 +351,13 @@ def reference_integrate(geom, coeffs, path, walk=reference_walk_segment):
     for z1, z2 in zip(path.points[:-1], path.points[1:]):
         if z1 == z2:
             continue
-        [t] = differentials._layout([z1], [z2], geom.branch_points + geom.poles)
+        t = layout_one(z1, z2, geom.branch_points + geom.poles)
         vals, open_ = [None] * len(coeffs), range(len(coeffs))
         for _ in range(13):
             try:
                 new, w_end = walk(geom, [coeffs[i] for i in open_], z1, z2, w, t)
             except ContinuationError:
-                t = differentials._halve(t)
+                t = halve(t)
                 continue
             still = []
             for i, (kron, excess) in zip(open_, new):
@@ -310,7 +368,7 @@ def reference_integrate(geom, coeffs, path, walk=reference_walk_segment):
             open_ = still
             if not open_:
                 break
-            t = differentials._halve(t)
+            t = halve(t)
         else:
             raise ContinuationError(f"no quadrature convergence on [{z1!r}, {z2!r}]")
         totals = [total + v for total, v in zip(totals, vals)]
@@ -356,7 +414,7 @@ class TestFusedQuadrature:
         one_open = [0]  # segment levels that refined one value only
 
         def counted(geom, integrand, segs):
-            one_open[0] += sum(len(seg.open_) == 1 for seg in segs)
+            one_open[0] += int((segs.open_[:, np.unique(segs.seg)].sum(axis=0) == 1).sum())
             return _sweep(geom, integrand, segs)
         monkeypatch.setattr(differentials, "_sweep", counted)
         frames = [random_frame() for _ in range(6)] + [spectral_frame(1, 1, k=0.75), SMALL_K]
@@ -417,16 +475,13 @@ class TestFusedQuadrature:
         # path's values and final w bit for bit as that path integrated alone
         fr = spectral_frame(1, 1, k=1e-6)
         geom = _Geometry(fr)
-        paths = [loop_A(fr), loop_B(fr)]
-        for sign in (1, -1):
-            try:
-                paths.append(differentials._gamma0_path(sign, fr, check=True))
-            except PathError:
-                continue
+        paths = [loop_A(fr), loop_B(fr)] + [
+            path for key, path in differentials._contours(fr, (1, -1), check=True).items()
+            if key in (1, -1)]
         sizes = []
 
         def counted(geom, integrand, segs):
-            sizes.append(sum(33 * (len(seg.t) - 1) + 1 for seg in segs))
+            sizes.append(level_nodes(segs))
             return _sweep(geom, integrand, segs)
         monkeypatch.setattr(differentials, "_sweep", counted)
         together = _integrate(geom, geom.pair(), 2, *paths)
@@ -1139,15 +1194,16 @@ class TestChecklist:
         # checklist with its own message, after the closing paths settled.
         # No curve of the domain is known to do so any longer (the pair of
         # TestGradedPanels::test_pair_near_k_one_completes did), so the sweep
-        # here leaves loop A's segments open
+        # here drops the panels of loop A's segments, which stay open
         fr = spectral_frame(Fraction(1, 3), Fraction(1, 4))
         corners = loop_A(fr).points
         inner = differentials._sweep
 
         def stuck(geom, integrand, segs):
-            others = [seg for seg in segs if seg.z1 not in corners]
-            if others:
-                inner(geom, integrand, others)
+            others = ~np.isin(segs.z1[segs.seg], corners)
+            segs.ta, segs.tb, segs.seg = segs.ta[others], segs.tb[others], segs.seg[others]
+            if others.any():
+                inner(geom, integrand, segs)
         cd = construct_psi(Fraction(1, 3), Fraction(1, 4), fr)
         monkeypatch.setattr(differentials, "_sweep", stuck)
         message = f"no quadrature convergence on [{corners[0]!r}, {corners[1]!r}]"
@@ -1341,7 +1397,7 @@ class TestGradedPanels:
         if mirror:
             rel = (centers[0] - z1) / (z2 - z1)
             centers = centers + [z1 + rel.conjugate() * (z2 - z1)]
-        [t] = differentials._layout([z1], [z2], centers)
+        t = layout_one(z1, z2, centers)
         assert t[0] == 0.0 and t[-1] == 1.0 and (np.diff(t) > 0.0).all()
         a, b = z1 + t[:-1] * (z2 - z1), z1 + t[1:] * (z2 - z1)
         d = np.maximum(differentials._distances(a, b, centers).min(axis=1),
@@ -1449,7 +1505,7 @@ class TestCensus:
 
         def counted(geom, integrand, segs):
             sweeps[0] += 1
-            nodes.append(sum(33 * (len(seg.t) - 1) + 1 for seg in segs))
+            nodes.append(level_nodes(segs))
             return inner(geom, integrand, segs)
         monkeypatch.setattr(differentials, "_sweep", counted)
         curves = census_curves(bench_inputs, 1)
@@ -1459,3 +1515,55 @@ class TestCensus:
             hitchin_checklist(fr, None if detected is None else construct_psi(*detected, fr))
         assert sweeps[0] <= 1.3 * len(curves)
         assert max(nodes) < 16384
+
+    def test_fixed_structure_per_curve(self, monkeypatch, bench_inputs):
+        # on the census's seed-1 curves one gamma_closing_values call makes
+        # one _distances table for every path choice and one _layout call,
+        # which lays out each distinct segment (z1, z2) of its paths once, in
+        # path order; and the checklist evaluates the pair once for P3-P5
+        # besides once per quadrature level
+        counts = dict.fromkeys(("gamma_closing_values", "_distances", "_layout", "_sweep"), 0)
+        laid_out, passes = [], []
+
+        def counting(name):
+            inner = getattr(differentials, name)
+
+            def counted(*args):
+                counts[name] += 1
+                if name == "_layout":
+                    laid_out.append(list(zip(args[0].tolist(), args[1].tolist())))
+                return inner(*args)
+            monkeypatch.setattr(differentials, name, counted)
+        for name in counts:
+            counting(name)
+        inner_integrate = differentials._integrate
+
+        def recorded(geom, integrand, count, *paths):
+            passes.append(paths)
+            return inner_integrate(geom, integrand, count, *paths)
+        monkeypatch.setattr(differentials, "_integrate", recorded)
+        theta_calls, inner_theta = [0], _Geometry._theta
+
+        def theta(self, z, w):
+            theta_calls[0] += 1
+            return inner_theta(self, z, w)
+        monkeypatch.setattr(_Geometry, "_theta", theta)
+        curves = census_curves(bench_inputs, 1)
+        for bp in curves:
+            fr = build_frame(bp)
+            detected = spectral_test(bp, 50)
+            closing = None if detected is None else construct_psi(*detected, fr)
+            before = dict(counts, theta=theta_calls[0])
+            hitchin_checklist(fr, closing)
+            assert counts["gamma_closing_values"] - before["gamma_closing_values"] == 1
+            assert counts["_distances"] - before["_distances"] == 1
+            assert counts["_layout"] - before["_layout"] == 1
+            assert theta_calls[0] - before["theta"] == 1 + counts["_sweep"] - before["_sweep"]
+            segments = [(z1, z2) for path in passes[-1]
+                        for z1, z2 in zip(path.points[:-1], path.points[1:]) if z1 != z2]
+            assert laid_out[-1] == list(dict.fromkeys(segments))
+        assert len(passes) == len(laid_out) == len(curves)
+        # the closing paths share their three middle segments on most curves
+        shared = sum(len(segs) < sum(len(path.points) - 1 for path in paths)
+                     for segs, paths in zip(laid_out, passes))
+        assert shared > len(curves) / 2

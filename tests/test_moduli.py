@@ -676,6 +676,27 @@ class TestSolver:
         assert free[:2] == [angle, 0.5 * ((lo + edge) + (hi - edge))]
         assert all(lo + edge <= x <= hi - edge for x in free[1:])
 
+    @pytest.mark.parametrize("p, held", [
+        (math.nextafter(1.0, 0.0), "u"), (1.0, "u"), (math.nextafter(1.0, 2.0), "v"),
+        (1.0 + 1e-9, "v"),
+    ], ids=["ulp_below_one", "one", "ulp_above_one", "one_plus_1e-9"])
+    def test_held_angle_switches_just_above_one(self, p, held):
+        # solve_level and the lockstep of sweep_level_set hold u~ for p <= 1
+        # and v~ for p > 1: the held angle keeps its bits, the free one lies
+        # in its band and meets the level, and both solvers agree bit for bit
+        q = 0.25
+        mesh = sweep_level_set(Fraction(p), Fraction(q), 2, 3, 4.0, k_min=0.2, k_max=0.8,
+                               angle_start=-1.5)
+        assert mesh.complete
+        for i, k in enumerate(mesh.k_values):
+            for j, angle in enumerate(mesh.angle_values):
+                mp = solve_level(p, q, k, angle)
+                u, v = float(mesh.u_tilde[i, j]), float(mesh.v_tilde[i, j])
+                assert (mp.u_tilde.hex(), mp.v_tilde.hex()) == (u.hex(), v.hex())
+                assert (u if held == "u" else v).hex() == angle.hex()
+                assert u < v < u + 2 * math.pi
+                assert abs(t_tilde_raw(p, k, u, v) - q) < DEFAULTS.solver_tol
+
     @pytest.mark.parametrize("case", [*solve_cases(41), *solve_cases(43)], ids=str)
     def test_lockstep_point_is_the_scalar_solve_bit_for_bit(self, case):
         # the two level solvers share bracket, start, level, slope and step:
