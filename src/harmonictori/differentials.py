@@ -41,7 +41,7 @@ from .curves import (
     _OFF_CHART, BranchPair, JacobiFrame, S_value, _center, deck_lambda_tilde,
 )
 from .elliptic import TWO_PI, _axis_angle, _chart_value, _check_modulus, _complete_KE, _half_angle
-from .moduli import _chart_terms, _level_part, solve_level, t0_raw
+from .moduli import _chart_terms, solve_level, t0_raw
 
 DIFFERENTIAL_KINDS = ("omega", "e", "epsilon", "theta_E", "theta_P")
 _POLE_KINDS = DIFFERENTIAL_KINDS[2:]  # with double poles; _Geometry._theta's order
@@ -488,10 +488,15 @@ def _gamma_plus(p, k, K, E, u, v, terms=None):
     floats or arrays, given K(k) and E(k) and u's terms when known
     (_gamma_imag): the closed form at u and the chart's z0 (_center) rather
     than the frame of inverse_coords, with that route's checks at every
-    point, u != v and z0 finite with Re z0 > 0."""
-    if np.any(u == v):
+    point, u != v and z0 finite with Re z0 > 0, on floats by float compares."""
+    same = u == v
+    if same.any() if isinstance(same, np.ndarray) else same:
         raise ValueError(_OFF_CHART)
     x0, y0 = _center(p, k, u, v, None if terms is None else terms[0])
+    if not isinstance(x0, np.ndarray):
+        if not (0.0 < x0 < math.inf and math.isfinite(y0)):
+            raise ValueError(f"z0 = {complex(x0, y0)!r} is not finite with Re z0 > 0")
+        return _gamma_imag(k, K, E, u, x0, y0, terms)
     bad = np.flatnonzero(~((0.0 < x0) & (x0 < math.inf) & np.isfinite(y0)))
     if bad.size:
         z0 = complex(np.ravel(x0)[bad[0]], np.ravel(y0)[bad[0]])
@@ -737,9 +742,10 @@ def monodromy_track(q: Fraction, loop_samples: int = 48, k: float = 0.5,
     start is one cold solve_level at u~0.  At p = 1 the deck generator
     (curves.deck_lambda_tilde, +pi on the rescaled angles) leaves T~ fixed,
     and an annulus loop is one of its orbits, so the loop's end is the deck
-    image of its start; a contractible loop's ends coincide, so it returns 0
-    whenever its start solves.  gamma+ is evaluated at both ends from the
-    held angles' terms (_level_part).  ``loop_samples`` (an integer, at
+    image of its start.  Each end is one float pass: its held angle's turn
+    and (s, c) (_half_angle), its _chart_terms, and gamma+ from those terms.
+    A contractible loop's ends coincide, so it takes one pass and its shift
+    is 0.0 whenever its start solves.  ``loop_samples`` (an integer, at
     least 8) no longer changes the work or the result."""
     if not 0.0 < k < 1.0 or contractible and not 0.05 < k < 0.95:
         raise ValueError(f"k={k!r} outside (0, 1), or (0.05, 0.95) for a contractible loop")
@@ -754,13 +760,13 @@ def monodromy_track(q: Fraction, loop_samples: int = 48, k: float = 0.5,
     q, k = Fraction(q), float(k)
     l = q.denominator  # at p = 1, n = m = 1 so l = m'/gcd(m', n') = m'
     start = solve_level(1.0, float(q), k, u_tilde0)
-    end = start if contractible else deck_lambda_tilde(start)
-    u, v = np.array([(mp.u_tilde, mp.v_tilde) for mp in (start, end)]).T
-    K, E = _complete_KE(k)
-    terms = _level_part(k, K, E, u)
-    P = _gamma_plus(1.0, k, K, E, terms[1], _chart_value(v), terms[2:])
-    m0, m1 = (_half_angle(x)[0] for x in u.tolist())
-    delta = float(P[1] - P[0]) + 4.0 * math.pi * (m1 - m0)
+    (K, E), ends = _complete_KE(k), []
+    for mp in (start,) if contractible else (start, deck_lambda_tilde(start)):
+        m, s, c, u = _half_angle(mp.u_tilde)
+        terms = _chart_terms(k, K, E, u, s, c)[2:]
+        ends.append((_gamma_plus(1.0, k, K, E, u, _chart_value(mp.v_tilde), terms), m))
+    (P0, m0), (P1, m1) = ends[0], ends[-1]
+    delta = P1 - P0 + 4.0 * math.pi * (m1 - m0)
     turns = round(delta / TWO_PI)
     if abs(delta - TWO_PI * turns) > 1e-6 * max(1.0, abs(delta)) + 1e-6:
         raise ContinuationError(f"gamma+ integral shifted by {delta!r}, not 2 pi Z")

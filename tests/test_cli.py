@@ -22,7 +22,7 @@ from harmonictori import cli, differentials
 from harmonictori.cli import _write_leaf, f17, main
 from harmonictori.config import CONFIG_ENV_VAR, RunConfig, load_config
 from harmonictori.curves import BranchPair
-from harmonictori.moduli import spectral_test, sweep_level_set
+from harmonictori.moduli import LevelSolveError, spectral_test, sweep_level_set
 
 
 def start_cli(args, cwd=None):
@@ -637,8 +637,11 @@ class TestVerify:
 
     def test_bundle_suite_fails_without_the_lift(self, monkeypatch, capsys):
         # a loop whose held angle crosses a turn needs the 4 pi m of the
-        # lifted gamma+; with m held at 0 its integer is off by 2 per turn
-        monkeypatch.setattr(differentials, "_half_angle", lambda x_tilde: (0.0,))
+        # lifted gamma+; with m held at 0 and the reduced angle's (s, c, u)
+        # kept, its integer is off by 2 per turn
+        half_angle = differentials._half_angle
+        monkeypatch.setattr(differentials, "_half_angle",
+                            lambda x_tilde: (0.0, *half_angle(x_tilde)[1:]))
         sample = self.failed_bundle_loop(capsys)
         assert sample["got"] != sample["expected"]
 
@@ -652,6 +655,28 @@ class TestVerify:
         captured = capsys.readouterr()
         assert "max residual inf" in captured.out and "1/3 invariants passed" in captured.out
         assert '"error": "ContinuationError: gamma+ integral shifted by 1.0' in captured.err
+
+    def test_bundle_suite_fails_each_draw_that_raises_any_exception(self, monkeypatch, capsys):
+        # any exception in a draw is that draw's inf residual, and the suite
+        # keeps drawing: all 36 annulus and 12 contractible loops are tried
+        from harmonictori import verify
+        calls = []
+
+        def raising(q, *args):
+            calls.append(q)
+            raise ValueError("a loop that raises")
+        monkeypatch.setattr(verify, "monodromy_track", raising)
+        assert main(["verify", "--suite", "bundle"]) == 3
+        captured = capsys.readouterr()
+        assert len(calls) == 48
+        assert "[pass] annulus loop end lies on its level" in captured.out
+        assert "1/3 invariants passed" in captured.out
+        for name in ("annulus monodromy equals moduli_summary", "contractible loop has monodromy 0"):
+            assert f"[FAIL] {name}: max residual inf " in captured.out
+        samples = [json.loads(line.removeprefix("replay sample: "))
+                   for line in captured.err.splitlines()]
+        assert [sample["contractible"] for sample in samples] == [False, True]
+        assert all(sample["error"] == "ValueError: a loop that raises" for sample in samples)
 
     def test_bundle_suite_fails_on_an_end_off_its_level(self, monkeypatch, capsys):
         # a deck map that moves v~ alone takes the loop's end off its level
@@ -669,7 +694,7 @@ class TestVerify:
         from harmonictori import verify
 
         def raising(*args):
-            raise verify.LevelSolveError("no convergence for q=0.5: residual nan")
+            raise LevelSolveError("no convergence for q=0.5: residual nan")
         monkeypatch.setattr(verify, "solve_level", raising)
         assert main(["verify", "--suite", "bundle"]) == 3
         captured = capsys.readouterr()

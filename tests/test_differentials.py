@@ -917,28 +917,71 @@ class TestMonodromy:
     @pytest.mark.parametrize("contractible", [False, True])
     def test_loop_gamma_plus_is_the_closed_form_at_its_chart_values(
             self, contractible, monkeypatch, bench_inputs):
-        # the loop's gamma+ takes F, E_reg and w(iu) - k u^2 from the held
-        # angle's pass, at _half_angle's (s, c) where _gamma_plus alone takes
-        # _axis_angle's, so the last bits may differ but no more
-        gamma_plus, seen = differentials._gamma_plus, []
+        # the loop's gamma+ is one float pass per end, from the held angle's
+        # (s, c) of _half_angle and its _chart_terms, where _gamma_plus alone
+        # takes _axis_angle's: on every benchmark loop of seeds 1-3 each
+        # value is, bit for bit, the two-end array form's (two_end_array_form)
+        seen = []
 
-        def recorded(p, k, K, E, u, v, terms=None):
-            values = gamma_plus(p, k, K, E, u, v, terms)
-            seen.append((p, k, u, v, terms, values))
-            return values
+        def recorded(*args):
+            seen.append((args, gamma_plus(*args)))
+            return seen[-1][1]
+        gamma_plus = differentials._gamma_plus
         monkeypatch.setattr(differentials, "_gamma_plus", recorded)
-        for seed in (1, 2, 3):
-            jobs = [job for job in loop_jobs(bench_inputs, seed)
-                    if job["contractible"] == contractible]
-            for job in jobs[:12]:
+        loops = []
+        for job, calls in recorded_bench_loops(bench_inputs):
+            if job["contractible"] == contractible:
                 seen.clear()
                 monodromy_track(Fraction(job["q"]), job["samples"], job["k"],
                                 job["u_tilde0"], contractible)
-                [(p, k, u, v, terms, values)] = seen
-                assert terms is not None and values.size == 2
-                ks = np.broadcast_to(k, u.shape)
-                want = gamma_plus(p, ks, *_complete_KE(ks), u, v)
-                assert np.all(np.abs(values - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+                loops.append((job["k"], calls, list(seen)))
+        monkeypatch.undo()
+        assert len(loops) == (156 if contractible else 468)
+        for k, calls, seen in loops:
+            assert len(seen) == 2 - contractible
+            ends = [point for _, _, _, point in calls]
+            values, _ = two_end_array_form(k, ends[0], ends[-1])
+            for (args, value), want in zip(seen, values):
+                assert all(type(x) is float for x in (*args[:6], *args[6])), args
+                assert value.hex() == want.hex()
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(q=st.integers(1, 13).flatmap(
+               lambda d: st.integers(-3 * d, 3 * d).map(lambda n: Fraction(n, d))),
+           log_k=st.floats(math.log(1e-6), math.log(1.0 - 1e-6)),
+           u_tilde0=st.one_of(st.sampled_from([j * math.pi for j in (-3, -1, 1, 3)]),
+                              st.floats(-3.0 * math.pi, 3.0 * math.pi)))
+    def test_the_float_pass_gives_the_two_end_array_form_s_integer(self, q, log_k, u_tilde0):
+        # wherever the start solves, the loop's integer, or its
+        # ContinuationError, is the two-end array form's at the same ends
+        k = math.exp(log_k)
+        with pytest.MonkeyPatch.context() as patch:
+            calls = record_solves(patch)
+            try:
+                got = monodromy_track(q, 8, k, u_tilde0)
+            except LevelSolveError:
+                return
+            except ContinuationError:
+                got = ContinuationError
+        (_, _, _, start), (_, _, _, end) = calls
+        (P0, P1), (m0, m1) = two_end_array_form(k, start, end)
+        delta = float(P1 - P0) + 4.0 * math.pi * (m1 - m0)
+        turns = round(delta / (2 * math.pi))
+        if abs(delta - 2 * math.pi * turns) > 1e-6 * max(1.0, abs(delta)) + 1e-6:
+            assert got is ContinuationError
+        else:
+            assert got == -q.denominator * turns
+
+
+def two_end_array_form(k, start, end):
+    """The gamma+ values and turns of a loop's two ends as one two-element
+    array pass: _level_part on both held angles stacked, then _gamma_plus
+    on its terms, as monodromy_track evaluated them before its float pass."""
+    u, v = np.array([(mp.u_tilde, mp.v_tilde) for mp in (start, end)]).T
+    K, E = _complete_KE(k)
+    terms = moduli._level_part(k, K, E, u)
+    P = differentials._gamma_plus(1.0, k, K, E, terms[1], _chart_value(v), terms[2:])
+    return P.tolist(), [_half_angle(x)[0] for x in u.tolist()]
 
 
 def frame_gamma_plus(mp):
@@ -1127,6 +1170,24 @@ class TestChartRoute:
         monkeypatch.setattr(differentials, "_center", lambda *args: centers)
         with pytest.raises(ValueError, match=re.escape("z0 = 0.3j is not finite with Re z0 > 0")):
             differentials._gamma_plus(1.0, 0.5, K, E, u, np.array([2.0, 2.5, 0.4]))
+
+    def test_float_pass_checks_u_against_v(self):
+        K, E = _complete_KE(0.5)
+        with pytest.raises(ValueError, match="u = v is outside the coordinate chart"):
+            differentials._gamma_plus(1.0, 0.5, K, E, 0.7, 0.7)
+
+    @pytest.mark.parametrize("x0, y0", [(0.0, 0.3), (-1.0, 0.3), (math.inf, 0.3),
+                                        (math.nan, 0.3), (1.0, math.nan), (1.0, -math.inf)])
+    def test_float_pass_rejects_z0_with_the_array_pass_s_message(self, x0, y0, monkeypatch):
+        K, E = _complete_KE(0.5)
+        message = re.escape(f"z0 = {complex(x0, y0)!r} is not finite with Re z0 > 0")
+        monkeypatch.setattr(differentials, "_center", lambda *args: (x0, y0))
+        with pytest.raises(ValueError, match=message):
+            differentials._gamma_plus(1.0, 0.5, K, E, 0.3, 2.0)
+        centers = np.array([1.0, x0]), np.array([0.3, y0])
+        monkeypatch.setattr(differentials, "_center", lambda *args: centers)
+        with pytest.raises(ValueError, match=message):
+            differentials._gamma_plus(1.0, 0.5, K, E, np.array([0.3, 0.4]), np.array([2.0, 2.5]))
 
     def test_float32_modulus_evaluates_in_double(self):
         value = chart_gamma_plus(ModuliPoint(1.0, np.float32(0.25), 0.3, 2.0))
