@@ -13,9 +13,13 @@ detection tolerance, 3 verification failure.  Rationals cross the boundary
 as exact "n/m" strings.  All floating-point output is serialized at 17
 significant digits and carries no timestamps, so identical configuration and
 arguments produce byte-identical files.  ``main`` builds its parser on its
-first call and reuses it for every later call in the process, and
-``level-set`` writes each of its files with one write; identical inputs
-still give byte-identical files.
+first call and reuses it for every later call in the process.
+
+``level-set`` writes each file with one write, from one array kernel whose
+text is '%.17g' byte for byte: for 1e-4 <= |x| < 1e16, the 17-digit D nearest
+|x| 10**s, s = 16 - floor(log10 |x|) <= 20.  10**s is an exact double, so
+Dekker's product hi + lo is exact, and hi > 2**53 is even, so hi + rint(lo)
+rounds half to even as Python's dtoa does.  Other values take '%.17g'.
 """
 
 from __future__ import annotations
@@ -137,31 +141,68 @@ def cmd_curve_info(args, cfg: RunConfig) -> int:
     return 0 if detected is not None else 2
 
 
-def _solved_text(mesh: LevelSetMesh) -> tuple[list[str], ...]:
-    """The %.17g text of k, u~, v~, Re/Im alpha and Re/Im beta at each solved
-    point, k-major.  Each distinct float is formatted once: k once per grid
-    row, the held angle (u~ for p <= 1, v~ for p > 1) once per grid column."""
-    ok = mesh.solved
-
-    def per_point(grid):
-        return list(map("%.17g".__mod__, grid[ok].tolist()))
-
-    def per_line(values, shape):
-        text = np.array(list(map("%.17g".__mod__, values)), dtype=object).reshape(shape)
-        return np.broadcast_to(text, ok.shape)[ok].tolist()
-
-    held = per_line(mesh.angle_values, (1, -1))
-    u, v = (per_point(mesh.u_tilde), held) if mesh.p > 1 else (held, per_point(mesh.v_tilde))
-    return (per_line(mesh.k_values, (-1, 1)), u, v, *map(per_point, (
-        mesh.alpha.real, mesh.alpha.imag, mesh.beta.real, mesh.beta.imag)))
+def _split(a):  # Veltkamp: a as two halves of at most 26 bits
+    c = 134217729.0 * a
+    return c - (c - a), a - (c - (c - a))
 
 
-def _rows(*columns: list) -> tuple:
-    """The entries of equal-length columns, row by row."""
-    flat = [None] * (len(columns) * len(columns[0]))
-    for j, column in enumerate(columns):
-        flat[j::len(columns)] = column
-    return tuple(flat)
+def _tables():
+    """D's text is five words: a pad, the sign, "0.000", digit 0, then digits
+    1-16 each after a '.'.  Those words by chunk and by sign and digit 0; the
+    last nonzero digit by chunk; the bytes that show by e and last nonzero
+    digit; 10**s, split; and the doubles nearest 10**k (exact or above it)."""
+    digits = np.indices((10,) * 4, np.uint8).reshape(4, -1)  # of 0000-9999, by place
+    words = np.full((10020, 8), 46, np.uint8)
+    words[:10000, 1::2] = digits.T + 48
+    words[10000:] = np.frombuffer(b"".join(b"\0%c0.000%d" % (s, d) for s in b"\0-"
+                                           for d in range(10)), np.uint8).reshape(20, 8)
+    place = np.arange(4, dtype=np.uint8)[:, None]
+    last = np.where(digits > 0, place + 1, 0).max(axis=0)
+    e, sig = np.ix_(np.arange(-4, 16), np.arange(17))
+    p, e3, sig3 = np.arange(1, 17), e[..., None], sig[..., None]
+    show = np.zeros((20, 17, 40), bool)
+    show[..., 1] = show[..., 7] = True
+    show[..., 2] = show[..., 3] = e < 0
+    show[..., 4:7] = np.arange(3) < -e3 - 1
+    show[..., 8::2] = (p == e3 + 1) & (p <= sig3)
+    show[..., 9::2] = (p <= e3) | (p <= sig3)
+    p10 = np.array([float(10 ** s) for s in range(22)])  # exact: 5**21 < 2**53
+    return (words.view(np.uint64).ravel(), np.where(last, last + 4 * place, 0),
+            np.where(show, 255, 0).astype(np.uint8).reshape(340, 40),
+            np.array([p10, *_split(p10)]), np.array([float(f"1e{k}") for k in range(-5, 18)]))
+
+
+_WORDS, _LAST, _SHOW, _P10, _TENS = _tables()
+
+
+def _g17(x):
+    """'%.17g' % v for each v of the float64 array x, as rows of 40 ASCII
+    bytes padded with zero bytes, the first byte a pad: see the module docstring."""
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1e16)
+    a = np.where(fast, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.intp)
+    e += (a >= _TENS[e + 6]).astype(np.intp) - (a < _TENS[e + 5])  # where log10 missed
+    (ah, al), (b, bh, bl) = _split(a), _P10[:, 16 - e]
+    hi = a * b  # hi + lo == a * 10**(16 - e) exactly: Dekker's product
+    lo = ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+    # D < 10**17: a double below 10**(e + 1) lies below it by over 5e-17 of it
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    top = d // 10 ** 8
+    index = np.empty((5, len(x)), np.intp)  # digit 0, then chunks 1-4
+    index[0] = top // 10 ** 8
+    index[2], index[4] = top - index[0] * 10 ** 8, d - top * 10 ** 8
+    index[1::2] = index[2::2] // 10000
+    index[2::2] -= index[1::2] * 10000
+    sig = _LAST.take(index[1:] + 10000 * np.arange(4)[:, None]).max(axis=0)
+    index[0] += 10000 + 10 * (x < 0)
+    text = _WORDS.take(index.T).view(np.uint8)
+    text &= _SHOW.take((e + 4) * 17 + sig, axis=0)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        b = np.frombuffer((" %-39.17g" * slow.size % tuple(x[slow].tolist())).encode(), np.uint8)
+        text[slow] = np.where(b == 32, 0, b).reshape(-1, 40)
+    return text
 
 
 def _write_leaf(mesh: LevelSetMesh, cfg: RunConfig, span: float, path: str,
@@ -169,32 +210,51 @@ def _write_leaf(mesh: LevelSetMesh, cfg: RunConfig, span: float, path: str,
     """The leaf as CSV at ``path`` and, given ``mesh_path``, as an ASCII OBJ
     triangle mesh with the (Re alpha, Im alpha, k) embedding: the solved
     points are the vertices, and each grid quad whose four corners solved
-    gives two triangles.  One write per file, from one _solved_text(mesh)."""
-    text = _solved_text(mesh)
-    n = len(text[0])
-    row = f"{f17(float(mesh.p))},{f17(float(mesh.q))}," + ",".join(["%s"] * 7) + "\n"
-    partial = "" if mesh.complete else f"# partial: {len(mesh.failures)} grid points failed\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# level set p={mesh.p} q={mesh.q} k_grid={len(mesh.k_values)} "
-                 f"angle_grid={len(mesh.angle_values)} span={f17(span)} "
-                 f"k_min={f17(cfg.k_min)} k_max={f17(cfg.k_max)} "
-                 f"angle_start={f17(cfg.angle_start)}\n{partial}"
-                 "p,q,k,u_tilde,v_tilde,re_alpha,im_alpha,re_beta,im_beta\n"
-                 + row * n % _rows(*text))
+    gives two triangles.  Records index one _g17 table: p, q, the k values
+    and held angles once each, the free angle, alpha and beta of each solved
+    point, and the vertex numbers from 0.  One write per file."""
+    def joined(table, index, seps):  # the rows at index, each after its separator
+        text = table.take(index, axis=0)
+        text[..., 0] = np.frombuffer(seps, np.uint8)
+        return text.tobytes().translate(None, b"\0")  # less the pad bytes
+    ok = mesh.solved
+    n, (rows, cols) = int(ok.sum()), ok.shape
+    table = _g17(np.concatenate((
+        [float(mesh.p), float(mesh.q)], mesh.k_values, mesh.angle_values,
+        (mesh.u_tilde if mesh.p > 1 else mesh.v_tilde)[ok], mesh.alpha[ok].view(float),
+        mesh.beta[ok].view(float), np.arange(n + 1.0 if mesh_path else 0))))
+    i, j = np.nonzero(ok)
+    r, at = np.arange(n), 2 + rows + cols
+    tag = at + 5 * n  # the vertex number 0, whose text "0" becomes "v"
+    record = np.empty((n, 10), np.intp)  # CSV fields p, q, k, u~, v~, alpha, beta; tag
+    record[:, [0, 1, 9]] = (0, 1, tag)
+    record[:, 2] = i + 2
+    held, free = [4, 3] if mesh.p > 1 else [3, 4]
+    record[:, held], record[:, free] = j + 2 + rows, at + r
+    record[:, 5:9] = (at + n + 2 * r)[:, None] + (0, 1, 2 * n, 2 * n + 1)
+    partial = "" if mesh.complete else f"\n# partial: {len(mesh.failures)} grid points failed"
+    with open(path, "wb") as fh:
+        fh.write(f"# level set p={mesh.p} q={mesh.q} k_grid={rows} angle_grid={cols} "
+                 f"span={f17(span)} k_min={f17(cfg.k_min)} k_max={f17(cfg.k_max)} "
+                 f"angle_start={f17(cfg.angle_start)}{partial}\n"
+                 "p,q,k,u_tilde,v_tilde,re_alpha,im_alpha,re_beta,im_beta".encode()
+                 + joined(table, record[:, :9], b"\n,,,,,,,,") + b"\n")
     if not mesh_path:
         return
 
     def corners(a):
         return np.stack([a[:-1, :-1], a[1:, :-1], a[1:, 1:], a[:-1, 1:]], axis=-1)
-    ok = mesh.solved
     number = np.cumsum(ok).reshape(ok.shape)  # 1-based vertex numbers where ok
     quads = corners(number)[corners(ok).all(axis=-1)]
-    k, _, _, re_alpha, im_alpha, _, _ = text
-    with open(mesh_path, "w", encoding="utf-8") as fh:
-        fh.write(f"# level set p={mesh.p} q={mesh.q}\n"
-                 + "v %s %s %s\n" * n % _rows(re_alpha, im_alpha, k)
-                 + "f %d %d %d\n" * (2 * len(quads))
-                 % tuple(quads[:, [0, 1, 2, 0, 2, 3]].ravel().tolist()))
+    table[tag, 1] = 118  # v
+    face = np.pad(quads[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3), ((0, 0), (1, 0)))
+    # a narrow copy: the separator, the sign's byte (for the tag), the digits of n
+    numbers = table[tag:, [0, 1, 7, *range(9, 7 + 2 * len(str(n)), 2)]]
+    numbers[0, 1] = 102  # f
+    with open(mesh_path, "wb") as fh:
+        fh.write(f"# level set p={mesh.p} q={mesh.q}".encode()
+                 + joined(table, record[:, [9, 5, 6, 2]], b"\n   ")
+                 + joined(numbers, face, b"\n   ") + b"\n")
 
 
 def cmd_level_set(args, cfg: RunConfig) -> int:

@@ -433,6 +433,8 @@ def sweep_level_set(p: Fraction, q: Fraction, k_grid: int, angle_grid: int,
         raise ValueError("need 0 < k_min < k_max < 1")
     if not (math.isfinite(angle_span) and math.isfinite(angle_start)):
         raise ValueError("angle span and start must be finite")
+    if not math.isfinite(angle_start + angle_span):  # the grid's last angle
+        raise ValueError(f"the last grid angle must be finite, got {angle_start + angle_span!r}")
     if not math.isfinite(q):
         raise ValueError(f"the level q must be finite, got {q!r}")
     pf, qf = _check_ratio(p), float(q)

@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,10 +20,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import harmonictori
 from harmonictori import cli, differentials
-from harmonictori.cli import _write_leaf, f17, main
+from harmonictori.cli import _g17, _write_leaf, f17, main
 from harmonictori.config import CONFIG_ENV_VAR, RunConfig, load_config
 from harmonictori.curves import BranchPair
-from harmonictori.moduli import LevelSolveError, spectral_test, sweep_level_set
+from harmonictori.moduli import LevelSetMesh, LevelSolveError, spectral_test, sweep_level_set
 
 
 def start_cli(args, cwd=None):
@@ -388,6 +389,20 @@ class TestLevelSet:
         assert captured.err == "error: angle span and start must be finite\n"
         assert captured.out == "" and not out.exists()
 
+    def test_overflowing_angle_grid_rejected(self, tmp_path, capsys, monkeypatch):
+        # angle_start + span overflows at the grid's last angle: an error,
+        # where every point used to fail with residual nan and exit 0
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text("angle_start = 1e308\n")
+        monkeypatch.setenv(CONFIG_ENV_VAR, str(cfg))
+        out = tmp_path / "x.csv"
+        code = main(["level-set", "--p", "1/1", "--q", "0/1", "--k-grid", "2",
+                     "--angle-grid", "3", "--span", "1e308", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: the last grid angle must be finite, got inf\n"
+        assert captured.out == "" and not out.exists()
+
 
 def mesh_with_holes(p=Fraction(1), k_grid=5, angle_grid=7,
                     holes=((2, 3), (0, 4), (4, 0), (3, 6), (1, 1), (1, 2))):
@@ -545,6 +560,80 @@ class TestWriters:
         assert "wrote 320 records" in capsys.readouterr().out
         assert writes == {str(csv): 1, str(obj): 1}
         assert len(csv.read_text().splitlines()) == 2 + 320
+
+    @HELD_SIDES
+    def test_values_outside_the_fixed_range_match_references(self, p, tmp_path):
+        # -0.0, 1e-300, the smallest subnormal and 1e17 in Im beta and 3e-5
+        # in Re alpha take '%.17g' itself; their rows land among the array
+        # text of the CSV and of the OBJ vertices in place
+        mesh = mesh_with_holes(p)
+        at = np.argwhere(mesh.solved)[[0, 7, 12, 28]]
+        for (i, j), im_beta in zip(at, (-0.0, 1e-300, 5e-324, 1e17)):
+            mesh.beta[i, j] = complex(mesh.beta[i, j].real, im_beta)
+        i, j = at[2]
+        mesh.alpha[i, j] = complex(3e-5, mesh.alpha[i, j].imag)
+        lines, obj = write_leaf(mesh, tmp_path)
+        assert lines[3:] == f17_rows(mesh)
+        assert {"-0", "1e-300", "4.9406564584124654e-324", "1e+17"} \
+            <= {line.split(",")[8] for line in lines[3:]}
+        assert obj == float_keyed_obj(mesh) and "\nv 3.0000000000000001e-05 " in obj
+
+    def test_vertex_numbers_of_five_digits_match_references(self, tmp_path):
+        # 10 010 vertices: numbers of one to five digits in the faces
+        # (a random leaf at p > 1, v~ held), and its last quad
+        rng = np.random.default_rng(3)
+        shape, angles = (7, 1430), np.linspace(-1, 5, 1430)
+        alpha, beta = (rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape) for _ in range(2))
+        mesh = LevelSetMesh(Fraction(5, 2), Fraction(-7, 3), np.linspace(0.1, 0.9, 7).tolist(),
+                            angles.tolist(), rng.uniform(-2, 2, shape),
+                            np.broadcast_to(angles, shape).copy(), alpha, beta, [])
+        lines, obj = write_leaf(mesh, tmp_path)
+        assert lines[2:] == f17_rows(mesh) and obj == float_keyed_obj(mesh)
+        assert obj.endswith("f 8579 10009 10010\nf 8579 10010 8580\n")
+
+
+def kernel_text(values):
+    """The _g17 text of each value, its pad bytes dropped."""
+    return [row[row != 0].tobytes().decode() for row in _g17(np.array(values, dtype=float))]
+
+
+# 1 + 2**-17 has 18 significant digits, the last a 5: a tie at 17 digits
+TIES = [1 + 2.0 ** -17, 1 + 3 * 2.0 ** -17, 0.5 + 2.0 ** -18, 0.5 + 3 * 2.0 ** -18,
+        1234567890123456.25, 1234567890123456.75, 211 * 2.0 ** -21, 213 * 2.0 ** -21]
+# the powers of ten from 1e-5 to 1e17 (1e-4 and 1e16 end the fixed range)
+POWERS = [float(f"1e{k}") for k in range(-5, 18)]
+EDGES = [*POWERS, *(float(np.nextafter(x, to)) for x in POWERS for to in (0.0, math.inf)),
+         0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+         1.7976931348623157e308, math.inf, math.nan]
+
+
+class TestTextKernel:
+    def test_ties_are_ties(self):
+        for x in TIES:
+            digits = Decimal(x).as_tuple().digits
+            assert len(digits) == 18 and digits[-1] == 5, x
+
+    def test_edge_values_match_percent_g(self):
+        # both ends of the fixed range, powers of ten and their neighbours,
+        # ties at the 17th digit, zeros, subnormals, nan and infinities
+        values = [sign * x for x in TIES + EDGES for sign in (1.0, -1.0)]
+        assert kernel_text(values) == ["%.17g" % x for x in values]
+        assert kernel_text([-0.0, 1 + 2.0 ** -17, 1 + 3 * 2.0 ** -17]) == [
+            "-0", "1.0000076293945312", "1.0000228881835938"]
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(values=st.lists(st.one_of(st.floats(), st.floats(1e-4, 1e16), st.floats(-1e16, -1e-4)),
+                           min_size=1, max_size=30))
+    def test_matches_percent_g_on_any_floats(self, values):
+        assert kernel_text(values) == ["%.17g" % x for x in values]
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 10 ** 15))
+    @example(n=1)
+    @example(n=9999)
+    @example(n=10000)
+    def test_vertex_numbers_match_percent_d(self, n):
+        assert kernel_text([n]) == ["%d" % n]
 
 
 class TestEnumerate:

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from harmonictori.curves import (
     BranchPair, ModuliPoint, _chart_value, _inverse_coords_array, angle_rescale,
@@ -296,6 +297,21 @@ class TestCoordinates:
         back = forward_coords(inverse_coords(mp))
         assert back.u_tilde == pytest.approx(math.pi, abs=1e-12)
         assert back.v_tilde == pytest.approx(mp.v_tilde, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(radius=st.floats(0.97, 0.9999), phase=st.floats(-math.pi, math.pi),
+           k=st.floats(0.05, 0.37), turn=st.floats(-math.pi, math.pi))
+    def test_round_trip_near_the_unit_circle(self, radius, phase, k, turn):
+        # beta at pseudo-hyperbolic distance (1 - k)/(1 + k) from alpha has
+        # Jacobi modulus k.  The round trip loses about 1e-17/(1 - |alpha|):
+        # over 9 200 seeded pairs with |alpha| from 0.97 to 0.9999, the
+        # largest (error - 1e-14)(1 - |alpha|)/1e-17 read 68, so C = 200
+        alpha = cmath.rect(radius, phase)
+        w = cmath.rect((1.0 - k) / (1.0 + k), turn)
+        beta = (w + alpha) / (1.0 + alpha.conjugate() * w)
+        back = inverse_coords(forward_coords(BranchPair(alpha, beta)))
+        error = max(abs(back.alpha - alpha), abs(back.beta - beta))
+        assert error <= 200 * 1e-17 / (1.0 - abs(alpha)) + 1e-14
 
     @pytest.mark.parametrize("k", [0.2, 0.5, 0.8])
     @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])

@@ -115,6 +115,16 @@ def test_sweep_rejects_a_non_finite_level_before_solving(q, monkeypatch):
         sweep_level_set(Fraction(1), q, 3, 4, 1.0)
 
 
+@pytest.mark.parametrize("start, span", [(1e308, 1e308), (-1e308, -1e308), (1.7e308, 2e307)])
+def test_sweep_rejects_a_grid_whose_last_angle_overflows(start, span, monkeypatch):
+    # start + linspace(0, span) overflowed to inf at the grid's end, where
+    # every point then failed with residual nan under RuntimeWarnings
+    monkeypatch.setattr(moduli, "_lockstep", lambda *args: pytest.fail("the grid was solved"))
+    last = "-inf" if span < 0 else "inf"
+    with pytest.raises(ValueError, match=re.escape(f"the last grid angle must be finite, got {last}")):
+        sweep_level_set(Fraction(1), Fraction(0), 2, 3, span, angle_start=start)
+
+
 def test_step_limit_fails_with_the_scalar_reason(monkeypatch, bench_inputs):
     # a point still iterating after _MAX_STEPS steps fails on the residual
     # of its last iterate, in the sweep as in solve_level
