@@ -194,9 +194,17 @@ def build_frame(bp: BranchPair) -> JacobiFrame:
     return frame
 
 
+def _float(x) -> float:
+    """float(x), or +-inf where x is a rational past the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def _check_ratio(p: float) -> float:
-    """The ratio p = S as a float, which must lie in (0, inf)."""
-    p = float(p)
+    """The ratio p = S as a float, which must lie in (0, inf) (_float)."""
+    p = _float(p)
     if not 0.0 < p < math.inf:
         raise ValueError("p must be finite" if p == math.inf else "p must be positive")
     return p

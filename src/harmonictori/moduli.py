@@ -16,11 +16,11 @@ orientation, _level_fns the level T~ - q and the slope of the pole-deflated
 level (T~ - q) sin(|x - held|/2) at the held angle's terms (_level_part),
 computed once per solve and cut with the lockstep's running points, with
 w(ix) of the free angle once per step; _no_convergence the failure reason.
-Only the Newton-or-midpoint loop is written twice, both from the band
-midpoint: solve_level on floats, and _lockstep on per-point (k, angle)
-arrays, given K, E and the held angle's terms, which its one caller,
-sweep_level_set, computes once per leaf (K and E once per grid row); a
-point of the arrays ends on solve_level's bits, or fails with its reason.
+Only the Newton-or-midpoint loop is written twice, both from _start's root
+of a model of T~ free of Carlson's integrals: solve_level on floats, and
+_lockstep on per-point (k, angle) arrays, given K, E and the held angle's
+terms, which its one caller, sweep_level_set, computes once per leaf (K and
+E once per grid row); a point ends on solve_level's bits, or fails with its reason.
 _chart_terms alone builds a chart value's terms, for T0, T~ and gamma+.
 An angle's share of T~ is the principal one plus pi per whole turn, and
 the chart value tan(x~/2) of a float angle is finite, the chart boundary
@@ -45,9 +45,11 @@ from fractions import Fraction
 import numpy as np
 
 from .config import DEFAULTS
-from .curves import BranchPair, ModuliPoint, S_value, _check_ratio, _inverse_coords_array, forward_coords
+from .curves import (BranchPair, ModuliPoint, S_value, _check_ratio, _float, _inverse_coords_array,
+                     forward_coords)
 from .elliptic import (
-    TWO_PI, _FE, _axis_angle, _chart_value, _check_modulus, _complete_KE, _half_angle, _w, _w_terms,
+    TWO_PI, _FE, _axis_angle, _chart_value, _check_modulus, _complete_KE, _half_angle, _sqrt,
+    _ufunc, _w, _w_terms, _where,
 )
 
 __all__ = [
@@ -275,6 +277,43 @@ def _level_fns(p, q, k, K, E, held):
     return level, slope
 
 
+def _start(p, q, k, K, E, held, a, b):
+    """The first iterate of both solvers, floats or arrays: two Newton steps
+    from t = 0 on a model of T~ - q that calls neither R_F nor R_D.  Exactly,
+    T~ = p L(v~) - L(u~) + (2K/pi) t (p dn(v) + dn(u)), t = cot(|x - held|/2)
+    at free angle x, dn = w(ix)/(1 + x^2) at chart value x, and Heuman's
+    Lambda L(x~) = (2/pi)(share + K x (dn - k)), 2 more per turn.  L alone is
+    modelled, as lam x~/pi + (1 - lam) S + beta sin x~, S the sine of the
+    reduced half-angle plus 2 per turn, lam and beta set by L's half-angle
+    slopes 2E/pi at 0 and 2(Kk - (K - E)/k)/pi at pi/2: exact at k -> 0, 1.  In
+    t, x = mid - 2 s atan(t), s = 1 for p <= 1 else -1, its chart value P/D,
+    D = t - s c, P = c t + s at the held chart value c.  No step is taken where
+    the model's slope is not positive; a start not inside (a, b) is the midpoint."""
+    f, c, w = held[:3]
+    s, lin, hc = (1.0, p, 1.0) if p <= 1.0 else (-1.0, 1.0, p)
+    cc, t = 1.0 + c * c, 0.0 * c
+    rc, dh, d1 = _sqrt(cc), w / cc, 2.0 * (K * k - (K - E) / k) / math.pi
+    lam = (2.0 * E / math.pi + d1 - 1.0) / (4.0 / math.pi - 1.0)
+    sw, dw = 0.5 * math.pi * (1.0 - lam), (lam - 0.5 * math.pi * d1) / cc  # of S, sin x~
+    held_L = f + K * c * (1.0 - k) * (1.0 + k) / (cc * (dh + k))  # (pi/2) L(held)
+    base = (s * (lin - hc) * held_L - 0.5 * math.pi * q
+            + lin * (0.5 * math.pi * lam + sw * (1.0 - s * c / rc) - dw * s * c))
+    for _ in range(2):
+        D, P, tt = t - s * c, c * t + s, 1.0 + t * t
+        kP, r = k * P, rc * _sqrt(tt)
+        y = (D * D + kP * kP) / (cc * tt)  # dn(P/D)^2
+        dn = _sqrt(y)
+        g = (base + K * t * (lin * dn + hc * dh) + lin * (
+            sw * ((D > 0.0) * 2.0 - 1.0) * (s * P / r - 1.0) + dw * s * P * D / tt
+            - lam * _ufunc(np.arctan, t)))
+        dg = (K * (lin * dn + hc * dh + lin * t * ((D + c * k * kP) / cc - t * y)
+                   / (tt * _where(dn > 0.0, dn, 1.0)))
+              - lin * (lam + sw * abs(D) / r + dw * (D * D - P * P) / tt) / tt)
+        t = t - _where(dg > 0.0, g, 0.0) / _where(dg > 0.0, dg, 1.0)
+    x = 0.5 * (a + b) - 2.0 * s * _ufunc(np.arctan, t)
+    return _where((a < x) & (x < b), x, 0.5 * (a + b))
+
+
 def _no_convergence(q, residual) -> str:
     return f"no convergence for q={q!r}: residual {residual!r}"
 
@@ -289,22 +328,23 @@ def solve_level(p: float, q: float, k: float, fixed_angle: float,
     with opposite signs at the band ends, so bracketed Newton with bisection
     fallback on the band less 1e-12 at each end (_band), stepping on the
     level with those poles deflated (_level_fns), converges to every
-    reachable level.  The first iterate is the bracket's midpoint; a level
-    out of reach fails when the iterate stalls or lands on the held angle,
-    T~'s pole (at once, residual nan, where the band holds no float), or
-    after _MAX_STEPS steps.  The held angle and q are solved as floats.
+    reachable level from _start's model root (else the bracket's midpoint);
+    a level out of reach fails when the iterate stalls or lands on the held
+    angle, T~'s pole (at once, residual nan, where the band holds no float),
+    or after _MAX_STEPS steps.  The held angle and q are solved as floats.
     """
     p = _check_ratio(p)
     fixed_angle = float(fixed_angle)
     if not math.isfinite(fixed_angle):
         raise ValueError(f"the held angle must be finite, got {fixed_angle!r}")
-    if not math.isfinite(q):
+    if not math.isfinite(qf := _float(q)):
         raise ValueError(f"the level q must be finite, got {q!r}")
     k = _check_modulus(k)
     K, E = _complete_KE(k)
     a, b, sign = _band(p, fixed_angle)
-    level, slope = _level_fns(p, float(q), k, K, E, _level_part(k, K, E, fixed_angle))
-    x = 0.5 * (a + b)
+    held = _level_part(k, K, E, fixed_angle)
+    level, slope = _level_fns(p, qf, k, K, E, held)
+    x = _start(p, qf, k, K, E, held, a, b)
     if x == fixed_angle:  # the band holds no float: no residual, as in _lockstep
         raise LevelSolveError(_no_convergence(q, math.nan))
     fx, free = level(x)
@@ -337,7 +377,7 @@ def _lockstep(p: float, q: float, k, K, E, angle: np.ndarray, held,
     and the first four of the held angle's terms (_level_part) at every point.
 
     Runs the scalar solver's policy on all points at once: the same bracket
-    and start (_band's midpoint), level and slope (_level_fns),
+    (_band) and start (_start), level and slope (_level_fns),
     Newton-or-midpoint step, step limit and failure reason, on the same
     floating-point values, so every point ends where
     solve_level(p, q, k[i], angle[i], tol) would, after as many evaluations
@@ -354,7 +394,7 @@ def _lockstep(p: float, q: float, k, K, E, angle: np.ndarray, held,
     solved, residual = np.full((2, angle.size), np.nan)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         level, slope = _level_fns(p, q, k, K, E, held)
-        idx, x = np.arange(angle.size), 0.5 * (a + b)
+        idx, x = np.arange(angle.size), _start(p, q, k, K, E, held, a, b)
         fx, free = level(x)
         fx[x == angle] = np.nan  # the band holds no float: no residual, as in solve_level
         for _ in range(_MAX_STEPS):
@@ -435,9 +475,9 @@ def sweep_level_set(p: Fraction, q: Fraction, k_grid: int, angle_grid: int,
         raise ValueError("angle span and start must be finite")
     if not math.isfinite(angle_start + angle_span):  # the grid's last angle
         raise ValueError(f"the last grid angle must be finite, got {angle_start + angle_span!r}")
-    if not math.isfinite(q):
+    if not math.isfinite(qf := _float(q)):
         raise ValueError(f"the level q must be finite, got {q!r}")
-    pf, qf = _check_ratio(p), float(q)
+    pf = _check_ratio(p)
     ks = np.linspace(k_min, k_max, k_grid).tolist()
     angles = (angle_start + np.linspace(0.0, angle_span, angle_grid)).tolist()
     k, fixed = np.repeat(ks, angle_grid), np.tile(angles, k_grid)

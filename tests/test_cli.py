@@ -357,7 +357,10 @@ class TestLevelSet:
         ("1/1", "4", "1", "grids must have at least 2 samples"),
         ("0/1", "4", "4", "p must be positive"),
         ("-1/2", "4", "4", "p must be positive"),
-    ], ids=["k_grid_0", "angle_grid_1", "p_0", "p_negative"])
+        # rationals past the float range, where float() raised OverflowError
+        ("1e400", "4", "4", "p must be finite"),
+        ("-1e400", "4", "4", "p must be positive"),
+    ], ids=["k_grid_0", "angle_grid_1", "p_0", "p_negative", "p_huge", "p_huge_negative"])
     def test_bad_grid(self, tmp_path, capsys, p, k_grid, angle_grid, message):
         out = tmp_path / "x.csv"
         code = main(["level-set", f"--p={p}", "--q", "0/1", "--k-grid", k_grid,
@@ -365,6 +368,18 @@ class TestLevelSet:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err == f"error: {message}\n"
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("q", ["1e400", "-1e400"])
+    def test_level_past_the_float_range_is_an_error(self, tmp_path, capsys, q):
+        # float() of such a level raised OverflowError, which ended the
+        # command in a traceback instead of an error line
+        out = tmp_path / "x.csv"
+        code = main(["level-set", "--p", "1/1", f"--q={q}", "--k-grid", "3",
+                     "--angle-grid", "4", "--span", "1.0", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"error: the level q must be finite, got {Fraction(q)!r}\n"
         assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("target", ["out", "mesh"])

@@ -307,8 +307,8 @@ def level_nodes(segs):
     return 33 * len(segs.seg) + len(set(segs.seg.tolist()))
 
 
-def spectral_frame(S, T, k=0.5, angle=0.3):
-    return build_frame(inverse_coords(solve_level(float(S), float(T), k, angle)))
+def spectral_frame(S, T, k=0.5, angle=0.3, tol=DEFAULTS.solver_tol):
+    return build_frame(inverse_coords(solve_level(float(S), float(T), k, angle, tol)))
 
 
 # The quadrature as a lone loop: one walk per segment and level, each segment
@@ -1466,11 +1466,14 @@ class TestGradedPanels:
         assert (np.abs(b - a) <= 2.0 * d + 1e-14 * (abs(z1) + abs(z2))).all()
 
     def test_nodes_grow_slowly_as_k_falls(self):
-        # the contours' lengths grow like 1/k, the nodes only like log(1/k)
+        # the contours' lengths grow like 1/k, the nodes only like log(1/k).
+        # Each curve is solved to 1e-13, so that it lies on its level and P8
+        # measures the quadrature: at solver_tol P8's floor is the solve's
+        # residual times the closing integers, up to about 3e-10
         for S, T in ((Fraction(1, 3), Fraction(1, 4)), (Fraction(1), Fraction(1, 3))):
             counts = []
             for k in (1e-2, 1e-4):
-                fr = spectral_frame(S, T, k=k)
+                fr = spectral_frame(S, T, k=k, tol=1e-13)
                 entries, nodes = checklist_nodes(fr, construct_psi(S, T, fr))
                 assert all(e.residual < 1e-10 for e in entries)
                 counts.append(nodes)

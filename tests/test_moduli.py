@@ -1,10 +1,12 @@
 """Closing functions S, T0, T~, the level-set solver and component logic."""
 
 import functools
+import inspect
 import itertools
 import math
 import random
 import re
+import textwrap
 import warnings
 from fractions import Fraction
 
@@ -127,8 +129,9 @@ def test_sweep_rejects_a_grid_whose_last_angle_overflows(start, span, monkeypatc
 
 def test_step_limit_fails_with_the_scalar_reason(monkeypatch, bench_inputs):
     # a point still iterating after _MAX_STEPS steps fails on the residual
-    # of its last iterate, in the sweep as in solve_level
-    monkeypatch.setattr(moduli, "_MAX_STEPS", 5)
+    # of its last iterate, in the sweep as in solve_level; from the model
+    # start every point of this leaf solves within 3 steps
+    monkeypatch.setattr(moduli, "_MAX_STEPS", 2)
     job = leaf_jobs(bench_inputs, 1)[0]
     p, q = Fraction(job["p"]), Fraction(job["q"])
     mesh = sweep_level_set(p, q, job["k_grid"], job["angle_grid"], job["span"],
@@ -158,10 +161,20 @@ def test_step_limit_fails_with_the_scalar_reason(monkeypatch, bench_inputs):
     (lambda: solve_level(math.inf, 0.3, 0.5, 0.3), "p must be finite"),
     (lambda: solve_level(1.0, math.nan, 0.5, 0.3), "the level q must be finite, got nan"),
     (lambda: solve_level(1.0, -math.inf, 0.5, 0.3), "the level q must be finite, got -inf"),
+    # rationals past the float range, where float() raises OverflowError
+    (lambda: solve_level(1.0, Fraction(10**400), 0.5, 0.3),
+     f"the level q must be finite, got {Fraction(10**400)!r}"),
+    (lambda: sweep_level_set(Fraction(1), Fraction(-10**400), 3, 4, 1.0),
+     f"the level q must be finite, got {Fraction(-10**400)!r}"),
+    (lambda: solve_level(Fraction(10**400), 0.3, 0.5, 0.3), "p must be finite"),
+    (lambda: sweep_level_set(Fraction(10**400), Fraction(0), 3, 4, 1.0), "p must be finite"),
+    (lambda: ModuliPoint(Fraction(10**400), 0.5, 0.0, 1.0), "p must be finite"),
+    (lambda: ModuliPoint(Fraction(-10**400), 0.5, 0.0, 1.0), "p must be positive"),
 ], ids=["best_rational_max_den", "classify_component_p", "sweep_k_equal", "sweep_k_reversed",
         "dT_du_nan_angle", "dT_du_inf_angle", "dT_dv_p_zero", "t_tilde_p_negative",
         "t0_p_inf", "dt0_du_p_nan", "moduli_point_p_inf", "solve_level_p_inf",
-        "solve_level_q_nan", "solve_level_q_inf"])
+        "solve_level_q_nan", "solve_level_q_inf", "solve_level_q_huge", "sweep_q_huge",
+        "solve_level_p_huge", "sweep_p_huge", "moduli_point_p_huge", "moduli_point_p_huge_negative"])
 def test_invalid_input_rejected(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
@@ -487,6 +500,36 @@ def dt0_du_reference(p, k, u, v):
         return float(2 * (-duv * E + p * K * wu * wv + K * poly) / (mpmath.pi * wu * duv))
 
 
+def test_t_tilde_is_heumans_lambda_and_an_elementary_term():
+    # the start kernel's premise (moduli._start), at 50 digits against the
+    # literal form: T~ = p L(v~) - L(u~) + (2K/pi) t (p dn(v~) + dn(u~)), with
+    # t = cot((v~ - u~)/2), dn = sqrt(cos^2 + k^2 sin^2) of the half-angle
+    # and L Heuman's Lambda (2/pi)(E F(phi|m) + K E(phi|m) - K F(phi|m)),
+    # m = k'^2, at the reduced half-angle phi, plus 2 per turn
+    rng = np.random.default_rng(37)
+    for _ in range(24):
+        p, k = float(rng.uniform(0.2, 4.0)), float(10.0 ** rng.uniform(-6.0, math.log10(0.99)))
+        ut = float(rng.uniform(-9.0, 9.0))
+        vt = ut + float(rng.uniform(1e-3, 2 * math.pi - 1e-3))
+        K, E = reference_KE(k)
+        with mpmath.workdps(50):
+            m = 1 - mpmath.mpf(k) ** 2
+
+            def lam(x):
+                half = mpmath.mpf(x) / 2
+                turns = mpmath.floor(half / mpmath.pi + mpmath.mpf(1) / 2)
+                phi = half - turns * mpmath.pi
+                F = mpmath.ellipf(phi, m)
+                return 2 * (E * F + K * mpmath.ellipe(phi, m) - K * F) / mpmath.pi + 2 * turns
+
+            def dn(x):
+                return mpmath.sqrt(1 - m * mpmath.sin(mpmath.mpf(x) / 2) ** 2)
+            t = mpmath.cot((mpmath.mpf(vt) - mpmath.mpf(ut)) / 2)
+            value = float(p * lam(vt) - lam(ut) + 2 * K / mpmath.pi * t * (p * dn(vt) + dn(ut)))
+        ref = t_tilde_reference(p, k, ut, vt)
+        assert abs(value - ref) <= 1e-15 * max(1.0, abs(ref))
+
+
 class TestChartBoundary:
     """Float odd multiples of pi take the finite chart value tan(x~/2)."""
 
@@ -557,8 +600,9 @@ class TestTurns:
 
 def reference_solve(p, q, k, fixed_angle, tol=DEFAULTS.solver_tol):
     """solve_level as a loop over the public T~ and dT~, which recompute K(k),
-    E(k) and the held angle's share on every call, started at the midpoint
-    of the band less moduli._EDGE at each end.  Its Newton step is taken on
+    E(k) and the held angle's share on every call, started where the
+    library's start kernel moduli._start puts the first iterate, on the band
+    less moduli._EDGE at each end.  Its Newton step is taken on
     (T~ - q) sin(|x - held|/2), through d/dx log sin(|x - held|/2) =
     (1 + u w)/(2(w - u)) at the chart values u and w of the held and free
     angles.  Returns the point and the free angles at which T~ was
@@ -577,7 +621,7 @@ def reference_solve(p, q, k, fixed_angle, tol=DEFAULTS.solver_tol):
         evaluated.append(x)
         return level(x)
     a, b = lo + moduli._EDGE, hi - moduli._EDGE
-    x = 0.5 * (a + b)
+    x = model_start(p, q, k, fixed_angle)
     fx = f(x)
     for _ in range(moduli._MAX_STEPS):
         if abs(fx) < tol:
@@ -600,6 +644,13 @@ def reference_solve(p, q, k, fixed_angle, tol=DEFAULTS.solver_tol):
     return ModuliPoint(p=p, k=k, u_tilde=fixed_angle, v_tilde=x), evaluated
 
 
+def model_start(p, q, k, fixed_angle):
+    """The first iterate moduli._start gives a solve at a float point."""
+    K, E = complete_K(k), complete_E(k)
+    a, b, _ = moduli._band(p, fixed_angle)
+    return moduli._start(p, q, k, K, E, moduli._level_part(k, K, E, fixed_angle), a, b)
+
+
 def solve_cases(seed):
     """Seeded (p, q, k, held angle) over p below, at and above 1, k at both
     ends of (0, 1) and held angles at odd multiples of pi; None draws one."""
@@ -619,6 +670,49 @@ def leaf_jobs(inputs, seed):
     """The level-set leaves of the benchmark's leaf sweep at a seed, from its
     input generators ``inputs`` (the bench_inputs fixture)."""
     return inputs.leaf_jobs(random.Random(f"leaf_sweep:{seed}"), 20)
+
+
+def leaf_sweep_work(monkeypatch, bench_inputs):
+    """Lockstep calls of moduli._level_part per leaf and evaluations of T~
+    per point, the held angle's included, over the benchmark's seed-1
+    leaves, each of which must solve at every point to solver_tol."""
+    calls, evaluations, points = 0, 0, 0
+    level_part = moduli._level_part
+
+    def counted(k, K, E, x):
+        nonlocal calls, evaluations
+        calls, evaluations = calls + 1, evaluations + np.size(x)
+        return level_part(k, K, E, x)
+    monkeypatch.setattr(moduli, "_level_part", counted)
+    jobs = leaf_jobs(bench_inputs, 1)
+    for job in jobs:
+        p, q = Fraction(job["p"]), Fraction(job["q"])
+        mesh = sweep_level_set(p, q, job["k_grid"], job["angle_grid"], job["span"],
+                               k_min=0.02, k_max=0.98)
+        assert mesh.complete
+        points += mesh.u_tilde.size
+        k = np.repeat(mesh.k_values, len(mesh.angle_values))
+        K, E = _complete_KE(k)
+        u, v = (level_part(k, K, E, x.ravel()) for x in (mesh.u_tilde, mesh.v_tilde))
+        assert np.abs(moduli._t_tilde(float(p), k, K, u, v) - float(q)).max() < DEFAULTS.solver_tol
+    return calls / len(jobs), evaluations / points
+
+
+def with_defect(fn, old, new):
+    """fn compiled again in its module with one source edit, old to new."""
+    source = inspect.getsource(fn)
+    assert source.count(old) == 1
+    namespace = dict(vars(inspect.getmodule(fn)))
+    exec(textwrap.dedent(source.replace(old, new)), namespace)
+    return namespace[fn.__name__]
+
+
+def near(multiple_and_ulps):
+    """A float a few ulps from a float multiple of pi."""
+    x, ulps = multiple_and_ulps
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
 
 
 def hex_point(mp):
@@ -663,14 +757,16 @@ class TestSolver:
         assert mp.u_tilde < mp.v_tilde < mp.u_tilde + 2 * math.pi
 
     @pytest.mark.parametrize("case", [*solve_cases(41), *solve_cases(43)], ids=str)
-    def test_cold_solve_starts_at_the_midpoint_inside_the_bracket(self, case, monkeypatch):
+    def test_cold_solve_starts_at_the_model_root_inside_the_bracket(self, case, monkeypatch):
         # T~ diverges at the band ends, and a solve evaluates it first at the
-        # midpoint of [lo + 1e-12, hi - 1e-12] and then only on that
-        # bracket, the ends only once bisection of an unreachable level has
-        # shrunk onto one
+        # start kernel's x0, strictly inside [lo + 1e-12, hi - 1e-12] or else
+        # that bracket's midpoint, and then only on that bracket, the ends
+        # only once bisection of an unreachable level has shrunk onto one
         p, _, _, angle = case
         lo, hi = (angle - 2 * math.pi, angle) if p > 1.0 else (angle, angle + 2 * math.pi)
         edge = moduli._EDGE
+        x0 = model_start(*case)
+        assert lo + edge < x0 < hi - edge or x0 == 0.5 * ((lo + edge) + (hi - edge))
         free = []
         level_part = moduli._level_part
 
@@ -683,7 +779,7 @@ class TestSolver:
         except LevelSolveError:
             pass
         # the held angle's share comes first
-        assert free[:2] == [angle, 0.5 * ((lo + edge) + (hi - edge))]
+        assert free[:2] == [angle, x0]
         assert all(lo + edge <= x <= hi - edge for x in free[1:])
 
     @pytest.mark.parametrize("p, held", [
@@ -725,26 +821,64 @@ class TestSolver:
 
     def test_leaf_sweep_work_is_bounded_in_counts(self, monkeypatch, bench_inputs):
         # Newton's step on the deflated level (T~ - q) sin(|x - held|/2)
-        # leaves the poles at the band ends behind: over the benchmark's
-        # seed-1 leaves (k 0.02-0.98) a leaf takes at most 9.5 lockstep
-        # calls, the held angle's included, and a point at most 6.5
-        # evaluations of T~ (15.4 and 7.83 by plain Newton on T~ - q)
-        calls, evaluations = [0], [0]
-        level_part = moduli._level_part
+        # leaves the poles at the band ends behind, and the model start
+        # (moduli._start) most of the way to the root: over the benchmark's
+        # seed-1 leaves (k 0.02-0.98) a leaf takes at most 5 lockstep calls,
+        # the held angle's included, and a point at most 4.25 evaluations of
+        # T~ (8.83 and 6.24 from the band midpoint; 15.4 and 7.83 by plain
+        # Newton on T~ - q from there)
+        calls, evaluations = leaf_sweep_work(monkeypatch, bench_inputs)
+        assert calls <= 5.0 and evaluations <= 4.25
 
-        def counted(k, K, E, x):
-            calls[0] += 1
-            evaluations[0] += np.size(x)
-            return level_part(k, K, E, x)
-        monkeypatch.setattr(moduli, "_level_part", counted)
-        jobs, points = leaf_jobs(bench_inputs, 1), 0
-        for job in jobs:
-            mesh = sweep_level_set(Fraction(job["p"]), Fraction(job["q"]), job["k_grid"],
-                                   job["angle_grid"], job["span"], k_min=0.02, k_max=0.98)
-            assert mesh.complete
-            points += mesh.u_tilde.size
-        assert calls[0] <= 9.5 * len(jobs)
-        assert evaluations[0] <= 6.5 * points
+    def test_a_defective_start_costs_work_not_correctness(self, monkeypatch, bench_inputs):
+        # the witness of the count above: with the model's term
+        # (2K/pi) t (p dn(v) + dn(u)) dropped, a leaf takes 6.17 lockstep
+        # calls and a point 5.26 evaluations, and every point still solves
+        # to solver_tol, since the solver owes its result to the bracket and
+        # the Newton step, not to its start
+        monkeypatch.setattr(moduli, "_start", with_defect(
+            moduli._start, "base + K * t * (lin * dn + hc * dh) + lin", "base + lin"))
+        calls, evaluations = leaf_sweep_work(monkeypatch, bench_inputs)
+        assert calls > 6.0 and evaluations > 4.75
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(p=st.floats(math.log(1e-3), math.log(1e3)).map(math.exp),
+           k=st.floats(1e-6, 1.0 - 1e-6), q=st.floats(-3.0, 3.0),
+           angle=st.one_of(st.floats(-9.0, 9.0), st.tuples(
+               st.sampled_from([-math.pi, math.pi]), st.integers(-4, 4)).map(near)))
+    def test_start_kernel_lies_in_the_bracket_on_floats_and_arrays(self, p, k, q, angle):
+        # x0 is strictly inside the bracket or its midpoint, with no
+        # exception or warning, the same bits from a float and a one-element
+        # array, and a solve from x0 fails only where one from the midpoint
+        # fails too
+        K, E = _complete_KE(k)
+        a, b, _ = moduli._band(p, angle)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x0 = moduli._start(p, q, k, K, E, moduli._level_part(k, K, E, angle), a, b)
+            ks, angles = np.array([k]), np.array([angle])
+            Ks, Es = _complete_KE(ks)
+            [x1] = moduli._start(p, q, ks, Ks, Es, moduli._level_part(ks, Ks, Es, angles),
+                                 *moduli._band(p, angles)[:2]).tolist()
+        assert type(x0) is float and x0.hex() == x1.hex()
+        assert a < x0 < b or x0 == 0.5 * (a + b)
+        try:
+            solve_level(p, q, k, angle)
+        except LevelSolveError:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(moduli, "_start", lambda p, q, k, K, E, held, a, b: 0.5 * (a + b))
+                with pytest.raises(LevelSolveError):
+                    solve_level(p, q, k, angle)
+
+    @pytest.mark.parametrize("k", [1e-160, 1e-200, 5e-324])
+    def test_start_where_the_square_of_k_underflows(self, k):
+        # at held angle 0 the model's first dn is k, whose square is 0 in
+        # floats: the start divides by no zero, and both solvers agree
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mp = solve_level(1.0, 0.5, k, 0.0)
+        [x], _ = lockstep_solve(1.0, 0.5, np.array([k]), np.array([0.0]))
+        assert x.hex() == mp.v_tilde.hex()
 
     def test_unreachable_cases_are_pinned(self):
         for seed in (41, 43):
