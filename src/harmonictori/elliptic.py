@@ -155,11 +155,6 @@ def _ufunc(fn, x, *args):
     return fn(x, *args, dtype=float) if isinstance(x, np.ndarray) else float(fn(float(x), *args))
 
 
-def _where(cond, x, y):
-    """np.where(cond, x, y) of an array cond, x if cond else y of a bool."""
-    return np.where(cond, x, y) if isinstance(cond, np.ndarray) else (x if cond else y)
-
-
 def _axis_angle(x):
     """(sin, cos) of arctan(x), exact at x = +-inf, of a float or an array of
     finite values, by numpy's hypot (_ufunc)."""

@@ -10,17 +10,13 @@ graphs over (k, angle) charts, which is what the solver exploits.
 
 On each band T~ is strictly monotone along the free angle and diverges to
 opposite infinities at its two ends, so the band less 1e-12 at each end
-brackets every reachable level before any evaluation.  Both solvers pose
-one level problem, on floats or arrays: _band gives that bracket and the
-orientation, _level_fns the level T~ - q and the slope of the pole-deflated
-level (T~ - q) sin(|x - held|/2) at the held angle's terms (_level_part),
-computed once per solve and cut with the lockstep's running points, with
-w(ix) of the free angle once per step; _no_convergence the failure reason.
-Only the Newton-or-midpoint loop is written twice, both from _start's root
-of a model of T~ free of Carlson's integrals: solve_level on floats, and
-_lockstep on per-point (k, angle) arrays, given K, E and the held angle's
-terms, which its one caller, sweep_level_set, computes once per leaf (K and
-E once per grid row); a point ends on solve_level's bits, or fails with its reason.
+brackets every reachable level before any evaluation.  One Newton-or-midpoint
+loop, _lockstep, solves a level on floats or on per-point (k, angle) arrays,
+from _start's root of a model of T~ free of Carlson's integrals, with the
+bracket (_band), level and pole-deflated slope (_level_fns) and the held
+angle's terms (_level_part) each written once for both; solve_level is its
+float call, and sweep_level_set its array call, which computes K and E once
+per grid row.  A point ends on its float call's bits, or fails with its reason.
 _chart_terms alone builds a chart value's terms, for T0, T~ and gamma+.
 An angle's share of T~ is the principal one plus pi per whole turn, and
 the chart value tan(x~/2) of a float angle is finite, the chart boundary
@@ -28,7 +24,8 @@ included, so one formula serves every point.  The scalar entry points take
 0 < p < inf, k in (0, 1), and finite angles (chart values for t0_raw and
 dt0_du_raw, which regroup their closed forms where an intermediate would
 overflow and raise only where the value does) off the diagonal u = v, or for
-solve_level a finite held angle and level q; else they raise ValueError.
+solve_level a finite held angle and level q and 0 < tol < inf; else they
+raise ValueError.
 
 Note on normalization: T0 and T~ below are exactly the principal-branch
 formulas.  With these, the curves (a, -a) fixed by the inversion symmetry
@@ -49,7 +46,7 @@ from .curves import (BranchPair, ModuliPoint, S_value, _check_ratio, _float, _in
                      forward_coords)
 from .elliptic import (
     TWO_PI, _FE, _axis_angle, _chart_value, _check_modulus, _complete_KE, _half_angle, _sqrt,
-    _ufunc, _w, _w_terms, _where,
+    _ufunc, _w, _w_terms,
 )
 
 __all__ = [
@@ -241,13 +238,24 @@ class LevelSolveError(RuntimeError):
     stalls, or _MAX_STEPS steps pass."""
 
 
-# The root search's policy, shared by solve_level and its batched form: the
-# band less _EDGE at each end is the bracket, where T~ - q takes opposite
-# signs for every reachable level, and _MAX_STEPS Newton-or-midpoint steps
-# are taken before it gives up, or fewer if the iterate stalls, after which
-# every step would repeat the same bracket, iterate and residual.
-_EDGE = 1e-12
-_MAX_STEPS = 100
+_EDGE = 1e-12  # the band less _EDGE at each end is the bracket (_band)
+_MAX_STEPS = 100  # the steps _lockstep takes before it gives up
+
+
+def _check_level(q) -> float:
+    """The level q as a float, which must be finite (_float)."""
+    qf = _float(q)
+    if not math.isfinite(qf):
+        raise ValueError(f"the level q must be finite, got {qf!r}")
+    return qf
+
+
+def _check_tol(tol) -> float:
+    """The solver tolerance as a float, which must lie in (0, inf)."""
+    tol = float(tol)
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"the solver tolerance must be positive and finite, got {tol!r}")
+    return tol
 
 
 def _band(p, held_angle):
@@ -268,13 +276,19 @@ def _level_fns(p, q, k, K, E, held):
 
     def level(x):
         free = _level_part(k, K, E, x)
-        return _t_tilde(p, k, K, *((free, held) if solve_for_u else (held, free))) - q, free
+        f = _t_tilde(p, k, K, free, held) if solve_for_u else _t_tilde(p, k, K, held, free)
+        return f - q, free
 
     def slope(f, free):
         w, ww = free[1], free[2]
         d = _dT_du(p, k, K, E, w, u, ww, wu) if solve_for_u else _dT_dv(p, k, K, E, u, w, wu, ww)
         return d + f * (1.0 + u * w) / (2.0 * (w - u))
     return level, slope
+
+
+def _pick(cond, x, y):
+    """x if cond else y: np.where's form on floats, for the solvers to bind once."""
+    return x if cond else y
 
 
 def _start(p, q, k, K, E, held, a, b):
@@ -290,6 +304,7 @@ def _start(p, q, k, K, E, held, a, b):
     D = t - s c, P = c t + s at the held chart value c.  No step is taken where
     the model's slope is not positive; a start not inside (a, b) is the midpoint."""
     f, c, w = held[:3]
+    where = np.where if isinstance(c, np.ndarray) else _pick
     s, lin, hc = (1.0, p, 1.0) if p <= 1.0 else (-1.0, 1.0, p)
     cc, t = 1.0 + c * c, 0.0 * c
     rc, dh, d1 = _sqrt(cc), w / cc, 2.0 * (K * k - (K - E) / k) / math.pi
@@ -307,15 +322,70 @@ def _start(p, q, k, K, E, held, a, b):
             sw * ((D > 0.0) * 2.0 - 1.0) * (s * P / r - 1.0) + dw * s * P * D / tt
             - lam * _ufunc(np.arctan, t)))
         dg = (K * (lin * dn + hc * dh + lin * t * ((D + c * k * kP) / cc - t * y)
-                   / (tt * _where(dn > 0.0, dn, 1.0)))
+                   / (tt * where(dn > 0.0, dn, 1.0)))
               - lin * (lam + sw * abs(D) / r + dw * (D * D - P * P) / tt) / tt)
-        t = t - _where(dg > 0.0, g, 0.0) / _where(dg > 0.0, dg, 1.0)
+        t = t - where(dg > 0.0, g, 0.0) / where(dg > 0.0, dg, 1.0)
     x = 0.5 * (a + b) - 2.0 * s * _ufunc(np.arctan, t)
-    return _where((a < x) & (x < b), x, 0.5 * (a + b))
+    return where((a < x) & (x < b), x, 0.5 * (a + b))
 
 
 def _no_convergence(q, residual) -> str:
     return f"no convergence for q={q!r}: residual {residual!r}"
+
+
+def _lockstep(p: float, q: float, k, K, E, angle, held, tol: float):
+    """The level solve's one loop, on a float held angle or per-point float64
+    arrays (an array call under np.errstate, as sweep_level_set makes it),
+    given checked p, q and tol, k, K(k) and E(k) per point or as one float,
+    and the held angle's terms (_level_part).
+
+    From _start's model root, each step narrows the bracket (_band) to the
+    iterate's side of the root and takes Newton's step on the pole-deflated
+    level (_level_fns), or the bracket's midpoint where that step is zero or
+    leaves it.  A point converges where |T~ - q| < tol, before its slope, and
+    fails where its iterate stalls or lands on the held angle, T~'s pole (at
+    once, residual nan, where the band holds no float), or after _MAX_STEPS
+    steps.  Array points leave as they end, cut from the running values, so
+    each ends on its float call's bits.  Returns the solved angle, nan where
+    it failed, and the failure's residual (_no_convergence), nan elsewhere.
+    """
+    arrays = isinstance(angle, np.ndarray)
+    where = np.where if arrays else _pick
+    a, b, sign = _band(p, angle)
+    level, slope = _level_fns(p, q, k, K, E, held)
+    x = _start(p, q, k, K, E, held, a, b)
+    if not arrays and x == angle:  # the band holds no float
+        return math.nan, math.nan
+    fx, free = level(x)
+    if arrays:
+        idx, (solved, residual) = np.arange(angle.size), np.full((2, angle.size), np.nan)
+        fx[x == angle] = np.nan  # the band holds no float: no residual, as on floats
+    for _ in range(_MAX_STEPS):
+        done = abs(fx) < tol
+        if done.all() if arrays else done:
+            break
+        a, b = where((fx < 0.0) == (sign > 0.0), (x, b), (a, x))
+        d = slope(fx, free)
+        step = -fx / where(d != 0.0, d, math.inf)  # zero at a zero slope: the midpoint
+        xn = x + step
+        xn = where((a < xn) & (xn < b) & (step != 0.0), xn, 0.5 * (a + b))
+        stalled = (xn == x) | (xn == angle)  # a stall, or T~'s pole at the held angle
+        if not arrays:
+            if stalled:
+                break
+        elif (leave := done | stalled).any():
+            solved[idx[done]], residual[idx[leave & ~done]] = x[done], fx[leave & ~done]
+            if leave.all():
+                return solved, residual
+            idx, xn, a, b, angle, k, K, E, done, *held = (
+                v[~leave] if isinstance(v, np.ndarray) else v
+                for v in (idx, xn, a, b, angle, k, K, E, done, *held))
+            level, slope = _level_fns(p, q, k, K, E, held)
+        x, (fx, free) = xn, level(xn)
+    if not arrays:
+        return (x, math.nan) if done else (math.nan, fx)
+    solved[idx[done]], residual[idx[~done]] = x[done], fx[~done]
+    return solved, residual
 
 
 def solve_level(p: float, q: float, k: float, fixed_angle: float,
@@ -324,105 +394,20 @@ def solve_level(p: float, q: float, k: float, fixed_angle: float,
 
     For p > 1 the fixed angle is v~ and the solution angle u~ lies in
     (v~ - 2 pi, v~), where T~ increases; for p <= 1 the fixed angle is u~
-    and v~ is solved in (u~, u~ + 2 pi), where T~ decreases.  T~ diverges
-    with opposite signs at the band ends, so bracketed Newton with bisection
-    fallback on the band less 1e-12 at each end (_band), stepping on the
-    level with those poles deflated (_level_fns), converges to every
-    reachable level from _start's model root (else the bracket's midpoint);
-    a level out of reach fails when the iterate stalls or lands on the held
-    angle, T~'s pole (at once, residual nan, where the band holds no float),
-    or after _MAX_STEPS steps.  The held angle and q are solved as floats.
+    and v~ is solved in (u~, u~ + 2 pi), where T~ decreases, as floats by
+    the float call of _lockstep, which states the search; 0 < tol < inf.
     """
     p = _check_ratio(p)
     fixed_angle = float(fixed_angle)
     if not math.isfinite(fixed_angle):
         raise ValueError(f"the held angle must be finite, got {fixed_angle!r}")
-    if not math.isfinite(qf := _float(q)):
-        raise ValueError(f"the level q must be finite, got {q!r}")
-    k = _check_modulus(k)
+    qf, tol, k = _check_level(q), _check_tol(tol), _check_modulus(k)
     K, E = _complete_KE(k)
-    a, b, sign = _band(p, fixed_angle)
-    held = _level_part(k, K, E, fixed_angle)
-    level, slope = _level_fns(p, qf, k, K, E, held)
-    x = _start(p, qf, k, K, E, held, a, b)
-    if x == fixed_angle:  # the band holds no float: no residual, as in _lockstep
-        raise LevelSolveError(_no_convergence(q, math.nan))
-    fx, free = level(x)
-    for _ in range(_MAX_STEPS):
-        if abs(fx) < tol:
-            u, v = (x, fixed_angle) if p > 1.0 else (fixed_angle, x)
-            return ModuliPoint(p=p, k=k, u_tilde=u, v_tilde=v)
-        a, b = (x, b) if (fx < 0.0) == (sign > 0.0) else (a, x)
-        d = slope(fx, free)
-        step = -fx / d if d != 0.0 else 0.0
-        xn = x + step
-        if not (a < xn < b) or step == 0.0:
-            xn = 0.5 * (a + b)
-        if xn == x or xn == fixed_angle:  # a stall, or T~'s pole at the held angle
-            break
-        x, (fx, free) = xn, level(xn)
-    raise LevelSolveError(_no_convergence(q, fx))
-
-
-def _at(at, *values):
-    """Each array of ``values`` at the indices or mask ``at``; a float as it is."""
-    return [v[at] if isinstance(v, np.ndarray) else v for v in values]
-
-
-def _lockstep(p: float, q: float, k, K, E, angle: np.ndarray, held,
-              tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """solve_level at every point (k[i], angle[i]) of float64 arrays, in
-    lockstep, given a checked p, K(k) and E(k) (elliptic._complete_KE), k, K
-    and E each an array of per-point values or one float for every point,
-    and the first four of the held angle's terms (_level_part) at every point.
-
-    Runs the scalar solver's policy on all points at once: the same bracket
-    (_band) and start (_start), level and slope (_level_fns),
-    Newton-or-midpoint step, step limit and failure reason, on the same
-    floating-point values, so every point ends where
-    solve_level(p, q, k[i], angle[i], tol) would, after as many evaluations
-    of T~ where its band holds a float: a point leaves as it converges,
-    stalls or lands on its held angle, before its next iterate is evaluated,
-    and the per-point constants are cut to the running points as points
-    leave.  Once every running point has converged the solve stops before
-    the slope, as solve_level does.  Returns the solved angle of every
-    point, nan where it failed, and the residual T~ - q where it failed, nan
-    elsewhere or with no float in the band, whose reason is
-    _no_convergence(q, residual).
-    """
-    a, b, sign = _band(p, angle)
-    solved, residual = np.full((2, angle.size), np.nan)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        level, slope = _level_fns(p, q, k, K, E, held)
-        idx, x = np.arange(angle.size), _start(p, q, k, K, E, held, a, b)
-        fx, free = level(x)
-        fx[x == angle] = np.nan  # the band holds no float: no residual, as in solve_level
-        for _ in range(_MAX_STEPS):
-            done = np.abs(fx) < tol
-            if done.all():  # as solve_level returns, before the slope
-                solved[idx] = x
-                break
-            lower = (fx < 0.0) == (sign > 0.0)
-            a, b = np.where(lower, x, a), np.where(lower, b, x)
-            d = slope(fx, free)
-            step = np.where(d != 0.0, -fx / d, 0.0)
-            xn = x + step
-            inside = (a < xn) & (xn < b) & (step != 0.0)
-            xn = np.where(inside, xn, 0.5 * (a + b))
-            stalled = (xn == x) | (xn == angle)
-            leave = done | stalled
-            if leave.any():
-                solved[idx[done]] = x[done]
-                residual[idx[stalled]] = fx[stalled]
-                stay = ~leave
-                if not stay.any():
-                    break
-                idx, xn, a, b, angle, k, K, E, *held = _at(stay, idx, xn, a, b, angle, k, K, E, *held)
-                level, slope = _level_fns(p, q, k, K, E, held)
-            x, (fx, free) = xn, level(xn)
-        else:
-            residual[idx] = fx
-    return solved, residual
+    x, residual = _lockstep(p, qf, k, K, E, fixed_angle, _level_part(k, K, E, fixed_angle), tol)
+    if x != x:  # nan: no root
+        raise LevelSolveError(_no_convergence(q, residual))
+    u, v = (x, fixed_angle) if p > 1.0 else (fixed_angle, x)
+    return ModuliPoint(p=p, k=k, u_tilde=u, v_tilde=v)
 
 
 @dataclass
@@ -460,12 +445,9 @@ def sweep_level_set(p: Fraction, q: Fraction, k_grid: int, angle_grid: int,
     The grid's angle is the held one, v~ for p > 1 and u~ otherwise; a span
     of 2 pi walks one full turn of the cover, after which the p = 1 leaves
     close up exactly while p != 1 leaves land on the next deck translate.
-    The grid is flattened k-major once, into per-point k and angle arrays
-    that _lockstep solves, given K and E from one _complete_KE pass over the
-    grid's k values and the held angle's terms at every point, and that the
-    map of which inverse_coords is the one-point case takes to branch pairs;
-    the solve follows solve_level bit for bit, and every point fails with
-    the reason the scalar functions raise.
+    The k-major grid's points are one array call of _lockstep, and the map
+    of which inverse_coords is the one-point case takes them to branch pairs;
+    every point ends on solve_level's bits, or fails with the scalar reason.
     """
     if k_grid < 2 or angle_grid < 2:
         raise ValueError("grids must have at least 2 samples")
@@ -475,9 +457,7 @@ def sweep_level_set(p: Fraction, q: Fraction, k_grid: int, angle_grid: int,
         raise ValueError("angle span and start must be finite")
     if not math.isfinite(angle_start + angle_span):  # the grid's last angle
         raise ValueError(f"the last grid angle must be finite, got {angle_start + angle_span!r}")
-    if not math.isfinite(qf := _float(q)):
-        raise ValueError(f"the level q must be finite, got {q!r}")
-    pf = _check_ratio(p)
+    qf, solver_tol, pf = _check_level(q), _check_tol(solver_tol), _check_ratio(p)
     ks = np.linspace(k_min, k_max, k_grid).tolist()
     angles = (angle_start + np.linspace(0.0, angle_span, angle_grid)).tolist()
     k, fixed = np.repeat(ks, angle_grid), np.tile(angles, k_grid)
@@ -485,7 +465,7 @@ def sweep_level_set(p: Fraction, q: Fraction, k_grid: int, angle_grid: int,
     K, E = (np.repeat(x, angle_grid) for x in _complete_KE(np.array(ks)))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         held = _level_part(k, K, E, fixed)[:4]
-    solved, residual = _lockstep(pf, qf, k, K, E, fixed, held, solver_tol)
+        solved, residual = _lockstep(pf, qf, k, K, E, fixed, held, solver_tol)
     u_tilde, v_tilde = (solved, fixed) if pf > 1.0 else (fixed, solved)
     alpha, beta, rejected = _inverse_coords_array(pf, k, u_tilde, v_tilde)
     # a point the solver failed has nan angles, which the map does not reject

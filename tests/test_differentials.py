@@ -680,8 +680,8 @@ class TestConstructPsi:
 
 def record_solves(monkeypatch):
     """Record monodromy_track's solve_level and deck_lambda_tilde calls, one
-    (name, args, kw, result) each, and fail the test on any moduli._lockstep
-    call."""
+    (name, args, kw, result) each, and fail the test where an ndarray reaches
+    the level solve's loop, moduli._lockstep: the loop's solves are float calls."""
     calls = []
 
     def recorder(name, fn):
@@ -692,7 +692,13 @@ def record_solves(monkeypatch):
         monkeypatch.setattr(differentials, name, recorded)
     recorder("solve_level", solve_level)
     recorder("deck_lambda_tilde", curves.deck_lambda_tilde)
-    monkeypatch.setattr(moduli, "_lockstep", lambda *args: pytest.fail("the loop ran _lockstep"))
+    lockstep = moduli._lockstep
+
+    def floats_only(*args):
+        if any(isinstance(arg, np.ndarray) for arg in args):
+            pytest.fail("the loop ran an array solve")
+        return lockstep(*args)
+    monkeypatch.setattr(moduli, "_lockstep", floats_only)
     return calls
 
 
